@@ -106,9 +106,18 @@ class ExactCostModel(CostModel):
             OpKind.READ: _CurveInterpolator(calibration.read_iops),
             OpKind.WRITE: _CurveInterpolator(calibration.write_iops),
         }
+        #: (kind, size) -> cost.  Exact, not approximate: cost is a pure
+        #: function of the curves frozen above, and the scheduler prices
+        #: the same handful of chunk sizes on every dispatch (sizes are
+        #: capped by its chunk size, which bounds the memo).
+        self._memo: Dict[Tuple[OpKind, int], float] = {}
 
     def cost(self, kind: OpKind, size: int) -> float:
-        return self.max_iop / self._interp[kind].achieved_iops(size)
+        cost = self._memo.get((kind, size))
+        if cost is None:
+            cost = self.max_iop / self._interp[kind].achieved_iops(size)
+            self._memo[kind, size] = cost
+        return cost
 
 
 class FittedCostModel(CostModel):
@@ -127,6 +136,7 @@ class FittedCostModel(CostModel):
         from scipy.optimize import curve_fit  # local: scipy import is slow
 
         self._params: Dict[OpKind, Tuple[float, float, float]] = {}
+        self._memo: Dict[Tuple[OpKind, int], float] = {}  # as ExactCostModel's
         for kind in (OpKind.READ, OpKind.WRITE):
             curve = calibration.curve(kind)
             sizes_kib = np.array([s / KIB for s in sorted(curve)])
@@ -152,9 +162,13 @@ class FittedCostModel(CostModel):
         return self._params[kind]
 
     def cost(self, kind: OpKind, size: int) -> float:
-        a, b, c = self._params[kind]
-        size_kib = max(size / KIB, 1e-9)
-        return float(self._shape(size_kib, a, b, c) * size_kib)
+        cost = self._memo.get((kind, size))
+        if cost is None:
+            a, b, c = self._params[kind]
+            size_kib = max(size / KIB, 1e-9)
+            cost = float(self._shape(size_kib, a, b, c) * size_kib)
+            self._memo[kind, size] = cost
+        return cost
 
 
 class ConstantCostModel(CostModel):

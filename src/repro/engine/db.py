@@ -235,6 +235,10 @@ class LsmEngine:
         for level in range(self.version.max_levels - 1, 0, -1):
             tables.extend(self.version.overlapping(level, lo, hi))
         tables.extend(reversed(self.version.overlapping(0, lo, hi)))
+        # Captured with the table list, before the first IO wait: a FLUSH
+        # that lands mid-scan moves the immutable memtable's entries into
+        # an L0 table this scan never listed.
+        memtables = (self.immutable, self.memtable)
         for table in tables:
             self._ref(table)
         try:
@@ -243,17 +247,13 @@ class LsmEngine:
                     lambda: table.read_range(lo, hi, tag),
                     span="sst.range", tag=tag,
                 )
-                for idx in table.range_indices(lo, hi):
-                    merged[table.keys[idx]] = table.sizes[idx]
+                merged.update(table.range_items(lo, hi))
         finally:
             for table in tables:
                 self._unref(table)
-        for source in (self.immutable, self.memtable):
-            if source is None:
-                continue
-            for key, entry in source.sorted_entries():
-                if lo <= key <= hi:
-                    merged[key] = entry.size
+        for source in memtables:
+            if source is not None:
+                merged.update(source.range_items(lo, hi))
         results = [
             (key, size)
             for key, size in sorted(merged.items())

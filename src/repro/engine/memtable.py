@@ -8,6 +8,7 @@ value bytes.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["Memtable", "Entry", "TOMBSTONE"]
@@ -38,9 +39,9 @@ class Memtable:
             raise ValueError(f"memtable limit must be positive, got {limit_bytes}")
         self.limit_bytes = limit_bytes
         self._entries: Dict[int, Entry] = {}
-        #: sorted key cache for the flush path; only a *new* key changes
-        #: the key set, so overwrites keep it valid
-        self._sorted_keys: Optional[List[int]] = None
+        #: the key set in order, kept live: a *new* key is insorted, an
+        #: overwrite leaves it untouched
+        self._keys: List[int] = []
         self.bytes = 0
 
     def __len__(self) -> int:
@@ -60,7 +61,7 @@ class Memtable:
         if previous is not None:
             self.bytes -= max(previous.size, 0)
         else:
-            self._sorted_keys = None
+            insort(self._keys, key)
         self._entries[key] = Entry(size, sequence)
         self.bytes += max(size, 0)
 
@@ -68,16 +69,17 @@ class Memtable:
         """The buffered entry for ``key``, or None if absent."""
         return self._entries.get(key)
 
-    def sorted_entries(self) -> Iterator[Tuple[int, Entry]]:
-        """Entries in key order (for building an SSTable).
-
-        The flush path iterates this twice (layout sizing, then the
-        actual build); the sorted key list is cached between calls and
-        invalidated only when a put introduces a new key.
-        """
-        keys = self._sorted_keys
-        if keys is None:
-            keys = self._sorted_keys = sorted(self._entries)
+    def range_items(self, lo: int, hi: int) -> List[Tuple[int, int]]:
+        """(key, size) of the entries with lo <= key <= hi, in key order."""
+        keys = self._keys
         entries = self._entries
-        for key in keys:
+        return [
+            (key, entries[key].size)
+            for key in keys[bisect_left(keys, lo):bisect_right(keys, hi)]
+        ]
+
+    def sorted_entries(self) -> Iterator[Tuple[int, Entry]]:
+        """Entries in key order (for building an SSTable)."""
+        entries = self._entries
+        for key in self._keys:
             yield key, entries[key]

@@ -50,23 +50,15 @@ class SsTable:
         #: optional Bloom filter (LevelDB FilterPolicy); None = disabled
         self.bloom = bloom
         self.deleted = False
-
-    @property
-    def min_key(self) -> int:
-        return self.keys[0]
-
-    @property
-    def max_key(self) -> int:
-        return self.keys[-1]
+        # Tables are immutable: their range and live value bytes
+        # (excluding index and tombstones) are fixed at build.
+        self.min_key = keys[0]
+        self.max_key = keys[-1]
+        self.data_bytes = sum(s for s in sizes if s > 0)
 
     @property
     def entry_count(self) -> int:
         return len(self.keys)
-
-    @property
-    def data_bytes(self) -> int:
-        """Live value bytes (excluding index and tombstones)."""
-        return sum(s for s in self.sizes if s > 0)
 
     def covers(self, key: int) -> bool:
         """True if ``key`` falls inside this table's key range."""
@@ -102,6 +94,11 @@ class SsTable:
         first = bisect.bisect_left(self.keys, lo)
         last = bisect.bisect_right(self.keys, hi)
         return range(first, last)
+
+    def range_items(self, lo: int, hi: int) -> Iterable[Tuple[int, int]]:
+        """(key, size) of the entries with lo <= key <= hi, in key order."""
+        span = self.range_indices(lo, hi)
+        return zip(self.keys[span.start:span.stop], self.sizes[span.start:span.stop])
 
     def read_range(self, lo: int, hi: int, tag: IoTag) -> Optional[Event]:
         """Sequentially read the span covering keys in [lo, hi].

@@ -31,6 +31,9 @@ class Version:
         if max_levels < 2:
             raise ValueError("need at least L0 and L1")
         self.levels: List[List[SsTable]] = [[] for _ in range(max_levels)]
+        #: ``min_key`` of every table, parallel to ``levels``.  L1+ are
+        #: sorted and disjoint, so a lookup there is two bisects of this.
+        self._min_keys: List[List[int]] = [[] for _ in range(max_levels)]
 
     @property
     def max_levels(self) -> int:
@@ -49,6 +52,7 @@ class Version:
     def add_l0(self, table: SsTable) -> None:
         """Install a freshly flushed table (newest first)."""
         self.levels[0].insert(0, table)
+        self._min_keys[0].insert(0, table.min_key)
 
     def install(self, level: int, tables: List[SsTable]) -> None:
         """Add compaction outputs to ``level``, keeping sort order."""
@@ -58,15 +62,17 @@ class Version:
             return
         merged = self.levels[level] + tables
         merged.sort(key=lambda t: t.min_key)
-        self.levels[level] = merged
+        self._set_level(level, merged)
 
     def remove(self, tables: List[SsTable]) -> None:
         """Drop tables (they were compacted away)."""
         doomed = {t.table_id for t in tables}
-        for level in range(len(self.levels)):
-            self.levels[level] = [
-                t for t in self.levels[level] if t.table_id not in doomed
-            ]
+        for level, live in enumerate(self.levels):
+            self._set_level(level, [t for t in live if t.table_id not in doomed])
+
+    def _set_level(self, level: int, tables: List[SsTable]) -> None:
+        self.levels[level] = tables
+        self._min_keys[level] = [t.min_key for t in tables]
 
     # -- lookup ------------------------------------------------------------------
 
@@ -88,14 +94,21 @@ class Version:
         return sum(1 for _t in self.eligible_files(key))
 
     def _find_in_level(self, level: int, key: int) -> Optional[SsTable]:
-        tables = self.levels[level]
-        if not tables:
-            return None
-        i = bisect.bisect_right([t.min_key for t in tables], key) - 1
-        if i >= 0 and tables[i].covers(key):
-            return tables[i]
+        i = bisect.bisect_right(self._min_keys[level], key) - 1
+        if i >= 0:
+            table = self.levels[level][i]
+            if key <= table.max_key:
+                return table
         return None
 
     def overlapping(self, level: int, lo: int, hi: int) -> List[SsTable]:
-        """Tables at ``level`` intersecting [lo, hi] (compaction input)."""
-        return [t for t in self.levels[level] if t.overlaps(lo, hi)]
+        """Tables at ``level`` intersecting [lo, hi], in level order."""
+        tables = self.levels[level]
+        if level == 0:
+            return [t for t in tables if t.overlaps(lo, hi)]
+        min_keys = self._min_keys[level]
+        # Only the last table starting at or below ``lo`` can reach it.
+        first = bisect.bisect_right(min_keys, lo) - 1
+        if first < 0 or tables[first].max_key < lo:
+            first += 1
+        return tables[first:bisect.bisect_right(min_keys, hi)]

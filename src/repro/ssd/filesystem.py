@@ -59,13 +59,14 @@ class RawBackend:
 class SimFile:
     """An append-only file: a list of device extents plus a byte size."""
 
-    __slots__ = ("fs", "name", "extents", "_starts", "size", "deleted")
+    __slots__ = ("fs", "name", "extents", "_starts", "allocated", "size", "deleted")
 
     def __init__(self, fs: "SimFilesystem", name: str):
         self.fs = fs
         self.name = name
         self.extents: List[Tuple[int, int]] = []  # (device offset, length)
         self._starts: List[int] = []  # cumulative file offsets of extents
+        self.allocated = 0  # bytes of device space held (sum of extent lengths)
         self.size = 0
         self.deleted = False
 
@@ -136,6 +137,7 @@ class SimFilesystem:
         self.page_size = page_size
         self.capacity = capacity
         self._free: List[Tuple[int, int]] = [(0, capacity)]  # sorted by offset
+        self._free_bytes = capacity
         self._files = {}
         self._seq = 0
 
@@ -162,12 +164,13 @@ class SimFilesystem:
             self._release(dev_off, length)
         f.extents = []
         f._starts = []
+        f.allocated = 0
         self._files.pop(f.name, None)
 
     @property
     def free_bytes(self) -> int:
         """Unallocated capacity."""
-        return sum(length for _off, length in self._free)
+        return self._free_bytes
 
     @property
     def file_count(self) -> int:
@@ -185,8 +188,7 @@ class SimFilesystem:
         """
         segments: List[Tuple[int, int]] = []
         remaining = size
-        allocated = sum(length for _off, length in f.extents)
-        slack = allocated - f.size
+        slack = f.allocated - f.size
         if slack > 0:
             dev_off, ext_len = f.extents[-1]
             within = ext_len - slack
@@ -199,8 +201,9 @@ class SimFilesystem:
                 min(self.ALLOC_CHUNK, -(-remaining // self.page_size) * self.page_size),
             )
             dev_off, got = self._allocate(want)
-            f._starts.append(sum(length for _off, length in f.extents))
+            f._starts.append(f.allocated)
             f.extents.append((dev_off, got))
+            f.allocated += got
             take = min(remaining, got)
             segments.append((dev_off, take))
             remaining -= take
@@ -214,18 +217,21 @@ class SimFilesystem:
                     self._free.pop(i)
                 else:
                     self._free[i] = (off + want, length - want)
+                self._free_bytes -= want
                 return off, want
         # No hole big enough: take the largest (allocation may split).
         if not self._free:
             raise OutOfSpace("filesystem full")
         i = max(range(len(self._free)), key=lambda j: self._free[j][1])
         off, length = self._free.pop(i)
+        self._free_bytes -= length
         return off, length
 
     def _release(self, off: int, length: int) -> None:
         """Return an extent to the free list, coalescing neighbours."""
         i = bisect.bisect_left(self._free, (off, 0))
         self._free.insert(i, (off, length))
+        self._free_bytes += length
         # Coalesce with the next, then the previous.
         if i + 1 < len(self._free):
             o2, l2 = self._free[i + 1]

@@ -235,16 +235,21 @@ class Ftl:
         page = self.profile.page_size
         nchan = self.profile.channels
         pages = self._page_range(offset, size)
+        first, last = pages[0], pages[-1]
+        if first == last:
+            return [(self.read_channel(offset), 1, size)]
+        block_channel = self.block_channel
+        chans = [
+            block_channel[block] if block != UNMAPPED else p % nchan
+            for p, block in zip(pages, self.page_to_block[first:last + 1].tolist())
+        ]
         per_chan_pages = [0] * nchan
-        per_chan_bytes = [0] * nchan
-        end = offset + size
-        for p in pages:
-            block = self.page_to_block[p]
-            chan = int(self.block_channel[block]) if block != UNMAPPED else p % nchan
-            lo = max(offset, p * page)
-            hi = min(end, (p + 1) * page)
+        for chan in chans:
             per_chan_pages[chan] += 1
-            per_chan_bytes[chan] += hi - lo
+        per_chan_bytes = [n * page for n in per_chan_pages]
+        # Only the first and last page can be partial.
+        per_chan_bytes[chans[0]] -= offset - first * page
+        per_chan_bytes[chans[-1]] -= (last + 1) * page - (offset + size)
         return [
             (c, per_chan_pages[c], per_chan_bytes[c])
             for c in range(nchan)
