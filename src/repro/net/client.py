@@ -28,6 +28,7 @@ request (``lkv.put`` / ``lkv.get``).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, Optional
 
 from ..faults import NodeUnreachable, RetriesExhausted, StorageFault
@@ -67,9 +68,9 @@ class ClusterClient:
         self.tracer = tracer
         self.rpc = RpcEndpoint(sim, fabric, name, config=self.config, tracer=tracer)
         #: per-tenant end-to-end latency (network + storage + retries)
-        self.latencies: Dict[str, LatencyRecorder] = {}
+        self.latencies: Dict[str, LatencyRecorder] = defaultdict(LatencyRecorder)
         #: per-tenant app-level counters as seen from this client
-        self.stats: Dict[str, RequestStats] = {}
+        self.stats: Dict[str, RequestStats] = defaultdict(RequestStats)
         self._version_seen = -1
         self._primary_cache: Dict[tuple, str] = {}
 
@@ -191,7 +192,7 @@ class ClusterClient:
     def _call_primary(self, tenant: str, key: int, method: str, payload, nbytes: int,
                       trace: Optional[int] = None):
         """Call the key's primary, re-resolving across failovers."""
-        stats = self.stats.setdefault(tenant, RequestStats())
+        stats = self.stats[tenant]
         last: Optional[StorageFault] = None
         tried: Optional[str] = None
         for _round in range(self.resolve_rounds):
@@ -247,7 +248,7 @@ class ClusterClient:
         remain perfectly reachable from clients on their own side —
         that fallback is what keeps both sides available.
         """
-        stats = self.stats.setdefault(tenant, RequestStats())
+        stats = self.stats[tenant]
         partition = self.partition_map.partition_of(tenant, key)
         candidates = [
             name for name in partition.replicas if self.membership.is_live(name)
@@ -323,10 +324,8 @@ class ClusterClient:
         self, tenant: str, kind: str, size: int, started: float,
         trace: Optional[int] = None,
     ) -> None:
-        self.stats.setdefault(tenant, RequestStats()).note(kind, size)
-        self.latencies.setdefault(tenant, LatencyRecorder()).record(
-            kind, self.sim.now - started
-        )
+        self.stats[tenant].note(kind, size)
+        self.latencies[tenant].record(kind, self.sim.now - started)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.span(

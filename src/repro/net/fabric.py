@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..faults import FaultPlan, NetFaultInjector
-from ..sim import Simulator, Timeout
+from ..sim import Simulator
 
 __all__ = ["NetConfig", "LinkStats", "Nic", "NetworkFabric"]
 
@@ -264,17 +264,15 @@ class NetworkFabric:
                 stats.duplicated += 1
                 deliveries = 2
         arrival = done_at + self.config.link_latency + extra
+        delivery = (dst, message, stats)
         for copy in range(deliveries):
             # Duplicates trail the original by one propagation delay.
-            at = arrival + copy * self.config.link_latency
-            timer = Timeout(self.sim, at - now)
-            timer.callbacks.append(
-                lambda _ev, dst=dst, message=message, stats=stats: self._deliver(
-                    dst, message, stats
-                )
+            self.sim.call_at(
+                arrival + copy * self.config.link_latency, self._deliver, delivery
             )
 
-    def _deliver(self, dst: str, message: Any, stats: LinkStats) -> None:
+    def _deliver(self, delivery: Tuple[str, Any, LinkStats]) -> None:
+        dst, message, stats = delivery
         if dst in self._down:
             stats.dead_letters += 1
             return

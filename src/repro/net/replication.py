@@ -365,7 +365,7 @@ class KvService:
                 self._ship_one(
                     name, payload, nbytes, state, need, len(backups), quorum, trace
                 ),
-                name=f"repl.{self.node.name}->{name}",
+                name="repl.ship",
             )
         if need <= 0:
             # Asynchronous replication: the shipping processes run on,
@@ -420,9 +420,7 @@ class KvService:
         )
         if slot not in self._draining:
             self._draining.add(slot)
-            self.sim.process(
-                self._drain(slot), name=f"repl.apply.{self.node.name}.{tenant}.{pid}"
-            )
+            self.sim.process(self._drain(slot), name="repl.drain")
         yield done
         return {"seq": self._applied[slot]}, ACK_BYTES
 

@@ -1,9 +1,11 @@
 """Request/response RPC over the fabric.
 
 An :class:`RpcEndpoint` pairs a fabric NIC with a method dispatch
-table.  Calls carry correlation ids; each attempt races the response
-against a per-attempt timeout and retries with exponential backoff —
-the same budget shape :class:`~repro.node.server.StorageNode` uses for
+table.  Calls carry correlation ids; each attempt waits for its
+response under a per-attempt deadline (one armed deadline per endpoint,
+see :class:`~repro.sim.DeadlineQueue`) and retries with exponential
+backoff — the same budget shape
+:class:`~repro.node.server.StorageNode` uses for
 device faults, because the failure modes rhyme: a dropped message, a
 dead peer, and a congested NIC all look like silence to the caller.
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from ..faults import NetworkFault, NodeUnreachable, RetriesExhausted, RpcTimeout
-from ..sim import Simulator
+from ..sim import DeadlineQueue, Event, Simulator
 from .fabric import NetConfig, NetworkFabric
 
 __all__ = ["RpcError", "RpcStats", "RpcMessage", "RpcEndpoint"]
@@ -51,22 +53,30 @@ class RpcStats:
     casts: int = 0
 
 
-@dataclass(frozen=True)
 class RpcMessage:
     """One message on the wire (request, response, or one-way cast).
 
     ``trace`` is the originating request's trace id (see
     :mod:`repro.obs.trace`), carried by value so a request's spans on
     the serving node join the caller's trace; None when tracing is off.
+    Treated as immutable: nothing mutates a message once sent.
     """
 
-    kind: str  # "req" | "resp" | "cast"
-    src: str
-    corr_id: int
-    method: str = ""
-    payload: Any = None
-    ok: bool = True
-    trace: Optional[int] = None
+    __slots__ = ("kind", "src", "corr_id", "method", "payload", "ok", "trace")
+
+    def __init__(self, kind: str, src: str, corr_id: int, method: str = "",
+                 payload: Any = None, ok: bool = True, trace: Optional[int] = None):
+        self.kind = kind  # "req" | "resp" | "cast"
+        self.src = src
+        self.corr_id = corr_id
+        self.method = method
+        self.payload = payload
+        self.ok = ok
+        self.trace = trace
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"RpcMessage({fields})"
 
 
 class RpcEndpoint:
@@ -99,8 +109,10 @@ class RpcEndpoint:
         self._methods: Dict[str, Callable] = {}
         #: one-way method -> plain function(payload) -> None
         self._cast_methods: Dict[str, Callable[[Any], None]] = {}
-        self._waiting: Dict[int, Any] = {}  # corr_id -> response Event
+        self._waiting: Dict[int, Event] = {}  # corr_id -> response Event
         self._next_id = 0
+        #: per-attempt deadlines: FIFO, as rpc_timeout is one constant here
+        self._deadlines = DeadlineQueue(sim, self._waiting.__contains__, self._expire)
 
     # -- registration ------------------------------------------------------
 
@@ -185,8 +197,9 @@ class RpcEndpoint:
         self.stats.calls += 1
         self._next_id += 1
         corr_id = self._next_id
-        started = self.sim.now
-        response = self.sim.event()
+        sim = self.sim
+        started = sim.now
+        response = Event(sim)
         self._waiting[corr_id] = response
         self.fabric.send(
             self.name,
@@ -195,38 +208,39 @@ class RpcEndpoint:
             RpcMessage(kind="req", src=self.name, corr_id=corr_id, method=method,
                        payload=payload, trace=trace),
         )
-        timer = self.sim.timeout(self.config.rpc_timeout)
-        yield self.sim.any_of([response, timer])
-        if response.triggered:
-            self.stats.round_trips += 1
-            tr = self.tracer
-            if tr is not None and tr.enabled:
-                tr.span(
-                    f"rpc.{method}", "net", self.name, target,
-                    started, self.sim.now, trace=trace,
-                    args={"bytes": nbytes, "ok": response.ok},
-                )
-            if not response.ok:
-                raise response.value
-            return response.value
-        del self._waiting[corr_id]
-        self.stats.timeouts += 1
-        raise RpcTimeout(
-            f"{self.name}: rpc {method} to {target} got no response in "
-            f"{self.config.rpc_timeout:.3f}s"
-        )
+        self._deadlines.add(started + self.config.rpc_timeout, corr_id)
+        # The response message, or None once the deadline passed.
+        reply = yield response
+        if reply is None:
+            self.stats.timeouts += 1
+            raise RpcTimeout(
+                f"{self.name}: rpc {method} to {target} got no response in "
+                f"{self.config.rpc_timeout:.3f}s"
+            )
+        self.stats.round_trips += 1
+        tr = self.tracer
+        if tr is not None and tr.enabled:
+            tr.span(
+                f"rpc.{method}", "net", self.name, target,
+                started, sim.now, trace=trace,
+                args={"bytes": nbytes, "ok": reply.ok},
+            )
+        if not reply.ok:
+            raise reply.payload
+        return reply.payload
+
+    def _expire(self, corr_id: int) -> None:
+        """The attempt's deadline passed unanswered: wake it empty-handed
+        (a response that still arrives finds no waiter and is ignored)."""
+        self._waiting.pop(corr_id).succeed(None)
 
     # -- server side -------------------------------------------------------
 
     def _on_message(self, message: RpcMessage) -> None:
         if message.kind == "resp":
             waiter = self._waiting.pop(message.corr_id, None)
-            if waiter is None:  # duplicate or post-timeout response
-                return
-            if message.ok:
-                waiter.succeed(message.payload)
-            else:
-                waiter.fail(message.payload)
+            if waiter is not None:  # else: duplicate or post-timeout response
+                waiter.succeed(message)
             return
         if message.kind == "cast":
             handler = self._cast_methods.get(message.method)
@@ -234,9 +248,7 @@ class RpcEndpoint:
                 handler(message.payload)
             return
         self.stats.served += 1
-        self.sim.process(
-            self._serve(message), name=f"rpc.{self.name}.{message.method}"
-        )
+        self.sim.process(self._serve(message), name="rpc.serve")
 
     def _serve(self, message: RpcMessage):
         handler = self._methods.get(message.method)

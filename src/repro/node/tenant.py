@@ -33,7 +33,9 @@ class LatencyRecorder:
         self._sum: Dict[str, float] = {}
 
     def record(self, kind: str, latency: float) -> None:
-        bucket = self._samples.setdefault(kind, deque(maxlen=self.capacity))
+        bucket = self._samples.get(kind)
+        if bucket is None:
+            bucket = self._samples[kind] = deque(maxlen=self.capacity)
         bucket.append(latency)
         self._count[kind] = self._count.get(kind, 0) + 1
         self._sum[kind] = self._sum.get(kind, 0.0) + latency

@@ -9,6 +9,7 @@ from .core import (
     OK_RESULT,
     AllOf,
     AnyOf,
+    DeadlineQueue,
     Event,
     Interrupt,
     Process,
@@ -24,6 +25,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
+    "DeadlineQueue",
     "Event",
     "Interrupt",
     "Mutex",

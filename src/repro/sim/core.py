@@ -27,6 +27,7 @@ Example
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -38,6 +39,7 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "Simulator",
+    "DeadlineQueue",
     "SimulationError",
     "OK_RESULT",
 ]
@@ -272,7 +274,14 @@ class Process(Event):
                 else:
                     target = throw(event._value)
             except StopIteration as stop:
-                self.succeed(stop.value)
+                if self.callbacks:
+                    self.succeed(stop.value)
+                else:
+                    # Nobody is waiting: finish processed, in place,
+                    # rather than queue a dispatch of no callbacks.
+                    self._triggered = True
+                    self._value = stop.value
+                    self.callbacks = None
                 return
             except BaseException as exc:  # noqa: BLE001 - process died
                 self.fail(exc)
@@ -502,3 +511,46 @@ class Simulator:
         heappush(self._heap, (self.now + delay, self._seq, fn, arg))
 
     _dispatch = staticmethod(_dispatch_event)
+
+
+class DeadlineQueue:
+    """FIFO deadlines behind a single armed kernel action.
+
+    A budget that is one constant per owner (an endpoint's RPC timeout)
+    yields non-decreasing deadlines, so a deque and one
+    :meth:`Simulator.call_at` armed for its head replace a
+    :class:`Timeout` per waiter: one heap entry per queue, and none for
+    a waiter answered in time.  ``live(token)`` says whether a waiter
+    still waits; ``expire(token)`` runs for a live one at its deadline.
+    """
+
+    __slots__ = ("sim", "_live", "_expire", "_entries")
+
+    def __init__(self, sim: Simulator, live: Callable[[Any], bool],
+                 expire: Callable[[Any], None]):
+        self.sim = sim
+        self._live = live
+        self._expire = expire
+        self._entries: deque = deque()  # (deadline, token); armed iff non-empty
+
+    def add(self, deadline: float, token: Any) -> None:
+        """Watch ``token`` until ``deadline`` (absolute simulated time)."""
+        entries = self._entries
+        if not entries:
+            self.sim.call_at(deadline, self._fire, None)
+        elif deadline < entries[-1][0]:
+            raise SimulationError(f"deadline {deadline} precedes {entries[-1][0]}")
+        entries.append((deadline, token))
+
+    def _fire(self, _arg) -> None:
+        """Expire what is due, drop the answered, re-arm or disarm."""
+        entries = self._entries
+        while entries:
+            deadline, token = entries[0]
+            if self._live(token):
+                if deadline > self.sim.now:
+                    self.sim.call_at(deadline, self._fire, None)
+                    return
+                self._expire(token)
+            # Popped last, so an ``add`` from ``expire`` finds it armed.
+            entries.popleft()

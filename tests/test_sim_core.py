@@ -406,3 +406,127 @@ def test_event_fail_requires_exception():
     ev = sim.event()
     with pytest.raises(SimulationError):
         ev.fail("not an exception")
+
+
+# ---------------------------------------------------------------------------
+# A process nobody awaits finishes without a heap entry
+# ---------------------------------------------------------------------------
+
+
+def test_unawaited_process_finishes_without_a_heap_entry():
+    sim = Simulator()
+
+    def child():
+        yield sim.timeout(1.0)
+        return 17
+
+    proc = sim.process(child())
+    sim.run(until=0.5)
+    assert sim.queue_size == 1  # the child's timeout
+    pushed = sim._seq  # one increment per heappush
+    sim.run(until=1.0)
+    # The return queued nothing: no dispatch of an empty callback list.
+    assert (sim._seq, sim.queue_size) == (pushed, 0)
+    assert proc.triggered and proc.processed and proc.ok
+    assert not proc.is_alive
+    assert proc.value == 17
+    with pytest.raises(SimulationError):
+        proc.interrupt()
+
+
+def test_yield_on_unawaited_finished_process_still_returns_its_value():
+    sim = Simulator()
+    got = []
+
+    def child():
+        yield sim.timeout(1.0)
+        return "early"
+
+    def late_joiner(proc):
+        yield sim.timeout(1.0)  # same instant the child returns, queued later
+        for _again in range(2):
+            value = yield proc
+            got.append((sim.now, value))
+
+    proc = sim.process(child())
+    sim.process(late_joiner(proc))
+    sim.run()
+    assert got == [(1.0, "early"), (1.0, "early")]
+
+
+def test_awaited_process_still_dispatches_to_every_waiter():
+    sim = Simulator()
+    order = []
+
+    def child():
+        yield sim.timeout(1.0)
+        return 5
+
+    def waiter(tag, proc):
+        value = yield proc
+        order.append((tag, sim.now, value))
+
+    proc = sim.process(child())
+    sim.process(waiter("a", proc))
+    sim.process(waiter("b", proc))
+    seen = []
+    proc.callbacks.append(lambda ev: seen.append((ev.ok, ev.value)))
+    sim.run(until=0.5)
+    pushed = sim._seq
+    sim.run()
+    # One dispatch for the finished process, none for the two waiters
+    # (nobody awaits them).
+    assert sim._seq == pushed + 1
+    assert order == [("a", 1.0, 5), ("b", 1.0, 5)]
+    assert seen == [(True, 5)]
+    assert proc.processed
+
+
+def test_unawaited_failing_process_still_takes_the_dispatch_path():
+    sim = Simulator()
+    caught = []
+
+    def child():
+        yield sim.timeout(1.0)
+        raise KeyError("lost")
+
+    def late_joiner(proc):
+        yield sim.timeout(3.0)
+        try:
+            yield proc
+        except KeyError as exc:
+            caught.append((sim.now, exc.args[0]))
+
+    proc = sim.process(child())
+    sim.process(late_joiner(proc))
+    sim.run(until=0.5)
+    pushed = sim._seq
+    sim.run(until=2.0)
+    assert sim._seq == pushed + 1  # fail() is left as it was
+    assert proc.triggered and proc.processed and not proc.ok
+    sim.run()
+    assert caught == [(3.0, "lost")]
+
+
+def test_any_of_and_all_of_over_finished_unawaited_processes_fire():
+    sim = Simulator()
+    got = {}
+
+    def child(value):
+        yield sim.timeout(1.0)
+        return value
+
+    def joiner(first, second):
+        yield sim.timeout(2.0)
+        assert first.processed and second.processed
+        never = sim.event()
+        fired = yield sim.any_of([first, never])
+        got["any"] = (sim.now, fired)
+        both = yield sim.all_of([first, second])
+        got["all"] = (sim.now, both)
+
+    first, second = sim.process(child("x")), sim.process(child("y"))
+    sim.process(joiner(first, second))
+    sim.run()
+    assert got["any"] == (2.0, {first: "x"})
+    assert got["all"] == (2.0, {first: "x", second: "y"})
