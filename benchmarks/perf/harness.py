@@ -43,10 +43,10 @@ Two trajectory mechanisms ride on every run:
   gate on runners too noisy for wall-clock thresholds (the comparison
   is still printed).
 - **History** — each run appends one line (git SHA, UTC timestamp,
-  headline numbers) to repo-root ``BENCH_history.jsonl`` and reports
-  the speedup against the previous same-mode entry in the summary, so
-  the perf trajectory across commits survives BENCH_sim.json being
-  overwritten in place.
+  ``src_lines``, headline numbers) to repo-root ``BENCH_history.jsonl``
+  and reports the speedup against the previous same-mode entry in the
+  summary, so the perf trajectory across commits survives
+  BENCH_sim.json being overwritten in place.
 """
 
 from __future__ import annotations
@@ -109,6 +109,17 @@ def _git_sha() -> str:
         return sha if proc.returncode == 0 and sha else "unknown"
     except OSError:
         return "unknown"
+
+
+def _src_lines() -> int:
+    """Physical lines under ``src/**/*.py`` — ROADMAP item 3's size trend."""
+    total = 0
+    for root, _dirs, files in os.walk(os.path.join(_REPO, "src")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), "rb") as fh:
+                    total += sum(1 for _ in fh)
+    return total
 
 
 def check_regression(
@@ -191,6 +202,7 @@ def append_history(results: Dict[str, Any], smoke: bool, path: str = HISTORY_PAT
             if previous is not None
             else None
         ),
+        "src_lines": _src_lines(),
         **headline,
     }
     with open(path, "a") as fh:

@@ -429,18 +429,11 @@ class _ChurnRunner:
         node = self.nodes[owner]
         device = node.device
         pos = 0
-        if is_read:
-            while pos < size:
-                length = min(self.chunk, size - pos)
-                device.epoch_read(offset + pos, length)
-                pos += length
-            gc = False
-        else:
-            while pos < size:
-                length = min(self.chunk, size - pos)
-                device.epoch_write(offset + pos, length)
-                pos += length
-            gc = device.ftl.gc_needed
+        while pos < size:
+            length = min(self.chunk, size - pos)
+            device.epoch_op(is_read, offset + pos, length)
+            pos += length
+        gc = not is_read and device.ftl.gc_needed
         node.scheduler.credit_epoch(
             t.tag, OpKind.READ if is_read else OpKind.WRITE, size
         )

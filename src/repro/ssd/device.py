@@ -27,20 +27,26 @@ an op reserves ``start = max(now, stage_free_at)`` and waits until its
 finish time.  This is exact for FIFO deterministic servers and keeps the
 event count per IO to a handful.
 
-Because the stages are next-free-time accumulators, the common-case op
-timeline is fully computable at submit: when an op is admitted with no
-active fault window, no GC loop running, and an NCQ slot free, the
-device takes a **zero-coroutine fast path** — it books the controller
-and channel reservations synchronously and schedules one completion
-action at the analytic finish time (:meth:`Simulator.call_at`), with no
-generator, no semaphore event, and no timeout.  Any condition that
-makes the timeline stateful (fault windows, GC backpressure, NCQ
-saturation, out-of-range IO) degrades that op to the original coroutine
-pipeline, which remains the single source of truth for the slow path.
-The two paths book identical reservations at identical times, so
-same-seed runs are byte-identical with the fast path on or off
-(``fast_path=False`` forces the coroutine path; the determinism suite
-holds the equivalence).
+One **op-timing kernel** serves every way of executing a host op:
+:meth:`SsdDevice._plan` prices it into a service plan (controller
+service plus one ``(channel, service)`` per channel touched) and
+:meth:`FluidPipeline.reserve` books a plan FIFO on the controller-lane
+and channel accumulators.  Three drivers share the pair:
+
+- the **scheduled completion** (zero-coroutine fast path): because the
+  stages are next-free-time accumulators, the common-case op timeline is
+  fully computable at submit.  When an op is admitted with no active
+  fault window, no GC loop running, and a queue slot free, the device
+  plans and reserves synchronously and schedules one completion action
+  at the analytic finish time (:meth:`Simulator.call_at`) — no
+  generator, no semaphore event, no timeout;
+- the **coroutine** path: any condition that makes the timeline stateful
+  (fault windows, GC backpressure, queue saturation, out-of-range IO)
+  degrades that op to a generator that waits its turn and then books
+  the same plan, so same-seed runs are byte-identical whichever path an
+  op takes (the determinism suite forces every op down this one);
+- the **bulk epoch** hook (:meth:`SsdDevice.epoch_op`): fast-forwarded
+  stretches account each op with no events at all.
 
 When constructed with a :class:`~repro.faults.FaultPlan`, the device
 consults a :class:`~repro.faults.FaultInjector` at op admission: stall
@@ -70,45 +76,56 @@ def _succeed_event(event: Event, _result) -> None:
 
 
 class FluidPipeline:
-    """Virtual controller/channel reservation state for one fluid epoch.
+    """Controller-lane and channel next-free-time accumulators.
 
-    A snapshot of the device's next-free-time accumulators that the
-    fluid fast-forward engine (:mod:`repro.workload.epoch`) advances
-    privately: chunk service plans produced by
-    :meth:`SsdDevice.epoch_read`/:meth:`~SsdDevice.epoch_write` are
-    reserved here at their *virtual dispatch* times, reproducing the
-    FIFO queue-wait + service latency the real reservation timeline
-    would have charged — without touching the live device state, so an
-    abandoned epoch leaves nothing to unwind.
+    The live device holds one and books every op on it at ``now``.  The
+    fluid fast-forward engine (:mod:`repro.workload.epoch`) advances a
+    private copy (:meth:`SsdDevice.fluid_pipeline`): the plans
+    :meth:`SsdDevice.epoch_op` returns are reserved there at their
+    *virtual dispatch* times, reproducing the FIFO queue-wait + service
+    latency the real timeline would have charged without touching it —
+    an abandoned epoch leaves nothing to unwind.
     """
 
-    __slots__ = ("ctrl_free", "chan_free")
+    __slots__ = ("lanes", "chans")
 
-    def __init__(self, ctrl_free: float, chan_free):
-        self.ctrl_free = ctrl_free
-        self.chan_free = list(chan_free)
+    def __init__(self, lanes, chans):
+        self.lanes = list(lanes)
+        self.chans = list(chans)
 
-    def reserve(self, at: float, ctrl_service: float, services) -> float:
-        """Reserve one chunk dispatched at ``at``; returns its finish time.
+    def reserve(self, at: float, q, ctrl_service: float, services, spans=None) -> float:
+        """FIFO-reserve one op dispatched at ``at``; returns its finish time.
 
-        Same shape as the device's ``_reserve_controller`` followed by
-        ``_reserve_channel`` per (channel, service) pair: the chunk
-        clears the controller FIFO first, then occupies its channels no
-        earlier than that.
+        The op clears controller lane ``q`` first, then occupies its
+        channels no earlier than that; ``q=None`` skips the controller
+        (GC copy/erase traffic never crosses the host interface).
+        Reservation timestamps make stage occupancy known synchronously,
+        so a ``spans`` list collects each stage's ``(channel, or None
+        for the controller, start, finish)`` here, not at completion.
         """
-        start = at if at > self.ctrl_free else self.ctrl_free
-        ready = start + ctrl_service
-        self.ctrl_free = ready
+        if q is None:
+            ready = at
+        else:
+            lanes = self.lanes
+            start = lanes[q]
+            if start < at:
+                start = at
+            ready = start + ctrl_service
+            lanes[q] = ready
+            if spans is not None:
+                spans.append((None, start, ready))
         finish = ready
-        chan_free = self.chan_free
+        chans = self.chans
         for chan, service in services:
-            s = chan_free[chan]
-            if s < ready:
-                s = ready
-            f = s + service
-            chan_free[chan] = f
-            if f > finish:
-                finish = f
+            start = chans[chan]
+            if start < ready:
+                start = ready
+            end = start + service
+            chans[chan] = end
+            if end > finish:
+                finish = end
+            if spans is not None:
+                spans.append((chan, start, end))
         return finish
 
 
@@ -124,14 +141,9 @@ class SsdDevice:
         age_factor: float = 2.0,
         fault_plan: Optional[FaultPlan] = None,
         tracer=None,
-        fast_path: bool = True,
     ):
         self.sim = sim
         self.profile = profile
-        #: admit common-case ops on the zero-coroutine analytic path;
-        #: False forces every op through the coroutine pipeline (the
-        #: equivalence knob the fast-path byte-identity tests turn)
-        self.fast_path = fast_path
         self.ftl = Ftl(profile, seed=seed)
         self.stats = SsdStats()
         #: optional repro.obs Tracer recording controller/channel spans
@@ -146,9 +158,12 @@ class SsdDevice:
         self.faults: Optional[FaultInjector] = (
             FaultInjector(fault_plan, name=profile.name) if fault_plan is not None else None
         )
-        self._ncq = Semaphore(sim, profile.queue_depth, name=f"{profile.name}.ncq")
-        self._ctrl_free_at = 0.0
-        self._chan_free_at = [0.0] * profile.channels
+        #: host queues, indexed by ``q``: SATA has the one NCQ (``q = 0``)
+        #: feeding the one controller lane
+        self._sqs = [Semaphore(sim, profile.queue_depth, name=f"{profile.name}.ncq")]
+        self._pipe = FluidPipeline([0.0], [0.0] * profile.channels)
+        #: Chrome-trace track name of each controller lane
+        self._ctrl_tracks = ("ctrl",)
         self._gc_running = False
         self._gc_progress: Event = sim.event()
         if precondition:
@@ -158,13 +173,13 @@ class SsdDevice:
 
     @property
     def queue_depth(self) -> int:
-        """NCQ depth (max in-flight host ops)."""
-        return self.profile.queue_depth
+        """Host-visible depth (max in-flight host ops), summed over queues."""
+        return len(self._sqs) * self.profile.queue_depth
 
     @property
     def in_flight(self) -> int:
-        """Currently outstanding host ops."""
-        return self.profile.queue_depth - self._ncq.value
+        """Currently outstanding host ops, summed over queues."""
+        return self.queue_depth - sum(sq.value for sq in self._sqs)
 
     @property
     def gc_running(self) -> bool:
@@ -178,20 +193,19 @@ class SsdDevice:
         the op's controller/channel spans when a tracer is installed;
         it never influences execution.
         """
-        finish = self._admit_fast_read(offset, size, ctx)
-        if finish is None:
-            return self.sim.process(self._do_read(offset, size, ctx))
-        done = Event(self.sim)
-        self.sim.call_at(finish, self._finish_fast_read, (_succeed_event, done, size))
-        return done
+        return self._start(True, offset, size, ctx)
 
     def write(self, offset: int, size: int, ctx=None) -> Event:
         """Submit a write; the returned event triggers on completion."""
-        finish = self._admit_fast_write(offset, size, ctx)
+        return self._start(False, offset, size, ctx)
+
+    def _start(self, is_read: bool, offset: int, size: int, ctx) -> Event:
+        q = self._queue_for(ctx)
+        finish = self._admit_fast(is_read, q, offset, size, ctx)
         if finish is None:
-            return self.sim.process(self._do_write(offset, size, ctx))
+            return self.sim.process(self._do_op(is_read, q, offset, size, ctx))
         done = Event(self.sim)
-        self.sim.call_at(finish, self._finish_fast_write, (_succeed_event, done, size))
+        self.sim.call_at(finish, self._finish_fast, (_succeed_event, done, is_read, size, q))
         return done
 
     def submit(self, is_read: bool, offset: int, size: int, ctx, callback, cb_arg) -> None:
@@ -200,23 +214,16 @@ class SsdDevice:
         The scheduler's dispatch path.  On the fast path no Event (and
         no Process) is allocated at all: the single scheduled finish
         action invokes the callback directly with the shared
-        :data:`~repro.sim.OK_RESULT`.  The fallback degrades to the
-        coroutine pipeline and hands its :class:`Process` to the same
-        callback (a Process exposes the same ``ok``/``value`` shape, and
-        carries the fault when the op failed).
+        :data:`~repro.sim.OK_RESULT`.  The fallback hands the coroutine
+        path's :class:`Process` to the same callback (it exposes the
+        same ``ok``/``value`` shape, and carries the fault on failure).
         """
-        if is_read:
-            finish = self._admit_fast_read(offset, size, ctx)
-            if finish is not None:
-                self.sim.call_at(finish, self._finish_fast_read, (callback, cb_arg, size))
-                return
-            proc = self.sim.process(self._do_read(offset, size, ctx))
-        else:
-            finish = self._admit_fast_write(offset, size, ctx)
-            if finish is not None:
-                self.sim.call_at(finish, self._finish_fast_write, (callback, cb_arg, size))
-                return
-            proc = self.sim.process(self._do_write(offset, size, ctx))
+        q = self._queue_for(ctx)
+        finish = self._admit_fast(is_read, q, offset, size, ctx)
+        if finish is not None:
+            self.sim.call_at(finish, self._finish_fast, (callback, cb_arg, is_read, size, q))
+            return
+        proc = self.sim.process(self._do_op(is_read, q, offset, size, ctx))
         proc.callbacks.append(partial(callback, cb_arg))
 
     def trim(self, offset: int, size: int) -> None:
@@ -224,110 +231,137 @@ class SsdDevice:
         self.ftl.trim(offset, size)
         self.stats.trims += 1
 
-    # -- epoch fast-forward (analytic accounting, no events) ----------------------
-    #
-    # During a quiet steady-state epoch the runner (repro.workload.epoch)
-    # skips the event loop entirely and accounts each op here: same
-    # stats counters and FTL mutations as the zero-coroutine fast path,
-    # but applied synchronously with no NCQ slot, no reservation
-    # timeline, and no completion action.  Valid only while the device
-    # is idle (nothing in flight, no GC), where an op's latency equals
-    # its own service time because every stage queue is empty.
-    #
-    # Fluid (stable-backlog) epochs call the same two hooks with a
-    # ``pipeline`` (see :meth:`fluid_pipeline`): the stats counters and
-    # FTL page-map / aging effects are booked identically, but instead
-    # of an idle latency the hook returns the chunk's *service plan* —
-    # ``(ctrl_service, [(channel, service), ...])`` — which the fluid
-    # engine reserves against the virtual pipeline at the chunk's DDRR
-    # dispatch time.  Count and byte effects are therefore exact in
-    # both regimes; only the latency model differs (idle vs queued).
+    # -- the op-timing kernel -----------------------------------------------------
 
-    def epoch_read(self, offset: int, size: int, pipeline=None):
-        """Account one epoch read.
+    def _plan(self, is_read: bool, offset: int, size: int, scale: float = 1.0, placed=True):
+        """Price one host op: ``(ctrl_service, [(channel, service), ...])``.
 
-        Without ``pipeline``: quiet-epoch form, returns the idle-device
-        latency.  With ``pipeline``: fluid-epoch form, returns the
-        ``(ctrl_service, services)`` plan for
-        :meth:`FluidPipeline.reserve` (stats booked here either way).
+        The only place host-op service time is computed — and, because
+        every executor must agree on them too, where the busy counters
+        are credited and a write is applied to the FTL page map.
+        ``scale`` is the degraded-bandwidth stretch of channel service
+        (the controller is not slowed).  ``placed=False`` is for a
+        caller that reserves nothing (the quiet epoch): a single-page
+        read then skips the page-map lookup and names no channel.  The
+        caller has checked the range against ``logical_capacity``.
         """
         profile = self.profile
         stats = self.stats
-        latency = profile.ctrl_overhead_read + size * profile.ctrl_byte_cost
-        stats.controller_busy += latency
-        stats.reads += 1
-        stats.read_bytes += size
-        page = profile.page_size
-        byte_cost = profile.read_byte_cost
-        if (offset % page) + size <= page:
-            # Single-page read: one channel, transfer = requested bytes.
-            service = profile.read_access + size * byte_cost
-            stats.channel_busy += service
-            if pipeline is not None:
-                return latency, ((self.ftl.read_channel(offset), service),)
-            return latency + service
-        access = profile.read_access
-        if pipeline is not None:
+        if is_read:
+            ctrl = profile.ctrl_overhead_read + size * profile.ctrl_byte_cost
+            stats.controller_busy += ctrl
+            page = profile.page_size
+            if (offset % page) + size <= page:
+                # Single-page read: one channel, transfer = requested bytes,
+                # one map lookup instead of per-channel accounting.
+                service = (profile.read_access + size * profile.read_byte_cost) * scale
+                stats.channel_busy += service
+                chan = self.ftl.read_channel(offset) if placed else None
+                return ctrl, ((chan, service),)
+            access = profile.read_access
+            byte_cost = profile.read_byte_cost
             services = []
             for chan, _pages, nbytes in self.ftl.read_channels(offset, size):
-                service = access + nbytes * byte_cost
+                service = (access + nbytes * byte_cost) * scale
                 stats.channel_busy += service
                 services.append((chan, service))
-            return latency, services
-        longest = 0.0
-        for _chan, _pages, nbytes in self.ftl.read_channels(offset, size):
-            service = access + nbytes * byte_cost
-            stats.channel_busy += service
-            if service > longest:
-                longest = service
-        return latency + longest
-
-    def epoch_write(self, offset: int, size: int, pipeline=None):
-        """Account one epoch write.
-
-        Applies the write to the FTL page map exactly as the event-driven
-        path would, so GC-onset timing stays faithful across an epoch —
-        the runner checks ``ftl.gc_needed`` after each analytic write and
-        falls back to event-by-event mode when the watermark crosses.
-        Returns the idle-device latency, or (with ``pipeline``) the
-        chunk's ``(ctrl_service, services)`` plan — see
-        :meth:`epoch_read`.
-        """
-        profile = self.profile
-        stats = self.stats
-        latency = profile.ctrl_overhead_write + size * profile.ctrl_byte_cost
-        stats.controller_busy += latency
+            return ctrl, services
+        ctrl = profile.ctrl_overhead_write + size * profile.ctrl_byte_cost
+        stats.controller_busy += ctrl
         prog = profile.prog_latency
+        # pages * (page_size * byte_cost) equals pages * page_size *
+        # byte_cost bitwise only for power-of-two page sizes (every
+        # profile's is); the GC loop spells it the second way.
         page_cost = profile.page_size * profile.write_byte_cost
-        if pipeline is not None:
-            services = []
-            for chan, pages in self.ftl.host_write(offset, size).programs:
-                service = prog + pages * page_cost
-                stats.channel_busy += service
-                services.append((chan, service))
+        services = []
+        for chan, pages in self.ftl.host_write(offset, size).programs:
+            service = (prog + pages * page_cost) * scale
+            stats.channel_busy += service
+            services.append((chan, service))
+        return ctrl, services
+
+    def _reserve(self, q, ctrl: float, services, ctx=None, label: str = "chan") -> float:
+        """Book a plan on the live pipeline at ``now``; returns its finish."""
+        tr = self.tracer
+        if tr is None or not tr.enabled:
+            return self._pipe.reserve(self.sim.now, q, ctrl, services)
+        spans = []
+        finish = self._pipe.reserve(self.sim.now, q, ctrl, services, spans)
+        trace, tenant = ctx if ctx is not None else (None, None)
+        args = {"tenant": tenant} if tenant else None
+        for chan, start, end in spans:
+            if chan is None:
+                name, track = "ctrl", self._ctrl_tracks[q]
+            else:
+                name, track = label, f"chan{chan}"
+            tr.span(name, "ssd", self.trace_name, track, start, end, trace=trace, args=args)
+        return finish
+
+    # -- queue hooks (what a multi-queue host interface overrides) ----------------
+
+    def _queue_for(self, ctx) -> int:
+        """Queue index for a submission ``ctx`` — SATA has only ``q = 0``."""
+        return 0
+
+    def _try_admit(self, q: int) -> bool:
+        """Take a slot on queue ``q`` without blocking; False when full."""
+        return self._sqs[q].try_acquire()
+
+    def _tag_wait(self, q: int) -> Optional[Event]:
+        """Event a slot-holding coroutine op must still wait on, or None."""
+        return None
+
+    def _release(self, q: int, tagged: bool = True) -> None:
+        """Free the op's slot on queue ``q``, waking any waiter."""
+        self._sqs[q].release()
+
+    # -- bulk epoch driver (analytic accounting, no events) -----------------------
+
+    def epoch_op(self, is_read: bool, offset: int, size: int, pipeline=None):
+        """Account one fast-forwarded op; returns its latency or its plan.
+
+        During a quiet steady-state epoch the runner
+        (:mod:`repro.workload.epoch`) skips the event loop and accounts
+        each op here: same plan, counters and FTL mutations as the
+        scheduled completion, but with no queue slot, reservation or
+        completion action.  Valid only while the device is idle (nothing
+        in flight, no GC), where an op's latency — the return value —
+        is its own service time because every stage queue is empty.  A
+        write goes through the page map as on the event-driven path, so
+        GC onset stays faithful: the runner checks ``ftl.gc_needed``
+        after each one and falls back to event-by-event mode when the
+        watermark crosses.
+
+        Fluid (stable-backlog) epochs pass a ``pipeline`` (see
+        :meth:`fluid_pipeline`) and get the ``(ctrl_service, services)``
+        plan instead, to reserve on it at the chunk's DDRR dispatch
+        time.  Counts and bytes are therefore exact in both regimes;
+        only the latency model differs (idle vs queued).
+        """
+        plan = self._plan(is_read, offset, size, 1.0, pipeline is not None)
+        stats = self.stats
+        if is_read:
+            stats.reads += 1
+            stats.read_bytes += size
+        else:
             stats.writes += 1
             stats.write_bytes += size
-            return latency, services
+        if pipeline is not None:
+            return plan
         longest = 0.0
-        for _chan, pages in self.ftl.host_write(offset, size).programs:
-            service = prog + pages * page_cost
-            stats.channel_busy += service
+        for _chan, service in plan[1]:
             if service > longest:
                 longest = service
-        stats.writes += 1
-        stats.write_bytes += size
-        return latency + longest
+        return plan[0] + longest
 
     def fluid_pipeline(self) -> FluidPipeline:
-        """Virtual reservation state seeded from the live accumulators.
+        """A copy of the live accumulators for one fluid epoch.
 
-        The fluid engine advances this copy at virtual dispatch times;
-        the live ``_ctrl_free_at``/``_chan_free_at`` stay untouched, so
-        post-epoch event-driven IO sees exactly the stale-but-harmless
-        accumulator values a quiet fast-forward would have left behind
-        (``max(now, free_at)`` absorbs them).
+        The originals stay untouched, so post-epoch event-driven IO sees
+        exactly the stale-but-harmless values a quiet fast-forward would
+        have left behind (``max(now, free_at)`` absorbs them).
         """
-        return FluidPipeline(self._ctrl_free_at, self._chan_free_at)
+        return FluidPipeline(self._pipe.lanes, self._pipe.chans)
 
     def maybe_collect(self) -> None:
         """Start the background GC loop if the watermarks call for it.
@@ -339,233 +373,126 @@ class SsdDevice:
         """
         self._maybe_start_gc()
 
-    # -- zero-coroutine fast path -------------------------------------------------
+    # -- scheduled-completion driver (zero-coroutine fast path) -------------------
 
-    def _admit_fast_read(self, offset: int, size: int, ctx) -> Optional[float]:
-        """Admit a read analytically; returns its finish time, or None.
+    def _admit_fast(self, is_read: bool, q: int, offset: int, size: int, ctx) -> Optional[float]:
+        """Admit an op analytically; returns its finish time, or None.
 
         None means the op's timeline is stateful — a fault window is
-        active, the GC loop is reserving channel time, the NCQ is
-        saturated, or the range is invalid (the coroutine path owns the
-        failure semantics) — and nothing was reserved.  On success the
-        op holds an NCQ slot plus exactly the controller/channel
-        reservations the coroutine path would have booked at this
-        instant.
+        active, the GC loop is reserving channel time (or starving this
+        write), the queue is saturated, or the range is invalid (the
+        coroutine path owns the failure semantics) — and nothing was
+        reserved.  On success the op holds a queue slot plus exactly the
+        reservations the coroutine path would have booked at this instant.
         """
-        if self._gc_running or not self.fast_path:
+        if self._gc_running or (not is_read and self.ftl.host_starved):
             return None
+        now = self.sim.now
         faults = self.faults
-        if faults is not None and not faults.quiescent(self.sim.now):
+        if faults is not None and not faults.quiescent(now):
             return None
-        profile = self.profile
-        if offset < 0 or size <= 0 or offset + size > profile.logical_capacity:
+        if offset < 0 or size <= 0 or offset + size > self.profile.logical_capacity:
             return None
-        if not self._ncq.try_acquire():
+        if not self._try_admit(q):
             return None
-        ready = self._reserve_controller(profile.ctrl_overhead_read, size, ctx)
-        finish = ready
-        access = profile.read_access
-        byte_cost = profile.read_byte_cost
-        reserve = self._reserve_channel
-        for chan, _pages, nbytes in self.ftl.read_channels(offset, size):
-            t = reserve(ready, chan, access + nbytes * byte_cost, ctx)
-            if t > finish:
-                finish = t
+        ctrl, services = self._plan(is_read, offset, size)
+        tr = self.tracer
+        if tr is None or not tr.enabled:
+            finish = self._pipe.reserve(now, q, ctrl, services)
+        else:
+            finish = self._reserve(q, ctrl, services, ctx)
         # The coroutine path sleeps `finish - now`, landing on
         # now + (finish - now) — associate the same way so fast-path
         # completions are bitwise-identical to the fallback's.
-        now = self.sim.now
         return now + (finish - now)
 
-    def _admit_fast_write(self, offset: int, size: int, ctx) -> Optional[float]:
-        """Write twin of :meth:`_admit_fast_read` (adds the GC checks)."""
-        if self._gc_running or not self.fast_path:
-            return None
-        ftl = self.ftl
-        if ftl.host_starved:
-            return None
-        faults = self.faults
-        if faults is not None and not faults.quiescent(self.sim.now):
-            return None
-        profile = self.profile
-        if offset < 0 or size <= 0 or offset + size > profile.logical_capacity:
-            return None
-        if not self._ncq.try_acquire():
-            return None
-        ready = self._reserve_controller(profile.ctrl_overhead_write, size, ctx)
-        finish = ready
-        prog = profile.prog_latency
-        page_cost = profile.page_size * profile.write_byte_cost
-        reserve = self._reserve_channel
-        for chan, pages in ftl.host_write(offset, size).programs:
-            t = reserve(ready, chan, prog + pages * page_cost, ctx)
-            if t > finish:
-                finish = t
-        # Same float association as the fallback's timeout (see read).
-        now = self.sim.now
-        return now + (finish - now)
-
-    def _finish_fast_read(self, arg) -> None:
-        """One-shot completion for a fast-path read.
-
-        Mirrors the coroutine epilogue exactly: observer, stats, NCQ
-        release (waking any waiter before the consumer runs), then the
-        completion delivery.
+    def _finish_fast(self, arg) -> None:
+        """One-shot completion for a fast-path op, mirroring the coroutine
+        epilogue exactly: observer, stats, GC kick after a write, slot
+        release (waking any waiter before the consumer runs), delivery.
         """
-        deliver, sink, size = arg
+        deliver, sink, is_read, size, q = arg
         if self.op_observer is not None:
-            self.op_observer("read", size)
+            self.op_observer("read" if is_read else "write", size)
         stats = self.stats
-        stats.reads += 1
-        stats.read_bytes += size
-        self._ncq.release()
+        if is_read:
+            stats.reads += 1
+            stats.read_bytes += size
+        else:
+            stats.writes += 1
+            stats.write_bytes += size
+            self._maybe_start_gc()
+        self._release(q)
         deliver(sink, OK_RESULT)
 
-    def _finish_fast_write(self, arg) -> None:
-        """One-shot completion for a fast-path write (kicks GC first)."""
-        deliver, sink, size = arg
-        if self.op_observer is not None:
-            self.op_observer("write", size)
-        stats = self.stats
-        stats.writes += 1
-        stats.write_bytes += size
-        self._maybe_start_gc()
-        self._ncq.release()
-        deliver(sink, OK_RESULT)
+    # -- coroutine driver ---------------------------------------------------------
 
-    # -- op execution ------------------------------------------------------------
-
-    def _do_read(self, offset: int, size: int, ctx=None):
-        yield self._ncq.acquire()
+    def _do_op(self, is_read: bool, q: int, offset: int, size: int, ctx=None):
+        yield self._sqs[q].acquire()
+        tagged = False
         try:
+            wait = self._tag_wait(q)
+            if wait is not None:
+                yield wait
+            tagged = True
+            # Flow control: a write stalls while the free pool is down
+            # to the GC reserve — the "write cliff" of a saturated SSD
+            # (it holds its NVMe tag, so backpressure propagates to the
+            # other queues, as on real devices).  GC wakes us after
+            # every reclaimed block.
+            while not is_read and self.ftl.host_starved:
+                self._maybe_start_gc()
+                yield self._gc_progress
             # Faults are drawn at admission (windows apply at op
             # arrival) but raised at completion: a failing op still
             # occupies the controller and channels for its service.
-            scale, extra, fault = yield from self._admit_faults(offset, size)
-            ready = self._reserve_controller(
-                self.profile.ctrl_overhead_read, size, ctx
-            )
-            finish = ready
-            for chan, _pages, nbytes in self.ftl.read_channels(offset, size):
-                service = (
-                    self.profile.read_access
-                    + nbytes * self.profile.read_byte_cost
-                ) * scale
-                finish = max(finish, self._reserve_channel(ready, chan, service, ctx))
-            finish += extra
+            scale, extra, fault = 1.0, 0.0, None
+            faults = self.faults
+            if faults is not None:
+                # Wait out any active stall window; the op then runs
+                # under the windows active at its post-stall admission.
+                stall_end = faults.stall_until(self.sim.now)
+                if stall_end > self.sim.now:
+                    self.stats.stall_seconds += stall_end - self.sim.now
+                    yield self.sim.timeout(stall_end - self.sim.now)
+                now = self.sim.now
+                scale = faults.service_scale(now)
+                extra = faults.extra_latency(now)
+                if scale > 1.0:
+                    self.stats.degraded_ops += 1
+                if extra > 0.0:
+                    self.stats.fault_delay_seconds += extra
+                draw = faults.draw_read_fault if is_read else faults.draw_write_fault
+                fault = draw(now, offset, size)
+            capacity = self.profile.logical_capacity
+            if offset < 0 or size <= 0 or offset + size > capacity:
+                raise ValueError(f"io [{offset}, {offset + size}) beyond capacity {capacity}")
+            ctrl, services = self._plan(is_read, offset, size, scale)
+            finish = self._reserve(q, ctrl, services, ctx) + extra
             if finish > self.sim.now:
                 yield self.sim.timeout(finish - self.sim.now)
             if self.op_observer is not None:
-                self.op_observer("read", size)
+                self.op_observer("read" if is_read else "write", size)
+            stats = self.stats
             if fault is not None:
-                if isinstance(fault, CorruptionError):
-                    self.stats.corrupt_reads += 1
+                # A failed write's FTL mapping stands: a failed program
+                # may leave torn pages behind, exactly like real media.
+                if not is_read:
+                    stats.write_faults += 1
+                elif isinstance(fault, CorruptionError):
+                    stats.corrupt_reads += 1
                 else:
-                    self.stats.read_faults += 1
+                    stats.read_faults += 1
                 raise fault
-            self.stats.reads += 1
-            self.stats.read_bytes += size
-        finally:
-            self._ncq.release()
-
-    def _do_write(self, offset: int, size: int, ctx=None):
-        yield self._ncq.acquire()
-        try:
-            # Flow control: stall while the free pool is down to the GC
-            # reserve — the "write cliff" of a saturated SSD.  GC wakes
-            # us after every reclaimed block.
-            while self.ftl.host_starved:
+            if is_read:
+                stats.reads += 1
+                stats.read_bytes += size
+            else:
+                stats.writes += 1
+                stats.write_bytes += size
                 self._maybe_start_gc()
-                yield self._gc_progress
-            scale, extra, fault = yield from self._admit_faults(offset, size, write=True)
-            ready = self._reserve_controller(
-                self.profile.ctrl_overhead_write, size, ctx
-            )
-            plan = self.ftl.host_write(offset, size)
-            finish = ready
-            for chan, pages in plan.programs:
-                service = (
-                    self.profile.prog_latency
-                    + pages * self.profile.page_size * self.profile.write_byte_cost
-                ) * scale
-                finish = max(finish, self._reserve_channel(ready, chan, service, ctx))
-            finish += extra
-            if finish > self.sim.now:
-                yield self.sim.timeout(finish - self.sim.now)
-            if self.op_observer is not None:
-                self.op_observer("write", size)
-            if fault is not None:
-                # The FTL mapping above stands: a failed program may
-                # leave torn pages behind, exactly like real media.
-                self.stats.write_faults += 1
-                raise fault
-            self.stats.writes += 1
-            self.stats.write_bytes += size
-            self._maybe_start_gc()
         finally:
-            self._ncq.release()
-
-    def _admit_faults(self, offset: int, size: int, write: bool = False):
-        """DES sub-generator: apply the fault plan at op admission.
-
-        Waits out any active stall window, then returns the op's
-        ``(service_scale, extra_latency, fault_or_None)`` under the
-        windows active at the (post-stall) admission time.
-        """
-        if self.faults is None:
-            return 1.0, 0.0, None
-        stall_end = self.faults.stall_until(self.sim.now)
-        if stall_end > self.sim.now:
-            self.stats.stall_seconds += stall_end - self.sim.now
-            yield self.sim.timeout(stall_end - self.sim.now)
-        now = self.sim.now
-        scale = self.faults.service_scale(now)
-        extra = self.faults.extra_latency(now)
-        if scale > 1.0:
-            self.stats.degraded_ops += 1
-        if extra > 0.0:
-            self.stats.fault_delay_seconds += extra
-        if write:
-            fault = self.faults.draw_write_fault(now, offset, size)
-        else:
-            fault = self.faults.draw_read_fault(now, offset, size)
-        return scale, extra, fault
-
-    def _reserve_controller(self, overhead: float, size: int, ctx=None) -> float:
-        """FIFO-reserve controller service; return when the op clears it.
-
-        Reservation timestamps make stage occupancy known synchronously,
-        so the span (start, finish) is recorded here rather than when
-        the op's completion timeout fires.
-        """
-        service = overhead + size * self.profile.ctrl_byte_cost
-        start = max(self.sim.now, self._ctrl_free_at)
-        self._ctrl_free_at = start + service
-        self.stats.controller_busy += service
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            trace, tenant = ctx if ctx is not None else (None, None)
-            tr.span(
-                "ctrl", "ssd", self.trace_name, "ctrl", start, start + service,
-                trace=trace, args={"tenant": tenant} if tenant else None,
-            )
-        return start + service
-
-    def _reserve_channel(
-        self, after: float, chan: int, service: float, ctx=None, label: str = "chan"
-    ) -> float:
-        """FIFO-reserve a channel no earlier than ``after``; return finish."""
-        start = max(after, self._chan_free_at[chan])
-        self._chan_free_at[chan] = start + service
-        self.stats.channel_busy += service
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            trace, tenant = ctx if ctx is not None else (None, None)
-            tr.span(
-                label, "ssd", self.trace_name, f"chan{chan}", start, start + service,
-                trace=trace, args={"tenant": tenant} if tenant else None,
-            )
-        return start + service
+            self._release(q, tagged)
 
     # -- garbage collection --------------------------------------------------------
 
@@ -587,34 +514,30 @@ class SsdDevice:
                 move = self.ftl.collect_victim()
                 if move is None:
                     break
-                # Reserve the copy/erase work on the channels (delaying
-                # queued foreground IO accordingly)...
-                added = 0.0
+                work = []
                 if move.valid_pages:
                     # Read the live pages off the victim's channel...
                     read_service = move.valid_pages * (
                         profile.read_access / 4  # sequential in-block reads pipeline
                         + profile.page_size * profile.read_byte_cost
                     )
-                    self._reserve_channel(
-                        self.sim.now, move.victim_channel, read_service,
-                        label="gc.read",
-                    )
-                    added += read_service
+                    work.append((move.victim_channel, read_service, "gc.read"))
                     # ...and program them on the GC active channels.
                     for chan, pages in move.copies:
                         service = (
                             profile.prog_latency
                             + pages * profile.page_size * profile.write_byte_cost
                         )
-                        self._reserve_channel(self.sim.now, chan, service, label="gc.prog")
-                        added += service
+                        work.append((chan, service, "gc.prog"))
                 # The erase itself stalls the victim's channel.
-                self._reserve_channel(
-                    self.sim.now, move.victim_channel, profile.erase_latency,
-                    label="gc.erase",
-                )
-                added += profile.erase_latency
+                work.append((move.victim_channel, profile.erase_latency, "gc.erase"))
+                # Reserve the copy/erase work on the channels (delaying
+                # queued foreground IO accordingly)...
+                added = 0.0
+                for chan, service, label in work:
+                    self.stats.channel_busy += service
+                    self._reserve(None, 0.0, ((chan, service),), label=label)
+                    added += service
                 self.stats.gc_runs += 1
                 self.stats.gc_pages_copied += move.valid_pages
                 self.stats.gc_blocks_erased += 1

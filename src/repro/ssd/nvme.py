@@ -18,13 +18,13 @@ separates the NVMe generation from NCQ-era drives:
   queue* rather than one shared server, so controller throughput scales
   with queue count — the reason the SATA IOP ceiling lifts.
 
-Everything below the controller is inherited unchanged: the same FTL
-(and hence the same pluggable GC policies), the same parallel flash
-channels, the same background GC loop, fault injection, op-observer
-stream, and epoch fast-forward accounting.  The device duck-types the
-scheduler/device slice exactly (``submit``/``read``/``write``/``trim``,
-``queue_depth``/``in_flight``, ``epoch_read``/``epoch_write``/
-``maybe_collect``), so the full Libra stack runs on it unmodified.
+Everything else is inherited unchanged — the op-timing kernel and its
+three drivers (``submit``/``read``/``write``, the coroutine fallback,
+``epoch_op``), the FTL (and hence the pluggable GC policies), the flash
+channels, the GC loop, fault injection and the op-observer stream: this
+class only answers the base device's queue hooks (which SQ, is there a
+slot *and* a tag, what to wait on for a tag, what to free), so the full
+Libra stack runs on it unmodified.
 
 **Degeneration guarantee:** with ``num_queues=1`` the structure reduces
 exactly to the SATA model — one SQ is the NCQ semaphore, one controller
@@ -41,12 +41,10 @@ anonymous submitters share SQ 0.
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..faults import CorruptionError
-from ..sim import OK_RESULT, Event, Semaphore
-from .device import SsdDevice, _succeed_event
+from ..sim import Event, Semaphore
+from .device import SsdDevice
 
 __all__ = ["NvmeDevice"]
 
@@ -74,16 +72,14 @@ class NvmeDevice(SsdDevice):
             weights = (1,) * nq
         super().__init__(sim, profile, **kwargs)
         self.num_queues = nq
-        self._sq_depth = profile.queue_depth
         self._sqs = [
-            Semaphore(sim, self._sq_depth, name=f"{profile.name}.sq{q}")
+            Semaphore(sim, profile.queue_depth, name=f"{profile.name}.sq{q}")
             for q in range(nq)
         ]
-        #: per-queue controller lane next-free times (the multi-queue
-        #: analogue of the SATA model's single ``_ctrl_free_at``)
-        self._ctrl_lanes = [0.0] * nq
-        self._total_tags = profile.core_tags or 2 * profile.queue_depth
-        self._free_tags = self._total_tags
+        # one controller lane per queue (the SATA model has the one)
+        self._pipe.lanes = [0.0] * nq
+        self._ctrl_tracks = tuple(f"ctrl{q}" for q in range(nq))
+        self._free_tags = profile.core_tags or 2 * profile.queue_depth
         #: per-SQ FIFO of commands admitted but awaiting a command tag
         self._fetch_wait: List[Deque[Event]] = [deque() for _ in range(nq)]
         self._weights: Tuple[int, ...] = tuple(weights)
@@ -97,20 +93,9 @@ class NvmeDevice(SsdDevice):
     # -- public interface --------------------------------------------------
 
     @property
-    def queue_depth(self) -> int:
-        """Host-visible depth: aggregate slots across all SQ/CQ pairs."""
-        return self.num_queues * self._sq_depth
-
-    @property
-    def in_flight(self) -> int:
-        """Currently outstanding host ops, summed over the SQs."""
-        depth = self._sq_depth
-        return sum(depth - sq.value for sq in self._sqs)
-
-    @property
     def queue_backlogs(self) -> List[int]:
         """Per-SQ occupied slots (the fluid monitor's eligibility input)."""
-        depth = self._sq_depth
+        depth = self.profile.queue_depth
         return [depth - sq.value for sq in self._sqs]
 
     @property
@@ -118,58 +103,13 @@ class NvmeDevice(SsdDevice):
         """Per-SQ commands admitted but still waiting for a command tag."""
         return [len(w) for w in self._fetch_wait]
 
-    def read(self, offset: int, size: int, ctx=None) -> Event:
-        q = self._queue_for(ctx)
-        finish = self._nvme_admit_read(q, offset, size, ctx)
-        if finish is None:
-            return self.sim.process(self._nvme_do_read(q, offset, size, ctx))
-        done = Event(self.sim)
-        self.sim.call_at(
-            finish, self._nvme_finish_read, (_succeed_event, done, size, q)
-        )
-        return done
-
-    def write(self, offset: int, size: int, ctx=None) -> Event:
-        q = self._queue_for(ctx)
-        finish = self._nvme_admit_write(q, offset, size, ctx)
-        if finish is None:
-            return self.sim.process(self._nvme_do_write(q, offset, size, ctx))
-        done = Event(self.sim)
-        self.sim.call_at(
-            finish, self._nvme_finish_write, (_succeed_event, done, size, q)
-        )
-        return done
-
-    def submit(self, is_read: bool, offset: int, size: int, ctx, callback, cb_arg) -> None:
-        """Slim submission path (see :meth:`SsdDevice.submit`)."""
-        q = self._queue_for(ctx)
-        if is_read:
-            finish = self._nvme_admit_read(q, offset, size, ctx)
-            if finish is not None:
-                self.sim.call_at(
-                    finish, self._nvme_finish_read, (callback, cb_arg, size, q)
-                )
-                return
-            proc = self.sim.process(self._nvme_do_read(q, offset, size, ctx))
-        else:
-            finish = self._nvme_admit_write(q, offset, size, ctx)
-            if finish is not None:
-                self.sim.call_at(
-                    finish, self._nvme_finish_write, (callback, cb_arg, size, q)
-                )
-                return
-            proc = self.sim.process(self._nvme_do_write(q, offset, size, ctx))
-        proc.callbacks.append(partial(callback, cb_arg))
-
     # -- queue assignment --------------------------------------------------
 
     def _queue_for(self, ctx) -> int:
         """SQ for a submission ``ctx`` (``(trace, tenant)`` or None)."""
-        if self.num_queues == 1 or ctx is None:
+        if self.num_queues == 1 or ctx is None or ctx[1] is None:
             return 0
         tenant = ctx[1]
-        if tenant is None:
-            return 0
         q = self._queue_map.get(tenant)
         if q is None:
             q = self._next_queue % self.num_queues
@@ -179,19 +119,39 @@ class NvmeDevice(SsdDevice):
 
     # -- arbitration -------------------------------------------------------
 
-    def _acquire_tag(self, q: int):
-        """DES sub-generator: obtain a controller command tag for SQ ``q``.
+    def _try_admit(self, q: int) -> bool:
+        """Non-blocking admission: an SQ slot *and* a command tag.
 
-        Synchronous (no yield) when a tag is free and no earlier command
-        in this SQ is waiting — the only case at ``num_queues=1``, where
-        the pool (>= SQ depth) can never be exhausted.
+        Two degraders beyond a full SQ: no free command tag, or earlier
+        commands in this SQ already waiting for one (FIFO within an SQ).
+        """
+        if self._free_tags == 0 or self._fetch_wait[q] or not self._sqs[q].try_acquire():
+            return False
+        self._free_tags -= 1
+        return True
+
+    def _tag_wait(self, q: int) -> Optional[Event]:
+        """Obtain a controller command tag for SQ ``q`` (coroutine path).
+
+        Synchronous (returns None, tag taken) when a tag is free and no
+        earlier command in this SQ is waiting — the only case at
+        ``num_queues=1``, where the pool (>= SQ depth) can never be
+        exhausted.  Otherwise the returned event fires once the pump
+        has granted (and decremented the pool for) this command.
         """
         if self._free_tags > 0 and not self._fetch_wait[q]:
             self._free_tags -= 1
-            return
+            return None
         ev = self.sim.event()
         self._fetch_wait[q].append(ev)
-        yield ev  # the pump decremented the pool when it granted us
+        return ev
+
+    def _release(self, q: int, tagged: bool = True) -> None:
+        """CQ post: recycle the tag, arbitrate, then free the SQ slot."""
+        if tagged:
+            self._free_tags += 1
+            self._arb_pump()
+        self._sqs[q].release()
 
     def _arb_pump(self) -> None:
         """Grant freed tags to waiting SQ heads per the arbitration policy."""
@@ -219,194 +179,3 @@ class NvmeDevice(SsdDevice):
             self._arb_cursor = (q + 1) % n
             self._burst_left = self._weights[self._arb_cursor]
         return None
-
-    # -- fast path ---------------------------------------------------------
-
-    def _nvme_admit_read(self, q: int, offset: int, size: int, ctx) -> Optional[float]:
-        """Admit a read on SQ ``q`` analytically; finish time or None.
-
-        The multi-queue twin of :meth:`SsdDevice._admit_fast_read`, with
-        two extra degraders: no free command tag, or earlier commands in
-        this SQ already waiting for one (FIFO within an SQ).
-        """
-        if self._gc_running or not self.fast_path:
-            return None
-        faults = self.faults
-        if faults is not None and not faults.quiescent(self.sim.now):
-            return None
-        profile = self.profile
-        if offset < 0 or size <= 0 or offset + size > profile.logical_capacity:
-            return None
-        if self._free_tags == 0 or self._fetch_wait[q]:
-            return None
-        if not self._sqs[q].try_acquire():
-            return None
-        self._free_tags -= 1
-        ready = self._reserve_ctrl_lane(q, profile.ctrl_overhead_read, size, ctx)
-        finish = ready
-        access = profile.read_access
-        byte_cost = profile.read_byte_cost
-        reserve = self._reserve_channel
-        for chan, _pages, nbytes in self.ftl.read_channels(offset, size):
-            t = reserve(ready, chan, access + nbytes * byte_cost, ctx)
-            if t > finish:
-                finish = t
-        # Same float association as the coroutine fallback's timeout.
-        now = self.sim.now
-        return now + (finish - now)
-
-    def _nvme_admit_write(self, q: int, offset: int, size: int, ctx) -> Optional[float]:
-        """Write twin of :meth:`_nvme_admit_read` (adds the GC checks)."""
-        if self._gc_running or not self.fast_path:
-            return None
-        ftl = self.ftl
-        if ftl.host_starved:
-            return None
-        faults = self.faults
-        if faults is not None and not faults.quiescent(self.sim.now):
-            return None
-        profile = self.profile
-        if offset < 0 or size <= 0 or offset + size > profile.logical_capacity:
-            return None
-        if self._free_tags == 0 or self._fetch_wait[q]:
-            return None
-        if not self._sqs[q].try_acquire():
-            return None
-        self._free_tags -= 1
-        ready = self._reserve_ctrl_lane(q, profile.ctrl_overhead_write, size, ctx)
-        finish = ready
-        prog = profile.prog_latency
-        page_cost = profile.page_size * profile.write_byte_cost
-        reserve = self._reserve_channel
-        for chan, pages in ftl.host_write(offset, size).programs:
-            t = reserve(ready, chan, prog + pages * page_cost, ctx)
-            if t > finish:
-                finish = t
-        now = self.sim.now
-        return now + (finish - now)
-
-    def _nvme_finish_read(self, arg) -> None:
-        """Fast-path read completion: CQ post + tag recycle + arbitration."""
-        deliver, sink, size, q = arg
-        if self.op_observer is not None:
-            self.op_observer("read", size)
-        stats = self.stats
-        stats.reads += 1
-        stats.read_bytes += size
-        self._free_tags += 1
-        self._arb_pump()
-        self._sqs[q].release()
-        deliver(sink, OK_RESULT)
-
-    def _nvme_finish_write(self, arg) -> None:
-        """Fast-path write completion (kicks GC before freeing the slot)."""
-        deliver, sink, size, q = arg
-        if self.op_observer is not None:
-            self.op_observer("write", size)
-        stats = self.stats
-        stats.writes += 1
-        stats.write_bytes += size
-        self._maybe_start_gc()
-        self._free_tags += 1
-        self._arb_pump()
-        self._sqs[q].release()
-        deliver(sink, OK_RESULT)
-
-    # -- coroutine fallback ------------------------------------------------
-
-    def _nvme_do_read(self, q: int, offset: int, size: int, ctx=None):
-        yield self._sqs[q].acquire()
-        tagged = False
-        try:
-            yield from self._acquire_tag(q)
-            tagged = True
-            scale, extra, fault = yield from self._admit_faults(offset, size)
-            ready = self._reserve_ctrl_lane(
-                q, self.profile.ctrl_overhead_read, size, ctx
-            )
-            finish = ready
-            for chan, _pages, nbytes in self.ftl.read_channels(offset, size):
-                service = (
-                    self.profile.read_access
-                    + nbytes * self.profile.read_byte_cost
-                ) * scale
-                finish = max(finish, self._reserve_channel(ready, chan, service, ctx))
-            finish += extra
-            if finish > self.sim.now:
-                yield self.sim.timeout(finish - self.sim.now)
-            if self.op_observer is not None:
-                self.op_observer("read", size)
-            if fault is not None:
-                if isinstance(fault, CorruptionError):
-                    self.stats.corrupt_reads += 1
-                else:
-                    self.stats.read_faults += 1
-                raise fault
-            self.stats.reads += 1
-            self.stats.read_bytes += size
-        finally:
-            if tagged:
-                self._free_tags += 1
-                self._arb_pump()
-            self._sqs[q].release()
-
-    def _nvme_do_write(self, q: int, offset: int, size: int, ctx=None):
-        yield self._sqs[q].acquire()
-        tagged = False
-        try:
-            yield from self._acquire_tag(q)
-            tagged = True
-            # Flow control: a fetched write stalls in the controller
-            # while the free pool is down to the GC reserve (it holds
-            # its tag — backpressure propagates to the other queues,
-            # as a starved write cliff does on real devices).
-            while self.ftl.host_starved:
-                self._maybe_start_gc()
-                yield self._gc_progress
-            scale, extra, fault = yield from self._admit_faults(offset, size, write=True)
-            ready = self._reserve_ctrl_lane(
-                q, self.profile.ctrl_overhead_write, size, ctx
-            )
-            plan = self.ftl.host_write(offset, size)
-            finish = ready
-            for chan, pages in plan.programs:
-                service = (
-                    self.profile.prog_latency
-                    + pages * self.profile.page_size * self.profile.write_byte_cost
-                ) * scale
-                finish = max(finish, self._reserve_channel(ready, chan, service, ctx))
-            finish += extra
-            if finish > self.sim.now:
-                yield self.sim.timeout(finish - self.sim.now)
-            if self.op_observer is not None:
-                self.op_observer("write", size)
-            if fault is not None:
-                self.stats.write_faults += 1
-                raise fault
-            self.stats.writes += 1
-            self.stats.write_bytes += size
-            self._maybe_start_gc()
-        finally:
-            if tagged:
-                self._free_tags += 1
-                self._arb_pump()
-            self._sqs[q].release()
-
-    # -- stages ------------------------------------------------------------
-
-    def _reserve_ctrl_lane(self, q: int, overhead: float, size: int, ctx=None) -> float:
-        """FIFO-reserve queue ``q``'s controller lane; return clear time."""
-        service = overhead + size * self.profile.ctrl_byte_cost
-        lanes = self._ctrl_lanes
-        start = max(self.sim.now, lanes[q])
-        lanes[q] = start + service
-        self.stats.controller_busy += service
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            trace, tenant = ctx if ctx is not None else (None, None)
-            tr.span(
-                "ctrl", "ssd", self.trace_name, f"ctrl{q}",
-                start, start + service,
-                trace=trace, args={"tenant": tenant} if tenant else None,
-            )
-        return start + service

@@ -26,8 +26,8 @@ and replays it as a fourth device profile:
 - :class:`SurrogateDevice` duck-types the slice of the device interface
   the scheduler and the epoch runner consume (``submit``, ``read``,
   ``write``, ``trim``, ``queue_depth``, ``in_flight``, ``stats``,
-  ``epoch_read``/``epoch_write``), tracking queue depth from its own
-  in-flight count and the read mix with an EWMA over submitted ops.
+  ``epoch_op``), tracking queue depth from its own in-flight count and
+  the read mix with an EWMA over submitted ops.
 
 The surrogate is for *sweep* workloads — wide grids where per-op
 structural fidelity matters less than the latency distribution shape.
@@ -360,18 +360,17 @@ class SurrogateDevice:
 
     # -- epoch fast-forward hooks -------------------------------------------
 
-    def epoch_read(self, offset: int, size: int) -> float:
-        """Quiet-epoch read: one idle-depth sample, counters updated."""
+    def epoch_op(self, is_read: bool, offset: int, size: int) -> float:
+        """Quiet-epoch op: one idle-depth sample, counters updated."""
         stats = self.stats
-        stats.reads += 1
-        stats.read_bytes += size
-        return self.model.sample(self._rng, "read", size, 1, self._read_mix)
-
-    def epoch_write(self, offset: int, size: int) -> float:
-        stats = self.stats
-        stats.writes += 1
-        stats.write_bytes += size
-        return self.model.sample(self._rng, "write", size, 1, self._read_mix)
+        if is_read:
+            stats.reads += 1
+            stats.read_bytes += size
+        else:
+            stats.writes += 1
+            stats.write_bytes += size
+        kind = "read" if is_read else "write"
+        return self.model.sample(self._rng, kind, size, 1, self._read_mix)
 
     def maybe_collect(self) -> None:
         """No GC to start — the surrogate has no page map to compact."""

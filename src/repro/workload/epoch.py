@@ -18,10 +18,10 @@ trial under a hybrid regime:
   every arrival up to the next interesting edge analytically —
   :meth:`~repro.core.scheduler.LibraScheduler.credit_epoch` books the
   chunk-exact VOP charges and usage counters,
-  ``SsdDevice.epoch_read``/``epoch_write`` book idle-device latency and
-  byte/page effects (writes still go through the FTL page map, so GC
-  onset stays faithful), and the simulator clock jumps to the edge in
-  one ``run(until=edge)`` call;
+  ``SsdDevice.epoch_op`` books idle-device latency and byte/page
+  effects (writes still go through the FTL page map, so GC onset stays
+  faithful), and the simulator clock jumps to the edge in one
+  ``run(until=edge)`` call;
 - a second eligibility class covers **stable loaded backlogs**: when
   queues are *not* empty but the monitor's confirmation window shows
   the backlog drifting below tolerance (stationary arrivals, no GC
@@ -31,7 +31,7 @@ trial under a hybrid regime:
   round schedule (:meth:`~repro.core.scheduler.LibraScheduler.plan_rounds`)
   that books queue-wait plus pipeline service latency against a
   :class:`~repro.ssd.FluidPipeline` snapshot while ``credit_epoch`` and
-  the device epoch hooks book the identical count/byte/VOP effects;
+  the device epoch hook book the identical count/byte/VOP effects;
 - anything interesting — a fault-window edge, a scheduled rate change,
   a projected or actual GC watermark crossing, a backlog-stability
   breach — ends the epoch and the trial re-enters event-by-event mode
@@ -266,7 +266,7 @@ class _FluidEngine:
     snapshot of the device's controller/channel accumulators.
 
     Exactness: task/op/byte/VOP counts never touch the fluid model.
-    They are produced by ``credit_epoch`` and the device epoch hooks
+    They are produced by ``credit_epoch`` and the device epoch hook
     from the same seeded stream draws the event-driven path consumes,
     so both modes agree exactly; the fluid queue only shapes latency
     and the virtual backlog trajectory reported to the monitor
@@ -277,7 +277,7 @@ class _FluidEngine:
     __slots__ = (
         "device", "monitor", "vops_per_sec", "index", "quanta", "backlog",
         "chunk_cost", "active", "weight", "chunk", "last_t", "pipeline",
-        "sample_dt", "next_sample", "limit",
+        "lane", "sample_dt", "next_sample", "limit",
     )
 
     def __init__(self, runner: "_EpochRunner", start: float):
@@ -298,6 +298,9 @@ class _FluidEngine:
         self.chunk = plan.chunk_size
         self.last_t = start
         self.pipeline = runner.device.fluid_pipeline()
+        #: controller lane per tenant: the one its DES submissions use
+        #: (the scheduler's dispatch ctx is ``(trace, tenant)``)
+        self.lane = [runner.device._queue_for((None, name)) for name in plan.tenants]
         self.sample_dt = monitor.confirm_window / monitor.confirm_samples
         self.next_sample = start + self.sample_dt
         self.limit = monitor.fluid_backlog
@@ -395,26 +398,17 @@ class _FluidEngine:
         device = self.device
         pipeline = self.pipeline
         chunk = self.chunk
+        lane = self.lane[idx]
         latency = 0.0
         pos = 0
-        if is_read:
-            while pos < size:
-                length = min(chunk, size - pos)
-                ctrl, services = device.epoch_read(offset + pos, length, pipeline)
-                finish = pipeline.reserve(dispatch, ctrl, services)
-                if finish - at > latency:
-                    latency = finish - at
-                pos += length
-            status = None
-        else:
-            while pos < size:
-                length = min(chunk, size - pos)
-                ctrl, services = device.epoch_write(offset + pos, length, pipeline)
-                finish = pipeline.reserve(dispatch, ctrl, services)
-                if finish - at > latency:
-                    latency = finish - at
-                pos += length
-            status = "gc" if device.ftl.gc_needed else None
+        while pos < size:
+            length = min(chunk, size - pos)
+            ctrl, services = device.epoch_op(is_read, offset + pos, length, pipeline)
+            finish = pipeline.reserve(dispatch, lane, ctrl, services)
+            if finish - at > latency:
+                latency = finish - at
+            pos += length
+        status = "gc" if not is_read and device.ftl.gc_needed else None
         if queued <= 0.0:
             self.active.append(idx)
             self.weight += self.quanta[idx]
@@ -608,22 +602,13 @@ class _EpochRunner:
         # latency is the slowest chunk's analytic service time.
         latency = 0.0
         pos = 0
-        if is_read:
-            while pos < size:
-                length = min(chunk, size - pos)
-                lat = device.epoch_read(offset + pos, length)
-                if lat > latency:
-                    latency = lat
-                pos += length
-            gc = False
-        else:
-            while pos < size:
-                length = min(chunk, size - pos)
-                lat = device.epoch_write(offset + pos, length)
-                if lat > latency:
-                    latency = lat
-                pos += length
-            gc = device.ftl.gc_needed
+        while pos < size:
+            length = min(chunk, size - pos)
+            lat = device.epoch_op(is_read, offset + pos, length)
+            if lat > latency:
+                latency = lat
+            pos += length
+        gc = not is_read and device.ftl.gc_needed
         self.scheduler.credit_epoch(st.tag, kind, size)
         st.result.latency.observe(latency)
         st.next_at += st.gap.next()

@@ -5,9 +5,9 @@ completion action, no generator); anything stateful — fault windows,
 GC, NCQ saturation, invalid ranges — falls back to the coroutine
 pipeline.  These tests hold the contract that makes that optimization
 safe: with the same seed, a run with the fast path enabled is
-byte-identical to one with ``fast_path=False`` forcing every op down
-the coroutine path, and the VOP audit reconciles a fast-path run at
-1.0000 with zero flags.
+byte-identical to one whose admission is stubbed to decline, forcing
+every op down the coroutine path, and the VOP audit reconciles a
+fast-path run at 1.0000 with zero flags.
 """
 
 import random
@@ -26,6 +26,8 @@ from repro.obs import VopAudit
 from repro.sim import OK_RESULT, SimulationError, Simulator
 from repro.ssd import SsdDevice, SsdProfile
 
+from .helpers import force_coroutine_path
+
 KIB = 1024
 MIB = 1024 * 1024
 
@@ -40,9 +42,9 @@ def tiny_profile(queue_depth=32):
 def run_sched_trace(fast, read_fraction, fault_plan=None, ops=200, until=30.0):
     """Drive a mixed tenant workload; return (trace, stats tuple)."""
     sim = Simulator()
-    device = SsdDevice(
-        sim, tiny_profile(), seed=1, fault_plan=fault_plan, fast_path=fast
-    )
+    device = SsdDevice(sim, tiny_profile(), seed=1, fault_plan=fault_plan)
+    if not fast:
+        force_coroutine_path(device)
     model = make_cost_model("exact", reference_calibration("intel320"))
     sched = LibraScheduler(sim, device, model)
     for i in range(3):
@@ -114,9 +116,8 @@ def test_quiet_serial_ops_never_reach_the_coroutine_path():
     sim = Simulator()
     device = SsdDevice(sim, tiny_profile(), seed=2)
     calls = []
-    original_read, original_write = device._do_read, device._do_write
-    device._do_read = lambda *a, **k: calls.append("r") or original_read(*a, **k)
-    device._do_write = lambda *a, **k: calls.append("w") or original_write(*a, **k)
+    original = device._do_op
+    device._do_op = lambda *a, **k: calls.append("r" if a[0] else "w") or original(*a, **k)
 
     def driver():
         for k in range(50):
@@ -131,10 +132,10 @@ def test_quiet_serial_ops_never_reach_the_coroutine_path():
 
 def test_fast_path_off_forces_the_coroutine_path():
     sim = Simulator()
-    device = SsdDevice(sim, tiny_profile(), seed=2, fast_path=False)
+    device = force_coroutine_path(SsdDevice(sim, tiny_profile(), seed=2))
     calls = []
-    original_read = device._do_read
-    device._do_read = lambda *a, **k: calls.append("r") or original_read(*a, **k)
+    original = device._do_op
+    device._do_op = lambda *a, **k: calls.append("r" if a[0] else "w") or original(*a, **k)
 
     def driver():
         yield device.read(0, 4 * KIB)

@@ -20,6 +20,8 @@ from repro.ssd import NvmeDevice, SsdDevice, SsdProfile, get_profile
 from repro.workload.epoch import EpochTenantSpec, run_epoch_trial
 from repro.workload.iobench import DeviceEnv, run_interference_trial
 
+from .helpers import force_coroutine_path
+
 KIB = 1024
 MIB = 1024 * 1024
 
@@ -35,7 +37,9 @@ def tiny_profile(**overrides) -> SsdProfile:
 def run_pinned(cls, profile, fast_path=True, fault_plan=None, n_tenants=8, ops=400):
     """A pinned seeded closed loop; returns the full observable fingerprint."""
     sim = Simulator()
-    dev = cls(sim, profile, seed=7, fast_path=fast_path, fault_plan=fault_plan)
+    dev = cls(sim, profile, seed=7, fault_plan=fault_plan)
+    if not fast_path:
+        force_coroutine_path(dev)
     rng = random.Random(42)
     counts = {"tasks": 0, "fails": 0}
 

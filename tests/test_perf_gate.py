@@ -81,3 +81,20 @@ def test_history_appends_records(tmp_path):
     assert [e["smoke"] for e in entries] == [True, True, False]
     assert entries[1]["scheduler.ops_per_sec"] == 44_000.0
     assert all("timestamp" in e and "git_sha" in e for e in entries)
+
+
+def test_history_records_src_lines_outside_the_speedup_report(tmp_path, capsys):
+    path = str(tmp_path / "history.jsonl")
+    append_history(results(), smoke=True, path=path)
+    append_history(results(), smoke=True, path=path)
+    entries = [json.loads(line) for line in open(path)]
+    src = os.path.join(_REPO, "src")
+    expected = sum(
+        len(open(os.path.join(root, name), "rb").read().splitlines())
+        for root, _dirs, files in os.walk(src)
+        for name in files
+        if name.endswith(".py")
+    )
+    assert [e["src_lines"] for e in entries] == [expected, expected]
+    assert expected > 10_000
+    assert "src_lines" not in capsys.readouterr().err
