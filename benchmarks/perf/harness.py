@@ -13,8 +13,9 @@ persistently non-empty queues, covered by the fluid DDRR engine and
 additionally gated on a 70% fast-forward-fraction floor), the
 control-plane bench (partition-map mutation
 throughput plus the VOP overhead of growing a node mid-workload,
-gated on zero acked-write loss across the live migrations), and the
-tracing-overhead gate (a disabled
+gated on zero acked-write loss across the live migrations; and the
+50-node tenant-churn trial on the hybrid driver, gated on FF == DES
+agreement), and the tracing-overhead gate (a disabled
 :class:`repro.obs.Tracer` must cost the scheduler hot loop <= 2%, and
 a sample ``trace.json`` is exported for CI artifacts), then writes the
 numbers to ``BENCH_sim.json``.
@@ -86,13 +87,19 @@ HEADLINE_METRICS = (
     ("epoch_loaded.ff_fraction", ("epoch_loaded", "ff_fraction")),
     ("control.map_changes_per_sec", ("control", "map_changes_per_sec")),
 )
+#: recorded in the history beside ``src_lines`` but read by neither the
+#: baseline gate nor the speedup report: a second-scale measurement
+INFORMATIONAL_METRICS = (
+    ("control.churn_tasks_per_sec", ("control", "churn_tasks_per_sec")),
+    ("control.churn_ff_fraction", ("control", "churn_ff_fraction")),
+)
 
 
-def _headline(results: Dict[str, Any]) -> Dict[str, float]:
-    """Headline numbers present in ``results`` (a stage may be absent,
-    e.g. in trimmed fixtures or future partial runs)."""
+def _headline(results: Dict[str, Any], metrics=HEADLINE_METRICS) -> Dict[str, float]:
+    """The ``metrics`` numbers present in ``results`` (a stage may be
+    absent, e.g. in trimmed fixtures or future partial runs)."""
     found = {}
-    for label, (section, key) in HEADLINE_METRICS:
+    for label, (section, key) in metrics:
         value = results.get(section, {}).get(key)
         if value is not None:
             found[label] = value
@@ -203,6 +210,7 @@ def append_history(results: Dict[str, Any], smoke: bool, path: str = HISTORY_PAT
             else None
         ),
         "src_lines": _src_lines(),
+        **_headline(results, INFORMATIONAL_METRICS),
         **headline,
     }
     with open(path, "a") as fh:
@@ -602,9 +610,17 @@ def _bench_control(smoke: bool, profile: bool) -> Dict[str, Any]:
     ships, and destination applies are all charged, so the delta is the
     real bill).  Zero acked-write loss in the migrating run is a hard
     gate on the harness exit code.
+
+    The churn leg is the hybrid driver's many-cell consumer: the
+    50-node × 1k-tenant lifecycle trial, fast-forwarded, reported as
+    tasks per wall second of the run loop and the fast-forwarded share
+    of the horizon (informational: a second-scale measurement behind
+    ~15 s of device preconditioning), plus a small loaded config run in
+    both modes whose ``agreement_key`` equality is a hard gate.
     """
     import random
 
+    from repro.control.churn import ChurnConfig, run_churn_trial
     from repro.core import Reservation
     from repro.faults import StorageFault
     from repro.net import NetConfig
@@ -718,6 +734,24 @@ def _bench_control(smoke: bool, profile: bool) -> Dict[str, Any]:
     overhead = (
         round(grown["vops"] / static["vops"] - 1.0, 4) if static["vops"] else 0.0
     )
+
+    # -- tenant churn (hybrid driver, one cell per node) ---------------
+    fleet = _maybe_profiled(
+        profile, "churn 50 nodes x 1k tenants (fast-forward)",
+        lambda: run_churn_trial(
+            ChurnConfig(horizon=300.0 if smoke else 600.0), fast_forward=True
+        ),
+    )
+    # loaded enough that quiet epochs are closed by GC crossings and a
+    # real share of the tasks runs event-by-event on both sides
+    loaded = ChurnConfig(
+        n_nodes=4, n_tenants=60, horizon=15.0 if smoke else 30.0,
+        base_rate=900.0, read_fraction=0.3, rebalance_interval=5.0,
+    )
+    churn_agrees = (
+        run_churn_trial(loaded, fast_forward=True).agreement_key()
+        == run_churn_trial(loaded, fast_forward=False).agreement_key()
+    )
     return {
         "map_split_rounds": split_rounds,
         "map_churn_rounds": churn_rounds,
@@ -727,6 +761,15 @@ def _bench_control(smoke: bool, profile: bool) -> Dict[str, Any]:
         "grown": grown,
         "migration_vop_overhead": overhead,
         "migration_lossless": grown["lost"] == 0 and static["lost"] == 0,
+        "churn_horizon_sim_seconds": fleet.horizon,
+        "churn_tasks": fleet.total_tasks,
+        "churn_tasks_per_sec": round(fleet.tasks_per_wall_second, 1),
+        "churn_ff_fraction": round(fleet.ff_fraction, 4),
+        "churn_des_reasons": {
+            reason: round(seconds, 3)
+            for reason, seconds in sorted(fleet.des_reasons.items())
+        },
+        "churn_agreement_ok": churn_agrees,
     }
 
 
@@ -850,6 +893,12 @@ def run_harness(
         f"lossless={control['migration_lossless']})",
         file=sys.stderr,
     )
+    print(
+        f"[perf]   churn {control['churn_tasks_per_sec']:.0f} tasks/s, "
+        f"ff fraction {control['churn_ff_fraction']:.4f}, "
+        f"FF==DES agreement={control['churn_agreement_ok']}",
+        file=sys.stderr,
+    )
 
     print("[perf] tracing overhead (disabled tracer vs none)...", file=sys.stderr)
     obs = _bench_obs(smoke=smoke, trace_path=os.path.join(_REPO, "trace.json"))
@@ -960,6 +1009,13 @@ def main(argv=None) -> int:
             f"[perf] FAIL: live migration lost acked writes "
             f"(static {results['control']['static']['lost']}, "
             f"grown {results['control']['grown']['lost']})",
+            file=sys.stderr,
+        )
+        return 1
+    if not results["control"]["churn_agreement_ok"]:
+        print(
+            "[perf] FAIL: churn fast-forward diverged from the "
+            "event-by-event run",
             file=sys.stderr,
         )
         return 1

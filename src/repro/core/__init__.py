@@ -9,7 +9,7 @@ from .calibration import (
 )
 from .capacity import CapacityModel, estimate_floor, reference_capacity, stack_floor
 from .policy import AdmissionError, OverflowReport, Reservation, ResourcePolicy
-from .scheduler import LibraScheduler, RoundPlan, SchedulerConfig, TenantUsage
+from .scheduler import LibraScheduler, SchedulerConfig, TenantUsage
 from .tags import BEST_EFFORT, InternalOp, IoTag, OpKind, RequestClass
 from .tracker import NORMALIZED_REQUEST_BYTES, Ewma, RequestProfile, ResourceTracker
 from .vop import (
@@ -40,7 +40,6 @@ __all__ = [
     "IoTag",
     "LibraIo",
     "LibraScheduler",
-    "RoundPlan",
     "LinearCostModel",
     "NORMALIZED_REQUEST_BYTES",
     "OpKind",

@@ -40,37 +40,7 @@ from ..ssd import SsdDevice
 from .tags import IoTag, OpKind
 from .vop import CostModel
 
-__all__ = ["LibraScheduler", "RoundPlan", "TenantUsage", "SchedulerConfig"]
-
-
-@dataclass(frozen=True)
-class RoundPlan:
-    """Analytic description of the DDRR round schedule.
-
-    Produced by :meth:`LibraScheduler.plan_rounds` for the fluid
-    fast-forward engine and for diagnostics: with stationary inputs the
-    dispatcher's behaviour is periodic, so one plan describes every
-    round of an epoch.  ``tenants``/``quanta`` are in the scheduler's
-    registration (round-robin) order; ``service_rates`` is the
-    water-filled steady-state VOP/s each tenant is served when offered
-    demand is supplied — saturated tenants are capped at their fair
-    share (quantum-proportional, with unused capacity redistributed,
-    i.e. DDRR's work-conserving max-min allocation), unsaturated
-    tenants get exactly their offered rate.
-    """
-
-    tenants: Tuple[str, ...]
-    quanta: Tuple[float, ...]
-    round_vops: float
-    round_seconds: float
-    burst_rounds: float
-    chunk_size: int
-    service_rates: Tuple[float, ...]
-
-    @property
-    def cycle_seconds(self) -> float:
-        """Nominal wall time of one full quanta cycle."""
-        return self.round_seconds
+__all__ = ["LibraScheduler", "TenantUsage", "SchedulerConfig"]
 
 
 @dataclass
@@ -334,7 +304,7 @@ class LibraScheduler:
     def credit_epoch(self, tag: IoTag, kind: OpKind, size: int) -> float:
         """Account one completed task analytically; returns VOPs charged.
 
-        The epoch fast-forward path (:mod:`repro.workload.epoch`)
+        The epoch fast-forward path (:mod:`repro.workload.hybrid`)
         bypasses ``_submit``/``_dispatch``/``_complete`` during quiet
         steady-state epochs and books each task's effects here in one
         call: the same chunk split, the same per-chunk VOP price, and
@@ -376,9 +346,9 @@ class LibraScheduler:
         ``[(chunk_length, count, vop_cost), ...]`` — the same split
         ``_submit`` produces and the same price ``_dispatch`` charges,
         cached per (kind, task size).  Shared by :meth:`credit_epoch`
-        and the fluid fast-forward engine so bulk accounting and the
-        analytic DDRR replay can never price a chunk differently from
-        the event-driven dispatcher.
+        and :meth:`task_vops` so bulk accounting and demand estimates
+        can never price a chunk differently from the event-driven
+        dispatcher.
         """
         key = (kind, size)
         parts = self._epoch_costs.get(key)
@@ -400,67 +370,26 @@ class LibraScheduler:
             self._epoch_costs[key] = parts
         return parts
 
-    def plan_rounds(self, offered: Optional[Dict[str, float]] = None) -> RoundPlan:
-        """Analytic DDRR round schedule for the current tenant set.
+    def task_vops(self, kind: OpKind, size: int) -> float:
+        """VOPs one task of ``size`` bytes is charged, summed chunk by
+        chunk in dispatch order — not ``n * cost``: the sum feeds
+        eligibility thresholds and allocations that must not move by a
+        rounding step."""
+        total = 0.0
+        for _length, n, cost in self.epoch_chunk_costs(kind, size):
+            for _ in range(n):
+                total += cost
+        return total
 
-        With stationary arrivals the dispatcher is periodic: every
-        round hands tenant *i* ``quanta[i]`` VOPs of deficit and serves
-        round-robin among those with queued work, so per-round service
-        is quantum-proportional among backlogged tenants and the whole
-        cycle distributes ``round_vops`` per ``round_seconds``.  When
-        ``offered`` (tenant -> offered VOP/s) is given, the plan also
-        water-fills the device's VOP capacity: tenants offering less
-        than their share keep their offered rate, the freed capacity is
-        redistributed in quantum proportion among the rest — the
-        steady-state service rates a stable-backlog epoch converges to.
-        """
+    def round_quanta(self) -> Tuple[List[str], List[float]]:
+        """The DDRR round schedule: tenants in round-robin (registration)
+        order and the VOP quantum each is granted per round.  With
+        stationary inputs the dispatcher is periodic, so this describes
+        every round of a fluid fast-forward epoch."""
         quanta = self._quanta
         if quanta is None:
             quanta = self._refresh_quanta()
-        tenants = tuple(s.tenant_id for s in self._order)
-        quanta_t = tuple(quanta)
-        capacity = self.cost_model.max_iop
-        if offered is None:
-            rates = tuple(
-                capacity * q / self._round_vops if self._round_vops else 0.0
-                for q in quanta_t
-            )
-        else:
-            demand = [max(0.0, float(offered.get(t, 0.0))) for t in tenants]
-            rates_l = [0.0] * len(tenants)
-            remaining = capacity
-            unfilled = list(range(len(tenants)))
-            # Water-fill: repeatedly grant quantum-proportional shares,
-            # capping tenants at their offered rate and re-spreading the
-            # spare capacity (DDRR's work-conserving behaviour).
-            while unfilled and remaining > 1e-12:
-                weight = sum(quanta_t[i] for i in unfilled)
-                if weight <= 0.0:
-                    break
-                capped = [
-                    i for i in unfilled
-                    if demand[i] - rates_l[i] <= remaining * quanta_t[i] / weight
-                ]
-                if capped:
-                    for i in capped:
-                        grant = demand[i] - rates_l[i]
-                        rates_l[i] = demand[i]
-                        remaining -= grant
-                        unfilled.remove(i)
-                else:
-                    for i in unfilled:
-                        rates_l[i] += remaining * quanta_t[i] / weight
-                    remaining = 0.0
-            rates = tuple(rates_l)
-        return RoundPlan(
-            tenants=tenants,
-            quanta=quanta_t,
-            round_vops=self._round_vops,
-            round_seconds=self.config.round_seconds,
-            burst_rounds=self.config.burst_rounds,
-            chunk_size=self.config.chunk_size,
-            service_rates=rates,
-        )
+        return [s.tenant_id for s in self._order], list(quanta)
 
     # -- scheduling core -----------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 __all__ = [
     "ExperimentMode",
@@ -83,6 +83,14 @@ def ratio_label(ratio: Optional[float]) -> str:
         return "1:1-mix"
     r = int(round(ratio * 100))
     return f"{r}:{100 - r}"
+
+
+def lost_to_label(des_reasons: Optional[Dict[str, float]]) -> str:
+    """Top DES-time sinks as 'reason 0.30s' pairs, largest first."""
+    if not des_reasons:
+        return "-"
+    top = sorted(des_reasons.items(), key=lambda kv: -kv[1])[:3]
+    return ", ".join(f"{reason} {seconds:.2f}s" for reason, seconds in top)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ from ..workload import (
     run_epoch_trial,
 )
 from ..workload.iobench import KIB, DeviceEnv, run_raw_trial
-from .common import derive_seed, parallel_map
+from .common import derive_seed, lost_to_label, parallel_map
 
 __all__ = ["run", "render", "EpochFigResult"]
 
@@ -250,14 +250,6 @@ def run(
     )
 
 
-def _lost_to(des_reasons: Optional[Dict[str, float]]) -> str:
-    """Top DES-time sinks as 'reason 0.30s' pairs, largest first."""
-    if not des_reasons:
-        return "-"
-    top = sorted(des_reasons.items(), key=lambda kv: -kv[1])[:3]
-    return ", ".join(f"{reason} {seconds:.2f}s" for reason, seconds in top)
-
-
 def render(result: EpochFigResult) -> str:
     parts = [
         f"epochfig — hybrid simulation on {result.profile} ({result.mode} mode)",
@@ -297,7 +289,7 @@ def render(result: EpochFigResult) -> str:
                     f"{row.wall_ff:.2f}s",
                     f"{row.speedup:.1f}x",
                     f"{row.reconciliation:.4f}",
-                    _lost_to(row.des_reasons),
+                    lost_to_label(row.des_reasons),
                 ]
                 for row in result.loaded
             ],

@@ -38,7 +38,7 @@ from ..net import NetConfig
 from ..node import NodeConfig, StorageCluster
 from ..obs import Observability
 from ..sim import Simulator
-from .common import derive_seed, parallel_map
+from .common import derive_seed, lost_to_label, parallel_map
 
 __all__ = ["run", "render", "ScaleResult", "GrowCell", "ChurnCell"]
 
@@ -114,6 +114,8 @@ class ChurnCell:
     moved_bytes: int = 0
     ff_fraction: float = 0.0
     wall_seconds: float = 0.0
+    #: event-by-event seconds by rejection reason, summed over nodes
+    des_reasons: Dict[str, float] = field(default_factory=dict)
     #: canonical agreement key (repr'd) for cross-mode comparison
     key: str = ""
 
@@ -318,6 +320,7 @@ def _run_churn(args: Tuple[str, str, int]) -> ChurnCell:
         moved_bytes=result.moved_bytes,
         ff_fraction=round(result.ff_fraction, 4),
         wall_seconds=round(result.wall_seconds, 3),
+        des_reasons=result.des_reasons if run_mode == "ff" else {},
         key=repr(result.agreement_key()),
     )
 
@@ -384,12 +387,13 @@ def render(result: ScaleResult) -> str:
             cell.map_version,
             f"{cell.ff_fraction:.4f}" if cell.mode == "ff" else "-",
             f"{cell.wall_seconds:.2f}",
+            lost_to_label(cell.des_reasons),
         ]
         for cell in result.churn
     ]
     blocks.append(format_table(
         ["mode", "tasks", "ops", "bytes", "admitted", "departed",
-         "rebalances", "map ver", "ff frac", "wall s"],
+         "rebalances", "map ver", "ff frac", "wall s", "des time lost to"],
         rows,
         title="tenant churn: fast-forward vs event-by-event",
     ))

@@ -2,8 +2,7 @@
 
 A DES run spends most of its events on statistically boring stretches.
 :class:`SteadyStateMonitor` recognises two eligibility classes the
-epoch runner (:func:`repro.workload.epoch.run_epoch_trial`) may
-fast-forward through:
+hybrid driver (:mod:`repro.workload.hybrid`) may fast-forward through:
 
 - **quiet** — every tenant's queue is empty, the device is idle, no
   fault window is open, and the offered load is comfortably under the
@@ -17,7 +16,7 @@ fast-forward through:
   DDRR round schedule is then periodic, so the epoch can be replayed
   through the fluid engine's analytic round schedule instead of event
   by event.  Parked NVMe submission-queue commands are ordinary queue
-  backlog here — the runner's handover drain empties the SQs before
+  backlog here — the driver's handover drain empties the SQs before
   the replay starts, so "no SQ parking" holds at epoch start by
   construction.
 
@@ -32,7 +31,7 @@ The monitor never mutates the simulation; it answers:
   start/end, scheduled rate change, projected GC watermark crossing,
   end of horizon)?
 
-Every rejection carries a human-readable reason, and the runner feeds
+Every rejection carries a human-readable reason, and the driver feeds
 segment outcomes back through :meth:`note_segment`, so trials can
 report — per reason, in simulated seconds — *why* fast-forward
 coverage was lost (:meth:`publish_metrics` exports the counters to a
@@ -41,7 +40,6 @@ coverage was lost (:meth:`publish_metrics` exports the counters to a
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import deque
 from typing import Dict, Optional, Sequence, Tuple
@@ -122,12 +120,6 @@ class SteadyStateMonitor:
         self.fluid_backlog = fluid_backlog
         self.fluid_drift = fluid_drift
         self.max_vops_per_sec = float(scheduler.cost_model.max_iop)
-        #: persistent caller-registered edges (control-plane events:
-        #: planned tenant arrivals/departures, migrations, map changes)
-        #: that epochs never jump across — the mechanism that lets a
-        #: churn trial fast-forward *between* control actions.  Kept
-        #: sorted; edges at or before the clock are pruned lazily.
-        self.extra_edges: list = []
         #: (t, backlog chunks) samples of the confirmation window;
         #: cleared whenever a hard disturbance (GC, fault window, rate
         #: change) breaks stationarity.
@@ -151,7 +143,8 @@ class SteadyStateMonitor:
             return False, "backlog"
         if self.device.in_flight > 0:
             return False, "inflight"
-        disturbed = self._disturbance()
+        # Parked SQ commands disqualify the quiet class only.
+        disturbed = self._parked() or self._hard_disturbance()
         if disturbed is not None:
             return False, disturbed
         if demand_vops > self.headroom * self.max_vops_per_sec:
@@ -167,7 +160,7 @@ class SteadyStateMonitor:
         samples whose endpoint-to-endpoint drift rate stays under
         ``fluid_drift`` chunks/sec.  Parked NVMe submission-queue
         commands do *not* veto here: unlike GC or a fault window they
-        are drainable queue state, and the epoch runner's handover
+        are drainable queue state, and the hybrid driver's handover
         drains every SQ to empty before the fluid replay starts (the
         "no SQ parking" part of the predicate holds at epoch start by
         construction).  Rejection reasons carry the measured values —
@@ -235,6 +228,16 @@ class SteadyStateMonitor:
             return "sq-fetch"
         return None
 
+    def busy(self) -> bool:
+        """Any queued or in-flight work anywhere in the stack?  Parked
+        NVMe SQ commands count: ``device.in_flight`` does not cover
+        them, and the fluid handover must drain those too."""
+        return (
+            self.scheduler.backlog > 0
+            or self.device.in_flight > 0
+            or self._parked() is not None
+        )
+
     def _hard_disturbance(self) -> Optional[str]:
         """A disturbance that breaks stationarity itself: GC or a fault
         window.  Unlike parked SQ commands these cannot be drained away
@@ -252,16 +255,12 @@ class SteadyStateMonitor:
             return "fault"
         return None
 
-    def _disturbance(self) -> Optional[str]:
-        """First disqualifier for the *quiet* class (parked SQs count)."""
-        return self._parked() or self._hard_disturbance()
-
     # -- confirmation window ----------------------------------------------
 
     def observe(self, backlog: Optional[int] = None) -> None:
         """Sample the backlog into the confirmation window.
 
-        The runner calls this from event-by-event stretches (per main
+        The driver calls this from event-by-event stretches (per main
         loop iteration and per arrival, both cheap).  A sample taken
         while a *hard* disturbance is active clears the window instead —
         stationarity must be re-confirmed from scratch after GC or a
@@ -304,8 +303,8 @@ class SteadyStateMonitor:
     def window_loaded(self, threshold: float = 1.0) -> bool:
         """Does the confirmation window show a persistently loaded queue?
 
-        Mean sampled backlog above ``threshold`` chunks.  The epoch
-        runner uses this to pick an engine when both could apply: a
+        Mean sampled backlog above ``threshold`` chunks.  The hybrid
+        driver uses this to pick an engine when both could apply: a
         loaded window means queue-wait dominates latency and the fluid
         replay should be preferred over the quiet (idle-latency) one.
         """
@@ -326,17 +325,6 @@ class SteadyStateMonitor:
             else 0.0
         )
         return {"samples": n, "span": span, "drift_per_sec": drift}
-
-    # -- persistent edges --------------------------------------------------
-
-    def register_edge(self, at: float) -> None:
-        """Register a future control-plane event time as an epoch edge."""
-        if at > self.sim.now:
-            bisect.insort(self.extra_edges, at)
-
-    def register_edges(self, ats) -> None:
-        for at in ats:
-            self.register_edge(at)
 
     # -- horizon -----------------------------------------------------------
 
@@ -406,10 +394,6 @@ class SteadyStateMonitor:
             fault_edge = plan.next_edge(now)
             if fault_edge < edge:
                 edge, reason = fault_edge, "fault-edge"
-        while self.extra_edges and self.extra_edges[0] <= now:
-            self.extra_edges.pop(0)
-        if self.extra_edges and self.extra_edges[0] < edge:
-            edge, reason = self.extra_edges[0], "event"
         for extra in extra_edges:
             if now < extra < edge:
                 edge, reason = extra, "event"

@@ -79,7 +79,7 @@ class FluidPipeline:
     """Controller-lane and channel next-free-time accumulators.
 
     The live device holds one and books every op on it at ``now``.  The
-    fluid fast-forward engine (:mod:`repro.workload.epoch`) advances a
+    fluid fast-forward engine (:mod:`repro.workload.hybrid`) advances a
     private copy (:meth:`SsdDevice.fluid_pipeline`): the plans
     :meth:`SsdDevice.epoch_op` returns are reserved there at their
     *virtual dispatch* times, reproducing the FIFO queue-wait + service
@@ -321,7 +321,7 @@ class SsdDevice:
         """Account one fast-forwarded op; returns its latency or its plan.
 
         During a quiet steady-state epoch the runner
-        (:mod:`repro.workload.epoch`) skips the event loop and accounts
+        (:mod:`repro.workload.hybrid`) skips the event loop and accounts
         each op here: same plan, counters and FTL mutations as the
         scheduled completion, but with no queue slot, reservation or
         completion action.  Valid only while the device is idle (nothing
