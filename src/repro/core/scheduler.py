@@ -27,6 +27,13 @@ Two paper-faithful details:
 - ops larger than ``chunk_size`` (128 KiB) are split into independently
   scheduled chunks for responsiveness, costing a little allocation
   accuracy at 256 KiB (visible in Fig 7 on the Intel SSD).
+
+Both questions the dispatcher asks — "who is eligible next" and "is the
+round still open" — are answered by the one lap over the tenants that
+:meth:`LibraScheduler._pump` makes from its round-robin cursor, and it
+makes that lap only while a chunk is queued and a device slot is free:
+a submission or completion on an uncontended node costs one comparison,
+not a scan of every tenant.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ from .tags import IoTag, OpKind
 from .vop import CostModel
 
 __all__ = ["LibraScheduler", "TenantUsage", "SchedulerConfig"]
+
+_READ = OpKind.READ
 
 
 @dataclass
@@ -135,10 +144,6 @@ class _TenantState:
         self.usage = TenantUsage()
         self.inflight = 0
 
-    def has_pending(self) -> bool:
-        """Queued or in-flight work that can still consume deficit."""
-        return bool(self.queue) or self.inflight > 0
-
 
 class LibraScheduler:
     """DDRR VOP scheduler in front of one SSD.
@@ -177,6 +182,11 @@ class LibraScheduler:
         #: per-(kind, task size) chunk breakdown + VOP price, cached for
         #: ``credit_epoch`` (the cost model is immutable per scheduler)
         self._epoch_costs: Dict[Tuple[OpKind, int], List[Tuple[int, int, float]]] = {}
+        #: chunk size -> VOP price, one dict per direction, filled from
+        #: the (immutable) cost model on first use: ``_dispatch`` pays
+        #: one int-keyed lookup per chunk
+        self._read_costs: Dict[int, float] = {}
+        self._write_costs: Dict[int, float] = {}
         #: optional repro.obs Tracer recording queue-wait/service spans
         self.tracer = tracer
         self._tenants: Dict[str, _TenantState] = {}
@@ -284,18 +294,28 @@ class LibraScheduler:
     def _submit(self, kind: OpKind, offset: int, size: int, tag: Optional[IoTag]) -> Event:
         if tag is None:
             raise ValueError("Libra IO requires an IoTag (tenant attribution)")
-        state = self._state(tag.tenant)
-        done = self.sim.event()
+        state = self._tenants.get(tag.tenant)
+        if state is None:
+            state = self._state(tag.tenant)  # raises, naming the tenants
+        sim = self.sim
+        done = Event(sim)
         task = _Task(tag, kind, offset, size, done)
         chunk_size = self.config.chunk_size
-        now = self.sim.now
-        pos = 0
-        while pos < size:
-            length = min(chunk_size, size - pos)
-            state.queue.append(_Chunk(task, state, offset + pos, length, now))
-            task.pending_chunks += 1
+        now = sim.now
+        if 0 < size <= chunk_size:
+            # The common case (every GET's read, every WAL commit): the
+            # task is its own single chunk.
+            state.queue.append(_Chunk(task, state, offset, size, now))
+            task.pending_chunks = 1
             self._queued += 1
-            pos += length
+        else:
+            pos = 0
+            while pos < size:
+                length = min(chunk_size, size - pos)
+                state.queue.append(_Chunk(task, state, offset + pos, length, now))
+                task.pending_chunks += 1
+                self._queued += 1
+                pos += length
         self._pump()
         return done
 
@@ -432,10 +452,6 @@ class LibraScheduler:
         for state, quantum in zip(self._order, quanta):
             state.deficit = min(state.deficit + quantum, quantum * burst)
 
-    def _round_open(self) -> bool:
-        """True while some tenant can still use its remaining deficit."""
-        return any(s.deficit > 0 and s.has_pending() for s in self._order)
-
     def _timeout_loop(self):
         """Advance rounds stuck behind very slow tenants (bounded delay)."""
         timeout = self.config.round_seconds * self.config.timeout_rounds
@@ -451,60 +467,77 @@ class LibraScheduler:
             return
 
     def _pump(self) -> None:
-        """Dispatch chunks while device slots and eligible work remain."""
-        while self._inflight < self._slots:
-            state = self._next_eligible()
-            if state is None:
-                if self._round_open():
-                    return  # blocked tenants must wait for the round
-                if not self._queued:
-                    return  # nothing to do at all
-                self._new_round()
-                continue
-            self._dispatch(state, state.queue.popleft())
+        """Dispatch chunks while device slots and eligible work remain.
 
-    def _next_eligible(self) -> Optional[_TenantState]:
-        """Round-robin over tenants with backlog and positive deficit."""
-        n = len(self._order)
-        for i in range(n):
-            state = self._order[(self._cursor + i) % n]
-            if state.queue and state.deficit > 0:
-                self._cursor = (self._cursor + i + 1) % n
-                return state
-        return None
+        One lap over the tenants from the round-robin cursor answers
+        both DDRR questions.  The first tenant with remaining deficit
+        and a queued chunk is dispatched (and the cursor moves past it);
+        a tenant with remaining deficit whose work is all in flight
+        keeps the round *open* — it can still spend the deficit, so
+        exhausted tenants must wait for it.  A lap that dispatches
+        nothing either returns (round open) or starts the next round and
+        laps again.
+
+        Without a queued chunk nobody is eligible and no round may
+        start, whatever the lap would find, so it is not made: the pump
+        that follows a completion on an uncontended node is one
+        comparison.
+        """
+        order = self._order
+        n = len(order)
+        while self._queued and self._inflight < self._slots:
+            at = self._cursor
+            round_open = False
+            for _ in order:
+                state = order[at]
+                at = (at + 1) % n
+                if state.deficit > 0:
+                    if state.queue:
+                        self._cursor = at
+                        self._dispatch(state, state.queue.popleft())
+                        break
+                    if state.inflight:
+                        round_open = True
+            else:
+                if round_open:
+                    return  # blocked tenants must wait for the round
+                self._new_round()
 
     def _dispatch(self, state: _TenantState, chunk: _Chunk) -> None:
         task = chunk.task
-        cost = self.cost_model.cost(task.kind, chunk.size)
+        size = chunk.size
+        is_read = task.kind is _READ
+        costs = self._read_costs if is_read else self._write_costs
+        cost = costs.get(size)
+        if cost is None:
+            cost = costs[size] = self.cost_model.cost(task.kind, size)
         chunk.cost = cost
         state.deficit -= cost
         state.usage.vops += cost
         state.inflight += 1
         self._inflight += 1
         self._queued -= 1
+        tag = task.tag
         if self.dispatch_observer is not None:
-            self.dispatch_observer(task.tag, task.kind, chunk.size, cost)
+            self.dispatch_observer(tag, task.kind, size, cost)
         # ctx rides along to the device: trace id for span attribution
         # and tenant identity for NVMe per-submitter queue mapping.  It
         # never influences SATA-device timing, so always passing it is
         # free of behavior change there.
-        ctx = (task.tag.trace, task.tag.tenant)
+        ctx = (tag.trace, tag.tenant)
         tr = self.tracer
         if tr is not None and tr.enabled:
             now = self.sim.now
             tr.span(
-                "queue", "sched", "libra", task.tag.tenant,
-                chunk.t_mark, now, trace=task.tag.trace,
+                "queue", "sched", "libra", tag.tenant,
+                chunk.t_mark, now, trace=tag.trace,
             )
             chunk.t_mark = now  # service span starts here
         # Slim dispatch: the device invokes ``_complete(chunk, result)``
         # directly — on its fast path from the one scheduled finish
         # action (no Event, no Process, no per-chunk partial), on the
         # coroutine fallback from the op process's completion event.
-        self.device.submit(
-            task.kind == OpKind.READ, chunk.offset, chunk.size, ctx,
-            self._complete, chunk,
-        )
+        self.device.submit(is_read, chunk.offset, size, ctx, self._complete, chunk)
 
     def _complete(self, chunk: _Chunk, event) -> None:
         state = chunk.state
@@ -524,31 +557,30 @@ class LibraScheduler:
                     "ok": event.ok,
                 },
             )
-        if not event.ok:
+        task.pending_chunks -= 1
+        if event.ok:
+            usage.ops += 1
+            usage.bytes += chunk.size
+            if task.kind is _READ:
+                usage.read_ops += 1
+            else:
+                usage.write_ops += 1
+            if self.io_observer is not None:
+                # Report the cost captured at dispatch — no second
+                # cost-model evaluation, and observer charges can never
+                # skew from what the deficit counter actually paid.
+                self.io_observer(task.tag, task.kind, chunk.size, chunk.cost)
+            if task.pending_chunks == 0 and not task.done.triggered:
+                usage.tasks += 1
+                task.done.succeed()
+        else:
             # Device fault: the chunk's VOP cost stays charged (the op
             # consumed device time), and the whole task fails on its
             # first failing chunk so the submitter can retry.
             usage.failed_ops += 1
             if self.fail_observer is not None:
                 self.fail_observer(task.tag, task.kind, chunk.size, chunk.cost)
-            task.pending_chunks -= 1
             if not task.done.triggered:
                 task.done.fail(event.value)
+        if self._queued:  # else the pump has nothing to decide: skip the call
             self._pump()
-            return
-        usage.ops += 1
-        usage.bytes += chunk.size
-        if task.kind == OpKind.READ:
-            usage.read_ops += 1
-        else:
-            usage.write_ops += 1
-        if self.io_observer is not None:
-            # Report the cost captured at dispatch — no second cost-model
-            # evaluation, and observer charges can never skew from what
-            # the deficit counter actually paid.
-            self.io_observer(task.tag, task.kind, chunk.size, chunk.cost)
-        task.pending_chunks -= 1
-        if task.pending_chunks == 0 and not task.done.triggered:
-            usage.tasks += 1
-            task.done.succeed()
-        self._pump()

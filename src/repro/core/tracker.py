@@ -128,12 +128,14 @@ class ResourceTracker:
 
     def note_io(self, tag: IoTag, kind: OpKind, size: int, cost: float) -> None:
         """Record one completed IO task's VOP cost (scheduler callback)."""
-        counters = self._counters[tag.tenant]
-        if tag.internal is not None:
-            counters.internal_vops[tag.internal] += cost
+        tenant = tag.tenant
+        internal = tag.internal
+        counters = self._counters[tenant]
+        if internal is not None:
+            counters.internal_vops[internal] += cost
         else:
             counters.direct_vops[tag.request] += cost
-        self.total_vops[tag.tenant] += cost
+        self.total_vops[tenant] += cost
 
     def note_request(self, tenant: str, request: RequestClass, size: int) -> None:
         """Record one completed app-level request of ``size`` bytes."""

@@ -497,7 +497,11 @@ class SsdDevice:
     # -- garbage collection --------------------------------------------------------
 
     def _maybe_start_gc(self) -> None:
-        if not self._gc_running and (self.ftl.gc_needed or self.ftl.host_starved):
+        # ``gc_needed`` alone: the FTL floors its low watermark at
+        # ``gc_reserve_blocks + 2 * channels``, never below the
+        # starvation threshold ``gc_reserve_blocks + 2``, so a pool that
+        # starves host writes always needs GC as well.
+        if not self._gc_running and self.ftl.gc_needed:
             self._gc_running = True
             self.sim.process(self._gc_loop(), name=f"{self.profile.name}.gc")
 

@@ -12,6 +12,17 @@ nearly free.
 The FTL is purely bookkeeping — it computes *what* flash work an
 operation implies (which channels program/copy/erase how many pages).
 The device model charges the corresponding simulated time.
+
+The map is updated once per *op*, not once per page.  A one-page write
+or TRIM (the WAL tail of every group commit) goes straight through the
+scalar primitive :meth:`Ftl._append_page`; a multi-page op reads its
+slice of the page map once, drops the old copies in one step and then
+assigns each stripe run as a slice (:meth:`Ftl._append_striped`).  That
+is exact because the pages of one op are distinct and block allocation
+reads the map only on the emergency-GC path, so the batched lane runs
+only while the free pool cannot run dry inside the op; otherwise the op
+walks page by page through the same primitive GC copies and
+preconditioning use.
 """
 
 from __future__ import annotations
@@ -29,6 +40,10 @@ from .profiles import SsdProfile
 __all__ = ["Ftl", "WritePlan", "GcMove"]
 
 UNMAPPED = -1
+
+#: mapped pages from which dropping old copies goes through one
+#: ``np.subtract.at`` instead of a Python loop (see ``Ftl._invalidate``)
+_VECTOR_PAGES = 24
 
 
 @dataclass
@@ -77,6 +92,13 @@ class Ftl:
         self.policy = make_ftl_policy(policy)
         n_pages = profile.logical_pages
         n_blocks = profile.physical_blocks
+        #: geometry the per-op paths read, cached off the frozen profile
+        #: (``profile.logical_pages`` is a property dividing two fields)
+        self.page_size = profile.page_size
+        self.logical_pages = n_pages
+        self.channels = profile.channels
+        self.stripe_pages = profile.stripe_pages
+        self.pages_per_block = profile.pages_per_block
         if n_blocks <= profile.gc_reserve_blocks + 2 * profile.channels:
             raise ValueError(
                 f"profile {profile.name}: {n_blocks} blocks is too few for "
@@ -114,10 +136,8 @@ class Ftl:
         self._in_gc = False
         self.emergency_gcs = 0
         self.policy.bind(self)
-        # Watermarks depend only on construction-time constants; they
-        # are precomputed because gc_needed/host_starved sit on the
-        # per-op hot path (consulted at every write completion).
-        # Block-count floor keeps the GC trigger safely above the host
+        # Watermarks depend only on construction-time constants.  The
+        # block-count floor keeps the GC trigger safely above the host
         # starvation threshold even on tiny test devices.
         self._gc_low_blocks = max(
             int(n_blocks * profile.gc_low_watermark),
@@ -128,6 +148,20 @@ class Ftl:
             self._gc_low_blocks + 2 * profile.channels,
         )
         self._starve_blocks = profile.gc_reserve_blocks + 2
+        # With the logical space full, GC can free no more than what the
+        # data's own blocks and the open append blocks leave over —
+        # preconditioning opens one per channel for its host stream and
+        # one for GC.  A high watermark above that is unreachable:
+        # ``_sync_gc`` would evacuate fully-valid blocks forever.
+        data_blocks = -(-n_pages // profile.pages_per_block)
+        reachable = n_blocks - data_blocks - 2 * profile.channels
+        if reachable < self._gc_high_blocks:
+            raise ValueError(
+                f"profile {profile.name}: {n_blocks} blocks leave at most "
+                f"{reachable} free with the logical space full, below the GC "
+                f"high watermark of {self._gc_high_blocks} blocks"
+            )
+        self._note_pool()
 
     # -- capacity state ------------------------------------------------------
 
@@ -136,24 +170,23 @@ class Ftl:
         """Fraction of physical blocks on the free list."""
         return len(self.free_blocks) / len(self.block_valid)
 
-    @property
-    def gc_needed(self) -> bool:
-        """True when the pool has drained below the low watermark."""
-        return len(self.free_blocks) <= self._gc_low_blocks
+    def _note_pool(self) -> None:
+        """Refresh the watermark flags from the free pool's size.
 
-    @property
-    def gc_satisfied(self) -> bool:
-        """True when GC has refilled the pool to the high watermark."""
-        return len(self.free_blocks) >= self._gc_high_blocks
-
-    @property
-    def host_starved(self) -> bool:
-        """True when host writes must stall for GC (the write cliff).
-
-        The last few free blocks are reserved for GC's own destination
-        blocks; letting the host consume them would deadlock collection.
+        Called wherever the pool changes size — a block allocation, a
+        victim's erase — which is once per ``pages_per_block`` pages,
+        while the flags are read at every write's admission and
+        completion: plain attributes there, not ``len`` behind a property.
         """
-        return len(self.free_blocks) <= self._starve_blocks
+        free = len(self.free_blocks)
+        #: True when the pool has drained to the low watermark
+        self.gc_needed = free <= self._gc_low_blocks
+        #: True when GC has refilled the pool to the high watermark
+        self.gc_satisfied = free >= self._gc_high_blocks
+        #: True when host writes must stall for GC (the write cliff):
+        #: the last few free blocks are reserved for GC's own destination
+        #: blocks; letting the host consume them would deadlock collection
+        self.host_starved = free <= self._starve_blocks
 
     @property
     def gc_spare_pages(self) -> int:
@@ -201,15 +234,14 @@ class Ftl:
             raise ValueError(f"io size must be positive, got {size}")
         if offset < 0:
             raise ValueError(f"negative offset {offset}")
-        page = self.profile.page_size
-        first = offset // page
+        page = self.page_size
         last = (offset + size - 1) // page
-        if last >= self.profile.logical_pages:
+        if last >= self.logical_pages:
             raise ValueError(
                 f"io [{offset}, {offset + size}) beyond logical capacity "
                 f"{self.profile.logical_capacity}"
             )
-        return range(first, last + 1)
+        return range(offset // page, last + 1)
 
     def read_channel(self, offset: int) -> int:
         """Channel serving the single page at ``offset``.
@@ -219,11 +251,11 @@ class Ftl:
         per-channel accounting.  The caller guarantees the offset is
         within logical capacity.
         """
-        p = offset // self.profile.page_size
-        block = self.page_to_block[p]
+        p = offset // self.page_size
+        block = self.page_to_block.item(p)
         if block == UNMAPPED:
-            return p % self.profile.channels
-        return int(self.block_channel[block])
+            return p % self.channels
+        return self.block_channel.item(block)
 
     def read_channels(self, offset: int, size: int) -> List[Tuple[int, int, int]]:
         """Map a host read to per-channel work.
@@ -232,8 +264,8 @@ class Ftl:
         transfer sizes (sub-page reads move only the requested bytes off
         the flash register).  Unmapped pages read as if striped by LBA.
         """
-        page = self.profile.page_size
-        nchan = self.profile.channels
+        page = self.page_size
+        nchan = self.channels
         pages = self._page_range(offset, size)
         first, last = pages[0], pages[-1]
         if first == last:
@@ -271,61 +303,152 @@ class Ftl:
         stream (op-granularity separation, as NVMe write streams do).
         """
         pages = self._page_range(offset, size)
-        stream = self.policy.route(self, pages) if self._routed else 0
-        programs = [0] * self.profile.channels
-        nchan = self.profile.channels
-        stripe = self.profile.stripe_pages
+        first = pages.start
+        n = pages.stop - first
+        routed = self._routed
+        stream = self.policy.route(self, pages) if routed else 0
+        nchan = self.channels
         cursor = self._host_cursor
         start = cursor[stream]
         cursor[stream] = (start + 1) % nchan
-        for i, p in enumerate(pages):
-            chan = (start + i // stripe) % nchan
-            self._append_page(p, gc=False, channel=chan, stream=stream)
-            programs[chan] += 1
-        if self._routed:
+        if n == 1:
+            self._append_page(first, False, start, stream)
+            programs = [(start, 1)]
+        else:
+            if len(self.free_blocks) > n:
+                # Each page opens at most one block, so the pool cannot
+                # run dry inside this op: no emergency GC will read the
+                # map half-updated, and the op may be applied in one pass.
+                counts = self._append_striped(first, n, start, stream)
+            else:
+                counts = [0] * nchan
+                stripe = self.stripe_pages
+                for i in range(n):
+                    chan = (start + i // stripe) % nchan
+                    self._append_page(first + i, False, chan, stream)
+                    counts[chan] += 1
+            programs = [(c, k) for c, k in enumerate(counts) if k]
+        if routed:
             self.policy.note_host_write(self, pages)
-        return WritePlan(
-            programs=[(c, n) for c, n in enumerate(programs) if n],
-            pages=len(pages),
-        )
+        return WritePlan(programs, n)
 
     def trim(self, offset: int, size: int) -> int:
         """Invalidate a logical range (file deletion). Returns pages freed."""
-        freed = 0
-        for p in self._page_range(offset, size):
-            block = self.page_to_block[p]
-            if block != UNMAPPED:
-                self.block_valid[block] -= 1
-                self.page_to_block[p] = UNMAPPED
-                freed += 1
+        pages = self._page_range(offset, size)
+        first, stop = pages.start, pages.stop
+        page_to_block = self.page_to_block
+        if stop - first == 1:
+            block = page_to_block.item(first)
+            if block == UNMAPPED:
+                return 0
+            self.block_valid[block] -= 1
+            page_to_block[first] = UNMAPPED
+            return 1
+        freed = self._invalidate(first, stop)
+        if freed:
+            page_to_block[first:stop] = UNMAPPED
         return freed
+
+    def _invalidate(self, first: int, stop: int) -> int:
+        """Drop the live copies of logical pages ``[first, stop)`` from
+        their blocks' valid counts; returns how many were mapped.
+
+        The caller rewrites the pages' map entries.  ``np.subtract.at``
+        costs ~5 us before its first element (numpy 2.4) against ~0.3 us
+        per page for a Python loop over numpy scalars, so the vector
+        step only pays from ``_VECTOR_PAGES`` mapped pages up; a freshly
+        allocated file extent is unmapped throughout and costs neither.
+        """
+        old = self.page_to_block[first:stop]
+        blocks = old.tolist()
+        mapped = len(blocks) - blocks.count(UNMAPPED)
+        if mapped >= _VECTOR_PAGES:
+            if mapped < len(blocks):
+                old = old[old != UNMAPPED]
+            np.subtract.at(self.block_valid, old, 1)
+        elif mapped:
+            block_valid = self.block_valid
+            for block in blocks:
+                if block != UNMAPPED:
+                    block_valid[block] -= 1
+        return mapped
+
+    def _append_striped(self, first: int, n: int, start: int, stream: int) -> List[int]:
+        """Append host pages ``[first, first + n)`` in one pass per op.
+
+        The per-op form of walking :meth:`_append_page` over the pages:
+        old copies are dropped up front (the pages of one op are
+        distinct, so no page's old copy depends on another's new one),
+        then each stripe run is assigned to its channel's active block
+        as a slice, opening a block exactly where the page-by-page walk
+        would — with ``write_seq`` at its value *at that page*, so block
+        birth stamps are unchanged.  Returns pages programmed per
+        channel.  The caller guarantees the free pool outlasts the op.
+        """
+        self._invalidate(first, first + n)
+        nchan = self.channels
+        stripe = self.stripe_pages
+        per_block = self.pages_per_block
+        page_to_block = self.page_to_block
+        block_valid = self.block_valid
+        block_pages = self.block_pages
+        active = self._host_active[stream]
+        fill = self._host_fill[stream]
+        seq0 = self.write_seq - first
+        counts = [0] * nchan
+        stop = first + n
+        chan = start
+        a = first
+        while a < stop:
+            run_stop = min(a + stripe, stop)
+            counts[chan] += run_stop - a
+            while a < run_stop:
+                block = active[chan]
+                used = fill[chan]
+                if block is None or used >= per_block:
+                    self.write_seq = seq0 + a + 1
+                    block = active[chan] = self._allocate_block(chan)
+                    used = 0
+                b = min(run_stop, a + per_block - used)
+                page_to_block[a:b] = block
+                block_valid[block] += b - a
+                block_pages[block].extend(range(a, b))
+                fill[chan] = used + b - a
+                a = b
+            chan = (chan + 1) % nchan
+        self.write_seq = seq0 + stop
+        return counts
 
     def _append_page(
         self, logical_page: int, gc: bool, channel: int, stream: int = 0
-    ) -> int:
-        """Append one logical page to ``channel``'s active block.
+    ) -> None:
+        """Append one logical page to ``channel``'s active block,
+        invalidating the previous copy.
 
-        Invalidates the previous copy.  Returns the channel (for
-        symmetry with callers that compute it).
+        The scalar primitive: one-page host writes, GC copies,
+        preconditioning and multi-page writes on a nearly dry pool.
         """
-        old = self.page_to_block[logical_page]
+        page_to_block = self.page_to_block
+        block_valid = self.block_valid
+        # .item(): a Python int indexes and compares at half the cost of
+        # a numpy scalar
+        old = page_to_block.item(logical_page)
         if old != UNMAPPED:
-            self.block_valid[old] -= 1
+            block_valid[old] -= 1
         if gc:
             active, fill = self._gc_active, self._gc_fill
         else:
             active, fill = self._host_active[stream], self._host_fill[stream]
             self.write_seq += 1
         block = active[channel]
-        if block is None or fill[channel] >= self.profile.pages_per_block:
-            block = self._allocate_block(channel)
-            active[channel] = block
-            fill[channel] = 0
-        self.page_to_block[logical_page] = block
-        self.block_valid[block] += 1
+        used = fill[channel]
+        if block is None or used >= self.pages_per_block:
+            block = active[channel] = self._allocate_block(channel)
+            used = 0
+        page_to_block[logical_page] = block
+        block_valid[block] += 1
         self.block_pages[block].append(logical_page)
-        fill[channel] += 1
-        return channel
+        fill[channel] = used + 1
 
     def _allocate_block(self, channel: int) -> int:
         if not self.free_blocks:
@@ -343,6 +466,7 @@ class Ftl:
             if move is None:
                 raise RuntimeError("FTL out of space: no GC victim available")
         block = self.free_blocks.popleft()
+        self._note_pool()
         self.block_channel[block] = channel
         self.block_pages[block] = []
         self.block_seq[block] = self.write_seq
@@ -377,17 +501,19 @@ class Ftl:
         # (GC allocating its own destination blocks) cannot select it.
         self.block_channel[victim] = -2
         self._in_gc = True
-        copies = [0] * self.profile.channels
+        nchan = self.channels
+        stripe = self.stripe_pages
+        copies = [0] * nchan
         moved = 0
-        nchan = self.profile.channels
-        stripe = self.profile.stripe_pages
         start = self._gc_cursor
         self._gc_cursor = (start + 1) % nchan
+        live_block = self.page_to_block.item
+        append = self._append_page
         try:
             for p in self.block_pages[victim]:
-                if self.page_to_block[p] == victim:  # still live here
+                if live_block(p) == victim:  # still live here
                     chan = (start + moved // stripe) % nchan
-                    self._append_page(p, gc=True, channel=chan)
+                    append(p, True, chan)
                     copies[chan] += 1
                     moved += 1
         finally:
@@ -397,6 +523,7 @@ class Ftl:
         self.block_channel[victim] = -1
         self.block_pages[victim] = []
         self.free_blocks.append(victim)
+        self._note_pool()
         return GcMove(
             victim=victim,
             victim_channel=victim_channel,
@@ -419,17 +546,33 @@ class Ftl:
         """
         if age_factor < 0:
             raise ValueError(f"age_factor {age_factor} must be >= 0")
-        n_pages = self.profile.logical_pages
-        nchan = self.profile.channels
-        stripe = self.profile.stripe_pages
-        for p in range(n_pages):
-            # LBA-ordered fill, striped so sequential reads parallelize.
-            self._append_page(p, gc=False, channel=(p // stripe) % nchan)
-            if self.gc_needed:
-                self._sync_gc()
+        n_pages = self.logical_pages
+        nchan = self.channels
+        stripe = self.stripe_pages
+        per_block = self.pages_per_block
+        append = self._append_page
+        active, fill = self._host_active[0], self._host_fill[0]
+        # LBA-ordered fill, striped so sequential reads parallelize.  The
+        # pool shrinks only at a page that opens a block, so only such a
+        # page needs the watermark check after it (page by page, too,
+        # for as long as GC is wanted); the rest of its stripe run, up to
+        # the block's end, goes in as one slice.
+        p = 0
+        while p < n_pages:
+            chan = (p // stripe) % nchan
+            if active[chan] is None or fill[chan] >= per_block or self.gc_needed:
+                append(p, False, chan)
+                p += 1
+                if self.gc_needed:
+                    self._sync_gc()
+            else:
+                run = min(stripe - p % stripe, per_block - fill[chan], n_pages - p)
+                self._append_striped(p, run, chan, 0)
+                p += run
+        randrange = self.rng.randrange
+        start = self._host_cursor[0]
         for i in range(int(n_pages * age_factor)):
-            chan = (self._host_cursor[0] + i) % nchan
-            self._append_page(self.rng.randrange(n_pages), gc=False, channel=chan)
+            append(randrange(n_pages), False, (start + i) % nchan)
             if self.gc_needed:
                 self._sync_gc()
         self._sync_gc()

@@ -1,0 +1,436 @@
+"""The O(1)-call device-op path, checked against what it replaced.
+
+One device op runs ``LibraScheduler._submit -> _pump -> _dispatch ->
+SsdDevice.submit -> Ftl.host_write/read_channel -> reserve -> finish ->
+_complete -> _pump``.  Two pieces of that path were rewritten for host
+speed, and both old spellings stay here as the references the new ones
+must equal:
+
+- *FTL*: :class:`ReferenceFtl` updates the page map page by page (every
+  page of a write or TRIM through the scalar ``_append_page``); the new
+  FTL updates it once per op.  A seeded op mix must leave both in the
+  same state, return the same ``WritePlan``/``GcMove`` values, and agree
+  on the emergency-GC path the batched lane's pool guard exists for;
+- *scheduler*: :class:`ReferencePump` answers "who is eligible" and "is
+  the round open" with two scans per pump (``_next_eligible`` and
+  ``_round_open``); the new pump makes one lap.  Twin schedulers on twin
+  devices must dispatch the same chunks at the same instants;
+- *call budget*: interpreted calls per chunk under ``repro/core`` and
+  ``repro/ssd``, counted with ``sys.setprofile``.  Counts repeat
+  exactly, so the budget is tier-1's twin of kvbench's
+  ``core.calls_per_req``/``ssd.calls_per_req``.
+"""
+
+import random
+import sys
+
+import pytest
+
+from repro.core import (
+    IoTag, LibraScheduler, SchedulerConfig, make_cost_model, reference_calibration,
+)
+from repro.sim import Simulator
+from repro.ssd import SsdDevice, SsdProfile, get_profile
+from repro.ssd.ftl import UNMAPPED, Ftl, WritePlan
+
+KIB = 1024
+MIB = 1024 * KIB
+POLICIES = ("greedy", "costbenefit", "hotcold")
+INTEL = get_profile("intel320").with_capacity(32 * MIB)
+
+
+# ---------------------------------------------------------------------------
+# FTL: per-op map updates against the page-by-page walk
+# ---------------------------------------------------------------------------
+
+
+class ReferenceFtl(Ftl):
+    """``host_write``, ``trim`` and ``precondition`` as they were before
+    the per-op update: one ``_append_page`` (or one scalar unmap) per
+    logical page, the watermark checked after every preconditioning page."""
+
+    def host_write(self, offset, size):
+        pages = self._page_range(offset, size)
+        stream = self.policy.route(self, pages) if self._routed else 0
+        nchan = self.profile.channels
+        stripe = self.profile.stripe_pages
+        programs = [0] * nchan
+        cursor = self._host_cursor
+        start = cursor[stream]
+        cursor[stream] = (start + 1) % nchan
+        for i, p in enumerate(pages):
+            chan = (start + i // stripe) % nchan
+            self._append_page(p, gc=False, channel=chan, stream=stream)
+            programs[chan] += 1
+        if self._routed:
+            self.policy.note_host_write(self, pages)
+        return WritePlan(
+            programs=[(c, n) for c, n in enumerate(programs) if n],
+            pages=len(pages),
+        )
+
+    def trim(self, offset, size):
+        freed = 0
+        for p in self._page_range(offset, size):
+            block = self.page_to_block[p]
+            if block != UNMAPPED:
+                self.block_valid[block] -= 1
+                self.page_to_block[p] = UNMAPPED
+                freed += 1
+        return freed
+
+    def precondition(self, age_factor=2.0):
+        n_pages = self.profile.logical_pages
+        nchan = self.profile.channels
+        stripe = self.profile.stripe_pages
+        for p in range(n_pages):
+            self._append_page(p, gc=False, channel=(p // stripe) % nchan)
+            if self.gc_needed:
+                self._sync_gc()
+        for i in range(int(n_pages * age_factor)):
+            chan = (self._host_cursor[0] + i) % nchan
+            self._append_page(self.rng.randrange(n_pages), gc=False, channel=chan)
+            if self.gc_needed:
+                self._sync_gc()
+        self._sync_gc()
+        self.emergency_gcs = 0
+
+
+def ftl_state(ftl):
+    """Everything the FTL knows, in comparable form."""
+    return {
+        "page_to_block": ftl.page_to_block.tolist(),
+        "block_valid": ftl.block_valid.tolist(),
+        "block_channel": ftl.block_channel.tolist(),
+        "block_seq": ftl.block_seq.tolist(),
+        "block_pages": ftl.block_pages,  # order included
+        "free_blocks": list(ftl.free_blocks),
+        "host_cursor": ftl._host_cursor,
+        "gc_cursor": ftl._gc_cursor,
+        "host_active": ftl._host_active,
+        "host_fill": ftl._host_fill,
+        "gc_active": ftl._gc_active,
+        "gc_fill": ftl._gc_fill,
+        "write_seq": ftl.write_seq,
+        "emergency_gcs": ftl.emergency_gcs,
+    }
+
+
+def assert_same_state(ftl, ref, where):
+    got, want = ftl_state(ftl), ftl_state(ref)
+    for field in want:
+        assert got[field] == want[field], f"{field} differs {where}"
+
+
+def mixed_ops(rng, profile, count):
+    """``(method, offset, size)``: the op shapes the KV stack issues —
+    WAL tails, flush/compaction chunks, whole-file TRIMs — and the edges
+    around them."""
+    page = profile.page_size
+    pages = profile.logical_pages
+    wide = profile.stripe_pages * profile.channels  # wraps the channels
+    for _ in range(count):
+        r = rng.random()
+        if r < 0.30:  # one page, whole or partial
+            p = rng.randrange(pages)
+            yield "host_write", p * page + rng.choice([0, 0, 100]), rng.choice([1, 512, page - 100])
+        elif r < 0.38:  # two pages, straddling a boundary
+            p = rng.randrange(pages - 2)
+            yield "host_write", p * page + page - 7, 14
+        elif r < 0.46:  # 32 pages, aligned: a 128 KiB flush chunk
+            p = rng.randrange(pages - 32)
+            yield "host_write", p * page, 32 * page
+        elif r < 0.52:  # 128 KiB unaligned: 33 pages
+            p = rng.randrange(pages - 34)
+            yield "host_write", p * page + rng.randrange(1, page), 128 * KIB
+        elif r < 0.56:  # more than one lap of the channels
+            n = wide + rng.randrange(1, 40)
+            p = rng.randrange(pages - n)
+            yield "host_write", p * page, n * page
+        elif r < 0.60:
+            n = rng.choice([2, 3, 8, 9, 64])
+            p = rng.randrange(pages - n)
+            yield "host_write", p * page, n * page
+        elif r < 0.75:  # one-page TRIM (a truncated WAL page)
+            yield "trim", rng.randrange(pages) * page, page
+        elif r < 0.82:  # whole-file TRIMs: 256 KiB and 2 MiB extents
+            n = rng.choice([64, 64, 512, 5])
+            p = rng.randrange(pages - n)
+            yield "trim", p * page, n * page
+        else:
+            n = rng.choice([1, 1, 2, 8, 32, 33])
+            p = rng.randrange(pages - n - 1)
+            yield "read_channels", p * page + rng.choice([0, 700]), n * page - rng.choice([0, 9])
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_per_op_ftl_equals_the_page_by_page_walk(policy, seed):
+    ftl = Ftl(INTEL, seed=seed, policy=policy)
+    ref = ReferenceFtl(INTEL, seed=seed, policy=policy)
+    ftl.precondition(age_factor=1.0)
+    ref.precondition(age_factor=1.0)
+    assert_same_state(ftl, ref, "after preconditioning")
+    rng = random.Random(1000 * seed + len(policy))
+    for i, (method, offset, size) in enumerate(mixed_ops(rng, INTEL, 2500)):
+        assert getattr(ftl, method)(offset, size) == getattr(ref, method)(offset, size), (
+            f"op {i}: {method}({offset}, {size})"
+        )
+        if ftl.gc_needed:
+            assert ref.gc_needed
+            while not ftl.gc_satisfied:  # collect to the high watermark
+                assert ftl.collect_victim() == ref.collect_victim(), f"GC after op {i}"
+        if i % 250 == 0:
+            assert_same_state(ftl, ref, f"after op {i}")
+    assert_same_state(ftl, ref, "at the end")
+    assert ftl.emergency_gcs == 0
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_preconditioning_an_aged_device_matches(policy):
+    """On a fresh device no valid profile lets the LBA-ordered fill reach
+    the low watermark (the constructor's reachability check); on an aged
+    one every page has an old copy and the fill drains the pool, so GC
+    interleaves with the block-bounded runs."""
+    profile = SsdProfile(name="aged", channels=4, logical_capacity=16 * MIB, overprovision=0.5)
+    ftl = Ftl(profile, seed=5, policy=policy)
+    ref = ReferenceFtl(profile, seed=5, policy=policy)
+    ftl.precondition(age_factor=0.5)
+    ref.precondition(age_factor=0.5)
+    assert_same_state(ftl, ref, "after preconditioning")
+    gc_at = []
+    sync_gc = ref._sync_gc
+    ref._sync_gc = lambda: (gc_at.append(ref.write_seq), sync_gc())
+    fill_ends = ref.write_seq + profile.logical_pages
+    ftl.precondition(age_factor=0.1)
+    ref.precondition(age_factor=0.1)
+    assert gc_at[0] < fill_ends  # GC ran inside the LBA fill
+    assert_same_state(ftl, ref, "after preconditioning twice")
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_emergency_gc_inside_a_multi_page_write_matches(policy):
+    """No background GC at all: host writes drain the pool until
+    ``_allocate_block`` finds it empty in the middle of an op — the case
+    the batched lane's pool guard hands to the page-by-page walk."""
+    ftl = Ftl(INTEL, seed=9, policy=policy)
+    ref = ReferenceFtl(INTEL, seed=9, policy=policy)
+    ftl.precondition(age_factor=1.0)
+    ref.precondition(age_factor=1.0)
+    rng = random.Random(99)
+    page = INTEL.page_size
+    inside_multi_page_op = 0
+    for i in range(4000):
+        n = rng.choice([1, 1, 2, 8, 32, 33, 100])
+        offset = rng.randrange(INTEL.logical_pages - n) * page
+        before = ftl.emergency_gcs
+        outcomes = []
+        for each in (ftl, ref):
+            try:
+                outcomes.append(each.host_write(offset, n * page))
+            except RuntimeError as exc:  # GC itself found no destination
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], f"op {i}"
+        if n > 1 and ftl.emergency_gcs > before:
+            inside_multi_page_op += 1
+        if isinstance(outcomes[0], str):
+            break
+    assert ftl.emergency_gcs > 0 and inside_multi_page_op > 0
+    assert_same_state(ftl, ref, "after draining the pool")
+
+
+# ---------------------------------------------------------------------------
+# scheduler: the fused pump against the three-function pump
+# ---------------------------------------------------------------------------
+
+
+class ReferencePump(LibraScheduler):
+    """``_pump`` as it was: a modulo scan for the next eligible tenant,
+    and a second scan of every tenant each time the first finds nobody."""
+
+    def _pump(self):
+        while self._inflight < self._slots:
+            state = self._next_eligible()
+            if state is None:
+                if self._round_open():
+                    return
+                if not self._queued:
+                    return
+                self._new_round()
+                continue
+            self._dispatch(state, state.queue.popleft())
+
+    def _next_eligible(self):
+        n = len(self._order)
+        for i in range(n):
+            state = self._order[(self._cursor + i) % n]
+            if state.queue and state.deficit > 0:
+                self._cursor = (self._cursor + i + 1) % n
+                return state
+        return None
+
+    def _round_open(self):
+        return any(
+            s.deficit > 0 and (bool(s.queue) or s.inflight > 0) for s in self._order
+        )
+
+
+#: tenants' allocations (0 = best-effort floor), workers per tenant,
+#: scheduler config, device queue depth, whether the round timeout fires
+PUMP_SCENARIOS = {
+    "one_tenant": ([5000.0], 6, None, 32, False),
+    "two_uneven": ([30_000.0, 100.0], 4,
+                   SchedulerConfig(round_seconds=0.002, timeout_rounds=2.0), 8, True),
+    "four_with_best_effort": ([4000.0, 2000.0, 0.0, 1000.0], 3, None, 8, True),
+    "six_shallow_queue": ([100.0, 0.0, 3000.0, 50.0, 8000.0, 700.0], 2,
+                          SchedulerConfig(round_seconds=0.001, timeout_rounds=1.5), 4, True),
+}
+
+
+def pump_run(scheduler_cls, name):
+    allocations, workers, config, depth, _forces = PUMP_SCENARIOS[name]
+    sim = Simulator()
+    profile = SsdProfile(
+        name="tiny-pump", channels=4, logical_capacity=32 * MIB, overprovision=1.0,
+        queue_depth=depth,
+    )
+    device = SsdDevice(sim, profile, seed=1)
+    model = make_cost_model("exact", reference_calibration("intel320"))
+    scheduler = scheduler_cls(sim, device, model, config=config)
+    log = []
+    scheduler.dispatch_observer = lambda tag, kind, size, cost: log.append(
+        (sim.now, tag.tenant, kind, size, cost)
+    )
+    tenants = [f"t{i}" for i in range(len(allocations))]
+    for tenant, allocation in zip(tenants, allocations):
+        scheduler.register_tenant(tenant, allocation)
+    chunk = scheduler.config.chunk_size
+    sizes = [1, 4 * KIB, 4 * KIB, chunk, chunk + 1, 1 * MIB]
+    horizon = 1.0
+
+    def worker(tenant, rng):
+        tag = IoTag(tenant)
+        while sim.now < horizon:
+            size = rng.choice(sizes)
+            offset = rng.randrange(0, (profile.logical_capacity - size) // 4096) * 4096
+            submit = scheduler.read if rng.random() < 0.6 else scheduler.write
+            yield submit(offset, size, tag=tag)
+
+    def slow_once():  # holds deficit with one op in flight: the round stays open
+        yield sim.timeout(horizon / 2)
+        yield scheduler.write(0, 1 * MIB, tag=IoTag(tenants[0]))
+
+    def reallocate():
+        yield sim.timeout(horizon / 3)
+        scheduler.set_allocation(tenants[-1], 2500.0)
+        yield sim.timeout(horizon / 3)
+        scheduler.set_allocation(tenants[0], 0.0)
+
+    for t_idx, tenant in enumerate(tenants):
+        for w_idx in range(workers):
+            sim.process(worker(tenant, random.Random(f"{name}:{t_idx}:{w_idx}")))
+    sim.process(slow_once())
+    sim.process(reallocate())
+    sim.run(until=horizon + 0.2)
+    scheduler.stop()
+    final = {
+        "rounds": scheduler.rounds,
+        "forced_rounds": scheduler.forced_rounds,
+        "cursor": scheduler._cursor,
+        "backlog": scheduler.backlog,
+        "now": sim.now,
+        "tenants": [
+            (s.tenant_id, s.deficit, s.inflight, len(s.queue), vars(s.usage))
+            for s in scheduler._order
+        ],
+        "device": device.stats.as_dict(),
+    }
+    return log, final
+
+
+@pytest.mark.parametrize("name", sorted(PUMP_SCENARIOS))
+def test_fused_pump_dispatches_exactly_as_the_three_function_pump(name):
+    log, final = pump_run(LibraScheduler, name)
+    ref_log, ref_final = pump_run(ReferencePump, name)
+    assert len(log) > 500
+    assert {size for _t, _tenant, _kind, size, _cost in log} >= {1, 4 * KIB, 128 * KIB}
+    assert final["rounds"] > 10  # deficits exhaust and rounds advance
+    assert bool(final["forced_rounds"]) == PUMP_SCENARIOS[name][-1]
+    assert log == ref_log
+    assert final == ref_final
+
+
+# ---------------------------------------------------------------------------
+# the call budget
+# ---------------------------------------------------------------------------
+
+
+def count_calls(run):
+    """Python ``call`` events under repro/core and repro/ssd during ``run()``."""
+    calls = [0]
+
+    def profiler(frame, event, _arg):
+        if event == "call":
+            filename = frame.f_code.co_filename.replace("\\", "/")
+            if "/repro/core/" in filename or "/repro/ssd/" in filename:
+                calls[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls[0]
+
+
+def test_calls_per_chunk_stay_within_budget():
+    """An idle 4-tenant scheduler + device serving ops one at a time.
+
+    Interpreted calls per chunk under ``repro/core`` + ``repro/ssd``
+    (CPython 3.11; 3.12 inlines comprehensions and counts fewer):
+
+    =================  ======  ======  ======
+    op                 parent  change  budget
+    =================  ======  ======  ======
+    one-page read       39.13   16.03      17
+    one-page write      47.39   19.11      20
+    128 KiB write      102.14   42.99      44
+    =================  ======  ======  ======
+
+    The parent's pump scanned every tenant through ``_next_eligible``
+    and a ``_round_open`` generator after both the submission and the
+    completion of every chunk, and its FTL made one ``_append_page``
+    call per page (the 128 KiB figure includes the GC those writes
+    cause).  The counts repeat exactly, so the budget fails at the
+    parent and catches a per-tenant or per-page call creeping back.
+    """
+    sim = Simulator()
+    device = SsdDevice(sim, get_profile("intel320").with_capacity(64 * MIB), seed=3)
+    model = make_cost_model("exact", reference_calibration("intel320"))
+    scheduler = LibraScheduler(sim, device, model)
+    tags = [IoTag(f"t{i}") for i in range(4)]
+    for i, tag in enumerate(tags):
+        scheduler.register_tenant(tag.tenant, 1000.0 * (i + 1))
+
+    def serve(submit, size, count):
+        def one_at_a_time():
+            for i in range(count):
+                yield submit((i * 37 % 4000) * 4096, size, tags[i % 4])
+
+        proc = sim.process(one_at_a_time())
+        sim.step_while(lambda: proc.is_alive)
+        assert proc.ok
+
+    per_chunk = {
+        name: count_calls(lambda: serve(submit, size, count)) / count
+        for name, submit, size, count in (
+            ("read", scheduler.read, 4 * KIB, 1000),
+            ("write", scheduler.write, 4 * KIB, 1000),
+            ("write128k", scheduler.write, 128 * KIB, 200),
+        )
+    }
+    assert device.stats.gc_runs > 0  # the 128 KiB writes reach GC
+    assert per_chunk["read"] <= 17, per_chunk
+    assert per_chunk["write"] <= 20, per_chunk
+    assert per_chunk["write128k"] <= 44, per_chunk

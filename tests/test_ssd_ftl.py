@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ssd.ftl import UNMAPPED, Ftl
-from repro.ssd.profiles import SsdProfile
+from repro.ssd.profiles import SsdProfile, get_profile
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -35,6 +35,15 @@ def test_geometry_sanity():
 def test_too_few_blocks_rejected():
     with pytest.raises(ValueError):
         Ftl(small_profile(logical_capacity=1 * MIB, channels=10))
+
+
+def test_unreachable_gc_high_watermark_rejected():
+    """12 channels at 16 MiB: 128 blocks, 64 of live data and 24 open for
+    appends leave at most 40 free — short of the high watermark of 56,
+    so preconditioning's GC would evacuate fully-valid blocks forever."""
+    with pytest.raises(ValueError, match="128 blocks.*high watermark of 56"):
+        Ftl(get_profile("intel320").with_capacity(16 * MIB))
+    Ftl(get_profile("intel320").with_capacity(20 * MIB))  # 56 reachable
 
 
 def test_write_maps_pages():
