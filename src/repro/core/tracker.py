@@ -139,7 +139,11 @@ class ResourceTracker:
 
     def note_request(self, tenant: str, request: RequestClass, size: int) -> None:
         """Record one completed app-level request of ``size`` bytes."""
-        units = max(size / NORMALIZED_REQUEST_BYTES, 1.0)
+        self.note_units(tenant, request, max(size / NORMALIZED_REQUEST_BYTES, 1.0))
+
+    def note_units(self, tenant: str, request: RequestClass, units: float) -> None:
+        """Record one completed request of ``units`` normalized (1 KB)
+        requests (the storage node normalizes once for all its books)."""
         self._counters[tenant].normalized_requests[request] += units
 
     def note_trigger(self, tenant: str, request: RequestClass, internal: InternalOp) -> None:

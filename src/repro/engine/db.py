@@ -165,27 +165,27 @@ class LsmEngine:
     def get(self, key: int, tag: Optional[IoTag] = None):
         """Point lookup; returns the object size or None."""
         tag = tag or IoTag(self.tenant, RequestClass.GET)
-        self.stats.gets += 1
-        for table in (self.memtable, self.immutable):
-            if table is not None:
-                entry = table.get(key)
-                if entry is not None:
-                    return self._hit_or_miss(entry.size)
-        candidates = list(self.version.eligible_files(key))
+        stats = self.stats
+        stats.gets += 1
+        entry = self.memtable.get(key)
+        if entry is None and self.immutable is not None:
+            entry = self.immutable.get(key)
+        if entry is not None:
+            return self._hit_or_miss(entry.size)
+        candidates = self.version.eligible_files(key)
         for table in candidates:
             self._ref(table)
         try:
             for table in candidates:
                 if table.bloom is not None and not table.bloom.may_contain(key):
-                    self.stats.bloom_skips += 1
+                    stats.bloom_skips += 1
                     continue
-                self.stats.index_probes += 1
+                stats.index_probes += 1
                 if self._index_cache_hit(table):
-                    self.stats.index_cache_hits += 1
+                    stats.index_cache_hits += 1
                 else:
                     yield from self._read_verified(
-                        lambda: table.read_index_block(key, tag),
-                        span="sst.index", tag=tag,
+                        table.read_index_block, key, span="sst.index", tag=tag,
                     )
                 idx = table.find(key)
                 if idx is not None:
@@ -193,8 +193,7 @@ class LsmEngine:
                     if size == TOMBSTONE:
                         return self._hit_or_miss(TOMBSTONE)
                     yield from self._read_verified(
-                        lambda: table.read_value(idx, tag),
-                        span="sst.value", tag=tag,
+                        table.read_value, idx, span="sst.value", tag=tag,
                     )
                     return self._hit_or_miss(size)
         finally:
@@ -244,8 +243,7 @@ class LsmEngine:
         try:
             for table in tables:
                 yield from self._read_verified(
-                    lambda: table.read_range(lo, hi, tag),
-                    span="sst.range", tag=tag,
+                    table.read_range, lo, hi, span="sst.range", tag=tag,
                 )
                 merged.update(table.range_items(lo, hi))
         finally:
@@ -266,32 +264,31 @@ class LsmEngine:
 
     # -- read verification ---------------------------------------------------------
 
-    def _read_verified(self, make_read, span=None, tag=None):
+    def _read_verified(self, read, *args, span: str, tag: IoTag):
         """DES sub-generator: a block read with checksum verification.
 
         Every SSTable block carries a checksum (as LevelDB's per-block
         CRC32 does); a read that fails verification surfaces as
         :class:`CorruptionError`, which a bounded number of re-reads can
-        clear when the corruption was transient (ECC/transport).  The
-        factory returns a fresh read event per attempt, or None when
-        the source holds nothing to read.  With a tracer installed,
-        ``span`` names the recorded interval (retries included).
+        clear when the corruption was transient (ECC/transport).
+        ``read(*args, tag)`` returns a fresh read event per attempt, or
+        None when the source holds nothing to read.  With a tracer
+        installed, ``span`` names the recorded interval (retries
+        included).
         """
         tr = self.tracer
-        t0 = self.sim.now if tr is not None and tr.enabled and span is not None else 0.0
+        t0 = self.sim.now if tr is not None and tr.enabled else 0.0
         attempts = 0
         while True:
-            event = make_read()
+            event = read(*args, tag)
             if event is None:
                 return
             try:
                 yield event
-                if tr is not None and tr.enabled and span is not None:
+                if tr is not None and tr.enabled:
                     tr.span(
-                        span, "engine", f"engine.{self.tenant}",
-                        tag.request.value if tag is not None else "read",
-                        t0, self.sim.now,
-                        trace=tag.trace if tag is not None else None,
+                        span, "engine", f"engine.{self.tenant}", tag.request.value,
+                        t0, self.sim.now, trace=tag.trace,
                     )
                 return
             except CorruptionError:

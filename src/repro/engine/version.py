@@ -12,12 +12,17 @@ The number of *eligible files* for a key — every one of which costs an
 index-block read — is the engine-level source of GET amplification
 (§3.1): write-heavy workloads grow L0 and widen ranges, inflating GET
 cost until a COMPACT merges the files down.
+
+``eligible_files`` sits on every GET that misses the memtables, so it
+builds its answer in one frame — a loop over L0 (a handful of tables at
+most) and an inline bisect per non-empty level — and returns the list
+itself.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, List, Optional
+from typing import List
 
 from .sstable import SsTable
 
@@ -76,30 +81,29 @@ class Version:
 
     # -- lookup ------------------------------------------------------------------
 
-    def eligible_files(self, key: int) -> Iterator[SsTable]:
+    def eligible_files(self, key: int) -> List[SsTable]:
         """Candidate tables for a key, newest first.
 
-        Every yielded table costs the caller an index-block probe.
+        Every listed table costs the caller an index-block probe.
         """
-        for table in self.levels[0]:
-            if table.covers(key):
-                yield table
-        for level in range(1, len(self.levels)):
-            table = self._find_in_level(level, key)
-            if table is not None:
-                yield table
+        levels = self.levels
+        found = []
+        for table in levels[0]:
+            if table.min_key <= key <= table.max_key:
+                found.append(table)
+        for level in range(1, len(levels)):
+            min_keys = self._min_keys[level]
+            if min_keys:
+                i = bisect.bisect_right(min_keys, key) - 1
+                if i >= 0:
+                    table = levels[level][i]
+                    if key <= table.max_key:
+                        found.append(table)
+        return found
 
     def eligible_count(self, key: int) -> int:
         """How many files a GET for ``key`` may need to probe."""
-        return sum(1 for _t in self.eligible_files(key))
-
-    def _find_in_level(self, level: int, key: int) -> Optional[SsTable]:
-        i = bisect.bisect_right(self._min_keys[level], key) - 1
-        if i >= 0:
-            table = self.levels[level][i]
-            if key <= table.max_key:
-                return table
-        return None
+        return len(self.eligible_files(key))
 
     def overlapping(self, level: int, lo: int, hi: int) -> List[SsTable]:
         """Tables at ``level`` intersecting [lo, hi], in level order."""

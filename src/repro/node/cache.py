@@ -5,6 +5,18 @@ engine; PUTs update the cache and continue to disk (write-through).
 The paper's Fig 10 discussion assumes such a cache upstream, which is
 why IO-bound workloads skew PUT-heavy; experiments here run with the
 cache disabled unless stated, since Libra provisions *disk* IO.
+
+Fill rule.  Writers update the cache at their acknowledgement
+(:meth:`ObjectCache.put` / :meth:`ObjectCache.invalidate`); a GET that
+missed fills it with what the engine read returned.  The read takes
+simulated time, so a write to the same key can be acknowledged while
+it is in flight, and the value read may already be overwritten when the
+fill lands.  The storage node tracks the keys with a fill in flight and
+such an overtaken fill calls :meth:`ObjectCache.touch` instead of
+``put``: it refreshes the recency of whatever the writer left and
+stores nothing.  When the overwritten and the new object have the same
+size, that is exactly the state a ``put`` of the stale size would have
+produced.
 """
 
 from __future__ import annotations
@@ -32,23 +44,32 @@ class ObjectCache:
 
     def get(self, tenant: str, key: int) -> Optional[int]:
         """Cached object size, or None on miss. Refreshes recency."""
-        entry = self._entries.get((tenant, key))
+        slot = (tenant, key)
+        entry = self._entries.get(slot)
         if entry is None:
             self.misses += 1
             return None
-        self._entries.move_to_end((tenant, key))
+        self._entries.move_to_end(slot)
         self.hits += 1
         return entry
+
+    def touch(self, tenant: str, key: int) -> None:
+        """Refresh an object's recency if it is cached; no hit or miss
+        is counted (the fill of a GET that a write overtook)."""
+        slot = (tenant, key)
+        if slot in self._entries:
+            self._entries.move_to_end(slot)
 
     def put(self, tenant: str, key: int, size: int) -> None:
         """Insert/refresh an object, evicting LRU entries as needed."""
         if size > self.capacity_bytes:
             self.invalidate(tenant, key)
             return
-        old = self._entries.pop((tenant, key), None)
+        slot = (tenant, key)
+        old = self._entries.pop(slot, None)
         if old is not None:
             self.bytes -= old
-        self._entries[(tenant, key)] = size
+        self._entries[slot] = size
         self.bytes += size
         while self.bytes > self.capacity_bytes:
             _evicted_key, evicted_size = self._entries.popitem(last=False)
@@ -59,6 +80,11 @@ class ObjectCache:
         old = self._entries.pop((tenant, key), None)
         if old is not None:
             self.bytes -= old
+
+    def clear(self) -> None:
+        """Drop every object (the node died; hit/miss counts stay)."""
+        self._entries.clear()
+        self.bytes = 0
 
     @property
     def hit_rate(self) -> float:

@@ -7,19 +7,37 @@ Tenant requests enter through :meth:`get`/:meth:`put`/:meth:`delete`
 (driven with ``yield from`` inside DES processes), are served by the
 tenant's engine through tagged IO, and are counted in normalized (1 KB)
 units so achieved throughput is directly comparable to reservations.
+
+Request path.  Everything a request needs about its tenant — engine,
+counters, latency recorder, the event a crashed tenant's requests wait
+on, and the GET, PUT and DELETE ``IoTag`` of an untraced request — is
+one :class:`_TenantContext`, built in :meth:`StorageNode.add_tenant`
+and resolved with one dict lookup per request.  Tags are immutable and
+compare by value, so every untraced request of a tenant can carry the
+same tag object; only a traced request (its id rides on the tag) builds
+its own.  :meth:`StorageNode._execute` takes the engine method and its
+arguments and calls it afresh per attempt, and
+:meth:`StorageNode._account` does all of a completed request's
+bookkeeping with the size normalized once.
+
+Cache coherence.  Writes update the object cache at their
+acknowledgement; a GET that missed fills it when its engine read
+returns.  ``_TenantContext.fills`` holds the keys with such a read in
+flight, and a fill that a write to its key overtook stores nothing
+(see :mod:`repro.node.cache` for the rule).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from ..core.capacity import stack_floor
 from ..core.calibration import reference_calibration
 from ..core.policy import OverflowReport, Reservation, ResourcePolicy
 from ..core.scheduler import LibraScheduler, SchedulerConfig
 from ..core.tags import IoTag, RequestClass
-from ..core.tracker import ResourceTracker
+from ..core.tracker import NORMALIZED_REQUEST_BYTES, ResourceTracker
 from ..core.vop import CostModel, make_cost_model
 from ..engine import EngineConfig, LsmEngine
 from ..faults import (
@@ -67,6 +85,54 @@ class NodeConfig:
     def __post_init__(self):
         if self.engine is None:
             self.engine = EngineConfig()
+
+
+#: request kind -> the class the tracker profiles it under (a DELETE's
+#: IO is charged through its tag, but no reservation is sized by it)
+_PROFILED = {
+    "get": RequestClass.GET,
+    "put": RequestClass.PUT,
+    "repl": RequestClass.PUT,
+    "repl_read": RequestClass.GET,
+}
+
+
+class _TenantContext:
+    """What every request of one tenant needs, resolved once."""
+
+    __slots__ = (
+        "name", "engine", "stats", "latencies", "down",
+        "get_tag", "put_tag", "delete_tag", "fills",
+    )
+
+    def __init__(self, name: str, engine: LsmEngine):
+        self.name = name
+        self.engine = engine
+        self.stats = RequestStats()
+        self.latencies = LatencyRecorder()
+        #: set while the engine is down (crashed, not yet restarted):
+        #: requests wait on it instead of failing
+        self.down: Optional[Event] = None
+        # The tags of an untraced request, shared by all of them.
+        self.get_tag = IoTag(name, RequestClass.GET)
+        self.put_tag = IoTag(name, RequestClass.PUT)
+        self.delete_tag = IoTag(name, RequestClass.DELETE)
+        #: key -> [GETs whose engine read will fill the cache, writes to
+        #: the key acknowledged since the first of them started]; an
+        #: entry lives only while such a read is in flight
+        self.fills: Dict[int, List[int]] = {}
+
+
+class _Contexts(dict):
+    """Tenant name -> :class:`_TenantContext`, naming the node's tenants
+    when asked for one it does not have."""
+
+    def __init__(self, node_name: str):
+        super().__init__()
+        self.node_name = node_name
+
+    def __missing__(self, tenant):
+        raise KeyError(f"unknown tenant {tenant!r} on {self.node_name}; have {list(self)}")
 
 
 class StorageNode:
@@ -129,12 +195,11 @@ class StorageNode:
             ObjectCache(self.config.cache_bytes) if self.config.cache_bytes > 0 else None
         )
         self.tenants: Dict[str, TenantDescriptor] = {}
+        # Per tenant, the same objects its request context holds.
         self.engines: Dict[str, LsmEngine] = {}
         self.request_stats: Dict[str, RequestStats] = {}
         self.latencies: Dict[str, LatencyRecorder] = {}
-        #: tenants whose engine is down (crashed, not yet restarted);
-        #: requests wait on the tenant's restart event instead of failing
-        self._down: Dict[str, Event] = {}
+        self._contexts = _Contexts(name)
         #: True once :meth:`fail` killed the whole node
         self.failed = False
 
@@ -152,7 +217,7 @@ class StorageNode:
         descriptor = TenantDescriptor(name, reservation or Reservation())
         self.scheduler.register_tenant(name)
         self.policy.set_reservation(name, descriptor.reservation)
-        self.engines[name] = LsmEngine(
+        engine = LsmEngine(
             self.sim,
             self.fs,
             name,
@@ -160,14 +225,16 @@ class StorageNode:
             tracker=self.tracker,
             tracer=self.tracer,
         )
+        ctx = self._contexts[name] = _TenantContext(name, engine)
         self.tenants[name] = descriptor
-        self.request_stats[name] = RequestStats()
-        self.latencies[name] = LatencyRecorder()
+        self.engines[name] = engine
+        self.request_stats[name] = ctx.stats
+        self.latencies[name] = ctx.latencies
         return descriptor
 
     def set_reservation(self, name: str, reservation: Reservation) -> None:
         """Update a tenant's local app-request reservation."""
-        descriptor = self._descriptor(name)
+        self._contexts[name]  # KeyError for an unknown tenant
         self.tenants[name] = TenantDescriptor(name, reservation)
         self.policy.set_reservation(name, reservation)
 
@@ -178,47 +245,58 @@ class StorageNode:
         """Live app-level request counters for a tenant."""
         return self.request_stats[name]
 
-    def _descriptor(self, name: str) -> TenantDescriptor:
-        try:
-            return self.tenants[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown tenant {name!r} on {self.name}; have {list(self.tenants)}"
-            ) from None
-
     # -- request API (drive with ``yield from``) ----------------------------------
 
-    def _new_trace(self, trace: Optional[int]) -> Optional[int]:
-        """Allocate a root trace id for a request entering at this node.
+    def _traced(self, tag: IoTag, trace: Optional[int]):
+        """``(tag, trace id)`` of a request entering at this node.
 
-        RPC-forwarded requests arrive with the client's id and keep it;
-        direct callers get a fresh one when tracing is on.
+        An RPC-forwarded request arrives with the client's id and keeps
+        it; a direct caller gets a fresh one when tracing is on.  Only a
+        request that has an id carries a tag of its own; the request
+        methods skip this call when no tracer is installed and no id
+        came in.
         """
         tr = self.tracer
         if trace is None and tr is not None and tr.enabled:
-            return tr.new_trace()
-        return trace
+            trace = tr.new_trace()
+        return tag.with_trace(trace), trace
 
     def get(self, tenant: str, key: int, trace: Optional[int] = None):
         """GET: cache, then the tenant's LSM engine. Returns size or None."""
-        self._descriptor(tenant)
+        ctx = self._contexts[tenant]
         started = self.sim.now
-        trace = self._new_trace(trace)
-        if self.cache is not None:
-            cached = self.cache.get(tenant, key)
-            if cached is not None:
-                self.request_stats[tenant].cache_hits += 1
-                self._account(tenant, "get", cached, RequestClass.GET, started, trace)
-                return cached
-        size = yield from self._execute(
-            tenant,
-            lambda: self.engines[tenant].get(
-                key, tag=IoTag(tenant, RequestClass.GET, trace=trace)
-            ),
-        )
-        if size is not None and self.cache is not None:
-            self.cache.put(tenant, key, size)
-        self._account(tenant, "get", size or 1024, RequestClass.GET, started, trace)
+        tag = ctx.get_tag
+        if trace is not None or self.tracer is not None:
+            tag, trace = self._traced(tag, trace)
+        cache = self.cache
+        if cache is None:
+            size = yield from self._execute(ctx, ctx.engine.get, key, tag)
+        else:
+            size = cache.get(tenant, key)
+            if size is not None:
+                ctx.stats.cache_hits += 1
+                self._account(ctx, "get", size, started, trace)
+                return size
+            # The engine read takes simulated time: note that a fill of
+            # this key is in flight, so a write acknowledged meanwhile
+            # can tell it that what it read is no longer current.
+            fills = ctx.fills
+            fill = fills.get(key)
+            if fill is None:
+                fill = fills[key] = [0, 0]
+            fill[0] += 1
+            writes_before = fill[1]
+            try:
+                size = yield from self._execute(ctx, ctx.engine.get, key, tag)
+            finally:
+                fill[0] -= 1
+                if not fill[0]:
+                    del fills[key]
+            if fill[1] != writes_before:
+                cache.touch(tenant, key)
+            elif size is not None:
+                cache.put(tenant, key, size)
+        self._account(ctx, "get", size or 1024, started, trace)
         return size
 
     def put(self, tenant: str, key: int, size: int, trace: Optional[int] = None):
@@ -231,18 +309,15 @@ class StorageNode:
         caller was not acknowledged and retrying is safe (the engine is
         last-writer-wins per key).
         """
-        self._descriptor(tenant)
+        ctx = self._contexts[tenant]
         started = self.sim.now
-        trace = self._new_trace(trace)
-        yield from self._execute(
-            tenant,
-            lambda: self.engines[tenant].put(
-                key, size, tag=IoTag(tenant, RequestClass.PUT, trace=trace)
-            ),
-        )
+        tag = ctx.put_tag
+        if trace is not None or self.tracer is not None:
+            tag, trace = self._traced(tag, trace)
+        yield from self._execute(ctx, ctx.engine.put, key, size, tag)
         if self.cache is not None:
-            self.cache.put(tenant, key, size)
-        self._account(tenant, "put", size, RequestClass.PUT, started, trace)
+            self._write_through(ctx, key, size)
+        self._account(ctx, "put", size, started, trace)
 
     def scan(self, tenant: str, lo: int, hi: int, limit=None, trace: Optional[int] = None):
         """Range scan via the tenant's engine.
@@ -250,33 +325,29 @@ class StorageNode:
         Returned bytes are accounted as normalized GET units (the
         natural extension of the size-normalized request contract).
         """
-        self._descriptor(tenant)
+        ctx = self._contexts[tenant]
         started = self.sim.now
-        trace = self._new_trace(trace)
-        results = yield from self._execute(
-            tenant,
-            lambda: self.engines[tenant].scan(
-                lo, hi, tag=IoTag(tenant, RequestClass.GET, trace=trace), limit=limit
-            ),
-        )
-        total_bytes = sum(size for _key, size in results) or 1024
-        self._account(tenant, "get", total_bytes, RequestClass.GET, started, trace)
+        tag = ctx.get_tag
+        if trace is not None or self.tracer is not None:
+            tag, trace = self._traced(tag, trace)
+        results = yield from self._execute(ctx, ctx.engine.scan, lo, hi, tag, limit)
+        total_bytes = 0
+        for _key, size in results:
+            total_bytes += size
+        self._account(ctx, "get", total_bytes or 1024, started, trace)
         return results
 
     def delete(self, tenant: str, key: int, trace: Optional[int] = None):
         """DELETE: tombstone write; invalidates the cache."""
-        self._descriptor(tenant)
+        ctx = self._contexts[tenant]
         started = self.sim.now
-        trace = self._new_trace(trace)
-        yield from self._execute(
-            tenant,
-            lambda: self.engines[tenant].delete(
-                key, tag=IoTag(tenant, RequestClass.DELETE, trace=trace)
-            ),
-        )
+        tag = ctx.delete_tag
+        if trace is not None or self.tracer is not None:
+            tag, trace = self._traced(tag, trace)
+        yield from self._execute(ctx, ctx.engine.delete, key, tag)
         if self.cache is not None:
-            self.cache.invalidate(tenant, key)
-        self._account(tenant, "delete", 1024, RequestClass.DELETE, started, trace)
+            self._write_through(ctx, key, None)
+        self._account(ctx, "delete", 1024, started, trace)
 
     # -- replication apply path (see repro.net.replication) --------------------
 
@@ -297,34 +368,19 @@ class StorageNode:
         free.  Sequence idempotence is the caller's job (the
         replication layer applies records in order, once).
         """
-        self._descriptor(tenant)
+        ctx = self._contexts[tenant]
         started = self.sim.now
-        trace = self._new_trace(trace)
+        tag = ctx.delete_tag if op == "delete" else ctx.put_tag
+        if trace is not None or self.tracer is not None:
+            tag, trace = self._traced(tag, trace)
         if op == "delete":
-            yield from self._execute(
-                tenant,
-                lambda: self.engines[tenant].delete(
-                    key, tag=IoTag(tenant, RequestClass.DELETE, trace=trace)
-                ),
-            )
+            yield from self._execute(ctx, ctx.engine.delete, key, tag)
+            size = None
         else:
-            yield from self._execute(
-                tenant,
-                lambda: self.engines[tenant].put(
-                    key, size, tag=IoTag(tenant, RequestClass.PUT, trace=trace)
-                ),
-            )
+            yield from self._execute(ctx, ctx.engine.put, key, size, tag)
         if self.cache is not None:
-            if op == "delete":
-                self.cache.invalidate(tenant, key)
-            else:
-                self.cache.put(tenant, key, size)
-        self.request_stats[tenant].note("repl", size if op != "delete" else 1024)
-        self.latencies[tenant].record("repl", self.sim.now - started)
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            tr.span("repl", "node", self.name, tenant, started, self.sim.now, trace=trace)
-        self.tracker.note_request(tenant, RequestClass.PUT, size)
+            self._write_through(ctx, key, size)
+        self._account(ctx, "repl", size or 1024, started, trace)
 
     def read_replica(self, tenant: str, key: int, trace: Optional[int] = None):
         """Serve a replica-local read for another coordinator's quorum
@@ -336,31 +392,60 @@ class StorageNode:
         ``repl_reads`` rather than app-level ``gets``: the coordinator
         counts the application request exactly once.
         """
-        self._descriptor(tenant)
+        ctx = self._contexts[tenant]
         started = self.sim.now
-        trace = self._new_trace(trace)
-        size = yield from self._execute(
-            tenant,
-            lambda: self.engines[tenant].get(
-                key, tag=IoTag(tenant, RequestClass.GET, trace=trace)
-            ),
-        )
-        self.request_stats[tenant].note("repl_read", size or 1024)
-        self.latencies[tenant].record("repl_read", self.sim.now - started)
+        tag = ctx.get_tag
+        if trace is not None or self.tracer is not None:
+            tag, trace = self._traced(tag, trace)
+        size = yield from self._execute(ctx, ctx.engine.get, key, tag)
+        self._account(ctx, "repl_read", size or 1024, started, trace)
+        return size
+
+    def _write_through(self, ctx: _TenantContext, key: int, size: Optional[int]) -> None:
+        """Update the cache at a write's acknowledgement (``size`` None:
+        the write was a DELETE) and tell any GET whose engine read of
+        the key is still in flight that it was overtaken."""
+        fill = ctx.fills.get(key)
+        if fill is not None:
+            fill[1] += 1
+        if size is None:
+            self.cache.invalidate(ctx.name, key)
+        else:
+            self.cache.put(ctx.name, key, size)
+
+    def _account(
+        self, ctx: _TenantContext, kind: str, size: int, started: float,
+        trace: Optional[int],
+    ) -> None:
+        """Book one completed request: counters, latency, span, tracker."""
+        units = max(size / NORMALIZED_REQUEST_BYTES, 1.0)
+        now = self.sim.now
+        stats = ctx.stats
+        if kind == "get":  # the two hot kinds, without a call
+            stats.gets += 1
+            stats.get_units += units
+        elif kind == "put":
+            stats.puts += 1
+            stats.put_units += units
+        else:
+            stats.note_units(kind, units)
+        ctx.latencies.record(kind, now - started)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.span(
-                "repl_read", "node", self.name, tenant, started, self.sim.now,
-                trace=trace,
+                kind, "node", self.name, ctx.name, started, now,
+                trace=trace, args={"bytes": size},
             )
-        self.tracker.note_request(tenant, RequestClass.GET, size or 1024)
-        return size
+        request = _PROFILED.get(kind)
+        if request is not None:
+            self.tracker.note_units(ctx.name, request, units)
 
     # -- failure handling ------------------------------------------------------
 
-    def _execute(self, tenant: str, attempt_factory):
+    def _execute(self, ctx: _TenantContext, op, *args):
         """DES sub-generator: run one engine op under the failure policy.
 
+        ``op(*args)`` makes a fresh attempt each time it is called.
         Transient faults (device errors, corruption that out-ran the
         engine's re-reads, torn-commit crashes, per-attempt timeouts)
         are retried with exponential backoff up to ``max_retries``;
@@ -369,54 +454,52 @@ class StorageNode:
         :class:`RetriesExhausted` with the final fault as its cause.
         """
         cfg = self.config
-        stats = self.request_stats[tenant]
         attempt = 0
         while True:
-            down = self._down.get(tenant)
-            if down is not None:
-                stats.crash_waits += 1
-                yield down
+            if ctx.down is not None:
+                ctx.stats.crash_waits += 1
+                yield ctx.down
                 continue
             try:
-                result = yield from self._bounded(tenant, attempt_factory())
+                # Without a budget the attempt runs inline, so healthy
+                # nodes keep the exact event ordering of the seed.
+                if cfg.request_timeout is None:
+                    result = yield from op(*args)
+                else:
+                    result = yield from self._bounded(ctx, op(*args))
                 return result
             except TRANSIENT_FAULTS as exc:
                 attempt += 1
-                stats.retries += 1
+                ctx.stats.retries += 1
                 if attempt > cfg.max_retries:
-                    stats.errors += 1
+                    ctx.stats.errors += 1
                     raise RetriesExhausted(
-                        f"{self.name}/{tenant}: request failed after "
+                        f"{self.name}/{ctx.name}: request failed after "
                         f"{cfg.max_retries} retries"
                     ) from exc
                 yield self.sim.timeout(cfg.retry_backoff * (2 ** (attempt - 1)))
 
-    def _bounded(self, tenant: str, gen):
-        """Drive one attempt, racing it against the per-attempt budget.
+    def _bounded(self, ctx: _TenantContext, gen):
+        """Race one attempt against the per-attempt budget.
 
-        Without a budget the attempt runs inline (``yield from``) so
-        healthy nodes keep the exact event ordering of the unbounded
-        path.  With one, the attempt runs as a child process raced
-        against a timeout; on expiry the attempt is interrupted (its
-        cleanup handlers run at the interrupt point) and
-        :class:`RequestTimeout` is raised for the retry loop.
+        The attempt runs as a child process raced against a timeout; on
+        expiry it is interrupted (its cleanup handlers run at the
+        interrupt point) and :class:`RequestTimeout` is raised for the
+        retry loop.
         """
         budget = self.config.request_timeout
-        if budget is None:
-            result = yield from gen
-            return result
-        proc = self.sim.process(gen, name=f"{tenant}.attempt")
+        proc = self.sim.process(gen, name=f"{ctx.name}.attempt")
         timer = self.sim.timeout(budget)
         yield self.sim.any_of([proc, timer])
         if proc.triggered:
             if not proc.ok:
                 raise proc.value
             return proc.value
-        self.request_stats[tenant].timeouts += 1
+        ctx.stats.timeouts += 1
         if proc.is_alive:
             proc.interrupt("request timeout")
         raise RequestTimeout(
-            f"{self.name}/{tenant}: attempt exceeded {budget:.3f}s budget"
+            f"{self.name}/{ctx.name}: attempt exceeded {budget:.3f}s budget"
         )
 
     def crash(self, tenant: str) -> int:
@@ -427,11 +510,11 @@ class StorageNode:
         Until :meth:`restart` completes, the tenant's requests wait on
         the restart event rather than erroring.
         """
-        self._descriptor(tenant)
-        if tenant not in self._down:
-            self._down[tenant] = self.sim.event()
-        self.request_stats[tenant].crashes += 1
-        return self.engines[tenant].crash()
+        ctx = self._contexts[tenant]
+        if ctx.down is None:
+            ctx.down = self.sim.event()
+        ctx.stats.crashes += 1
+        return ctx.engine.crash()
 
     def restart(self, tenant: str):
         """DES generator: recover a crashed tenant engine and reopen it.
@@ -440,44 +523,22 @@ class StorageNode:
         scan are retried with backoff until recovery lands — a storage
         node must come back.  Returns the number of replayed records.
         """
-        self._descriptor(tenant)
+        ctx = self._contexts[tenant]
         attempt = 0
         while True:
             try:
-                replayed = yield from self.engines[tenant].recover(
-                    tag=IoTag(tenant, RequestClass.PUT)
-                )
+                replayed = yield from ctx.engine.recover(tag=ctx.put_tag)
                 break
             except StorageFault:
                 attempt += 1
-                self.request_stats[tenant].retries += 1
+                ctx.stats.retries += 1
                 yield self.sim.timeout(
                     self.config.recovery_backoff * min(2 ** (attempt - 1), 64)
                 )
-        reopened = self._down.pop(tenant, None)
+        reopened, ctx.down = ctx.down, None
         if reopened is not None:
             reopened.succeed()
         return replayed
-
-    def _account(
-        self,
-        tenant: str,
-        kind: str,
-        size: int,
-        request: RequestClass,
-        started: float,
-        trace: Optional[int] = None,
-    ) -> None:
-        self.request_stats[tenant].note(kind, size)
-        self.latencies[tenant].record(kind, self.sim.now - started)
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            tr.span(
-                kind, "node", self.name, tenant, started, self.sim.now,
-                trace=trace, args={"bytes": size},
-            )
-        if request in (RequestClass.GET, RequestClass.PUT):
-            self.tracker.note_request(tenant, request, size)
 
     # -- metrics publication ----------------------------------------------------
 
@@ -537,19 +598,26 @@ class StorageNode:
         torn, unacknowledged writers failed with CrashError), the
         periodic loops stop, and — unlike a tenant crash — no restart
         event is armed: requests that reach a failed node park forever,
-        which is what an RPC client experiences as a timeout.  The
-        durable state (SSTables, committed WAL records) survives for a
+        which is what an RPC client experiences as a timeout, and the
+        object cache (memory) is gone with the machine.  The durable
+        state (SSTables, committed WAL records) survives for a
         hypothetical later reconciliation; serving the node's partitions
         is the failover layer's job.
         """
         if self.failed:
             return
         self.failed = True
-        for tenant in self.tenants:
-            if tenant not in self._down:
-                self._down[tenant] = self.sim.event()
-            self.request_stats[tenant].crashes += 1
-            self.engines[tenant].crash()
+        for ctx in self._contexts.values():
+            if ctx.down is None:
+                ctx.down = self.sim.event()
+            ctx.stats.crashes += 1
+            ctx.engine.crash()
+            # A device read already in flight still completes: its GET
+            # returns what it read, but must not fill the cleared cache.
+            for fill in ctx.fills.values():
+                fill[1] += 1
+        if self.cache is not None:
+            self.cache.clear()
         self.policy.stop()
         self.scheduler.stop()
 

@@ -13,6 +13,17 @@ from ..obs.metrics import Histogram
 __all__ = ["TenantDescriptor", "RequestStats", "LatencyRecorder"]
 
 
+class _Series:
+    """One request kind's retained samples and lifetime totals."""
+
+    __slots__ = ("samples", "count", "total")
+
+    def __init__(self, capacity: int):
+        self.samples: Deque[float] = deque(maxlen=capacity)
+        self.count = 0
+        self.total = 0.0
+
+
 class LatencyRecorder:
     """Bounded reservoir of recent request latencies (seconds).
 
@@ -28,37 +39,38 @@ class LatencyRecorder:
         if capacity < 1:
             raise ValueError("latency reservoir needs capacity >= 1")
         self.capacity = capacity
-        self._samples: Dict[str, Deque[float]] = {}
-        self._count: Dict[str, int] = {}
-        self._sum: Dict[str, float] = {}
+        #: a kind appears with its first sample (``kinds`` lists those)
+        self._series: Dict[str, _Series] = {}
 
     def record(self, kind: str, latency: float) -> None:
-        bucket = self._samples.get(kind)
-        if bucket is None:
-            bucket = self._samples[kind] = deque(maxlen=self.capacity)
-        bucket.append(latency)
-        self._count[kind] = self._count.get(kind, 0) + 1
-        self._sum[kind] = self._sum.get(kind, 0.0) + latency
+        series = self._series.get(kind)
+        if series is None:
+            series = self._series[kind] = _Series(self.capacity)
+        series.samples.append(latency)
+        series.count += 1
+        series.total += latency
 
     def samples(self, kind: str) -> list:
         """The retained (recent) samples for a kind, oldest first."""
-        return list(self._samples.get(kind, ()))
+        series = self._series.get(kind)
+        return list(series.samples) if series else []
 
     def kinds(self) -> list:
-        return sorted(self._samples)
+        return sorted(self._series)
 
     def count(self, kind: str) -> int:
-        return self._count.get(kind, 0)
+        series = self._series.get(kind)
+        return series.count if series else 0
 
     def mean(self, kind: str) -> float:
         """Lifetime mean latency for a request kind (0 if none)."""
-        n = self._count.get(kind, 0)
-        return self._sum.get(kind, 0.0) / n if n else 0.0
+        series = self._series.get(kind)
+        return series.total / series.count if series else 0.0
 
     def histogram(self, kind: str) -> Histogram:
         """The retained samples as an ``obs.metrics`` histogram."""
         hist = Histogram()
-        for value in self._samples.get(kind, ()):
+        for value in self.samples(kind):
             hist.observe(value)
         return hist
 
@@ -68,8 +80,7 @@ class LatencyRecorder:
         Computed through the shared fixed-bucket histogram; accurate to
         one bucket width of the exact sample percentile.
         """
-        bucket = self._samples.get(kind)
-        if not bucket:
+        if kind not in self._series:
             return 0.0
         return self.histogram(kind).percentile(pct)
 
@@ -125,7 +136,11 @@ class RequestStats:
     )
 
     def note(self, kind: str, size: int) -> None:
-        units = max(size / NORMALIZED_REQUEST_BYTES, 1.0)
+        """Count one completed request of ``size`` bytes."""
+        self.note_units(kind, max(size / NORMALIZED_REQUEST_BYTES, 1.0))
+
+    def note_units(self, kind: str, units: float) -> None:
+        """Count one completed request of ``units`` normalized requests."""
         if kind == "get":
             self.gets += 1
             self.get_units += units

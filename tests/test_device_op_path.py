@@ -22,10 +22,10 @@ must equal:
 """
 
 import random
-import sys
 
 import pytest
 
+from .helpers import count_calls
 from repro.core import (
     IoTag, LibraScheduler, SchedulerConfig, make_cost_model, reference_calibration,
 )
@@ -365,25 +365,6 @@ def test_fused_pump_dispatches_exactly_as_the_three_function_pump(name):
 # ---------------------------------------------------------------------------
 
 
-def count_calls(run):
-    """Python ``call`` events under repro/core and repro/ssd during ``run()``."""
-    calls = [0]
-
-    def profiler(frame, event, _arg):
-        if event == "call":
-            filename = frame.f_code.co_filename.replace("\\", "/")
-            if "/repro/core/" in filename or "/repro/ssd/" in filename:
-                calls[0] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profiler)
-    try:
-        run()
-    finally:
-        sys.setprofile(previous)
-    return calls[0]
-
-
 def test_calls_per_chunk_stay_within_budget():
     """An idle 4-tenant scheduler + device serving ops one at a time.
 
@@ -423,7 +404,7 @@ def test_calls_per_chunk_stay_within_budget():
         assert proc.ok
 
     per_chunk = {
-        name: count_calls(lambda: serve(submit, size, count)) / count
+        name: count_calls(lambda: serve(submit, size, count), ("/repro/core/", "/repro/ssd/")) / count
         for name, submit, size, count in (
             ("read", scheduler.read, 4 * KIB, 1000),
             ("write", scheduler.write, 4 * KIB, 1000),

@@ -12,22 +12,37 @@ executors book the same plan, so three scenarios land on one digest
 either way; on the saturated ``put_heavy`` device a coroutine op's
 first step is itself an event, same-instant reservations interleave
 with the GC loop in another order, and that trajectory has its own
-digest.  Re-record only for a deliberate model change, and say so in
-the PR:
+digest.
+
+``REWIRED`` and ``CLUSTERS`` pin the paths those four healthy, untraced,
+single-node scenarios never reach, recorded at the commit before the
+request path above the scheduler was rewritten (per-tenant request
+context, closure-free ``_execute``, shared accounting): the retry loop,
+checksum re-reads and the crash wait (``faulted``), the per-attempt
+budget race (``budgeted``), trace-id allocation and every span
+(``traced``), cache invalidation (``deletes``), and ``apply_replica`` /
+``read_replica`` under both replication modes.  They run on the fast
+executor only: nothing above the scheduler depends on the executor.
+
+Re-record only for a deliberate model change, and say so in the PR:
 
     PYTHONPATH=src python -m tests.test_node_golden
 """
 
 import hashlib
 import random
+from typing import NamedTuple, Optional
 
 import pytest
 
 from .helpers import force_coroutine_path
 from repro.core import Reservation
 from repro.engine import EngineConfig
-from repro.node import NodeConfig, StorageNode
+from repro.faults import FaultKind, FaultPlan, FaultWindow, StorageFault
+from repro.net import NetConfig
+from repro.node import NodeConfig, StorageCluster, StorageNode
 from repro.node.tenant import RequestStats
+from repro.obs import Observability, Tracer
 from repro.sim import Simulator
 from repro.ssd import get_profile
 
@@ -43,18 +58,33 @@ ONE = (("t0", 1),)
 
 GET, PUT, SCAN = "get", "put", "scan"
 
-#: name -> tenants (name, weight), preloaded keys per tenant, value
-#: bytes, clients per tenant, (read op, read fraction), simulated
-#: seconds, node config
+
+class Scenario(NamedTuple):
+    tenants: tuple  # (name, weight)
+    keys: int  # preloaded per tenant
+    value_bytes: int
+    clients: int  # per tenant
+    read: tuple  # (read op, read fraction)
+    seconds: float  # simulated
+    config: NodeConfig
+    #: top slice of the non-read draws that DELETE instead of PUT
+    delete_frac: float = 0.0
+    #: (kind, start, end, probability), seconds after the preload
+    faults: tuple = ()
+    #: (tenant, crash at, restart at), seconds after the preload
+    crash: Optional[tuple] = None
+    traced: bool = False
+
+
 SCENARIOS = {
     # four live DDRR queues; the small tree flushes the preload, so GETs
     # reach the device instead of ending in the memtable
-    "get_heavy": (FOUR, 1000, KIB, 2, (GET, 0.95), 0.5, NodeConfig(engine=SMALL_TREE)),
+    "get_heavy": Scenario(FOUR, 1000, KIB, 2, (GET, 0.95), 0.5, NodeConfig(engine=SMALL_TREE)),
     # saturated small device: WAL group commit, FLUSH, COMPACT, chunked
     # 256 KiB IO, whole-file TRIMs and FTL GC all cycle
-    "put_heavy": (FOUR, 300, 4 * KIB, 2, (GET, 0.2), 1.5, NodeConfig(engine=SMALL_TREE)),
-    "scan_put": (ONE, 1500, KIB, 4, (SCAN, 0.9), 0.5, NodeConfig(engine=SMALL_TREE)),
-    "cached": (ONE, 3000, 4 * KIB, 4, (GET, 0.9), 0.5, NodeConfig(cache_bytes=8 * MIB)),
+    "put_heavy": Scenario(FOUR, 300, 4 * KIB, 2, (GET, 0.2), 1.5, NodeConfig(engine=SMALL_TREE)),
+    "scan_put": Scenario(ONE, 1500, KIB, 4, (SCAN, 0.9), 0.5, NodeConfig(engine=SMALL_TREE)),
+    "cached": Scenario(ONE, 3000, 4 * KIB, 4, (GET, 0.9), 0.5, NodeConfig(cache_bytes=8 * MIB)),
 }
 
 GOLDEN = {
@@ -68,50 +98,156 @@ GOLDEN = {
     "cached/coroutine": "60879d8b5b27d0f5",
 }
 
+#: the request paths ``SCENARIOS`` does not reach (fast executor only)
+REWIRED = {
+    # retry loop with backoff, checksum re-reads that clear and that
+    # exhaust, and requests parked on a crashed tenant
+    "faulted": Scenario(
+        FOUR, 600, 2 * KIB, 2, (GET, 0.7), 0.5, NodeConfig(engine=SMALL_TREE, max_retries=3),
+        faults=(
+            (FaultKind.READ_ERROR, 0.02, 0.16, 0.3),
+            (FaultKind.WRITE_ERROR, 0.12, 0.26, 0.3),
+            (FaultKind.CORRUPT_READ, 0.22, 0.40, 0.6),
+        ),
+        crash=("t0", 0.30, 0.36),
+    ),
+    # a 1.5 ms budget on a saturated device: some attempts expire in
+    # ``_bounded``'s Process/Timeout/AnyOf race and are interrupted
+    "budgeted": Scenario(
+        FOUR, 300, 4 * KIB, 2, (GET, 0.3), 0.4,
+        NodeConfig(engine=SMALL_TREE, request_timeout=0.0015, max_retries=6),
+    ),
+    "traced": Scenario(
+        FOUR, 600, 2 * KIB, 2, (GET, 0.7), 0.3, NodeConfig(engine=SMALL_TREE), traced=True,
+    ),
+    # cache on over a tree that reaches SSTables: fills, write-through
+    # updates and invalidations interleave
+    "deletes": Scenario(
+        ONE, 1500, 4 * KIB, 4, (GET, 0.7), 0.5,
+        NodeConfig(cache_bytes=2 * MIB, engine=SMALL_TREE), delete_frac=0.1,
+    ),
+}
 
-def _client(node, rng, tenant, keys, value_bytes, read_op, read_frac, until):
-    sim = node.sim
+#: 3 nodes, rf=3: every acknowledged write is an ``apply_replica`` on
+#: two backups; leaderless quorum reads are ``read_replica`` calls
+CLUSTERS = {
+    "primary-backup": NetConfig(rf=3),
+    "leaderless": NetConfig(
+        rf=3, replication_mode="leaderless", read_quorum=2, write_quorum=2,
+    ),
+}
+
+GOLDEN_REWIRED = {
+    "faulted": "e909ed9302b551eb",
+    "budgeted": "74661a137a999d43",
+    "traced": "1cbc58eb32594b19",
+    "deletes": "59cfe5e9a3a03c32",
+    "traced/spans": "32331:00d8d99aeae7c1f8",
+    "cluster/primary-backup": "b34928c1d2eff905-337ff96cd1d2ad26-f446093362fdb16e",
+    "cluster/leaderless": "d7dc979e4ad63d69-18d39da02021d714-e239fc495368ce66",
+}
+
+
+def _value_size(sc, key):
+    return sc.value_bytes - 16 * (key % 8)
+
+
+def _client(target, rng, tenant, sc, until):
+    """Closed loop against a node or a cluster client (same verbs)."""
+    sim = target.sim
+    read_op, read_frac = sc.read
     while sim.now < until:
         # Squared uniform: a skew towards low keys, so the cache hits
-        key = int(keys * rng.random() ** 2)
-        if rng.random() >= read_frac:
-            yield from node.put(tenant, key, value_bytes - 16 * (key % 8))
-        elif read_op == SCAN:
-            yield from node.scan(tenant, key, key + 64, limit=32)
-        else:
-            yield from node.get(tenant, key)
+        key = int(sc.keys * rng.random() ** 2)
+        draw = rng.random()
+        try:
+            if draw >= 1.0 - sc.delete_frac:
+                yield from target.delete(tenant, key)
+            elif draw >= read_frac:
+                yield from target.put(tenant, key, _value_size(sc, key))
+            elif read_op == SCAN:
+                yield from target.scan(tenant, key, key + 64, limit=32)
+            else:
+                yield from target.get(tenant, key)
+        except StorageFault:
+            pass  # surfaced after the retries; RequestStats.errors has it
 
 
-def _loader(node, tenant, keys, value_bytes, lane, lanes):
-    for key in range(lane, keys, lanes):
-        yield from node.put(tenant, key, value_bytes - 16 * (key % 8))
+def _loader(target, tenant, sc, lane, lanes):
+    for key in range(lane, sc.keys, lanes):
+        yield from target.put(tenant, key, _value_size(sc, key))
+
+
+def _preload(sim, sc, target):
+    loaders = [
+        sim.process(_loader(target, tenant, sc, lane, 4))
+        for tenant, _weight in sc.tenants for lane in range(4)
+    ]
+    sim.step_while(lambda: any(proc.is_alive for proc in loaders))
+    assert all(proc.ok for proc in loaders)
+
+
+def _crash_and_restart(node, tenant, crash_at, restart_at):
+    yield node.sim.timeout(crash_at)
+    node.crash(tenant)
+    yield node.sim.timeout(restart_at - crash_at)
+    yield from node.restart(tenant)
 
 
 def run_scenario(name, coroutine_path=False):
     """Preload, run the closed-loop clients, return the finished node."""
-    tenants, keys, value_bytes, clients, (read_op, read_frac), seconds, config = SCENARIOS[name]
+    sc = SCENARIOS[name] if name in SCENARIOS else REWIRED[name]
     sim = Simulator()
-    node = StorageNode(sim, profile=SMALL, config=config, seed=11)
+    # The windows open relative to the end of the preload, so the plan
+    # starts empty and is filled once that instant is known.
+    plan = FaultPlan(seed=5) if sc.faults else None
+    obs = Observability(tracer=Tracer()) if sc.traced else None
+    node = StorageNode(sim, profile=SMALL, config=sc.config, seed=11, fault_plan=plan, obs=obs)
     if coroutine_path:
         force_coroutine_path(node.device)
-    for tenant, weight in tenants:
+    for tenant, weight in sc.tenants:
         node.add_tenant(tenant, Reservation(gets=1500.0 * weight, puts=500.0 * weight))
-    loaders = [
-        sim.process(_loader(node, tenant, keys, value_bytes, lane, 4))
-        for tenant, _weight in tenants for lane in range(4)
-    ]
-    sim.step_while(lambda: any(proc.is_alive for proc in loaders))
-    assert all(proc.ok for proc in loaders)
-    until = sim.now + seconds
-    for t_idx, (tenant, _weight) in enumerate(tenants):
-        for c_idx in range(clients):
+    _preload(sim, sc, node)
+    for kind, start, end, probability in sc.faults:
+        plan.add(FaultWindow(kind, sim.now + start, sim.now + end, probability=probability))
+    if sc.crash is not None:
+        sim.process(_crash_and_restart(node, *sc.crash))
+    until = sim.now + sc.seconds
+    for t_idx, (tenant, _weight) in enumerate(sc.tenants):
+        for c_idx in range(sc.clients):
             rng = random.Random(f"golden:{name}:{t_idx}:{c_idx}")
-            sim.process(_client(
-                node, rng, tenant, keys, value_bytes, read_op, read_frac, until,
-            ))
+            sim.process(_client(node, rng, tenant, sc, until))
     sim.run(until=until + 0.25)
     node.stop()
     return node
+
+
+#: the cluster runs' workload: half GETs, 45% PUTs, 5% DELETEs, cache on
+CLUSTER_LOAD = Scenario(
+    (("t0", 2), ("t1", 1)), 400, 4 * KIB, 3, (GET, 0.5), 0.4,
+    NodeConfig(cache_bytes=1 * MIB, engine=SMALL_TREE), delete_frac=0.05,
+)
+
+
+def run_cluster(mode):
+    """Preload through a client, run closed-loop clients, return the cluster."""
+    sc = CLUSTER_LOAD
+    sim = Simulator()
+    cluster = StorageCluster(
+        sim, n_nodes=3, profile=SMALL, config=sc.config, partitions_per_tenant=6,
+        seed=11, net=CLUSTERS[mode],
+    )
+    for tenant, weight in sc.tenants:
+        cluster.add_tenant(tenant, Reservation(gets=1500.0 * weight, puts=500.0 * weight))
+    _preload(sim, sc, cluster.make_client("preload"))
+    until = sim.now + sc.seconds
+    for t_idx, (tenant, _weight) in enumerate(sc.tenants):
+        for c_idx in range(sc.clients):
+            rng = random.Random(f"golden:{mode}:{t_idx}:{c_idx}")
+            sim.process(_client(cluster.make_client(), rng, tenant, sc, until))
+    sim.run(until=until + 0.25)
+    cluster.stop()
+    return cluster
 
 
 def node_digest(node) -> str:
@@ -140,6 +276,13 @@ def node_digest(node) -> str:
     return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
 
 
+def span_digest(tracer) -> str:
+    """Span count plus every span's name, layer, track, tenant,
+    interval and trace id, in recording order."""
+    spans = [span[:7] for span in tracer.spans]
+    return f"{len(spans)}:{hashlib.sha256(repr(spans).encode()).hexdigest()[:16]}"
+
+
 def run_all() -> dict:
     """Every scenario on both executors: ``{"name/executor": node}``."""
     return {
@@ -148,18 +291,45 @@ def run_all() -> dict:
     }
 
 
+def rewired_digests(nodes, clusters) -> dict:
+    digests = {name: node_digest(node) for name, node in nodes.items()}
+    digests["traced/spans"] = span_digest(nodes["traced"].tracer)
+    for mode, cluster in clusters.items():
+        digests[f"cluster/{mode}"] = "-".join(
+            node_digest(node) for node in cluster.nodes.values()
+        )
+    return digests
+
+
 @pytest.fixture(scope="module")
 def nodes():
     return run_all()
 
 
-def test_golden_digests_match_the_parent(nodes):
-    digests = {key: node_digest(node) for key, node in nodes.items()}
+@pytest.fixture(scope="module")
+def rewired():
+    return {name: run_scenario(name) for name in REWIRED}
+
+
+@pytest.fixture(scope="module")
+def clusters():
+    return {mode: run_cluster(mode) for mode in CLUSTERS}
+
+
+def _assert_golden(digests, golden):
     report = "\n".join(
-        f"  {k}: {v}{'' if GOLDEN.get(k) == v else f'  != golden {GOLDEN.get(k)}'}"
+        f"  {k}: {v}{'' if golden.get(k) == v else f'  != golden {golden.get(k)}'}"
         for k, v in digests.items()
     )
-    assert digests == GOLDEN, f"per-scenario digests:\n{report}"
+    assert digests == golden, f"per-scenario digests:\n{report}"
+
+
+def test_golden_digests_match_the_parent(nodes):
+    _assert_golden({key: node_digest(node) for key, node in nodes.items()}, GOLDEN)
+
+
+def test_rewired_path_digests_match_the_parent(rewired, clusters):
+    _assert_golden(rewired_digests(rewired, clusters), GOLDEN_REWIRED)
 
 
 def test_put_heavy_scenario_reaches_flush_compaction_and_ftl_gc(nodes):
@@ -172,6 +342,46 @@ def test_put_heavy_scenario_reaches_flush_compaction_and_ftl_gc(nodes):
     assert node.device.stats.trims > 0
 
 
+def _total(node, field):
+    return sum(getattr(node.request_stats[tenant], field) for tenant in node.tenants)
+
+
+def test_rewired_scenarios_reach_the_paths_they_pin(rewired, clusters):
+    faulted = rewired["faulted"]
+    engine = [faulted.engines[tenant].stats for tenant in faulted.tenants]
+    assert _total(faulted, "retries") > 20
+    assert _total(faulted, "errors") > 0  # some requests exhaust their retries
+    assert faulted.request_stats["t0"].crashes == 1
+    assert faulted.request_stats["t0"].crash_waits > 0
+    assert sum(stats.read_retries for stats in engine) > 10  # re-reads that cleared
+    assert sum(stats.recoveries for stats in engine) == 1
+    assert faulted.device.stats.write_faults > 0
+
+    budgeted = rewired["budgeted"]
+    assert _total(budgeted, "timeouts") > 10
+    assert _total(budgeted, "puts") > 100  # and most requests still complete
+
+    traced = rewired["traced"]
+    names = {span[0] for span in traced.tracer.spans}
+    assert {"get", "put", "sst.value", "wal.commit"} <= names, names
+
+    deletes = rewired["deletes"]
+    assert _total(deletes, "deletes") > 50
+    assert 0 < _total(deletes, "cache_hits") < _total(deletes, "gets")
+    assert sum(deletes.engines[t].stats.flushes for t in deletes.tenants) > 0
+
+    for mode, cluster in clusters.items():
+        for node in cluster.nodes.values():
+            assert _total(node, "repl_applies") > 100, mode
+            assert (_total(node, "repl_reads") > 50) == (mode == "leaderless"), mode
+
+
 if __name__ == "__main__":
     for key, node in run_all().items():
         print(f'    "{key}": "{node_digest(node)}",')
+    print("GOLDEN_REWIRED")
+    for key, value in rewired_digests(
+        {name: run_scenario(name) for name in REWIRED},
+        {mode: run_cluster(mode) for mode in CLUSTERS},
+    ).items():
+        print(f'    "{key}": "{value}",')

@@ -157,6 +157,44 @@ def test_large_file_spans_extents_and_reads_back(fs_env):
     drive(sim, flow())
 
 
+def test_read_is_one_device_read_inside_an_extent_and_one_per_extent_across(fs_env):
+    """Both sides of ``SimFile.read``'s lane choice, by the device ranges
+    they issue: a range inside one extent goes to the device directly, a
+    range that straddles extents becomes one read per extent joined by
+    ``all_of``."""
+    sim, _dev, fs = fs_env
+    issued = []
+
+    class Recording(RawBackend):
+        def read(self, offset, size, tag=None):
+            issued.append((offset, size, tag))
+            return super().read(offset, size, tag=tag)
+
+    fs.backend = Recording(fs.backend.device)
+
+    def flow():
+        f = fs.create("data")
+        yield f.append(3 * MIB)  # one extent per 1 MiB allocation chunk
+        (first, first_len), (second, _), (third, _) = f.extents
+        assert first_len == 1 * MIB
+
+        inside = f.read(1 * MIB - 4 * KIB, 4 * KIB, tag="in")  # ends at the boundary
+        assert issued == [(first + 1 * MIB - 4 * KIB, 4 * KIB, "in")]
+        yield inside
+
+        del issued[:]
+        across = f.read(1 * MIB - 4 * KIB, 1 * MIB + 8 * KIB, tag="x")  # all three
+        assert issued == [
+            (first + 1 * MIB - 4 * KIB, 4 * KIB, "x"),
+            (second, 1 * MIB, "x"),
+            (third, 4 * KIB, "x"),
+        ]
+        assert not across.triggered
+        yield across
+
+    drive(sim, flow())
+
+
 def test_out_of_space_raises(fs_env):
     sim, _dev, fs = fs_env
 
