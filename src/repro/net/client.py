@@ -72,22 +72,49 @@ class ClusterClient:
         #: per-tenant app-level counters as seen from this client
         self.stats: Dict[str, RequestStats] = defaultdict(RequestStats)
         self._version_seen = -1
-        self._primary_cache: Dict[tuple, str] = {}
+        #: (tenant, partition) -> (primary, give_up) under ``_version_seen``
+        self._primary_cache: Dict[tuple, tuple] = {}
+        #: the request protocol, resolved once (``leaderless`` is a
+        #: property): leaderless coordination, quorum reads, or the
+        #: primary alone
+        self._leaderless = self.config.leaderless
+        self._quorum_reads = (
+            not self._leaderless and self.config.quorum_reads and self.config.rf > 1
+        )
+        #: tenant -> (RequestStats, LatencyRecorder), from its first answer
+        self._books: Dict[str, tuple] = {}
 
     # -- resolution (the Router contract, client-side) ---------------------
 
     def resolve(self, tenant: str, key: int) -> str:
         """The key's primary, via a map-version-aware cache."""
+        return self._route(tenant, key)[0]
+
+    def _route(self, tenant: str, key: int) -> tuple:
+        """``(primary, give_up)`` for the key, cached per map version.
+
+        ``give_up`` is the RPC budget's early exit for a call to that
+        primary: the detector declared it dead, or the map moved since
+        the call began.  Every cached route was resolved at the current
+        version, so one closure per partition and version serves every
+        call instead of one per call.
+        """
         pm = self.partition_map
         if pm.version != self._version_seen:
             self._primary_cache.clear()
             self._version_seen = pm.version
         partition = pm.partition_of(tenant, key)
         slot = (tenant, partition.index)
-        cached = self._primary_cache.get(slot)
-        if cached is None:
-            cached = self._primary_cache[slot] = partition.node
-        return cached
+        route = self._primary_cache.get(slot)
+        if route is None:
+            target = partition.node
+            route = self._primary_cache[slot] = (
+                target,
+                lambda t=target, v=pm.version: (
+                    not self.membership.is_live(t) or self.partition_map.version != v
+                ),
+            )
+        return route
 
     # -- request API (drive with ``yield from``) ---------------------------
 
@@ -100,21 +127,21 @@ class ClusterClient:
         respondent is the freshest).
         """
         started = self.sim.now
-        trace = self._new_trace()
-        if self.config.leaderless:
+        tr = self.tracer
+        trace = tr.new_trace() if tr is not None and tr.enabled else None
+        payload = {"tenant": tenant, "key": key}
+        if trace is not None:
+            payload["trace"] = trace
+        if self._leaderless:
             reply = yield from self._call_coordinator(
-                tenant, key, "lkv.get",
-                self._payload({"tenant": tenant, "key": key}, trace), ACK_BYTES,
-                trace,
+                tenant, key, "lkv.get", payload, ACK_BYTES, trace
             )
             size = reply["size"]
-        elif self.config.quorum_reads and self.config.rf > 1:
-            size = yield from self._quorum_get(tenant, key, trace)
+        elif self._quorum_reads:
+            size = yield from self._quorum_get(tenant, key, payload, trace)
         else:
             reply = yield from self._call_primary(
-                tenant, key, "kv.get",
-                self._payload({"tenant": tenant, "key": key}, trace), ACK_BYTES,
-                trace,
+                tenant, key, "kv.get", payload, ACK_BYTES, trace
             )
             size = reply["size"]
         self._note(tenant, "get", size or 1024, started, trace)
@@ -128,66 +155,45 @@ class ClusterClient:
         record to audit acked-write survival.
         """
         started = self.sim.now
-        trace = self._new_trace()
-        if self.config.leaderless:
+        tr = self.tracer
+        trace = tr.new_trace() if tr is not None and tr.enabled else None
+        if self._leaderless:
+            payload = {"tenant": tenant, "key": key, "size": size, "op": "put"}
+        else:
+            payload = {"tenant": tenant, "key": key, "size": size}
+        if trace is not None:
+            payload["trace"] = trace
+        if self._leaderless:
             reply = yield from self._call_coordinator(
-                tenant, key, "lkv.put",
-                self._payload(
-                    {"tenant": tenant, "key": key, "size": size, "op": "put"},
-                    trace,
-                ),
-                size,
-                trace,
+                tenant, key, "lkv.put", payload, size, trace
             )
             self._note(tenant, "put", size, started, trace)
             return reply
-        yield from self._call_primary(
-            tenant,
-            key,
-            "kv.put",
-            self._payload({"tenant": tenant, "key": key, "size": size}, trace),
-            size,
-            trace,
-        )
+        yield from self._call_primary(tenant, key, "kv.put", payload, size, trace)
         self._note(tenant, "put", size, started, trace)
 
     def delete(self, tenant: str, key: int):
         started = self.sim.now
-        trace = self._new_trace()
-        if self.config.leaderless:
+        tr = self.tracer
+        trace = tr.new_trace() if tr is not None and tr.enabled else None
+        if self._leaderless:
+            payload = {"tenant": tenant, "key": key, "size": 0, "op": "delete"}
+        else:
+            payload = {"tenant": tenant, "key": key}
+        if trace is not None:
+            payload["trace"] = trace
+        if self._leaderless:
             reply = yield from self._call_coordinator(
-                tenant, key, "lkv.put",
-                self._payload(
-                    {"tenant": tenant, "key": key, "size": 0, "op": "delete"},
-                    trace,
-                ),
-                ACK_BYTES,
-                trace,
+                tenant, key, "lkv.put", payload, ACK_BYTES, trace
             )
             self._note(tenant, "delete", 1024, started, trace)
             return reply
         yield from self._call_primary(
-            tenant, key, "kv.delete",
-            self._payload({"tenant": tenant, "key": key}, trace), ACK_BYTES,
-            trace,
+            tenant, key, "kv.delete", payload, ACK_BYTES, trace
         )
         self._note(tenant, "delete", 1024, started, trace)
 
     # -- internals ---------------------------------------------------------
-
-    def _new_trace(self) -> Optional[int]:
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            return tr.new_trace()
-        return None
-
-    @staticmethod
-    def _payload(payload: dict, trace: Optional[int]) -> dict:
-        """Attach the trace id to a wire payload (only when tracing, so
-        untraced runs ship byte-identical payload dicts)."""
-        if trace is not None:
-            payload["trace"] = trace
-        return payload
 
     def _call_primary(self, tenant: str, key: int, method: str, payload, nbytes: int,
                       trace: Optional[int] = None):
@@ -196,13 +202,13 @@ class ClusterClient:
         last: Optional[StorageFault] = None
         tried: Optional[str] = None
         for _round in range(self.resolve_rounds):
-            target = self.resolve(tenant, key)
+            target, give_up = self._route(tenant, key)
             if target == tried:
                 # Same owner as the round that just failed: wait out
                 # roughly one detection period so the map has a chance
                 # to change before burning another full RPC budget.
                 yield self.sim.timeout(self.config.suspicion_timeout)
-                target = self.resolve(tenant, key)
+                target, give_up = self._route(tenant, key)
             tried = target
             if not self.membership.is_live(target):
                 # Known-dead owner: fail fast, then re-resolve (the
@@ -219,14 +225,7 @@ class ClusterClient:
                 # moves (a failover happened): the next round
                 # re-resolves against the fresh map instead of burning
                 # attempt after attempt on a dead endpoint.
-                version0 = self.partition_map.version
-                result = yield from self.rpc.call(
-                    target, method, payload, nbytes, trace=trace,
-                    give_up=lambda t=target, v=version0: (
-                        not self.membership.is_live(t)
-                        or self.partition_map.version != v
-                    ),
-                )
+                result = yield from self.rpc.call(target, method, payload, nbytes, trace, give_up)
                 return result
             except RetriesExhausted as exc:
                 stats.retries += 1
@@ -272,7 +271,8 @@ class ClusterClient:
             f"reachable ({candidates})"
         ) from last
 
-    def _quorum_get(self, tenant: str, key: int, trace: Optional[int] = None):
+    def _quorum_get(self, tenant: str, key: int, payload: dict,
+                    trace: Optional[int] = None):
         """Read from a quorum of live replicas; chain-senior reply wins."""
         partition = self.partition_map.partition_of(tenant, key)
         live = [r for r in partition.replicas if self.membership.is_live(r)]
@@ -283,7 +283,6 @@ class ClusterClient:
         need = min(self.config.effective_read_quorum, len(live))
         state = {"replies": {}, "done": 0}
         quorum = self.sim.event()
-        payload = self._payload({"tenant": tenant, "key": key}, trace)
         for rank, name in enumerate(live):
             self.sim.process(
                 self._read_one(
@@ -324,8 +323,12 @@ class ClusterClient:
         self, tenant: str, kind: str, size: int, started: float,
         trace: Optional[int] = None,
     ) -> None:
-        self.stats[tenant].note(kind, size)
-        self.latencies[tenant].record(kind, self.sim.now - started)
+        """Count an answered request and its latency; span it if tracing."""
+        books = self._books.get(tenant)
+        if books is None:
+            books = self._books[tenant] = (self.stats[tenant], self.latencies[tenant])
+        books[0].note(kind, size)
+        books[1].record(kind, self.sim.now - started)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.span(

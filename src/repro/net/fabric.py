@@ -164,6 +164,7 @@ class Nic:
     a message starting service at ``max(now, next_free)`` and holding
     the NIC for its serialization time yields exactly FIFO queueing
     delay under load, with no per-message process overhead.
+    :meth:`NetworkFabric.send` does the accounting.
     """
 
     __slots__ = ("name", "bandwidth", "next_free", "messages", "bytes")
@@ -174,15 +175,6 @@ class Nic:
         self.next_free = 0.0
         self.messages = 0
         self.bytes = 0
-
-    def serialize(self, now: float, nbytes: int) -> Tuple[float, float]:
-        """Occupy the NIC for ``nbytes``; returns (queue_wait, done_at)."""
-        service = nbytes / self.bandwidth
-        start = self.next_free if self.next_free > now else now
-        self.next_free = start + service
-        self.messages += 1
-        self.bytes += nbytes
-        return start - now, self.next_free
 
 
 class NetworkFabric:
@@ -201,6 +193,11 @@ class NetworkFabric:
         self._handlers: Dict[str, Callable[[Any], None]] = {}
         self._down: Dict[str, float] = {}  # endpoint -> kill time
         self.link_stats: Dict[Tuple[str, str], LinkStats] = {}
+        #: per-link context: src -> dst -> (LinkStats, source Nic),
+        #: resolved on a link's first message
+        self._links: Dict[str, Dict[str, Tuple[LinkStats, Nic]]] = {}
+        self._overhead = self.config.message_overhead
+        self._latency = self.config.link_latency
         self.injector = (
             NetFaultInjector(self.config.fault_plan)
             if self.config.fault_plan is not None
@@ -216,6 +213,7 @@ class NetworkFabric:
         nic = Nic(name, self.config.nic_bandwidth)
         self.nics[name] = nic
         self._handlers[name] = handler
+        self._links[name] = {}
         return nic
 
     def set_down(self, name: str) -> None:
@@ -237,39 +235,50 @@ class NetworkFabric:
         """
         if src in self._down:
             return
+        link = self._links[src].get(dst)
+        if link is None:
+            link = self._open_link(src, dst)
+        stats, nic = link
         now = self.sim.now
-        stats = self.link_stats.get((src, dst))
-        if stats is None:
-            stats = self.link_stats[(src, dst)] = LinkStats()
-        wire_bytes = nbytes + self.config.message_overhead
-        queue_wait, done_at = self.nics[src].serialize(now, wire_bytes)
+        wire_bytes = nbytes + self._overhead
+        # Occupy the source NIC: service starts once it is free.
+        start = nic.next_free if nic.next_free > now else now
+        done_at = nic.next_free = start + wire_bytes / nic.bandwidth
+        nic.messages += 1
+        nic.bytes += wire_bytes
+        queue_wait = start - now
         stats.messages += 1
         stats.bytes += wire_bytes
         stats.queue_wait += queue_wait
         if queue_wait > stats.max_queue_wait:
             stats.max_queue_wait = queue_wait
+        if self.injector is None:
+            self.sim.call_at(done_at + self._latency, self._deliver, (dst, message, stats))
+            return
+        # Partition severance first: it is deterministic (no RNG draw),
+        # so cutting a link never perturbs drop/dup streams.
+        if self.injector.severed(now, src, dst):
+            stats.partitioned += 1
+            return
+        if self.injector.drop(now):
+            stats.dropped += 1
+            return
+        extra = self.injector.extra_delay(now)
         deliveries = 1
-        extra = 0.0
-        if self.injector is not None:
-            # Partition severance first: it is deterministic (no RNG
-            # draw), so cutting a link never perturbs drop/dup streams.
-            if self.injector.severed(now, src, dst):
-                stats.partitioned += 1
-                return
-            if self.injector.drop(now):
-                stats.dropped += 1
-                return
-            extra = self.injector.extra_delay(now)
-            if self.injector.duplicate(now):
-                stats.duplicated += 1
-                deliveries = 2
-        arrival = done_at + self.config.link_latency + extra
+        if self.injector.duplicate(now):
+            stats.duplicated += 1
+            deliveries = 2
+        arrival = done_at + self._latency + extra
         delivery = (dst, message, stats)
         for copy in range(deliveries):
             # Duplicates trail the original by one propagation delay.
-            self.sim.call_at(
-                arrival + copy * self.config.link_latency, self._deliver, delivery
-            )
+            self.sim.call_at(arrival + copy * self._latency, self._deliver, delivery)
+
+    def _open_link(self, src: str, dst: str) -> Tuple[LinkStats, Nic]:
+        """A link's first message: its counters and its source NIC."""
+        stats = self.link_stats[(src, dst)] = LinkStats()
+        link = self._links[src][dst] = (stats, self.nics[src])
+        return link
 
     def _deliver(self, delivery: Tuple[str, Any, LinkStats]) -> None:
         dst, message, stats = delivery

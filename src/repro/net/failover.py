@@ -29,7 +29,7 @@ replica layout so Libra's per-node demand targets follow the data.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..faults import StorageFault
 from ..node.router import PartitionMap
@@ -122,6 +122,9 @@ class FailureDetector:
         #: node -> sim time of the freshest heartbeat received
         self.last_seen: Dict[str, float] = {name: 0.0 for name in services}
         self.failovers: List[FailoverRecord] = []
+        #: dead nodes that still lead a partition none of whose live
+        #: replicas answered ``repl.seq``; retried every sweep
+        self._unpromoted: Set[str] = set()
         self._stopped = False
         sim.process(self._sweep(), name=f"detector.{name}")
 
@@ -149,6 +152,8 @@ class FailureDetector:
         while not self._stopped:
             yield self.sim.timeout(interval)
             deadline = self.sim.now - self.config.suspicion_timeout
+            for node in sorted(self._unpromoted):
+                yield from self._failover(node)
             for node in sorted(self.last_seen):
                 if self.membership.is_live(node) and self.last_seen[node] < deadline:
                     self.membership.mark_dead(node)
@@ -163,8 +168,20 @@ class FailureDetector:
     def _failover(self, dead: str):
         """DES sub-generator: promote a backup for every partition the
         dead node led, choosing the max applied sequence among live
-        replicas."""
+        replicas.
+
+        A replica that did not answer has an unknown applied prefix, so
+        it is never promoted: a partition none of whose live replicas
+        answered keeps its dead primary, and the node is retried on the
+        next sweep.  That covers only the all-silent case.  When some
+        replicas answer, the best of them is promoted even if a silent
+        one holds a longer prefix, so acked writes past the promoted
+        prefix can be lost.  The record is kept once the failover
+        completes, or earlier if it already promoted something (the map
+        moved, so reservations re-split).
+        """
         record = FailoverRecord(dead, self.sim.now)
+        unanswered = False
         for tenant in self.partition_map.tenants():
             for partition in self.partition_map.partitions(tenant):
                 if partition.node != dead:
@@ -183,8 +200,17 @@ class FailureDetector:
                     seq = yield from self._applied_seq(name, tenant, partition.index)
                     if seq > best_seq:
                         best, best_seq = name, seq
+                if best is None:
+                    unanswered = True
+                    continue
                 self.partition_map.promote(tenant, partition.index, best)
                 record.promotions.append((tenant, partition.index, best, best_seq))
+        if unanswered:
+            self._unpromoted.add(dead)
+            if not record.promotions:
+                return
+        else:
+            self._unpromoted.discard(dead)
         self.failovers.append(record)
         if self.on_failover is not None:
             self.on_failover(record)

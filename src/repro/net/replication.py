@@ -137,6 +137,46 @@ class _Migration:
         return self.lo is None or (self.lo <= key < self.hi)
 
 
+class _Quorum:
+    """One replicated write's shipments: their ack count behind the
+    write's quorum event.  Called as each shipment's ``done``."""
+
+    __slots__ = ("event", "need", "total", "acks", "done", "settled", "payload",
+                 "nbytes", "trace", "owner")
+
+    def __init__(self, event, need: int, total: int, payload: dict, nbytes: int,
+                 trace, owner: str):
+        self.event = event
+        self.need = need
+        self.total = total
+        self.acks = 0
+        self.done = 0
+        self.settled = False
+        self.payload = payload
+        self.nbytes = nbytes
+        self.trace = trace
+        self.owner = owner
+
+    def __call__(self, ok: bool, _value) -> None:
+        if ok:
+            self.acks += 1
+        self.done += 1
+        if self.settled:
+            return
+        if self.acks >= self.need:
+            self.settled = True
+            self.event.succeed()
+        elif self.done == self.total:
+            self.settled = True
+            payload = self.payload
+            self.event.fail(
+                QuorumError(
+                    f"{self.owner}: {payload['tenant']}/{payload['pid']} seq "
+                    f"{payload['seq']}: {self.acks}/{self.need} replica acks"
+                )
+            )
+
+
 class KvService:
     """One node's RPC face: client KV methods plus the replication feed.
 
@@ -170,13 +210,14 @@ class KvService:
         self.partition_map = partition_map
         self.membership = membership
         self.config = config or fabric.config
+        self._write_quorum = self.config.effective_write_quorum
         self.rpc = RpcEndpoint(
             sim, fabric, node.name, config=self.config, tracer=node.tracer
         )
         self.rpc.register("kv.get", self._handle_get)
         self.rpc.register("kv.put", self._handle_put)
         self.rpc.register("kv.delete", self._handle_delete)
-        self.rpc.register("repl.apply", self._handle_apply)
+        self.rpc.register_async("repl.apply", self._handle_apply)
         self.rpc.register("repl.seq", self._handle_seq)
         self.rpc.register("mig.apply", self._handle_mig_apply)
         # -- live migration (control plane; see repro.control.reshard) -----
@@ -222,7 +263,8 @@ class KvService:
         #: highest sequence applied in order per (tenant, pid) as backup
         self._applied: Dict[Tuple[str, int], int] = {}
         #: out-of-order arrivals waiting for their predecessors:
-        #: (tenant, pid) -> {seq: (key, size, op, done_event)}
+        #: (tenant, pid) -> {seq: (key, size, op, trace, request, slot,
+        #: received at)}
         self._pending: Dict[Tuple[str, int], Dict[int, tuple]] = {}
         self._draining: Set[Tuple[str, int]] = set()
         #: durable WAL records per tenant on this node (primary writes,
@@ -338,11 +380,18 @@ class KvService:
         client's acknowledgement.  W = 1 is therefore *asynchronous*
         replication (ack on local commit, shipping races the failure),
         not no replication.
+
+        Each shipment is a :meth:`_ship` scheduled for now, in the heap
+        slot a shipping process's start would take, and relays its
+        reply through :meth:`RpcEndpoint.call_async` — no process or
+        generator per shipment.
         """
-        backups = [
-            name for name in partition.replicas[1:] if self.membership.is_live(name)
-        ]
-        need = min(self.config.effective_write_quorum, 1 + len(backups)) - 1
+        is_live = self.membership.is_live
+        backups = []
+        for name in partition.replicas[1:]:
+            if is_live(name):
+                backups.append(name)
+        need = min(self._write_quorum, 1 + len(backups)) - 1
         if not backups:
             self.quorum_acks += 1
             return
@@ -357,97 +406,90 @@ class KvService:
         }
         if trace is not None:
             payload["trace"] = trace
-        nbytes = size + REPL_HEADER_BYTES
-        quorum = self.sim.event()
-        state = {"acks": 0, "done": 0}
+        quorum = _Quorum(
+            self.sim.event(), need, len(backups), payload, size + REPL_HEADER_BYTES,
+            trace, self.node.name,
+        )
+        sim = self.sim
         for name in backups:
-            self.sim.process(
-                self._ship_one(
-                    name, payload, nbytes, state, need, len(backups), quorum, trace
-                ),
-                name="repl.ship",
-            )
+            sim.call_at(sim.now, self._ship, (name, quorum))
         if need <= 0:
-            # Asynchronous replication: the shipping processes run on,
-            # but the local durable commit alone earns the ack.
+            # Asynchronous replication: the shipments run on, but the
+            # local durable commit alone earns the ack.
             self.quorum_acks += 1
             return
         try:
-            yield quorum
+            yield quorum.event
         except QuorumError:
             self.quorum_failures += 1
             raise
         self.quorum_acks += 1
 
-    def _ship_one(self, target, payload, nbytes, state, need, total, quorum, trace=None):
-        ok = False
-        try:
-            yield from self.rpc.call(target, "repl.apply", payload, nbytes, trace=trace)
-            ok = True
-        except (RetriesExhausted, StorageFault):
-            ok = False
-        state["acks"] += 1 if ok else 0
-        state["done"] += 1
-        if quorum.triggered:
-            return
-        if state["acks"] >= need:
-            quorum.succeed()
-        elif state["done"] == total:
-            quorum.fail(
-                QuorumError(
-                    f"{self.node.name}: {payload['tenant']}/{payload['pid']} seq "
-                    f"{payload['seq']}: {state['acks']}/{need} replica acks"
-                )
-            )
+    def _ship(self, shipment) -> None:
+        target, quorum = shipment
+        self.rpc.call_async(
+            target, "repl.apply", quorum.payload, quorum.nbytes, quorum, quorum.trace
+        )
 
     # -- replication-feed handlers (run on backups) ------------------------
 
-    def _handle_apply(self, payload):
-        tenant, pid, seq = payload["tenant"], payload["pid"], payload["seq"]
-        slot = (tenant, pid)
+    def _handle_apply(self, request) -> None:
+        """``repl.apply``: answered once the record and its whole prefix
+        are durable here (by :meth:`_drain`), duplicates at once."""
+        payload = request.payload
+        slot = (payload["tenant"], payload["pid"])
+        seq = payload["seq"]
         applied = self._applied.setdefault(slot, 0)
+        now = self.sim.now
         if seq <= applied:
             # Duplicate (MSG_DUP or a retry whose original landed):
             # already durable, acknowledge without re-applying.
-            return {"seq": applied}, ACK_BYTES
-        done = self.sim.event()
+            self.rpc.reply(request, {"seq": applied}, ACK_BYTES, now)
+            return
         self._pending.setdefault(slot, {})[seq] = (
-            payload["key"],
-            payload["size"],
-            payload["op"],
-            payload.get("trace"),
-            done,
+            payload["key"], payload["size"], payload["op"], payload.get("trace"),
+            request, slot, now,
         )
         if slot not in self._draining:
             self._draining.add(slot)
             self.sim.process(self._drain(slot), name="repl.drain")
-        yield done
-        return {"seq": self._applied[slot]}, ACK_BYTES
 
     def _drain(self, slot: Tuple[str, int]):
-        """Apply buffered records in sequence order, acking each."""
+        """Apply buffered records in sequence order, acking each.
+
+        An ack (or nack) is scheduled for now — where a waiter's wake-up
+        would queue — and reads the applied prefix when it fires.
+        """
         tenant, _pid = slot
         pending = self._pending.setdefault(slot, {})
+        sim = self.sim
         try:
             while True:
                 entry = pending.pop(self._applied[slot] + 1, None)
                 if entry is None:
                     return
-                key, size, op, trace, done = entry
+                key, size, op, trace, request, _slot, _received = entry
                 try:
                     yield from self.node.apply_replica(
                         tenant, key, size or 1024, op=op, trace=trace
                     )
                 except StorageFault as exc:
                     # The apply did not land (engine retries exhausted);
-                    # fail the waiter so the primary re-ships, and stop
-                    # draining — order must hold.
-                    done.fail(exc)
+                    # nack so the primary re-ships, and stop draining —
+                    # order must hold.
+                    sim.call_at(sim.now, self._nack_apply, (request, exc))
                     return
                 self._applied[slot] += 1
-                done.succeed()
+                sim.call_at(sim.now, self._ack_apply, entry)
         finally:
             self._draining.discard(slot)
+
+    def _ack_apply(self, entry) -> None:
+        _key, _size, _op, _trace, request, slot, received = entry
+        self.rpc.reply(request, {"seq": self._applied[slot]}, ACK_BYTES, received)
+
+    def _nack_apply(self, failed) -> None:
+        self.rpc.reply_error(*failed)
 
     def _handle_seq(self, payload):
         applied = self.applied_seq(payload["tenant"], payload["pid"])

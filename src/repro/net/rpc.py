@@ -9,12 +9,22 @@ backoff — the same budget shape
 device faults, because the failure modes rhyme: a dropped message, a
 dead peer, and a congested NIC all look like silence to the caller.
 
+One retry/give-up/backoff policy has two drivers.  :meth:`RpcEndpoint.call`
+is a DES generator for callers that park on the reply;
+:meth:`RpcEndpoint.call_async` reports to a ``done(ok, value)`` callback
+for callers that only relay it (replica shipping).  Each continuation of
+the callback driver takes the one heap slot the generator's resume would
+have taken, so the two produce the same trajectory.
+
 Handlers are DES generators and must be **idempotent**: a duplicated
 request (MSG_DUP window, or a retry whose original attempt actually
 landed) runs the handler again.  Replica applies are sequence-
 idempotent and KV writes are last-writer-wins per key, so the storage
 handlers satisfy this by construction.  Duplicate responses are ignored
-(the correlation id is consumed by the first).
+(the correlation id is consumed by the first).  A handler registered
+with :meth:`RpcEndpoint.register_async` is a plain function that answers
+later through :meth:`RpcEndpoint.reply` / :meth:`RpcEndpoint.reply_error`
+instead of a generator parked in a serve process.
 """
 
 from __future__ import annotations
@@ -79,6 +89,52 @@ class RpcMessage:
         return f"RpcMessage({fields})"
 
 
+class _AsyncCall:
+    """One :meth:`RpcEndpoint.call_async` in flight.
+
+    It is its own waiter in the endpoint's ``_waiting`` table: where an
+    :class:`Event` would queue its dispatch, :meth:`succeed` queues
+    :meth:`finish` — one heap entry at the same instant — so the
+    response and expiry paths cannot tell the two drivers apart.
+    """
+
+    __slots__ = ("endpoint", "target", "method", "payload", "nbytes", "done",
+                 "trace", "give_up", "attempt", "started", "reply")
+
+    def succeed(self, reply) -> None:
+        self.reply = reply
+        sim = self.endpoint.sim
+        # Scheduled as a plain function of the call: no bound method.
+        sim.call_at(sim.now, _AsyncCall.finish, self)
+
+    def finish(self) -> None:
+        """Classify the attempt's reply; answer ``done`` or retry."""
+        endpoint = self.endpoint
+        reply = self.reply
+        self.reply = None
+        failure = endpoint._reply_failure(
+            reply, self.target, self.method, self.nbytes, self.trace, self.started
+        )
+        if failure is None:
+            self.done(True, reply.payload)
+            return
+        self.attempt += 1
+        try:
+            backoff = endpoint._retry_after(
+                self.attempt, failure, self.target, self.method, self.give_up
+            )
+        except RetriesExhausted as exc:
+            self.done(False, exc)
+            return
+        sim = endpoint.sim
+        sim.call_at(sim.now + backoff, _AsyncCall.retry, self)
+
+    def retry(self) -> None:
+        self.started = self.endpoint._send_request(
+            self.target, self.method, self.payload, self.nbytes, self.trace, self
+        )
+
+
 class RpcEndpoint:
     """One named party on the fabric: caller and callee in one."""
 
@@ -107,9 +163,13 @@ class RpcEndpoint:
         self._jitter_rng = random.Random(zlib.crc32(name.encode()) ^ 0x1277E4)
         #: method -> generator function(payload) -> (result, reply_bytes)
         self._methods: Dict[str, Callable] = {}
+        #: method -> plain function(request message), answering later
+        #: through reply/reply_error
+        self._async_methods: Dict[str, Callable[[RpcMessage], None]] = {}
         #: one-way method -> plain function(payload) -> None
         self._cast_methods: Dict[str, Callable[[Any], None]] = {}
-        self._waiting: Dict[int, Event] = {}  # corr_id -> response Event
+        #: corr_id -> the attempt's waiter (an Event, or an _AsyncCall)
+        self._waiting: Dict[int, Any] = {}
         self._next_id = 0
         #: per-attempt deadlines: FIFO, as rpc_timeout is one constant here
         self._deadlines = DeadlineQueue(sim, self._waiting.__contains__, self._expire)
@@ -121,6 +181,14 @@ class RpcEndpoint:
         ``(result, reply_bytes)``."""
         self._methods[method] = handler
 
+    def register_async(self, method: str, handler: Callable[[RpcMessage], None]) -> None:
+        """Register a handler that answers later: a plain function of
+        the request message, run at the instant (and heap slot) a
+        :meth:`register` handler's serve process would start, which must
+        eventually answer through :meth:`reply` or :meth:`reply_error`
+        and must not raise."""
+        self._async_methods[method] = handler
+
     def register_cast(self, method: str, handler: Callable[[Any], None]) -> None:
         """Register a one-way handler (no response, plain callable)."""
         self._cast_methods[method] = handler
@@ -131,11 +199,7 @@ class RpcEndpoint:
         """Fire-and-forget message (heartbeats, notifications)."""
         self.stats.casts += 1
         self.fabric.send(
-            self.name,
-            target,
-            nbytes,
-            RpcMessage(kind="cast", src=self.name, corr_id=0, method=method,
-                       payload=payload),
+            self.name, target, nbytes, RpcMessage("cast", self.name, 0, method, payload)
         )
 
     def call(self, target: str, method: str, payload: Any, nbytes: int,
@@ -161,59 +225,78 @@ class RpcEndpoint:
         after a partition heal spreads out instead of re-synchronizing
         into timeout waves.
         """
-        cfg = self.config
         attempt = 0
         while True:
-            try:
-                result = yield from self.call_once(
-                    target, method, payload, nbytes, trace=trace
-                )
-                return result
-            except NetworkFault as exc:
-                attempt += 1
-                self.stats.retries += 1
-                if give_up is not None and give_up():
-                    self.stats.failures += 1
-                    raise RetriesExhausted(
-                        f"{self.name}: rpc {method} to {target} abandoned "
-                        f"after {attempt} attempts (target declared dead)"
-                    ) from NodeUnreachable(
-                        f"{self.name}: target node {target} is marked down"
-                    )
-                if attempt > cfg.rpc_retries:
-                    self.stats.failures += 1
-                    raise RetriesExhausted(
-                        f"{self.name}: rpc {method} to {target} failed after "
-                        f"{cfg.rpc_retries} retries"
-                    ) from exc
-                backoff = cfg.rpc_backoff * (2 ** (attempt - 1))
-                if cfg.rpc_jitter > 0.0:
-                    backoff *= 1.0 + cfg.rpc_jitter * self._jitter_rng.random()
-                yield self.sim.timeout(backoff)
+            response = Event(self.sim)
+            started = self._send_request(target, method, payload, nbytes, trace, response)
+            reply = yield response
+            failure = self._reply_failure(reply, target, method, nbytes, trace, started)
+            if failure is None:
+                return reply.payload
+            attempt += 1
+            yield self.sim.timeout(self._retry_after(attempt, failure, target, method, give_up))
+
+    def call_async(self, target: str, method: str, payload: Any, nbytes: int,
+                   done: Callable[[bool, Any], None], trace: Optional[int] = None,
+                   give_up: Optional[Callable[[], bool]] = None) -> None:
+        """:meth:`call` for a caller that is a callback, not a process.
+
+        Sends the first attempt now.  ``done(True, result)`` or
+        ``done(False, RetriesExhausted)`` runs exactly where :meth:`call`
+        would return or raise into its caller, and every retry waits on
+        a scheduled call where :meth:`call` would wait on a ``Timeout``
+        — the same policy, budget and trajectory, with no generator.
+        """
+        pending = _AsyncCall()
+        pending.endpoint = self
+        pending.target = target
+        pending.method = method
+        pending.payload = payload
+        pending.nbytes = nbytes
+        pending.done = done
+        pending.trace = trace
+        pending.give_up = give_up
+        pending.attempt = 0
+        pending.started = self._send_request(target, method, payload, nbytes, trace, pending)
 
     def call_once(self, target: str, method: str, payload: Any, nbytes: int,
                   trace: Optional[int] = None):
         """DES generator: a single attempt against the response budget."""
+        response = Event(self.sim)
+        started = self._send_request(target, method, payload, nbytes, trace, response)
+        reply = yield response
+        failure = self._reply_failure(reply, target, method, nbytes, trace, started)
+        if failure is not None:
+            raise failure
+        return reply.payload
+
+    # -- one attempt, shared by both drivers ---------------------------------
+
+    def _send_request(self, target: str, method: str, payload: Any, nbytes: int,
+                      trace: Optional[int], waiter) -> float:
+        """Register ``waiter`` under a fresh correlation id, send the
+        request and arm its deadline; returns the send time."""
         self.stats.calls += 1
         self._next_id += 1
         corr_id = self._next_id
-        sim = self.sim
-        started = sim.now
-        response = Event(sim)
-        self._waiting[corr_id] = response
+        started = self.sim.now
+        self._waiting[corr_id] = waiter
         self.fabric.send(
-            self.name,
-            target,
-            nbytes,
-            RpcMessage(kind="req", src=self.name, corr_id=corr_id, method=method,
-                       payload=payload, trace=trace),
+            self.name, target, nbytes,
+            RpcMessage("req", self.name, corr_id, method, payload, True, trace),
         )
         self._deadlines.add(started + self.config.rpc_timeout, corr_id)
-        # The response message, or None once the deadline passed.
-        reply = yield response
+        return started
+
+    def _reply_failure(self, reply: Optional[RpcMessage], target: str, method: str,
+                       nbytes: int, trace: Optional[int],
+                       started: float) -> Optional[NetworkFault]:
+        """Classify an attempt's outcome: None when it succeeded, else the
+        :class:`~repro.faults.RpcTimeout` (no reply: the deadline passed)
+        or :class:`RpcError` (the handler raised) that failed it."""
         if reply is None:
             self.stats.timeouts += 1
-            raise RpcTimeout(
+            return RpcTimeout(
                 f"{self.name}: rpc {method} to {target} got no response in "
                 f"{self.config.rpc_timeout:.3f}s"
             )
@@ -222,12 +305,34 @@ class RpcEndpoint:
         if tr is not None and tr.enabled:
             tr.span(
                 f"rpc.{method}", "net", self.name, target,
-                started, sim.now, trace=trace,
+                started, self.sim.now, trace=trace,
                 args={"bytes": nbytes, "ok": reply.ok},
             )
-        if not reply.ok:
-            raise reply.payload
-        return reply.payload
+        return None if reply.ok else reply.payload
+
+    def _retry_after(self, attempt: int, failure: NetworkFault, target: str,
+                     method: str, give_up: Optional[Callable[[], bool]]) -> float:
+        """Count failed attempt ``attempt`` and return the backoff before
+        the next one, or raise :class:`RetriesExhausted` when the caller
+        gives up or the budget is spent."""
+        cfg = self.config
+        self.stats.retries += 1
+        if give_up is not None and give_up():
+            self.stats.failures += 1
+            raise RetriesExhausted(
+                f"{self.name}: rpc {method} to {target} abandoned "
+                f"after {attempt} attempts (target declared dead)"
+            ) from unreachable(self.name, target)
+        if attempt > cfg.rpc_retries:
+            self.stats.failures += 1
+            raise RetriesExhausted(
+                f"{self.name}: rpc {method} to {target} failed after "
+                f"{cfg.rpc_retries} retries"
+            ) from failure
+        backoff = cfg.rpc_backoff * (2 ** (attempt - 1))
+        if cfg.rpc_jitter > 0.0:
+            backoff *= 1.0 + cfg.rpc_jitter * self._jitter_rng.random()
+        return backoff
 
     def _expire(self, corr_id: int) -> None:
         """The attempt's deadline passed unanswered: wake it empty-handed
@@ -248,44 +353,49 @@ class RpcEndpoint:
                 handler(message.payload)
             return
         self.stats.served += 1
-        self.sim.process(self._serve(message), name="rpc.serve")
+        handler = self._async_methods.get(message.method)
+        if handler is not None:
+            self.sim.call_at(self.sim.now, handler, message)
+        else:
+            self.sim.process(self._serve(message), name="rpc.serve")
 
     def _serve(self, message: RpcMessage):
         handler = self._methods.get(message.method)
         if handler is None:
-            self._respond(
-                message, ok=False,
-                payload=RpcError(f"{self.name}: no method {message.method!r}"),
-                nbytes=ACK_BYTES,
-            )
+            self._reply_failed(message, RpcError(f"{self.name}: no method {message.method!r}"))
             return
         started = self.sim.now
         try:
             result, reply_bytes = yield from handler(message.payload)
         except Exception as exc:  # noqa: BLE001 - travels back to the caller
-            self._respond(
-                message, ok=False,
-                payload=RpcError(f"{message.method} on {self.name}: {exc}"),
-                nbytes=ACK_BYTES,
-            )
+            self.reply_error(message, exc)
             return
+        self.reply(message, result, reply_bytes, started)
+
+    def reply(self, request: RpcMessage, result: Any, nbytes: int, started: float) -> None:
+        """Answer ``request`` with ``result`` (``nbytes`` on the wire),
+        recording the ``serve.<method>`` span from ``started`` when
+        tracing — what a serve process does after its handler returns."""
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.span(
-                f"serve.{message.method}", "net", self.name, message.src,
-                started, self.sim.now, trace=message.trace,
+                f"serve.{request.method}", "net", self.name, request.src,
+                started, self.sim.now, trace=request.trace,
             )
-        self._respond(message, ok=True, payload=result, nbytes=reply_bytes)
-
-    def _respond(
-        self, request: RpcMessage, ok: bool, payload: Any, nbytes: int
-    ) -> None:
         self.fabric.send(
-            self.name,
-            request.src,
-            nbytes,
-            RpcMessage(kind="resp", src=self.name, corr_id=request.corr_id,
-                       payload=payload, ok=ok, trace=request.trace),
+            self.name, request.src, nbytes,
+            RpcMessage("resp", self.name, request.corr_id, "", result, True, request.trace),
+        )
+
+    def reply_error(self, request: RpcMessage, exc: BaseException) -> None:
+        """Answer ``request`` with the handler's failure: its text
+        travels back as an :class:`RpcError`."""
+        self._reply_failed(request, RpcError(f"{request.method} on {self.name}: {exc}"))
+
+    def _reply_failed(self, request: RpcMessage, error: RpcError) -> None:
+        self.fabric.send(
+            self.name, request.src, ACK_BYTES,
+            RpcMessage("resp", self.name, request.corr_id, "", error, False, request.trace),
         )
 
 

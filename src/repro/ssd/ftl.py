@@ -270,6 +270,20 @@ class Ftl:
         first, last = pages[0], pages[-1]
         if first == last:
             return [(self.read_channel(offset), 1, size)]
+        if last == first + 1:
+            # Two pages (a 4 KiB value across a page boundary): the two
+            # lookups as Python ints, no slice.
+            block = self.page_to_block.item(first)
+            chan0 = first % nchan if block == UNMAPPED else self.block_channel.item(block)
+            block = self.page_to_block.item(last)
+            chan1 = last % nchan if block == UNMAPPED else self.block_channel.item(block)
+            head = (first + 1) * page - offset
+            tail = offset + size - last * page
+            if chan0 == chan1:
+                return [(chan0, 2, head + tail)]
+            if chan0 < chan1:
+                return [(chan0, 1, head), (chan1, 1, tail)]
+            return [(chan1, 1, tail), (chan0, 1, head)]
         block_channel = self.block_channel
         chans = [
             block_channel[block] if block != UNMAPPED else p % nchan

@@ -495,6 +495,54 @@ def test_quorum_error_when_all_backups_dead():
     assert cluster.services[primary].quorum_failures > 0
 
 
+def test_failover_waits_for_a_replica_that_answers_repl_seq():
+    """node0 dies at 1.0 and every message is dropped over [1.2, 1.6),
+    so no backup answers ``repl.seq`` while its failover first runs.
+    A replica with an unknown applied prefix may lack acked writes: the
+    detector must leave those partitions alone, retry on a later sweep,
+    and keep sweeping.  (It used to promote ``None``; the ValueError
+    killed the unawaited sweep process, so node0's partitions kept a
+    dead primary and node1's kill at 3.0 was never noticed.)"""
+    from repro.ssd import get_profile
+
+    sim = Simulator()
+    plan = FaultPlan(seed=1).add(FaultWindow(FaultKind.MSG_DROP, 1.2, 1.6, probability=1.0))
+    net = NetConfig(
+        rf=2, heartbeat_interval=0.05, suspicion_timeout=0.25, rpc_timeout=0.05,
+        rpc_retries=2, fault_plan=plan,
+    )
+    cluster = StorageCluster(
+        sim, n_nodes=3, profile=get_profile("intel320").with_capacity(64 * MIB), seed=1,
+        net=net,
+    )
+    cluster.add_tenant("t", Reservation(gets=1000, puts=1000))
+    led = [p.index for p in cluster.partition_map.partitions("t") if p.node == "node0"]
+    promoted = []
+    promote = cluster.partition_map.promote
+
+    def spy(tenant, pid, node):
+        promoted.append((sim.now, pid, node))
+        return promote(tenant, pid, node)
+
+    cluster.partition_map.promote = spy
+
+    def killer():
+        yield sim.timeout(1.0)
+        cluster.kill_node("node0")
+        yield sim.timeout(2.0)
+        cluster.kill_node("node1")
+
+    sim.process(killer())
+    sim.run(until=6.0)
+    cluster.stop()
+    node0_promotions = [(at, pid, node) for at, pid, node in promoted if pid in led and at < 3.0]
+    assert sorted(pid for _at, pid, _node in node0_promotions) == sorted(led)
+    assert all(at >= 1.6 and node in ("node1", "node2") for at, _pid, node in node0_promotions)
+    assert all(p.node != "node0" for p in cluster.partition_map.partitions("t"))
+    assert not cluster.membership.is_live("node1") and cluster.membership.is_live("node2")
+    assert [rec.node for rec in cluster.detector.failovers if rec.at >= 3.0] == ["node1"]
+
+
 def test_cluster_without_net_keeps_direct_path():
     sim = Simulator()
     cluster = StorageCluster(

@@ -24,6 +24,13 @@ budget race (``budgeted``), trace-id allocation and every span
 ``read_replica`` under both replication modes.  They run on the fast
 executor only: nothing above the scheduler depends on the executor.
 
+``cluster/chaos`` pins the message path those fault-free clusters never
+take, recorded at the commit before replica shipping and backup applies
+became scheduled continuations: the replicated run of
+``tests/test_determinism.py`` (MSG_DROP/DUP/DELAY windows, a node kill,
+failover through ``repl.seq``, duplicate applies and the out-of-order
+apply buffer), hashed whole.
+
 Re-record only for a deliberate model change, and say so in the PR:
 
     PYTHONPATH=src python -m tests.test_node_golden
@@ -36,6 +43,7 @@ from typing import NamedTuple, Optional
 import pytest
 
 from .helpers import force_coroutine_path
+from .test_determinism import _replicated_run
 from repro.core import Reservation
 from repro.engine import EngineConfig
 from repro.faults import FaultKind, FaultPlan, FaultWindow, StorageFault
@@ -145,6 +153,7 @@ GOLDEN_REWIRED = {
     "traced/spans": "32331:00d8d99aeae7c1f8",
     "cluster/primary-backup": "b34928c1d2eff905-337ff96cd1d2ad26-f446093362fdb16e",
     "cluster/leaderless": "d7dc979e4ad63d69-18d39da02021d714-e239fc495368ce66",
+    "cluster/chaos": "00fcbe3a68c86519",
 }
 
 
@@ -298,6 +307,9 @@ def rewired_digests(nodes, clusters) -> dict:
         digests[f"cluster/{mode}"] = "-".join(
             node_digest(node) for node in cluster.nodes.values()
         )
+    digests["cluster/chaos"] = hashlib.sha256(
+        repr(_replicated_run(seed=9)).encode()
+    ).hexdigest()[:16]
     return digests
 
 

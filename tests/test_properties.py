@@ -460,3 +460,124 @@ def test_cache_agrees_with_dict_model_under_interleaving(programs):
     assert cached == model
     uncached, model = _run_cache_program(programs, cache_bytes=0)
     assert uncached == model
+
+
+# ---------------------------------------------------------------------------
+# Replicated cluster: acknowledged writes survive message chaos
+# ---------------------------------------------------------------------------
+
+CHAOS_KEYS = 4  # per client
+CHAOS_OPS = st.tuples(
+    st.sampled_from(["get", "put", "put"]),
+    st.integers(0, CHAOS_KEYS - 1),
+    st.integers(0, 4),  # think time before the op, in 5 ms steps
+)
+
+
+def _run_chaos_program(programs, drop, dup, delay, kill_at):
+    """One client per program over its own keys of a 3-node rf=3
+    primary-backup cluster, under the drawn message-fault windows and an
+    optional kill of the node that is a backup of every partition.
+    Checks every GET against the key's writes; returns each key's
+    read-back after quiescence with the values it may hold."""
+    from repro.core import Reservation
+    from repro.faults import FaultKind, FaultPlan, FaultWindow, StorageFault
+    from repro.net import NetConfig
+    from repro.node import StorageCluster
+    from repro.ssd import get_profile
+
+    plan = FaultPlan(seed=7)
+    if drop is not None:
+        start, length, probability = drop
+        plan.add(FaultWindow(FaultKind.MSG_DROP, start, start + length, probability=probability))
+    if dup is not None:
+        start, length, probability = dup
+        plan.add(FaultWindow(FaultKind.MSG_DUP, start, start + length, probability=probability))
+    if delay is not None:
+        start, length, extra = delay
+        plan.add(FaultWindow(FaultKind.MSG_DELAY, start, start + length, extra_latency=extra))
+    sim = Simulator()
+    cluster = StorageCluster(
+        sim, n_nodes=3, profile=get_profile("intel320").with_capacity(64 * MIB),
+        partitions_per_tenant=2, seed=3,
+        net=NetConfig(
+            rf=3, heartbeat_interval=0.05, suspicion_timeout=0.25, rpc_timeout=0.05,
+            rpc_retries=3, rpc_backoff=0.002, fault_plan=plan,
+        ),
+    )
+    cluster.add_tenant("t", Reservation(gets=1000.0, puts=1000.0))
+    primaries = {p.node for p in cluster.partition_map.partitions("t")}
+    (backup,) = set(cluster.nodes) - primaries  # two partitions, three nodes
+    #: key -> the values a read may return: the last acknowledged write
+    #: plus any later write that failed (it may have landed)
+    possible = {}
+
+    def client(c_idx, program):
+        proxy = cluster.make_client()
+        for op_idx, (verb, k, think) in enumerate(program):
+            yield sim.timeout(think * 0.005)
+            key = c_idx * CHAOS_KEYS + k
+            held = possible.setdefault(key, {None})
+            try:
+                if verb == "get":
+                    got = yield from proxy.get("t", key)
+                    assert got in held, f"GET({key}) returned {got}; may hold {held}"
+                else:
+                    size = 512 + 64 * op_idx
+                    held.add(size)
+                    yield from proxy.put("t", key, size)
+                    possible[key] = {size}
+            except StorageFault:
+                pass  # surfaced after the retries; a failed write stays possible
+
+    def killer():
+        yield sim.timeout(kill_at)
+        cluster.kill_node(backup)
+
+    procs = [sim.process(client(c_idx, program)) for c_idx, program in enumerate(programs)]
+    if kill_at is not None:
+        sim.process(killer())
+    sim.step_while(lambda: any(proc.is_alive for proc in procs))
+    for proc in procs:
+        if not proc.ok:
+            raise proc.value
+    sim.run(until=sim.now + 1.0)  # in-flight shipments land; windows close
+
+    def read_back():
+        proxy = cluster.make_client()
+        values = {}
+        for key in sorted(possible):
+            values[key] = yield from proxy.get("t", key)
+        return values
+
+    final = sim.process(read_back())
+    sim.step_while(lambda: final.is_alive)
+    cluster.stop()
+    assert final.ok, final.value
+    return final.value, possible
+
+
+def _window(upper):
+    return st.none() | st.tuples(st.floats(0.0, 0.15), st.floats(0.01, 0.15), upper)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    programs=st.lists(st.lists(CHAOS_OPS, min_size=8, max_size=20), min_size=2, max_size=4),
+    drop=_window(st.floats(0.05, 0.5)),
+    dup=_window(st.floats(0.1, 0.8)),
+    delay=_window(st.floats(0.001, 0.02)),
+    kill_at=st.none() | st.floats(0.02, 0.15),
+)
+def test_acked_writes_survive_message_chaos(programs, drop, dup, delay, kill_at):
+    """2-4 clients on disjoint keys of an rf=3 primary-backup cluster,
+    through a drawn MSG_DROP / MSG_DUP / MSG_DELAY window each (none
+    longer than the suspicion timeout, so no live node is failed over)
+    and maybe a backup's death: every GET returns its key's last
+    acknowledged size (or a later write that failed and may have
+    landed), and so does the read-back after quiescence.  The quorum
+    acks this checks are what replica shipping and backup applies
+    answer."""
+    final, possible = _run_chaos_program(programs, drop, dup, delay, kill_at)
+    for key, got in final.items():
+        assert got in possible[key], f"read-back {key} = {got}; may hold {possible[key]}"

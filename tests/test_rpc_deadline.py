@@ -7,10 +7,13 @@ Three kinds of test:
   ``rpc_timeout``, and a fault-free round trip must cost a fixed number
   of kernel heap entries.  Counts, not wall-clock, so they are exact
   and belong in tier-1;
-- *oracle tests*: the ``Timeout`` + ``AnyOf`` race ``call_once`` used to
-  run per attempt stays here as the reference; under a seeded message-
-  fault plan both must produce the same ``RpcStats`` and complete every
-  call at the same simulated instant;
+- *oracle and driver tests*: the ``Timeout`` + ``AnyOf`` race
+  ``call_once`` used to run per attempt, with the retry loop that drove
+  it (``LegacyEndpoint``), stays here as the reference; under a seeded
+  message-fault plan it, the coroutine callers of ``call`` and the
+  ``call_async`` callers that relay each reply through a callback must
+  produce the same log and ``RpcStats`` and complete every call at the
+  same simulated instant;
 - *primitive tests*: :class:`~repro.sim.DeadlineQueue` on its own.
 """
 
@@ -20,6 +23,7 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     FaultWindow,
+    NetworkFault,
     RetriesExhausted,
     RpcTimeout,
 )
@@ -45,6 +49,35 @@ def closed_loop(client, calls, target="srv", log=None):
             outcome = type(exc.__cause__).__name__
         if log is not None:
             log.append((client.name, i, outcome, sim.now))
+
+
+class CallbackLoop:
+    """``closed_loop`` with ``call_async``: the next call goes out from
+    the previous call's ``done`` callback, with no process."""
+
+    def __init__(self, client, calls, target="srv", log=None):
+        self.client, self.calls, self.target, self.log = client, calls, target, log
+        self.i = 0
+
+    def start(self, _arg=None):
+        self.client.call_async(self.target, "echo", self.i, 128, self.done)
+
+    def done(self, ok, value):
+        if self.log is not None:
+            outcome = "ok" if ok else type(value.__cause__).__name__
+            self.log.append((self.client.name, self.i, outcome, self.client.sim.now))
+        self.i += 1
+        if self.i < self.calls:
+            self.start()
+
+
+def start_caller(sim, client, calls, target="srv", log=None, callbacks=False):
+    """A closed-loop caller of either kind; the callback one starts in
+    the heap slot the process start takes."""
+    if callbacks:
+        sim.call_at(sim.now, CallbackLoop(client, calls, target, log).start, None)
+    else:
+        sim.process(closed_loop(client, calls, target, log))
 
 
 def echo_pair(config=None, handler=instant):
@@ -96,6 +129,19 @@ def test_fault_free_round_trip_costs_four_heap_entries():
     # Differencing two run lengths cancels the caller's own start and
     # the endpoint's single armed deadline.
     assert heap_pushes(200) - heap_pushes(100) == 4 * 100
+
+
+def callback_heap_pushes(calls: int) -> int:
+    sim, _server, client = echo_pair()
+    start_caller(sim, client, calls, callbacks=True)
+    sim.run(until=0.2)
+    assert client.stats.round_trips == calls
+    return sim._seq
+
+
+def test_fault_free_callback_round_trip_costs_four_heap_entries_too():
+    # The response's continuation takes the slot of the caller's resume.
+    assert callback_heap_pushes(200) - callback_heap_pushes(100) == 4 * 100
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +206,13 @@ def test_late_duplicate_response_after_expiry_is_ignored():
 class RaceEndpoint(RpcEndpoint):
     """``call_once`` as it was before the armed deadline: every attempt
     races its response against its own ``Timeout`` through an ``AnyOf``
-    and never cancels the timer."""
+    and never cancels the timer.
+
+    ``RpcEndpoint.call`` drives its attempts itself and never reaches
+    ``call_once``, so ``closed_loop`` over this class runs the same code
+    as over ``RpcEndpoint``.  The race is exercised through
+    :class:`LegacyEndpoint`, whose ``call`` is the old retry loop over
+    this ``call_once``; that test holds the oracle."""
 
     def call_once(self, target, method, payload, nbytes, trace=None):
         self.stats.calls += 1
@@ -188,7 +240,7 @@ class RaceEndpoint(RpcEndpoint):
         raise RpcTimeout(f"{self.name}: rpc {method} to {target} got no response")
 
 
-def chaos_run(endpoint, seed):
+def chaos_run(endpoint, seed, callbacks=False):
     """Three closed-loop callers against two servers through drops,
     delays longer than the timeout, duplicates and a partition."""
     plan = (
@@ -218,7 +270,7 @@ def chaos_run(endpoint, seed):
     for k in range(3):
         client = endpoint(sim, fabric, f"cli{k}")
         endpoints.append(client)
-        sim.process(closed_loop(client, 400, target=f"srv{k % 2}", log=log))
+        start_caller(sim, client, 400, f"srv{k % 2}", log, callbacks)
     sim.run(until=60.0)
     return log, {ep.name: vars(ep.stats) for ep in endpoints}, fabric
 
@@ -238,6 +290,77 @@ def test_armed_deadline_matches_the_timer_race_under_message_faults(seed):
     # Same counters, and every call completes at the same instant.
     assert stats == race_stats
     assert log == race_log
+
+
+class LegacyEndpoint(RaceEndpoint):
+    """The whole RPC path before the armed deadline: the retry loop that
+    drove each attempt with ``yield from call_once``, over the race."""
+
+    def call(self, target, method, payload, nbytes, trace=None, give_up=None):
+        attempt = 0
+        while True:
+            try:
+                return (yield from self.call_once(target, method, payload, nbytes, trace))
+            except NetworkFault as exc:
+                attempt += 1
+                self.stats.retries += 1
+                if attempt > self.config.rpc_retries:
+                    self.stats.failures += 1
+                    raise RetriesExhausted(f"{self.name}: rpc {method} failed") from exc
+                backoff = self.config.rpc_backoff * (2 ** (attempt - 1))
+                if self.config.rpc_jitter > 0.0:
+                    backoff *= 1.0 + self.config.rpc_jitter * self._jitter_rng.random()
+                yield self.sim.timeout(backoff)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_callback_and_coroutine_callers_match_each_other_and_the_legacy_loop(seed):
+    log, stats, fabric = chaos_run(RpcEndpoint, seed)
+    callback_log, callback_stats, _ = chaos_run(RpcEndpoint, seed, callbacks=True)
+    legacy_log, legacy_stats, _ = chaos_run(LegacyEndpoint, seed)
+    assert len(log) == 3 * 400
+    # The plan bites: every fault kind fired and every outcome occurred.
+    injector = fabric.injector
+    assert injector.dropped_messages and injector.duplicated_messages
+    assert injector.delayed_messages and injector.partitioned_messages
+    assert {outcome for _c, _i, outcome, _t in log} == {"ok", "RpcTimeout"}
+    assert sum(s["timeouts"] for s in stats.values()) > 50
+    assert sum(s["failures"] for s in stats.values()) > 0
+    assert callback_stats == stats == legacy_stats
+    assert callback_log == log == legacy_log
+
+
+def test_give_up_abandons_the_budget_alike_in_both_drivers():
+    config = NetConfig(rpc_timeout=0.02, rpc_retries=4, rpc_backoff=0.002)
+    outcomes = []
+    for callbacks in (False, True):
+        sim, _server, client = echo_pair(config)
+        client.fabric.set_down("srv")
+        checks = []
+
+        def give_up():
+            checks.append(sim.now)
+            return len(checks) == 2  # the second failed attempt gives up
+
+        def record(ok, value):
+            outcomes.append((ok, type(value.__cause__).__name__, sim.now, checks[:],
+                             dict(vars(client.stats))))
+
+        if callbacks:
+            client.call_async("srv", "echo", 0, 64, record, give_up=give_up)
+        else:
+            def caller():
+                try:
+                    yield from client.call("srv", "echo", 0, 64, give_up=give_up)
+                except RetriesExhausted as exc:
+                    record(False, exc)
+
+            sim.process(caller())
+        sim.run(until=1.0)
+    assert outcomes[0] == outcomes[1]
+    ok, cause, _at, checks, stats = outcomes[0]
+    assert (ok, cause, len(checks)) == (False, "NodeUnreachable", 2)
+    assert (stats["calls"], stats["retries"], stats["failures"]) == (2, 2, 1)
 
 
 # ---------------------------------------------------------------------------
