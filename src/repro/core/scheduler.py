@@ -570,7 +570,7 @@ class LibraScheduler:
                 # cost-model evaluation, and observer charges can never
                 # skew from what the deficit counter actually paid.
                 self.io_observer(task.tag, task.kind, chunk.size, chunk.cost)
-            if task.pending_chunks == 0 and not task.done.triggered:
+            if task.pending_chunks == 0 and not task.done._triggered:
                 usage.tasks += 1
                 task.done.succeed()
         else:

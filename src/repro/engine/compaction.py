@@ -16,7 +16,10 @@ files round-robin and merging them with the overlapping files below.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from bisect import bisect_left
+from itertools import accumulate, repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .memtable import TOMBSTONE
 from .sstable import SsTable
@@ -79,36 +82,40 @@ def pick_compaction(
 
 def merge_entries(
     inputs: List[SsTable], drop_tombstones: bool
-) -> Iterator[Tuple[int, int]]:
+) -> Iterable[Tuple[int, int]]:
     """Merge inputs, newest version of each key winning.
 
     ``inputs`` must be ordered newest-first (the L0 list order already
-    is; deeper levels are older than everything above them).
+    is; deeper levels are older than everything above them).  Returns
+    the ``(key, size)`` pairs in key order.  Each table's columns go
+    into one dict oldest table first, so a newer size overwrites an
+    older one — the same winner as keeping the first size seen
+    newest-first — and the keys are sorted once.
     """
     newest = {}
-    for table in inputs:
-        for key, size in zip(table.keys, table.sizes):
-            if key not in newest:
-                newest[key] = size
-    for key in sorted(newest):
-        size = newest[key]
-        if drop_tombstones and size == TOMBSTONE:
-            continue
-        yield key, size
+    for table in reversed(inputs):
+        newest.update(zip(table.keys, table.sizes))
+    keys = sorted(newest)
+    sizes = list(map(newest.__getitem__, keys))
+    if drop_tombstones and TOMBSTONE in sizes:
+        return [(key, size) for key, size in zip(keys, sizes) if size != TOMBSTONE]
+    return zip(keys, sizes)
 
 
 def split_outputs(
-    entries: Iterator[Tuple[int, int]], max_file_bytes: int
+    entries: Iterable[Tuple[int, int]], max_file_bytes: int
 ) -> Iterator[List[Tuple[int, int]]]:
-    """Partition merged entries into output files of bounded size."""
-    batch: List[Tuple[int, int]] = []
-    batch_bytes = 0
-    for key, size in entries:
-        batch.append((key, size))
-        batch_bytes += max(size, 0)
-        if batch_bytes >= max_file_bytes:
-            yield batch
-            batch = []
-            batch_bytes = 0
-    if batch:
-        yield batch
+    """Partition merged entries into output files of bounded size.
+
+    A file closes at the entry that brings its value bytes to
+    ``max_file_bytes``: each cut is a bisection of the running byte
+    total for the previous cut's total plus ``max_file_bytes``.
+    """
+    pairs = list(entries)
+    ends = list(accumulate(map(max, map(itemgetter(1), pairs), repeat(0))))
+    start = 0
+    while start < len(pairs):
+        base = ends[start - 1] if start else 0
+        stop = bisect_left(ends, base + max_file_bytes, start) + 1
+        yield pairs[start:stop]
+        start = stop

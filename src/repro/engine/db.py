@@ -376,13 +376,11 @@ class LsmEngine:
         t0 = self.sim.now
         delay = self.config.fault_retry_backoff
         while True:
-            # A fresh entries generator per attempt: a faulted build
-            # consumes the previous one (and cleans up its partial file).
+            # A faulted build cleans up its partial file; the retry
+            # rebuilds from the memtable's entries again.
             try:
                 table = yield from self._builder.build(
-                    ((key, entry.size) for key, entry in memtable.sorted_entries()),
-                    tag,
-                    name=self._next_file_name(),
+                    memtable.items(), tag, name=self._next_file_name(),
                 )
                 break
             except StorageFault:

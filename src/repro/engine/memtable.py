@@ -78,6 +78,11 @@ class Memtable:
             for key in keys[bisect_left(keys, lo):bisect_right(keys, hi)]
         ]
 
+    def items(self) -> List[Tuple[int, int]]:
+        """(key, size) of every entry, in key order (what a FLUSH writes)."""
+        entries = self._entries
+        return [(key, entries[key].size) for key in self._keys]
+
     def sorted_entries(self) -> Iterator[Tuple[int, Entry]]:
         """Entries in key order (for building an SSTable)."""
         entries = self._entries

@@ -12,12 +12,15 @@ span holding the object.
 from __future__ import annotations
 
 import bisect
+from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple
 
 from ..core.tags import IoTag
 from ..sim import Event, Simulator
 from ..ssd import SimFile, SimFilesystem
 from .bloom import BloomFilter
+from .memtable import TOMBSTONE
 
 __all__ = ["SsTable", "TableBuilder", "BLOCK_SIZE", "INDEX_ENTRY_BYTES"]
 
@@ -51,10 +54,12 @@ class SsTable:
         self.bloom = bloom
         self.deleted = False
         # Tables are immutable: their range and live value bytes
-        # (excluding index and tombstones) are fixed at build.
+        # (excluding index and tombstones) are fixed at build.  The only
+        # negative size is TOMBSTONE (-1), so adding back one per
+        # tombstone leaves the positive sizes' sum.
         self.min_key = keys[0]
         self.max_key = keys[-1]
-        self.data_bytes = sum(s for s in sizes if s > 0)
+        self.data_bytes = sum(sizes) + sizes.count(TOMBSTONE)
 
     @property
     def entry_count(self) -> int:
@@ -165,21 +170,17 @@ class TableBuilder:
         Yields IO events; returns the table.  ``size`` may be TOMBSTONE.
         Entries must be sorted by key and free of duplicates.
         """
-        keys: List[int] = []
-        sizes: List[int] = []
-        offsets: List[int] = []
-        pos = 0
-        for key, size in entries:
-            keys.append(key)
-            sizes.append(size)
-            offsets.append(pos)
-            pos += max(size, 0)
-        if not keys:
+        pairs = list(entries)
+        if not pairs:
             raise ValueError("cannot build an empty SSTable")
+        keys = list(map(itemgetter(0), pairs))
+        sizes = list(map(itemgetter(1), pairs))
         index_bytes = len(keys) * INDEX_ENTRY_BYTES
-        # Index blocks padded to block size, then the data.
+        # Index blocks padded to block size, then the data: each value
+        # starts where the previous one's bytes end (tombstones take none).
         index_region = ((index_bytes + BLOCK_SIZE - 1) // BLOCK_SIZE) * BLOCK_SIZE
-        total = index_region + pos
+        offsets = list(accumulate(map(max, sizes, repeat(0)), initial=index_region))
+        total = offsets.pop()
         file = self.fs.create(name)
         try:
             remaining = max(total, BLOCK_SIZE)
@@ -193,7 +194,6 @@ class TableBuilder:
             # the caller can retry under the same name.
             self.fs.delete(file)
             raise
-        offsets = [index_region + o for o in offsets]
         bloom = None
         if self.bloom_bits_per_key > 0:
             bloom = BloomFilter(keys, self.bloom_bits_per_key, salt=SsTable._ids + 1)

@@ -10,6 +10,13 @@ PUTs from paying a full device round-trip each.
 WAL appends are the "PUT write IO" component of Fig 2: small records
 make sub-page tail writes whose cost-per-byte is high.
 
+Group commit runs as a continuation, not a process: the append that
+finds the log idle arms :meth:`Wal._commit_next` in the heap slot a
+commit process's start would take (so same-instant appends join its
+batch), and each group write's completion runs :meth:`Wal._step` in the
+slot its dispatch takes: it settles the batch and issues the next one
+at once, as the process's loop body did.
+
 Failure handling: records carry checksums (modeled, like SSTable
 blocks, as the mechanism that converts torn or corrupt bytes into
 detectable invalidity rather than as payload math).  A group commit
@@ -28,7 +35,7 @@ from typing import List, Optional, Tuple
 
 from ..core.tags import IoTag
 from ..faults import CorruptionError, CrashError, DeviceError, StorageFault
-from ..sim import Event, Process, Simulator
+from ..sim import Event, Simulator
 from ..ssd import SimFile, SimFilesystem
 
 __all__ = ["Wal"]
@@ -44,9 +51,19 @@ class Wal:
         self.tracer = tracer
         self.file: SimFile = fs.create(name)
         self._pending: List[Tuple[int, Event, Optional[Tuple[int, int]]]] = []
+        self._pending_bytes = 0
         self._inflight: List[Tuple[int, Event, Optional[Tuple[int, int]]]] = []
+        #: True from the append that arms a commit until the log is idle
         self._committing = False
-        self._commit_proc: Optional[Process] = None
+        #: the running commit's group write, its bytes and span start
+        self._write: Optional[Event] = None
+        self._write_bytes = 0
+        self._t0 = 0.0
+        #: tag of the append that armed the running commit; every batch
+        #: it issues carries it
+        self._tag: Optional[IoTag] = None
+        #: bumped by :meth:`crash`, so a commit armed before it is stale
+        self._generation = 0
         self.records = 0
         self.batches = 0
         self.failed_batches = 0
@@ -99,68 +116,96 @@ class Wal:
         """
         if nbytes <= 0:
             raise ValueError(f"record size must be positive, got {nbytes}")
-        done = self.sim.event()
+        sim = self.sim
+        done = Event(sim)
         self._pending.append((nbytes, done, record))
+        self._pending_bytes += nbytes
         self.records += 1
         if not self._committing:
             self._committing = True
-            self._commit_proc = self.sim.process(
-                self._commit_loop(tag), name=f"wal.{self.file.name}"
-            )
+            self._tag = tag
+            sim.call_at(sim.now, self._commit_next, self._generation)
         return done
 
-    def _commit_loop(self, tag: IoTag):
-        try:
-            while self._pending:
-                batch, self._pending = self._pending, []
-                self._inflight = batch
-                total = sum(nbytes for nbytes, _ev, _rec in batch)
-                self.batches += 1
-                tr = self.tracer
-                t0 = self.sim.now if tr is not None and tr.enabled else 0.0
-                try:
-                    yield self.file.append(total, tag=tag)
-                except StorageFault as exc:
-                    if tr is not None and tr.enabled:
-                        # Group-commit attribution is approximate: the
-                        # batch serves every waiter but carries the tag
-                        # (and trace id) of the append that started it.
-                        tr.span(
-                            "wal.commit", "engine", f"engine.{tag.tenant}", "wal",
-                            t0, self.sim.now, trace=tag.trace,
-                            args={"records": len(batch), "bytes": total, "ok": False},
-                        )
-                    # The group write failed: the batch's bytes are a
-                    # torn region; fail every waiter so they re-issue.
-                    self.failed_batches += 1
-                    self.torn_bytes += total
-                    self._inflight = []
-                    for _nbytes, ev, _record in batch:
-                        if not ev.triggered:
-                            ev.fail(exc)
-                    continue
-                if tr is not None and tr.enabled:
-                    tr.span(
-                        "wal.commit", "engine", f"engine.{tag.tenant}", "wal",
-                        t0, self.sim.now, trace=tag.trace,
-                        args={"records": len(batch), "bytes": total, "ok": True},
-                    )
-                self._inflight = []
-                committed = [rec for _nbytes, _ev, rec in batch if rec is not None]
-                if committed and self._commit_listeners:
-                    for listener in self._commit_listeners:
-                        listener(committed)
+    def _commit_next(self, generation: int) -> None:
+        """The armed commit starts: issue the first batch."""
+        if generation == self._generation:  # else armed before a crash
+            self._step(None)
+
+    def _step(self, write: Optional[Event]) -> None:
+        """One turn of the commit loop: settle the group write that just
+        landed (None when the commit starts), then issue everything
+        queued meanwhile as the next one, or go idle.
+
+        A device fault fails the batch's waiters (they re-issue) and the
+        log goes on; any other error stops the log and propagates.
+        """
+        if write is not None:
+            self._write = None
+            ok = write._ok
+            if not ok and not isinstance(write._value, StorageFault):
+                self._idle()
+                raise write._value
+            batch, self._inflight = self._inflight, []
+            tr = self.tracer
+            if tr is not None and tr.enabled:
+                # Group-commit attribution is approximate: the batch
+                # serves every waiter but carries the tag (and trace id)
+                # of the append that armed the commit.
+                tag = self._tag
+                tr.span(
+                    "wal.commit", "engine", f"engine.{tag.tenant}", "wal",
+                    self._t0, self.sim.now, trace=tag.trace,
+                    args={"records": len(batch), "bytes": self._write_bytes, "ok": ok},
+                )
+            if ok:
+                if self._commit_listeners:
+                    committed = [rec for _nbytes, _ev, rec in batch if rec is not None]
+                    if committed:
+                        for listener in self._commit_listeners:
+                            listener(committed)
+                entries = self.entries
                 for _nbytes, ev, record in batch:
                     if record is not None:
-                        self.entries.append(record)
+                        entries.append(record)
                     ev.succeed()
-        finally:
-            self._committing = False
-            self._commit_proc = None
-            if not self._pending:
-                waiters, self._drain_waiters = self._drain_waiters, []
-                for waiter in waiters:
-                    waiter.succeed()
+            else:
+                # The group write failed: the batch's bytes are a torn
+                # region; fail every waiter so they re-issue.
+                exc = write._value
+                self.failed_batches += 1
+                self.torn_bytes += self._write_bytes
+                for _nbytes, ev, _record in batch:
+                    if not ev._triggered:
+                        ev.fail(exc)
+        if not self._pending:
+            self._idle()
+            return
+        batch, self._pending = self._pending, []
+        total, self._pending_bytes = self._pending_bytes, 0
+        self._inflight = batch
+        self._write_bytes = total
+        self.batches += 1
+        tr = self.tracer
+        self._t0 = self.sim.now if tr is not None and tr.enabled else 0.0
+        try:
+            write = self.file.append(total, tag=self._tag)
+        except BaseException:
+            self._idle()
+            raise
+        if write.callbacks is None:  # already dispatched: its outcome is final
+            self._step(write)
+        else:
+            self._write = write
+            write.callbacks.append(self._step)
+
+    def _idle(self) -> None:
+        """The commit has nothing left to issue: release quiesce waiters."""
+        self._committing = False
+        if not self._pending:
+            waiters, self._drain_waiters = self._drain_waiters, []
+            for waiter in waiters:
+                waiter.succeed()
 
     def crash(self) -> int:
         """Tear the log tail as a process crash would; return records lost.
@@ -169,13 +214,18 @@ class Wal:
         discarded: their bytes either never reached the device or form a
         torn region with no committed checksum, and their waiters —
         none of whom were acknowledged — fail with :class:`CrashError`.
-        Durable ``entries`` are untouched.
+        Durable ``entries`` are untouched.  A commit armed but not yet
+        issued goes stale and the in-flight write no longer resumes the
+        log, so an append right after the crash starts a commit of its
+        own.
         """
         torn = self._inflight + self._pending
         self._inflight, self._pending = [], []
-        if self._commit_proc is not None and self._commit_proc.is_alive:
-            self._commit_proc.interrupt("wal crash")
-        self._commit_proc = None
+        self._pending_bytes = 0
+        self._generation += 1
+        if self._write is not None:
+            self._write.callbacks.remove(self._step)
+            self._write = None
         self._committing = False
         exc = CrashError(f"wal {self.file.name}: crash tore {len(torn)} records")
         for nbytes, ev, _record in torn:

@@ -421,7 +421,8 @@ class SsdDevice:
         else:
             stats.writes += 1
             stats.write_bytes += size
-            self._maybe_start_gc()
+            if not self._gc_running and self.ftl.gc_needed:
+                self._maybe_start_gc()
         self._release(q)
         deliver(sink, OK_RESULT)
 

@@ -56,6 +56,50 @@ class RawBackend:
         self.device.trim(offset, size)
 
 
+class _Join(Event):
+    """Completion of one file IO's device ops: succeeds (with None) once
+    every member has, fails with the first member failure.
+
+    All a ``SimFile.append``/``read`` caller needs of ``AllOf`` — every
+    such ``yield`` discards the value — for a countdown instead of a
+    ``{event: value}`` dict and a ``processed`` check per member.  It
+    registers on the members exactly where ``AllOf`` does, so it fires
+    in the same heap slot.
+    """
+
+    __slots__ = ("_left",)
+
+    def __init__(self, sim: Simulator, events: List[Event]):
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._left = len(events)
+        for event in events:
+            event.callbacks.append(self._member_done)
+
+    def _member_done(self, event: Event) -> None:
+        if self._triggered:
+            return
+        if not event._ok:
+            self.fail(event._value)
+            return
+        self._left -= 1
+        if not self._left:
+            self.succeed()
+
+
+def _join(sim: Simulator, events: List[Event]) -> Event:
+    """One event for a file IO split over several device ops."""
+    for event in events:
+        if event.callbacks is None:
+            # Already dispatched: ``AllOf`` schedules its check in a slot
+            # of its own.
+            return sim.all_of(events)
+    return _Join(sim, events)
+
+
 class SimFile:
     """An append-only file: a list of device extents plus a byte size."""
 
@@ -79,12 +123,15 @@ class SimFile:
             raise ValueError(f"IO on deleted file {self.name}")
         if size <= 0:
             raise ValueError(f"append size must be positive, got {size}")
-        segments = self.fs._extend(self, size)
-        events = [self.fs.backend.write(off, length, tag=tag) for off, length in segments]
+        fs = self.fs
+        write = fs.backend.write
+        events = []
+        for off, length in fs._extend(self, size):
+            events.append(write(off, length, tag=tag))
         self.size += size
         if len(events) == 1:
             return events[0]
-        return self.fs.sim.all_of(events)
+        return _join(fs.sim, events)
 
     def read(self, offset: int, size: int, tag=None) -> Event:
         """Read ``size`` bytes at file offset ``offset``."""
@@ -95,17 +142,18 @@ class SimFile:
                 f"read [{offset}, {offset + size}) out of bounds for "
                 f"{self.name} (size {self.size})"
             )
-        # Files grow in 1 MiB chunks and block reads are 4 KiB, so nearly
-        # every range lies inside one extent (all but 0.3% of a GET
-        # workload's reads; a quarter of 64 KiB scan ranges straddle):
-        # resolve that extent and issue the one device read directly.
+        # An SSTable's extents are its 256 KiB appends and block reads
+        # are 4 KiB, so nearly every range lies inside one extent (all
+        # but 0.3% of a GET workload's reads; a quarter of 64 KiB scan
+        # ranges straddle): resolve that extent and issue the one device
+        # read directly.
         idx = bisect.bisect_right(self._starts, offset) - 1
         within = offset - self._starts[idx]
         dev_off, ext_len = self.extents[idx]
         backend = self.fs.backend
         if within + size <= ext_len:
             return backend.read(dev_off + within, size, tag=tag)
-        return self.fs.sim.all_of([
+        return _join(self.fs.sim, [
             backend.read(dev_off, length, tag=tag)
             for dev_off, length in self._map(offset, size)
         ])
@@ -129,9 +177,17 @@ class SimFile:
 
 
 class SimFilesystem:
-    """First-fit extent allocator over the device's logical space."""
+    """First-fit extent allocator over the device's logical space.
 
-    #: Files grow in allocation chunks to keep extents coarse.
+    An append first fills the slack of the file's last extent, then
+    allocates one new extent of ``ceil(remaining / page)`` pages, capped
+    at ``ALLOC_CHUNK``.  So extents are as coarse as the appends: an
+    SSTable's are its 256 KiB write chunks, and a WAL's are one or two
+    pages each — nearly every group commit is two device writes, the
+    previous extent's partial tail page and a fresh extent.
+    """
+
+    #: largest extent one allocation asks for
     ALLOC_CHUNK = 1 * 1024 * 1024
 
     def __init__(self, sim: Simulator, backend: IoBackend, capacity: int, page_size: int = 4096):
@@ -164,9 +220,12 @@ class SimFilesystem:
         if f.deleted:
             return
         f.deleted = True
+        trim = self.backend.trim
         for dev_off, length in f.extents:
-            self.backend.trim(dev_off, length)
-            self._release(dev_off, length)
+            trim(dev_off, length)
+        if f.extents:
+            self._release(f.extents)
+        self._free_bytes += f.allocated
         f.extents = []
         f._starts = []
         f.allocated = 0
@@ -232,20 +291,28 @@ class SimFilesystem:
         self._free_bytes -= length
         return off, length
 
-    def _release(self, off: int, length: int) -> None:
-        """Return an extent to the free list, coalescing neighbours."""
-        i = bisect.bisect_left(self._free, (off, 0))
-        self._free.insert(i, (off, length))
-        self._free_bytes += length
-        # Coalesce with the next, then the previous.
-        if i + 1 < len(self._free):
-            o2, l2 = self._free[i + 1]
-            if off + length == o2:
-                self._free[i] = (off, length + l2)
-                self._free.pop(i + 1)
-        if i > 0:
-            o0, l0 = self._free[i - 1]
-            off, length = self._free[i]
-            if o0 + l0 == off:
-                self._free[i - 1] = (o0, l0 + length)
-                self._free.pop(i)
+    def _release(self, extents: List[Tuple[int, int]]) -> None:
+        """Return extents to the free list in one sort-and-coalesce pass.
+
+        Only the stretch of the list the extents land in is rebuilt,
+        from the hole before the lowest extent to the hole after the
+        highest.  The list never holds two adjacent holes, so nothing
+        outside that stretch can merge with it, and the result is the
+        one canonical list — what inserting and coalescing the extents
+        one at a time produces.
+        """
+        free = self._free
+        extents = sorted(extents)
+        lo = max(bisect.bisect_left(free, extents[0]) - 1, 0)
+        hi = bisect.bisect_left(free, extents[-1], lo) + 1
+        merged = iter(sorted(free[lo:hi] + extents))
+        out = []
+        run_off, run_len = next(merged)
+        for off, length in merged:
+            if run_off + run_len == off:
+                run_len += length
+            else:
+                out.append((run_off, run_len))
+                run_off, run_len = off, length
+        out.append((run_off, run_len))
+        free[lo:hi] = out

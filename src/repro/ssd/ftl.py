@@ -21,8 +21,9 @@ assigns each stripe run as a slice (:meth:`Ftl._append_striped`).  That
 is exact because the pages of one op are distinct and block allocation
 reads the map only on the emergency-GC path, so the batched lane runs
 only while the free pool cannot run dry inside the op; otherwise the op
-walks page by page through the same primitive GC copies and
-preconditioning use.
+walks page by page through the same primitive preconditioning uses.
+A GC victim is evacuated the same way: one page-map gather finds its
+live pages, and they are copied per stripe run (:meth:`Ftl._append_gc`).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Deque, List, Optional, Tuple
 
 import numpy as np
@@ -316,11 +318,18 @@ class Ftl:
         internally.  Multi-stream policies route the whole op to one
         stream (op-granularity separation, as NVMe write streams do).
         """
-        pages = self._page_range(offset, size)
-        first = pages.start
-        n = pages.stop - first
+        page = self.page_size
+        first = offset // page
+        n = (offset + size - 1) // page + 1 - first
+        if size <= 0 or offset < 0 or first + n > self.logical_pages:
+            self._page_range(offset, size)  # raises the matching error
+        # Only a routed policy needs the pages as a range.
         routed = self._routed
-        stream = self.policy.route(self, pages) if routed else 0
+        if routed:
+            pages = range(first, first + n)
+            stream = self.policy.route(self, pages)
+        else:
+            stream = 0
         nchan = self.channels
         cursor = self._host_cursor
         start = cursor[stream]
@@ -348,14 +357,18 @@ class Ftl:
 
     def trim(self, offset: int, size: int) -> int:
         """Invalidate a logical range (file deletion). Returns pages freed."""
-        pages = self._page_range(offset, size)
-        first, stop = pages.start, pages.stop
+        page = self.page_size
+        first = offset // page
+        stop = (offset + size - 1) // page + 1
+        if size <= 0 or offset < 0 or stop > self.logical_pages:
+            self._page_range(offset, size)  # raises the matching error
         page_to_block = self.page_to_block
         if stop - first == 1:
             block = page_to_block.item(first)
             if block == UNMAPPED:
                 return 0
-            self.block_valid[block] -= 1
+            block_valid = self.block_valid
+            block_valid[block] = block_valid.item(block) - 1
             page_to_block[first] = UNMAPPED
             return 1
         freed = self._invalidate(first, stop)
@@ -384,7 +397,7 @@ class Ftl:
             block_valid = self.block_valid
             for block in blocks:
                 if block != UNMAPPED:
-                    block_valid[block] -= 1
+                    block_valid[block] = block_valid.item(block) - 1
         return mapped
 
     def _append_striped(self, first: int, n: int, start: int, stream: int) -> List[int]:
@@ -444,11 +457,11 @@ class Ftl:
         """
         page_to_block = self.page_to_block
         block_valid = self.block_valid
-        # .item(): a Python int indexes and compares at half the cost of
-        # a numpy scalar
+        # .item(): a Python int indexes, compares and subtracts at half
+        # the cost of a numpy scalar
         old = page_to_block.item(logical_page)
         if old != UNMAPPED:
-            block_valid[old] -= 1
+            block_valid[old] = block_valid.item(old) - 1
         if gc:
             active, fill = self._gc_active, self._gc_fill
         else:
@@ -460,7 +473,7 @@ class Ftl:
             block = active[channel] = self._allocate_block(channel)
             used = 0
         page_to_block[logical_page] = block
-        block_valid[block] += 1
+        block_valid[block] = block_valid.item(block) + 1
         self.block_pages[block].append(logical_page)
         fill[channel] = used + 1
 
@@ -505,31 +518,26 @@ class Ftl:
 
         The map is updated immediately; the device model charges the
         corresponding channel time afterwards.  Returns None when no
-        victim exists.
+        victim exists.  One pass per victim: a single page-map gather
+        over the pages listed on the victim finds those still live there
+        (a page listed twice moves at its first listing, as a page walk
+        re-checking the map would), and :meth:`_append_gc` copies them.
         """
         victim = self.pick_victim()
         if victim is None:
             return None
-        victim_channel = int(self.block_channel[victim])
+        victim_channel = self.block_channel.item(victim)
         # Mark the victim as in-evacuation so re-entrant victim picks
         # (GC allocating its own destination blocks) cannot select it.
         self.block_channel[victim] = -2
-        self._in_gc = True
-        nchan = self.channels
-        stripe = self.stripe_pages
-        copies = [0] * nchan
-        moved = 0
         start = self._gc_cursor
-        self._gc_cursor = (start + 1) % nchan
-        live_block = self.page_to_block.item
-        append = self._append_page
+        self._gc_cursor = (start + 1) % self.channels
+        listed = self.block_pages[victim]
+        owners = self.page_to_block[listed].tolist()
+        live = list(dict.fromkeys(compress(listed, map(victim.__eq__, owners))))
+        self._in_gc = True
         try:
-            for p in self.block_pages[victim]:
-                if live_block(p) == victim:  # still live here
-                    chan = (start + moved // stripe) % nchan
-                    append(p, True, chan)
-                    copies[chan] += 1
-                    moved += 1
+            copies = self._append_gc(live, start)
         finally:
             self._in_gc = False
         # Erase: back to the free pool.
@@ -542,8 +550,48 @@ class Ftl:
             victim=victim,
             victim_channel=victim_channel,
             copies=[(c, n) for c, n in enumerate(copies) if n],
-            valid_pages=moved,
+            valid_pages=len(live),
         )
+
+    def _append_gc(self, pages: List[int], start: int) -> List[int]:
+        """Copy ``pages`` onto the GC stream, one slice per stripe run.
+
+        The GC twin of :meth:`_append_striped`: page ``i`` goes to
+        channel ``(start + i // stripe_pages) % channels``, each run
+        into that channel's GC active block, opening a block exactly
+        where copying page by page would.  The victim's valid count is
+        not dropped page by page: its erase zeroes it.  Returns pages
+        programmed per channel.
+        """
+        nchan = self.channels
+        stripe = self.stripe_pages
+        per_block = self.pages_per_block
+        page_to_block = self.page_to_block
+        block_valid = self.block_valid
+        block_pages = self.block_pages
+        active, fill = self._gc_active, self._gc_fill
+        counts = [0] * nchan
+        stop = len(pages)
+        chan = start
+        a = 0
+        while a < stop:
+            run_stop = min(a + stripe, stop)
+            counts[chan] += run_stop - a
+            while a < run_stop:
+                block = active[chan]
+                used = fill[chan]
+                if block is None or used >= per_block:
+                    block = active[chan] = self._allocate_block(chan)
+                    used = 0
+                b = min(run_stop, a + per_block - used)
+                run = pages[a:b]
+                page_to_block[run] = block
+                block_valid[block] = block_valid.item(block) + b - a
+                block_pages[block].extend(run)
+                fill[chan] = used + b - a
+                a = b
+            chan = (chan + 1) % nchan
+        return counts
 
     # -- preconditioning --------------------------------------------------------
 

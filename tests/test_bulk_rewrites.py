@@ -1,0 +1,407 @@
+"""The durable write path's bulk rewrites, checked against the per-item
+walks they replaced.
+
+FLUSH, COMPACT, WAL retirement and FTL GC used to walk their entries,
+extents or pages one at a time; each is now a bulk operation that must
+produce *identical* output, so every simulated trajectory is unchanged
+by construction.  The old spellings stay here as the references, as
+``tests/test_device_op_path.py`` keeps ``ReferenceFtl``:
+
+- ``merge_entries`` / ``split_outputs``: the per-entry merge (first size
+  seen newest-first wins) and the running-total split;
+- ``TableBuilder.build``: the offset loop, and ``data_bytes`` as the sum
+  of the positive sizes;
+- ``SimFilesystem.delete``: one bisect/insert/coalesce per extent;
+- ``Ftl.collect_victim``: the page-by-page walk that re-checks the map
+  and copies each live page through ``_append_page``;
+- the counter join behind a multi-extent file IO, against ``AllOf``.
+"""
+
+import bisect
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from .test_device_op_path import INTEL, POLICIES, assert_same_state, mixed_ops
+from repro.core.tags import IoTag, RequestClass
+from repro.engine import TOMBSTONE, SsTable, TableBuilder, merge_entries, split_outputs
+from repro.sim import AllOf, Simulator
+from repro.ssd import SimFilesystem, SsdProfile
+from repro.ssd.filesystem import _join
+from repro.ssd.ftl import Ftl, GcMove
+
+KIB = 1024
+MIB = 1024 * KIB
+TAG = IoTag("t1", RequestClass.PUT)
+
+oracle_settings = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+sizes_st = st.one_of(st.just(TOMBSTONE), st.just(0), st.integers(1, 300 * KIB))
+
+
+# ---------------------------------------------------------------------------
+# compaction: merge and split
+# ---------------------------------------------------------------------------
+
+
+def reference_merge_entries(inputs, drop_tombstones):
+    newest = {}
+    for table in inputs:
+        for key, size in zip(table.keys, table.sizes):
+            if key not in newest:
+                newest[key] = size
+    for key in sorted(newest):
+        size = newest[key]
+        if drop_tombstones and size == TOMBSTONE:
+            continue
+        yield key, size
+
+
+def reference_split_outputs(entries, max_file_bytes):
+    batch = []
+    batch_bytes = 0
+    for key, size in entries:
+        batch.append((key, size))
+        batch_bytes += max(size, 0)
+        if batch_bytes >= max_file_bytes:
+            yield batch
+            batch = []
+            batch_bytes = 0
+    if batch:
+        yield batch
+
+
+class Columns:
+    """The two columns ``merge_entries`` reads off a table."""
+
+    def __init__(self, layer):
+        self.keys = sorted(layer)
+        self.sizes = [layer[key] for key in self.keys]
+
+
+@oracle_settings
+@given(
+    # keys from a small range, so inputs repeat each other's keys
+    layers=st.lists(st.dictionaries(st.integers(0, 40), sizes_st, min_size=1), max_size=6),
+    drop=st.booleans(),
+)
+def test_merge_entries_equals_the_per_entry_merge(layers, drop):
+    tables = [Columns(layer) for layer in layers]
+    assert list(merge_entries(tables, drop)) == list(reference_merge_entries(tables, drop))
+
+
+@oracle_settings
+@given(
+    sizes=st.lists(sizes_st, max_size=80),
+    max_file_bytes=st.one_of(st.integers(-1, 8), st.integers(1, 2 * MIB)),
+)
+def test_split_outputs_equals_the_per_entry_split(sizes, max_file_bytes):
+    entries = list(enumerate(sizes))
+    got = list(split_outputs(iter(entries), max_file_bytes))
+    assert got == list(reference_split_outputs(iter(entries), max_file_bytes))
+    assert all(isinstance(batch, list) for batch in got)
+
+
+# ---------------------------------------------------------------------------
+# tables: layout and live bytes
+# ---------------------------------------------------------------------------
+
+
+class InstantBackend:
+    """Every write completes at once; every TRIM is logged."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.trims = []
+
+    def write(self, offset, size, tag=None):
+        return self.sim.timeout(0.0)
+
+    def trim(self, offset, size):
+        self.trims.append((offset, size))
+
+
+def reference_layout(entries):
+    """The offset loop: ``(keys, sizes, offsets, total)`` of a table."""
+    keys, sizes, offsets = [], [], []
+    pos = 0
+    for key, size in entries:
+        keys.append(key)
+        sizes.append(size)
+        offsets.append(pos)
+        pos += max(size, 0)
+    index_region = -(-len(keys) * 24 // 4096) * 4096
+    return keys, sizes, [index_region + o for o in offsets], index_region + pos
+
+
+@oracle_settings
+@given(layer=st.dictionaries(st.integers(0, 10_000), sizes_st, min_size=1, max_size=400))
+def test_built_table_equals_the_offset_loop(layer):
+    sim = Simulator()
+    fs = SimFilesystem(sim, InstantBackend(sim), capacity=256 * MIB)
+    entries = sorted(layer.items())
+    proc = sim.process(TableBuilder(sim, fs).build(iter(entries), TAG))
+    sim.run()
+    table = proc.value
+    keys, sizes, offsets, total = reference_layout(entries)
+    assert (table.keys, table.sizes, table.offsets) == (keys, sizes, offsets)
+    assert table.file.size == max(total, 4096)
+    assert table.index_bytes == len(keys) * 24
+    assert table.data_bytes == sum(s for s in sizes if s > 0)
+
+
+@oracle_settings
+@given(sizes=st.lists(sizes_st, min_size=1, max_size=50))
+def test_data_bytes_equals_the_sum_of_positive_sizes(sizes):
+    table = SsTable(None, list(range(len(sizes))), sizes, [0] * len(sizes), 0)
+    assert table.data_bytes == sum(s for s in sizes if s > 0)
+
+
+# ---------------------------------------------------------------------------
+# file deletion: the free list
+# ---------------------------------------------------------------------------
+
+
+class ReferenceFs(SimFilesystem):
+    """``delete`` as it was: TRIM and release one extent at a time."""
+
+    def delete(self, f):
+        if f.deleted:
+            return
+        f.deleted = True
+        for dev_off, length in f.extents:
+            self.backend.trim(dev_off, length)
+            self._release_one(dev_off, length)
+        f.extents = []
+        f._starts = []
+        f.allocated = 0
+        self._files.pop(f.name, None)
+
+    def _release_one(self, off, length):
+        free = self._free
+        i = bisect.bisect_left(free, (off, 0))
+        free.insert(i, (off, length))
+        self._free_bytes += length
+        if i + 1 < len(free):
+            o2, l2 = free[i + 1]
+            if off + length == o2:
+                free[i] = (off, length + l2)
+                free.pop(i + 1)
+        if i > 0:
+            o0, l0 = free[i - 1]
+            off, length = free[i]
+            if o0 + l0 == off:
+                free[i - 1] = (o0, l0 + length)
+                free.pop(i)
+
+
+@oracle_settings
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.integers(0, 5),
+            # mostly WAL-sized appends (one or two pages each), a few
+            # SSTable chunks; 0 deletes the slot's file
+            st.one_of(st.just(0), st.integers(1, 9000), st.integers(9000, 300 * KIB)),
+        ),
+        max_size=120,
+    )
+)
+def test_delete_rebuilds_the_free_list_the_per_extent_release_builds(ops):
+    capacity = 4 * MIB
+    systems = []
+    for cls in (SimFilesystem, ReferenceFs):
+        sim = Simulator()
+        systems.append((cls(sim, InstantBackend(sim), capacity=capacity), {}))
+    for slot, size in ops:
+        for fs, files in systems:
+            if size == 0:
+                if slot in files:
+                    fs.delete(files.pop(slot))
+            elif size <= fs.free_bytes:
+                if slot not in files:
+                    files[slot] = fs.create()
+                files[slot].append(size)
+        (fs, _), (ref, _) = systems
+        assert fs._free == ref._free
+        assert fs.free_bytes == ref.free_bytes == sum(length for _off, length in fs._free)
+        assert fs.backend.trims == ref.backend.trims  # one TRIM per extent, in order
+
+
+def test_delete_of_a_file_spread_over_many_holes():
+    """Two interleaved logs of one-page extents, then one deleted: its
+    extents land between the other's, so the rebuilt stretch spans the
+    whole list, and only the last extent coalesces (with the free space
+    after both logs)."""
+    systems = []
+    for cls in (SimFilesystem, ReferenceFs):
+        sim = Simulator()
+        fs = cls(sim, InstantBackend(sim), capacity=8 * MIB)
+        logs = [fs.create(), fs.create()]
+        for i in range(600):
+            logs[i % 2].append(4096)
+        fs.delete(logs[1])
+        systems.append(fs)
+    fs, ref = systems
+    assert len(fs._free) == 300
+    assert fs._free == ref._free and fs.free_bytes == ref.free_bytes
+
+
+# ---------------------------------------------------------------------------
+# GC: one pass per victim
+# ---------------------------------------------------------------------------
+
+
+class ReferenceGcFtl(Ftl):
+    """``collect_victim`` as it was: walk the listed pages, re-check
+    each against the map and copy it through ``_append_page``."""
+
+    def collect_victim(self):
+        victim = self.pick_victim()
+        if victim is None:
+            return None
+        victim_channel = int(self.block_channel[victim])
+        self.block_channel[victim] = -2
+        self._in_gc = True
+        nchan = self.profile.channels
+        stripe = self.profile.stripe_pages
+        copies = [0] * nchan
+        moved = 0
+        start = self._gc_cursor
+        self._gc_cursor = (start + 1) % nchan
+        try:
+            for p in self.block_pages[victim]:
+                if self.page_to_block[p] == victim:
+                    chan = (start + moved // stripe) % nchan
+                    self._append_page(p, True, chan)
+                    copies[chan] += 1
+                    moved += 1
+        finally:
+            self._in_gc = False
+        self.block_valid[victim] = 0
+        self.block_channel[victim] = -1
+        self.block_pages[victim] = []
+        self.free_blocks.append(victim)
+        self._note_pool()
+        return GcMove(
+            victim=victim,
+            victim_channel=victim_channel,
+            copies=[(c, n) for c, n in enumerate(copies) if n],
+            valid_pages=moved,
+        )
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_gc_victims_equal_the_page_walk(policy):
+    """Preconditioning alone collects thousands of victims on each side;
+    then a seeded op mix runs GC to the high watermark whenever it is
+    needed, every ``GcMove`` compared."""
+    ftl = Ftl(INTEL, seed=4, policy=policy)
+    ref = ReferenceGcFtl(INTEL, seed=4, policy=policy)
+    ftl.precondition(age_factor=1.0)
+    ref.precondition(age_factor=1.0)
+    assert_same_state(ftl, ref, "after preconditioning")
+    rng = random.Random(len(policy))
+    victims = 0
+    for i, (method, offset, size) in enumerate(mixed_ops(rng, INTEL, 1500)):
+        assert getattr(ftl, method)(offset, size) == getattr(ref, method)(offset, size)
+        while ftl.gc_needed and not ftl.gc_satisfied:
+            assert ftl.collect_victim() == ref.collect_victim(), f"GC after op {i}"
+            victims += 1
+    assert victims > 20
+    assert_same_state(ftl, ref, "at the end")
+
+
+def test_a_page_listed_twice_moves_once_at_its_first_listing():
+    """A page rewritten while its block is still open is listed on the
+    block twice; the walk copied it at the first listing and skipped
+    the second, whose map entry then named the copy."""
+    profile = SsdProfile(name="tiny-gc", channels=4, logical_capacity=16 * MIB,
+                         overprovision=0.5)
+    ftl = Ftl(profile, seed=1)
+    ref = ReferenceGcFtl(profile, seed=1)
+    for each in (ftl, ref):
+        for page in [5, 9, 5, 2, 9, 9, 7] + list(range(100, 157)):
+            each._append_page(page, False, 0)
+        each._append_page(500, False, 0)  # closes the block
+        each.trim(7 * 4096, 4096)
+    assert ftl.block_pages[ftl.page_to_block.item(500) - 1][:7] == [5, 9, 5, 2, 9, 9, 7]
+    move = ftl.collect_victim()
+    assert move == ref.collect_victim()
+    assert move.valid_pages == 3 + 57  # 5, 9 and 2 once each, 7 trimmed
+    assert_same_state(ftl, ref, "after the victim")
+
+
+# ---------------------------------------------------------------------------
+# the counter join
+# ---------------------------------------------------------------------------
+
+
+def test_join_succeeds_with_none_once_every_member_has():
+    sim = Simulator()
+    members = [sim.event() for _ in range(3)]
+    join = _join(sim, members)
+    assert not isinstance(join, AllOf)
+    members[2].succeed("c")
+    members[0].succeed("a")
+    sim.run()
+    assert not join.triggered
+    members[1].succeed("b")
+    sim.run()
+    assert join.processed and join.ok and join.value is None
+
+
+def test_join_fails_with_the_first_failing_members_exception():
+    sim = Simulator()
+    members = [sim.event() for _ in range(3)]
+    join = _join(sim, members)
+    first, second = OSError("first"), OSError("second")
+    members[1].fail(first)
+    members[2].fail(second)
+    members[0].succeed()
+    sim.run()
+    assert not join.ok and join.value is first
+
+
+def test_join_falls_back_to_allof_on_a_processed_member():
+    sim = Simulator()
+    done = sim.event().succeed()
+    sim.run()
+    pending = sim.event()
+    join = _join(sim, [done, pending])
+    assert isinstance(join, AllOf)
+    pending.succeed()
+    sim.run()
+    assert join.ok
+
+
+@pytest.mark.parametrize("outcome", ["succeed", "fail"])
+def test_join_fires_in_the_slot_allof_fires_in(outcome):
+    """Same members, same interleaved bystander events: the waiter on a
+    join resumes exactly where a waiter on ``AllOf`` resumed, after the
+    same heap pushes."""
+    runs = []
+    for make in (_join, AllOf):
+        sim = Simulator()
+        members = [sim.event() for _ in range(2)]
+        log = []
+        join = make(sim, members)
+        join.callbacks.append(lambda ev: log.append(("join", sim.now, ev.ok)))
+        bystanders = [sim.event() for _ in range(3)]
+        for i, ev in enumerate(bystanders):
+            ev.callbacks.append(lambda _ev, i=i: log.append((i, sim.now)))
+        bystanders[0].succeed()
+        members[0].succeed()
+        bystanders[1].succeed()
+        if outcome == "succeed":
+            members[1].succeed()
+        else:
+            members[1].fail(OSError("x"))
+        bystanders[2].succeed()
+        sim.run()
+        runs.append((log, sim._seq))
+    assert runs[0] == runs[1]

@@ -81,10 +81,19 @@ def test_fig4_result_grid_orientation():
     assert result.floor == 1.0 and result.peak == 4.0
 
 
-def test_devicefig_smoke_runs_and_renders():
+@pytest.fixture(scope="module")
+def devicefig_smoke():
+    """One serial and one ``--jobs 2`` smoke sweep, shared by the two
+    devicefig tests (each sweep costs ~10 s)."""
     from repro.experiments import devicefig
 
-    result = devicefig.run(smoke=True, seed=17)
+    return devicefig.run(smoke=True, seed=17, jobs=1), devicefig.run(smoke=True, seed=17, jobs=2)
+
+
+def test_devicefig_smoke_runs_and_renders(devicefig_smoke):
+    from repro.experiments import devicefig
+
+    result, _fanned = devicefig_smoke
     assert result.mode == "smoke"
     # 2 devices x 2 policies x 1 overprovision point
     assert len(result.cells) == 4
@@ -101,11 +110,10 @@ def test_devicefig_smoke_runs_and_renders():
     assert "reconciliation" in text
 
 
-def test_devicefig_smoke_jobs_byte_identical():
+def test_devicefig_smoke_jobs_byte_identical(devicefig_smoke):
     from repro.experiments import devicefig
 
-    serial = devicefig.run(smoke=True, seed=23, jobs=1)
-    fanned = devicefig.run(smoke=True, seed=23, jobs=2)
+    serial, fanned = devicefig_smoke
     assert devicefig.render(serial) == devicefig.render(fanned)
     assert serial.cells == fanned.cells
 

@@ -1,0 +1,238 @@
+"""The durable write path: its call budget, the same-slot rule as a
+count, and the crash races the old commit process lost.
+
+One PUT's durable work is a WAL group commit (``Wal.append`` arms
+``_commit_next``; ``_step`` issues ``SimFile.append -> _extend ->`` one
+backend write per segment, joined by a counter) plus its share of FLUSH,
+COMPACT, WAL retirement and FTL GC.  ``tests/test_request_path.py`` pins a
+whole request above the scheduler and ``tests/test_device_op_path.py``
+one device op; this file pins the commit and one GC victim, counted the
+same way (``sys.setprofile`` ``call`` events, generator resumes
+included).  ``tests/test_bulk_rewrites.py`` holds the oracles for the
+bulk rewrites.
+
+The commit used to be a ``Process``; it is now a continuation in the
+heap slots that process took (its start, and the dispatch of each group
+write it waited on), so the kernel's heap pushes per PUT must not move.
+"""
+
+import pytest
+
+from .helpers import count_calls
+from repro.core import IoTag, RequestClass, Reservation
+from repro.engine import EngineConfig, Wal
+from repro.faults import CrashError
+from repro.node import NodeConfig, StorageNode
+from repro.sim import Simulator
+from repro.sim import core as sim_core
+from repro.ssd import RawBackend, SimFilesystem, SsdDevice, SsdProfile, get_profile
+from repro.ssd.ftl import Ftl
+
+KIB = 1024
+MIB = 1024 * KIB
+TAG = IoTag("t1", RequestClass.PUT)
+TINY = SsdProfile(name="tiny-wal", channels=4, logical_capacity=64 * MIB, overprovision=1.0)
+
+
+def raw_wal():
+    sim = Simulator()
+    device = SsdDevice(sim, TINY, seed=3, precondition=False)
+    fs = SimFilesystem(sim, RawBackend(device), capacity=TINY.logical_capacity)
+    return sim, Wal(sim, fs, "wal")
+
+
+# ---------------------------------------------------------------------------
+# crash races: an append in the same instant as crash()
+# ---------------------------------------------------------------------------
+
+
+def test_append_after_a_crash_with_a_commit_in_flight_keeps_one_commit():
+    """The old loop's ``finally`` ran after the post-crash append had
+    started a new loop and cleared its flag: the log read idle while that
+    append's write was in flight, so ``quiesced()`` fired and ``retire()``
+    passed, and a further append started a second concurrent commit."""
+    sim, wal = raw_wal()
+    a = wal.append(512, TAG, record=(1, 512))
+    sim.step_while(lambda: wal.batches == 0)  # A's group write is in flight
+    assert not a.triggered
+    assert wal.crash() == 1
+    b = wal.append(512, TAG, record=(2, 512))
+    sim.run(until=sim.now)  # everything left in the crash's instant
+    assert wal.batches == 2 and not b.triggered  # B's write is in flight
+    assert wal.busy
+    drained = wal.quiesced()
+    with pytest.raises(RuntimeError):
+        wal.retire()
+    c = wal.append(512, TAG, record=(3, 512))
+    sim.run(until=sim.now)
+    assert wal.batches == 2  # C waits for B's commit instead of racing it
+    sim.run(until=sim.now + 1.0)
+    assert isinstance(a.value, CrashError)
+    assert b.ok and c.ok and drained.ok
+    assert wal.batches == 3 and wal.entries == [(2, 512), (3, 512)]
+    assert not wal.busy
+
+
+def test_append_after_a_crash_with_a_commit_armed_is_committed():
+    """The old loop, armed but not yet started at the crash, woke up,
+    took the post-crash append's batch and was then killed by the pending
+    interrupt: that append's event never fired."""
+    sim, wal = raw_wal()
+    a = wal.append(512, TAG, record=(1, 512))
+    assert wal.crash() == 1
+    b = wal.append(512, TAG, record=(2, 512))
+    sim.run(until=sim.now + 1.0)
+    assert isinstance(a.value, CrashError)
+    assert b.triggered and b.ok
+    c = wal.append(512, TAG, record=(3, 512))
+    sim.run(until=sim.now + 1.0)
+    assert c.ok and wal.entries == [(2, 512), (3, 512)]
+
+
+# ---------------------------------------------------------------------------
+# the call budget
+# ---------------------------------------------------------------------------
+
+COUNTED = ("/repro/engine/", "/repro/ssd/filesystem.py", "/repro/sim/")
+#: the WAL's tail page keeps this much slack before the counted commit
+SLACK = 2000
+
+
+def commit(sizes):
+    """A WAL with ``SLACK`` bytes left in its tail page, and a callable
+    running one group commit of same-instant appends of ``sizes`` to its
+    end (the waiters' acknowledgements included)."""
+    sim, wal = raw_wal()
+    wal.append(4096 - SLACK, TAG, record=(0, 4096 - SLACK))
+    sim.run()
+
+    def run():
+        events = [wal.append(n, TAG, record=(k, n)) for k, n in enumerate(sizes, 1)]
+        sim.run()
+        assert wal.batches == 2 and all(event.ok for event in events)
+
+    return wal, run
+
+
+#: (waiters' sizes, extents the group write spans)
+COMMITS = {
+    "one waiter, one extent": ([1000], 1),
+    "eight waiters, one extent": ([200] * 8, 1),
+    "one waiter, two extents": ([3000], 2),
+}
+
+
+def test_group_commit_calls_stay_within_budget():
+    """Calls under ``repro/engine``, ``repro/ssd/filesystem.py`` and
+    ``repro/sim`` for one group commit on an idle raw device (CPython
+    3.11; 3.12 inlines comprehensions and counts fewer):
+
+    =========================  ======  ======  ======
+    group commit               parent  change  budget
+    =========================  ======  ======  ======
+    one waiter, one extent         26      20      20
+    eight waiters, one extent      75      55      55
+    one waiter, two extents        48      34      34
+    =========================  ======  ======  ======
+
+    The counts include the device's own events and the run loop.  The
+    parent ran the commit as a ``Process`` (spawn, start and one resume
+    per batch), summed the batch through a generator expression, and
+    joined a two-extent write through ``AllOf`` (a ``processed`` check
+    and a ``_check`` per member and a result dict).  Each waiter still
+    costs its append, its event and its acknowledgement.
+    """
+    per_commit = {}
+    for name, (sizes, extents) in COMMITS.items():
+        wal, run = commit(sizes)
+        per_commit[name] = count_calls(run, COUNTED)
+        assert len(wal.file.extents) == extents, name
+    assert per_commit["one waiter, one extent"] <= 20, per_commit
+    assert per_commit["eight waiters, one extent"] <= 55, per_commit
+    assert per_commit["one waiter, two extents"] <= 34, per_commit
+
+
+def test_group_commit_spawns_no_process_and_builds_no_allof(monkeypatch):
+    built = []
+    for cls in (sim_core.Process, sim_core.AllOf):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    for sizes, _extents in COMMITS.values():
+        _wal, run = commit(sizes)
+        run()
+    assert built == []
+
+
+def victim_with(live):
+    """An FTL whose one closed block holds ``live`` live pages, with an
+    open GC block on every channel that has room for all of them."""
+    ftl = Ftl(SsdProfile(name="tiny-gc", channels=4, logical_capacity=16 * MIB,
+                         overprovision=0.5), seed=1)
+    per_block = ftl.pages_per_block
+    for page in range(per_block + 1):  # the last page closes the block
+        ftl._append_page(page, False, 0)
+    for page in range(live, per_block):
+        ftl.trim(page * ftl.page_size, ftl.page_size)
+    for chan in range(ftl.channels):
+        ftl._gc_active[chan] = ftl._allocate_block(chan)
+    return ftl
+
+
+def test_gc_victim_calls_do_not_grow_with_live_pages():
+    """Python calls under ``repro/ssd`` for one ``collect_victim``: 8
+    whether 8 or 56 of the victim's 64 pages are live.  The parent
+    walked the listed pages and made one ``_append_page`` call per live
+    one (15 and 63)."""
+    calls = {}
+    for live in (8, 56):
+        ftl = victim_with(live)
+        moves = []
+        calls[live] = count_calls(lambda: moves.append(ftl.collect_victim()), ("/repro/ssd/",))
+        assert moves[0].valid_pages == live
+    assert calls[8] == calls[56] <= 8, calls
+
+
+# ---------------------------------------------------------------------------
+# the same-slot rule as a count
+# ---------------------------------------------------------------------------
+
+#: a tree small enough that FLUSH and COMPACT both fire
+SMALL_TREE = EngineConfig(
+    memtable_bytes=256 * KIB, level1_bytes=1 * MIB, max_output_file_bytes=256 * KIB,
+)
+WRITERS = 4
+PUTS = 400  # per writer
+
+
+def test_heap_pushes_per_put_equal_the_parents():
+    """4 writers x 400 PUTs of 4 KiB on a 64 MiB node: group commits of
+    several waiters, FLUSH, COMPACT, WAL retirement and FTL GC all run.
+    7 102 heap pushes (4.43875 per PUT) at the parent and now: the
+    commit's continuations take the slots its process took."""
+    sim = Simulator()
+    node = StorageNode(
+        sim, profile=get_profile("intel320").with_capacity(64 * MIB),
+        config=NodeConfig(engine=SMALL_TREE), seed=5,
+    )
+    node.add_tenant("t1", Reservation(gets=2000.0, puts=2000.0))
+
+    def writer(lane):
+        for i in range(PUTS):
+            yield from node.put("t1", (lane * 7919 + i * 31) % 3000, 4 * KIB)
+
+    engine = node.engines["t1"]
+    batches = []
+    engine.subscribe_wal(lambda records: batches.append(len(records)))
+    seq0 = sim._seq
+    writers = [sim.process(writer(lane)) for lane in range(WRITERS)]
+    sim.step_while(lambda: any(proc.is_alive for proc in writers))
+    assert all(proc.ok for proc in writers)
+    assert engine.stats.flushes > 3 and engine.stats.compactions > 0
+    assert node.device.stats.gc_runs > 0
+    assert sum(batches) == WRITERS * PUTS and max(batches) > 1
+    assert sim._seq - seq0 == 7102
