@@ -22,6 +22,7 @@ flush is already behind, as LevelDB does).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -220,45 +221,49 @@ class LsmEngine:
 
         Merges every overlapping source — both memtables and all
         overlapping tables at every level — newest version winning,
-        tombstones suppressing older values.  Each overlapping table
-        costs one sequential read of the covered data span (what a
-        LevelDB iterator pays).
+        tombstones suppressing older values.  Each table holding a key in
+        range costs one sequential read of the covered data span (what a
+        LevelDB iterator pays); the rows merge through C-level dict
+        updates, one per source.
         """
         if lo > hi:
             raise ValueError(f"scan range [{lo}, {hi}] is empty")
+        if limit is not None and limit < 0:
+            raise ValueError(f"scan limit must be non-negative, got {limit}")
         tag = tag or IoTag(self.tenant, RequestClass.GET)
         self.stats.scans += 1
         merged: Dict[int, int] = {}
         # Oldest sources first so newer layers overwrite.
-        tables: List[SsTable] = []
-        for level in range(self.version.max_levels - 1, 0, -1):
-            tables.extend(self.version.overlapping(level, lo, hi))
-        tables.extend(reversed(self.version.overlapping(0, lo, hi)))
+        tables = self.version.scan_sources(lo, hi)
         # Captured with the table list, before the first IO wait: a FLUSH
         # that lands mid-scan moves the immutable memtable's entries into
         # an L0 table this scan never listed.
         memtables = (self.immutable, self.memtable)
+        # Every listed table is held until the scan ends, even one with
+        # no key in range: its last unref may delete a doomed file.
         for table in tables:
             self._ref(table)
         try:
             for table in tables:
-                yield from self._read_verified(
-                    table.read_range, lo, hi, span="sst.range", tag=tag,
-                )
-                merged.update(table.range_items(lo, hi))
+                keys = table.keys
+                first = bisect_left(keys, lo)
+                last = bisect_right(keys, hi, first)
+                if first < last:
+                    yield from self._read_verified(
+                        table.read_span, first, last, span="sst.range", tag=tag,
+                    )
+                    merged.update(zip(keys[first:last], table.sizes[first:last]))
         finally:
             for table in tables:
                 self._unref(table)
         for source in memtables:
             if source is not None:
-                merged.update(source.range_items(lo, hi))
-        results = [
-            (key, size)
-            for key, size in sorted(merged.items())
-            if size != TOMBSTONE
-        ]
+                source.merge_range(merged, lo, hi)
+        results = sorted(merged.items())
+        if TOMBSTONE in merged.values():
+            results = [row for row in results if row[1] != TOMBSTONE]
         if limit is not None:
-            results = results[:limit]
+            del results[limit:]
         self.stats.scanned_entries += len(results)
         return results
 

@@ -9,12 +9,15 @@ value bytes.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["Memtable", "Entry", "TOMBSTONE"]
 
 #: sentinel size marking a deletion record
 TOMBSTONE = -1
+
+_size = attrgetter("size")
 
 
 class Entry:
@@ -69,14 +72,11 @@ class Memtable:
         """The buffered entry for ``key``, or None if absent."""
         return self._entries.get(key)
 
-    def range_items(self, lo: int, hi: int) -> List[Tuple[int, int]]:
-        """(key, size) of the entries with lo <= key <= hi, in key order."""
+    def merge_range(self, into: Dict[int, int], lo: int, hi: int) -> None:
+        """Set ``into[key] = size`` for every entry with lo <= key <= hi."""
         keys = self._keys
-        entries = self._entries
-        return [
-            (key, entries[key].size)
-            for key in keys[bisect_left(keys, lo):bisect_right(keys, hi)]
-        ]
+        span = keys[bisect_left(keys, lo):bisect_right(keys, hi)]
+        into.update(zip(span, map(_size, map(self._entries.__getitem__, span))))
 
     def items(self) -> List[Tuple[int, int]]:
         """(key, size) of every entry, in key order (what a FLUSH writes)."""

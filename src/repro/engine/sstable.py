@@ -94,34 +94,24 @@ class SsTable:
         length = min(BLOCK_SIZE, max(self.file.size - block_start, 1))
         return self.file.read(block_start, length, tag=tag)
 
-    def range_indices(self, lo: int, hi: int) -> range:
-        """Indices of entries with lo <= key <= hi."""
-        first = bisect.bisect_left(self.keys, lo)
-        last = bisect.bisect_right(self.keys, hi)
-        return range(first, last)
+    def read_span(self, first: int, last: int, tag: IoTag) -> Event:
+        """Sequentially read the data of entries ``[first, last)``.
 
-    def range_items(self, lo: int, hi: int) -> Iterable[Tuple[int, int]]:
-        """(key, size) of the entries with lo <= key <= hi, in key order."""
-        span = self.range_indices(lo, hi)
-        return zip(self.keys[span.start:span.stop], self.sizes[span.start:span.stop])
-
-    def read_range(self, lo: int, hi: int, tag: IoTag) -> Optional[Event]:
-        """Sequentially read the span covering keys in [lo, hi].
-
-        One index block plus the contiguous block-aligned data run — the
-        IO a LevelDB iterator would issue over this table.  Returns None
-        when the table holds no key in range.
+        The contiguous block-aligned run holding those values — the IO a
+        LevelDB iterator would issue over this table.  The span must be
+        non-empty.  Tombstones take no data bytes, so a span of trailing
+        tombstones can start at the file's end; it reads the last block.
         """
-        indices = self.range_indices(lo, hi)
-        if not indices:
-            return None
-        first, last = indices[0], indices[-1]
-        start = (self.offsets[first] // BLOCK_SIZE) * BLOCK_SIZE
+        start = min(
+            (self.offsets[first] // BLOCK_SIZE) * BLOCK_SIZE,
+            ((self.file.size - 1) // BLOCK_SIZE) * BLOCK_SIZE,
+        )
+        last -= 1
         end = self.offsets[last] + max(self.sizes[last], 1)
         aligned_end = min(
             ((end + BLOCK_SIZE - 1) // BLOCK_SIZE) * BLOCK_SIZE, self.file.size
         )
-        return self.file.read(start, max(aligned_end - start, 1), tag=tag)
+        return self.file.read(start, aligned_end - start, tag=tag)
 
     def read_value(self, idx: int, tag: IoTag) -> Event:
         """Read the block-aligned span holding entry ``idx``'s value."""

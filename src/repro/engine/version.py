@@ -39,6 +39,7 @@ class Version:
         #: ``min_key`` of every table, parallel to ``levels``.  L1+ are
         #: sorted and disjoint, so a lookup there is two bisects of this.
         self._min_keys: List[List[int]] = [[] for _ in range(max_levels)]
+        self._deepest_first = range(max_levels - 1, 0, -1)
 
     @property
     def max_levels(self) -> int:
@@ -107,12 +108,32 @@ class Version:
 
     def overlapping(self, level: int, lo: int, hi: int) -> List[SsTable]:
         """Tables at ``level`` intersecting [lo, hi], in level order."""
-        tables = self.levels[level]
         if level == 0:
-            return [t for t in tables if t.overlaps(lo, hi)]
-        min_keys = self._min_keys[level]
-        # Only the last table starting at or below ``lo`` can reach it.
-        first = bisect.bisect_right(min_keys, lo) - 1
-        if first < 0 or tables[first].max_key < lo:
-            first += 1
-        return tables[first:bisect.bisect_right(min_keys, hi)]
+            return [t for t in self.levels[0] if t.overlaps(lo, hi)]
+        return self.scan_sources(lo, hi, levels=(level,))
+
+    def scan_sources(self, lo: int, hi: int, levels=None) -> List[SsTable]:
+        """Tables intersecting [lo, hi], oldest first.
+
+        By default every level: the deepest first and L0 last, oldest to
+        newest, so a scan that merges the list in order lets newer
+        versions win — in one frame, since every scan pays for it.
+        ``levels`` restricts the walk to those sorted L1+ levels, in the
+        given order.
+        """
+        found: List[SsTable] = []
+        for level in self._deepest_first if levels is None else levels:
+            min_keys = self._min_keys[level]
+            if not min_keys:
+                continue
+            tables = self.levels[level]
+            # Only the last table starting at or below ``lo`` can reach it.
+            first = bisect.bisect_right(min_keys, lo) - 1
+            if first < 0 or tables[first].max_key < lo:
+                first += 1
+            found += tables[first:bisect.bisect_right(min_keys, hi)]
+        if levels is None:
+            for table in reversed(self.levels[0]):
+                if table.min_key <= hi and lo <= table.max_key:
+                    found.append(table)
+        return found

@@ -30,6 +30,7 @@ flight, and a fill that a write to its key overtook stores nothing
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Union
 
 from ..core.capacity import stack_floor
@@ -331,9 +332,7 @@ class StorageNode:
         if trace is not None or self.tracer is not None:
             tag, trace = self._traced(tag, trace)
         results = yield from self._execute(ctx, ctx.engine.scan, lo, hi, tag, limit)
-        total_bytes = 0
-        for _key, size in results:
-            total_bytes += size
+        total_bytes = sum(map(itemgetter(1), results))
         self._account(ctx, "get", total_bytes or 1024, started, trace)
         return results
 

@@ -558,6 +558,45 @@ def test_scan_rejects_inverted_range(env):
         list(engine.scan(10, 5))
 
 
+def test_scan_rejects_a_negative_limit_before_any_io(env):
+    """A negative limit used to slice rows off the end (``limit=-1``
+    returned all but the last row); it is an error, as an inverted range
+    is, raised before the scan reads anything."""
+    sim, engine, _tracker, fs = env
+
+    def flow():
+        for key in range(80):
+            yield from engine.put(key, 8 * KIB)
+        yield sim.timeout(2.0)  # flushed: a scan of [0, 79] reads a table
+        reads, scans = fs.backend.device.stats.reads, engine.stats.scans
+        with pytest.raises(ValueError, match="limit"):
+            yield from engine.scan(0, 79, limit=-1)
+        assert (fs.backend.device.stats.reads, engine.stats.scans) == (reads, scans)
+        assert (yield from engine.scan(0, 79, limit=0)) == []
+        assert len((yield from engine.scan(0, 79))) == 80
+
+    drive(sim, flow())
+
+
+def test_scan_over_a_table_of_tombstones_reads_its_last_block(env):
+    """A table of deletes only has no data bytes: its values would start
+    where the file ends.  A scan over it reads the file's last block (it
+    used to read one byte past the end and fail)."""
+    sim, engine, _tracker, fs = env
+    tag = IoTag("t1", RequestClass.PUT)
+
+    def flow():
+        entries = [(key, TOMBSTONE) for key in range(5)]
+        table = yield from engine._builder.build(entries, tag)
+        assert table.file.size == 4 * KIB  # the index block
+        engine.version.install(1, [table])
+        reads = fs.backend.device.stats.reads
+        assert (yield from engine.scan(0, 9)) == []
+        assert fs.backend.device.stats.reads > reads
+
+    drive(sim, flow())
+
+
 def test_scan_issues_sequential_reads(env):
     sim, engine, _tracker, fs = env
 

@@ -2,12 +2,14 @@
 invariants."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from .test_read_path_index import CHURN
 from repro.analysis.metrics import cdf_points, mmr
 from repro.core import Ewma, OpKind, make_cost_model, reference_calibration
 from repro.engine import TOMBSTONE, Memtable, merge_entries, split_outputs
@@ -460,6 +462,100 @@ def test_cache_agrees_with_dict_model_under_interleaving(programs):
     assert cached == model
     uncached, model = _run_cache_program(programs, cache_bytes=0)
     assert uncached == model
+
+
+# ---------------------------------------------------------------------------
+# Range scans under concurrent writers
+# ---------------------------------------------------------------------------
+
+SCAN_KEYS = 24
+#: CHURN's memtable, with L1 the last level, so compaction drops
+#: tombstones and every table holds live data.  Values are 4 KiB plus at
+#: most 200 bytes and a table holds a handful, so no table's data ends
+#: on a block boundary and every scan span starts inside its file (a
+#: span of trailing tombstones at a file's end has its own test in
+#: test_engine.py); the property then holds for the old span arithmetic
+#: too.
+SCAN_ENGINE = replace(CHURN, max_levels=2)
+SCAN_OPS = st.tuples(
+    st.sampled_from(["put", "put", "delete", "scan", "scan"]),
+    st.integers(0, SCAN_KEYS - 1),
+    st.integers(0, 12),  # a scan's span: hi = key + span
+    st.sampled_from([None, 0, 1, 3, 8]),  # a scan's limit
+    st.integers(0, 4),  # think time before the op, in 0.2 ms steps
+)
+
+
+def _run_scan_program(programs):
+    """Run one client process per program on one node whose engine
+    flushes every other PUT, checking every scan against each key's
+    history of values."""
+    from repro.node import NodeConfig, StorageNode
+    from repro.ssd import get_profile
+
+    sim = Simulator()
+    profile = get_profile("intel320").with_capacity(64 * MIB)
+    node = StorageNode(sim, profile=profile, config=NodeConfig(engine=SCAN_ENGINE), seed=5)
+    node.add_tenant("t")
+    #: key -> every value it has held, oldest first (None = absent)
+    held = {key: [None] for key in range(SCAN_KEYS)}
+
+    def checked_scan(lo, hi, limit):
+        in_range = range(lo, min(hi, SCAN_KEYS - 1) + 1)
+        first = {key: len(held[key]) - 1 for key in in_range}  # current at issue
+        rows = yield from node.scan("t", lo, hi, limit=limit)
+        window = {key: held[key][first[key]:] for key in in_range}
+        keys = [key for key, _size in rows]
+        assert keys == sorted(set(keys)) and all(lo <= key <= hi for key in keys), rows
+        assert limit is None or len(rows) <= limit, rows
+        for key, size in rows:
+            assert size in window[key], (
+                f"scan({lo}, {hi}) returned {key}={size}; it held {window[key]}"
+            )
+        # Below the limit's cut, every key left out must have been absent
+        # at some instant while the scan ran.
+        cut = hi
+        if limit is not None and len(rows) == limit:
+            cut = keys[-1] if rows else lo - 1
+        for key in set(in_range) - set(keys):
+            if key <= cut:
+                assert None in window[key], (
+                    f"scan({lo}, {hi}) omitted {key}; it held {window[key]}"
+                )
+
+    def client(c_idx, program):
+        for op_idx, (verb, key, span, limit, think) in enumerate(program):
+            yield sim.timeout(think * 2e-4)
+            if verb == "scan":
+                yield from checked_scan(key, key + span, limit)
+            elif verb == "put":
+                size = 4097 + 50 * c_idx + op_idx  # distinct per write
+                yield from node.put("t", key, size)
+                held[key].append(size)
+            else:
+                yield from node.delete("t", key)
+                held[key].append(None)
+
+    procs = [sim.process(client(c_idx, program)) for c_idx, program in enumerate(programs)]
+    sim.step_while(lambda: any(proc.is_alive for proc in procs))
+    for proc in procs:
+        if not proc.ok:
+            raise proc.value
+    node.stop()
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(programs=st.lists(st.lists(SCAN_OPS, min_size=24, max_size=48), min_size=2, max_size=4))
+def test_scans_see_a_value_each_key_held_while_writers_run(programs):
+    """2-4 concurrent clients PUT, DELETE and scan 24 keys through one
+    node whose memtable holds two values, so FLUSH and COMPACT land
+    while scans wait on their reads.  A scan's rows are sorted, in range
+    and within its limit; each row is a value its key held at some
+    instant while the scan ran, and each in-range key left out below the
+    limit's cut was absent at some such instant.  (A scan that read its
+    memtables after its table IO would miss the rows a mid-scan FLUSH
+    moved into an L0 table it never listed.)"""
+    _run_scan_program(programs)
 
 
 # ---------------------------------------------------------------------------

@@ -105,16 +105,21 @@ def test_calls_per_request_stay_within_budget():
     GET, memtable hit            12.00    7.00       7
     GET, SSTable, index cached   35.00   19.00      19
     PUT, no rotation             30.26   23.26      24
-    scan(k, k + 64, limit=32)    71.00   28.16      29
+    scan(k, k + 64, limit=32)    28.48   16.48      17
     ==========================  ======  ======  ======
 
+    The scan row's parent is the tree just before the range scan was
+    rebuilt; the request-path rewrite had taken it from 71.00.
     The parent resolved the tenant six times per request, built a frozen
     ``IoTag`` and a closure for it, drove every attempt through an idle
     ``_bounded`` frame, listed a GET's candidate tables through a
     generator and a lambda per block read, mapped every file read
     through ``_map`` and summed a scan's sizes with a generator
     expression (33 resumes for 32 rows; the scans here span one table
-    and the memtable).  The counts repeat exactly, so
+    and the memtable).  A scan also listed its tables level by level,
+    bisected each table twice and copied the memtable's span out as a
+    tuple list; it now lists them in one call, bisects once and merges
+    every source with dict updates.  The counts repeat exactly, so
     the budget fails at the parent and catches any of that creeping
     back.  The SSTable lane also checks there is no per-request tag:
     with tracing off, all 1000 GETs' device reads carry one tag object.
@@ -147,7 +152,7 @@ def test_calls_per_request_stay_within_budget():
     assert per_request["memtable"] <= 7, per_request
     assert per_request["sstable"] <= 19, per_request
     assert per_request["put"] <= 24, per_request
-    assert per_request["scan"] <= 29, per_request
+    assert per_request["scan"] <= 17, per_request
     get_tags = [tag for tag in node.fs.backend.tags if tag.request is RequestClass.GET]
     assert len(get_tags) > 2000 and len({id(tag) for tag in get_tags}) == 1
 
@@ -175,6 +180,18 @@ def test_unknown_tenant_raises_the_same_keyerror_from_every_request_method():
         with pytest.raises(KeyError) as caught:
             call("nobody")
         assert caught.value.args == (message,)
+
+
+def test_negative_scan_limit_raises_before_any_io():
+    """``limit=-1`` used to return all rows but the last."""
+    sim, node = loaded_node()
+    assert len(drive(sim, node.scan("t1", 0, 9))) == 10
+    reads = len(node.fs.backend.tags)
+    with pytest.raises(ValueError, match="limit"):
+        drive(sim, node.scan("t1", 0, 9, limit=-1))
+    assert len(node.fs.backend.tags) == reads
+    assert drive(sim, node.scan("t1", 0, 9, limit=0)) == []
+    assert node.stats("t1").errors == 0
 
 
 def test_untraced_requests_share_a_tag_value_and_traced_ones_carry_their_own_id():
