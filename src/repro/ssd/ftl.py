@@ -21,13 +21,17 @@ assigns each stripe run as a slice (:meth:`Ftl._append_striped`).  That
 is exact because the pages of one op are distinct and block allocation
 reads the map only on the emergency-GC path, so the batched lane runs
 only while the free pool cannot run dry inside the op; otherwise the op
-walks page by page through the same primitive preconditioning uses.
-A GC victim is evacuated the same way: one page-map gather finds its
-live pages, and they are copied per stripe run (:meth:`Ftl._append_gc`).
+walks page by page through that primitive.  A GC victim is evacuated
+the same way: one page-map gather finds its live pages, and they are
+copied per stripe run (:meth:`Ftl._append_gc`).  Preconditioning goes
+further and applies all the writes between two GC runs — hundreds of
+blocks' worth, duplicates included — as one batch
+(:meth:`Ftl._append_batch`).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -42,6 +46,10 @@ from .profiles import SsdProfile
 __all__ = ["Ftl", "WritePlan", "GcMove"]
 
 UNMAPPED = -1
+
+#: fill pages, or raw aging draws, that preconditioning takes at a time:
+#: bounds its transient arrays (~1.5 MB, plus an int per logical page)
+_CHUNK = 1 << 14
 
 #: mapped pages from which dropping old copies goes through one
 #: ``np.subtract.at`` instead of a Python loop (see ``Ftl._invalidate``)
@@ -452,8 +460,8 @@ class Ftl:
         """Append one logical page to ``channel``'s active block,
         invalidating the previous copy.
 
-        The scalar primitive: one-page host writes, GC copies,
-        preconditioning and multi-page writes on a nearly dry pool.
+        The scalar primitive: one-page host writes and multi-page
+        writes on a nearly dry pool.
         """
         page_to_block = self.page_to_block
         block_valid = self.block_valid
@@ -605,40 +613,149 @@ class Ftl:
         would.  This converges the per-block valid-count distribution to
         the greedy-GC steady state so write workloads see realistic
         (finite!) write amplification from their first IO.
+
+        Both phases go in as batches (:meth:`_host_appends`) yet leave
+        every field, ``rng`` included, exactly as one ``_append_page``
+        per page with the watermark checked after each would.
         """
-        if age_factor < 0:
-            raise ValueError(f"age_factor {age_factor} must be >= 0")
+        if not 0 <= age_factor < math.inf:
+            raise ValueError(f"age_factor {age_factor} must be finite and >= 0")
         n_pages = self.logical_pages
         nchan = self.channels
-        stripe = self.stripe_pages
-        per_block = self.pages_per_block
-        append = self._append_page
-        active, fill = self._host_active[0], self._host_fill[0]
-        # LBA-ordered fill, striped so sequential reads parallelize.  The
-        # pool shrinks only at a page that opens a block, so only such a
-        # page needs the watermark check after it (page by page, too,
-        # for as long as GC is wanted); the rest of its stripe run, up to
-        # the block's end, goes in as one slice.
-        p = 0
-        while p < n_pages:
-            chan = (p // stripe) % nchan
-            if active[chan] is None or fill[chan] >= per_block or self.gc_needed:
-                append(p, False, chan)
-                p += 1
-                if self.gc_needed:
-                    self._sync_gc()
-            else:
-                run = min(stripe - p % stripe, per_block - fill[chan], n_pages - p)
-                self._append_striped(p, run, chan, 0)
-                p += run
-        randrange = self.rng.randrange
-        start = self._host_cursor[0]
-        for i in range(int(n_pages * age_factor)):
-            append(randrange(n_pages), False, (start + i) % nchan)
-            if self.gc_needed:
-                self._sync_gc()
+        for first in range(0, n_pages, _CHUNK):
+            lba = np.arange(first, min(first + _CHUNK, n_pages))
+            self._host_appends(lba, lba // self.stripe_pages % nchan)
+        # write i of the aging goes to channel (cursor + i) % channels
+        chan = self._host_cursor[0]
+        for pages in self._draw_pages(int(n_pages * age_factor)):
+            self._host_appends(pages, (chan + np.arange(len(pages))) % nchan)
+            chan = (chan + len(pages)) % nchan
         self._sync_gc()
         self.emergency_gcs = 0
+
+    def _host_appends(self, pages: np.ndarray, chans: np.ndarray) -> None:
+        """Append page ``pages[i]`` to channel ``chans[i]`` of host
+        stream 0 for every ``i``, running GC to the high watermark
+        whenever the pool reaches the low one."""
+        i, n = 0, len(pages)
+        while i < n:
+            if self.gc_needed:  # the pool starts drained: GC after each write
+                self._append_page(pages.item(i), False, chans.item(i))
+                i += 1
+            else:
+                i += self._append_batch(pages[i:], chans[i:])
+            if self.gc_needed:
+                self._sync_gc()
+
+    def _append_batch(self, pages: np.ndarray, chans: np.ndarray) -> int:
+        """Append a prefix of :meth:`_host_appends`' writes in one pass
+        and return its length: at most up to the write whose block
+        brings the free pool to the low watermark.
+
+        Until then the pool only shrinks and no GC runs, so:
+
+        - the ``t``-th write to channel ``c`` opens a block when ``t -
+          room_c`` is a non-negative multiple of ``pages_per_block``
+          (``room_c``: pages left in ``c``'s open block), and those
+          writes take the free list's blocks in order, each stamped
+          with the write clock at that write;
+        - no write reads a valid count, so a page written ``k`` times
+          nets −1 at the block it held before and +1 at the block of
+          its last copy, while every copy is listed on its block in
+          write order.
+        """
+        nchan = self.channels
+        per_block = self.pages_per_block
+        budget = len(self.free_blocks) - self._gc_low_blocks  # >= 1: gc not needed
+        n = len(pages)
+        active, fill = self._host_active[0], self._host_fill[0]
+        room = [0 if block is None else per_block - used for block, used in zip(active, fill)]
+        # each channel's writes, in write order, and t for each write
+        order = np.argsort(chans.astype(np.int16), kind="stable")
+        per_chan = np.bincount(chans, minlength=nchan)
+        t = np.empty(n, dtype=np.intp)
+        t[order] = np.arange(n) - np.repeat(np.cumsum(per_chan) - per_chan, per_chan)
+        over = t - np.array(room)[chans]
+        opens = np.flatnonzero((over >= 0) & (over % per_block == 0))
+        if len(opens) >= budget:
+            n = int(opens[budget - 1]) + 1
+            opens = opens[:budget]
+            pages, chans, over = pages[:n], chans[:n], over[:n]
+            order = order[order < n]
+            per_chan = np.bincount(chans, minlength=nchan)
+        free = self.free_blocks
+        fresh = [free.popleft() for _ in range(len(opens))]
+        self.block_channel[fresh] = chans[opens]
+        self.block_seq[fresh] = self.write_seq + 1 + opens
+        # block of each write: its channel's open block (segment 0), then
+        # the blocks that channel opens, in order
+        seg = over // per_block + 1
+        lane_blocks = np.empty((int(seg.max()) + 1) * nchan, dtype=np.int32)
+        lane_blocks[:nchan] = [UNMAPPED if block is None else block for block in active]
+        lane_blocks[seg[opens] * nchan + chans[opens]] = fresh
+        owner = lane_blocks[seg * nchan + chans]
+        # each distinct page once, at its last copy
+        at = np.arange(n)
+        newest = np.full(self.logical_pages, -1)
+        np.maximum.at(newest, pages, at)
+        is_last = newest[pages] == at
+        distinct, last = pages[is_last], owner[is_last]
+        page_to_block = self.page_to_block
+        old = page_to_block[distinct]
+        page_to_block[distinct] = last
+        n_blocks = len(self.block_valid)
+        self.block_valid += np.bincount(last, minlength=n_blocks)
+        self.block_valid -= np.bincount(old[old != UNMAPPED], minlength=n_blocks)
+        # listed by channel, then write order: one run per block
+        block_pages = self.block_pages
+        for block in fresh:
+            block_pages[block] = []
+        listed = pages[order].tolist()
+        owners = owner[order]
+        cuts = (np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            block_pages[owners.item(lo)].extend(listed[lo:hi])
+        # a channel's last write is in its open block, which lists exactly
+        # the pages its fill counts
+        for c, (count, end) in enumerate(zip(per_chan.tolist(), np.cumsum(per_chan).tolist())):
+            if count:
+                active[c] = owners.item(end - 1)
+                fill[c] = len(block_pages[active[c]])
+        self.write_seq += n
+        self._note_pool()
+        return n
+
+    def _draw_pages(self, count: int):
+        """Yield ``count`` values of ``rng.randrange(logical_pages)`` as
+        arrays of at most ``_CHUNK``, then leave ``rng`` where those
+        calls would.
+
+        ``randrange(n)`` keeps the top ``n.bit_length()`` bits of one
+        32-bit Mersenne Twister output and draws again while they are
+        ``>= n`` (CPython's ``_randbelow``, for ``n < 2**32``), so the
+        accepted raw outputs of a numpy MT19937 put in ``rng``'s state
+        are exactly the scalar draws.
+        """
+        n = self.logical_pages
+        shift = 32 - n.bit_length()
+        version, internal, gauss = self.rng.getstate()
+        twister = np.random.MT19937(0)
+        twister.state = {
+            "bit_generator": "MT19937",
+            "state": {"key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]},
+        }
+        while count:
+            before = twister.state
+            raw = (twister.random_raw(_CHUNK) >> shift).view(np.int64)
+            hits = np.flatnonzero(raw < n)
+            if len(hits) >= count:  # rewind to just past the last one used
+                twister.state = before
+                twister.random_raw(int(hits[count - 1]) + 1)
+                hits = hits[:count]
+            count -= len(hits)
+            yield raw[hits]
+        state = twister.state["state"]
+        self.rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss))
 
     def _sync_gc(self) -> None:
         """Run GC to the high watermark with no simulated time cost."""

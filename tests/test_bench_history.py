@@ -3,7 +3,10 @@ and workload, checked for shape and for arithmetic.
 
 Each row records alternating parent/change runs of ``python3
 benchmarks/kvbench/run.py --workload W --seed N --seconds S --trace 0``:
-``pairs[i]`` is ``[parent, change]`` ``req_per_cpu_s`` at ``seeds[i]``
+``pairs[i]`` is ``[parent, change]`` of the row's ``metric`` (an
+end-to-end metric of ``BENCHMARK.json``; ``req_per_cpu_s`` when absent)
+at ``seeds[i]``, ``wins`` counts the pairs where the change is better in
+the direction ``BENCHMARK.json`` declares for that metric,
 and ``sim_digest[str(seed)]`` the ``[seg2, seg7]`` digest prefixes both
 sides printed (a pair with different digests is not a measurement of
 the same simulation, so it is not recorded).  ``claim`` marks the series
@@ -20,7 +23,13 @@ import statistics
 
 import pytest
 
-HISTORY = pathlib.Path(__file__).resolve().parent.parent / "BENCH_kvbench.jsonl"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+HISTORY = ROOT / "BENCH_kvbench.jsonl"
+#: end-to-end metric -> "higher" or "lower", whichever is better
+BETTER = {
+    metric["name"]: metric["better"]
+    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+}
 WORKLOADS = {"node_get", "node_hot", "node_put", "node_scan", "cluster_rf3"}
 FIELDS = {
     "pr", "sha", "parent_sha", "workload", "claim", "holdout", "seconds", "seeds", "pairs",
@@ -38,7 +47,8 @@ def history():
 def test_rows_have_the_schema(history):
     assert history
     for row in history:
-        assert FIELDS <= set(row) <= FIELDS | {"note", "against"}, row
+        assert FIELDS <= set(row) <= FIELDS | {"note", "against", "metric"}, row
+        assert row.get("metric", "req_per_cpu_s") in BETTER, row
         assert not (row.get("against") and row["claim"]), row
         assert isinstance(row["pr"], int) and row["workload"] in WORKLOADS
         assert row["sha"] is None or SHA.fullmatch(row["sha"])
@@ -60,7 +70,8 @@ def test_each_recorded_ratio_and_win_count_matches_its_pairs(history):
         parent = statistics.median(p for p, _c in row["pairs"])
         change = statistics.median(c for _p, c in row["pairs"])
         assert row["ratio_of_medians"] == pytest.approx(change / parent, abs=5e-4), row
-        assert row["wins"] == sum(c > p for p, c in row["pairs"]), row
+        higher = BETTER[row.get("metric", "req_per_cpu_s")] == "higher"
+        assert row["wins"] == sum(c > p if higher else c < p for p, c in row["pairs"]), row
 
 
 def test_one_claim_series_per_pr_in_pr_order(history):

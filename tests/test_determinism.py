@@ -4,11 +4,19 @@ Two guards: a source scan that bans ambient randomness (module-level
 ``random.*`` / ``numpy.random.*`` calls — everything must go through an
 explicit ``random.Random(seed)``), and an end-to-end check that two
 runs of a faulty, crashing workload produce byte-identical outcomes.
+
+The scan allows one numpy spelling: a Mersenne Twister bit generator
+put in a seeded ``random.Random``'s state before it draws — how
+``Ftl`` preconditioning draws its ``randrange`` pages in bulk, bit for
+bit.  A module using it must copy that state in (``getstate()`` into
+the generator's ``.state``).
 """
 
 import pathlib
 import random
 import re
+
+import pytest
 
 from repro.core import Reservation
 from repro.faults import FaultKind, FaultPlan, FaultWindow, StorageFault
@@ -25,6 +33,29 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 #: random.random(), random.randrange(...) — but not random.Random(seed)
 AMBIENT_RANDOM = re.compile(r"\brandom\s*\.\s*(?!Random\b)[a-z_]+\s*\(")
 AMBIENT_NUMPY = re.compile(r"\b(?:np|numpy)\s*\.\s*random\s*\.")
+#: ... and the spellings that would reach numpy.random without the prefix
+NUMPY_RANDOM_IMPORT = re.compile(
+    r"\bimport\s+numpy\s*\.\s*random\b|\bfrom\s+numpy\s*\.\s*random\s+import\b"
+    r"|\bfrom\s+numpy\s+import\s+(?:.*,\s*)?random\b"
+)
+#: the one exception: a whole statement binding a name to an explicitly
+#: seeded MT19937, which then has a ``random.Random``'s state copied in
+SEEDED_BIT_GENERATOR = re.compile(
+    r"^\s*[\w.]+\s*=\s*(?:np|numpy)\s*\.\s*random\s*\.\s*MT19937\s*\(\s*\d+\s*\)\s*$"
+)
+STATE_COPY = re.compile(r"\.getstate\s*\(\s*\)")
+
+
+def _offenders(lines):
+    """The code lines of one module that draw from, or reach, a
+    process-global RNG."""
+    copies_state = any(map(STATE_COPY.search, lines))
+    return [
+        line for line in lines
+        if not (copies_state and SEEDED_BIT_GENERATOR.match(line))
+        and (AMBIENT_RANDOM.search(line) or AMBIENT_NUMPY.search(line)
+             or NUMPY_RANDOM_IMPORT.search(line))
+    ]
 
 
 def _code_lines(path):
@@ -46,15 +77,44 @@ def _code_lines(path):
 
 
 def test_no_ambient_randomness_in_source():
-    offenders = []
-    for path in sorted(SRC.rglob("*.py")):
-        for line in _code_lines(path):
-            if AMBIENT_RANDOM.search(line) or AMBIENT_NUMPY.search(line):
-                offenders.append(f"{path.relative_to(SRC)}: {line.strip()}")
+    offenders = [
+        f"{path.relative_to(SRC)}: {line.strip()}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in _offenders(list(_code_lines(path)))
+    ]
     assert not offenders, (
         "ambient (unseeded, process-global) randomness found — route it "
         "through a seeded random.Random instance:\n" + "\n".join(offenders)
     )
+
+
+STATE_COPIED_IN = "internal = self.rng.getstate()[1]"
+
+
+@pytest.mark.parametrize("line", [
+    "x = random.random()",
+    "random.shuffle(order)",
+    "noise = np.random.normal(0, 1, 8)",
+    "np.random.seed(1)",
+    "rng = numpy.random.default_rng()",
+    "gen = np . random . MT19937()",  # unseeded: OS entropy
+    "raw = np.random.MT19937(0).random_raw(8)",  # draws before any state copy
+    "from numpy.random import default_rng",
+    "from numpy import linalg, random",
+    "import numpy.random as npr",
+])
+def test_audit_rejects_module_level_draws(line):
+    assert _offenders([STATE_COPIED_IN, line]) == [line]
+
+
+def test_audit_allows_a_bit_generator_only_with_a_state_copied_in():
+    seeded = "        twister = np.random.MT19937(0)"
+    assert _offenders([seeded, STATE_COPIED_IN]) == []
+    assert _offenders([seeded]) == [seeded]
+    assert _offenders([
+        "rng = random.Random(seed)", "page = self.rng.randrange(n)",
+        "raw = twister.random_raw(chunk)",
+    ]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,20 @@ speed, and both old spellings stay here as the references the new ones
 must equal:
 
 - *FTL*: :class:`ReferenceFtl` updates the page map page by page (every
-  page of a write or TRIM through the scalar ``_append_page``); the new
-  FTL updates it once per op.  A seeded op mix must leave both in the
-  same state, return the same ``WritePlan``/``GcMove`` values, and agree
+  page of a write, TRIM or preconditioning through the scalar
+  ``_append_page``, with one ``randrange`` per aging page); the new FTL
+  updates it once per op, and preconditions in batches between GC
+  runs.  A seeded op mix must leave both in the same state, RNG
+  included, return the same ``WritePlan``/``GcMove`` values, and agree
   on the emergency-GC path the batched lane's pool guard exists for;
 - *scheduler*: :class:`ReferencePump` answers "who is eligible" and "is
   the round open" with two scans per pump (``_next_eligible`` and
   ``_round_open``); the new pump makes one lap.  Twin schedulers on twin
   devices must dispatch the same chunks at the same instants;
-- *call budget*: interpreted calls per chunk under ``repro/core`` and
-  ``repro/ssd``, counted with ``sys.setprofile``.  Counts repeat
-  exactly, so the budget is tier-1's twin of kvbench's
-  ``core.calls_per_req``/``ssd.calls_per_req``.
+- *call budgets*: interpreted calls per chunk under ``repro/core`` and
+  ``repro/ssd``, and per preconditioned device under ``repro/ssd``,
+  counted with ``sys.setprofile``.  Counts repeat exactly, so the
+  budgets are tier-1's twin of kvbench's ``calls_per_req``.
 """
 
 import random
@@ -46,8 +48,10 @@ INTEL = get_profile("intel320").with_capacity(32 * MIB)
 
 class ReferenceFtl(Ftl):
     """``host_write``, ``trim`` and ``precondition`` as they were before
-    the per-op update: one ``_append_page`` (or one scalar unmap) per
-    logical page, the watermark checked after every preconditioning page."""
+    the per-op update and the batched preconditioning: one
+    ``_append_page`` (or one scalar unmap) per logical page, one
+    ``randrange`` per aging page, the watermark checked after every
+    preconditioning page."""
 
     def host_write(self, offset, size):
         pages = self._page_range(offset, size)
@@ -113,6 +117,7 @@ def ftl_state(ftl):
         "gc_fill": ftl._gc_fill,
         "write_seq": ftl.write_seq,
         "emergency_gcs": ftl.emergency_gcs,
+        "rng": ftl.rng.getstate(),
     }
 
 
@@ -206,6 +211,52 @@ def test_preconditioning_an_aged_device_matches(policy):
     ref.precondition(age_factor=0.1)
     assert gc_at[0] < fill_ends  # GC ran inside the LBA fill
     assert_same_state(ftl, ref, "after preconditioning twice")
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_preconditioning_a_drained_device_matches(policy):
+    """Host writes with no GC leave the pool at the low watermark: the
+    page walk collects after the first write, and so must the batches."""
+    ftl = Ftl(INTEL, seed=4, policy=policy)
+    ref = ReferenceFtl(INTEL, seed=4, policy=policy)
+    page = INTEL.page_size
+    for each in (ftl, ref):
+        i = 0
+        while not each.gc_needed:
+            each.host_write(i * 7 % INTEL.logical_pages * page, page)
+            i += 1
+    ftl.precondition(age_factor=0.5)
+    ref.precondition(age_factor=0.5)
+    assert_same_state(ftl, ref, "after preconditioning a drained device")
+
+
+#: preconditioning oracle geometries: three drives shrunk to 8192 pages
+#: (12 or 16 channels; samsung840 with 70% overprovisioning, so GC runs
+#: hotter), and
+#: 12 500 pages on 5 channels with 3-page stripes and 32-page blocks —
+#: not a power of two, so ``randrange`` rejects 24% of raw draws, not 50%
+PRECONDITION_PROFILES = {
+    "intel320": INTEL,
+    "oczvector": get_profile("oczvector").with_capacity(32 * MIB),
+    "samsung840_op70": get_profile("samsung840").with_capacity(32 * MIB).with_overprovision(0.7),
+    "odd_12500": SsdProfile(
+        name="odd", channels=5, stripe_pages=3, pages_per_block=32,
+        logical_capacity=12_500 * 4 * KIB, overprovision=0.6,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("age_factor", [0, 0.1, 0.5, 2.0])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("name", sorted(PRECONDITION_PROFILES))
+def test_batched_preconditioning_equals_the_page_walk(name, policy, age_factor, seed):
+    profile = PRECONDITION_PROFILES[name]
+    ftl = Ftl(profile, seed=seed, policy=policy)
+    ref = ReferenceFtl(profile, seed=seed, policy=policy)
+    ftl.precondition(age_factor)
+    ref.precondition(age_factor)
+    assert_same_state(ftl, ref, f"after precondition({age_factor})")
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -415,3 +466,31 @@ def test_calls_per_chunk_stay_within_budget():
     assert per_chunk["read"] <= 17, per_chunk
     assert per_chunk["write"] <= 20, per_chunk
     assert per_chunk["write128k"] <= 44, per_chunk
+
+
+def test_preconditioning_calls_stay_within_budget():
+    """One full-size ``intel320`` (65 536 pages, 2 048 blocks) aged at
+    the default ``age_factor=2.0``:
+
+    ==========================  =========  =======  ======
+    interpreted calls           page walk  batched  budget
+    ==========================  =========  =======  ======
+    ``Ftl._append_page``          132 104        0       0
+    all under ``repro/ssd``       169 113   14 677  15 000
+    ==========================  =========  =======  ======
+
+    The page walk (:class:`ReferenceFtl`'s spelling, with the fill in
+    block-bounded runs) drew and appended each of the 131 072 aging
+    overwrites on its own, and each of the 1 032 fill pages that
+    opened a block; the batches leave only GC's per-victim calls
+    (1 692 victims, 8 calls each), which the budget covers.  A
+    per-page call creeping back fails it by thousands.
+    """
+    ftl = Ftl(get_profile("intel320"), seed=1)
+    appended = []
+    append_page = ftl._append_page
+    ftl._append_page = lambda *args: (appended.append(args), append_page(*args))
+    calls = count_calls(lambda: ftl.precondition(2.0), ("/repro/ssd/",))
+    assert ftl.emergency_gcs == 0
+    assert not appended
+    assert calls <= 15_000, calls

@@ -206,6 +206,21 @@ def test_no_emergency_gc_during_precondition():
     assert ftl.emergency_gcs == 0
 
 
+@pytest.mark.parametrize("age_factor", [float("nan"), float("inf"), -1])
+def test_precondition_rejects_a_non_finite_or_negative_age_factor(age_factor):
+    """NaN passes a ``< 0`` check, and NaN or inf would fill the whole
+    device before failing in ``int()``: the check must come first and
+    leave the device untouched."""
+    ftl = make_ftl()
+    rng_state = ftl.rng.getstate()
+    with pytest.raises(ValueError, match="age_factor"):
+        ftl.precondition(age_factor)
+    assert ftl.write_seq == 0
+    assert (ftl.page_to_block == UNMAPPED).all()
+    assert len(ftl.free_blocks) == ftl.profile.physical_blocks
+    assert ftl.rng.getstate() == rng_state
+
+
 def test_host_starved_flag():
     ftl = make_ftl()
     assert not ftl.host_starved
