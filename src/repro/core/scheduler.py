@@ -31,9 +31,10 @@ Two paper-faithful details:
 Both questions the dispatcher asks — "who is eligible next" and "is the
 round still open" — are answered by the one lap over the tenants that
 :meth:`LibraScheduler._pump` makes from its round-robin cursor, and it
-makes that lap only while a chunk is queued and a device slot is free:
-a submission or completion on an uncontended node costs one comparison,
-not a scan of every tenant.
+makes that lap only while a chunk is queued and a device slot is free.
+A chunk that would be the lap's only candidate is dispatched by
+``_submit`` without one: a submission or completion on an uncontended
+node costs a comparison or two, not a scan of every tenant.
 """
 
 from __future__ import annotations
@@ -94,47 +95,49 @@ class TenantUsage:
 
 
 class _Chunk:
-    """One schedulable unit: a whole op, or a slice of a large one.
+    """One schedulable unit: a whole task, or a slice of a large one.
+
+    A chunk carries what dispatch and completion need, so a task of at
+    most ``chunk_size`` bytes (every GET's read, nearly every write) is
+    this one object: its tag, kind, completion event ``done`` and the
+    owning tenant's scheduler ``state`` (the completion callback's one
+    argument — no per-chunk ``partial``).  The slices of a larger task
+    share its ``done`` and one :class:`_Split` counting the slices
+    still pending; ``split`` is None for a whole task.
 
     ``cost`` is the VOP price captured at dispatch time; completion
     charges and reports exactly that value, so the cost model is
     consulted once per chunk and dispatch/completion can never skew.
     ``t_mark`` is the chunk's current span start for tracing: queue
     entry time until dispatch, then service start until completion.
-    ``state`` is the owning tenant's scheduler state, carried here so
-    the chunk itself is the completion-callback argument — no per-chunk
-    ``partial`` on the dispatch hot path.
     """
 
-    __slots__ = ("task", "state", "offset", "size", "cost", "t_mark")
+    __slots__ = ("state", "tag", "kind", "offset", "size", "done", "split", "cost", "t_mark")
 
-    def __init__(
-        self, task: "_Task", state: "_TenantState", offset: int, size: int, t_mark: float
-    ):
-        self.task = task
+    def __init__(self, state: "_TenantState", tag: IoTag, kind: OpKind, offset: int,
+                 size: int, done: Event, split: Optional["_Split"], t_mark: float):
         self.state = state
-        self.offset = offset
-        self.size = size
-        self.cost = 0.0
-        self.t_mark = t_mark
-
-
-class _Task:
-    """A tenant IO task: carries the tag and the completion event."""
-
-    __slots__ = ("tag", "kind", "offset", "size", "done", "pending_chunks")
-
-    def __init__(self, tag: IoTag, kind: OpKind, offset: int, size: int, done: Event):
         self.tag = tag
         self.kind = kind
         self.offset = offset
         self.size = size
         self.done = done
-        self.pending_chunks = 0
+        self.split = split
+        self.cost = 0.0
+        self.t_mark = t_mark
+
+
+class _Split:
+    """The slices of one task larger than ``chunk_size`` not yet completed."""
+
+    __slots__ = ("pending",)
+
+    def __init__(self, pending: int):
+        self.pending = pending
 
 
 class _TenantState:
-    __slots__ = ("tenant_id", "allocation", "deficit", "queue", "usage", "inflight")
+    __slots__ = ("tenant_id", "allocation", "deficit", "queue", "usage", "inflight", "after")
 
     def __init__(self, tenant_id: str):
         self.tenant_id = tenant_id
@@ -143,6 +146,9 @@ class _TenantState:
         self.queue: Deque[_Chunk] = deque()
         self.usage = TenantUsage()
         self.inflight = 0
+        #: the round-robin cursor after dispatching this tenant: the
+        #: index past it in ``_order``
+        self.after = 0
 
 
 class LibraScheduler:
@@ -228,6 +234,8 @@ class LibraScheduler:
         state.allocation = allocation
         self._tenants[tenant_id] = state
         self._order.append(state)
+        for at, each in enumerate(self._order, 1):
+            each.after = at % len(self._order)
         self._quanta = None
         state.deficit = self._quantum(state)
 
@@ -297,25 +305,43 @@ class LibraScheduler:
         state = self._tenants.get(tag.tenant)
         if state is None:
             state = self._state(tag.tenant)  # raises, naming the tenants
+        # Rejected before any VOP is charged: the device would fail the
+        # op, and the failure would be booked as a fault.
+        capacity = self.device.profile.logical_capacity
+        if size <= 0 or offset < 0 or offset + size > capacity:
+            raise ValueError(
+                f"io [{offset}, {offset + size}) is empty or outside the device's "
+                f"{capacity} bytes"
+            )
         sim = self.sim
         done = Event(sim)
-        task = _Task(tag, kind, offset, size, done)
         chunk_size = self.config.chunk_size
         now = sim.now
-        if 0 < size <= chunk_size:
+        if size <= chunk_size:
             # The common case (every GET's read, every WAL commit): the
             # task is its own single chunk.
-            state.queue.append(_Chunk(task, state, offset, size, now))
-            task.pending_chunks = 1
+            chunk = _Chunk(state, tag, kind, offset, size, done, None, now)
+            if state.deficit > 0 and self._inflight < self._slots:
+                # A pump returns only with every slot taken or no tenant
+                # eligible (deficit left and a chunk queued; this one's
+                # queue is empty, then), so this chunk is the one
+                # eligible and the pump's lap would pick exactly it:
+                # dispatch it unqueued.  The lap after a dispatch finds
+                # nobody eligible, and while this tenant has deficit
+                # left it holds the round open.
+                self._cursor = state.after
+                self._dispatch(state, chunk)
+                if self._queued and state.deficit <= 0:
+                    self._pump()
+                return done
+            state.queue.append(chunk)
             self._queued += 1
         else:
-            pos = 0
-            while pos < size:
+            split = _Split(-(-size // chunk_size))
+            for pos in range(0, size, chunk_size):
                 length = min(chunk_size, size - pos)
-                state.queue.append(_Chunk(task, state, offset + pos, length, now))
-                task.pending_chunks += 1
-                self._queued += 1
-                pos += length
+                state.queue.append(_Chunk(state, tag, kind, offset + pos, length, done, split, now))
+            self._queued += split.pending
         self._pump()
         return done
 
@@ -479,9 +505,9 @@ class LibraScheduler:
         laps again.
 
         Without a queued chunk nobody is eligible and no round may
-        start, whatever the lap would find, so it is not made: the pump
-        that follows a completion on an uncontended node is one
-        comparison.
+        start, whatever the lap would find, so it is not made; and
+        ``_submit``/``_complete`` skip the call where the lap could not
+        act.
         """
         order = self._order
         n = len(order)
@@ -494,6 +520,7 @@ class LibraScheduler:
                 if state.deficit > 0:
                     if state.queue:
                         self._cursor = at
+                        self._queued -= 1
                         self._dispatch(state, state.queue.popleft())
                         break
                     if state.inflight:
@@ -504,22 +531,23 @@ class LibraScheduler:
                 self._new_round()
 
     def _dispatch(self, state: _TenantState, chunk: _Chunk) -> None:
-        task = chunk.task
+        """Charge a chunk taken off the queue (or never queued) and hand
+        it to the device."""
         size = chunk.size
-        is_read = task.kind is _READ
+        kind = chunk.kind
+        is_read = kind is _READ
         costs = self._read_costs if is_read else self._write_costs
         cost = costs.get(size)
         if cost is None:
-            cost = costs[size] = self.cost_model.cost(task.kind, size)
+            cost = costs[size] = self.cost_model.cost(kind, size)
         chunk.cost = cost
         state.deficit -= cost
         state.usage.vops += cost
         state.inflight += 1
         self._inflight += 1
-        self._queued -= 1
-        tag = task.tag
+        tag = chunk.tag
         if self.dispatch_observer is not None:
-            self.dispatch_observer(tag, task.kind, size, cost)
+            self.dispatch_observer(tag, kind, size, cost)
         # ctx rides along to the device: trace id for span attribution
         # and tenant identity for NVMe per-submitter queue mapping.  It
         # never influences SATA-device timing, so always passing it is
@@ -543,25 +571,29 @@ class LibraScheduler:
         state = chunk.state
         self._inflight -= 1
         state.inflight -= 1
-        task = chunk.task
         usage = state.usage
+        tag = chunk.tag
+        kind = chunk.kind
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.span(
-                "service", "sched", "libra", task.tag.tenant,
-                chunk.t_mark, self.sim.now, trace=task.tag.trace,
+                "service", "sched", "libra", tag.tenant,
+                chunk.t_mark, self.sim.now, trace=tag.trace,
                 args={
-                    "kind": task.kind.value,
+                    "kind": kind.value,
                     "bytes": chunk.size,
                     "vops": chunk.cost,
                     "ok": event.ok,
                 },
             )
-        task.pending_chunks -= 1
+        done = chunk.done
+        split = chunk.split
+        if split is not None:
+            split.pending -= 1
         if event.ok:
             usage.ops += 1
             usage.bytes += chunk.size
-            if task.kind is _READ:
+            if kind is _READ:
                 usage.read_ops += 1
             else:
                 usage.write_ops += 1
@@ -569,18 +601,24 @@ class LibraScheduler:
                 # Report the cost captured at dispatch — no second
                 # cost-model evaluation, and observer charges can never
                 # skew from what the deficit counter actually paid.
-                self.io_observer(task.tag, task.kind, chunk.size, chunk.cost)
-            if task.pending_chunks == 0 and not task.done._triggered:
+                self.io_observer(tag, kind, chunk.size, chunk.cost)
+            if (split is None or split.pending == 0) and not done._triggered:
                 usage.tasks += 1
-                task.done.succeed()
+                done.succeed()
         else:
             # Device fault: the chunk's VOP cost stays charged (the op
             # consumed device time), and the whole task fails on its
             # first failing chunk so the submitter can retry.
             usage.failed_ops += 1
             if self.fail_observer is not None:
-                self.fail_observer(task.tag, task.kind, chunk.size, chunk.cost)
-            if not task.done.triggered:
-                task.done.fail(event.value)
-        if self._queued:  # else the pump has nothing to decide: skip the call
+                self.fail_observer(tag, kind, chunk.size, chunk.cost)
+            if not done._triggered:
+                done.fail(event.value)
+        # With a chunk queued and a slot free, some tenant holds the round
+        # open (every pump and lane leaves it so).  The lap can act only
+        # if no slot was free before this completion, or if this tenant
+        # may have been that holder and has just emptied its slots.
+        if self._queued and (
+            self._inflight + 1 >= self._slots or (state.deficit > 0 and not state.inflight)
+        ):
             self._pump()

@@ -117,7 +117,11 @@ class Semaphore:
     """A counting semaphore with FIFO waiters.
 
     Used to model bounded resources such as the SSD's NCQ slots and the
-    engine's background-work concurrency limits.
+    engine's background-work concurrency limits.  ``value`` (free
+    permits) and ``waiters`` (the FIFO of parked acquires) are plain
+    attributes so a hot caller can take or return a permit inline;
+    ``value > 0`` implies no waiter, because a release with a waiter
+    hands the permit over instead of counting it.
     """
 
     def __init__(self, sim: Simulator, value: int, name: str = "sem"):
@@ -125,33 +129,28 @@ class Semaphore:
             raise SimulationError(f"semaphore {name} initial value {value} < 0")
         self.sim = sim
         self.name = name
-        self._value = value
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def value(self) -> int:
-        """Currently available permits."""
-        return self._value
+        self.value = value
+        self.waiters: Deque[Event] = deque()
 
     @property
     def waiting(self) -> int:
         """Number of processes queued for a permit."""
-        return len(self._waiters)
+        return len(self.waiters)
 
     def acquire(self) -> Event:
         """Return an event that triggers once a permit is obtained."""
         ev = self.sim.event()
-        if self._value > 0:
-            self._value -= 1
+        if self.value > 0:
+            self.value -= 1
             ev.succeed()
         else:
-            self._waiters.append(ev)
+            self.waiters.append(ev)
         return ev
 
     def try_acquire(self) -> bool:
         """Non-blocking acquire; True on success."""
-        if self._value > 0:
-            self._value -= 1
+        if self.value > 0:
+            self.value -= 1
             return True
         return False
 
@@ -160,7 +159,7 @@ class Semaphore:
         if count < 1:
             raise SimulationError("release count must be >= 1")
         for _ in range(count):
-            if self._waiters:
-                self._waiters.popleft().succeed()
+            if self.waiters:
+                self.waiters.popleft().succeed()
             else:
-                self._value += 1
+                self.value += 1

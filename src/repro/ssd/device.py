@@ -36,10 +36,10 @@ and channel accumulators.  Three drivers share the pair:
 - the **scheduled completion** (zero-coroutine fast path): because the
   stages are next-free-time accumulators, the common-case op timeline is
   fully computable at submit.  When an op is admitted with no active
-  fault window, no GC loop running, and a queue slot free, the device
-  plans and reserves synchronously and schedules one completion action
-  at the analytic finish time (:meth:`Simulator.call_at`) — no
-  generator, no semaphore event, no timeout;
+  fault window, no GC loop running, and a queue slot free, :meth:`submit`
+  takes the slot, plans, reserves and pushes one completion action at
+  the analytic finish time, all in its own frame — no generator, no
+  semaphore event, no timeout;
 - the **coroutine** path: any condition that makes the timeline stateful
   (fault windows, GC backpressure, queue saturation, out-of-range IO)
   degrades that op to a generator that waits its turn and then books
@@ -59,6 +59,7 @@ stages it reserved — a failing op still consumes device time).
 from __future__ import annotations
 
 from functools import partial
+from heapq import heappush
 from typing import Optional
 
 from ..faults import CorruptionError, FaultInjector, FaultPlan
@@ -161,6 +162,9 @@ class SsdDevice:
         #: host queues, indexed by ``q``: SATA has the one NCQ (``q = 0``)
         #: feeding the one controller lane
         self._sqs = [Semaphore(sim, profile.queue_depth, name=f"{profile.name}.ncq")]
+        #: the one NCQ, whose slot ``submit`` takes and ``_finish_fast``
+        #: frees inline; None on a device whose queue hooks answer instead
+        self._ncq: Optional[Semaphore] = self._sqs[0]
         self._pipe = FluidPipeline([0.0], [0.0] * profile.channels)
         #: Chrome-trace track name of each controller lane
         self._ctrl_tracks = ("ctrl",)
@@ -193,38 +197,66 @@ class SsdDevice:
         the op's controller/channel spans when a tracer is installed;
         it never influences execution.
         """
-        return self._start(True, offset, size, ctx)
+        done = Event(self.sim)
+        return self.submit(True, offset, size, ctx, None, done) or done
 
     def write(self, offset: int, size: int, ctx=None) -> Event:
         """Submit a write; the returned event triggers on completion."""
-        return self._start(False, offset, size, ctx)
-
-    def _start(self, is_read: bool, offset: int, size: int, ctx) -> Event:
-        q = self._queue_for(ctx)
-        finish = self._admit_fast(is_read, q, offset, size, ctx)
-        if finish is None:
-            return self.sim.process(self._do_op(is_read, q, offset, size, ctx))
         done = Event(self.sim)
-        self.sim.call_at(finish, self._finish_fast, (_succeed_event, done, is_read, size, q))
-        return done
+        return self.submit(False, offset, size, ctx, None, done) or done
 
-    def submit(self, is_read: bool, offset: int, size: int, ctx, callback, cb_arg) -> None:
-        """Slim submission: completion arrives as ``callback(cb_arg, result)``.
+    def submit(self, is_read: bool, offset: int, size: int, ctx, callback, cb_arg):
+        """Submit one op; completion arrives as ``callback(cb_arg, result)``.
 
-        The scheduler's dispatch path.  On the fast path no Event (and
-        no Process) is allocated at all: the single scheduled finish
-        action invokes the callback directly with the shared
-        :data:`~repro.sim.OK_RESULT`.  The fallback hands the coroutine
-        path's :class:`Process` to the same callback (it exposes the
-        same ``ok``/``value`` shape, and carries the fault on failure).
+        The scheduler's dispatch path, and the one spelling of admission.
+        An op with no fault window over ``now``, GC idle (and, for a
+        write, a free pool above the GC reserve), a valid range and a
+        free queue slot is timed here: the slot is taken, the op planned
+        and reserved, and one finish action pushed at its analytic
+        finish time, which hands the callback the shared
+        :data:`~repro.sim.OK_RESULT` — no Event, no Process.  Returns
+        None then.  Any other op runs on the coroutine path, whose
+        :class:`Process` is returned, with the callback attached (it
+        has the same ``ok``/``value`` shape and carries the fault on
+        failure).  ``callback=None`` is ``read``/``write``: the fast path
+        succeeds the Event ``cb_arg`` and the Process is left unhooked.
         """
-        q = self._queue_for(ctx)
-        finish = self._admit_fast(is_read, q, offset, size, ctx)
-        if finish is not None:
-            self.sim.call_at(finish, self._finish_fast, (callback, cb_arg, is_read, size, q))
-            return
-        proc = self.sim.process(self._do_op(is_read, q, offset, size, ctx))
-        proc.callbacks.append(partial(callback, cb_arg))
+        sim = self.sim
+        now = sim.now
+        ncq = self._ncq
+        q = 0 if ncq is not None else self._queue_for(ctx)
+        faults = self.faults
+        if (
+            not self._gc_running
+            and (is_read or not self.ftl.host_starved)
+            and (faults is None or faults.quiescent(now))
+            and 0 <= offset
+            and 0 < size
+            and offset + size <= self.profile.logical_capacity
+            and (ncq.value > 0 if ncq is not None else self._try_admit(q))
+        ):
+            if ncq is not None:
+                ncq.value -= 1
+            ctrl, services = self._plan(is_read, offset, size)
+            tr = self.tracer
+            if tr is None or not tr.enabled:
+                finish = self._pipe.reserve(now, q, ctrl, services)
+            else:
+                finish = self._reserve(q, ctrl, services, ctx)
+            # The coroutine path sleeps `finish - now`, landing on
+            # now + (finish - now) — associate the same way so fast-path
+            # completions are bitwise-identical to the fallback's.  The
+            # push is ``Simulator.call_at``'s, inline (finish >= now).
+            sim._seq += 1
+            heappush(sim._heap, (
+                now + (finish - now), sim._seq, self._finish_fast,
+                (callback or _succeed_event, cb_arg, is_read, size, q),
+            ))
+            return None
+        proc = sim.process(self._do_op(is_read, q, offset, size, ctx))
+        if callback is not None:
+            proc.callbacks.append(partial(callback, cb_arg))
+        return proc
 
     def trim(self, offset: int, size: int) -> None:
         """Invalidate a logical range (instant, as TRIM effectively is)."""
@@ -299,13 +331,15 @@ class SsdDevice:
 
     # -- queue hooks (what a multi-queue host interface overrides) ----------------
 
+    # ``submit`` and ``_finish_fast`` take and free the one NCQ's slot
+    # inline.  A device with ``_ncq = None`` is asked on every op instead:
+    # ``_queue_for``, then ``_try_admit(q)`` (take a slot on queue ``q``
+    # without blocking; False when full), which it must define, and
+    # ``_release``.
+
     def _queue_for(self, ctx) -> int:
         """Queue index for a submission ``ctx`` — SATA has only ``q = 0``."""
         return 0
-
-    def _try_admit(self, q: int) -> bool:
-        """Take a slot on queue ``q`` without blocking; False when full."""
-        return self._sqs[q].try_acquire()
 
     def _tag_wait(self, q: int) -> Optional[Event]:
         """Event a slot-holding coroutine op must still wait on, or None."""
@@ -375,37 +409,6 @@ class SsdDevice:
 
     # -- scheduled-completion driver (zero-coroutine fast path) -------------------
 
-    def _admit_fast(self, is_read: bool, q: int, offset: int, size: int, ctx) -> Optional[float]:
-        """Admit an op analytically; returns its finish time, or None.
-
-        None means the op's timeline is stateful — a fault window is
-        active, the GC loop is reserving channel time (or starving this
-        write), the queue is saturated, or the range is invalid (the
-        coroutine path owns the failure semantics) — and nothing was
-        reserved.  On success the op holds a queue slot plus exactly the
-        reservations the coroutine path would have booked at this instant.
-        """
-        if self._gc_running or (not is_read and self.ftl.host_starved):
-            return None
-        now = self.sim.now
-        faults = self.faults
-        if faults is not None and not faults.quiescent(now):
-            return None
-        if offset < 0 or size <= 0 or offset + size > self.profile.logical_capacity:
-            return None
-        if not self._try_admit(q):
-            return None
-        ctrl, services = self._plan(is_read, offset, size)
-        tr = self.tracer
-        if tr is None or not tr.enabled:
-            finish = self._pipe.reserve(now, q, ctrl, services)
-        else:
-            finish = self._reserve(q, ctrl, services, ctx)
-        # The coroutine path sleeps `finish - now`, landing on
-        # now + (finish - now) — associate the same way so fast-path
-        # completions are bitwise-identical to the fallback's.
-        return now + (finish - now)
-
     def _finish_fast(self, arg) -> None:
         """One-shot completion for a fast-path op, mirroring the coroutine
         epilogue exactly: observer, stats, GC kick after a write, slot
@@ -423,7 +426,13 @@ class SsdDevice:
             stats.write_bytes += size
             if not self._gc_running and self.ftl.gc_needed:
                 self._maybe_start_gc()
-        self._release(q)
+        ncq = self._ncq
+        if ncq is None:
+            self._release(q)
+        elif ncq.waiters:  # ``Semaphore.release``, inline
+            ncq.waiters.popleft().succeed()
+        else:
+            ncq.value += 1
         deliver(sink, OK_RESULT)
 
     # -- coroutine driver ---------------------------------------------------------

@@ -23,8 +23,9 @@ three drivers (``submit``/``read``/``write``, the coroutine fallback,
 ``epoch_op``), the FTL (and hence the pluggable GC policies), the flash
 channels, the GC loop, fault injection and the op-observer stream: this
 class only answers the base device's queue hooks (which SQ, is there a
-slot *and* a tag, what to wait on for a tag, what to free), so the full
-Libra stack runs on it unmodified.
+slot *and* a tag, what to wait on for a tag, what to free), which the
+one ``submit`` asks where the SATA model takes its NCQ slot inline, so
+the full Libra stack runs on it unmodified.
 
 **Degeneration guarantee:** with ``num_queues=1`` the structure reduces
 exactly to the SATA model — one SQ is the NCQ semaphore, one controller
@@ -76,6 +77,7 @@ class NvmeDevice(SsdDevice):
             Semaphore(sim, profile.queue_depth, name=f"{profile.name}.sq{q}")
             for q in range(nq)
         ]
+        self._ncq = None  # every op asks the hooks below: SQ, slot + tag
         # one controller lane per queue (the SATA model has the one)
         self._pipe.lanes = [0.0] * nq
         self._ctrl_tracks = tuple(f"ctrl{q}" for q in range(nq))

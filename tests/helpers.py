@@ -6,12 +6,16 @@ import sys
 def force_coroutine_path(device):
     """Send every op on ``device`` down the coroutine path.
 
-    The device's scheduled-completion fast path degrades to the
-    coroutine pipeline whenever analytic admission declines; stubbing
-    the instance's admission to always decline makes the coroutine
-    path — the tests' reference executor — run every op.
+    ``SsdDevice.submit`` times an op itself only when, among its other
+    checks, a queue slot is free: the single-NCQ device takes that slot
+    inline, any device with ``_ncq = None`` asks ``_try_admit``.  Routing
+    the device through the hook and making the hook refuse sends every
+    op to ``_do_op`` — the tests' reference executor — which acquires
+    its slot through the same queues.
+    ``test_forced_device_runs_every_op_as_a_coroutine`` holds it to that.
     """
-    device._admit_fast = lambda *args: None
+    device._ncq = None
+    device._try_admit = lambda q: False
     return device
 
 

@@ -40,6 +40,43 @@ def test_unknown_tenant_rejected():
         scheduler.read(0, 4 * KIB, tag=IoTag("ghost"))
 
 
+@pytest.mark.parametrize("size", [0, -4 * KIB])
+def test_empty_io_rejected_at_submission(size):
+    """An IO of no bytes has no chunk to complete it: it used to return
+    an event that never fired."""
+    sim, _dev, scheduler, _m = make_env()
+    scheduler.register_tenant("a", 100.0)
+    for submit in (scheduler.read, scheduler.write):
+        with pytest.raises(ValueError):
+            submit(0, size, tag=IoTag("a"))
+    assert scheduler.backlog == 0
+
+
+@pytest.mark.parametrize("offset, size", [
+    (32 * MIB, 4 * KIB),  # starts at the end
+    (32 * MIB - 4 * KIB, 8 * KIB),  # straddles it
+    (32 * MIB - 64 * KIB, 256 * KIB),  # a multi-chunk task reaching past it
+    (-4 * KIB, 4 * KIB),
+])
+def test_out_of_range_io_rejected_before_any_charge(offset, size):
+    """Not a device fault: nothing is charged to the deficit, the usage
+    or the fault feed, and the device sees no op."""
+    sim, device, scheduler, _m = make_env()
+    scheduler.register_tenant("a", 100.0)
+    failed = []
+    scheduler.fail_observer = lambda *args: failed.append(args)
+    state = scheduler._state("a")
+    deficit, usage = state.deficit, scheduler.usage("a").snapshot()
+    for submit in (scheduler.read, scheduler.write):
+        with pytest.raises(ValueError):
+            submit(offset, size, tag=IoTag("a"))
+    sim.run(until=1.0)
+    assert state.deficit == deficit
+    assert scheduler.usage("a") == usage
+    assert failed == [] and scheduler.backlog == 0
+    assert (device.stats.reads, device.stats.writes) == (0, 0)
+
+
 def test_duplicate_registration_rejected():
     _sim, _dev, scheduler, _m = make_env()
     scheduler.register_tenant("a", 100.0)

@@ -1,10 +1,10 @@
 """The O(1)-call device-op path, checked against what it replaced.
 
-One device op runs ``LibraScheduler._submit -> _pump -> _dispatch ->
-SsdDevice.submit -> Ftl.host_write/read_channel -> reserve -> finish ->
-_complete -> _pump``.  Two pieces of that path were rewritten for host
-speed, and both old spellings stay here as the references the new ones
-must equal:
+One device op runs ``LibraScheduler._submit -> _dispatch ->
+SsdDevice.submit -> _plan -> Ftl.host_write/read_channel -> reserve``,
+then ``_finish_fast -> _complete`` (the pump only when a chunk waits).
+Two pieces of that path were rewritten for host speed, and both old
+spellings stay here as the references the new ones must equal:
 
 - *FTL*: :class:`ReferenceFtl` updates the page map page by page (every
   page of a write, TRIM or preconditioning through the scalar
@@ -13,14 +13,17 @@ must equal:
   runs.  A seeded op mix must leave both in the same state, RNG
   included, return the same ``WritePlan``/``GcMove`` values, and agree
   on the emergency-GC path the batched lane's pool guard exists for;
-- *scheduler*: :class:`ReferencePump` answers "who is eligible" and "is
-  the round open" with two scans per pump (``_next_eligible`` and
-  ``_round_open``); the new pump makes one lap.  Twin schedulers on twin
-  devices must dispatch the same chunks at the same instants;
-- *call budgets*: interpreted calls per chunk under ``repro/core`` and
-  ``repro/ssd``, and per preconditioned device under ``repro/ssd``,
-  counted with ``sys.setprofile``.  Counts repeat exactly, so the
-  budgets are tier-1's twin of kvbench's ``calls_per_req``.
+- *scheduler*: :class:`ReferencePump` queues every chunk and answers
+  "who is eligible" and "is the round open" with two scans per pump
+  (``_next_eligible`` and ``_round_open``); the new pump makes one lap,
+  and ``_submit`` dispatches a chunk that finds nothing eligible ahead
+  of it without queueing it.  Twin schedulers on twin devices must
+  dispatch the same chunks at the same instants;
+- *call budgets*: interpreted calls per chunk under ``repro/core``,
+  ``repro/ssd`` and ``repro/sim``, and per preconditioned device under
+  ``repro/ssd``, counted with ``sys.setprofile``.  Counts repeat
+  exactly, so the budgets are tier-1's twin of kvbench's
+  ``calls_per_req``.
 """
 
 import random
@@ -31,7 +34,8 @@ from .helpers import count_calls
 from repro.core import (
     IoTag, LibraScheduler, SchedulerConfig, make_cost_model, reference_calibration,
 )
-from repro.sim import Simulator
+from repro.core.scheduler import _Chunk, _Split
+from repro.sim import Event, Simulator
 from repro.ssd import SsdDevice, SsdProfile, get_profile
 from repro.ssd.ftl import UNMAPPED, Ftl, WritePlan
 
@@ -296,8 +300,30 @@ def test_emergency_gc_inside_a_multi_page_write_matches(policy):
 
 
 class ReferencePump(LibraScheduler):
-    """``_pump`` as it was: a modulo scan for the next eligible tenant,
-    and a second scan of every tenant each time the first finds nobody."""
+    """``_submit``, ``_complete`` and ``_pump`` as they were: every chunk
+    is queued and then pumped (no empty-queue lane), every completion
+    with a chunk queued pumps, and the pump makes a modulo scan for the
+    next eligible tenant and a second scan of every tenant each time the
+    first finds nobody."""
+
+    def _submit(self, kind, offset, size, tag):
+        state = self._state(tag.tenant)
+        done = Event(self.sim)
+        chunk_size = self.config.chunk_size
+        split = None if size <= chunk_size else _Split(-(-size // chunk_size))
+        for pos in range(0, size, chunk_size):
+            length = min(chunk_size, size - pos)
+            state.queue.append(
+                _Chunk(state, tag, kind, offset + pos, length, done, split, self.sim.now)
+            )
+            self._queued += 1
+        self._pump()
+        return done
+
+    def _complete(self, chunk, event):
+        super()._complete(chunk, event)
+        if self._queued:  # a lap after every completion (a second is a no-op)
+            self._pump()
 
     def _pump(self):
         while self._inflight < self._slots:
@@ -309,6 +335,7 @@ class ReferencePump(LibraScheduler):
                     return
                 self._new_round()
                 continue
+            self._queued -= 1
             self._dispatch(state, state.queue.popleft())
 
     def _next_eligible(self):
@@ -324,6 +351,28 @@ class ReferencePump(LibraScheduler):
         return any(
             s.deficit > 0 and (bool(s.queue) or s.inflight > 0) for s in self._order
         )
+
+
+class LaneCounting(LibraScheduler):
+    """The scheduler under test, counting the dispatches ``_submit``
+    made itself (the empty-queue lane) apart from the pump's."""
+
+    lane = pumped = 0
+    _in_pump = False
+
+    def _pump(self):
+        self._in_pump = True
+        try:
+            super()._pump()
+        finally:
+            self._in_pump = False
+
+    def _dispatch(self, state, chunk):
+        if self._in_pump:
+            self.pumped += 1
+        else:
+            self.lane += 1
+        super()._dispatch(state, chunk)
 
 
 #: tenants' allocations (0 = best-effort floor), workers per tenant,
@@ -396,13 +445,16 @@ def pump_run(scheduler_cls, name):
         ],
         "device": device.stats.as_dict(),
     }
-    return log, final
+    return log, final, scheduler
 
 
 @pytest.mark.parametrize("name", sorted(PUMP_SCENARIOS))
 def test_fused_pump_dispatches_exactly_as_the_three_function_pump(name):
-    log, final = pump_run(LibraScheduler, name)
-    ref_log, ref_final = pump_run(ReferencePump, name)
+    log, final, scheduler = pump_run(LaneCounting, name)
+    ref_log, ref_final, _ = pump_run(ReferencePump, name)
+    # both dispatchers run: the oracle covers the lane, not only the pump
+    assert scheduler.lane > 50 and scheduler.pumped > 50, (scheduler.lane, scheduler.pumped)
+    assert scheduler.lane + scheduler.pumped == len(log)
     assert len(log) > 500
     assert {size for _t, _tenant, _kind, size, _cost in log} >= {1, 4 * KIB, 128 * KIB}
     assert final["rounds"] > 10  # deficits exhaust and rounds advance
@@ -419,23 +471,30 @@ def test_fused_pump_dispatches_exactly_as_the_three_function_pump(name):
 def test_calls_per_chunk_stay_within_budget():
     """An idle 4-tenant scheduler + device serving ops one at a time.
 
-    Interpreted calls per chunk under ``repro/core`` + ``repro/ssd``
-    (CPython 3.11; 3.12 inlines comprehensions and counts fewer):
+    Interpreted calls per chunk under ``repro/core`` + ``repro/ssd`` +
+    ``repro/sim`` (the kernel's frames and the driving process's
+    included; CPython 3.11, where 3.12 inlines comprehensions and counts
+    fewer), and heap pushes per chunk, which must not move:
 
-    =================  ======  ======  ======
-    op                 parent  change  budget
-    =================  ======  ======  ======
-    one-page read       39.13   16.03      17
-    one-page write      47.39   19.11      20
-    128 KiB write      102.14   42.99      44
-    =================  ======  ======  ======
+    =================  ======  ======  ======  ======
+    op                 parent  change  budget  pushes
+    =================  ======  ======  ======  ======
+    one-page read       25.08   16.09      17   2.011
+    one-page write      26.32   17.36      19   2.042
+    128 KiB write       49.75   41.32      42   3.590
+    =================  ======  ======  ======  ======
 
-    The parent's pump scanned every tenant through ``_next_eligible``
-    and a ``_round_open`` generator after both the submission and the
-    completion of every chunk, and its FTL made one ``_append_page``
-    call per page (the 128 KiB figure includes the GC those writes
-    cause).  The counts repeat exactly, so the budget fails at the
-    parent and catches a per-tenant or per-page call creeping back.
+    The parent admitted an op through ``_pump``, ``_queue_for``,
+    ``_admit_fast``, ``_try_admit`` and ``Semaphore.try_acquire``,
+    pushed its finish through ``Simulator.call_at``, freed the slot
+    through ``_release`` and ``Semaphore.release``, and built a
+    ``_Task`` beside each ``_Chunk``; now ``_submit`` dispatches a chunk
+    that finds nothing queued ahead of it, ``SsdDevice.submit`` and
+    ``_finish_fast`` take and free the NCQ slot and push the finish
+    themselves, and a one-chunk task is one object.  The counts repeat
+    exactly, so the budget fails at the parent and catches a per-tenant
+    or per-page call creeping back; the pushes pin the simulation's
+    event order.
     """
     sim = Simulator()
     device = SsdDevice(sim, get_profile("intel320").with_capacity(64 * MIB), seed=3)
@@ -454,18 +513,23 @@ def test_calls_per_chunk_stay_within_budget():
         sim.step_while(lambda: proc.is_alive)
         assert proc.ok
 
-    per_chunk = {
-        name: count_calls(lambda: serve(submit, size, count), ("/repro/core/", "/repro/ssd/")) / count
-        for name, submit, size, count in (
-            ("read", scheduler.read, 4 * KIB, 1000),
-            ("write", scheduler.write, 4 * KIB, 1000),
-            ("write128k", scheduler.write, 128 * KIB, 200),
+    per_chunk, pushes = {}, {}
+    for name, submit, size, count in (
+        ("read", scheduler.read, 4 * KIB, 1000),
+        ("write", scheduler.write, 4 * KIB, 1000),
+        ("write128k", scheduler.write, 128 * KIB, 200),
+    ):
+        seq = sim._seq
+        calls = count_calls(
+            lambda: serve(submit, size, count), ("/repro/core/", "/repro/ssd/", "/repro/sim/")
         )
-    }
+        per_chunk[name] = calls / count
+        pushes[name] = sim._seq - seq
     assert device.stats.gc_runs > 0  # the 128 KiB writes reach GC
+    assert pushes == {"read": 2011, "write": 2042, "write128k": 718}
     assert per_chunk["read"] <= 17, per_chunk
-    assert per_chunk["write"] <= 20, per_chunk
-    assert per_chunk["write128k"] <= 44, per_chunk
+    assert per_chunk["write"] <= 19, per_chunk
+    assert per_chunk["write128k"] <= 42, per_chunk
 
 
 def test_preconditioning_calls_stay_within_budget():

@@ -24,7 +24,7 @@ from repro.core import (
 from repro.faults import DeviceReadError, FaultKind, FaultPlan, FaultWindow
 from repro.obs import VopAudit
 from repro.sim import OK_RESULT, SimulationError, Simulator
-from repro.ssd import SsdDevice, SsdProfile
+from repro.ssd import NvmeDevice, SsdDevice, SsdProfile
 
 from .helpers import force_coroutine_path
 
@@ -159,6 +159,55 @@ def test_invalid_range_degrades_to_coroutine_failure():
     sim.process(driver())
     sim.run()
     assert outcomes == ["ValueError"]
+
+
+@pytest.mark.parametrize("kind", ["sata", "nvme", "nvme_one_queue"])
+@pytest.mark.parametrize("forced", [False, True])
+def test_forced_device_runs_every_op_as_a_coroutine(kind, forced):
+    """Every fast-vs-coroutine oracle leans on ``force_coroutine_path``:
+    a forced device must run each op — scheduler chunk, ``submit``,
+    ``read``/``write`` — through ``_do_op`` and none through the
+    scheduled finish, and an unforced idle one none through ``_do_op``."""
+    sim = Simulator()
+    profile = tiny_profile()
+    if kind == "sata":
+        device = SsdDevice(sim, profile, seed=2)
+    else:
+        queues = 4 if kind == "nvme" else 1
+        device = NvmeDevice(sim, profile.with_queues(queues), seed=2)
+    if forced:
+        force_coroutine_path(device)
+    coroutines, finishes = [], []
+    do_op, finish_fast = device._do_op, device._finish_fast
+    device._do_op = lambda *args: coroutines.append(args) or do_op(*args)
+    device._finish_fast = lambda arg: finishes.append(arg) or finish_fast(arg)
+    model = make_cost_model("exact", reference_calibration("intel320"))
+    sched = LibraScheduler(sim, device, model)
+    for tenant in ("a", "b"):
+        sched.register_tenant(tenant, 10_000.0)
+    delivered = []
+
+    def driver():
+        for i in range(6):
+            tag = IoTag("ab"[i % 2])
+            yield sched.read(i * 64 * KIB, 4 * KIB, tag=tag)
+            yield sched.write(i * 64 * KIB, 256 * KIB, tag=tag)  # two chunks
+            yield device.read(i * 4 * KIB, 16 * KIB, (None, "c"))
+            yield device.write(i * 4 * KIB, 4 * KIB)
+            device.submit(True, i * 8 * KIB, 4 * KIB, None, lambda _a, r: delivered.append(r.ok),
+                          None)
+
+    proc = sim.process(driver())
+    sim.run(until=5.0)
+    sched.stop()
+    assert proc.ok and delivered == [True] * 6
+    ops = 6 * (1 + 2 + 1 + 1 + 1)
+    assert device.stats.reads + device.stats.writes == ops
+    if forced:
+        assert (len(coroutines), len(finishes)) == (ops, 0)
+    else:
+        assert (len(coroutines), len(finishes)) == (0, ops)
+    assert device.in_flight == 0
 
 
 def test_ncq_saturation_degrades_and_preserves_order():
