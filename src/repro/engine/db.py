@@ -22,9 +22,11 @@ flush is already behind, as LevelDB does).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import index
 from typing import Dict, List, Optional
 
 from ..core.tags import InternalOp, IoTag, RequestClass
@@ -164,57 +166,85 @@ class LsmEngine:
     # -- public request API (drive with ``yield from``) ---------------------------
 
     def get(self, key: int, tag: Optional[IoTag] = None):
-        """Point lookup; returns the object size or None."""
+        """Point lookup; returns the object size or None.  Block reads go
+        through :meth:`_read_verified` only to re-read after a checksum
+        failure, or with a tracer installed (it records the span)."""
         tag = tag or IoTag(self.tenant, RequestClass.GET)
         stats = self.stats
         stats.gets += 1
         entry = self.memtable.get(key)
         if entry is None and self.immutable is not None:
             entry = self.immutable.get(key)
-        if entry is not None:
-            return self._hit_or_miss(entry.size)
-        candidates = self.version.eligible_files(key)
+        size = None if entry is None else entry.size
+        candidates = () if entry is not None else self.version.eligible_files(key)
+        refs = self._refs
         for table in candidates:
-            self._ref(table)
+            refs[table.table_id] = refs.get(table.table_id, 0) + 1
+        index_cache = self._index_cache
+        traced = self.tracer is not None
         try:
             for table in candidates:
                 if table.bloom is not None and not table.bloom.may_contain(key):
                     stats.bloom_skips += 1
                     continue
                 stats.index_probes += 1
-                if self._index_cache_hit(table):
+                if table.table_id in index_cache:  # the index block is resident
+                    index_cache.move_to_end(table.table_id)
                     stats.index_cache_hits += 1
                 else:
-                    yield from self._read_verified(
-                        table.read_index_block, key, span="sst.index", tag=tag,
-                    )
+                    index_cache[table.table_id] = None
+                    while len(index_cache) > self.config.table_cache_entries:
+                        index_cache.popitem(last=False)
+                    read, arg, span = table.read_index_block, key, "sst.index"
+                    if traced:
+                        yield from self._read_verified(read, arg, span=span, tag=tag)
+                    else:
+                        try:
+                            yield read(arg, tag)
+                        except CorruptionError as exc:
+                            yield from self._read_verified(
+                                read, arg, span=span, tag=tag, failed=exc,
+                            )
                 idx = table.find(key)
                 if idx is not None:
                     size = table.sizes[idx]
-                    if size == TOMBSTONE:
-                        return self._hit_or_miss(TOMBSTONE)
-                    yield from self._read_verified(
-                        table.read_value, idx, span="sst.value", tag=tag,
-                    )
-                    return self._hit_or_miss(size)
+                    if size != TOMBSTONE:
+                        read, arg, span = table.read_value, idx, "sst.value"
+                        if traced:
+                            yield from self._read_verified(read, arg, span=span, tag=tag)
+                        else:
+                            try:
+                                yield read(arg, tag)
+                            except CorruptionError as exc:
+                                yield from self._read_verified(
+                                    read, arg, span=span, tag=tag, failed=exc,
+                                )
+                    break
         finally:
             for table in candidates:
                 self._unref(table)
-        return self._hit_or_miss(None)
+        if size is None or size == TOMBSTONE:
+            stats.get_misses += 1
+            return None
+        stats.get_hits += 1
+        return size
 
     def put(self, key: int, size: int, tag: Optional[IoTag] = None):
-        """Durable write of ``size`` bytes under ``key``."""
-        if size <= 0:
-            raise ValueError(f"object size must be positive, got {size}")
-        tag = tag or IoTag(self.tenant, RequestClass.PUT)
+        """Durable write of ``size`` bytes under ``key``: checks its
+        arguments, then returns the write's generator (one engine frame)."""
+        if not 0 < size < math.inf:
+            raise ValueError(f"object size must be positive and finite, got {size}")
+        if key != key:
+            raise ValueError("key must not be NaN")
         self.stats.puts += 1
-        yield from self._write(key, size, tag)
+        return self._write(key, size, tag or IoTag(self.tenant, RequestClass.PUT))
 
     def delete(self, key: int, tag: Optional[IoTag] = None):
-        """Durable tombstone write for ``key``."""
-        tag = tag or IoTag(self.tenant, RequestClass.DELETE)
+        """Durable tombstone write for ``key`` (a generator, as :meth:`put`)."""
+        if key != key:
+            raise ValueError("key must not be NaN")
         self.stats.deletes += 1
-        yield from self._write(key, TOMBSTONE, tag)
+        return self._write(key, TOMBSTONE, tag or IoTag(self.tenant, RequestClass.DELETE))
 
     def scan(self, lo: int, hi: int, tag: Optional[IoTag] = None, limit: Optional[int] = None):
         """Range scan: sorted live (key, size) pairs with lo <= key <= hi.
@@ -226,9 +256,9 @@ class LsmEngine:
         LevelDB iterator pays); the rows merge through C-level dict
         updates, one per source.
         """
-        if lo > hi:
+        if not lo <= hi:  # NaN bounds included
             raise ValueError(f"scan range [{lo}, {hi}] is empty")
-        if limit is not None and limit < 0:
+        if limit is not None and index(limit) < 0:  # TypeError for a float
             raise ValueError(f"scan limit must be non-negative, got {limit}")
         tag = tag or IoTag(self.tenant, RequestClass.GET)
         self.stats.scans += 1
@@ -269,7 +299,7 @@ class LsmEngine:
 
     # -- read verification ---------------------------------------------------------
 
-    def _read_verified(self, read, *args, span: str, tag: IoTag):
+    def _read_verified(self, read, *args, span: str, tag: IoTag, failed=None):
         """DES sub-generator: a block read with checksum verification.
 
         Every SSTable block carries a checksum (as LevelDB's per-block
@@ -277,31 +307,34 @@ class LsmEngine:
         :class:`CorruptionError`, which a bounded number of re-reads can
         clear when the corruption was transient (ECC/transport).
         ``read(*args, tag)`` returns a fresh read event per attempt, or
-        None when the source holds nothing to read.  With a tracer
-        installed, ``span`` names the recorded interval (retries
-        included).
+        None when the source holds nothing to read; ``failed``, the
+        error of a first attempt the caller made.  With a tracer
+        installed, ``span`` names the recorded interval (retries included).
         """
         tr = self.tracer
         t0 = self.sim.now if tr is not None and tr.enabled else 0.0
         attempts = 0
         while True:
-            event = read(*args, tag)
-            if event is None:
-                return
-            try:
-                yield event
-                if tr is not None and tr.enabled:
-                    tr.span(
-                        span, "engine", f"engine.{self.tenant}", tag.request.value,
-                        t0, self.sim.now, trace=tag.trace,
-                    )
-                return
-            except CorruptionError:
-                self.stats.checksum_failures += 1
-                if attempts >= self.config.read_retries:
-                    raise
-                attempts += 1
-                self.stats.read_retries += 1
+            if failed is None:
+                event = read(*args, tag)
+                if event is None:
+                    return
+                try:
+                    yield event
+                    if tr is not None and tr.enabled:
+                        tr.span(
+                            span, "engine", f"engine.{self.tenant}", tag.request.value,
+                            t0, self.sim.now, trace=tag.trace,
+                        )
+                    return
+                except CorruptionError as exc:
+                    failed = exc
+            self.stats.checksum_failures += 1
+            if attempts >= self.config.read_retries:
+                raise failed
+            attempts += 1
+            self.stats.read_retries += 1
+            failed = None
 
     # -- introspection -----------------------------------------------------------
 
@@ -558,16 +591,6 @@ class LsmEngine:
         self._file_seq += 1
         return f"{self.tenant}-sst-{self._file_seq}"
 
-    def _index_cache_hit(self, table: SsTable) -> bool:
-        """Check/update the table cache; True if the index is resident."""
-        if table.table_id in self._index_cache:
-            self._index_cache.move_to_end(table.table_id)
-            return True
-        self._index_cache[table.table_id] = None
-        while len(self._index_cache) > self.config.table_cache_entries:
-            self._index_cache.popitem(last=False)
-        return False
-
     # -- table lifetime (readers vs compaction) -----------------------------------------
 
     def _ref(self, table: SsTable) -> None:
@@ -590,10 +613,3 @@ class LsmEngine:
             self._doomed[table.table_id] = table
         else:
             self.fs.delete(table.file)
-
-    def _hit_or_miss(self, size: Optional[int]):
-        if size is None or size == TOMBSTONE:
-            self.stats.get_misses += 1
-            return None
-        self.stats.get_hits += 1
-        return size

@@ -46,13 +46,11 @@ class Memtable:
         #: overwrite leaves it untouched
         self._keys: List[int] = []
         self.bytes = 0
+        #: ``bytes >= limit_bytes``, kept by :meth:`put`
+        self.full = False
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def full(self) -> bool:
-        return self.bytes >= self.limit_bytes
 
     @property
     def empty(self) -> bool:
@@ -67,6 +65,7 @@ class Memtable:
             insort(self._keys, key)
         self._entries[key] = Entry(size, sequence)
         self.bytes += max(size, 0)
+        self.full = self.bytes >= self.limit_bytes
 
     def get(self, key: int) -> Optional[Entry]:
         """The buffered entry for ``key``, or None if absent."""

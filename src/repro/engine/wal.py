@@ -31,12 +31,13 @@ acknowledged records are exactly the ``entries`` list and survive.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 from ..core.tags import IoTag
 from ..faults import CorruptionError, CrashError, DeviceError, StorageFault
 from ..sim import Event, Simulator
-from ..ssd import SimFile, SimFilesystem
+from ..ssd import OutOfSpace, SimFile, SimFilesystem
 
 __all__ = ["Wal"]
 
@@ -114,8 +115,8 @@ class Wal:
         commit does not land — the caller was never acknowledged and
         must re-issue.
         """
-        if nbytes <= 0:
-            raise ValueError(f"record size must be positive, got {nbytes}")
+        if not 0 < nbytes < math.inf:
+            raise ValueError(f"record size must be positive and finite, got {nbytes}")
         sim = self.sim
         done = Event(sim)
         self._pending.append((nbytes, done, record))
@@ -190,6 +191,14 @@ class Wal:
         self._t0 = self.sim.now if tr is not None and tr.enabled else 0.0
         try:
             write = self.file.append(total, tag=self._tag)
+        except OutOfSpace as exc:
+            # Refused before anything was allocated: the batch's appends
+            # fail (nothing was written) and the log goes on.
+            self._inflight = []
+            for _nbytes, ev, _record in batch:
+                ev.fail(exc)
+            self._idle()
+            return
         except BaseException:
             self._idle()
             raise

@@ -15,10 +15,10 @@ one :class:`_TenantContext`, built in :meth:`StorageNode.add_tenant`
 and resolved with one dict lookup per request.  Tags are immutable and
 compare by value, so every untraced request of a tenant can carry the
 same tag object; only a traced request (its id rides on the tag) builds
-its own.  :meth:`StorageNode._execute` takes the engine method and its
-arguments and calls it afresh per attempt, and
-:meth:`StorageNode._account` does all of a completed request's
-bookkeeping with the size normalized once.
+its own.  A request attempts its engine op in its own frame, entering
+:meth:`StorageNode._execute` only after a transient fault, while its
+tenant is down or under a budget; :meth:`StorageNode._account` does all
+of a completed request's bookkeeping with the size normalized once.
 
 Cache coherence.  Writes update the object cache at their
 acknowledgement; a GET that missed fills it when its engine read
@@ -201,6 +201,8 @@ class StorageNode:
         self.request_stats: Dict[str, RequestStats] = {}
         self.latencies: Dict[str, LatencyRecorder] = {}
         self._contexts = _Contexts(name)
+        #: False: every attempt runs in :meth:`_execute` (not only retries)
+        self._inline = self.config.request_timeout is None
         #: True once :meth:`fail` killed the whole node
         self.failed = False
 
@@ -270,9 +272,8 @@ class StorageNode:
         if trace is not None or self.tracer is not None:
             tag, trace = self._traced(tag, trace)
         cache = self.cache
-        if cache is None:
-            size = yield from self._execute(ctx, ctx.engine.get, key, tag)
-        else:
+        fill = None
+        if cache is not None:
             size = cache.get(tenant, key)
             if size is not None:
                 ctx.stats.cache_hits += 1
@@ -287,12 +288,17 @@ class StorageNode:
                 fill = fills[key] = [0, 0]
             fill[0] += 1
             writes_before = fill[1]
-            try:
-                size = yield from self._execute(ctx, ctx.engine.get, key, tag)
-            finally:
+        op, args, direct = ctx.engine.get, (key, tag), ctx.down is None and self._inline
+        try:
+            size = yield from op(*args) if direct else self._execute(ctx, op, args)
+        except TRANSIENT_FAULTS as exc:
+            size = yield from self._execute(ctx, op, args, exc)
+        finally:
+            if fill is not None:
                 fill[0] -= 1
                 if not fill[0]:
-                    del fills[key]
+                    del ctx.fills[key]
+        if fill is not None:
             if fill[1] != writes_before:
                 cache.touch(tenant, key)
             elif size is not None:
@@ -315,7 +321,11 @@ class StorageNode:
         tag = ctx.put_tag
         if trace is not None or self.tracer is not None:
             tag, trace = self._traced(tag, trace)
-        yield from self._execute(ctx, ctx.engine.put, key, size, tag)
+        op, args, direct = ctx.engine.put, (key, size, tag), ctx.down is None and self._inline
+        try:
+            yield from op(*args) if direct else self._execute(ctx, op, args)
+        except TRANSIENT_FAULTS as exc:
+            yield from self._execute(ctx, op, args, exc)
         if self.cache is not None:
             self._write_through(ctx, key, size)
         self._account(ctx, "put", size, started, trace)
@@ -331,7 +341,11 @@ class StorageNode:
         tag = ctx.get_tag
         if trace is not None or self.tracer is not None:
             tag, trace = self._traced(tag, trace)
-        results = yield from self._execute(ctx, ctx.engine.scan, lo, hi, tag, limit)
+        op, args, direct = ctx.engine.scan, (lo, hi, tag, limit), ctx.down is None and self._inline
+        try:
+            results = yield from op(*args) if direct else self._execute(ctx, op, args)
+        except TRANSIENT_FAULTS as exc:
+            results = yield from self._execute(ctx, op, args, exc)
         total_bytes = sum(map(itemgetter(1), results))
         self._account(ctx, "get", total_bytes or 1024, started, trace)
         return results
@@ -343,7 +357,11 @@ class StorageNode:
         tag = ctx.delete_tag
         if trace is not None or self.tracer is not None:
             tag, trace = self._traced(tag, trace)
-        yield from self._execute(ctx, ctx.engine.delete, key, tag)
+        op, args, direct = ctx.engine.delete, (key, tag), ctx.down is None and self._inline
+        try:
+            yield from op(*args) if direct else self._execute(ctx, op, args)
+        except TRANSIENT_FAULTS as exc:
+            yield from self._execute(ctx, op, args, exc)
         if self.cache is not None:
             self._write_through(ctx, key, None)
         self._account(ctx, "delete", 1024, started, trace)
@@ -373,10 +391,14 @@ class StorageNode:
         if trace is not None or self.tracer is not None:
             tag, trace = self._traced(tag, trace)
         if op == "delete":
-            yield from self._execute(ctx, ctx.engine.delete, key, tag)
-            size = None
+            write, args, size = ctx.engine.delete, (key, tag), None
         else:
-            yield from self._execute(ctx, ctx.engine.put, key, size, tag)
+            write, args = ctx.engine.put, (key, size, tag)
+        direct = ctx.down is None and self._inline
+        try:
+            yield from write(*args) if direct else self._execute(ctx, write, args)
+        except TRANSIENT_FAULTS as exc:
+            yield from self._execute(ctx, write, args, exc)
         if self.cache is not None:
             self._write_through(ctx, key, size)
         self._account(ctx, "repl", size or 1024, started, trace)
@@ -396,7 +418,11 @@ class StorageNode:
         tag = ctx.get_tag
         if trace is not None or self.tracer is not None:
             tag, trace = self._traced(tag, trace)
-        size = yield from self._execute(ctx, ctx.engine.get, key, tag)
+        op, args, direct = ctx.engine.get, (key, tag), ctx.down is None and self._inline
+        try:
+            size = yield from op(*args) if direct else self._execute(ctx, op, args)
+        except TRANSIENT_FAULTS as exc:
+            size = yield from self._execute(ctx, op, args, exc)
         self._account(ctx, "repl_read", size or 1024, started, trace)
         return size
 
@@ -417,7 +443,7 @@ class StorageNode:
         trace: Optional[int],
     ) -> None:
         """Book one completed request: counters, latency, span, tracker."""
-        units = max(size / NORMALIZED_REQUEST_BYTES, 1.0)
+        units = size / NORMALIZED_REQUEST_BYTES if size > NORMALIZED_REQUEST_BYTES else 1.0
         now = self.sim.now
         stats = ctx.stats
         if kind == "get":  # the two hot kinds, without a call
@@ -428,7 +454,11 @@ class StorageNode:
             stats.put_units += units
         else:
             stats.note_units(kind, units)
-        ctx.latencies.record(kind, now - started)
+        latency = now - started
+        series = ctx.latencies.series[kind]  # LatencyRecorder.record, inline
+        series.samples.append(latency)
+        series.count += 1
+        series.total += latency
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.span(
@@ -441,10 +471,11 @@ class StorageNode:
 
     # -- failure handling ------------------------------------------------------
 
-    def _execute(self, ctx: _TenantContext, op, *args):
+    def _execute(self, ctx: _TenantContext, op, args: tuple, failed=None):
         """DES sub-generator: run one engine op under the failure policy.
 
-        ``op(*args)`` makes a fresh attempt each time it is called.
+        ``op(*args)`` makes a fresh attempt each time it is called
+        (``failed``: the fault of one the request made itself).
         Transient faults (device errors, corruption that out-ran the
         engine's re-reads, torn-commit crashes, per-attempt timeouts)
         are retried with exponential backoff up to ``max_retries``;
@@ -455,28 +486,29 @@ class StorageNode:
         cfg = self.config
         attempt = 0
         while True:
-            if ctx.down is not None:
-                ctx.stats.crash_waits += 1
-                yield ctx.down
-                continue
-            try:
-                # Without a budget the attempt runs inline, so healthy
-                # nodes keep the exact event ordering of the seed.
-                if cfg.request_timeout is None:
-                    result = yield from op(*args)
-                else:
-                    result = yield from self._bounded(ctx, op(*args))
-                return result
-            except TRANSIENT_FAULTS as exc:
-                attempt += 1
-                ctx.stats.retries += 1
-                if attempt > cfg.max_retries:
-                    ctx.stats.errors += 1
-                    raise RetriesExhausted(
-                        f"{self.name}/{ctx.name}: request failed after "
-                        f"{cfg.max_retries} retries"
-                    ) from exc
-                yield self.sim.timeout(cfg.retry_backoff * (2 ** (attempt - 1)))
+            if failed is None:
+                if ctx.down is not None:
+                    ctx.stats.crash_waits += 1
+                    yield ctx.down
+                    continue
+                try:
+                    # Without a budget the attempt runs inline, so healthy
+                    # nodes keep the exact event ordering of the seed.
+                    if cfg.request_timeout is None:
+                        return (yield from op(*args))
+                    return (yield from self._bounded(ctx, op(*args)))
+                except TRANSIENT_FAULTS as exc:
+                    failed = exc
+            attempt += 1
+            ctx.stats.retries += 1
+            if attempt > cfg.max_retries:
+                ctx.stats.errors += 1
+                raise RetriesExhausted(
+                    f"{self.name}/{ctx.name}: request failed after "
+                    f"{cfg.max_retries} retries"
+                ) from failed
+            failed = None
+            yield self.sim.timeout(cfg.retry_backoff * (2 ** (attempt - 1)))
 
     def _bounded(self, ctx: _TenantContext, gen):
         """Race one attempt against the per-attempt budget.

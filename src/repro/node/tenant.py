@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Deque, Dict
 
 from ..core.policy import Reservation
@@ -39,32 +40,31 @@ class LatencyRecorder:
         if capacity < 1:
             raise ValueError("latency reservoir needs capacity >= 1")
         self.capacity = capacity
-        #: a kind appears with its first sample (``kinds`` lists those)
-        self._series: Dict[str, _Series] = {}
+        #: kind -> its series, created by the kind's first sample
+        #: (``kinds`` lists those)
+        self.series: Dict[str, _Series] = defaultdict(partial(_Series, capacity))
 
     def record(self, kind: str, latency: float) -> None:
-        series = self._series.get(kind)
-        if series is None:
-            series = self._series[kind] = _Series(self.capacity)
+        series = self.series[kind]
         series.samples.append(latency)
         series.count += 1
         series.total += latency
 
     def samples(self, kind: str) -> list:
         """The retained (recent) samples for a kind, oldest first."""
-        series = self._series.get(kind)
+        series = self.series.get(kind)
         return list(series.samples) if series else []
 
     def kinds(self) -> list:
-        return sorted(self._series)
+        return sorted(self.series)
 
     def count(self, kind: str) -> int:
-        series = self._series.get(kind)
+        series = self.series.get(kind)
         return series.count if series else 0
 
     def mean(self, kind: str) -> float:
         """Lifetime mean latency for a request kind (0 if none)."""
-        series = self._series.get(kind)
+        series = self.series.get(kind)
         return series.total / series.count if series else 0.0
 
     def histogram(self, kind: str) -> Histogram:
@@ -80,7 +80,7 @@ class LatencyRecorder:
         Computed through the shared fixed-bucket histogram; accurate to
         one bucket width of the exact sample percentile.
         """
-        if kind not in self._series:
+        if kind not in self.series:
             return 0.0
         return self.histogram(kind).percentile(pct)
 

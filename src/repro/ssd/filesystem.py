@@ -15,6 +15,7 @@ in the paper (§5's system-call wrappers).
 from __future__ import annotations
 
 import bisect
+import math
 from typing import List, Optional, Protocol, Tuple
 
 from ..sim import Event, Simulator
@@ -121,8 +122,8 @@ class SimFile:
         """Append ``size`` bytes; returns the write-completion event."""
         if self.deleted:
             raise ValueError(f"IO on deleted file {self.name}")
-        if size <= 0:
-            raise ValueError(f"append size must be positive, got {size}")
+        if not 0 < size < math.inf:
+            raise ValueError(f"append size must be positive and finite, got {size}")
         fs = self.fs
         write = fs.backend.write
         events = []
@@ -253,6 +254,8 @@ class SimFilesystem:
         segments: List[Tuple[int, int]] = []
         remaining = size
         slack = f.allocated - f.size
+        if remaining - slack > self._free_bytes:  # refused before any allocation
+            raise OutOfSpace(f"{f.name}: append of {size} bytes, {self._free_bytes} free")
         if slack > 0:
             dev_off, ext_len = f.extents[-1]
             within = ext_len - slack

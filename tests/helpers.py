@@ -2,6 +2,8 @@
 
 import sys
 
+from repro.obs import Tracer
+
 
 def force_coroutine_path(device):
     """Send every op on ``device`` down the coroutine path.
@@ -19,15 +21,38 @@ def force_coroutine_path(device):
     return device
 
 
-def count_calls(run, path_parts):
+def force_policy_path(node):
+    """Send every request attempt on ``node`` through the failure-policy
+    generators: ``StorageNode._execute`` (retries, crash wait, budget)
+    and ``LsmEngine._read_verified`` (checksum re-reads).
+
+    A request makes its first attempt in its own frame unless the node's
+    ``_inline`` is clear, and ``LsmEngine.get`` reads a block in
+    its own frame unless a tracer is installed; a disabled one records
+    nothing.  Call it after the tenants are added.
+    ``test_policy_path_gives_the_inline_path_digests`` holds the two
+    paths to one digest.
+    """
+    node._inline = False
+    for engine in node.engines.values():
+        if engine.tracer is None:
+            engine.tracer = Tracer(enabled=False)
+    return node
+
+
+def count_calls(run, path_parts, functions=None):
     """Python ``call`` events (generator resumes included) during
     ``run()`` whose code lives in a file whose path contains one of
-    ``path_parts`` — what kvbench reports as a layer's ``calls_per_req``."""
+    ``path_parts`` — what kvbench reports as a layer's ``calls_per_req``
+    — narrowed to the code objects named in ``functions`` if given."""
     calls = [0]
 
     def profiler(frame, event, _arg):
         if event == "call":
-            filename = frame.f_code.co_filename.replace("\\", "/")
+            code = frame.f_code
+            if functions is not None and code.co_name not in functions:
+                return
+            filename = code.co_filename.replace("\\", "/")
             if any(part in filename for part in path_parts):
                 calls[0] += 1
 

@@ -1,0 +1,202 @@
+"""The request entry points' contract table.
+
+Each row is (entry, edge value, call, outcome).  The outcome is either a
+named exception, raised before any state changes — the node's state
+digest (WAL size and extents, free filesystem bytes, the engine's tables
+and memtable, the tenant's scheduler usage, the object cache) is the
+same before and after, and the tenant's next PUT still lands — or a
+specified result.  Every row runs on a freshly loaded one-tenant node.
+"""
+
+import math
+
+import pytest
+
+from repro.core import Reservation
+from repro.engine import EngineConfig
+from repro.node import NodeConfig, StorageNode
+from repro.sim import Simulator
+from repro.ssd import OutOfSpace, get_profile
+
+KIB = 1024
+MIB = 1024 * KIB
+SMALL = get_profile("intel320").with_capacity(64 * MIB)
+#: 40 one-KiB objects: two flushed tables, the rest in the memtable
+ENGINE = EngineConfig(memtable_bytes=16 * KIB)
+KEYS = 40
+PAST_CAPACITY = 10 * SMALL.logical_capacity
+NAN, INF = math.nan, math.inf
+ALL_ROWS = [(key, KIB) for key in range(KEYS)]
+
+
+def drive(sim, gen):
+    """Run one process to its end; returns its value or raises its error."""
+    proc = sim.process(gen)
+    sim.step_while(lambda: proc.is_alive)
+    if not proc.ok:
+        raise proc.value
+    return proc.value
+
+
+def loaded_node():
+    sim = Simulator()
+    config = NodeConfig(engine=ENGINE, cache_bytes=1 * MIB)
+    node = StorageNode(sim, profile=SMALL, config=config, seed=3)
+    node.add_tenant("t1", Reservation(gets=2000.0, puts=2000.0))
+
+    def load():
+        for key in range(KEYS):
+            yield from node.put("t1", key, KIB)
+        yield sim.timeout(0.5)  # the FLUSHes land
+
+    drive(sim, load())
+    assert node.engines["t1"].version.file_count == 2
+    return sim, node
+
+
+def state(node):
+    engine = node.engines["t1"]
+    wal = engine.wal.file
+    return (
+        wal.size, list(wal.extents), wal.allocated, node.fs.free_bytes,
+        [[table.table_id for table in level] for level in engine.version.levels],
+        engine.memtable.items(),
+        sorted(vars(node.scheduler.usage("t1")).items()),
+        list(node.cache._entries.items()),
+    )
+
+
+def on_node(method, *args, **kwargs):
+    return lambda node: getattr(node, method)(*args, **kwargs)
+
+
+def on_engine(method, *args, **kwargs):
+    return lambda node: getattr(node.engines["t1"], method)(*args, **kwargs)
+
+
+def put_then_get(key):
+    def call(node):
+        yield from node.put("t1", key, 2 * KIB)
+        return (yield from node.get("t1", key))
+
+    return call
+
+
+ROWS = [
+    # -- StorageNode ------------------------------------------------------------
+    ("StorageNode.get", "unknown tenant", on_node("get", "nobody", 1), KeyError),
+    ("StorageNode.get", "key 0", on_node("get", "t1", 0), KIB),
+    ("StorageNode.get", "negative key", on_node("get", "t1", -1), None),
+    ("StorageNode.get", "NaN key", on_node("get", "t1", NAN), None),
+    ("StorageNode.get", "+inf key", on_node("get", "t1", INF), None),
+    ("StorageNode.get", "-inf key", on_node("get", "t1", -INF), None),
+    ("StorageNode.put", "unknown tenant", on_node("put", "nobody", 1, KIB), KeyError),
+    ("StorageNode.put", "size 0", on_node("put", "t1", 1, 0), ValueError),
+    ("StorageNode.put", "negative size", on_node("put", "t1", 1, -KIB), ValueError),
+    ("StorageNode.put", "NaN size", on_node("put", "t1", 1, NAN), ValueError),
+    ("StorageNode.put", "+inf size", on_node("put", "t1", 1, INF), ValueError),
+    ("StorageNode.put", "-inf size", on_node("put", "t1", 1, -INF), ValueError),
+    ("StorageNode.put", "past capacity", on_node("put", "t1", 1, PAST_CAPACITY), OutOfSpace),
+    ("StorageNode.put", "NaN key", on_node("put", "t1", NAN, KIB), ValueError),
+    ("StorageNode.put", "+inf key", put_then_get(INF), 2 * KIB),
+    ("StorageNode.put", "negative key", put_then_get(-1), 2 * KIB),
+    ("StorageNode.delete", "unknown tenant", on_node("delete", "nobody", 1), KeyError),
+    ("StorageNode.delete", "NaN key", on_node("delete", "t1", NAN), ValueError),
+    ("StorageNode.delete", "absent key", on_node("delete", "t1", -1), None),
+    ("StorageNode.scan", "unknown tenant", on_node("scan", "nobody", 0, 9), KeyError),
+    ("StorageNode.scan", "lo > hi", on_node("scan", "t1", 9, 0), ValueError),
+    ("StorageNode.scan", "NaN lo", on_node("scan", "t1", NAN, 9), ValueError),
+    ("StorageNode.scan", "NaN hi", on_node("scan", "t1", 0, NAN), ValueError),
+    ("StorageNode.scan", "limit -1", on_node("scan", "t1", 0, 9, limit=-1), ValueError),
+    ("StorageNode.scan", "NaN limit", on_node("scan", "t1", 0, 9, limit=NAN), TypeError),
+    ("StorageNode.scan", "+inf limit", on_node("scan", "t1", 0, 9, limit=INF), TypeError),
+    ("StorageNode.scan", "limit 0", on_node("scan", "t1", 0, 9, limit=0), []),
+    ("StorageNode.scan", "lo == hi", on_node("scan", "t1", 5, 5), [(5, KIB)]),
+    ("StorageNode.scan", "infinite bounds", on_node("scan", "t1", -INF, INF), ALL_ROWS),
+    ("StorageNode.apply_replica", "unknown tenant",
+     on_node("apply_replica", "nobody", 1, KIB), KeyError),
+    ("StorageNode.apply_replica", "size 0", on_node("apply_replica", "t1", 1, 0), ValueError),
+    ("StorageNode.apply_replica", "NaN size",
+     on_node("apply_replica", "t1", 1, NAN), ValueError),
+    ("StorageNode.apply_replica", "+inf size",
+     on_node("apply_replica", "t1", 1, INF), ValueError),
+    ("StorageNode.apply_replica", "past capacity",
+     on_node("apply_replica", "t1", 1, PAST_CAPACITY), OutOfSpace),
+    ("StorageNode.apply_replica", "NaN key",
+     on_node("apply_replica", "t1", NAN, KIB, op="delete"), ValueError),
+    ("StorageNode.apply_replica", "delete ignores size",
+     on_node("apply_replica", "t1", 1, NAN, op="delete"), None),
+    ("StorageNode.read_replica", "unknown tenant",
+     on_node("read_replica", "nobody", 1), KeyError),
+    ("StorageNode.read_replica", "key 0", on_node("read_replica", "t1", 0), KIB),
+    ("StorageNode.read_replica", "NaN key", on_node("read_replica", "t1", NAN), None),
+    # -- LsmEngine ----------------------------------------------------------------
+    ("LsmEngine.get", "key 0", on_engine("get", 0), KIB),
+    ("LsmEngine.get", "negative key", on_engine("get", -1), None),
+    ("LsmEngine.get", "NaN key", on_engine("get", NAN), None),
+    ("LsmEngine.get", "+inf key", on_engine("get", INF), None),
+    ("LsmEngine.put", "size 0", on_engine("put", 1, 0), ValueError),
+    ("LsmEngine.put", "negative size", on_engine("put", 1, -1), ValueError),
+    ("LsmEngine.put", "NaN size", on_engine("put", 1, NAN), ValueError),
+    ("LsmEngine.put", "+inf size", on_engine("put", 1, INF), ValueError),
+    ("LsmEngine.put", "past capacity", on_engine("put", 1, PAST_CAPACITY), OutOfSpace),
+    ("LsmEngine.put", "NaN key", on_engine("put", NAN, KIB), ValueError),
+    ("LsmEngine.delete", "NaN key", on_engine("delete", NAN), ValueError),
+    ("LsmEngine.delete", "absent key", on_engine("delete", -1), None),
+    ("LsmEngine.scan", "lo > hi", on_engine("scan", 1, 0), ValueError),
+    ("LsmEngine.scan", "NaN lo", on_engine("scan", NAN, 0), ValueError),
+    ("LsmEngine.scan", "limit -1", on_engine("scan", 0, 9, limit=-1), ValueError),
+    ("LsmEngine.scan", "NaN limit", on_engine("scan", 0, 9, limit=NAN), TypeError),
+    ("LsmEngine.scan", "limit 0", on_engine("scan", 0, 9, limit=0), []),
+    ("LsmEngine.scan", "infinite bounds", on_engine("scan", -INF, INF), ALL_ROWS),
+]
+
+ENTRIES = {
+    f"StorageNode.{name}"
+    for name in ("get", "put", "delete", "scan", "apply_replica", "read_replica")
+} | {f"LsmEngine.{name}" for name in ("get", "put", "delete", "scan")}
+
+
+def _is_error(outcome):
+    return isinstance(outcome, type) and issubclass(outcome, Exception)
+
+
+@pytest.mark.parametrize(
+    "entry, edge, call, outcome", ROWS, ids=[f"{row[0]}-{row[1]}" for row in ROWS],
+)
+def test_contract_row(entry, edge, call, outcome):
+    sim, node = loaded_node()
+    before = state(node)
+    if not _is_error(outcome):
+        assert drive(sim, call(node)) == outcome
+        return
+    with pytest.raises(outcome):
+        drive(sim, call(node))
+    assert state(node) == before
+    assert node.stats("t1").errors == 0
+    # the tenant is not bricked: an ordinary PUT lands and reads back
+    drive(sim, node.put("t1", 3, 3 * KIB))
+    assert drive(sim, node.get("t1", 3)) == 3 * KIB
+    assert node.engines["t1"].wal.file.size == before[0] + 3 * KIB + ENGINE.record_overhead
+
+
+def test_every_entry_has_rows_and_every_node_entry_names_the_unknown_tenant():
+    assert {row[0] for row in ROWS} == ENTRIES
+    unknown = {row[0] for row in ROWS if row[1] == "unknown tenant"}
+    assert unknown == {entry for entry in ENTRIES if entry.startswith("StorageNode.")}
+
+
+def test_an_oversize_put_leaves_the_wal_and_free_space_as_they_were():
+    """It used to allocate extent by extent until the filesystem ran
+    out: the WAL's extents ran ahead of its size, every free byte was
+    gone, and the tenant's next PUT failed."""
+    sim, node = loaded_node()
+    wal = node.engines["t1"].wal.file
+    before = (node.fs.free_bytes, list(wal.extents), wal.allocated, wal.size)
+    for size in (PAST_CAPACITY, node.fs.free_bytes + 8 * KIB):
+        with pytest.raises(OutOfSpace):
+            drive(sim, node.put("t1", 1, size))
+        assert (node.fs.free_bytes, list(wal.extents), wal.allocated, wal.size) == before
+    drive(sim, node.put("t1", 1, 2 * KIB))
+    assert drive(sim, node.get("t1", 1)) == 2 * KIB
+    assert wal.size == before[3] + 2 * KIB + ENGINE.record_overhead

@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 
 import pytest
 
-from .helpers import force_coroutine_path
+from .helpers import count_calls, force_coroutine_path, force_policy_path
 from .test_determinism import _replicated_run
 from repro.core import Reservation
 from repro.engine import EngineConfig
@@ -203,7 +203,7 @@ def _crash_and_restart(node, tenant, crash_at, restart_at):
     yield from node.restart(tenant)
 
 
-def run_scenario(name, coroutine_path=False):
+def run_scenario(name, coroutine_path=False, policy_path=False):
     """Preload, run the closed-loop clients, return the finished node."""
     sc = SCENARIOS[name] if name in SCENARIOS else REWIRED[name]
     sim = Simulator()
@@ -216,6 +216,8 @@ def run_scenario(name, coroutine_path=False):
         force_coroutine_path(node.device)
     for tenant, weight in sc.tenants:
         node.add_tenant(tenant, Reservation(gets=1500.0 * weight, puts=500.0 * weight))
+    if policy_path:
+        force_policy_path(node)
     _preload(sim, sc, node)
     for kind, start, end, probability in sc.faults:
         plan.add(FaultWindow(kind, sim.now + start, sim.now + end, probability=probability))
@@ -342,6 +344,40 @@ def test_golden_digests_match_the_parent(nodes):
 
 def test_rewired_path_digests_match_the_parent(rewired, clusters):
     _assert_golden(rewired_digests(rewired, clusters), GOLDEN_REWIRED)
+
+
+#: rerun with every attempt sent through the failure-policy generators
+POLICY_PATH = ("get_heavy", "faulted", "deletes")
+
+
+def test_policy_path_gives_the_inline_path_digests():
+    """A request makes its first attempt in ``StorageNode``'s and
+    ``LsmEngine.get``'s own frames and enters ``_execute`` or
+    ``_read_verified`` only after a fault (or while its tenant is down,
+    under a budget, or traced).  Routing every attempt through them
+    instead lands on the same digests: healthy GETs and PUTs, retries,
+    re-reads and crash waits, and cache fills."""
+    golden = {**GOLDEN_REWIRED, "get_heavy": GOLDEN["get_heavy/fast"]}
+    _assert_golden(
+        {name: node_digest(run_scenario(name, policy_path=True)) for name in POLICY_PATH},
+        {name: golden[name] for name in POLICY_PATH},
+    )
+
+
+def test_only_a_fault_enters_the_policy_generators():
+    """Both paths stay exercised: healthy runs never enter the policy
+    generators, the faulted one does, and so does a forced run."""
+
+    def entered(name, **kwargs):
+        return count_calls(
+            lambda: run_scenario(name, **kwargs),
+            ("/repro/node/server.py", "/repro/engine/db.py"),
+            functions=("_execute", "_read_verified"),
+        )
+
+    assert entered("get_heavy") == entered("deletes") == 0
+    assert entered("faulted") > 100
+    assert entered("get_heavy", policy_path=True) > 1000
 
 
 def test_put_heavy_scenario_reaches_flush_compaction_and_ftl_gc(nodes):

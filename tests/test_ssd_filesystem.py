@@ -206,6 +206,28 @@ def test_out_of_space_raises(fs_env):
     drive(sim, flow())
 
 
+def test_an_append_past_free_space_is_refused_before_any_allocation(fs_env):
+    """``_extend`` used to allocate extent by extent and run out midway,
+    leaving the file's extents ahead of its size and the space lost."""
+    sim, _dev, fs = fs_env
+    f = fs.create("log")
+
+    def flow():
+        yield f.append(1000)  # one page allocated, 3096 bytes of slack
+        before = (fs.free_bytes, list(f.extents), f.allocated, f.size)
+        for size in (fs.free_bytes + 3096 + 1, 10 * fs.capacity):
+            with pytest.raises(OutOfSpace):
+                f.append(size)
+            assert (fs.free_bytes, list(f.extents), f.allocated, f.size) == before
+        for size in (0, -1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                f.append(size)
+        yield f.append(fs.free_bytes + 3096)  # exactly what is left fits
+        assert fs.free_bytes == 0 and f.size == f.allocated == fs.capacity
+
+    drive(sim, flow())
+
+
 def test_unaligned_capacity_rejected(fs_env):
     sim, dev, _fs = fs_env
     with pytest.raises(ValueError):
