@@ -140,21 +140,6 @@ class HashRing:
             if pid in new and new[pid] != old[pid]
         ]
 
-    def rebalance_plan(
-        self, pids: Sequence[str], rf: int, change: str, node: str
-    ) -> List[PlacementDelta]:
-        """Placement deltas for adding (``change='add'``) or removing a
-        node, applying the membership change to the ring as a side
-        effect.  Convenience wrapper used by the cluster control ops."""
-        old = self.placement(pids, rf)
-        if change == "add":
-            self.add_node(node)
-        elif change == "remove":
-            self.remove_node(node)
-        else:
-            raise ValueError(f"unknown change {change!r}")
-        return self.delta(old, self.placement(pids, rf))
-
     # -- balance diagnostics ----------------------------------------------
 
     def spread(self, pids: Sequence[str]) -> Dict[str, int]:

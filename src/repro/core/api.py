@@ -66,7 +66,7 @@ class LibraIo:
 
     def trim(self, offset: int, size: int) -> None:
         """Discard a logical range (deallocation hint)."""
-        self.scheduler.trim(offset, size)
+        self.scheduler.trim_extents([(offset, size)])
 
     def _resolve(self, tag: Optional[IoTag]) -> IoTag:
         resolved = tag or self._current

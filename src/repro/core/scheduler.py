@@ -128,12 +128,14 @@ class _Chunk:
 
 
 class _Split:
-    """The slices of one task larger than ``chunk_size`` not yet completed."""
+    """The slices of one task larger than ``chunk_size`` not yet
+    completed, and whether one has failed the task."""
 
-    __slots__ = ("pending",)
+    __slots__ = ("pending", "failed")
 
     def __init__(self, pending: int):
         self.pending = pending
+        self.failed = False
 
 
 class _TenantState:
@@ -287,34 +289,38 @@ class LibraScheduler:
 
     # -- IO submission (IoBackend protocol) ------------------------------------
 
-    def read(self, offset: int, size: int, tag: Optional[IoTag] = None) -> Event:
-        """Queue a tenant read; returns its completion event."""
-        return self._submit(OpKind.READ, offset, size, tag)
+    def read(self, offset: int, size: int, tag: Optional[IoTag] = None, done=None) -> Event:
+        """Queue a tenant read; returns its completion event (``done``,
+        when the filesystem hands in the join of a multi-op file IO)."""
+        return self._submit(OpKind.READ, offset, size, tag, done)
 
-    def write(self, offset: int, size: int, tag: Optional[IoTag] = None) -> Event:
+    def write(self, offset: int, size: int, tag: Optional[IoTag] = None, done=None) -> Event:
         """Queue a tenant write; returns its completion event."""
-        return self._submit(OpKind.WRITE, offset, size, tag)
+        return self._submit(OpKind.WRITE, offset, size, tag, done)
 
-    def trim(self, offset: int, size: int) -> None:
+    def trim_extents(self, extents: List[Tuple[int, int]]) -> None:
         """TRIM passes straight through (metadata-only on the device)."""
-        self.device.trim(offset, size)
+        self.device.trim_extents(extents)
 
-    def _submit(self, kind: OpKind, offset: int, size: int, tag: Optional[IoTag]) -> Event:
+    def _submit(self, kind: OpKind, offset: int, size: int, tag: Optional[IoTag],
+                done=None) -> Event:
         if tag is None:
             raise ValueError("Libra IO requires an IoTag (tenant attribution)")
         state = self._tenants.get(tag.tenant)
         if state is None:
             state = self._state(tag.tenant)  # raises, naming the tenants
         # Rejected before any VOP is charged: the device would fail the
-        # op, and the failure would be booked as a fault.
+        # op, and the failure would be booked as a fault.  Written so
+        # that a NaN fails it.
         capacity = self.device.profile.logical_capacity
-        if size <= 0 or offset < 0 or offset + size > capacity:
+        if not (0 < size and 0 <= offset and offset + size <= capacity) or offset % 1 or size % 1:
             raise ValueError(
-                f"io [{offset}, {offset + size}) is empty or outside the device's "
-                f"{capacity} bytes"
+                f"io [{offset}, {offset + size}) is empty, fractional or outside "
+                f"the device's {capacity} bytes"
             )
         sim = self.sim
-        done = Event(sim)
+        if done is None:
+            done = Event(sim)
         chunk_size = self.config.chunk_size
         now = sim.now
         if size <= chunk_size:
@@ -602,7 +608,7 @@ class LibraScheduler:
                 # cost-model evaluation, and observer charges can never
                 # skew from what the deficit counter actually paid.
                 self.io_observer(tag, kind, chunk.size, chunk.cost)
-            if (split is None or split.pending == 0) and not done._triggered:
+            if split is None or not (split.pending or split.failed):
                 usage.tasks += 1
                 done.succeed()
         else:
@@ -612,7 +618,10 @@ class LibraScheduler:
             usage.failed_ops += 1
             if self.fail_observer is not None:
                 self.fail_observer(tag, kind, chunk.size, chunk.cost)
-            if not done._triggered:
+            if split is None:
+                done.fail(event.value)
+            elif not split.failed:
+                split.failed = True
                 done.fail(event.value)
         # With a chunk queued and a slot free, some tenant holds the round
         # open (every pump and lane leaves it so).  The lap can act only

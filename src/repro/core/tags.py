@@ -70,11 +70,6 @@ class IoTag:
             return self
         return IoTag(self.tenant, self.request, self.internal, trace)
 
-    @property
-    def is_internal(self) -> bool:
-        """True for background (FLUSH/COMPACT) IO."""
-        return self.internal is not None
-
     def __str__(self) -> str:
         suffix = f"/{self.internal.value}" if self.internal else ""
         return f"{self.tenant}:{self.request.value}{suffix}"

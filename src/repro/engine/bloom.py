@@ -46,11 +46,6 @@ class BloomFilter:
     def __len__(self) -> int:
         return len(self._keys)
 
-    @property
-    def approximate_bytes(self) -> int:
-        """In-memory footprint a real filter of this shape would have."""
-        return (len(self._keys) * self.bits_per_key + 7) // 8
-
     def may_contain(self, key: int) -> bool:
         """True for every present key; false positives at ``fp_rate``.
 

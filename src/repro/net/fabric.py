@@ -220,9 +220,6 @@ class NetworkFabric:
         """Kill an endpoint: it no longer sends or receives anything."""
         self._down.setdefault(name, self.sim.now)
 
-    def is_down(self, name: str) -> bool:
-        return name in self._down
-
     # -- transport ---------------------------------------------------------
 
     def send(self, src: str, dst: str, nbytes: int, message: Any) -> None:

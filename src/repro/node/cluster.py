@@ -407,9 +407,6 @@ class StorageCluster:
             puts=reservation.puts * replica_share,
         )
 
-    def global_reservation(self, tenant: str) -> Reservation:
-        return self._global_reservations[tenant]
-
     def make_client(self, name: Optional[str] = None):
         """A new :class:`~repro.net.ClusterClient` on the fabric."""
         if self.net is None:

@@ -37,11 +37,6 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def pending_gets(self) -> int:
-        """Number of consumers blocked on an empty store."""
-        return len(self._getters)
-
     def put(self, item: Any) -> Event:
         """Offer an item; the returned event triggers on acceptance."""
         ev = self.sim.event()

@@ -41,7 +41,7 @@ and channel accumulators.  Three drivers share the pair:
   the analytic finish time, all in its own frame — no generator, no
   semaphore event, no timeout;
 - the **coroutine** path: any condition that makes the timeline stateful
-  (fault windows, GC backpressure, queue saturation, out-of-range IO)
+  (fault windows, GC backpressure, queue saturation)
   degrades that op to a generator that waits its turn and then books
   the same plan, so same-seed runs are byte-identical whichever path an
   op takes (the determinism suite forces every op down this one);
@@ -209,8 +209,9 @@ class SsdDevice:
         """Submit one op; completion arrives as ``callback(cb_arg, result)``.
 
         The scheduler's dispatch path, and the one spelling of admission.
-        An op with no fault window over ``now``, GC idle (and, for a
-        write, a free pool above the GC reserve), a valid range and a
+        An empty, fractional or out-of-range op raises ValueError before
+        it takes anything.  An op with no fault window over ``now``, GC
+        idle (and, for a write, a free pool above the GC reserve) and a
         free queue slot is timed here: the slot is taken, the op planned
         and reserved, and one finish action pushed at its analytic
         finish time, which hands the callback the shared
@@ -219,8 +220,15 @@ class SsdDevice:
         :class:`Process` is returned, with the callback attached (it
         has the same ``ok``/``value`` shape and carries the fault on
         failure).  ``callback=None`` is ``read``/``write``: the fast path
-        succeeds the Event ``cb_arg`` and the Process is left unhooked.
+        succeeds ``cb_arg`` (an Event, or a multi-op file IO's join) and the
+        Process is left unhooked.
         """
+        capacity = self.profile.logical_capacity
+        if not (0 < size and 0 <= offset and offset + size <= capacity) or offset % 1 or size % 1:
+            raise ValueError(
+                f"io [{offset}, {offset + size}) is empty, fractional or beyond "
+                f"capacity {capacity}"
+            )
         sim = self.sim
         now = sim.now
         ncq = self._ncq
@@ -230,9 +238,6 @@ class SsdDevice:
             not self._gc_running
             and (is_read or not self.ftl.host_starved)
             and (faults is None or faults.quiescent(now))
-            and 0 <= offset
-            and 0 < size
-            and offset + size <= self.profile.logical_capacity
             and (ncq.value > 0 if ncq is not None else self._try_admit(q))
         ):
             if ncq is not None:
@@ -260,8 +265,13 @@ class SsdDevice:
 
     def trim(self, offset: int, size: int) -> None:
         """Invalidate a logical range (instant, as TRIM effectively is)."""
-        self.ftl.trim(offset, size)
-        self.stats.trims += 1
+        self.trim_extents([(offset, size)])
+
+    def trim_extents(self, extents) -> None:
+        """TRIM a deleted file's ``(offset, length)`` extents in one call;
+        ``stats.trims`` counts extents."""
+        self.ftl.trim_extents(extents)
+        self.stats.trims += len(extents)
 
     # -- the op-timing kernel -----------------------------------------------------
 
@@ -304,9 +314,21 @@ class SsdDevice:
         # pages * (page_size * byte_cost) equals pages * page_size *
         # byte_cost bitwise only for power-of-two page sizes (every
         # profile's is); the GC loop spells it the second way.
-        page_cost = profile.page_size * profile.write_byte_cost
+        page = profile.page_size
+        page_cost = page * profile.write_byte_cost
+        ftl = self.ftl
+        if (offset % page) + size <= page and not ftl._routed:
+            # One-page write on the one host stream (every WAL tail):
+            # ``Ftl.host_write``'s one-page lane without its frame.
+            cursor = ftl._host_cursor
+            chan = cursor[0]
+            cursor[0] = (chan + 1) % ftl.channels
+            ftl._append_page(offset // page, False, chan)
+            service = (prog + page_cost) * scale
+            stats.channel_busy += service
+            return ctrl, ((chan, service),)
         services = []
-        for chan, pages in self.ftl.host_write(offset, size).programs:
+        for chan, pages in ftl.host_write(offset, size).programs:
             service = (prog + pages * page_cost) * scale
             stats.channel_busy += service
             services.append((chan, service))
@@ -474,9 +496,6 @@ class SsdDevice:
                     self.stats.fault_delay_seconds += extra
                 draw = faults.draw_read_fault if is_read else faults.draw_write_fault
                 fault = draw(now, offset, size)
-            capacity = self.profile.logical_capacity
-            if offset < 0 or size <= 0 or offset + size > capacity:
-                raise ValueError(f"io [{offset}, {offset + size}) beyond capacity {capacity}")
             ctrl, services = self._plan(is_read, offset, size, scale)
             finish = self._reserve(q, ctrl, services, ctx) + extra
             if finish > self.sim.now:

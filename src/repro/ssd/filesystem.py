@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import bisect
 import math
+from functools import partial
+from heapq import heappush
 from typing import List, Optional, Protocol, Tuple
 
 from ..sim import Event, Simulator
@@ -31,14 +33,18 @@ class IoBackend(Protocol):
     """What the filesystem needs from the IO layer below it.
 
     ``tag`` carries the Libra IO task tag (tenant + app-request +
-    internal op); the raw backend ignores it.
+    internal op); the raw backend ignores it.  ``done`` is None for an
+    IO that is one op, whose completion Event is returned.  A file IO
+    split over several ops hands each of them its :class:`_Join`
+    instead, which the backend succeeds or fails where it would have
+    triggered that op's Event (and the return value is unused).
     """
 
-    def read(self, offset: int, size: int, tag=None) -> Event: ...
+    def read(self, offset: int, size: int, tag=None, done=None) -> Event: ...
 
-    def write(self, offset: int, size: int, tag=None) -> Event: ...
+    def write(self, offset: int, size: int, tag=None, done=None) -> Event: ...
 
-    def trim(self, offset: int, size: int) -> None: ...
+    def trim_extents(self, extents: List[Tuple[int, int]]) -> None: ...
 
 
 class RawBackend:
@@ -47,58 +53,77 @@ class RawBackend:
     def __init__(self, device):
         self.device = device
 
-    def read(self, offset: int, size: int, tag=None) -> Event:
-        return self.device.read(offset, size)
+    def read(self, offset: int, size: int, tag=None, done=None) -> Event:
+        if done is None:
+            return self.device.read(offset, size)
+        return self._join_op(True, offset, size, done)
 
-    def write(self, offset: int, size: int, tag=None) -> Event:
-        return self.device.write(offset, size)
+    def write(self, offset: int, size: int, tag=None, done=None) -> Event:
+        if done is None:
+            return self.device.write(offset, size)
+        return self._join_op(False, offset, size, done)
 
-    def trim(self, offset: int, size: int) -> None:
-        self.device.trim(offset, size)
+    def _join_op(self, is_read: bool, offset: int, size: int, join: "_Join") -> "_Join":
+        # The fast path succeeds the join from the op's finish action;
+        # on the coroutine path the op's process is its Event, so the
+        # process's own dispatch settles the op.
+        op = self.device.submit(is_read, offset, size, None, None, join)
+        if op is not None:
+            op.callbacks.append(join.settle)
+        return join
+
+    def trim_extents(self, extents: List[Tuple[int, int]]) -> None:
+        self.device.trim_extents(extents)
 
 
 class _Join(Event):
-    """Completion of one file IO's device ops: succeeds (with None) once
-    every member has, fails with the first member failure.
+    """Completion of one file IO split over several backend ops: succeeds
+    (with None) once every op has, fails with the first op failure.
 
-    All a ``SimFile.append``/``read`` caller needs of ``AllOf`` — every
-    such ``yield`` discards the value — for a countdown instead of a
-    ``{event: value}`` dict and a ``processed`` check per member.  It
-    registers on the members exactly where ``AllOf`` does, so it fires
-    in the same heap slot.
+    No Event is made per op.  Each op is handed the join itself, whose
+    ``succeed``/``fail`` book that op's outcome where the backend would
+    have triggered the op's Event: earlier ops only count ``_left``
+    down, and the last one, or the first failure, takes the heap slot
+    that Event's dispatch would have taken and triggers the join there
+    (through ``Event.succeed``/``Event.fail``).  So the join fires where
+    ``AllOf`` over per-op Events fired, less the dispatches that could
+    only count down or find the join already failed.
     """
 
     __slots__ = ("_left",)
 
-    def __init__(self, sim: Simulator, events: List[Event]):
+    def __init__(self, sim: Simulator, ops: int):
         self.sim = sim
         self.callbacks = []
         self._value = None
         self._ok = True
         self._triggered = False
-        self._left = len(events)
-        for event in events:
-            event.callbacks.append(self._member_done)
+        #: ops still to succeed; -1 once a failure has been booked
+        self._left = ops
 
-    def _member_done(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
+    def succeed(self, value=None) -> None:
+        """One op succeeded."""
         self._left -= 1
         if not self._left:
-            self.succeed()
+            sim = self.sim
+            sim._seq += 1
+            heappush(sim._heap, (sim.now, sim._seq, Event.succeed, self))
 
+    def fail(self, exception: BaseException) -> None:
+        """One op failed."""
+        if self._left > 0:
+            self._left = -1
+            self.sim._schedule_call(partial(Event.fail, self), exception)
 
-def _join(sim: Simulator, events: List[Event]) -> Event:
-    """One event for a file IO split over several device ops."""
-    for event in events:
-        if event.callbacks is None:
-            # Already dispatched: ``AllOf`` schedules its check in a slot
-            # of its own.
-            return sim.all_of(events)
-    return _Join(sim, events)
+    def settle(self, op: Event) -> None:
+        """Book an op process's outcome in the process's own dispatch."""
+        if op._ok:
+            self._left -= 1
+            if not self._left:
+                Event.succeed(self)
+        elif self._left > 0:
+            self._left = -1
+            Event.fail(self, op._value)
 
 
 class SimFile:
@@ -122,23 +147,26 @@ class SimFile:
         """Append ``size`` bytes; returns the write-completion event."""
         if self.deleted:
             raise ValueError(f"IO on deleted file {self.name}")
-        if not 0 < size < math.inf:
-            raise ValueError(f"append size must be positive and finite, got {size}")
+        if not 0 < size < math.inf or size % 1:
+            raise ValueError(f"append size must be a positive whole number, got {size}")
         fs = self.fs
         write = fs.backend.write
-        events = []
-        for off, length in fs._extend(self, size):
-            events.append(write(off, length, tag=tag))
+        segments = fs._extend(self, size)
+        if len(segments) == 1:
+            (off, length), = segments
+            done = write(off, length, tag)
+        else:
+            done = _Join(fs.sim, len(segments))
+            for off, length in segments:
+                write(off, length, tag, done)
         self.size += size
-        if len(events) == 1:
-            return events[0]
-        return _join(fs.sim, events)
+        return done
 
     def read(self, offset: int, size: int, tag=None) -> Event:
         """Read ``size`` bytes at file offset ``offset``."""
         if self.deleted:
             raise ValueError(f"IO on deleted file {self.name}")
-        if offset < 0 or size <= 0 or offset + size > self.size:
+        if not (0 <= offset and 0 < size and offset + size <= self.size):
             raise ValueError(
                 f"read [{offset}, {offset + size}) out of bounds for "
                 f"{self.name} (size {self.size})"
@@ -153,11 +181,12 @@ class SimFile:
         dev_off, ext_len = self.extents[idx]
         backend = self.fs.backend
         if within + size <= ext_len:
-            return backend.read(dev_off + within, size, tag=tag)
-        return _join(self.fs.sim, [
-            backend.read(dev_off, length, tag=tag)
-            for dev_off, length in self._map(offset, size)
-        ])
+            return backend.read(dev_off + within, size, tag)
+        runs = self._map(offset, size)
+        join = _Join(self.fs.sim, len(runs))
+        for dev_off, length in runs:
+            backend.read(dev_off, length, tag, join)
+        return join
 
     def _map(self, offset: int, size: int) -> List[Tuple[int, int]]:
         """Translate a file-relative range to device (offset, length) runs."""
@@ -221,10 +250,8 @@ class SimFilesystem:
         if f.deleted:
             return
         f.deleted = True
-        trim = self.backend.trim
-        for dev_off, length in f.extents:
-            trim(dev_off, length)
         if f.extents:
+            self.backend.trim_extents(f.extents)
             self._release(f.extents)
         self._free_bytes += f.allocated
         f.extents = []
@@ -251,29 +278,27 @@ class SimFilesystem:
         O_SYNC log tail).  Extra space is allocated in page-aligned
         chunks.
         """
-        segments: List[Tuple[int, int]] = []
-        remaining = size
         slack = f.allocated - f.size
-        if remaining - slack > self._free_bytes:  # refused before any allocation
+        remaining = size - slack  # bytes past the end of the last extent
+        if remaining > self._free_bytes:  # refused before any allocation
             raise OutOfSpace(f"{f.name}: append of {size} bytes, {self._free_bytes} free")
+        segments: List[Tuple[int, int]] = []
         if slack > 0:
             dev_off, ext_len = f.extents[-1]
-            within = ext_len - slack
-            take = min(remaining, slack)
-            segments.append((dev_off + within, take))
-            remaining -= take
+            if remaining <= 0:
+                return [(dev_off + ext_len - slack, size)]
+            segments.append((dev_off + ext_len - slack, slack))
+        page = self.page_size
         while remaining > 0:
-            want = max(
-                self.page_size,
-                min(self.ALLOC_CHUNK, -(-remaining // self.page_size) * self.page_size),
-            )
+            want = -(-remaining // page) * page
+            if want > self.ALLOC_CHUNK:
+                want = self.ALLOC_CHUNK
             dev_off, got = self._allocate(want)
             f._starts.append(f.allocated)
             f.extents.append((dev_off, got))
             f.allocated += got
-            take = min(remaining, got)
-            segments.append((dev_off, take))
-            remaining -= take
+            segments.append((dev_off, got if got < remaining else remaining))
+            remaining -= got
         return segments
 
     def _allocate(self, want: int) -> Tuple[int, int]:

@@ -240,13 +240,14 @@ class Ftl:
     # -- address helpers -----------------------------------------------------
 
     def _page_range(self, offset: int, size: int) -> range:
-        if size <= 0:
+        # Written so that a NaN fails each check.
+        if not size > 0:
             raise ValueError(f"io size must be positive, got {size}")
-        if offset < 0:
+        if not offset >= 0:
             raise ValueError(f"negative offset {offset}")
         page = self.page_size
         last = (offset + size - 1) // page
-        if last >= self.logical_pages:
+        if not last < self.logical_pages:
             raise ValueError(
                 f"io [{offset}, {offset + size}) beyond logical capacity "
                 f"{self.profile.logical_capacity}"
@@ -329,7 +330,7 @@ class Ftl:
         page = self.page_size
         first = offset // page
         n = (offset + size - 1) // page + 1 - first
-        if size <= 0 or offset < 0 or first + n > self.logical_pages:
+        if not (0 < size and 0 <= offset and first + n <= self.logical_pages):
             self._page_range(offset, size)  # raises the matching error
         # Only a routed policy needs the pages as a range.
         routed = self._routed
@@ -365,23 +366,32 @@ class Ftl:
 
     def trim(self, offset: int, size: int) -> int:
         """Invalidate a logical range (file deletion). Returns pages freed."""
+        return self.trim_extents([(offset, size)])
+
+    def trim_extents(self, extents) -> int:
+        """Invalidate each ``(offset, size)`` range of a deleted file in
+        one call: a WAL retires hundreds of one-page extents at once.
+        Returns pages freed."""
         page = self.page_size
-        first = offset // page
-        stop = (offset + size - 1) // page + 1
-        if size <= 0 or offset < 0 or stop > self.logical_pages:
-            self._page_range(offset, size)  # raises the matching error
         page_to_block = self.page_to_block
-        if stop - first == 1:
-            block = page_to_block.item(first)
-            if block == UNMAPPED:
-                return 0
-            block_valid = self.block_valid
-            block_valid[block] = block_valid.item(block) - 1
-            page_to_block[first] = UNMAPPED
-            return 1
-        freed = self._invalidate(first, stop)
-        if freed:
-            page_to_block[first:stop] = UNMAPPED
+        block_valid = self.block_valid
+        freed = 0
+        for offset, size in extents:
+            first = offset // page
+            stop = (offset + size - 1) // page + 1
+            if not (0 < size and 0 <= offset and stop <= self.logical_pages):
+                self._page_range(offset, size)  # raises the matching error
+            if stop - first == 1:
+                block = page_to_block.item(first)
+                if block != UNMAPPED:
+                    block_valid[block] = block_valid.item(block) - 1
+                    page_to_block[first] = UNMAPPED
+                    freed += 1
+                continue
+            mapped = self._invalidate(first, stop)
+            if mapped:
+                page_to_block[first:stop] = UNMAPPED
+                freed += mapped
         return freed
 
     def _invalidate(self, first: int, stop: int) -> int:

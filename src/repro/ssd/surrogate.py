@@ -355,8 +355,8 @@ class SurrogateDevice:
         self.submit(False, offset, size, ctx, _succeed, done)
         return done
 
-    def trim(self, offset: int, size: int) -> None:
-        self.stats.trims += 1
+    def trim_extents(self, extents) -> None:
+        self.stats.trims += len(extents)
 
     # -- epoch fast-forward hooks -------------------------------------------
 

@@ -94,11 +94,6 @@ class TrialResult:
     def total_iops_per_sec(self) -> float:
         return sum(t.ops for t in self.tenants.values()) / self.duration
 
-    @property
-    def total_bandwidth(self) -> float:
-        """Aggregate bytes/second."""
-        return sum(t.bytes for t in self.tenants.values()) / self.duration
-
 
 class DeviceEnv:
     """A reusable (simulator, device) pair for sweep harnesses.

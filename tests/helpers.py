@@ -1,6 +1,7 @@
 """Shared test helpers."""
 
 import sys
+from contextlib import contextmanager
 
 from repro.obs import Tracer
 
@@ -38,6 +39,32 @@ def force_policy_path(node):
         if engine.tracer is None:
             engine.tracer = Tracer(enabled=False)
     return node
+
+
+@contextmanager
+def silent_part_bookings():
+    """Count the ops of multi-op file IOs whose outcome a backend booked
+    on their ``_Join`` without a heap push (a list of one int).  Each
+    such op used to have a completion Event of its own, whose trigger
+    always pushed its dispatch, so this is the number of dispatches a
+    run no longer makes."""
+    from repro.ssd.filesystem import _Join
+
+    silent = [0]
+    originals = _Join.succeed, _Join.fail
+
+    def counting(original):
+        def book(join, *args):
+            seq = join.sim._seq
+            original(join, *args)
+            silent[0] += join.sim._seq == seq
+        return book
+
+    _Join.succeed, _Join.fail = map(counting, originals)
+    try:
+        yield silent
+    finally:
+        _Join.succeed, _Join.fail = originals
 
 
 def count_calls(run, path_parts, functions=None):

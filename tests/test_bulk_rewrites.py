@@ -14,7 +14,8 @@ by construction.  The old spellings stay here as the references, as
 - ``SimFilesystem.delete``: one bisect/insert/coalesce per extent;
 - ``Ftl.collect_victim``: the page-by-page walk that re-checks the map
   and copies each live page through ``_append_page``;
-- the counter join behind a multi-extent file IO, against ``AllOf``.
+- the counter join behind a multi-extent file IO, which its ops book
+  into with no Event each, against ``AllOf`` over one Event per op.
 """
 
 import bisect
@@ -29,7 +30,7 @@ from repro.core.tags import IoTag, RequestClass
 from repro.engine import TOMBSTONE, SsTable, TableBuilder, merge_entries, split_outputs
 from repro.sim import AllOf, Simulator
 from repro.ssd import SimFilesystem, SsdProfile
-from repro.ssd.filesystem import _join
+from repro.ssd.filesystem import _Join
 from repro.ssd.ftl import Ftl, GcMove
 
 KIB = 1024
@@ -118,11 +119,13 @@ class InstantBackend:
         self.sim = sim
         self.trims = []
 
-    def write(self, offset, size, tag=None):
+    def write(self, offset, size, tag=None, done=None):
+        if done is not None:
+            done.succeed()
         return self.sim.timeout(0.0)
 
-    def trim(self, offset, size):
-        self.trims.append((offset, size))
+    def trim_extents(self, extents):
+        self.trims.extend(extents)
 
 
 def reference_layout(entries):
@@ -174,7 +177,7 @@ class ReferenceFs(SimFilesystem):
             return
         f.deleted = True
         for dev_off, length in f.extents:
-            self.backend.trim(dev_off, length)
+            self.backend.trim_extents([(dev_off, length)])
             self._release_one(dev_off, length)
         f.extents = []
         f._starts = []
@@ -343,65 +346,83 @@ def test_a_page_listed_twice_moves_once_at_its_first_listing():
 
 def test_join_succeeds_with_none_once_every_member_has():
     sim = Simulator()
-    members = [sim.event() for _ in range(3)]
-    join = _join(sim, members)
-    assert not isinstance(join, AllOf)
-    members[2].succeed("c")
-    members[0].succeed("a")
+    join = _Join(sim, 3)
+    join.succeed("c")
+    join.succeed("a")
     sim.run()
-    assert not join.triggered
-    members[1].succeed("b")
+    assert not join.triggered and sim._seq == 0  # counting down pushes nothing
+    join.succeed("b")
     sim.run()
     assert join.processed and join.ok and join.value is None
 
 
 def test_join_fails_with_the_first_failing_members_exception():
     sim = Simulator()
-    members = [sim.event() for _ in range(3)]
-    join = _join(sim, members)
+    join = _Join(sim, 3)
     first, second = OSError("first"), OSError("second")
-    members[1].fail(first)
-    members[2].fail(second)
-    members[0].succeed()
+    join.fail(first)
+    join.fail(second)
+    join.succeed()
     sim.run()
     assert not join.ok and join.value is first
+    assert sim._seq == 2  # the first failure's slot and the join's dispatch
 
 
-def test_join_falls_back_to_allof_on_a_processed_member():
-    sim = Simulator()
-    done = sim.event().succeed()
-    sim.run()
-    pending = sim.event()
-    join = _join(sim, [done, pending])
-    assert isinstance(join, AllOf)
-    pending.succeed()
-    sim.run()
-    assert join.ok
-
-
-@pytest.mark.parametrize("outcome", ["succeed", "fail"])
+@pytest.mark.parametrize("outcome", ["succeed", "fail", "fail_first"])
 def test_join_fires_in_the_slot_allof_fires_in(outcome):
-    """Same members, same interleaved bystander events: the waiter on a
-    join resumes exactly where a waiter on ``AllOf`` resumed, after the
-    same heap pushes."""
+    """Ops booked on the join where per-op Events would be triggered,
+    amid bystander events: the waiter on a join resumes exactly where a
+    waiter on ``AllOf`` over the Events resumed, and exactly one heap
+    push is gone -- the first op's dispatch, which could only count down
+    or find the join already failed."""
     runs = []
-    for make in (_join, AllOf):
+    for ops_are_events in (False, True):
         sim = Simulator()
-        members = [sim.event() for _ in range(2)]
+        if ops_are_events:
+            members = [sim.event() for _ in range(2)]
+            join = AllOf(sim, members)
+        else:
+            join = _Join(sim, 2)
+            members = [join, join]
         log = []
-        join = make(sim, members)
         join.callbacks.append(lambda ev: log.append(("join", sim.now, ev.ok)))
         bystanders = [sim.event() for _ in range(3)]
         for i, ev in enumerate(bystanders):
             ev.callbacks.append(lambda _ev, i=i: log.append((i, sim.now)))
         bystanders[0].succeed()
-        members[0].succeed()
-        bystanders[1].succeed()
-        if outcome == "succeed":
-            members[1].succeed()
+        if outcome == "fail_first":
+            members[0].fail(OSError("x"))
         else:
+            members[0].succeed()
+        bystanders[1].succeed()
+        if outcome == "fail":
             members[1].fail(OSError("x"))
+        else:
+            members[1].succeed()
         bystanders[2].succeed()
         sim.run()
         runs.append((log, sim._seq))
-    assert runs[0] == runs[1]
+    (log, pushes), (ref_log, ref_pushes) = runs
+    assert log == ref_log
+    assert pushes == ref_pushes - 1
+
+
+@pytest.mark.parametrize("outcome", ["succeed", "fail"])
+def test_an_op_process_settles_the_join_in_its_own_dispatch(outcome):
+    """The raw backend's coroutine fallback: the op's process is its
+    Event, so the join is settled in that dispatch, with no slot of its
+    own, as ``_member_done`` was."""
+    sim = Simulator()
+    join = _Join(sim, 2)
+    first = sim.event()
+    first.callbacks.append(join.settle)
+    second = sim.timeout(2.0)
+    second.callbacks.append(join.settle)
+    seq = sim._seq
+    if outcome == "succeed":
+        first.succeed()
+    else:
+        first.fail(OSError("x"))
+    sim.run()
+    assert join.processed and join.ok == (outcome == "succeed")
+    assert sim._seq - seq == 2  # the first op's dispatch and the join's

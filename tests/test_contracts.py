@@ -1,21 +1,23 @@
-"""The request entry points' contract table.
+"""The request and IO entry points' contract table.
 
 Each row is (entry, edge value, call, outcome).  The outcome is either a
 named exception, raised before any state changes — the node's state
 digest (WAL size and extents, free filesystem bytes, the engine's tables
-and memtable, the tenant's scheduler usage, the object cache) is the
-same before and after, and the tenant's next PUT still lands — or a
-specified result.  Every row runs on a freshly loaded one-tenant node.
+and memtable, the tenant's scheduler usage, the object cache, the
+scheduler backlog, the free NCQ slots, the device counters and the FTL
+page map) is the same before and after, and the tenant's next PUT still
+lands — or a specified result.  Every row runs on a freshly loaded
+one-tenant node.
 """
 
 import math
 
 import pytest
 
-from repro.core import Reservation
+from repro.core import IoTag, Reservation
 from repro.engine import EngineConfig
 from repro.node import NodeConfig, StorageNode
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.ssd import OutOfSpace, get_profile
 
 KIB = 1024
@@ -27,6 +29,8 @@ KEYS = 40
 PAST_CAPACITY = 10 * SMALL.logical_capacity
 NAN, INF = math.nan, math.inf
 ALL_ROWS = [(key, KIB) for key in range(KEYS)]
+TAG = IoTag("t1")
+CAPACITY = SMALL.logical_capacity
 
 
 def drive(sim, gen):
@@ -63,6 +67,9 @@ def state(node):
         engine.memtable.items(),
         sorted(vars(node.scheduler.usage("t1")).items()),
         list(node.cache._entries.items()),
+        node.scheduler.backlog, node.device._ncq.value,
+        sorted(vars(node.device.stats).items()),
+        node.device.ftl.page_to_block.tobytes(),
     )
 
 
@@ -72,6 +79,34 @@ def on_node(method, *args, **kwargs):
 
 def on_engine(method, *args, **kwargs):
     return lambda node: getattr(node.engines["t1"], method)(*args, **kwargs)
+
+
+def waits(target, method, *args):
+    """Call an IO entry on ``target(node)`` and wait for its event."""
+    def call(node):
+        return (yield getattr(target(node), method)(*args))
+
+    return call
+
+
+def scheduler(node):
+    return node.scheduler
+
+
+def device(node):
+    return node.device
+
+
+def wal_file(node):
+    """The live WAL: eight one-KiB records over three one-page extents."""
+    return node.engines["t1"].wal.file
+
+
+def append_past_the_slack(node):
+    """A new file's second append: 3096 bytes of slack and a new extent."""
+    f = node.fs.create()
+    yield f.append(1000, TAG)
+    return (yield f.append(8 * KIB, TAG))
 
 
 def put_then_get(key):
@@ -149,12 +184,65 @@ ROWS = [
     ("LsmEngine.scan", "NaN limit", on_engine("scan", 0, 9, limit=NAN), TypeError),
     ("LsmEngine.scan", "limit 0", on_engine("scan", 0, 9, limit=0), []),
     ("LsmEngine.scan", "infinite bounds", on_engine("scan", -INF, INF), ALL_ROWS),
+    # -- LibraScheduler: rejected before any VOP is charged ------------------------
+    ("LibraScheduler.read", "no tag", waits(scheduler, "read", 0, 4 * KIB), ValueError),
+    ("LibraScheduler.read", "unknown tenant",
+     waits(scheduler, "read", 0, 4 * KIB, IoTag("nobody")), KeyError),
+    ("LibraScheduler.read", "fractional offset",
+     waits(scheduler, "read", 0.5, 4 * KIB, TAG), ValueError),
+    ("LibraScheduler.read", "NaN offset", waits(scheduler, "read", NAN, 4 * KIB, TAG), ValueError),
+    ("LibraScheduler.read", "NaN size", waits(scheduler, "read", 0, NAN, TAG), ValueError),
+    ("LibraScheduler.read", "+inf size", waits(scheduler, "read", 0, INF, TAG), ValueError),
+    ("LibraScheduler.read", "past capacity",
+     waits(scheduler, "read", CAPACITY, 4 * KIB, TAG), ValueError),
+    ("LibraScheduler.read", "4 KiB at 0", waits(scheduler, "read", 0, 4 * KIB, TAG), None),
+    ("LibraScheduler.write", "unknown tenant",
+     waits(scheduler, "write", 0, 4 * KIB, IoTag("nobody")), KeyError),
+    ("LibraScheduler.write", "size 0", waits(scheduler, "write", 0, 0, TAG), ValueError),
+    ("LibraScheduler.write", "fractional size",
+     waits(scheduler, "write", 0, 2.5, TAG), ValueError),
+    ("LibraScheduler.write", "negative offset",
+     waits(scheduler, "write", -4 * KIB, 4 * KIB, TAG), ValueError),
+    ("LibraScheduler.write", "NaN offset",
+     waits(scheduler, "write", NAN, 4 * KIB, TAG), ValueError),
+    ("LibraScheduler.write", "two chunks", waits(scheduler, "write", 0, 256 * KIB, TAG), None),
+    # -- SsdDevice: rejected before the op takes an NCQ slot -----------------------
+    ("SsdDevice.submit", "fractional offset",
+     lambda node: node.device.submit(True, 0.5, 4 * KIB, None, None, Event(node.sim)),
+     ValueError),
+    ("SsdDevice.submit", "NaN size",
+     lambda node: node.device.submit(False, 0, NAN, None, None, Event(node.sim)), ValueError),
+    ("SsdDevice.read", "NaN offset", waits(device, "read", NAN, 4 * KIB), ValueError),
+    ("SsdDevice.read", "fractional size", waits(device, "read", 0, 0.5), ValueError),
+    ("SsdDevice.read", "past capacity", waits(device, "read", CAPACITY - 1, 2), ValueError),
+    ("SsdDevice.read", "4 KiB at 0", waits(device, "read", 0, 4 * KIB), None),
+    ("SsdDevice.write", "size 0", waits(device, "write", 0, 0), ValueError),
+    ("SsdDevice.write", "negative offset", waits(device, "write", -1, 4 * KIB), ValueError),
+    ("SsdDevice.write", "+inf size", waits(device, "write", 0, INF), ValueError),
+    ("SsdDevice.trim", "NaN size", lambda node: node.device.trim(0, NAN), ValueError),
+    ("SsdDevice.trim", "negative offset", lambda node: node.device.trim(-1, 4 * KIB), ValueError),
+    ("SsdDevice.trim", "past capacity",
+     lambda node: node.device.trim(CAPACITY, 4 * KIB), ValueError),
+    # -- SimFile ------------------------------------------------------------------
+    ("SimFile.read", "NaN size", waits(wal_file, "read", 0, NAN, TAG), ValueError),
+    ("SimFile.read", "NaN offset", waits(wal_file, "read", NAN, 1, TAG), ValueError),
+    ("SimFile.read", "size 0", waits(wal_file, "read", 0, 0, TAG), ValueError),
+    ("SimFile.read", "past its end", waits(wal_file, "read", 0, 64 * KIB, TAG), ValueError),
+    ("SimFile.read", "across two extents", waits(wal_file, "read", 0, 8 * KIB, TAG), None),
+    ("SimFile.append", "2.5 bytes", waits(wal_file, "append", 2.5, TAG), ValueError),
+    ("SimFile.append", "NaN bytes", waits(wal_file, "append", NAN, TAG), ValueError),
+    ("SimFile.append", "0 bytes", waits(wal_file, "append", 0, TAG), ValueError),
+    ("SimFile.append", "past capacity",
+     waits(wal_file, "append", PAST_CAPACITY, TAG), OutOfSpace),
+    ("SimFile.append", "two extents", append_past_the_slack, None),
 ]
 
 ENTRIES = {
     f"StorageNode.{name}"
     for name in ("get", "put", "delete", "scan", "apply_replica", "read_replica")
-} | {f"LsmEngine.{name}" for name in ("get", "put", "delete", "scan")}
+} | {f"LsmEngine.{name}" for name in ("get", "put", "delete", "scan")} | {
+    "LibraScheduler.read", "LibraScheduler.write", "SimFile.read", "SimFile.append",
+} | {f"SsdDevice.{name}" for name in ("submit", "read", "write", "trim")}
 
 
 def _is_error(outcome):
@@ -180,10 +268,12 @@ def test_contract_row(entry, edge, call, outcome):
     assert node.engines["t1"].wal.file.size == before[0] + 3 * KIB + ENGINE.record_overhead
 
 
-def test_every_entry_has_rows_and_every_node_entry_names_the_unknown_tenant():
+def test_every_entry_has_rows_and_every_tenant_entry_names_the_unknown_tenant():
     assert {row[0] for row in ROWS} == ENTRIES
     unknown = {row[0] for row in ROWS if row[1] == "unknown tenant"}
-    assert unknown == {entry for entry in ENTRIES if entry.startswith("StorageNode.")}
+    assert unknown == {
+        entry for entry in ENTRIES if entry.startswith(("StorageNode.", "LibraScheduler."))
+    }
 
 
 def test_an_oversize_put_leaves_the_wal_and_free_space_as_they_were():

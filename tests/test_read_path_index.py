@@ -248,17 +248,17 @@ class IoLog:
         self.backend = backend
         self.ops = []
 
-    def read(self, offset, size, tag=None):
+    def read(self, offset, size, tag=None, done=None):
         self.ops.append(("read", offset, size, tag))
-        return self.backend.read(offset, size, tag=tag)
+        return self.backend.read(offset, size, tag, done)
 
-    def write(self, offset, size, tag=None):
+    def write(self, offset, size, tag=None, done=None):
         self.ops.append(("write", offset, size, tag))
-        return self.backend.write(offset, size, tag=tag)
+        return self.backend.write(offset, size, tag, done)
 
-    def trim(self, offset, size):
-        self.ops.append(("trim", offset, size))
-        self.backend.trim(offset, size)
+    def trim_extents(self, extents):
+        self.ops.extend(("trim", offset, size) for offset, size in extents)
+        self.backend.trim_extents(extents)
 
 
 def scan_features(engine, lo, hi):
@@ -447,10 +447,10 @@ class NullBackend:
     def __init__(self, sim):
         self.sim = sim
 
-    def write(self, offset, size, tag=None):
+    def write(self, offset, size, tag=None, done=None):
         return self.sim.event()
 
-    def trim(self, offset, size):
+    def trim_extents(self, extents):
         pass
 
 

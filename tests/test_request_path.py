@@ -42,16 +42,16 @@ class TagLog:
         self.backend = backend
         self.tags = []
 
-    def read(self, offset, size, tag=None):
+    def read(self, offset, size, tag=None, done=None):
         self.tags.append(tag)
-        return self.backend.read(offset, size, tag=tag)
+        return self.backend.read(offset, size, tag, done)
 
-    def write(self, offset, size, tag=None):
+    def write(self, offset, size, tag=None, done=None):
         self.tags.append(tag)
-        return self.backend.write(offset, size, tag=tag)
+        return self.backend.write(offset, size, tag, done)
 
-    def trim(self, offset, size):
-        self.backend.trim(offset, size)
+    def trim_extents(self, extents):
+        self.backend.trim_extents(extents)
 
 
 def drive(sim, gen):
@@ -104,14 +104,18 @@ def test_calls_per_request_stay_within_budget():
     ==========================  ======  ======  ======
     request                     parent  change  budget
     ==========================  ======  ======  ======
-    GET, object-cache hit         4.00    3.00       3
-    GET, memtable hit             7.00    4.00       4
-    GET, SSTable, index cached   19.00   11.00      11
-    PUT, no rotation             22.27   16.27      17
-    scan(k, k + 64, limit=32)    16.48   13.48      14
+    GET, object-cache hit         3.00    3.00       3
+    GET, memtable hit             4.00    4.00       4
+    GET, SSTable, index cached   11.00   11.00      11
+    PUT, no rotation             16.27   16.02    16.1
+    scan(k, k + 64, limit=32)    13.48   13.32    13.4
     ==========================  ======  ======  ======
 
-    The parent drove every request through ``StorageNode._execute`` and
+    The parent joined a file IO split over several device ops through
+    ``_join`` and one ``_member_done`` per op; now the ops book straight
+    into the ``_Join`` (a quarter of the PUTs' WAL commits and the scans'
+    straddling reads).  Before it, a parent drove every request through
+    ``StorageNode._execute`` and
     every GET block read through ``LsmEngine._read_verified`` — two
     generator frames a healthy request parked in and resumed through —
     called ``_ref``, ``_index_cache_hit``, ``_hit_or_miss`` and
@@ -157,8 +161,8 @@ def test_calls_per_request_stay_within_budget():
     assert per_request["cache_hit"] <= 3, per_request
     assert per_request["memtable"] <= 4, per_request
     assert per_request["sstable"] <= 11, per_request
-    assert per_request["put"] <= 17, per_request
-    assert per_request["scan"] <= 14, per_request
+    assert per_request["put"] <= 16.1, per_request
+    assert per_request["scan"] <= 13.4, per_request
     get_tags = [tag for tag in node.fs.backend.tags if tag.request is RequestClass.GET]
     assert len(get_tags) > 2000 and len({id(tag) for tag in get_tags}) == 1
 

@@ -160,15 +160,15 @@ def test_large_file_spans_extents_and_reads_back(fs_env):
 def test_read_is_one_device_read_inside_an_extent_and_one_per_extent_across(fs_env):
     """Both sides of ``SimFile.read``'s lane choice, by the device ranges
     they issue: a range inside one extent goes to the device directly, a
-    range that straddles extents becomes one read per extent joined by
-    ``all_of``."""
+    range that straddles extents becomes one read per extent, each a
+    part of one join."""
     sim, _dev, fs = fs_env
     issued = []
 
     class Recording(RawBackend):
-        def read(self, offset, size, tag=None):
+        def read(self, offset, size, tag=None, done=None):
             issued.append((offset, size, tag))
-            return super().read(offset, size, tag=tag)
+            return super().read(offset, size, tag, done)
 
     fs.backend = Recording(fs.backend.device)
 

@@ -13,15 +13,21 @@ bulk rewrites.
 
 The commit used to be a ``Process``; it is now a continuation in the
 heap slots that process took (its start, and the dispatch of each group
-write it waited on), so the kernel's heap pushes per PUT must not move.
+write it waited on).  The two writes of a two-extent commit have no
+Event each: only the last one's dispatch slot is kept, so the kernel's
+heap pushes per PUT drop by exactly the other writes' dispatches.
 """
+
+import hashlib
 
 import pytest
 
-from .helpers import count_calls
-from repro.core import IoTag, RequestClass, Reservation
+from .helpers import count_calls, silent_part_bookings
+from repro.core import (
+    IoTag, LibraScheduler, RequestClass, Reservation, make_cost_model, reference_calibration,
+)
 from repro.engine import EngineConfig, Wal
-from repro.faults import CrashError
+from repro.faults import CrashError, DeviceWriteError
 from repro.node import NodeConfig, StorageNode
 from repro.sim import Simulator
 from repro.sim import core as sim_core
@@ -90,6 +96,125 @@ def test_append_after_a_crash_with_a_commit_armed_is_committed():
 
 
 # ---------------------------------------------------------------------------
+# a two-extent commit's failures, against the per-part-Event join
+# ---------------------------------------------------------------------------
+
+
+class FailingWrites:
+    """A fault injector that keeps every op on the device's coroutine
+    path and fails the device writes it numbers in ``failing`` (from 1,
+    in admission order)."""
+
+    def __init__(self, failing):
+        self.failing = failing
+        self.writes = 0
+
+    def quiescent(self, now):
+        return False
+
+    def stall_until(self, now):
+        return now
+
+    def service_scale(self, now):
+        return 1.0
+
+    def extra_latency(self, now):
+        return 0.0
+
+    def draw_read_fault(self, now, offset, size):
+        return None
+
+    def draw_write_fault(self, now, offset, size):
+        self.writes += 1
+        return DeviceWriteError(f"write {self.writes}") if self.writes in self.failing else None
+
+
+def two_extent_commit(backend, fault, coroutine):
+    """Commit 1000 bytes, then 4000 (the tail's 3096 bytes and 904 in a
+    new extent: two device writes), then 500 more.  ``fault`` fails the
+    4000-byte commit's first or second write, or crashes the log once
+    its first write has landed.  Returns the waiters' outcomes, the
+    device-op log and the model counters."""
+    sim = Simulator()
+    device = SsdDevice(sim, TINY, seed=3, precondition=False)
+    ops = []
+    device.op_observer = lambda kind, size: ops.append((sim.now, kind, size))
+    scheduler = None
+    if backend == "scheduler":
+        model = make_cost_model("exact", reference_calibration("intel320"))
+        scheduler = io = LibraScheduler(sim, device, model)
+        scheduler.register_tenant("t1", 1000.0)
+    else:
+        io = RawBackend(device)
+    wal = Wal(sim, SimFilesystem(sim, io, capacity=TINY.logical_capacity), "wal")
+    outcomes = []
+
+    def append(name, nbytes):
+        done = wal.append(nbytes, TAG, record=(name, nbytes))
+        done.callbacks.append(
+            lambda ev: outcomes.append((name, sim.now, ev.ok, type(ev.value).__name__))
+        )
+
+    append("a", 1000)
+    sim.run(until=0.01)
+    if coroutine:
+        device.faults = FailingWrites({"first": {1}, "second": {2}}.get(fault, ()))
+    append("b", 4000)
+    if fault == "crash":
+        sim.step_while(lambda: len(ops) < 2)  # b's first write has landed
+        assert len(wal.file.extents) == 2 and len(outcomes) == 1
+        wal.crash()
+    sim.run(until=0.02)
+    append("c", 500)
+    sim.run(until=0.03)
+    counters = {
+        "wal": (wal.records, wal.batches, wal.failed_batches, wal.torn_records,
+                wal.torn_bytes, wal.entries, wal.size),
+        "device": sorted(vars(device.stats).items()),
+        "usage": sorted(vars(scheduler.usage("t1")).items()) if scheduler else None,
+        "backlog": scheduler.backlog if scheduler else None,
+    }
+    if scheduler is not None:
+        scheduler.stop()
+    return outcomes, ops, counters
+
+
+#: sha256 of ``repr`` of what ``two_extent_commit`` returns, recorded
+#: with one completion Event per device write joined by ``_member_done``
+#: callbacks; the coroutine and fast paths record the same
+COMMIT_DIGESTS = {
+    ("scheduler", "first"): "45ef75c8735ed6e5",
+    ("scheduler", "second"): "e53cff759fadab8b",
+    ("scheduler", "crash"): "77100e9f6c75d379",
+    ("scheduler", None): "782fa207b16172e2",
+    ("raw", "first"): "6c753fd4de846314",
+    ("raw", "second"): "2a9f17cb8ab9c1ce",
+    ("raw", "crash"): "037d7561d156fb2a",
+    ("raw", None): "36e5000178bd8f16",
+}
+
+
+@pytest.mark.parametrize("backend", ["scheduler", "raw"])
+@pytest.mark.parametrize("fault, coroutine", [
+    ("first", True), ("second", True), ("crash", True), ("crash", False),
+    (None, True), (None, False),
+])
+def test_a_two_extent_commit_settles_as_the_per_write_events_did(backend, fault, coroutine):
+    """The scheduler books each write on the join where it triggered the
+    write's Event; the raw backend's coroutine path settles it in the
+    write's process dispatch."""
+    outcomes, ops, counters = two_extent_commit(backend, fault, coroutine)
+    b = {"first": (False, "DeviceWriteError"), "second": (False, "DeviceWriteError"),
+         "crash": (False, "CrashError"), None: (True, "NoneType")}[fault]
+    assert [(name, ok, err) for name, _at, ok, err in outcomes] == [
+        ("a", True, "NoneType"), ("b", *b), ("c", True, "NoneType"),
+    ]
+    assert [size for _at, _kind, size in ops] == [1000, 3096, 904, 500]
+    digest = hashlib.sha256(repr((outcomes, ops, counters)).encode()).hexdigest()[:16]
+    assert digest == COMMIT_DIGESTS[backend, fault]
+
+
+# ---------------------------------------------------------------------------
 # the call budget
 # ---------------------------------------------------------------------------
 
@@ -130,17 +255,19 @@ def test_group_commit_calls_stay_within_budget():
     =========================  ======  ======  ======
     group commit               parent  change  budget
     =========================  ======  ======  ======
-    one waiter, one extent         26      20      20
-    eight waiters, one extent      75      55      55
-    one waiter, two extents        48      34      34
+    one waiter, one extent         17      17      20
+    eight waiters, one extent      52      52      55
+    one waiter, two extents        28      23      23
     =========================  ======  ======  ======
 
     The counts include the device's own events and the run loop.  The
-    parent ran the commit as a ``Process`` (spawn, start and one resume
-    per batch), summed the batch through a generator expression, and
-    joined a two-extent write through ``AllOf`` (a ``processed`` check
-    and a ``_check`` per member and a result dict).  Each waiter still
-    costs its append, its event and its acknowledgement.
+    parent gave each write of a two-extent commit a completion Event
+    (its constructor, ``succeed`` and dispatch) and built the join
+    through ``_join``, whose ``_member_done`` ran once per write; now
+    both writes book straight into the ``_Join`` and only the last takes
+    a slot.  Before that the commit ran as a ``Process`` and joined
+    through ``AllOf``.  Each waiter still costs its append, its event
+    and its acknowledgement.
     """
     per_commit = {}
     for name, (sizes, extents) in COMMITS.items():
@@ -149,7 +276,7 @@ def test_group_commit_calls_stay_within_budget():
         assert len(wal.file.extents) == extents, name
     assert per_commit["one waiter, one extent"] <= 20, per_commit
     assert per_commit["eight waiters, one extent"] <= 55, per_commit
-    assert per_commit["one waiter, two extents"] <= 34, per_commit
+    assert per_commit["one waiter, two extents"] <= 23, per_commit
 
 
 def test_group_commit_spawns_no_process_and_builds_no_allof(monkeypatch):
@@ -212,8 +339,8 @@ PUTS = 400  # per writer
 def test_heap_pushes_per_put_equal_the_parents():
     """4 writers x 400 PUTs of 4 KiB on a 64 MiB node: group commits of
     several waiters, FLUSH, COMPACT, WAL retirement and FTL GC all run.
-    7 102 heap pushes (4.43875 per PUT) at the parent and now: the
-    commit's continuations take the slots its process took."""
+    7 102 heap pushes (4.43875 per PUT) at the parent, 6 343 now: the
+    759 dispatches gone are the writes booked on a join without one."""
     sim = Simulator()
     node = StorageNode(
         sim, profile=get_profile("intel320").with_capacity(64 * MIB),
@@ -229,10 +356,11 @@ def test_heap_pushes_per_put_equal_the_parents():
     batches = []
     engine.subscribe_wal(lambda records: batches.append(len(records)))
     seq0 = sim._seq
-    writers = [sim.process(writer(lane)) for lane in range(WRITERS)]
-    sim.step_while(lambda: any(proc.is_alive for proc in writers))
+    with silent_part_bookings() as silent:
+        writers = [sim.process(writer(lane)) for lane in range(WRITERS)]
+        sim.step_while(lambda: any(proc.is_alive for proc in writers))
     assert all(proc.ok for proc in writers)
     assert engine.stats.flushes > 3 and engine.stats.compactions > 0
     assert node.device.stats.gc_runs > 0
     assert sum(batches) == WRITERS * PUTS and max(batches) > 1
-    assert sim._seq - seq0 == 7102
+    assert sim._seq - seq0 == 7102 - silent[0] == 6343
