@@ -18,7 +18,7 @@ partition a rebalance moves) are pure functions of plan state that
 both modes evaluate identically.
 A fast-forwarded churn run therefore matches the event-by-event run
 *exactly* on tasks, ops, and bytes — across every map change — which
-``tests/test_control.py`` and the perf harness check.
+``tests/test_control.py`` and ``tests/test_hybrid_driver.py`` check.
 
 Scope note: the rebalance here moves partition *ownership* (demand
 follows the data) and books the analytic migration volume as a
@@ -140,11 +140,6 @@ class ChurnResult:
     @property
     def ff_fraction(self) -> float:
         return self.ff_seconds / self.horizon if self.horizon else 0.0
-
-    @property
-    def tasks_per_wall_second(self) -> float:
-        total = self.ff_tasks + self.des_tasks
-        return total / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
     def agreement_key(self) -> tuple:
         """Exact-match key for FF-vs-DES equivalence checks."""

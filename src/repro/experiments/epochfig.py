@@ -1,4 +1,4 @@
-"""Hybrid-simulation capstone: epoch fast-forward and the fitted surrogate.
+"""Hybrid-simulation capstone: epoch fast-forward, quiet and fluid.
 
 Not a figure from the paper — the provisioning-study machinery this
 repo adds on top of it, exercised end to end in two parts:
@@ -31,15 +31,6 @@ share of simulated time and a breakdown of where event-by-event time
 was still spent (the monitor's per-reason rejection accounting) —
 including a run on the multi-queue NVMe device, whose epoch hooks are
 inherited from the base SSD model.
-
-**Part B — sweeping on the surrogate.**  The fitted surrogate device
-(:class:`~repro.ssd.SurrogateDevice`) replaces the structural SSD in a
-raw-IO sweep over cost models × tenant counts, one
-:class:`~repro.workload.DeviceEnv` per grid cell, fanned out with
-:func:`~repro.experiments.common.parallel_map`.  The sweep is the
-surrogate's use case: wide grids where per-op structural fidelity
-matters less than the latency distribution, at a fraction of the
-structural model's wall time (no FTL, no preconditioning).
 """
 
 from __future__ import annotations
@@ -50,21 +41,13 @@ from typing import Dict, List, Optional
 from ..analysis.report import format_table
 from ..core.calibration import reference_calibration
 from ..core.tags import OpKind
-from ..core.vop import COST_MODEL_NAMES, make_cost_model
+from ..core.vop import make_cost_model
 from ..ssd import get_profile
-from ..workload import (
-    EpochTenantSpec,
-    RateChange,
-    TenantSpec,
-    run_epoch_trial,
-)
-from ..workload.iobench import KIB, DeviceEnv, run_raw_trial
-from .common import derive_seed, lost_to_label, parallel_map
+from ..workload import EpochTenantSpec, RateChange, run_epoch_trial
+from ..workload.iobench import KIB
+from .common import lost_to_label
 
 __all__ = ["run", "render", "EpochFigResult"]
-
-#: Part B tenant counts
-SWEEP_TENANTS = (2, 4, 8)
 
 
 @dataclass
@@ -106,9 +89,6 @@ class EpochFigResult:
     scenarios: List[ScenarioRow]
     #: Part C — loaded stable-backlog scenarios (fluid engine)
     loaded: List[ScenarioRow]
-    #: (model, n_tenants) -> {iops, vops, wall}
-    sweep: Dict[tuple, Dict[str, float]]
-    sweep_duration: float
 
 
 def _scenarios(profile_name: str, horizon: float):
@@ -188,38 +168,15 @@ def _run_scenario(profile, name, specs, horizon, changes, seed,
     )
 
 
-# -- Part B: one grid cell (module-level for pickling) ----------------------
-
-
-def _sweep_cell(item):
-    profile_name, model_name, n_tenants, duration, warmup, seed = item
-    profile = get_profile(profile_name)
-    env = DeviceEnv(profile, seed=seed, device="surrogate")
-    specs = [
-        TenantSpec(name=f"t{i}", read_fraction=0.5, workers=4)
-        for i in range(n_tenants)
-    ]
-    trial = run_raw_trial(
-        profile, specs, duration=duration, warmup=warmup,
-        seed=seed, cost_model=model_name, env=env,
-    )
-    return {
-        "iops": trial.total_iops_per_sec,
-        "vops": trial.total_vops_per_sec,
-    }
-
-
 def run(
     quick: bool = True,
     profile_name: str = "intel320",
     seed: int = 7,
     jobs: int = 1,
 ) -> EpochFigResult:
-    """Run both parts (Part B's grid fans out over ``jobs`` workers)."""
+    """Run both parts serially (``jobs`` is accepted for CLI uniformity)."""
     profile = get_profile(profile_name)
     horizon = 4.0 if quick else 12.0
-    duration = 0.3 if quick else 0.6
-    warmup = 0.1 if quick else 0.2
 
     scenarios = [
         _run_scenario(profile, name, specs, h, changes, seed)
@@ -229,24 +186,11 @@ def run(
         _run_scenario(profile, name, specs, horizon, (), seed, device=device)
         for name, specs, device in _loaded_scenarios(profile_name)
     ]
-
-    items = [
-        (profile_name, model, n, duration, warmup, derive_seed(seed, i))
-        for i, (model, n) in enumerate(
-            (m, n) for m in COST_MODEL_NAMES for n in SWEEP_TENANTS
-        )
-    ]
-    cells = parallel_map(_sweep_cell, items, jobs=jobs)
-    sweep = {
-        (item[1], item[2]): cell for item, cell in zip(items, cells)
-    }
     return EpochFigResult(
         profile=profile_name,
         mode="quick" if quick else "full",
         scenarios=scenarios,
         loaded=loaded,
-        sweep=sweep,
-        sweep_duration=duration,
     )
 
 
@@ -296,22 +240,6 @@ def render(result: EpochFigResult) -> str:
             title=(
                 "Part C — loaded stable backlogs via the fluid DDRR engine "
                 "(same exactness contract)"
-            ),
-        ),
-        "",
-        format_table(
-            ["model"] + [f"{n} tenants" for n in SWEEP_TENANTS],
-            [
-                [model]
-                + [
-                    f"{result.sweep[(model, n)]['vops'] / 1e3:.1f}k vop/s"
-                    for n in SWEEP_TENANTS
-                ]
-                for model in COST_MODEL_NAMES
-            ],
-            title=(
-                "Part B — surrogate-device sweep (cost model × tenants, "
-                f"{result.sweep_duration:.1f}s windows)"
             ),
         ),
     ]

@@ -93,7 +93,7 @@ def run(
 
     ``jobs`` fans the (ratio, sigma) variants out over worker processes;
     the result is byte-identical for any ``jobs``.  ``mode`` overrides
-    the quick/full grid (used by tests and the perf harness).
+    the quick/full grid (used by tests).
     """
     mode = mode or mode_for(quick)
     variants: List[Tuple[Optional[float], Optional[int]]] = [

@@ -91,8 +91,7 @@ class GrowCell:
     reconciliation_max: float = 1.0
     audit_ok: bool = False
     #: cluster-wide VOPs charged, and the share replica applies booked
-    #: (migration ship lands through ``apply_replica`` — this is the
-    #: perf-harness "migration VOP overhead" numerator's ceiling)
+    #: (migration ship lands through ``apply_replica``)
     total_vops: float = 0.0
     repl_applies: int = 0
     verified: bool = False

@@ -259,17 +259,6 @@ class RpcEndpoint:
         pending.attempt = 0
         pending.started = self._send_request(target, method, payload, nbytes, trace, pending)
 
-    def call_once(self, target: str, method: str, payload: Any, nbytes: int,
-                  trace: Optional[int] = None):
-        """DES generator: a single attempt against the response budget."""
-        response = Event(self.sim)
-        started = self._send_request(target, method, payload, nbytes, trace, response)
-        reply = yield response
-        failure = self._reply_failure(reply, target, method, nbytes, trace, started)
-        if failure is not None:
-            raise failure
-        return reply.payload
-
     # -- one attempt, shared by both drivers ---------------------------------
 
     def _send_request(self, target: str, method: str, payload: Any, nbytes: int,

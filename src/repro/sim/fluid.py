@@ -67,8 +67,9 @@ class SteadyStateMonitor:
         one.
     device:
         The device under the scheduler.  Structural SSDs expose
-        ``gc_running`` and an ``ftl`` with watermarks; surrogate
-        devices may omit both (``getattr`` guards below).
+        ``gc_running`` and an ``ftl`` with watermarks; a device
+        without them (a test double) skips the GC checks (``getattr``
+        guards below).
     fault_plan:
         Optional :class:`~repro.faults.plan.FaultPlan`.  Epochs never
         span a window edge and never start inside a window.

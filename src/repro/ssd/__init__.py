@@ -22,7 +22,6 @@ from .profiles import (
     samsung840,
 )
 from .stats import SsdStats
-from .surrogate import SurrogateDevice, SurrogateModel, fit_surrogate
 
 __all__ = [
     "CostBenefitGcPolicy",
@@ -43,10 +42,7 @@ __all__ = [
     "SsdDevice",
     "SsdProfile",
     "SsdStats",
-    "SurrogateDevice",
-    "SurrogateModel",
     "WritePlan",
-    "fit_surrogate",
     "get_profile",
     "intel320",
     "make_ftl_policy",

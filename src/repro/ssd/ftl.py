@@ -36,7 +36,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, NoReturn, Optional, Tuple
 
 import numpy as np
 
@@ -240,19 +240,27 @@ class Ftl:
     # -- address helpers -----------------------------------------------------
 
     def _page_range(self, offset: int, size: int) -> range:
+        page = self.page_size
+        last = (offset + size - 1) // page
+        if not (0 < size and 0 <= offset and last < self.logical_pages):
+            self._reject(offset, size)
+        return range(offset // page, last + 1)
+
+    def _reject(self, offset: int, size: int) -> NoReturn:
+        """Raise the ValueError naming what is wrong with the host IO
+        ``[offset, offset + size)``: empty, negative, beyond capacity, or
+        else fractional."""
         # Written so that a NaN fails each check.
         if not size > 0:
             raise ValueError(f"io size must be positive, got {size}")
         if not offset >= 0:
             raise ValueError(f"negative offset {offset}")
-        page = self.page_size
-        last = (offset + size - 1) // page
-        if not last < self.logical_pages:
+        if not (offset + size - 1) // self.page_size < self.logical_pages:
             raise ValueError(
                 f"io [{offset}, {offset + size}) beyond logical capacity "
                 f"{self.profile.logical_capacity}"
             )
-        return range(offset // page, last + 1)
+        raise ValueError(f"fractional io [{offset}, {offset + size})")
 
     def read_channel(self, offset: int) -> int:
         """Channel serving the single page at ``offset``.
@@ -326,12 +334,17 @@ class Ftl:
         small ops spread across channels while one large op parallelizes
         internally.  Multi-stream policies route the whole op to one
         stream (op-granularity separation, as NVMe write streams do).
+        An empty, fractional or out-of-range write raises ValueError
+        before it changes anything.
         """
         page = self.page_size
         first = offset // page
         n = (offset + size - 1) // page + 1 - first
-        if not (0 < size and 0 <= offset and first + n <= self.logical_pages):
-            self._page_range(offset, size)  # raises the matching error
+        if (
+            not (0 < size and 0 <= offset and first + n <= self.logical_pages)
+            or offset % 1 or size % 1
+        ):
+            self._reject(offset, size)
         # Only a routed policy needs the pages as a range.
         routed = self._routed
         if routed:
@@ -380,7 +393,7 @@ class Ftl:
             first = offset // page
             stop = (offset + size - 1) // page + 1
             if not (0 < size and 0 <= offset and stop <= self.logical_pages):
-                self._page_range(offset, size)  # raises the matching error
+                self._reject(offset, size)
             if stop - first == 1:
                 block = page_to_block.item(first)
                 if block != UNMAPPED:

@@ -142,11 +142,6 @@ class EpochTrialResult:
         """Share of simulated time covered by the fluid engine."""
         return self.fluid_seconds / self.horizon if self.horizon else 0.0
 
-    @property
-    def tasks_per_wall_second(self) -> float:
-        total = self.ff_tasks + self.des_tasks
-        return total / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
 
 class _EpochRunner(HybridDriver):
     """One cell, every tenant arriving from t0, rate changes as events."""

@@ -102,11 +102,7 @@ class DeviceEnv:
     sweeps instead reuse one aged device and run trials back to back,
     exactly like benchmarking a single physical drive.
 
-    ``device="surrogate"`` swaps in the fitted statistical device
-    (:class:`~repro.ssd.SurrogateDevice`) — no FTL, no preconditioning,
-    latencies sampled from the committed surrogate artifact — for
-    sweeps where distribution shape matters more than structural
-    fidelity.  ``device="nvme"`` builds the multi-queue
+    ``device="nvme"`` builds the multi-queue
     :class:`~repro.ssd.NvmeDevice` (queue count/arbitration from the
     profile's NVMe fields).
     """
@@ -120,12 +116,8 @@ class DeviceEnv:
             from ..ssd.nvme import NvmeDevice
 
             self.device = NvmeDevice(self.sim, profile, seed=seed)
-        elif device == "surrogate":
-            from ..ssd.surrogate import SurrogateDevice
-
-            self.device = SurrogateDevice(self.sim, profile, seed=seed)
         else:
-            raise ValueError(f"unknown device kind {device!r} (ssd|nvme|surrogate)")
+            raise ValueError(f"unknown device kind {device!r} (ssd|nvme)")
 
 
 def run_raw_trial(

@@ -4,10 +4,10 @@ Each row is (entry, edge value, call, outcome).  The outcome is either a
 named exception, raised before any state changes — the node's state
 digest (WAL size and extents, free filesystem bytes, the engine's tables
 and memtable, the tenant's scheduler usage, the object cache, the
-scheduler backlog, the free NCQ slots, the device counters and the FTL
-page map) is the same before and after, and the tenant's next PUT still
-lands — or a specified result.  Every row runs on a freshly loaded
-one-tenant node.
+scheduler backlog, the free NCQ slots, the device counters, the FTL
+page map and its host-stream cursors) is the same before and after,
+and the tenant's next PUT still lands — or a specified result.  Every
+row runs on a freshly loaded one-tenant node.
 """
 
 import math
@@ -69,7 +69,7 @@ def state(node):
         list(node.cache._entries.items()),
         node.scheduler.backlog, node.device._ncq.value,
         sorted(vars(node.device.stats).items()),
-        node.device.ftl.page_to_block.tobytes(),
+        node.device.ftl.page_to_block.tobytes(), list(node.device.ftl._host_cursor),
     )
 
 
@@ -79,6 +79,10 @@ def on_node(method, *args, **kwargs):
 
 def on_engine(method, *args, **kwargs):
     return lambda node: getattr(node.engines["t1"], method)(*args, **kwargs)
+
+
+def on_ftl(method, *args):
+    return lambda node: getattr(node.device.ftl, method)(*args)
 
 
 def waits(target, method, *args):
@@ -223,6 +227,28 @@ ROWS = [
     ("SsdDevice.trim", "negative offset", lambda node: node.device.trim(-1, 4 * KIB), ValueError),
     ("SsdDevice.trim", "past capacity",
      lambda node: node.device.trim(CAPACITY, 4 * KIB), ValueError),
+    # -- Ftl: rejected before the host cursor moves --------------------------------
+    ("Ftl.host_write", "NaN offset", on_ftl("host_write", NAN, 4 * KIB), ValueError),
+    ("Ftl.host_write", "NaN size", on_ftl("host_write", 0, NAN), ValueError),
+    ("Ftl.host_write", "+inf offset", on_ftl("host_write", INF, 4 * KIB), ValueError),
+    ("Ftl.host_write", "-inf offset", on_ftl("host_write", -INF, 4 * KIB), ValueError),
+    ("Ftl.host_write", "+inf size", on_ftl("host_write", 0, INF), ValueError),
+    ("Ftl.host_write", "-inf size", on_ftl("host_write", 0, -INF), ValueError),
+    ("Ftl.host_write", "size 0", on_ftl("host_write", 0, 0), ValueError),
+    ("Ftl.host_write", "fractional offset", on_ftl("host_write", 0.5, 4 * KIB), ValueError),
+    ("Ftl.host_write", "fractional offset, two pages",
+     on_ftl("host_write", 12288.25, 8 * KIB), ValueError),
+    ("Ftl.host_write", "fractional size", on_ftl("host_write", 4 * KIB, 2.5), ValueError),
+    ("Ftl.host_write", "fractional size, two pages",
+     on_ftl("host_write", 4 * KIB, 4 * KIB + 0.5), ValueError),
+    ("Ftl.host_write", "negative offset", on_ftl("host_write", -4 * KIB, 4 * KIB), ValueError),
+    ("Ftl.host_write", "negative size", on_ftl("host_write", 0, -4 * KIB), ValueError),
+    ("Ftl.host_write", "past capacity", on_ftl("host_write", CAPACITY, 4 * KIB), ValueError),
+    ("Ftl.host_write", "straddles capacity", on_ftl("host_write", CAPACITY - 1, 2), ValueError),
+    ("Ftl.precondition", "NaN age_factor", on_ftl("precondition", NAN), ValueError),
+    ("Ftl.precondition", "+inf age_factor", on_ftl("precondition", INF), ValueError),
+    ("Ftl.precondition", "-inf age_factor", on_ftl("precondition", -INF), ValueError),
+    ("Ftl.precondition", "age_factor -1", on_ftl("precondition", -1.0), ValueError),
     # -- SimFile ------------------------------------------------------------------
     ("SimFile.read", "NaN size", waits(wal_file, "read", 0, NAN, TAG), ValueError),
     ("SimFile.read", "NaN offset", waits(wal_file, "read", NAN, 1, TAG), ValueError),
@@ -242,7 +268,9 @@ ENTRIES = {
     for name in ("get", "put", "delete", "scan", "apply_replica", "read_replica")
 } | {f"LsmEngine.{name}" for name in ("get", "put", "delete", "scan")} | {
     "LibraScheduler.read", "LibraScheduler.write", "SimFile.read", "SimFile.append",
-} | {f"SsdDevice.{name}" for name in ("submit", "read", "write", "trim")}
+} | {f"SsdDevice.{name}" for name in ("submit", "read", "write", "trim")} | {
+    "Ftl.host_write", "Ftl.precondition",
+}
 
 
 def _is_error(outcome):

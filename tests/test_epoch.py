@@ -177,14 +177,21 @@ def test_overload_disables_fast_forward():
 # ---------------------------------------------------------------------------
 
 
-def test_ff_audit_reconciles_exactly():
+@pytest.mark.parametrize(
+    "n_tenants,rate,horizon,seed",
+    [
+        (2, 1500.0, 1.0, 21),
+        # epochfig's steady-read row: the whole horizon in one epoch
+        (4, 2500.0, 4.0, 7),
+    ],
+)
+def test_ff_audit_reconciles_exactly(n_tenants, rate, horizon, seed):
     specs = [
-        EpochTenantSpec(name=f"t{i}", rate=1500.0, read_fraction=1.0)
-        for i in range(2)
+        EpochTenantSpec(name=f"t{i}", rate=rate, read_fraction=1.0)
+        for i in range(n_tenants)
     ]
-    ff = run_epoch_trial(
-        PROFILE, specs, horizon=1.0, seed=21, fast_forward=True, audit=True
-    )
+    des, ff = both_modes(specs, horizon=horizon, seed=seed, audit=True)
+    assert_agreement(des, ff)
     assert ff.ff_fraction == pytest.approx(1.0)
     summary = ff.audit_summary
     assert summary["ok"], summary["flags"]

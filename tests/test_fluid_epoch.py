@@ -100,12 +100,17 @@ def test_fluid_ff_matches_des_on_loaded_workloads(
     assert des.fluid_seconds == 0.0
 
 
-def test_fluid_covers_most_of_a_loaded_read_horizon():
+@pytest.mark.parametrize("horizon", [2.0, 4.0])
+def test_fluid_covers_most_of_a_loaded_read_horizon(horizon):
     """A clean loaded read-only workload fast-forwards the bulk of the
     horizon through the fluid engine (only the confirmation window and
-    the handover drain stay event-by-event)."""
-    des, ff = both_modes(loaded_specs(0.75, 1.0), horizon=2.0, seed=7)
+    the handover drain stay event-by-event), and the audit reconciles
+    the bulk charges.  4 s is epochfig's loaded-read row."""
+    des, ff = both_modes(loaded_specs(0.75, 1.0), horizon=horizon, seed=7, audit=True)
     assert_agreement(des, ff)
+    for trial in (des, ff):
+        assert trial.audit_summary["ok"], trial.audit_summary["flags"]
+        assert trial.audit_summary["reconciliation"] == pytest.approx(1.0, abs=1e-9)
     assert ff.fluid_fraction > 0.7
     assert ff.ff_fraction == pytest.approx(ff.fluid_fraction)
     # Loaded stretches are never covered by the quiet (idle-latency)

@@ -329,15 +329,16 @@ def test_epoch_fast_forward_agrees_with_des_on_nvme():
     assert des.audit_summary["ok"] and ff.audit_summary["ok"]
 
 
-def test_device_env_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="nvme"):
-        DeviceEnv(tiny_profile(), device="optane")
-    with pytest.raises(ValueError, match="nvme"):
+@pytest.mark.parametrize("kind", ["optane", "surrogate"])
+def test_device_env_rejects_unknown_kind(kind):
+    with pytest.raises(ValueError, match=r"\(ssd\|nvme\)$"):
+        DeviceEnv(tiny_profile(), device=kind)
+    with pytest.raises(ValueError, match=r"\(ssd\|nvme\)$"):
         run_epoch_trial(
             tiny_profile(),
             [EpochTenantSpec(name="t0", rate=100.0)],
             0.1,
-            device="optane",
+            device=kind,
         )
 
 

@@ -7,9 +7,10 @@ Three kinds of test:
   ``rpc_timeout``, and a fault-free round trip must cost a fixed number
   of kernel heap entries.  Counts, not wall-clock, so they are exact
   and belong in tier-1;
-- *oracle and driver tests*: the ``Timeout`` + ``AnyOf`` race
-  ``call_once`` used to run per attempt, with the retry loop that drove
-  it (``LegacyEndpoint``), stays here as the reference; under a seeded
+- *oracle and driver tests*: the ``Timeout`` + ``AnyOf`` race the RPC
+  path used to run per attempt (``RaceEndpoint.call_once``), with the
+  retry loop that drove it (``LegacyEndpoint``), stays here as the
+  reference; under a seeded
   message-fault plan it, the coroutine callers of ``call`` and the
   ``call_async`` callers that relay each reply through a callback must
   produce the same log and ``RpcStats`` and complete every call at the
@@ -161,19 +162,20 @@ def test_unanswered_call_times_out_exactly_at_its_deadline():
     def caller(t0):
         yield sim.timeout(t0)
         try:
-            yield from client.call_once("srv", "echo", t0, 64)
-        except RpcTimeout:
-            seen.append((t0, sim.now))
+            yield from client.call("srv", "echo", t0, 64)
+        except RetriesExhausted as exc:
+            seen.append((t0, sim.now, type(exc.__cause__)))
 
     starts = [0.0137, 0.0291, 0.2604]
     for t0 in starts:
         sim.process(caller(t0))
     sim.run(until=2.0)
-    assert seen == [(t0, t0 + 0.25) for t0 in starts]
+    assert seen == [(t0, t0 + 0.25, RpcTimeout) for t0 in starts]
     # The late responses all arrived (served 3) and were ignored.
     assert server.stats.served == 3
     assert client.stats.round_trips == 0
     assert client.stats.timeouts == 3
+    assert (client.stats.retries, client.stats.failures) == (3, 3)
     assert client._waiting == {}
     assert sim.queue_size == 0
 
@@ -204,15 +206,9 @@ def test_late_duplicate_response_after_expiry_is_ignored():
 
 
 class RaceEndpoint(RpcEndpoint):
-    """``call_once`` as it was before the armed deadline: every attempt
-    races its response against its own ``Timeout`` through an ``AnyOf``
-    and never cancels the timer.
-
-    ``RpcEndpoint.call`` drives its attempts itself and never reaches
-    ``call_once``, so ``closed_loop`` over this class runs the same code
-    as over ``RpcEndpoint``.  The race is exercised through
-    :class:`LegacyEndpoint`, whose ``call`` is the old retry loop over
-    this ``call_once``; that test holds the oracle."""
+    """One attempt as it ran before the armed deadline: it races its
+    response against its own ``Timeout`` through an ``AnyOf`` and never
+    cancels the timer.  :class:`LegacyEndpoint` drives it."""
 
     def call_once(self, target, method, payload, nbytes, trace=None):
         self.stats.calls += 1
@@ -273,23 +269,6 @@ def chaos_run(endpoint, seed, callbacks=False):
         start_caller(sim, client, 400, f"srv{k % 2}", log, callbacks)
     sim.run(until=60.0)
     return log, {ep.name: vars(ep.stats) for ep in endpoints}, fabric
-
-
-@pytest.mark.parametrize("seed", [3, 17])
-def test_armed_deadline_matches_the_timer_race_under_message_faults(seed):
-    log, stats, fabric = chaos_run(RpcEndpoint, seed)
-    race_log, race_stats, _ = chaos_run(RaceEndpoint, seed)
-    assert len(log) == 3 * 400
-    # The plan bites: every fault kind fired and every outcome occurred.
-    injector = fabric.injector
-    assert injector.dropped_messages and injector.duplicated_messages
-    assert injector.delayed_messages and injector.partitioned_messages
-    assert {outcome for _c, _i, outcome, _t in log} == {"ok", "RpcTimeout"}
-    assert sum(s["timeouts"] for s in stats.values()) > 50
-    assert sum(s["failures"] for s in stats.values()) > 0
-    # Same counters, and every call completes at the same instant.
-    assert stats == race_stats
-    assert log == race_log
 
 
 class LegacyEndpoint(RaceEndpoint):
