@@ -310,13 +310,16 @@ class LibraScheduler:
         if state is None:
             state = self._state(tag.tenant)  # raises, naming the tenants
         # Rejected before any VOP is charged: the device would fail the
-        # op, and the failure would be booked as a fault.  Written so
-        # that a NaN fails it.
+        # op, and the failure would be booked as a fault.  Offsets and
+        # sizes are ints (a float is refused even when integral), and
+        # the range check is written so that a NaN fails it.
         capacity = self.device.profile.logical_capacity
-        if not (0 < size and 0 <= offset and offset + size <= capacity) or offset % 1 or size % 1:
+        if type(offset) is not int or type(size) is not int or not (
+            0 < size and 0 <= offset and offset + size <= capacity
+        ):
             raise ValueError(
-                f"io [{offset}, {offset + size}) is empty, fractional or outside "
-                f"the device's {capacity} bytes"
+                f"io [{offset}, {offset + size}) is empty, not given as ints or "
+                f"outside the device's {capacity} bytes"
             )
         sim = self.sim
         if done is None:

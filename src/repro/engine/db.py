@@ -22,7 +22,6 @@ flush is already behind, as LevelDB does).
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -232,8 +231,8 @@ class LsmEngine:
     def put(self, key: int, size: int, tag: Optional[IoTag] = None):
         """Durable write of ``size`` bytes under ``key``: checks its
         arguments, then returns the write's generator (one engine frame)."""
-        if not 0 < size < math.inf:
-            raise ValueError(f"object size must be positive and finite, got {size}")
+        if type(size) is not int or size <= 0:
+            raise ValueError(f"object size must be a positive int, got {size!r}")
         if key != key:
             raise ValueError("key must not be NaN")
         self.stats.puts += 1

@@ -494,23 +494,10 @@ class Simulator:
 
     # -- internals ---------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Queue an event's callback dispatch ``delay`` seconds from now.
-
-        Reached exactly once per event: ``succeed``/``fail`` raise on a
-        second trigger and :class:`Timeout` schedules only from its
-        constructor, so no double-schedule guard is needed.  The hot
-        trigger sites inline this; it remains for external callers.
-        """
-        self._seq += 1
-        heappush(self._heap, (self.now + delay, self._seq, _dispatch_event, event))
-
     def _schedule_call(self, fn: Callable, arg: Any, delay: float = 0.0) -> None:
         """Queue an arbitrary callable (used to resume processes)."""
         self._seq += 1
         heappush(self._heap, (self.now + delay, self._seq, fn, arg))
-
-    _dispatch = staticmethod(_dispatch_event)
 
 
 class DeadlineQueue:

@@ -209,7 +209,8 @@ class SsdDevice:
         """Submit one op; completion arrives as ``callback(cb_arg, result)``.
 
         The scheduler's dispatch path, and the one spelling of admission.
-        An empty, fractional or out-of-range op raises ValueError before
+        An empty or out-of-range op, or one whose offset or size is not
+        an int (an integral float included), raises ValueError before
         it takes anything.  An op with no fault window over ``now``, GC
         idle (and, for a write, a free pool above the GC reserve) and a
         free queue slot is timed here: the slot is taken, the op planned
@@ -224,10 +225,12 @@ class SsdDevice:
         Process is left unhooked.
         """
         capacity = self.profile.logical_capacity
-        if not (0 < size and 0 <= offset and offset + size <= capacity) or offset % 1 or size % 1:
+        if type(offset) is not int or type(size) is not int or not (
+            0 < size and 0 <= offset and offset + size <= capacity
+        ):
             raise ValueError(
-                f"io [{offset}, {offset + size}) is empty, fractional or beyond "
-                f"capacity {capacity}"
+                f"io [{offset}, {offset + size}) is empty, not given as ints or "
+                f"beyond capacity {capacity}"
             )
         sim = self.sim
         now = sim.now

@@ -15,7 +15,6 @@ in the paper (§5's system-call wrappers).
 from __future__ import annotations
 
 import bisect
-import math
 from functools import partial
 from heapq import heappush
 from typing import List, Optional, Protocol, Tuple
@@ -147,8 +146,8 @@ class SimFile:
         """Append ``size`` bytes; returns the write-completion event."""
         if self.deleted:
             raise ValueError(f"IO on deleted file {self.name}")
-        if not 0 < size < math.inf or size % 1:
-            raise ValueError(f"append size must be a positive whole number, got {size}")
+        if type(size) is not int or size <= 0:
+            raise ValueError(f"append size must be a positive int, got {size!r}")
         fs = self.fs
         write = fs.backend.write
         segments = fs._extend(self, size)
@@ -166,10 +165,12 @@ class SimFile:
         """Read ``size`` bytes at file offset ``offset``."""
         if self.deleted:
             raise ValueError(f"IO on deleted file {self.name}")
-        if not (0 <= offset and 0 < size and offset + size <= self.size):
+        if type(offset) is not int or type(size) is not int or not (
+            0 <= offset and 0 < size and offset + size <= self.size
+        ):
             raise ValueError(
-                f"read [{offset}, {offset + size}) out of bounds for "
-                f"{self.name} (size {self.size})"
+                f"read [{offset}, {offset + size}) is not given as ints or out of "
+                f"bounds for {self.name} (size {self.size})"
             )
         # An SSTable's extents are its 256 KiB appends and block reads
         # are 4 KiB, so nearly every range lies inside one extent (all

@@ -14,8 +14,8 @@ operation implies (which channels program/copy/erase how many pages).
 The device model charges the corresponding simulated time.
 
 The map is updated once per *op*, not once per page.  A one-page write
-or TRIM (the WAL tail of every group commit) goes straight through the
-scalar primitive :meth:`Ftl._append_page`; a multi-page op reads its
+(the WAL tail of every group commit) goes straight through the scalar
+primitive :meth:`Ftl._append_page`; a multi-page op reads its
 slice of the page map once, drops the old copies in one step and then
 assigns each stripe run as a slice (:meth:`Ftl._append_striped`).  That
 is exact because the pages of one op are distinct and block allocation
@@ -23,19 +23,24 @@ reads the map only on the emergency-GC path, so the batched lane runs
 only while the free pool cannot run dry inside the op; otherwise the op
 walks page by page through that primitive.  A GC victim is evacuated
 the same way: one page-map gather finds its live pages, and they are
-copied per stripe run (:meth:`Ftl._append_gc`).  Preconditioning goes
-further and applies all the writes between two GC runs — hundreds of
-blocks' worth, duplicates included — as one batch
-(:meth:`Ftl._append_batch`).
+copied per stripe run (:meth:`Ftl._append_gc`).  A TRIM call unmaps
+all its extents' pages in one pass.  Preconditioning goes further and
+applies all the writes between two GC runs — hundreds of blocks'
+worth, duplicates included — as one batch (:meth:`Ftl._append_batch`).
+
+Each block's page log is an int32 ``array``, appended to in C and read
+through zero-copy numpy views: 4 bytes a listed page, where a list of
+Python ints took a pointer and an int object each.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain
 from typing import Deque, List, NoReturn, Optional, Tuple
 
 import numpy as np
@@ -120,9 +125,13 @@ class Ftl:
         self.block_valid = np.zeros(n_blocks, dtype=np.int32)
         #: physical block -> channel it was allocated on (-1 while free)
         self.block_channel = np.full(n_blocks, -1, dtype=np.int16)
-        #: physical block -> logical pages appended to it (lazy: may list
-        #: pages that were since overwritten; bounded by pages_per_block)
-        self.block_pages: List[List[int]] = [[] for _ in range(n_blocks)]
+        #: physical block -> logical pages appended to it, in append order,
+        #: as an int32 ``array`` (lazy: may list pages that were since
+        #: overwritten; bounded by pages_per_block; empty while free)
+        self.block_pages: List[array] = [array("i") for _ in range(n_blocks)]
+        #: every logical page id, in order: a stripe run's slice of it is
+        #: appended to a block's log in one C-level copy
+        self._page_ids = array("i", range(n_pages))
         self.free_blocks: Deque[int] = deque(range(n_blocks))
         #: host page-write clock and per-block birth stamp (block age for
         #: cost-benefit scoring; maintained unconditionally — two integer
@@ -249,7 +258,7 @@ class Ftl:
     def _reject(self, offset: int, size: int) -> NoReturn:
         """Raise the ValueError naming what is wrong with the host IO
         ``[offset, offset + size)``: empty, negative, beyond capacity, or
-        else fractional."""
+        else not given as ints."""
         # Written so that a NaN fails each check.
         if not size > 0:
             raise ValueError(f"io size must be positive, got {size}")
@@ -260,7 +269,7 @@ class Ftl:
                 f"io [{offset}, {offset + size}) beyond logical capacity "
                 f"{self.profile.logical_capacity}"
             )
-        raise ValueError(f"fractional io [{offset}, {offset + size})")
+        raise ValueError(f"io [{offset}, {offset + size}): offset and size must be ints")
 
     def read_channel(self, offset: int) -> int:
         """Channel serving the single page at ``offset``.
@@ -335,14 +344,14 @@ class Ftl:
         internally.  Multi-stream policies route the whole op to one
         stream (op-granularity separation, as NVMe write streams do).
         An empty, fractional or out-of-range write raises ValueError
-        before it changes anything.
+        before it changes anything, as does a float offset or size, even
+        an integral one.
         """
         page = self.page_size
         first = offset // page
         n = (offset + size - 1) // page + 1 - first
-        if (
-            not (0 < size and 0 <= offset and first + n <= self.logical_pages)
-            or offset % 1 or size % 1
+        if type(offset) is not int or type(size) is not int or not (
+            0 < size and 0 <= offset and first + n <= self.logical_pages
         ):
             self._reject(offset, size)
         # Only a routed policy needs the pages as a range.
@@ -384,28 +393,39 @@ class Ftl:
     def trim_extents(self, extents) -> int:
         """Invalidate each ``(offset, size)`` range of a deleted file in
         one call: a WAL retires hundreds of one-page extents at once.
-        Returns pages freed."""
+
+        Every extent is checked before any page is unmapped, so a bad
+        one raises ValueError with nothing trimmed.  Then all their
+        pages go in one pass — one page-map gather, one ``bincount``
+        off the valid counts, one store — and a page two extents cover
+        is freed once.  Returns pages freed.
+        """
         page = self.page_size
-        page_to_block = self.page_to_block
-        block_valid = self.block_valid
-        freed = 0
+        capacity = self.logical_pages * page
         for offset, size in extents:
-            first = offset // page
-            stop = (offset + size - 1) // page + 1
-            if not (0 < size and 0 <= offset and stop <= self.logical_pages):
+            if type(offset) is not int or type(size) is not int or not (
+                0 < size and 0 <= offset and offset + size <= capacity
+            ):
                 self._reject(offset, size)
-            if stop - first == 1:
-                block = page_to_block.item(first)
-                if block != UNMAPPED:
-                    block_valid[block] = block_valid.item(block) - 1
-                    page_to_block[first] = UNMAPPED
-                    freed += 1
-                continue
-            mapped = self._invalidate(first, stop)
-            if mapped:
-                page_to_block[first:stop] = UNMAPPED
-                freed += mapped
-        return freed
+        if not extents:
+            return 0
+        flat = np.fromiter(chain.from_iterable(extents), np.int64, 2 * len(extents))
+        offsets = flat[0::2]
+        firsts = offsets // page
+        counts = (offsets + flat[1::2] - 1) // page + 1 - firsts
+        # extent i's pages are firsts[i] + 0, 1, ..., counts[i] - 1
+        ends = np.cumsum(counts)
+        pages = np.arange(ends[-1]) + np.repeat(firsts - (ends - counts), counts)
+        pages.sort()
+        if (pages[1:] == pages[:-1]).any():  # overlapping extents
+            pages = np.unique(pages)
+        page_to_block = self.page_to_block
+        blocks = page_to_block[pages]
+        blocks = blocks[blocks != UNMAPPED]
+        if len(blocks):
+            self.block_valid -= np.bincount(blocks, minlength=len(self.block_valid))
+            page_to_block[pages] = UNMAPPED
+        return len(blocks)
 
     def _invalidate(self, first: int, stop: int) -> int:
         """Drop the live copies of logical pages ``[first, stop)`` from
@@ -450,6 +470,7 @@ class Ftl:
         page_to_block = self.page_to_block
         block_valid = self.block_valid
         block_pages = self.block_pages
+        page_ids = self._page_ids
         active = self._host_active[stream]
         fill = self._host_fill[stream]
         seq0 = self.write_seq - first
@@ -470,7 +491,7 @@ class Ftl:
                 b = min(run_stop, a + per_block - used)
                 page_to_block[a:b] = block
                 block_valid[block] += b - a
-                block_pages[block].extend(range(a, b))
+                block_pages[block] += page_ids[a:b]
                 fill[chan] = used + b - a
                 a = b
             chan = (chan + 1) % nchan
@@ -526,7 +547,6 @@ class Ftl:
         block = self.free_blocks.popleft()
         self._note_pool()
         self.block_channel[block] = channel
-        self.block_pages[block] = []
         self.block_seq[block] = self.write_seq
         return block
 
@@ -553,6 +573,9 @@ class Ftl:
         over the pages listed on the victim finds those still live there
         (a page listed twice moves at its first listing, as a page walk
         re-checking the map would), and :meth:`_append_gc` copies them.
+        The gather reads the victim's log through a zero-copy view, which
+        is dropped before the erase empties that log (a live view pins
+        the array's size).
         """
         victim = self.pick_victim()
         if victim is None:
@@ -563,9 +586,10 @@ class Ftl:
         self.block_channel[victim] = -2
         start = self._gc_cursor
         self._gc_cursor = (start + 1) % self.channels
-        listed = self.block_pages[victim]
-        owners = self.page_to_block[listed].tolist()
-        live = list(dict.fromkeys(compress(listed, map(victim.__eq__, owners))))
+        log = self.block_pages[victim]
+        view = np.frombuffer(log, dtype=np.int32)
+        live = list(dict.fromkeys(view[self.page_to_block[view] == victim].tolist()))
+        del view
         self._in_gc = True
         try:
             copies = self._append_gc(live, start)
@@ -574,7 +598,7 @@ class Ftl:
         # Erase: back to the free pool.
         self.block_valid[victim] = 0
         self.block_channel[victim] = -1
-        self.block_pages[victim] = []
+        del log[:]
         self.free_blocks.append(victim)
         self._note_pool()
         return GcMove(
@@ -731,13 +755,11 @@ class Ftl:
         self.block_valid -= np.bincount(old[old != UNMAPPED], minlength=n_blocks)
         # listed by channel, then write order: one run per block
         block_pages = self.block_pages
-        for block in fresh:
-            block_pages[block] = []
-        listed = pages[order].tolist()
+        listed = pages[order].astype(np.int32)
         owners = owner[order]
         cuts = (np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist()
         for lo, hi in zip([0, *cuts], [*cuts, n]):
-            block_pages[owners.item(lo)].extend(listed[lo:hi])
+            block_pages[owners.item(lo)].frombytes(listed[lo:hi].tobytes())
         # a channel's last write is in its open block, which lists exactly
         # the pages its fill counts
         for c, (count, end) in enumerate(zip(per_chan.tolist(), np.cumsum(per_chan).tolist())):

@@ -287,7 +287,7 @@ class ReferenceGcFtl(Ftl):
             self._in_gc = False
         self.block_valid[victim] = 0
         self.block_channel[victim] = -1
-        self.block_pages[victim] = []
+        del self.block_pages[victim][:]
         self.free_blocks.append(victim)
         self._note_pool()
         return GcMove(
@@ -332,7 +332,7 @@ def test_a_page_listed_twice_moves_once_at_its_first_listing():
             each._append_page(page, False, 0)
         each._append_page(500, False, 0)  # closes the block
         each.trim(7 * 4096, 4096)
-    assert ftl.block_pages[ftl.page_to_block.item(500) - 1][:7] == [5, 9, 5, 2, 9, 9, 7]
+    assert list(ftl.block_pages[ftl.page_to_block.item(500) - 1][:7]) == [5, 9, 5, 2, 9, 9, 7]
     move = ftl.collect_victim()
     assert move == ref.collect_victim()
     assert move.valid_pages == 3 + 57  # 5, 9 and 2 once each, 7 trimmed

@@ -31,6 +31,7 @@ NAN, INF = math.nan, math.inf
 ALL_ROWS = [(key, KIB) for key in range(KEYS)]
 TAG = IoTag("t1")
 CAPACITY = SMALL.logical_capacity
+PAGE = SMALL.page_size
 
 
 def drive(sim, gen):
@@ -69,7 +70,8 @@ def state(node):
         list(node.cache._entries.items()),
         node.scheduler.backlog, node.device._ncq.value,
         sorted(vars(node.device.stats).items()),
-        node.device.ftl.page_to_block.tobytes(), list(node.device.ftl._host_cursor),
+        node.device.ftl.page_to_block.tobytes(), node.device.ftl.block_valid.tobytes(),
+        list(node.device.ftl._host_cursor),
     )
 
 
@@ -83,6 +85,15 @@ def on_engine(method, *args, **kwargs):
 
 def on_ftl(method, *args):
     return lambda node: getattr(node.device.ftl, method)(*args)
+
+
+def ftl_returns(method, *args):
+    """An FTL call that returns at once, as a process for ``drive``."""
+    def call(node):
+        return getattr(node.device.ftl, method)(*args)
+        yield  # pragma: no cover - makes this a generator
+
+    return call
 
 
 def waits(target, method, *args):
@@ -135,6 +146,8 @@ ROWS = [
     ("StorageNode.put", "NaN size", on_node("put", "t1", 1, NAN), ValueError),
     ("StorageNode.put", "+inf size", on_node("put", "t1", 1, INF), ValueError),
     ("StorageNode.put", "-inf size", on_node("put", "t1", 1, -INF), ValueError),
+    ("StorageNode.put", "fractional size", on_node("put", "t1", 1, 2.5), ValueError),
+    ("StorageNode.put", "integral float size", on_node("put", "t1", 1, 4096.0), ValueError),
     ("StorageNode.put", "past capacity", on_node("put", "t1", 1, PAST_CAPACITY), OutOfSpace),
     ("StorageNode.put", "NaN key", on_node("put", "t1", NAN, KIB), ValueError),
     ("StorageNode.put", "+inf key", put_then_get(INF), 2 * KIB),
@@ -178,6 +191,7 @@ ROWS = [
     ("LsmEngine.put", "negative size", on_engine("put", 1, -1), ValueError),
     ("LsmEngine.put", "NaN size", on_engine("put", 1, NAN), ValueError),
     ("LsmEngine.put", "+inf size", on_engine("put", 1, INF), ValueError),
+    ("LsmEngine.put", "integral float size", on_engine("put", 1, 4096.0), ValueError),
     ("LsmEngine.put", "past capacity", on_engine("put", 1, PAST_CAPACITY), OutOfSpace),
     ("LsmEngine.put", "NaN key", on_engine("put", NAN, KIB), ValueError),
     ("LsmEngine.delete", "NaN key", on_engine("delete", NAN), ValueError),
@@ -199,6 +213,8 @@ ROWS = [
     ("LibraScheduler.read", "+inf size", waits(scheduler, "read", 0, INF, TAG), ValueError),
     ("LibraScheduler.read", "past capacity",
      waits(scheduler, "read", CAPACITY, 4 * KIB, TAG), ValueError),
+    ("LibraScheduler.read", "integral float offset",
+     waits(scheduler, "read", 4096.0, 4 * KIB, TAG), ValueError),
     ("LibraScheduler.read", "4 KiB at 0", waits(scheduler, "read", 0, 4 * KIB, TAG), None),
     ("LibraScheduler.write", "unknown tenant",
      waits(scheduler, "write", 0, 4 * KIB, IoTag("nobody")), KeyError),
@@ -209,6 +225,10 @@ ROWS = [
      waits(scheduler, "write", -4 * KIB, 4 * KIB, TAG), ValueError),
     ("LibraScheduler.write", "NaN offset",
      waits(scheduler, "write", NAN, 4 * KIB, TAG), ValueError),
+    ("LibraScheduler.write", "integral float offset",
+     waits(scheduler, "write", 4096.0, 4 * KIB, TAG), ValueError),
+    ("LibraScheduler.write", "integral float size",
+     waits(scheduler, "write", 0, 8192.0, TAG), ValueError),
     ("LibraScheduler.write", "two chunks", waits(scheduler, "write", 0, 256 * KIB, TAG), None),
     # -- SsdDevice: rejected before the op takes an NCQ slot -----------------------
     ("SsdDevice.submit", "fractional offset",
@@ -216,6 +236,9 @@ ROWS = [
      ValueError),
     ("SsdDevice.submit", "NaN size",
      lambda node: node.device.submit(False, 0, NAN, None, None, Event(node.sim)), ValueError),
+    ("SsdDevice.submit", "integral float size",
+     lambda node: node.device.submit(False, 0, 8192.0, None, None, Event(node.sim)),
+     ValueError),
     ("SsdDevice.read", "NaN offset", waits(device, "read", NAN, 4 * KIB), ValueError),
     ("SsdDevice.read", "fractional size", waits(device, "read", 0, 0.5), ValueError),
     ("SsdDevice.read", "past capacity", waits(device, "read", CAPACITY - 1, 2), ValueError),
@@ -223,6 +246,9 @@ ROWS = [
     ("SsdDevice.write", "size 0", waits(device, "write", 0, 0), ValueError),
     ("SsdDevice.write", "negative offset", waits(device, "write", -1, 4 * KIB), ValueError),
     ("SsdDevice.write", "+inf size", waits(device, "write", 0, INF), ValueError),
+    ("SsdDevice.write", "integral float offset",
+     waits(device, "write", 4096.0, 4 * KIB), ValueError),
+    ("SsdDevice.write", "integral float size", waits(device, "write", 0, 8192.0), ValueError),
     ("SsdDevice.trim", "NaN size", lambda node: node.device.trim(0, NAN), ValueError),
     ("SsdDevice.trim", "negative offset", lambda node: node.device.trim(-1, 4 * KIB), ValueError),
     ("SsdDevice.trim", "past capacity",
@@ -241,10 +267,38 @@ ROWS = [
     ("Ftl.host_write", "fractional size", on_ftl("host_write", 4 * KIB, 2.5), ValueError),
     ("Ftl.host_write", "fractional size, two pages",
      on_ftl("host_write", 4 * KIB, 4 * KIB + 0.5), ValueError),
+    ("Ftl.host_write", "integral float offset",
+     on_ftl("host_write", 4096.0, 4 * KIB), ValueError),
+    ("Ftl.host_write", "integral float size", on_ftl("host_write", 0, 8192.0), ValueError),
     ("Ftl.host_write", "negative offset", on_ftl("host_write", -4 * KIB, 4 * KIB), ValueError),
     ("Ftl.host_write", "negative size", on_ftl("host_write", 0, -4 * KIB), ValueError),
     ("Ftl.host_write", "past capacity", on_ftl("host_write", CAPACITY, 4 * KIB), ValueError),
     ("Ftl.host_write", "straddles capacity", on_ftl("host_write", CAPACITY - 1, 2), ValueError),
+    ("Ftl.trim", "NaN offset", on_ftl("trim", NAN, 4 * KIB), ValueError),
+    ("Ftl.trim", "NaN size", on_ftl("trim", 0, NAN), ValueError),
+    ("Ftl.trim", "+inf offset", on_ftl("trim", INF, 4 * KIB), ValueError),
+    ("Ftl.trim", "-inf offset", on_ftl("trim", -INF, 4 * KIB), ValueError),
+    ("Ftl.trim", "+inf size", on_ftl("trim", 0, INF), ValueError),
+    ("Ftl.trim", "-inf size", on_ftl("trim", 0, -INF), ValueError),
+    ("Ftl.trim", "negative offset", on_ftl("trim", -4 * KIB, 4 * KIB), ValueError),
+    ("Ftl.trim", "size 0", on_ftl("trim", 0, 0), ValueError),
+    ("Ftl.trim", "fractional offset", on_ftl("trim", 0.5, 4 * KIB), ValueError),
+    ("Ftl.trim", "fractional size", on_ftl("trim", 4 * KIB, 2.5), ValueError),
+    ("Ftl.trim", "integral float offset", on_ftl("trim", 4096.0, 4 * KIB), ValueError),
+    ("Ftl.trim", "past capacity", on_ftl("trim", CAPACITY, 4 * KIB), ValueError),
+    ("Ftl.trim", "straddles capacity", on_ftl("trim", CAPACITY - 1, 2), ValueError),
+    ("Ftl.trim", "last page", ftl_returns("trim", CAPACITY - PAGE, PAGE), 1),
+    ("Ftl.trim_extents", "NaN after a good extent",
+     on_ftl("trim_extents", [(0, 4 * KIB), (NAN, 4 * KIB)]), ValueError),
+    ("Ftl.trim_extents", "past capacity after a good extent",
+     on_ftl("trim_extents", [(0, 4 * KIB), (CAPACITY, 4 * KIB)]), ValueError),
+    ("Ftl.trim_extents", "fractional after a good extent",
+     on_ftl("trim_extents", [(0, 4 * KIB), (4 * KIB, 0.5)]), ValueError),
+    ("Ftl.trim_extents", "no extents", ftl_returns("trim_extents", []), 0),
+    # pages n-4..n-2 and n-3..n-1, all mapped: four freed, once each
+    ("Ftl.trim_extents", "overlapping extents",
+     ftl_returns("trim_extents", [(CAPACITY - 4 * PAGE, 3 * PAGE),
+                                  (CAPACITY - 3 * PAGE, 3 * PAGE)]), 4),
     ("Ftl.precondition", "NaN age_factor", on_ftl("precondition", NAN), ValueError),
     ("Ftl.precondition", "+inf age_factor", on_ftl("precondition", INF), ValueError),
     ("Ftl.precondition", "-inf age_factor", on_ftl("precondition", -INF), ValueError),
@@ -254,8 +308,13 @@ ROWS = [
     ("SimFile.read", "NaN offset", waits(wal_file, "read", NAN, 1, TAG), ValueError),
     ("SimFile.read", "size 0", waits(wal_file, "read", 0, 0, TAG), ValueError),
     ("SimFile.read", "past its end", waits(wal_file, "read", 0, 64 * KIB, TAG), ValueError),
+    ("SimFile.read", "integral float offset",
+     waits(wal_file, "read", 1024.0, 1, TAG), ValueError),
+    ("SimFile.read", "integral float size, across two extents",
+     waits(wal_file, "read", 0, 8192.0, TAG), ValueError),
     ("SimFile.read", "across two extents", waits(wal_file, "read", 0, 8 * KIB, TAG), None),
     ("SimFile.append", "2.5 bytes", waits(wal_file, "append", 2.5, TAG), ValueError),
+    ("SimFile.append", "4096.0 bytes", waits(wal_file, "append", 4096.0, TAG), ValueError),
     ("SimFile.append", "NaN bytes", waits(wal_file, "append", NAN, TAG), ValueError),
     ("SimFile.append", "0 bytes", waits(wal_file, "append", 0, TAG), ValueError),
     ("SimFile.append", "past capacity",
@@ -269,7 +328,7 @@ ENTRIES = {
 } | {f"LsmEngine.{name}" for name in ("get", "put", "delete", "scan")} | {
     "LibraScheduler.read", "LibraScheduler.write", "SimFile.read", "SimFile.append",
 } | {f"SsdDevice.{name}" for name in ("submit", "read", "write", "trim")} | {
-    "Ftl.host_write", "Ftl.precondition",
+    "Ftl.host_write", "Ftl.precondition", "Ftl.trim", "Ftl.trim_extents",
 }
 
 

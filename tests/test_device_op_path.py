@@ -27,7 +27,9 @@ spellings stay here as the references the new ones must equal:
 """
 
 import dataclasses
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -112,7 +114,7 @@ def ftl_state(ftl):
         "block_valid": ftl.block_valid.tolist(),
         "block_channel": ftl.block_channel.tolist(),
         "block_seq": ftl.block_seq.tolist(),
-        "block_pages": ftl.block_pages,  # order included
+        "block_pages": [list(log) for log in ftl.block_pages],  # order included
         "free_blocks": list(ftl.free_blocks),
         "host_cursor": ftl._host_cursor,
         "gc_cursor": ftl._gc_cursor,
@@ -194,6 +196,40 @@ def test_per_op_ftl_equals_the_page_by_page_walk(policy, seed):
             assert_same_state(ftl, ref, f"after op {i}")
     assert_same_state(ftl, ref, "at the end")
     assert ftl.emergency_gcs == 0
+
+
+def test_one_trim_call_equals_its_extents_trimmed_page_by_page():
+    """A deleted file's extents reach ``trim_extents`` in one call (a
+    WAL's one-page extents by the hundred, an SSTable's chunks), and a
+    caller may pass extents that overlap.  The one pass must free what
+    trimming the extents in order, page by page, freed, each page once;
+    rewrites between the calls keep pages mapped."""
+    ftl = Ftl(INTEL, seed=5)
+    ref = ReferenceFtl(INTEL, seed=5)
+    ftl.precondition(age_factor=1.0)
+    ref.precondition(age_factor=1.0)
+    page, pages = INTEL.page_size, INTEL.logical_pages
+    rng = random.Random(5)
+    for i in range(150):
+        extents = []
+        for _ in range(rng.choice([1, 2, 5, 40, 200])):
+            n = rng.choice([1, 1, 1, 2, 7, 64])
+            p = rng.randrange(pages - n)
+            extents.append((p * page + rng.choice([0, 0, 100]), n * page - rng.choice([0, 0, 200])))
+        if rng.random() < 0.3:
+            extents.append(rng.choice(extents))
+            p = rng.randrange(pages - 9)
+            extents += [(p * page, 6 * page), (p * page + 3 * page, 6 * page)]
+        want = sum(ref.trim(offset, size) for offset, size in extents)
+        assert ftl.trim_extents(extents) == want, f"call {i}"
+        for _ in range(8):
+            p = rng.randrange(pages - 64)
+            assert ftl.host_write(p * page, 64 * page) == ref.host_write(p * page, 64 * page)
+            while ftl.gc_needed and not ftl.gc_satisfied:
+                assert ftl.collect_victim() == ref.collect_victim(), f"GC after call {i}"
+        if i % 50 == 0:
+            assert_same_state(ftl, ref, f"after call {i}")
+    assert_same_state(ftl, ref, "at the end")
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -344,6 +380,26 @@ def test_one_page_write_plan_equals_host_writes(policy):
     assert_same_state(device.ftl, ref.ftl, "at the end")
     assert vars(device.stats) == vars(ref.stats)
     assert one_page > 2000 and victims > 0 and device.ftl.emergency_gcs == 0
+
+
+def test_a_preconditioned_ftl_retains_at_most_2_5_mib():
+    """A full-size ``intel320`` (65 536 pages, 2 048 blocks) aged at the
+    default ``age_factor=2.0`` lists 117 204 pages on its blocks' page
+    logs.  As lists of Python ints the FTL retained 5.6 MiB; as one
+    int32 ``array`` per block it retains 1.9 MiB, numpy's buffers (the
+    page map, the per-block counters) included.  The count repeats
+    exactly: nothing here depends on timing."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ftl = Ftl(get_profile("intel320"), seed=1)
+        ftl.precondition()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, ftl.block_pages)) == 117_204
+    assert retained <= 2.5 * MIB, retained / MIB
 
 
 # ---------------------------------------------------------------------------
