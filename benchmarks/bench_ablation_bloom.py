@@ -15,7 +15,7 @@ import pytest
 from repro.core import LibraScheduler, make_cost_model, reference_calibration
 from repro.engine import EngineConfig, LsmEngine
 from repro.sim import Simulator
-from repro.ssd import SimFilesystem, SsdDevice, SsdProfile
+from repro.ssd import SimFilesystem, SsdProfile, make_device
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -26,7 +26,7 @@ def run_workload(bloom_bits: int, seed: int = 23):
     profile = SsdProfile(
         name="bloom-ablate", channels=8, logical_capacity=128 * MIB, overprovision=1.0
     )
-    device = SsdDevice(sim, profile, seed=seed)
+    device = make_device(sim, profile, seed=seed)
     scheduler = LibraScheduler(
         sim, device, make_cost_model("exact", reference_calibration("intel320"))
     )

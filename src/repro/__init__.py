@@ -33,7 +33,6 @@ from .core import (
     FittedCostModel,
     InternalOp,
     IoTag,
-    LibraIo,
     LibraScheduler,
     OpKind,
     RequestClass,
@@ -62,7 +61,6 @@ __all__ = [
     "FittedCostModel",
     "InternalOp",
     "IoTag",
-    "LibraIo",
     "LibraScheduler",
     "LsmEngine",
     "NetConfig",

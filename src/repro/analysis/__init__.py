@@ -1,7 +1,7 @@
 """Metrics, time series, and text reports for the evaluation."""
 
-from .metrics import cdf_points, mmr, normalized_series, percentile, throughput_ratio
-from .report import format_cdf, format_heatmap, format_series, format_table, kops
+from .metrics import cdf_points, mmr, normalized_series, percentile
+from .report import format_cdf, format_heatmap, format_table
 from .timeseries import Series, SeriesSet
 
 __all__ = [
@@ -10,11 +10,8 @@ __all__ = [
     "cdf_points",
     "format_cdf",
     "format_heatmap",
-    "format_series",
     "format_table",
-    "kops",
     "mmr",
     "normalized_series",
     "percentile",
-    "throughput_ratio",
 ]

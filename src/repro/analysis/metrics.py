@@ -13,19 +13,11 @@ import numpy as np
 
 __all__ = [
     "mmr",
-    "throughput_ratio",
     "cdf_points",
     "percentile",
     "normalized_series",
     "slo_attainment",
 ]
-
-
-def throughput_ratio(achieved: float, expected: float) -> float:
-    """x_t = achieved / expected (0 expected -> 0)."""
-    if expected <= 0:
-        return 0.0
-    return achieved / expected
 
 
 def mmr(ratios: Iterable[float]) -> float:

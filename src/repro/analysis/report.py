@@ -10,12 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["format_table", "format_heatmap", "format_cdf", "format_series", "kops"]
-
-
-def kops(value: float) -> str:
-    """Format an op/s figure as kop/s with one decimal."""
-    return f"{value / 1e3:.1f}"
+__all__ = ["format_table", "format_heatmap", "format_cdf"]
 
 
 def format_table(
@@ -117,19 +112,3 @@ def format_cdf(
         rows.append(row)
     table = format_table(headers, rows, title=title)
     return table + f"\n(cell = {value_label} at which the CDF reaches the row's fraction)"
-
-
-def format_series(
-    times: Sequence[float],
-    columns: Dict[str, Sequence[float]],
-    title: Optional[str] = None,
-    time_label: str = "t(s)",
-    stride: int = 1,
-) -> str:
-    """Time-series table, optionally decimated by ``stride``."""
-    names = sorted(columns)
-    headers = [time_label] + names
-    rows = []
-    for i in range(0, len(times), stride):
-        rows.append([f"{times[i]:.0f}"] + [columns[n][i] for n in names])
-    return format_table(headers, rows, title=title)

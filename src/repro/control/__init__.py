@@ -1,4 +1,4 @@
-"""Elastic control plane: placement, live resharding, planning, churn.
+"""Elastic control plane: placement, live resharding, churn.
 
 The cluster below this package is a static world: a versioned
 :class:`~repro.node.router.PartitionMap` that can fail over but never
@@ -12,9 +12,6 @@ traffic is being served:
   catch-up-then-cutover (snapshot ship + WAL tail replay through the
   charged replica-apply path, then an atomic versioned map bump), and
   hot-partition splits built on the same machinery.
-- :mod:`repro.control.planner` — a load-aware planner consuming the
-  metrics/demand signals that decides when to migrate, split, or drain,
-  and re-runs Libra's reservation split after every map change.
 - :mod:`repro.control.churn` — tenant lifecycle driver (arrivals,
   departures, Zipf-distributed tenant rates) that exercises the control
   plane at 10k-tenant scale using epoch fast-forward between control
@@ -27,13 +24,10 @@ VOPs and reconciles in :class:`~repro.obs.audit.VopAudit`.
 
 from repro.control.ring import HashRing, PlacementDelta
 from repro.control.reshard import ReshardCoordinator, MigrationReport
-from repro.control.planner import ControlPlanner, ControlAction
 
 __all__ = [
     "HashRing",
     "PlacementDelta",
     "ReshardCoordinator",
     "MigrationReport",
-    "ControlPlanner",
-    "ControlAction",
 ]

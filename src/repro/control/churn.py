@@ -41,7 +41,7 @@ from ..core.tags import OpKind
 from ..core.vop import make_cost_model
 from ..experiments.common import derive_seed
 from ..sim import Simulator, SteadyStateMonitor
-from ..ssd import SsdDevice, get_profile
+from ..ssd import get_profile, make_device
 from ..workload.distributions import FixedSize
 from ..workload.hybrid import ArrivalSource, Cell, HybridDriver
 from .ring import HashRing
@@ -49,6 +49,8 @@ from .ring import HashRing
 __all__ = ["ChurnConfig", "ChurnResult", "run_churn_trial"]
 
 KIB = 1024
+#: tenant rates are Zipf-distributed: rank ``k`` runs ``base_rate/k^ZIPF_S``
+ZIPF_S = 1.1
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,8 @@ class ChurnConfig:
     #: tenant arrivals per second until the population is admitted
     arrival_rate: float = 4.0
     mean_lifetime: float = 240.0
-    #: ops/sec for the rank-1 tenant; rank ``k`` gets ``base/k^zipf_s``
+    #: ops/sec for the rank-1 tenant
     base_rate: float = 6.0
-    zipf_s: float = 1.1
     read_fraction: float = 0.8
     read_size: int = 4 * KIB
     write_size: int = 4 * KIB
@@ -169,7 +170,7 @@ def _plan(config: ChurnConfig):
         at += rng.expovariate(config.arrival_rate)
         if at >= config.horizon:
             break
-        rate = config.base_rate / (ranks[tid] ** config.zipf_s)
+        rate = config.base_rate / (ranks[tid] ** ZIPF_S)
         lifetime = rng.expovariate(1.0 / config.mean_lifetime)
         tenants.append(
             _ChurnTenant(tid, rate, at, at + lifetime, config)
@@ -205,7 +206,7 @@ class _ChurnRunner(HybridDriver):
         sched_config = SchedulerConfig(round_seconds=config.round_seconds)
         self.nodes: Dict[str, Cell] = {}
         for i in range(config.n_nodes):
-            device = SsdDevice(sim, profile, seed=derive_seed(config.seed, 0xD000 + i))
+            device = make_device(sim, profile, seed=derive_seed(config.seed, 0xD000 + i))
             scheduler = LibraScheduler(sim, device, cost_model, config=sched_config)
             monitor = SteadyStateMonitor(sim, scheduler, device, headroom=config.headroom)
             self.nodes[f"n{i}"] = Cell(f"n{i}", scheduler, device, monitor)

@@ -1,6 +1,5 @@
 """Libra core: tags, VOP cost models, DDRR scheduler, tracker, policy."""
 
-from .api import LibraIo
 from .calibration import (
     CALIBRATION_SIZES,
     CalibrationResult,
@@ -38,7 +37,6 @@ __all__ = [
     "FixedCostModel",
     "InternalOp",
     "IoTag",
-    "LibraIo",
     "LibraScheduler",
     "LinearCostModel",
     "NORMALIZED_REQUEST_BYTES",

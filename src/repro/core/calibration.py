@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
 
 from ..sim import Simulator
-from ..ssd import SsdDevice, SsdProfile, get_profile
+from ..ssd import SsdDevice, SsdProfile, get_profile, make_device
 from .tags import OpKind
 
 __all__ = [
@@ -108,17 +108,11 @@ def calibrate_device(
     """Run the full pure read/write calibration sweep for a profile.
 
     One shared device instance is used across points (like benchmarking
-    a single physical drive), so later points see an aged FTL.
-    Profiles with ``num_queues > 1`` are calibrated on the multi-queue
-    :class:`~repro.ssd.NvmeDevice`.
+    a single physical drive), so later points see an aged FTL.  The
+    device is the one the profile describes (:func:`~repro.ssd.make_device`).
     """
     sim = Simulator()
-    if profile.num_queues > 1:
-        from ..ssd.nvme import NvmeDevice
-
-        device = NvmeDevice(sim, profile, seed=seed)
-    else:
-        device = SsdDevice(sim, profile, seed=seed)
+    device = make_device(sim, profile, seed=seed)
     read_iops, write_iops = {}, {}
     for size in sizes:
         read_iops[size] = _measure(sim, device, OpKind.READ, size, duration, warmup, seed)

@@ -51,6 +51,11 @@ from .vop import CostModel
 __all__ = ["LibraScheduler", "TenantUsage", "SchedulerConfig"]
 
 _READ = OpKind.READ
+#: rounds a tenant may bank unused deficit for (burst bound)
+BURST_ROUNDS = 2.0
+#: weight floor for zero-allocation (best-effort) tenants, as a
+#: fraction of the mean positive allocation
+BEST_EFFORT_FRACTION = 0.01
 
 
 @dataclass
@@ -59,15 +64,10 @@ class SchedulerConfig:
 
     #: nominal round length, in seconds of device VOP capacity
     round_seconds: float = 0.005
-    #: rounds a tenant may bank unused deficit for (burst bound)
-    burst_rounds: float = 2.0
     #: force a new round after this many nominal round lengths
     timeout_rounds: float = 4.0
     #: ops larger than this are split into independently scheduled chunks
     chunk_size: int = 128 * 1024
-    #: weight floor for zero-allocation (best-effort) tenants, as a
-    #: fraction of the mean positive allocation
-    best_effort_fraction: float = 0.01
 
 
 @dataclass
@@ -459,7 +459,7 @@ class LibraScheduler:
         """
         positive = [s.allocation for s in self._order if s.allocation > 0]
         floor = (
-            (sum(positive) / len(positive)) * self.config.best_effort_fraction
+            (sum(positive) / len(positive)) * BEST_EFFORT_FRACTION
             if positive
             else 1.0
         )
@@ -483,9 +483,8 @@ class LibraScheduler:
         quanta = self._quanta
         if quanta is None:
             quanta = self._refresh_quanta()
-        burst = self.config.burst_rounds
         for state, quantum in zip(self._order, quanta):
-            state.deficit = min(state.deficit + quantum, quantum * burst)
+            state.deficit = min(state.deficit + quantum, quantum * BURST_ROUNDS)
 
     def _timeout_loop(self):
         """Advance rounds stuck behind very slow tenants (bounded delay)."""
@@ -563,7 +562,7 @@ class LibraScheduler:
         # free of behavior change there.
         ctx = (tag.trace, tag.tenant)
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             now = self.sim.now
             tr.span(
                 "queue", "sched", "libra", tag.tenant,
@@ -584,7 +583,7 @@ class LibraScheduler:
         tag = chunk.tag
         kind = chunk.kind
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.span(
                 "service", "sched", "libra", tag.tenant,
                 chunk.t_mark, self.sim.now, trace=tag.trace,

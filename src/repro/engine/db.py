@@ -43,6 +43,15 @@ __all__ = ["EngineConfig", "EngineStats", "LsmEngine"]
 
 KIB = 1024
 MIB = 1024 * 1024
+#: writers stop until compaction catches up at this many L0 files
+#: (LevelDB's kL0_StopWritesTrigger)
+L0_STOP = 12
+#: per-record WAL framing overhead (key + header)
+RECORD_OVERHEAD = 24
+#: initial backoff before retrying a FLUSH/COMPACT that hit a device
+#: fault (doubles per attempt; background work must outlast transient
+#: fault windows rather than die)
+FAULT_RETRY_BACKOFF = 0.05
 
 
 @dataclass(frozen=True)
@@ -52,17 +61,12 @@ class EngineConfig:
 
     memtable_bytes: int = 2 * MIB
     l0_trigger: int = 4
-    #: writers stop until compaction catches up at this many L0 files
-    #: (LevelDB's kL0_StopWritesTrigger)
-    l0_stop: int = 12
     level1_bytes: int = 8 * MIB
     level_ratio: int = 8
     max_levels: int = 5
     max_output_file_bytes: int = 2 * MIB
     #: sequential IO chunk for FLUSH writes and COMPACT reads/writes
     io_chunk: int = 256 * KIB
-    #: per-record WAL framing overhead (key + header)
-    record_overhead: int = 24
     #: tables whose index blocks stay cached in memory (LevelDB's table
     #: cache / max_open_files).  A GET pays an index-block read only on
     #: the first probe of an uncached table — so write-heavy workloads,
@@ -77,10 +81,6 @@ class EngineConfig:
     #: re-reads the engine attempts when a checksummed block read comes
     #: back corrupt, before surfacing the CorruptionError
     read_retries: int = 2
-    #: initial backoff before retrying a FLUSH/COMPACT that hit a
-    #: device fault (doubles per attempt; background work must outlast
-    #: transient fault windows rather than die)
-    fault_retry_backoff: float = 0.05
 
 
 @dataclass
@@ -311,7 +311,7 @@ class LsmEngine:
         installed, ``span`` names the recorded interval (retries included).
         """
         tr = self.tracer
-        t0 = self.sim.now if tr is not None and tr.enabled else 0.0
+        t0 = self.sim.now if tr is not None else 0.0
         attempts = 0
         while True:
             if failed is None:
@@ -320,7 +320,7 @@ class LsmEngine:
                     return
                 try:
                     yield event
-                    if tr is not None and tr.enabled:
+                    if tr is not None:
                         tr.span(
                             span, "engine", f"engine.{self.tenant}", tag.request.value,
                             t0, self.sim.now, trace=tag.trace,
@@ -371,15 +371,15 @@ class LsmEngine:
         # with the previous one still flushing, or when L0 is so deep
         # that compaction must catch up first (kL0_StopWritesTrigger).
         while (self.memtable.full and self.immutable is not None) or (
-            len(self.version.levels[0]) >= self.config.l0_stop
+            len(self.version.levels[0]) >= L0_STOP
         ):
             self.stats.put_stalls += 1
-            if len(self.version.levels[0]) >= self.config.l0_stop:
+            if len(self.version.levels[0]) >= L0_STOP:
                 self._maybe_compact()
                 yield self._compact_done
             else:
                 yield self._flush_done
-        record = max(size, 0) + self.config.record_overhead
+        record = max(size, 0) + RECORD_OVERHEAD
         yield self._wal.append(record, tag, record=(key, size))
         self._sequence += 1
         self.memtable.put(key, size, self._sequence)
@@ -411,7 +411,7 @@ class LsmEngine:
     def _flush(self, memtable: Memtable, old_wal: Wal, trigger_trace=None):
         tag = IoTag(self.tenant, RequestClass.PUT, InternalOp.FLUSH, trigger_trace)
         t0 = self.sim.now
-        delay = self.config.fault_retry_backoff
+        delay = FAULT_RETRY_BACKOFF
         while True:
             # A faulted build cleans up its partial file; the retry
             # rebuilds from the memtable's entries again.
@@ -438,7 +438,7 @@ class LsmEngine:
         if self.tracker is not None:
             self.tracker.note_internal_op(self.tenant, InternalOp.FLUSH)
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.span(
                 "flush", "engine", f"engine.{self.tenant}", "flush",
                 t0, self.sim.now, trace=trigger_trace,
@@ -561,7 +561,7 @@ class LsmEngine:
         finally:
             self._compacting = False
             tr = self.tracer
-            if tr is not None and tr.enabled:
+            if tr is not None:
                 tr.span(
                     "compact", "engine", f"engine.{self.tenant}", "compact",
                     t0, self.sim.now,
@@ -583,7 +583,7 @@ class LsmEngine:
 
     def _compact_retry_later(self):
         """Re-attempt compaction after a faulted job backed off."""
-        yield self.sim.timeout(self.config.fault_retry_backoff)
+        yield self.sim.timeout(FAULT_RETRY_BACKOFF)
         self._maybe_compact()
 
     def _next_file_name(self) -> str:

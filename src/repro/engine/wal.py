@@ -149,7 +149,7 @@ class Wal:
                 raise write._value
             batch, self._inflight = self._inflight, []
             tr = self.tracer
-            if tr is not None and tr.enabled:
+            if tr is not None:
                 # Group-commit attribution is approximate: the batch
                 # serves every waiter but carries the tag (and trace id)
                 # of the append that armed the commit.
@@ -188,7 +188,7 @@ class Wal:
         self._write_bytes = total
         self.batches += 1
         tr = self.tracer
-        self._t0 = self.sim.now if tr is not None and tr.enabled else 0.0
+        self._t0 = self.sim.now if tr is not None else 0.0
         try:
             write = self.file.append(total, tag=self._tag)
         except OutOfSpace as exc:

@@ -37,7 +37,7 @@ shrinks the grid to 4 cells for CI.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..analysis.metrics import mmr
 from ..analysis.report import format_table
@@ -46,11 +46,12 @@ from ..core.vop import make_cost_model
 from ..ssd import get_profile
 from ..workload.epoch import EpochTenantSpec, run_epoch_trial
 from ..workload.iobench import DeviceEnv, run_interference_trial
-from .common import KIB, MIB, derive_seed, parallel_map
+from .common import KIB, derive_seed, parallel_map
 
 __all__ = ["run", "render", "DeviceFigResult"]
 
-#: (label, queue count) — 0 queues = the SATA SsdDevice
+#: (label, queue count) — 0 keeps the base (SATA) profile.  ``make_device``
+#: builds one queue as the SATA model, bit-identical to a one-queue NvmeDevice.
 DEVICES: Tuple[Tuple[str, int], ...] = (
     ("sata", 0), ("nvme x1", 1), ("nvme x4", 4), ("nvme x8", 8),
 )
@@ -119,10 +120,7 @@ def _cell(args) -> Dict[str, float]:
     """
     profile_name, queues, policy, op, index, duration, warmup, seed = args
     profile = _cell_profile(profile_name, queues, policy, op)
-    env = DeviceEnv(
-        profile, seed=derive_seed(seed, index),
-        device="nvme" if queues else "ssd",
-    )
+    env = DeviceEnv(profile, seed=derive_seed(seed, index))
     read_trial = run_interference_trial(
         profile, read_size=READ_SIZE, write_size=WRITE_SIZE,
         read_fraction=1.0, duration=duration, warmup=warmup, seed=seed,
@@ -163,7 +161,7 @@ def _audit_leg(profile_name: str, cell, duration: float, seed: int):
     profile = _cell_profile(profile_name, queues, policy, op)
     cost_model = make_cost_model("exact", reference_calibration(profile.name))
     audit = VopAudit(cost_model)
-    env = DeviceEnv(profile, seed=seed, device="nvme")
+    env = DeviceEnv(profile, seed=seed)
     run_interference_trial(
         profile, read_size=READ_SIZE, write_size=WRITE_SIZE,
         read_fraction=None, duration=duration, warmup=0.05, seed=seed,
@@ -188,12 +186,10 @@ def _ff_leg(profile_name: str, cell, horizon: float, seed: int):
         for i in range(4)
     ]
     des = run_epoch_trial(
-        profile, specs, horizon, seed=seed, fast_forward=False,
-        audit=True, device="nvme",
+        profile, specs, horizon, seed=seed, fast_forward=False, audit=True,
     )
     ff = run_epoch_trial(
-        profile, specs, horizon, seed=seed, fast_forward=True,
-        audit=True, device="nvme",
+        profile, specs, horizon, seed=seed, fast_forward=True, audit=True,
     )
     agree = {
         "tasks": des.total_tasks == ff.total_tasks,

@@ -133,22 +133,24 @@ def _loaded_scenarios(profile_name: str):
             for i in range(4)
         ]
 
+    # (name, specs, NVMe queue count or None for the base profile).  One
+    # queue runs on the SATA model (``make_device``), bit-identical to the
+    # NVMe model by its degeneration guarantee.
     return [
-        ("loaded-read", specs(0.75, 1.0), "ssd"),
-        ("loaded-mixed", specs(0.65, 0.9), "ssd"),
-        ("loaded-nvme", specs(0.75, 1.0), "nvme"),
+        ("loaded-read", specs(0.75, 1.0), None),
+        ("loaded-mixed", specs(0.65, 0.9), None),
+        ("loaded-nvme", specs(0.75, 1.0), 1),
     ]
 
 
-def _run_scenario(profile, name, specs, horizon, changes, seed,
-                  device: str = "ssd") -> ScenarioRow:
+def _run_scenario(profile, name, specs, horizon, changes, seed) -> ScenarioRow:
     des = run_epoch_trial(
         profile, specs, horizon=horizon, seed=seed,
-        fast_forward=False, rate_changes=changes, audit=True, device=device,
+        fast_forward=False, rate_changes=changes, audit=True,
     )
     ff = run_epoch_trial(
         profile, specs, horizon=horizon, seed=seed,
-        fast_forward=True, rate_changes=changes, audit=True, device=device,
+        fast_forward=True, rate_changes=changes, audit=True,
     )
     return ScenarioRow(
         name=name,
@@ -183,8 +185,11 @@ def run(
         for name, specs, h, changes in _scenarios(profile_name, horizon)
     ]
     loaded = [
-        _run_scenario(profile, name, specs, horizon, (), seed, device=device)
-        for name, specs, device in _loaded_scenarios(profile_name)
+        _run_scenario(
+            profile if queues is None else profile.with_queues(queues),
+            name, specs, horizon, (), seed,
+        )
+        for name, specs, queues in _loaded_scenarios(profile_name)
     ]
     return EpochFigResult(
         profile=profile_name,

@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 from ..analysis.report import format_table
 from ..core.tags import OpKind
 from ..sim import Simulator
-from ..ssd import SsdDevice, get_profile
+from ..ssd import get_profile, make_device
 from .common import mode_for, size_label
 
 __all__ = ["run", "render"]
@@ -81,7 +81,7 @@ def run(
     mode = mode_for(quick)
     profile = get_profile(profile_name)
     sim = Simulator()
-    device = SsdDevice(sim, profile, seed=seed)
+    device = make_device(sim, profile, seed=seed)
     points = {}
     for kind in (OpKind.READ, OpKind.WRITE):
         for access, sequential in (("rand", False), ("seq", True)):

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis.report import format_table
 from ..core.policy import Reservation

@@ -36,6 +36,8 @@ __all__ = ["AntiEntropyService"]
 
 #: wire bytes of one digest reply entry (bucket hash vector slot)
 DIGEST_ENTRY_BYTES = 8
+#: Merkle-style digest buckets per (tenant, partition) key range
+DIGEST_BUCKETS = 16
 
 
 class AntiEntropyService:
@@ -48,7 +50,6 @@ class AntiEntropyService:
         self.partition_map = service.partition_map
         self.membership = service.membership
         self.interval = self.config.anti_entropy_interval
-        self.buckets = self.config.anti_entropy_buckets
         #: per-(tenant, pid) round-robin cursor over peer replicas
         self._turn: Dict[Tuple[str, int], int] = {}
         self._stopped = False
@@ -118,7 +119,7 @@ class AntiEntropyService:
         svc = self.service
         partitions = self.partition_map.partitions_per_tenant
         my_root, my_buckets = svc.versions.digest(
-            tenant, pid, partitions, self.buckets
+            tenant, pid, partitions, DIGEST_BUCKETS
         )
         reply = yield from svc.rpc.call(
             peer, "ae.digest", {"tenant": tenant, "pid": pid}, ACK_BYTES,
@@ -145,7 +146,7 @@ class AntiEntropyService:
             mine_keys = [
                 key
                 for key in svc.versions.keys_in(tenant, pid, partitions)
-                if key % self.buckets == bucket
+                if key % DIGEST_BUCKETS == bucket
             ]
             for key in sorted(set(mine_keys) | set(theirs)):
                 held = svc.versions.get(tenant, key)
@@ -168,7 +169,7 @@ class AntiEntropyService:
     def _handle_digest(self, payload):
         tenant, pid = payload["tenant"], payload["pid"]
         root, buckets = self.service.versions.digest(
-            tenant, pid, self.partition_map.partitions_per_tenant, self.buckets
+            tenant, pid, self.partition_map.partitions_per_tenant, DIGEST_BUCKETS
         )
         reply_bytes = ACK_BYTES + DIGEST_ENTRY_BYTES * len(buckets)
         return {"root": root, "buckets": list(buckets)}, reply_bytes
@@ -183,7 +184,7 @@ class AntiEntropyService:
             for key in svc.versions.keys_in(
                 tenant, pid, self.partition_map.partitions_per_tenant
             )
-            if key % self.buckets == bucket
+            if key % DIGEST_BUCKETS == bucket
         ]
         reply_bytes = ACK_BYTES + DIGEST_ENTRY_BYTES * 8 * max(len(entries), 1)
         return {"entries": entries}, reply_bytes

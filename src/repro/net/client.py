@@ -84,7 +84,7 @@ class ClusterClient:
         #: tenant -> (RequestStats, LatencyRecorder), from its first answer
         self._books: Dict[str, tuple] = {}
 
-    # -- resolution (the Router contract, client-side) ---------------------
+    # -- resolution (the cluster's one route cache) ------------------------
 
     def resolve(self, tenant: str, key: int) -> str:
         """The key's primary, via a map-version-aware cache."""
@@ -128,7 +128,7 @@ class ClusterClient:
         """
         started = self.sim.now
         tr = self.tracer
-        trace = tr.new_trace() if tr is not None and tr.enabled else None
+        trace = tr.new_trace() if tr is not None else None
         payload = {"tenant": tenant, "key": key}
         if trace is not None:
             payload["trace"] = trace
@@ -156,7 +156,7 @@ class ClusterClient:
         """
         started = self.sim.now
         tr = self.tracer
-        trace = tr.new_trace() if tr is not None and tr.enabled else None
+        trace = tr.new_trace() if tr is not None else None
         if self._leaderless:
             payload = {"tenant": tenant, "key": key, "size": size, "op": "put"}
         else:
@@ -175,7 +175,7 @@ class ClusterClient:
     def delete(self, tenant: str, key: int):
         started = self.sim.now
         tr = self.tracer
-        trace = tr.new_trace() if tr is not None and tr.enabled else None
+        trace = tr.new_trace() if tr is not None else None
         if self._leaderless:
             payload = {"tenant": tenant, "key": key, "size": 0, "op": "delete"}
         else:
@@ -330,7 +330,7 @@ class ClusterClient:
         books[0].note(kind, size)
         books[1].record(kind, self.sim.now - started)
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.span(
                 kind, "client", self.rpc.name, tenant, started, self.sim.now,
                 trace=trace, args={"bytes": size},

@@ -23,12 +23,15 @@ the fabric, is what tells the rest of the cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..faults import FaultPlan, NetFaultInjector
 from ..sim import Simulator
 
-__all__ = ["NetConfig", "LinkStats", "Nic", "NetworkFabric"]
+__all__ = ["MESSAGE_OVERHEAD", "NetConfig", "LinkStats", "Nic", "NetworkFabric"]
+
+#: framing/header bytes added to every message's serialization cost
+MESSAGE_OVERHEAD = 256
 
 
 @dataclass(frozen=True)
@@ -44,8 +47,6 @@ class NetConfig:
     nic_bandwidth: float = 1.25e9
     #: one-way propagation + switching latency per message, seconds
     link_latency: float = 100e-6
-    #: framing/header bytes added to every message's serialization cost
-    message_overhead: int = 256
     # -- replication -------------------------------------------------------
     #: replication factor: replicas per partition (1 = no replication)
     rf: int = 1
@@ -68,15 +69,6 @@ class NetConfig:
     #: seconds between per-node anti-entropy digest exchanges
     #: (0 disables the background service)
     anti_entropy_interval: float = 2.0
-    #: Merkle-style digest buckets per (tenant, partition) key range
-    anti_entropy_buckets: int = 16
-    #: application conflict resolver for concurrent leaderless siblings:
-    #: called at the read edge with the surviving sibling sizes and
-    #: returns the merged value's size (e.g. a shopping-cart union).
-    #: The coordinator writes the merged value back with a clock that
-    #: dominates every sibling, so the conflict set collapses cluster
-    #: wide.  None keeps the default last-writer-wins tiebreak.
-    merge_fn: Optional[Callable[[List[int]], int]] = None
     # -- RPC budgets (mirroring NodeConfig's device-fault budgets) ---------
     #: per-attempt response budget, seconds
     rpc_timeout: float = 0.25
@@ -122,8 +114,6 @@ class NetConfig:
             raise ValueError("hint_interval must be positive")
         if self.anti_entropy_interval < 0:
             raise ValueError("anti_entropy_interval must be >= 0")
-        if self.anti_entropy_buckets < 1:
-            raise ValueError("anti_entropy_buckets must be >= 1")
 
     @property
     def leaderless(self) -> bool:
@@ -196,7 +186,6 @@ class NetworkFabric:
         #: per-link context: src -> dst -> (LinkStats, source Nic),
         #: resolved on a link's first message
         self._links: Dict[str, Dict[str, Tuple[LinkStats, Nic]]] = {}
-        self._overhead = self.config.message_overhead
         self._latency = self.config.link_latency
         self.injector = (
             NetFaultInjector(self.config.fault_plan)
@@ -237,7 +226,7 @@ class NetworkFabric:
             link = self._open_link(src, dst)
         stats, nic = link
         now = self.sim.now
-        wire_bytes = nbytes + self._overhead
+        wire_bytes = nbytes + MESSAGE_OVERHEAD
         # Occupy the source NIC: service starts once it is free.
         start = nic.next_free if nic.next_free > now else now
         done_at = nic.next_free = start + wire_bytes / nic.bandwidth

@@ -52,7 +52,7 @@ from ..node.server import StorageNode
 from ..sim import Simulator
 from .fabric import NetConfig, NetworkFabric
 from .rpc import ACK_BYTES, RpcEndpoint
-from .versioning import VectorClock, Version, VersionStore, reconcile
+from .versioning import Version, VersionStore, reconcile
 
 __all__ = ["Membership", "KvService"]
 
@@ -247,8 +247,6 @@ class KvService:
         self.ae_received = 0
         #: quorum reads that surfaced >1 concurrent sibling
         self.sibling_reads = 0
-        #: sibling sets collapsed by the application's ``merge_fn``
-        self.sibling_merges = 0
         self._lseq = 0
         self._handoff_stopped = False
         if self.config.leaderless:
@@ -846,12 +844,6 @@ class KvService:
             return {"size": local_size, "siblings": 0}, (local_size or ACK_BYTES)
         if len(survivors) > 1:
             self.sibling_reads += 1
-            merged = self._merge_siblings(tenant, key, survivors)
-            if merged is not None:
-                # The merged value supersedes the whole conflict set:
-                # the repair fan-out below installs it everywhere a
-                # reply came from, collapsing the siblings cluster-wide.
-                winner, survivors = merged, [merged]
         for name in sorted(replies):
             _size, held = replies[name]
             for version in survivors:
@@ -872,33 +864,6 @@ class KvService:
                     )
         size = None if winner.tombstone else winner.size
         return {"size": size, "siblings": len(survivors)}, (size or ACK_BYTES)
-
-    def _merge_siblings(self, tenant, key, survivors):
-        """Collapse concurrent siblings through the application's
-        ``merge_fn`` (shopping-cart style semantic resolution).
-
-        Returns the merged :class:`Version`, or ``None`` when no
-        resolver is configured or a tombstone is in the conflict set
-        (delete-vs-put stays on the last-writer-wins tiebreak).  The
-        merged version's clock is the pointwise maximum of every
-        sibling's, bumped at this coordinator — it causally dominates
-        the entire set, so replicas drop the siblings on apply.
-        """
-        merge_fn = self.config.merge_fn
-        if merge_fn is None or any(v.tombstone for v in survivors):
-            return None
-        merged_size = int(merge_fn([v.size for v in survivors]))
-        clock = VectorClock()
-        for version in survivors:
-            clock = clock.merge(version.clock)
-        self._lseq += 1
-        self.sibling_merges += 1
-        return Version(
-            clock=clock.bump(self.node.name),
-            size=merged_size,
-            op="put",
-            stamp=(self.sim.now, self.node.name, self._lseq),
-        )
 
     def _read_one_replica(
         self, target, tenant, key, replies, state, need, total, quorum, trace=None

@@ -291,7 +291,7 @@ class RpcEndpoint:
             )
         self.stats.round_trips += 1
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.span(
                 f"rpc.{method}", "net", self.name, target,
                 started, self.sim.now, trace=trace,
@@ -366,7 +366,7 @@ class RpcEndpoint:
         recording the ``serve.<method>`` span from ``started`` when
         tracing — what a serve process does after its handler returns."""
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.span(
                 f"serve.{request.method}", "net", self.name, request.src,
                 started, self.sim.now, trace=request.trace,

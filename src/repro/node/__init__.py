@@ -1,8 +1,8 @@
-"""Storage node stack: server, cache, tenants, cluster, router."""
+"""Storage node stack: server, cache, tenants, cluster, partition map."""
 
 from .cache import ObjectCache
 from .cluster import StorageCluster
-from .router import PartitionMap, Router
+from .router import PartitionMap
 from .server import NodeConfig, StorageNode
 from .tenant import LatencyRecorder, RequestStats, TenantDescriptor
 
@@ -12,7 +12,6 @@ __all__ = [
     "ObjectCache",
     "PartitionMap",
     "RequestStats",
-    "Router",
     "StorageCluster",
     "StorageNode",
     "TenantDescriptor",

@@ -7,15 +7,15 @@ partitions hosted there, and collects the overflow notifications Libra
 emits when a node's reservations exceed its provisionable capacity —
 the signal a real deployment would use to migrate partitions.
 
-With a :class:`~repro.net.NetConfig` the cluster additionally assembles
-the network substrate from :mod:`repro.net`: a shared fabric, one
-:class:`~repro.net.KvService` RPC endpoint per node, primary-backup
+The cluster also assembles the network substrate from :mod:`repro.net`
+that its :class:`~repro.net.NetConfig` describes (by default, rf=1): a
+shared fabric, one :class:`~repro.net.KvService` RPC endpoint per node,
 replication at the configured factor, and a heartbeat failure detector
 that promotes backups (and re-splits reservations) when a node dies.
+Clients reach the nodes only over that fabric (:meth:`make_client`).
 Replicated writes consume VOPs on every replica, so the reservation
 split weights PUTs by *replica* share — provisioned write capacity is
 paid ``rf`` times, exactly as Libra's demand estimates will observe it.
-Without a ``net`` config the legacy zero-cost direct path is unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from ..core.policy import OverflowReport, Reservation
 from ..engine import EngineConfig
 from ..sim import Simulator
 from ..ssd import SsdProfile
-from .router import PartitionMap, Router
+from .router import PartitionMap
 from .server import NodeConfig, StorageNode
 from .tenant import RequestStats
 
@@ -34,7 +34,7 @@ __all__ = ["StorageCluster"]
 
 
 class StorageCluster:
-    """A set of storage nodes plus routing and reservation splitting."""
+    """A set of storage nodes plus placement and reservation splitting."""
 
     def __init__(
         self,
@@ -63,62 +63,55 @@ class StorageCluster:
         for _ in range(n_nodes):
             self._new_node()
         self.partition_map = PartitionMap(partitions_per_tenant)
-        self.router = Router(self.nodes, self.partition_map)
         self._global_reservations: Dict[str, Reservation] = {}
         # -- optional control plane (repro.control) ------------------------
         #: consistent-hash ring; created by :meth:`enable_control`
         self.ring = None
         self._key_space = 0
         self._reshard = None
-        # -- optional network substrate (repro.net) ------------------------
-        self.net = net
-        self.fabric = None
-        self.membership = None
-        self.services = {}
-        self.anti_entropy = {}
-        self.detector = None
-        self.heartbeats = {}
-        self._clients = 0
-        if net is not None:
-            from ..net import (
-                AntiEntropyService,
-                FailureDetector,
-                HeartbeatService,
-                KvService,
-                Membership,
-                NetworkFabric,
-            )
+        # -- network substrate (repro.net) ---------------------------------
+        from ..net import (
+            AntiEntropyService,
+            FailureDetector,
+            HeartbeatService,
+            KvService,
+            Membership,
+            NetConfig,
+            NetworkFabric,
+        )
 
-            self.fabric = NetworkFabric(sim, net)
-            self.membership = Membership(self.nodes)
-            self.services = {
-                name: KvService(
-                    sim, node, self.fabric, self.partition_map, self.membership,
-                    config=net,
-                )
-                for name, node in self.nodes.items()
-            }
-            if net.leaderless:
-                self.anti_entropy = {
-                    name: AntiEntropyService(sim, service)
-                    for name, service in self.services.items()
-                }
-            self.detector = FailureDetector(
-                sim,
-                self.fabric,
-                self.partition_map,
-                self.membership,
-                self.services,
+        self.net = net = NetConfig() if net is None else net
+        self._clients = 0
+        self.fabric = NetworkFabric(sim, net)
+        self.membership = Membership(self.nodes)
+        self.services = {
+            name: KvService(
+                sim, node, self.fabric, self.partition_map, self.membership,
                 config=net,
-                on_failover=self._on_failover,
             )
-            self.heartbeats = {
-                name: HeartbeatService(
-                    sim, service.rpc, self.detector.endpoint.name,
-                    net.heartbeat_interval,
-                )
-                for name, service in self.services.items()
-            }
+            for name, node in self.nodes.items()
+        }
+        self.anti_entropy = {
+            name: AntiEntropyService(sim, service)
+            for name, service in self.services.items()
+            if net.leaderless
+        }
+        self.detector = FailureDetector(
+            sim,
+            self.fabric,
+            self.partition_map,
+            self.membership,
+            self.services,
+            config=net,
+            on_failover=self._on_failover,
+        )
+        self.heartbeats = {
+            name: HeartbeatService(
+                sim, service.rpc, self.detector.endpoint.name,
+                net.heartbeat_interval,
+            )
+            for name, service in self.services.items()
+        }
 
     def _new_node(self, name: Optional[str] = None) -> str:
         """Construct the next StorageNode (no net wiring)."""
@@ -140,8 +133,8 @@ class StorageCluster:
 
     @property
     def rf(self) -> int:
-        """The cluster's replication factor (1 without a net config)."""
-        return self.net.rf if self.net is not None else 1
+        """The cluster's replication factor."""
+        return self.net.rf
 
     # -- control plane (repro.control) -------------------------------------
 
@@ -162,16 +155,9 @@ class StorageCluster:
         ``[0, key_space)`` whose replica sets the ring picks, and
         :meth:`grow`/:meth:`drain_node` keep them balanced with
         minimal-movement migrations.  Existing mod-hash tenants are
-        untouched.
-
-        Requires the net layer: live migration ships snapshots and WAL
-        tails over each node's ``KvService``.
+        untouched.  Live migration ships snapshots and WAL tails over
+        each node's ``KvService``.
         """
-        if self.net is None:
-            raise ValueError(
-                "the control plane needs the net layer; construct the "
-                "cluster with net=NetConfig(...)"
-            )
         from ..control.ring import HashRing
 
         self.ring = HashRing(list(self.nodes), vnodes=vnodes)
@@ -205,9 +191,7 @@ class StorageCluster:
             if local is None:
                 continue
             node.add_tenant(tenant, local, engine_config=engine_config)
-            service = self.services.get(name)
-            if service is not None:
-                service.watch_tenant(tenant)
+            self.services[name].watch_tenant(tenant)
 
     def ensure_tenant(self, name: str, tenant: str) -> None:
         """Register a tenant on a node ahead of a migration (zero
@@ -216,33 +200,30 @@ class StorageCluster:
         if tenant in node.tenants:
             return
         node.add_tenant(tenant, Reservation())
-        service = self.services.get(name)
-        if service is not None:
-            service.watch_tenant(tenant)
+        self.services[name].watch_tenant(tenant)
 
     def add_node(self, name: Optional[str] = None) -> str:
         """Provision one node: engine stack plus full net wiring.
 
         Pure state change (no DES time passes); data only moves once
-        :meth:`grow` or the planner migrates partitions onto it.
+        :meth:`grow` or a migration moves partitions onto it.
         """
-        name = self._new_node(name)
-        if self.net is not None:
-            from ..net import AntiEntropyService, HeartbeatService, KvService
+        from ..net import AntiEntropyService, HeartbeatService, KvService
 
-            service = KvService(
-                self.sim, self.nodes[name], self.fabric, self.partition_map,
-                self.membership, config=self.net,
-            )
-            self.services[name] = service
-            self.membership.add(name)
-            self.detector.watch(name)
-            self.heartbeats[name] = HeartbeatService(
-                self.sim, service.rpc, self.detector.endpoint.name,
-                self.net.heartbeat_interval,
-            )
-            if self.net.leaderless:
-                self.anti_entropy[name] = AntiEntropyService(self.sim, service)
+        name = self._new_node(name)
+        service = KvService(
+            self.sim, self.nodes[name], self.fabric, self.partition_map,
+            self.membership, config=self.net,
+        )
+        self.services[name] = service
+        self.membership.add(name)
+        self.detector.watch(name)
+        self.heartbeats[name] = HeartbeatService(
+            self.sim, service.rpc, self.detector.endpoint.name,
+            self.net.heartbeat_interval,
+        )
+        if self.net.leaderless:
+            self.anti_entropy[name] = AntiEntropyService(self.sim, service)
         return name
 
     def grow(self, name: Optional[str] = None):
@@ -313,10 +294,8 @@ class StorageCluster:
         heartbeat = self.heartbeats.pop(name, None)
         if heartbeat is not None:
             heartbeat.stop()
-        if self.detector is not None:
-            self.detector.unwatch(name)
-        if self.membership is not None:
-            self.membership.remove(name)
+        self.detector.unwatch(name)
+        self.membership.remove(name)
         ae = self.anti_entropy.pop(name, None)
         if ae is not None:
             ae.stop()
@@ -367,9 +346,7 @@ class StorageCluster:
             if local is None:
                 continue
             node.add_tenant(tenant, local, engine_config=engine_config)
-            service = self.services.get(name)
-            if service is not None:
-                service.watch_tenant(tenant)
+            self.services[name].watch_tenant(tenant)
 
     def _local_reservation(self, tenant: str, name: str) -> Optional[Reservation]:
         """The tenant's reservation share on one node; None if unhosted.
@@ -395,8 +372,8 @@ class StorageCluster:
         if replica_share == 0:
             return None
         reservation = self._global_reservations[tenant]
-        if self.net is not None and self.net.leaderless:
-            rf = max(self.rf, 1)
+        if self.net.leaderless:
+            rf = self.rf
             read_share = min(self.net.effective_read_quorum, rf) / rf
             return Reservation(
                 gets=reservation.gets * replica_share * read_share,
@@ -409,8 +386,6 @@ class StorageCluster:
 
     def make_client(self, name: Optional[str] = None):
         """A new :class:`~repro.net.ClusterClient` on the fabric."""
-        if self.net is None:
-            raise RuntimeError("cluster was built without a net config")
         from ..net import ClusterClient
 
         if name is None:
@@ -427,14 +402,13 @@ class StorageCluster:
     def kill_node(self, name: str) -> None:
         """Fail a node mid-run: machine loss, silent on the network.
 
-        The failure detector (if a fabric is wired) notices the missing
-        heartbeats, promotes backups for every partition the node led,
-        and re-splits the affected tenants' reservations.
+        The failure detector notices the missing heartbeats, promotes
+        backups for every partition the node led, and re-splits the
+        affected tenants' reservations.
         """
         node = self.nodes[name]
         node.fail()
-        if self.fabric is not None:
-            self.fabric.set_down(name)
+        self.fabric.set_down(name)
         heartbeat = self.heartbeats.get(name)
         if heartbeat is not None:
             heartbeat.stop()
@@ -459,18 +433,6 @@ class StorageCluster:
             local = self._local_reservation(tenant, name)
             if local is not None:
                 node.set_reservation(tenant, local)
-
-    # -- client API ----------------------------------------------------------------
-
-    def get(self, tenant: str, key: int):
-        """Route a GET to the owning node (drive with ``yield from``)."""
-        return self.router.get(tenant, key)
-
-    def put(self, tenant: str, key: int, size: int):
-        return self.router.put(tenant, key, size)
-
-    def delete(self, tenant: str, key: int):
-        return self.router.delete(tenant, key)
 
     # -- reservation redistribution (the §2.1 higher-level policy) ---------------------
 
@@ -559,9 +521,7 @@ class StorageCluster:
                 target_node = self.nodes[target]
                 if tenant not in target_node.tenants:
                     target_node.add_tenant(tenant, Reservation())
-                    service = self.services.get(target)
-                    if service is not None:
-                        service.watch_tenant(tenant)
+                    self.services[target].watch_tenant(tenant)
                 current = target_node.policy.reservation(tenant)
                 target_node.set_reservation(
                     tenant,
@@ -598,16 +558,6 @@ class StorageCluster:
             return None
         return max(candidates, key=lambda name: budgets[name] - totals[name])
 
-    def start_auto_rebalance(self, interval: float = 5.0) -> None:
-        """Run ``redistribute_reservations`` periodically."""
-
-        def loop():
-            while True:
-                yield self.sim.timeout(interval)
-                self.redistribute_reservations()
-
-        self.sim.process(loop(), name="cluster.rebalance")
-
     # -- aggregation ------------------------------------------------------------------
 
     def total_stats(self, tenant: str) -> RequestStats:
@@ -625,7 +575,7 @@ class StorageCluster:
         return total
 
     def durable_record_counts(self, tenant: str) -> Dict[str, int]:
-        """Per-node durable WAL record counts for a tenant (net mode).
+        """Per-node durable WAL record counts for a tenant.
 
         Fed by the WAL commit hook; the cluster-wide sum versus acked
         client writes is the replication write amplification.
@@ -665,7 +615,6 @@ class StorageCluster:
             service.stop()
         for ae in self.anti_entropy.values():
             ae.stop()
-        if self.detector is not None:
-            self.detector.stop()
+        self.detector.stop()
         for node in self.nodes.values():
             node.stop()

@@ -1,14 +1,13 @@
-"""Partitioning and request routing (the left side of Figure 1).
+"""Partitioning (the left side of Figure 1).
 
 Tenant keyspaces are split into fixed partitions mapped onto storage
-nodes.  The router is the client-side component that sends each request
-to the node owning its partition.  The paper delegates dynamic
+nodes; the cluster client (:class:`~repro.net.ClusterClient`) sends each
+request to the node owning its partition.  The paper delegates dynamic
 placement and weight distribution to Pisces and focuses on the per-node
 mechanism; this layer adds just enough of the system-wide substrate to
-run multi-node experiments: replica sets per partition (primary first),
-a monotonically increasing map version so clients can detect stale
-owner resolutions after a failover, and a per-version resolution cache
-on the router.
+run multi-node experiments: replica sets per partition (primary first)
+and a monotonically increasing map version, so clients can detect stale
+owner resolutions after a failover.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Partition", "PartitionMap", "Router"]
+__all__ = ["Partition", "PartitionMap"]
 
 
 @dataclass(frozen=True)
@@ -344,46 +343,3 @@ class PartitionMap:
             tenant, index, reordered, lo=partition.lo, hi=partition.hi
         )
         self.version += 1
-
-
-class Router:
-    """Routes (tenant, key) requests to the owning node's API.
-
-    Owner resolutions are cached per map version: a failover bumps the
-    version, invalidating every cached (tenant, partition) → primary
-    entry, which is the "re-resolve stale owners" contract the cluster
-    client relies on.
-    """
-
-    def __init__(self, nodes: Dict[str, "StorageNode"], partition_map: PartitionMap):  # noqa: F821
-        self.nodes = nodes
-        self.partition_map = partition_map
-        self._version_seen = -1
-        self._primary_cache: Dict[Tuple[str, int], str] = {}
-
-    def resolve(self, tenant: str, key: int) -> str:
-        """The key's primary node name, via the version-aware cache."""
-        pm = self.partition_map
-        if pm.version != self._version_seen:
-            self._primary_cache.clear()
-            self._version_seen = pm.version
-        partition = pm.partition_of(tenant, key)
-        slot = (tenant, partition.index)
-        cached = self._primary_cache.get(slot)
-        if cached is None:
-            cached = self._primary_cache[slot] = partition.node
-        return cached
-
-    def node_for(self, tenant: str, key: int):
-        return self.nodes[self.resolve(tenant, key)]
-
-    # Generator pass-throughs so client code routes transparently.
-
-    def get(self, tenant: str, key: int):
-        return self.node_for(tenant, key).get(tenant, key)
-
-    def put(self, tenant: str, key: int, size: int):
-        return self.node_for(tenant, key).put(tenant, key, size)
-
-    def delete(self, tenant: str, key: int):
-        return self.node_for(tenant, key).delete(tenant, key)

@@ -50,13 +50,16 @@ from ..faults import (
 )
 from ..obs import Counter, Observability, VopAudit
 from ..sim import Event, Simulator
-from ..ssd import SimFilesystem, SsdDevice, SsdProfile, get_profile
+from ..ssd import SimFilesystem, SsdProfile, get_profile, make_device
 from .cache import ObjectCache
 from .tenant import LatencyRecorder, RequestStats, TenantDescriptor
 
 __all__ = ["NodeConfig", "StorageNode"]
 
 MIB = 1024 * 1024
+#: first backoff between recovery attempts after a crash (doubles per
+#: attempt, up to 64x)
+RECOVERY_BACKOFF = 0.01
 
 
 @dataclass
@@ -66,7 +69,6 @@ class NodeConfig:
     cost_model: str = "exact"
     #: None -> use the profile's reference capacity floor
     capacity_vops: Optional[float] = None
-    policy_interval: float = 1.0
     #: the Fig 11 ablation switch: False = "No Profile" provisioning
     track_indirect: bool = True
     #: object cache size; 0 disables (IO-bound evaluation default)
@@ -80,8 +82,6 @@ class NodeConfig:
     #: per-attempt latency budget; None disables the timeout race (the
     #: default keeps healthy runs on the exact seed event ordering)
     request_timeout: Optional[float] = None
-    #: backoff between recovery attempts after a crash
-    recovery_backoff: float = 0.01
 
     def __post_init__(self):
         if self.engine is None:
@@ -157,7 +157,7 @@ class StorageNode:
         self.obs = obs or Observability()
         self.tracer = self.obs.tracer
         self.metrics = self.obs.metrics
-        self.device = SsdDevice(
+        self.device = make_device(
             sim, self.profile, seed=seed, fault_plan=fault_plan, tracer=self.tracer
         )
         calibration = reference_calibration(self.profile)
@@ -188,7 +188,6 @@ class StorageNode:
             self.scheduler,
             self.tracker,
             capacity_vops=capacity,
-            interval=self.config.policy_interval,
             track_indirect=self.config.track_indirect,
             on_overflow=on_overflow,
         )
@@ -260,7 +259,7 @@ class StorageNode:
         came in.
         """
         tr = self.tracer
-        if trace is None and tr is not None and tr.enabled:
+        if trace is None and tr is not None:
             trace = tr.new_trace()
         return tag.with_trace(trace), trace
 
@@ -460,7 +459,7 @@ class StorageNode:
         series.count += 1
         series.total += latency
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.span(
                 kind, "node", self.name, ctx.name, started, now,
                 trace=trace, args={"bytes": size},
@@ -564,7 +563,7 @@ class StorageNode:
                 attempt += 1
                 ctx.stats.retries += 1
                 yield self.sim.timeout(
-                    self.config.recovery_backoff * min(2 ** (attempt - 1), 64)
+                    RECOVERY_BACKOFF * min(2 ** (attempt - 1), 64)
                 )
         reopened, ctx.down = ctx.down, None
         if reopened is not None:

@@ -10,7 +10,7 @@ SSD's controller/channel stages.
 Design contract (the reason reproduced numbers cannot move):
 
 - **Zero cost when absent.**  Every instrumentation point is guarded
-  by ``tr = self.tracer`` / ``if tr is not None and tr.enabled``; with
+  by ``tr = self.tracer`` / ``if tr is not None``; with
   no tracer installed (the default everywhere) the hot paths pay one
   attribute load and a ``None`` test.
 - **Observation only.**  A tracer never schedules simulator events,
@@ -53,10 +53,9 @@ class Tracer:
     dict of extra attributes shown in the trace viewer.
     """
 
-    __slots__ = ("enabled", "spans", "_next_trace")
+    __slots__ = ("spans", "_next_trace")
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.spans: List[Tuple] = []
         self._next_trace = 0
 
@@ -78,9 +77,7 @@ class Tracer:
         trace: Optional[int] = None,
         args: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Record one completed interval (no-op unless ``enabled``)."""
-        if not self.enabled:
-            return
+        """Record one completed interval."""
         self.spans.append((name, cat, pid, tid, start, end, trace, args))
 
     def clear(self) -> None:

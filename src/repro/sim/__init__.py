@@ -18,17 +18,14 @@ from .core import (
     Timeout,
 )
 from .fluid import SteadyStateMonitor, reason_stem
-from .resources import Store
-from .sync import Condition, Mutex, Semaphore
+from .sync import Semaphore
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Condition",
     "DeadlineQueue",
     "Event",
     "Interrupt",
-    "Mutex",
     "Process",
     "OK_RESULT",
     "Semaphore",
@@ -36,6 +33,5 @@ __all__ = [
     "Simulator",
     "SteadyStateMonitor",
     "reason_stem",
-    "Store",
     "Timeout",
 ]

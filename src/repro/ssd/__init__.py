@@ -11,7 +11,7 @@ from .ftl_policy import (
     HotColdPolicy,
     make_ftl_policy,
 )
-from .nvme import NvmeDevice
+from .nvme import NvmeDevice, make_device
 from .profiles import (
     PROFILES,
     SsdProfile,
@@ -45,6 +45,7 @@ __all__ = [
     "WritePlan",
     "get_profile",
     "intel320",
+    "make_device",
     "make_ftl_policy",
     "nvme",
     "oczvector",

@@ -247,7 +247,7 @@ class SsdDevice:
                 ncq.value -= 1
             ctrl, services = self._plan(is_read, offset, size)
             tr = self.tracer
-            if tr is None or not tr.enabled:
+            if tr is None:
                 finish = self._pipe.reserve(now, q, ctrl, services)
             else:
                 finish = self._reserve(q, ctrl, services, ctx)
@@ -340,7 +340,7 @@ class SsdDevice:
     def _reserve(self, q, ctrl: float, services, ctx=None, label: str = "chan") -> float:
         """Book a plan on the live pipeline at ``now``; returns its finish."""
         tr = self.tracer
-        if tr is None or not tr.enabled:
+        if tr is None:
             return self._pipe.reserve(self.sim.now, q, ctrl, services)
         spans = []
         finish = self._pipe.reserve(self.sim.now, q, ctrl, services, spans)

@@ -47,7 +47,19 @@ from typing import Deque, Dict, List, Optional, Tuple
 from ..sim import Event, Semaphore
 from .device import SsdDevice
 
-__all__ = ["NvmeDevice"]
+__all__ = ["NvmeDevice", "make_device"]
+
+
+def make_device(sim, profile, **kwargs) -> SsdDevice:
+    """The device ``profile`` describes: :class:`NvmeDevice` when it has
+    more than one queue, else the SATA :class:`SsdDevice`.
+
+    One queue is bit-identical either way (the degeneration guarantee
+    above), so the cheaper SATA model runs it.  ``kwargs`` go to the
+    device's constructor; a profile without a queue is refused.
+    """
+    cls = SsdDevice if profile.num_queues == 1 else NvmeDevice
+    return cls(sim, profile, **kwargs)
 
 
 class NvmeDevice(SsdDevice):

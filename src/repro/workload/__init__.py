@@ -7,7 +7,6 @@ from .distributions import (
     LogNormalSize,
     Uniform01,
     UniformKeys,
-    ZipfKeys,
     align,
 )
 from .epoch import (
@@ -18,7 +17,6 @@ from .epoch import (
     RateChange,
     run_epoch_trial,
 )
-from .trace import Trace, TraceRecord, TraceRecorder, replay_trace
 from .iobench import (
     DeviceEnv,
     TenantResult,
@@ -44,15 +42,10 @@ __all__ = [
     "LogNormalSize",
     "TenantResult",
     "TenantSpec",
-    "Trace",
-    "TraceRecord",
-    "TraceRecorder",
     "TrialResult",
     "UniformKeys",
-    "ZipfKeys",
     "align",
     "isolated_iops",
     "run_interference_trial",
-    "replay_trace",
     "run_raw_trial",
 ]

@@ -4,7 +4,7 @@ All samplers take an explicit ``random.Random`` so every experiment is
 reproducible from its seed.  Sizes follow the paper: fixed op sizes for
 the interference grids, log-normal sizes (given mean and σ in bytes)
 for the variable-size rows of Fig 4 and the KV workloads of Figs 10-12,
-uniform or Zipfian key popularity for the LSM workloads.
+uniform key popularity for the LSM workloads.
 
 Every sampler also offers ``sample_block(rng, n)``, drawing ``n``
 values at once.  Uniform variates still come one at a time from the
@@ -30,7 +30,6 @@ __all__ = [
     "LogNormalSize",
     "FixedSize",
     "UniformKeys",
-    "ZipfKeys",
     "ExponentialArrivals",
     "Uniform01",
     "BlockStream",
@@ -148,35 +147,6 @@ class UniformKeys:
         # double precision.
         count = self.n
         return [min(int(rng.random() * count), count - 1) for _ in range(n)]
-
-
-class ZipfKeys:
-    """Zipfian key popularity: P(k) ∝ 1 / (k+1)^theta.
-
-    Skewed access concentrates overwrites on hot keys, which is what
-    gives LSM compaction its data savings (§3.1).  Sampling uses a
-    precomputed CDF + binary search, so it is O(log n) per draw and
-    exact for any theta ≥ 0.
-    """
-
-    def __init__(self, n: int, theta: float = 0.99):
-        if n <= 0:
-            raise ValueError(f"key count must be positive, got {n}")
-        if theta < 0:
-            raise ValueError(f"theta must be >= 0, got {theta}")
-        self.n = n
-        self.theta = theta
-        weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), theta)
-        self._cdf = np.cumsum(weights)
-        self._cdf /= self._cdf[-1]
-
-    def sample(self, rng: random.Random) -> int:
-        return int(np.searchsorted(self._cdf, rng.random(), side="right"))
-
-    def sample_block(self, rng: random.Random, n: int) -> List[int]:
-        """``n`` keys at once: one vectorized CDF binary search."""
-        u = _uniform_block(rng, n)
-        return np.searchsorted(self._cdf, u, side="right").tolist()
 
 
 class ExponentialArrivals:

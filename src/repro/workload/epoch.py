@@ -30,7 +30,7 @@ from ..core.tags import OpKind
 from ..core.vop import CostModel, make_cost_model
 from ..obs.metrics import Histogram
 from ..sim import Simulator, SteadyStateMonitor
-from ..ssd import SsdDevice, SsdProfile
+from ..ssd import SsdProfile, make_device
 from .distributions import FixedSize, LogNormalSize
 from .hybrid import ArrivalSource, Cell, EpochSegment, HybridDriver
 from .iobench import KIB
@@ -236,7 +236,6 @@ def run_epoch_trial(
     headroom: float = 0.85,
     audit: bool = False,
     device_seed: int = 11,
-    device: str = "ssd",
     fluid: bool = True,
     confirm_window: float = 0.1,
     confirm_samples: int = 3,
@@ -258,23 +257,17 @@ def run_epoch_trial(
     instead of falling back to event-by-event mode — same exact count
     agreement, with queue-wait latency mass.  ``audit=True`` attaches a
     :class:`~repro.obs.VopAudit` and stores its :meth:`summary` —
-    fast-forwarded charges reconcile at 1.0000 by construction.
-    ``device="nvme"`` runs the trial on the multi-queue
-    :class:`~repro.ssd.NvmeDevice` (epoch accounting is inherited, so
-    fast-forward agrees with DES there too).
+    fast-forwarded charges reconcile at 1.0000 by construction.  The
+    device is the one the profile describes
+    (:func:`~repro.ssd.make_device`); a multi-queue profile runs on
+    :class:`~repro.ssd.NvmeDevice`, which inherits the epoch accounting,
+    so fast-forward agrees with DES there too.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     _validate(specs, rate_changes, allocations)
     sim = Simulator()
-    if device == "ssd":
-        device = SsdDevice(sim, profile, seed=device_seed, fault_plan=fault_plan)
-    elif device == "nvme":
-        from ..ssd.nvme import NvmeDevice
-
-        device = NvmeDevice(sim, profile, seed=device_seed, fault_plan=fault_plan)
-    else:
-        raise ValueError(f"unknown device kind {device!r} (ssd|nvme)")
+    device = make_device(sim, profile, seed=device_seed, fault_plan=fault_plan)
     if isinstance(cost_model, str):
         cost_model = make_cost_model(cost_model, reference_calibration(profile.name))
     scheduler = LibraScheduler(sim, device, cost_model, config=scheduler_config)

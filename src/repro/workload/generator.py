@@ -32,7 +32,6 @@ from .distributions import (
     LogNormalSize,
     Uniform01,
     UniformKeys,
-    ZipfKeys,
 )
 
 __all__ = ["KvTenantSpec", "KvLoad", "bootstrap_tenant", "start_kv_load"]
@@ -50,7 +49,6 @@ class KvTenantSpec:
     put_size: int
     sigma: float = 1 * KIB
     n_keys: int = 4000
-    zipf_theta: float = 0.0  # 0 -> uniform keys
     workers: int = 4
     reservation: Reservation = field(default_factory=Reservation)
     #: GETs sample keys from [0, get_key_fraction * n_keys); PUTs from
@@ -66,8 +64,6 @@ class KvTenantSpec:
     arrival_rate: float = 0.0
 
     def key_sampler(self):
-        if self.zipf_theta > 0:
-            return ZipfKeys(self.n_keys, self.zipf_theta)
         return UniformKeys(self.n_keys)
 
 

@@ -19,7 +19,7 @@ from ..core.scheduler import LibraScheduler, SchedulerConfig
 from ..core.tags import IoTag, OpKind, RequestClass
 from ..core.vop import CostModel, make_cost_model
 from ..sim import Simulator
-from ..ssd import SsdDevice, SsdProfile
+from ..ssd import SsdProfile, make_device
 from .distributions import FixedSize, LogNormalSize
 
 __all__ = [
@@ -100,24 +100,14 @@ class DeviceEnv:
 
     Re-preconditioning a device per grid point dominates wall time;
     sweeps instead reuse one aged device and run trials back to back,
-    exactly like benchmarking a single physical drive.
-
-    ``device="nvme"`` builds the multi-queue
-    :class:`~repro.ssd.NvmeDevice` (queue count/arbitration from the
-    profile's NVMe fields).
+    exactly like benchmarking a single physical drive.  The device is
+    the one the profile describes (:func:`~repro.ssd.make_device`).
     """
 
-    def __init__(self, profile: SsdProfile, seed: int = 11, device: str = "ssd"):
+    def __init__(self, profile: SsdProfile, seed: int = 11):
         self.profile = profile
         self.sim = Simulator()
-        if device == "ssd":
-            self.device = SsdDevice(self.sim, profile, seed=seed)
-        elif device == "nvme":
-            from ..ssd.nvme import NvmeDevice
-
-            self.device = NvmeDevice(self.sim, profile, seed=seed)
-        else:
-            raise ValueError(f"unknown device kind {device!r} (ssd|nvme)")
+        self.device = make_device(self.sim, profile, seed=seed)
 
 
 def run_raw_trial(

@@ -29,15 +29,16 @@ def force_policy_path(node):
 
     A request makes its first attempt in its own frame unless the node's
     ``_inline`` is clear, and ``LsmEngine.get`` reads a block in
-    its own frame unless a tracer is installed; a disabled one records
-    nothing.  Call it after the tenants are added.
+    its own frame unless a tracer is installed, so each engine without
+    one gets a tracer of its own (observation only: its spans are never
+    read).  Call it after the tenants are added.
     ``test_policy_path_gives_the_inline_path_digests`` holds the two
     paths to one digest.
     """
     node._inline = False
     for engine in node.engines.values():
         if engine.tracer is None:
-            engine.tracer = Tracer(enabled=False)
+            engine.tracer = Tracer()
     return node
 
 

@@ -8,24 +8,16 @@ from repro.analysis import (
     cdf_points,
     format_cdf,
     format_heatmap,
-    format_series,
     format_table,
-    kops,
     mmr,
     normalized_series,
     percentile,
-    throughput_ratio,
 )
 
 
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
-
-def test_throughput_ratio():
-    assert throughput_ratio(50.0, 100.0) == 0.5
-    assert throughput_ratio(10.0, 0.0) == 0.0
-
 
 def test_mmr_basics():
     assert mmr([1.0, 1.0, 1.0]) == 1.0
@@ -113,10 +105,6 @@ def test_series_set_empty_rows():
 # Renderers (shape only, not pixel-perfect)
 # ---------------------------------------------------------------------------
 
-def test_kops():
-    assert kops(12345.0) == "12.3"
-
-
 def test_format_table_alignment():
     out = format_table(["name", "value"], [["a", 1.5], ["bb", 20.25]], title="T")
     lines = out.splitlines()
@@ -150,13 +138,3 @@ def test_format_cdf():
         value_label="kop/s",
     )
     assert "C" in out and "50%" in out and "kop/s" in out
-
-
-def test_format_series_stride():
-    out = format_series(
-        [0.0, 1.0, 2.0, 3.0],
-        {"v": [10.0, 11.0, 12.0, 13.0]},
-        stride=2,
-    )
-    assert "10.00" in out and "12.00" in out
-    assert "11.00" not in out

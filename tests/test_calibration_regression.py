@@ -10,8 +10,13 @@ change shifts the curves, regenerate the tables with
 
 import pytest
 
-from repro.core import CALIBRATION_SIZES, calibrate_device, reference_calibration
-from repro.ssd import get_profile
+from repro.core import CALIBRATION_SIZES, OpKind, calibrate_device, reference_calibration
+from repro.core.calibration import _measure
+from repro.node import NodeConfig, StorageNode
+from repro.sim import Simulator
+from repro.ssd import PROFILES, get_profile
+
+KIB = 1024
 
 
 @pytest.mark.slow
@@ -78,3 +83,33 @@ def test_nvme_reference_matches_fresh_sweep():
         assert fresh.write_iops[size] == pytest.approx(
             reference.write_iops[size], rel=0.3
         ), ("write", size)
+
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_node_device_reproduces_its_cost_model_calibration(name):
+    """A node prices IO with its profile's reference curve, so the
+    device it builds must be the one that curve was measured on: an
+    8-queue profile on the one-controller SATA model runs 1 KiB reads
+    at 0.6x the curve, so the node would price them too cheap."""
+    sim = Simulator()
+    node = StorageNode(sim, profile=name, config=NodeConfig(capacity_vops=1.0))
+    reference = reference_calibration(name)
+
+    def ratio(kind, size):
+        measured = _measure(sim, node.device, kind, size, 0.05, 0.02, seed=42)
+        return measured / reference.curve(kind)[size]
+
+    ratios = {
+        ("read", 1 * KIB): ratio(OpKind.READ, 1 * KIB),
+        ("read", 4 * KIB): ratio(OpKind.READ, 4 * KIB),
+        ("write", 4 * KIB): ratio(OpKind.WRITE, 4 * KIB),
+    }
+    # The curve's 64 KiB read followed the sweep's 32 KiB writes, whose
+    # striped layout reads up to 11% faster than a freshly preconditioned
+    # one: lay it down, let GC finish, then read.
+    ratio(OpKind.WRITE, 32 * KIB)
+    sim.run(until=sim.now + 0.5)
+    ratios["read", 64 * KIB] = ratio(OpKind.READ, 64 * KIB)
+    off = {point: round(r, 3) for point, r in ratios.items() if abs(r - 1.0) > 0.10}
+    assert not off, f"measured / curve outside 1 +- 0.10 on {type(node.device).__name__}: {off}"

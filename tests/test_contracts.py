@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import IoTag, Reservation
 from repro.engine import EngineConfig
+from repro.engine.db import RECORD_OVERHEAD
 from repro.node import NodeConfig, StorageNode
 from repro.sim import Event, Simulator
 from repro.ssd import OutOfSpace, get_profile
@@ -155,6 +156,7 @@ ROWS = [
     ("StorageNode.delete", "unknown tenant", on_node("delete", "nobody", 1), KeyError),
     ("StorageNode.delete", "NaN key", on_node("delete", "t1", NAN), ValueError),
     ("StorageNode.delete", "absent key", on_node("delete", "t1", -1), None),
+    ("StorageNode.delete", "+inf key", on_node("delete", "t1", INF), None),
     ("StorageNode.scan", "unknown tenant", on_node("scan", "nobody", 0, 9), KeyError),
     ("StorageNode.scan", "lo > hi", on_node("scan", "t1", 9, 0), ValueError),
     ("StorageNode.scan", "NaN lo", on_node("scan", "t1", NAN, 9), ValueError),
@@ -172,6 +174,14 @@ ROWS = [
      on_node("apply_replica", "t1", 1, NAN), ValueError),
     ("StorageNode.apply_replica", "+inf size",
      on_node("apply_replica", "t1", 1, INF), ValueError),
+    ("StorageNode.apply_replica", "negative size",
+     on_node("apply_replica", "t1", 1, -KIB), ValueError),
+    ("StorageNode.apply_replica", "fractional size",
+     on_node("apply_replica", "t1", 1, 2.5), ValueError),
+    ("StorageNode.apply_replica", "integral float size",
+     on_node("apply_replica", "t1", 1, 4096.0), ValueError),
+    ("StorageNode.apply_replica", "NaN key on a put",
+     on_node("apply_replica", "t1", NAN, KIB), ValueError),
     ("StorageNode.apply_replica", "past capacity",
      on_node("apply_replica", "t1", 1, PAST_CAPACITY), OutOfSpace),
     ("StorageNode.apply_replica", "NaN key",
@@ -182,6 +192,7 @@ ROWS = [
      on_node("read_replica", "nobody", 1), KeyError),
     ("StorageNode.read_replica", "key 0", on_node("read_replica", "t1", 0), KIB),
     ("StorageNode.read_replica", "NaN key", on_node("read_replica", "t1", NAN), None),
+    ("StorageNode.read_replica", "negative key", on_node("read_replica", "t1", -1), None),
     # -- LsmEngine ----------------------------------------------------------------
     ("LsmEngine.get", "key 0", on_engine("get", 0), KIB),
     ("LsmEngine.get", "negative key", on_engine("get", -1), None),
@@ -192,15 +203,20 @@ ROWS = [
     ("LsmEngine.put", "NaN size", on_engine("put", 1, NAN), ValueError),
     ("LsmEngine.put", "+inf size", on_engine("put", 1, INF), ValueError),
     ("LsmEngine.put", "integral float size", on_engine("put", 1, 4096.0), ValueError),
+    ("LsmEngine.put", "fractional size", on_engine("put", 1, 2.5), ValueError),
+    ("LsmEngine.put", "-inf size", on_engine("put", 1, -INF), ValueError),
     ("LsmEngine.put", "past capacity", on_engine("put", 1, PAST_CAPACITY), OutOfSpace),
     ("LsmEngine.put", "NaN key", on_engine("put", NAN, KIB), ValueError),
     ("LsmEngine.delete", "NaN key", on_engine("delete", NAN), ValueError),
     ("LsmEngine.delete", "absent key", on_engine("delete", -1), None),
     ("LsmEngine.scan", "lo > hi", on_engine("scan", 1, 0), ValueError),
     ("LsmEngine.scan", "NaN lo", on_engine("scan", NAN, 0), ValueError),
+    ("LsmEngine.scan", "NaN hi", on_engine("scan", 0, NAN), ValueError),
     ("LsmEngine.scan", "limit -1", on_engine("scan", 0, 9, limit=-1), ValueError),
     ("LsmEngine.scan", "NaN limit", on_engine("scan", 0, 9, limit=NAN), TypeError),
+    ("LsmEngine.scan", "+inf limit", on_engine("scan", 0, 9, limit=INF), TypeError),
     ("LsmEngine.scan", "limit 0", on_engine("scan", 0, 9, limit=0), []),
+    ("LsmEngine.scan", "lo == hi", on_engine("scan", 5, 5), [(5, KIB)]),
     ("LsmEngine.scan", "infinite bounds", on_engine("scan", -INF, INF), ALL_ROWS),
     # -- LibraScheduler: rejected before any VOP is charged ------------------------
     ("LibraScheduler.read", "no tag", waits(scheduler, "read", 0, 4 * KIB), ValueError),
@@ -215,6 +231,11 @@ ROWS = [
      waits(scheduler, "read", CAPACITY, 4 * KIB, TAG), ValueError),
     ("LibraScheduler.read", "integral float offset",
      waits(scheduler, "read", 4096.0, 4 * KIB, TAG), ValueError),
+    ("LibraScheduler.read", "size 0", waits(scheduler, "read", 0, 0, TAG), ValueError),
+    ("LibraScheduler.read", "negative offset",
+     waits(scheduler, "read", -4 * KIB, 4 * KIB, TAG), ValueError),
+    ("LibraScheduler.read", "fractional size",
+     waits(scheduler, "read", 0, 2.5, TAG), ValueError),
     ("LibraScheduler.read", "4 KiB at 0", waits(scheduler, "read", 0, 4 * KIB, TAG), None),
     ("LibraScheduler.write", "unknown tenant",
      waits(scheduler, "write", 0, 4 * KIB, IoTag("nobody")), KeyError),
@@ -229,6 +250,13 @@ ROWS = [
      waits(scheduler, "write", 4096.0, 4 * KIB, TAG), ValueError),
     ("LibraScheduler.write", "integral float size",
      waits(scheduler, "write", 0, 8192.0, TAG), ValueError),
+    ("LibraScheduler.write", "no tag", waits(scheduler, "write", 0, 4 * KIB), ValueError),
+    ("LibraScheduler.write", "NaN size",
+     waits(scheduler, "write", 0, NAN, TAG), ValueError),
+    ("LibraScheduler.write", "+inf size",
+     waits(scheduler, "write", 0, INF, TAG), ValueError),
+    ("LibraScheduler.write", "past capacity",
+     waits(scheduler, "write", CAPACITY, 4 * KIB, TAG), ValueError),
     ("LibraScheduler.write", "two chunks", waits(scheduler, "write", 0, 256 * KIB, TAG), None),
     # -- SsdDevice: rejected before the op takes an NCQ slot -----------------------
     ("SsdDevice.submit", "fractional offset",
@@ -242,10 +270,16 @@ ROWS = [
     ("SsdDevice.read", "NaN offset", waits(device, "read", NAN, 4 * KIB), ValueError),
     ("SsdDevice.read", "fractional size", waits(device, "read", 0, 0.5), ValueError),
     ("SsdDevice.read", "past capacity", waits(device, "read", CAPACITY - 1, 2), ValueError),
+    ("SsdDevice.read", "size 0", waits(device, "read", 0, 0), ValueError),
+    ("SsdDevice.read", "negative offset", waits(device, "read", -PAGE, PAGE), ValueError),
+    ("SsdDevice.read", "integral float offset",
+     waits(device, "read", 4096.0, 4 * KIB), ValueError),
     ("SsdDevice.read", "4 KiB at 0", waits(device, "read", 0, 4 * KIB), None),
     ("SsdDevice.write", "size 0", waits(device, "write", 0, 0), ValueError),
     ("SsdDevice.write", "negative offset", waits(device, "write", -1, 4 * KIB), ValueError),
     ("SsdDevice.write", "+inf size", waits(device, "write", 0, INF), ValueError),
+    ("SsdDevice.write", "past capacity",
+     waits(device, "write", CAPACITY, 4 * KIB), ValueError),
     ("SsdDevice.write", "integral float offset",
      waits(device, "write", 4096.0, 4 * KIB), ValueError),
     ("SsdDevice.write", "integral float size", waits(device, "write", 0, 8192.0), ValueError),
@@ -253,6 +287,9 @@ ROWS = [
     ("SsdDevice.trim", "negative offset", lambda node: node.device.trim(-1, 4 * KIB), ValueError),
     ("SsdDevice.trim", "past capacity",
      lambda node: node.device.trim(CAPACITY, 4 * KIB), ValueError),
+    ("SsdDevice.trim", "fractional size", lambda node: node.device.trim(0, 2.5), ValueError),
+    ("SsdDevice.trim", "integral float offset",
+     lambda node: node.device.trim(4096.0, 4 * KIB), ValueError),
     # -- Ftl: rejected before the host cursor moves --------------------------------
     ("Ftl.host_write", "NaN offset", on_ftl("host_write", NAN, 4 * KIB), ValueError),
     ("Ftl.host_write", "NaN size", on_ftl("host_write", 0, NAN), ValueError),
@@ -352,7 +389,7 @@ def test_contract_row(entry, edge, call, outcome):
     # the tenant is not bricked: an ordinary PUT lands and reads back
     drive(sim, node.put("t1", 3, 3 * KIB))
     assert drive(sim, node.get("t1", 3)) == 3 * KIB
-    assert node.engines["t1"].wal.file.size == before[0] + 3 * KIB + ENGINE.record_overhead
+    assert node.engines["t1"].wal.file.size == before[0] + 3 * KIB + RECORD_OVERHEAD
 
 
 def test_every_entry_has_rows_and_every_tenant_entry_names_the_unknown_tenant():
@@ -376,4 +413,4 @@ def test_an_oversize_put_leaves_the_wal_and_free_space_as_they_were():
         assert (node.fs.free_bytes, list(wal.extents), wal.allocated, wal.size) == before
     drive(sim, node.put("t1", 1, 2 * KIB))
     assert drive(sim, node.get("t1", 1)) == 2 * KIB
-    assert wal.size == before[3] + 2 * KIB + ENGINE.record_overhead
+    assert wal.size == before[3] + 2 * KIB + RECORD_OVERHEAD

@@ -9,7 +9,6 @@ import dataclasses
 import pytest
 
 from repro.control.churn import ChurnConfig, run_churn_trial
-from repro.control.planner import ControlPlanner
 from repro.control.ring import HashRing
 from repro.core import Reservation
 from repro.faults import StorageFault
@@ -380,54 +379,6 @@ def test_map_version_monotonic_under_concurrent_failover_and_reshard():
     # ...and the interleaved bumps never went backwards.
     assert versions == sorted(versions)
     assert versions[-1] > versions[0]
-    cluster.stop()
-
-
-# ---------------------------------------------------------------------------
-# Planner
-# ---------------------------------------------------------------------------
-
-
-def test_planner_relieves_overloaded_node():
-    sim = Simulator()
-    cluster = make_cluster(sim, n_nodes=4, rf=2, capacity_vops=1000.0)
-    pm = cluster.partition_map
-    hot = pm.partitions(TENANT)[0].node
-    # Pin the load signal instead of generating traffic: the hot node
-    # reports demand far past overload * capacity, everyone else idles.
-    for name, node in cluster.nodes.items():
-        demand = {TENANT: 900.0} if name == hot else {TENANT: 10.0}
-        node.policy.estimated_demand = lambda d=demand: d
-    v0 = pm.version
-    planner = ControlPlanner(cluster, interval=0.5, overload=0.5)
-    sim.run(until=2.0)
-    planner.stop()
-    sim.run(until=3.0)
-    assert planner.cycles >= 1
-    assert planner.actions, "overload never acted on"
-    action = planner.actions[0]
-    assert action.kind in ("split", "migrate")
-    assert pm.version > v0
-    if action.kind == "migrate":
-        assert pm.get_partition(TENANT, action.index).node != hot
-    loads = planner.sample()
-    assert set(loads) == set(cluster.nodes)
-    assert all(
-        row["capacity_vops"] == 1000.0 for row in loads.values()
-    )
-    cluster.stop()
-
-
-def test_planner_idles_below_overload():
-    sim = Simulator()
-    cluster = make_cluster(sim, n_nodes=3, rf=2, capacity_vops=10_000.0)
-    v0 = cluster.partition_map.version
-    planner = ControlPlanner(cluster, interval=0.5, overload=0.9)
-    sim.run(until=2.0)
-    planner.stop()
-    sim.run(until=3.0)
-    assert planner.cycles >= 1 and planner.actions == []
-    assert cluster.partition_map.version == v0
     cluster.stop()
 
 

@@ -17,7 +17,6 @@ import pytest
 from repro.core import (
     IoTag,
     LibraScheduler,
-    OpKind,
     make_cost_model,
     reference_calibration,
 )

@@ -54,9 +54,9 @@ def loaded_specs(util, read_fraction, n_tenants=4, size=4 * KIB):
     ]
 
 
-def both_modes(specs, horizon, **kwargs):
-    des = run_epoch_trial(PROFILE, specs, horizon=horizon, fast_forward=False, **kwargs)
-    ff = run_epoch_trial(PROFILE, specs, horizon=horizon, fast_forward=True, **kwargs)
+def both_modes(specs, horizon, profile=PROFILE, **kwargs):
+    des = run_epoch_trial(profile, specs, horizon=horizon, fast_forward=False, **kwargs)
+    ff = run_epoch_trial(profile, specs, horizon=horizon, fast_forward=True, **kwargs)
     return des, ff
 
 
@@ -196,7 +196,7 @@ def test_loaded_nvme_fast_forwards_despite_sq_parking():
     disturbance: the handover drain empties them before each fluid
     epoch, so coverage matches the plain-SSD case."""
     specs = loaded_specs(0.75, 1.0)
-    des, ff = both_modes(specs, horizon=1.0, seed=7, device="nvme")
+    des, ff = both_modes(specs, horizon=1.0, profile=PROFILE.with_queues(4), seed=7)
     assert_agreement(des, ff)
     assert ff.fluid_fraction > 0.5
     assert "sq-backlog" not in ff.des_reasons

@@ -74,7 +74,7 @@ EPOCH_SCENARIOS = {
     "rate_changes": (PROFILE, _CHANGING, 0.9,
                      dict(seed=13, rate_changes=_CHANGES)),
     "nvme8": (SMALL.with_queues(8), loaded_specs(0.75, 1.0), 0.6,
-              dict(seed=21, device="nvme")),
+              dict(seed=21)),
     # quiet-only runner: a write closes the quiet epoch at the GC
     # crossing and the rest of the horizon stays event-by-event
     "fluid_off": (SMALL, loaded_specs(0.5, 0.6), 1.0,

@@ -147,14 +147,15 @@ def test_cluster_end_to_end_under_load():
     )
     cluster.add_tenant("t", Reservation(gets=2000.0, puts=2000.0))
     rng = random.Random(8)
+    client = cluster.make_client()
 
     def worker():
         while sim.now < 10.0:
             key = rng.randrange(2000)
             if rng.random() < 0.5:
-                yield from cluster.get("t", key)
+                yield from client.get("t", key)
             else:
-                yield from cluster.put("t", key, 4 * KIB)
+                yield from client.put("t", key, 4 * KIB)
 
     for _ in range(8):
         sim.process(worker())

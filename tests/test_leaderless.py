@@ -555,27 +555,27 @@ def test_partitionfig_cell_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Application merge_fn at the read edge
+# Concurrent siblings at the read edge
 # ---------------------------------------------------------------------------
 
 
-def test_merge_fn_resolves_siblings_shopping_cart_union():
-    """Concurrent siblings collapse through NetConfig.merge_fn instead
-    of LWW: the read returns the union-size value, writes it back with
-    a dominating clock, and the conflict set collapses cluster-wide."""
+@pytest.mark.parametrize("op, size, expected", [
+    ("put", 3 * KIB, 3 * KIB),
+    ("delete", 0, None),
+])
+def test_quorum_read_resolves_concurrent_siblings_last_writer_wins(op, size, expected):
+    """Two writes that never saw each other (e.g. accepted on opposite
+    sides of a partition) stay siblings: the quorum read answers the
+    later stamp, a tombstone included, and read repair installs the
+    whole conflict set on every home replica."""
     sim = Simulator()
-    cluster = make_cluster(
-        sim, write_quorum=2, read_quorum=3,
-        merge_fn=lambda sizes: sum(sizes),  # cart union: both items kept
-    )
+    cluster = make_cluster(sim, write_quorum=2, read_quorum=3)
     key = 0
     partition = cluster.partition_map.partition_of("t1", key)
     a, b = partition.replicas[0], partition.replicas[1]
-    # Two writes that never saw each other (e.g. accepted on opposite
-    # sides of a partition): genuinely concurrent clocks.
     va = Version(clock=VectorClock([(a, 1)]), size=2 * KIB, op="put",
                  stamp=(1.0, a, 1))
-    vb = Version(clock=VectorClock([(b, 1)]), size=3 * KIB, op="put",
+    vb = Version(clock=VectorClock([(b, 1)]), size=size, op=op,
                  stamp=(2.0, b, 1))
 
     def seed_conflict():
@@ -583,53 +583,15 @@ def test_merge_fn_resolves_siblings_shopping_cart_union():
         yield from cluster.services[b].apply_version("t1", key, vb)
 
     drive(sim, seed_conflict())
-
     client = cluster.make_client()
 
     def read():
         return (yield from client.get("t1", key))
 
-    # LWW would answer 3 KiB (vb's later stamp); the union keeps both.
-    assert drive(sim, read()) == 5 * KIB
-    assert sum(s.sibling_merges for s in cluster.services.values()) == 1
+    assert drive(sim, read()) == expected
+    assert sum(s.sibling_reads for s in cluster.services.values()) == 1
     sim.run(until=sim.now + 5.0)  # drain the repair fan-out
     for name in partition.replicas:
         winner, siblings = cluster.services[name].versions.resolve("t1", key)
-        assert siblings == 1 and winner.size == 5 * KIB
-    # A re-read sees the single merged version: no further merges.
-    assert drive(sim, read()) == 5 * KIB
-    assert sum(s.sibling_merges for s in cluster.services.values()) == 1
-    cluster.stop()
-
-
-def test_merge_fn_skips_tombstone_conflicts():
-    """A delete racing a put stays on the LWW tiebreak — merge_fn never
-    sees a tombstone."""
-    sim = Simulator()
-    seen = []
-    cluster = make_cluster(
-        sim, write_quorum=2, read_quorum=3,
-        merge_fn=lambda sizes: seen.append(sizes) or max(sizes),
-    )
-    key = 0
-    partition = cluster.partition_map.partition_of("t1", key)
-    a, b = partition.replicas[0], partition.replicas[1]
-    va = Version(clock=VectorClock([(a, 1)]), size=2 * KIB, op="put",
-                 stamp=(1.0, a, 1))
-    vb = Version(clock=VectorClock([(b, 1)]), size=0, op="delete",
-                 stamp=(2.0, b, 1))
-
-    def seed_conflict():
-        yield from cluster.services[a].apply_version("t1", key, va)
-        yield from cluster.services[b].apply_version("t1", key, vb)
-
-    drive(sim, seed_conflict())
-    client = cluster.make_client()
-
-    def read():
-        return (yield from client.get("t1", key))
-
-    assert drive(sim, read()) is None  # the tombstone's LWW stamp wins
-    assert seen == []  # resolver never invoked on a tombstone set
-    assert sum(s.sibling_merges for s in cluster.services.values()) == 0
+        assert siblings == 2 and winner == vb
     cluster.stop()

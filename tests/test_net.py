@@ -1,5 +1,6 @@
 """Tests for repro.net: fabric, RPC, replication, failover — plus the
-PartitionMap/Router edge cases and cluster wiring that ride on them."""
+PartitionMap edge cases, the client's route cache and the cluster
+wiring that ride on them."""
 
 import pytest
 
@@ -13,8 +14,9 @@ from repro.faults import (
     RpcTimeout,
     StorageFault,
 )
-from repro.net import NetConfig, NetworkFabric, RpcEndpoint
-from repro.node import NodeConfig, PartitionMap, RequestStats, Router, StorageCluster
+from repro.net import ClusterClient, Membership, NetConfig, NetworkFabric, RpcEndpoint
+from repro.net.fabric import MESSAGE_OVERHEAD
+from repro.node import NodeConfig, PartitionMap, RequestStats, StorageCluster
 from repro.sim import Simulator
 from repro.ssd import SsdProfile
 
@@ -67,7 +69,7 @@ def test_nic_serialization_queues_fifo():
     fabric.attach("b", lambda m: got.append((sim.now, m)))
     # Two back-to-back 10 KB messages: the second queues behind the
     # first's serialization, so arrivals are spaced by the service time.
-    wire = 10_000 + fabric.config.message_overhead
+    wire = 10_000 + MESSAGE_OVERHEAD
     fabric.send("a", "b", 10_000, "m1")
     fabric.send("a", "b", 10_000, "m2")
     sim.run(until=1.0)
@@ -219,8 +221,14 @@ def test_rpc_duplicated_response_is_ignored():
 
 
 # ---------------------------------------------------------------------------
-# PartitionMap / Router edge cases
+# PartitionMap / client route cache edge cases
 # ---------------------------------------------------------------------------
+
+
+def make_resolver(pm):
+    """A client on an empty fabric: enough to exercise its route cache."""
+    sim = Simulator()
+    return ClusterClient(sim, NetworkFabric(sim), pm, Membership(["a", "b"]))
 
 
 def test_unplaced_tenant_raises_keyerror():
@@ -231,9 +239,8 @@ def test_unplaced_tenant_raises_keyerror():
         pm.partitions("ghost")
     with pytest.raises(KeyError):
         pm.promote("ghost", 0, "node0")
-    router = Router({}, pm)
     with pytest.raises(KeyError):
-        router.resolve("ghost", 0)
+        make_resolver(pm).resolve("ghost", 0)
 
 
 def test_single_node_cluster_owns_everything():
@@ -281,13 +288,13 @@ def test_promote_reorders_chain_and_bumps_version():
         pm.promote("t", 0, "not-a-replica")
 
 
-def test_router_cache_invalidated_by_version_bump():
+def test_client_route_cache_invalidated_by_version_bump():
     pm = PartitionMap(2)
     pm.place_tenant("t", ["a", "b"], rf=2)
-    router = Router({}, pm)
-    assert router.resolve("t", 0) == "a"
+    client = make_resolver(pm)
+    assert client.resolve("t", 0) == "a"
     pm.promote("t", 0, "b")
-    assert router.resolve("t", 0) == "b"
+    assert client.resolve("t", 0) == "b"
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +352,34 @@ def test_rf1_has_no_replication_traffic():
     assert total.puts == 10 and total.repl_applies == 0
     assert all(s.quorum_acks >= 0 for s in cluster.services.values())
     assert sum(s.rpc.stats.calls for s in cluster.services.values()) == 0
+
+
+def test_cluster_without_a_net_config_runs_one_replica_per_partition():
+    # ``net`` defaults to ``NetConfig()``: requests still go through the
+    # client and the fabric, and every partition has a single replica.
+    sim = Simulator()
+    cluster = StorageCluster(
+        sim, n_nodes=2, profile=TINY, config=NodeConfig(capacity_vops=20_000.0),
+        partitions_per_tenant=4, seed=11,
+    )
+    cluster.add_tenant("t1", Reservation(gets=2000, puts=2000))
+    assert cluster.net == NetConfig() and cluster.net.rf == 1
+    partitions = cluster.partition_map.partitions("t1")
+    assert len(partitions) == 4
+    assert all(len(p.replicas) == 1 for p in partitions)
+    client = cluster.make_client()
+
+    def round_trip():
+        for key in range(8):
+            yield from client.put("t1", key, KIB)
+        sizes = []
+        for key in range(8):
+            sizes.append((yield from client.get("t1", key)))
+        return sizes
+
+    assert drive(sim, round_trip()) == [KIB] * 8
+    total = cluster.total_stats("t1")
+    assert (total.puts, total.gets, total.repl_applies) == (8, 8, 0)
 
 
 def test_put_reservation_split_weights_replicas():
@@ -541,27 +576,6 @@ def test_failover_waits_for_a_replica_that_answers_repl_seq():
     assert all(p.node != "node0" for p in cluster.partition_map.partitions("t"))
     assert not cluster.membership.is_live("node1") and cluster.membership.is_live("node2")
     assert [rec.node for rec in cluster.detector.failovers if rec.at >= 3.0] == ["node1"]
-
-
-def test_cluster_without_net_keeps_direct_path():
-    sim = Simulator()
-    cluster = StorageCluster(
-        sim, n_nodes=2, profile=TINY,
-        config=NodeConfig(capacity_vops=20_000.0), partitions_per_tenant=8,
-    )
-    cluster.add_tenant("t1", Reservation(gets=1000, puts=1000))
-    assert cluster.fabric is None and cluster.services == {}
-    with pytest.raises(RuntimeError):
-        cluster.make_client()
-
-    def direct():
-        yield from cluster.put("t1", 3, 2 * KIB)
-        size = yield from cluster.get("t1", 3)
-        assert size == 2 * KIB
-
-    sim.process(direct())
-    sim.run(until=5.0)
-    assert cluster.total_stats("t1").puts == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the storage node stack, cache, router, and cluster."""
+"""Tests for the storage node stack, cache, partition map, and cluster."""
 
 import pytest
 
@@ -174,7 +174,7 @@ def test_node_stop_quiesces():
 
 
 # ---------------------------------------------------------------------------
-# PartitionMap / Router / Cluster
+# PartitionMap / Cluster
 # ---------------------------------------------------------------------------
 
 def test_partition_map_round_robin():
@@ -225,12 +225,13 @@ def test_cluster_routes_and_aggregates():
         partitions_per_tenant=4,
     )
     cluster.add_tenant("t1", Reservation(gets=100, puts=100))
+    client = cluster.make_client()
 
     def flow():
         for key in range(8):
-            yield from cluster.put("t1", key, 2 * KIB)
+            yield from client.put("t1", key, 2 * KIB)
         for key in range(8):
-            size = yield from cluster.get("t1", key)
+            size = yield from client.get("t1", key)
             assert size == 2 * KIB
 
     proc = sim.process(flow())

@@ -187,16 +187,6 @@ def test_redistribute_margin_validation():
         cluster.redistribute_reservations(margin=0.0)
 
 
-def test_auto_rebalance_runs_periodically():
-    sim, cluster = make_cluster(capacity=2000.0)
-    cluster.add_tenant("t1", Reservation(gets=3000.0))
-    cluster.nodes["node0"].set_reservation("t1", Reservation(gets=2500.0))
-    cluster.nodes["node1"].set_reservation("t1", Reservation(gets=500.0))
-    cluster.start_auto_rebalance(interval=1.0)
-    sim.run(until=2.5)
-    assert cluster.nodes["node0"].policy.total_demand <= 2000.0
-
-
 # ---------------------------------------------------------------------------
 # Object cache coherence: a read-fill racing a write, and a dead node
 # ---------------------------------------------------------------------------

@@ -10,13 +10,16 @@ The load-bearing guarantees:
 """
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.faults import FaultKind, FaultPlan, FaultWindow
 from repro.sim import Simulator
 from repro.sim.fluid import SteadyStateMonitor
-from repro.ssd import NvmeDevice, SsdDevice, SsdProfile, get_profile
+from repro.node import StorageNode
+from repro.ssd import PROFILES, NvmeDevice, SsdDevice, SsdProfile, get_profile, make_device
 from repro.workload.epoch import EpochTenantSpec, run_epoch_trial
 from repro.workload.iobench import DeviceEnv, run_interference_trial
 
@@ -291,7 +294,7 @@ def test_scheduler_runs_on_nvme_with_clean_audit():
     profile = get_profile("intel320").with_capacity(64 * MIB).with_queues(4)
     cost_model = make_cost_model("exact", reference_calibration(profile.name))
     audit = VopAudit(cost_model)
-    env = DeviceEnv(profile, seed=13, device="nvme")
+    env = DeviceEnv(profile, seed=13)
     trial = run_interference_trial(
         profile, read_size=4 * KIB, write_size=32 * KIB,
         duration=0.1, warmup=0.05, seed=13,
@@ -315,11 +318,9 @@ def test_epoch_fast_forward_agrees_with_des_on_nvme():
     ]
     des = run_epoch_trial(
         profile, specs, 1.5, seed=21, fast_forward=False, audit=True,
-        device="nvme",
     )
     ff = run_epoch_trial(
         profile, specs, 1.5, seed=21, fast_forward=True, audit=True,
-        device="nvme",
     )
     assert ff.ff_fraction > 0.5  # the jump actually happened
     assert des.total_tasks == ff.total_tasks
@@ -327,19 +328,6 @@ def test_epoch_fast_forward_agrees_with_des_on_nvme():
     assert des.total_bytes == ff.total_bytes
     assert des.total_vops == ff.total_vops
     assert des.audit_summary["ok"] and ff.audit_summary["ok"]
-
-
-@pytest.mark.parametrize("kind", ["optane", "surrogate"])
-def test_device_env_rejects_unknown_kind(kind):
-    with pytest.raises(ValueError, match=r"\(ssd\|nvme\)$"):
-        DeviceEnv(tiny_profile(), device=kind)
-    with pytest.raises(ValueError, match=r"\(ssd\|nvme\)$"):
-        run_epoch_trial(
-            tiny_profile(),
-            [EpochTenantSpec(name="t0", rate=100.0)],
-            0.1,
-            device=kind,
-        )
 
 
 def test_monitor_rejects_parked_sq_commands():
@@ -366,3 +354,72 @@ def test_monitor_rejects_parked_sq_commands():
     FakeDevice.fetch_backlogs = [0, 0, 0, 0]
     ok, reason = monitor.eligible(100.0)
     assert ok and reason == "steady"
+
+
+# ---------------------------------------------------------------------------
+# make_device: the profile picks the model
+# ---------------------------------------------------------------------------
+
+#: every built-in profile, plus a SATA drive given queues and the NVMe
+#: drive cut to one
+DEVICE_CASES = {name: PROFILES[name] for name in sorted(PROFILES)}
+DEVICE_CASES["intel320 x4"] = get_profile("intel320").with_queues(4)
+DEVICE_CASES["nvme x1"] = get_profile("nvme").with_queues(1)
+
+
+def expected_model(profile):
+    return NvmeDevice if profile.num_queues > 1 else SsdDevice
+
+
+@pytest.mark.parametrize("profile", DEVICE_CASES.values(), ids=DEVICE_CASES.keys())
+def test_make_device_builds_the_model_the_profile_names(profile):
+    dev = make_device(Simulator(), profile.with_capacity(64 * MIB), precondition=False)
+    assert type(dev) is expected_model(profile)
+    assert dev.queue_depth == profile.num_queues * profile.queue_depth
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda profile: StorageNode(Simulator(), profile=profile, seed=1).device,
+        lambda profile: DeviceEnv(profile, seed=1).device,
+    ],
+    ids=["StorageNode", "DeviceEnv"],
+)
+def test_device_builders_follow_the_profile(build):
+    base = get_profile("intel320").with_capacity(64 * MIB)
+    for profile in (base, base.with_queues(4)):
+        assert type(build(profile)) is expected_model(profile)
+
+
+def test_make_device_forwards_constructor_arguments():
+    profile = tiny_profile()
+    plan = FaultPlan([FaultWindow(FaultKind.READ_ERROR, 0.0, 1.0, probability=0.5)])
+    tracer = object()
+    dev = make_device(Simulator(), profile, seed=5, age_factor=1.0,
+                      fault_plan=plan, tracer=tracer)
+    ref = SsdDevice(Simulator(), profile, seed=5, age_factor=1.0)
+    assert dev.tracer is tracer and dev.faults is not None
+    assert dev.ftl.page_to_block.tobytes() == ref.ftl.page_to_block.tobytes()
+    assert list(dev.ftl._host_cursor) == list(ref.ftl._host_cursor)
+
+
+def test_make_device_refuses_a_profile_without_queues():
+    # ``with_queues`` refuses zero queues, but a profile built directly
+    # can carry it; the factory must not quietly fall back to SATA.
+    with pytest.raises(ValueError, match="num_queues"):
+        make_device(Simulator(), tiny_profile(num_queues=0), seed=1)
+
+
+def test_only_make_device_builds_devices():
+    """Every device is built by the profile's factory, so a node, a sweep
+    and a calibration cannot disagree on the model for one profile."""
+    root = Path(__file__).resolve().parent.parent
+    call = re.compile(r"\b(SsdDevice|NvmeDevice)\(")
+    offenders = []
+    for folder in ("src", "benchmarks", "examples"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for n, line in enumerate(path.read_text().splitlines(), 1):
+                if call.search(line) and not line.lstrip().startswith("class "):
+                    offenders.append(f"{path.relative_to(root)}:{n}")
+    assert offenders == []

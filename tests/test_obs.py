@@ -122,13 +122,6 @@ def test_histogram_merge_and_validation():
 # tracer
 # ---------------------------------------------------------------------------
 
-def test_tracer_disabled_records_nothing():
-    tr = Tracer(enabled=False)
-    tr.span("x", "cat", "p", "t", 0.0, 1.0)
-    assert tr.span_count == 0
-    assert tr.chrome_events() == []
-
-
 def test_tracer_select_and_clear():
     tr = Tracer()
     tr.span("a", "sched", "p", "t1", 0.0, 1.0, trace=1)

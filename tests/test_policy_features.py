@@ -1,6 +1,5 @@
-"""Tests for admission control, overage metering, and trace replay."""
+"""Tests for admission control and overage metering."""
 
-import io
 import random
 
 import pytest
@@ -19,7 +18,6 @@ from repro.engine import EngineConfig
 from repro.node import NodeConfig, StorageNode
 from repro.sim import Simulator
 from repro.ssd import SsdDevice, SsdProfile
-from repro.workload.trace import Trace, TraceRecord, TraceRecorder, replay_trace
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -123,115 +121,3 @@ def test_no_overage_when_within_allocation():
     scheduler.usage("a").vops = 500.0  # half the 1s entitlement
     policy.reprovision()
     assert policy.overage.get("a", 0.0) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# Trace record / replay
-# ---------------------------------------------------------------------------
-
-def make_node():
-    sim = Simulator()
-    node = StorageNode(
-        sim,
-        profile=TINY,
-        config=NodeConfig(
-            capacity_vops=15_000.0,
-            engine=EngineConfig(memtable_bytes=256 * KIB, level1_bytes=1 * MIB),
-        ),
-        seed=4,
-    )
-    node.add_tenant("t1")
-    return sim, node
-
-
-def test_trace_roundtrip_serialization():
-    records = [
-        TraceRecord(0.0, "t1", "put", 1, 4096),
-        TraceRecord(0.5, "t1", "get", 1, 0),
-    ]
-    trace = Trace(records)
-    buffer = io.StringIO()
-    trace.dump(buffer)
-    buffer.seek(0)
-    loaded = Trace.load(buffer)
-    assert loaded.records == records
-    assert loaded.duration == 0.5
-    assert loaded.tenants() == ["t1"]
-
-
-def test_trace_rejects_unordered():
-    with pytest.raises(ValueError):
-        Trace([TraceRecord(1.0, "t", "get", 1), TraceRecord(0.5, "t", "get", 2)])
-
-
-def test_recorder_captures_requests():
-    sim, node = make_node()
-    recorder = TraceRecorder(sim, node)
-
-    def flow():
-        yield from recorder.put("t1", 7, 2 * KIB)
-        yield from recorder.get("t1", 7)
-        yield from recorder.delete("t1", 7)
-
-    proc = sim.process(flow())
-    sim.run(until=10.0)
-    assert proc.triggered and proc.ok
-    ops = [r.op for r in recorder.trace]
-    assert ops == ["put", "get", "delete"]
-    assert recorder.trace.records[0].size == 2 * KIB
-
-
-def test_replay_closed_loop_reproduces_state():
-    sim, node = make_node()
-    trace = Trace(
-        [TraceRecord(0.0, "t1", "put", key, 4 * KIB) for key in range(10)]
-        + [TraceRecord(1.0, "t1", "get", 3, 0)]
-    )
-    proc = replay_trace(sim, node, trace, timing="closed")
-    sim.run(until=30.0)
-    assert proc.triggered and proc.ok
-    assert proc.value == 11
-    assert node.stats("t1").puts == 10
-    assert node.stats("t1").gets == 1
-
-
-def test_replay_original_timing_preserves_gaps():
-    sim, node = make_node()
-    trace = Trace(
-        [
-            TraceRecord(0.0, "t1", "put", 1, 1 * KIB),
-            TraceRecord(2.0, "t1", "put", 2, 1 * KIB),
-        ]
-    )
-    completions = []
-    proc = replay_trace(
-        sim, node, trace, timing="original",
-        on_complete=lambda r: completions.append(sim.now),
-    )
-    sim.run(until=30.0)
-    assert proc.triggered and proc.ok
-    assert completions[1] - completions[0] >= 2.0 - 1e-6
-
-
-def test_replay_time_scale_speeds_up():
-    sim, node = make_node()
-    trace = Trace(
-        [
-            TraceRecord(0.0, "t1", "put", 1, 1 * KIB),
-            TraceRecord(4.0, "t1", "put", 2, 1 * KIB),
-        ]
-    )
-    proc = replay_trace(sim, node, trace, timing="original", time_scale=0.25)
-    sim.run(until=30.0)
-    assert proc.triggered and proc.ok
-    # 4s gap compressed to ~1s: everything done well before t=3.
-    assert node.stats("t1").puts == 2
-
-
-def test_replay_validation():
-    sim, node = make_node()
-    trace = Trace([])
-    with pytest.raises(ValueError):
-        replay_trace(sim, node, trace, timing="bogus")
-    with pytest.raises(ValueError):
-        replay_trace(sim, node, trace, time_scale=0.0)

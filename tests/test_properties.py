@@ -13,7 +13,7 @@ from .test_read_path_index import CHURN
 from repro.analysis.metrics import cdf_points, mmr
 from repro.core import Ewma, OpKind, make_cost_model, reference_calibration
 from repro.engine import TOMBSTONE, Memtable, merge_entries, split_outputs
-from repro.sim import Simulator, Store
+from repro.sim import Semaphore, Simulator
 from repro.ssd import SsdProfile
 from repro.ssd.ftl import UNMAPPED, Ftl
 from repro.workload.distributions import LogNormalSize, align
@@ -251,30 +251,36 @@ def test_align_properties(value, gran):
 
 
 # ---------------------------------------------------------------------------
-# Sim store FIFO
+# Semaphore: permits are conserved and waiters are served FIFO
 # ---------------------------------------------------------------------------
 
 @common_settings
-@given(items=st.lists(st.integers(), min_size=1, max_size=30))
-def test_store_preserves_fifo_order(items):
+@given(
+    permits=st.integers(1, 4),
+    holds=st.lists(st.integers(1, 5), min_size=1, max_size=20),
+)
+def test_semaphore_serves_waiters_fifo(permits, holds):
     sim = Simulator()
-    store = Store(sim)
-    received = []
+    sem = Semaphore(sim, value=permits)
+    entered = []
+    active = {"n": 0, "max": 0}
 
-    def producer():
-        for item in items:
-            yield store.put(item)
-            yield sim.timeout(0.001)
+    def worker(tag, hold):
+        yield sem.acquire()
+        entered.append(tag)
+        active["n"] += 1
+        active["max"] = max(active["max"], active["n"])
+        yield sim.timeout(hold * 0.001)
+        active["n"] -= 1
+        sem.release()
 
-    def consumer():
-        for _ in items:
-            value = yield store.get()
-            received.append(value)
-
-    sim.process(producer())
-    sim.process(consumer())
+    for tag, hold in enumerate(holds):
+        sim.process(worker(tag, hold))
     sim.run()
-    assert received == items
+    assert entered == list(range(len(holds)))
+    assert active["max"] == min(permits, len(holds))
+    assert (sem.value, sem.waiting) == (permits, 0)
+
 
 # ---------------------------------------------------------------------------
 # Crash recovery (see repro.faults): acknowledged state is exactly restored

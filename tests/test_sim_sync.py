@@ -1,17 +1,21 @@
-"""Unit tests for simulated synchronization primitives and stores."""
+"""Unit tests for the simulated counting semaphore.
+
+A one-permit semaphore is the mutex the device's queues rely on: the
+``test_mutex_*`` cases pin mutual exclusion and FIFO hand-over.
+"""
 
 import pytest
 
-from repro.sim import Condition, Mutex, Semaphore, SimulationError, Simulator, Store
+from repro.sim import Semaphore, SimulationError, Simulator
 
 
 # ---------------------------------------------------------------------------
-# Mutex
+# One permit: a mutex
 # ---------------------------------------------------------------------------
 
 def test_mutex_mutual_exclusion():
     sim = Simulator()
-    mutex = Mutex(sim)
+    mutex = Semaphore(sim, value=1)
     trace = []
 
     def worker(tag, hold):
@@ -34,7 +38,7 @@ def test_mutex_mutual_exclusion():
 
 def test_mutex_fifo_order():
     sim = Simulator()
-    mutex = Mutex(sim)
+    mutex = Semaphore(sim, value=1)
     order = []
 
     def worker(tag):
@@ -47,81 +51,6 @@ def test_mutex_fifo_order():
         sim.process(worker(tag))
     sim.run()
     assert order == list(range(5))
-
-
-def test_mutex_release_unlocked_rejected():
-    sim = Simulator()
-    mutex = Mutex(sim)
-    with pytest.raises(SimulationError):
-        mutex.release()
-
-
-# ---------------------------------------------------------------------------
-# Condition
-# ---------------------------------------------------------------------------
-
-def test_condition_wait_notify():
-    sim = Simulator()
-    mutex = Mutex(sim)
-    cond = Condition(sim, mutex)
-    state = {"ready": False}
-    log = []
-
-    def waiter():
-        yield mutex.acquire()
-        while not state["ready"]:
-            yield cond.wait()
-        log.append(("woke", sim.now))
-        mutex.release()
-
-    def notifier():
-        yield sim.timeout(5.0)
-        yield mutex.acquire()
-        state["ready"] = True
-        cond.notify()
-        mutex.release()
-
-    sim.process(waiter())
-    sim.process(notifier())
-    sim.run()
-    assert log == [("woke", 5.0)]
-
-
-def test_condition_notify_all_wakes_everyone():
-    sim = Simulator()
-    mutex = Mutex(sim)
-    cond = Condition(sim, mutex)
-    state = {"go": False}
-    woke = []
-
-    def waiter(tag):
-        yield mutex.acquire()
-        while not state["go"]:
-            yield cond.wait()
-        woke.append(tag)
-        mutex.release()
-
-    for tag in "abc":
-        sim.process(waiter(tag))
-
-    def notifier():
-        yield sim.timeout(1.0)
-        yield mutex.acquire()
-        state["go"] = True
-        cond.notify_all()
-        mutex.release()
-
-    sim.process(notifier())
-    sim.run()
-    assert sorted(woke) == ["a", "b", "c"]
-
-
-def test_condition_wait_without_mutex_rejected():
-    sim = Simulator()
-    mutex = Mutex(sim)
-    cond = Condition(sim, mutex)
-    with pytest.raises(SimulationError):
-        cond.wait()
 
 
 # ---------------------------------------------------------------------------
@@ -184,96 +113,35 @@ def test_semaphore_invalid_init():
         Semaphore(sim, value=-1)
 
 
-# ---------------------------------------------------------------------------
-# Store
-# ---------------------------------------------------------------------------
-
-def test_store_fifo_handoff():
+def test_semaphore_release_count_must_be_positive():
     sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append((sim.now, item))
-
-    def producer():
-        for i in range(3):
-            yield sim.timeout(1.0)
-            yield store.put(i)
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [(1.0, 0), (2.0, 1), (3.0, 2)]
+    sem = Semaphore(sim, value=1)
+    for count in (0, -1):
+        with pytest.raises(SimulationError):
+            sem.release(count=count)
+    assert sem.value == 1
 
 
-def test_store_capacity_blocks_producer():
+def test_semaphore_acquire_of_a_free_permit_triggers_at_once():
     sim = Simulator()
-    store = Store(sim, capacity=1)
-    trace = []
-
-    def producer():
-        yield store.put("a")
-        trace.append(("put-a", sim.now))
-        yield store.put("b")
-        trace.append(("put-b", sim.now))
-
-    def consumer():
-        yield sim.timeout(5.0)
-        item = yield store.get()
-        trace.append(("got", item, sim.now))
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert trace == [("put-a", 0.0), ("got", "a", 5.0), ("put-b", 5.0)]
+    sem = Semaphore(sim, value=2)
+    ev = sem.acquire()
+    assert ev.triggered
+    assert (sem.value, sem.waiting) == (1, 0)
 
 
-def test_store_try_put_and_try_get():
+def test_semaphore_release_hands_the_permit_to_a_waiter():
+    # A release with a waiter hands its permit over instead of counting
+    # it, so ``value > 0`` never coexists with a parked acquire.
     sim = Simulator()
-    store = Store(sim, capacity=2)
-    assert store.try_put(1)
-    assert store.try_put(2)
-    assert not store.try_put(3)
-    ok, item = store.try_get()
-    assert ok and item == 1
-    assert store.try_put(3)
-    assert len(store) == 2
-
-
-def test_store_peek_does_not_consume():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.peek() is None
-    store.try_put("x")
-    assert store.peek() == "x"
-    assert len(store) == 1
-
-
-def test_store_direct_handoff_to_waiting_getter():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((sim.now, item))
-
-    sim.process(consumer())
-
-    def producer():
-        yield sim.timeout(2.0)
-        yield store.put("hello")
-
-    sim.process(producer())
-    sim.run()
-    assert got == [(2.0, "hello")]
-    assert len(store) == 0
-
-
-def test_store_invalid_capacity():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Store(sim, capacity=0)
+    sem = Semaphore(sim, value=1)
+    assert sem.acquire().triggered
+    parked = [sem.acquire(), sem.acquire()]
+    assert (sem.value, sem.waiting) == (0, 2)
+    assert not any(ev.triggered for ev in parked)
+    sem.release()
+    assert parked[0].triggered and not parked[1].triggered
+    assert (sem.value, sem.waiting) == (0, 1)
+    sem.release(count=2)
+    assert parked[1].triggered
+    assert (sem.value, sem.waiting) == (1, 0)

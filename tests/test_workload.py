@@ -17,7 +17,6 @@ from repro.workload import (
     TenantSpec,
     Uniform01,
     UniformKeys,
-    ZipfKeys,
     align,
     isolated_iops,
 )
@@ -86,30 +85,9 @@ def test_uniform_keys_in_range():
     assert len(samples) > 80  # covers most of the space
 
 
-def test_zipf_keys_skewed():
-    dist = ZipfKeys(1000, theta=1.1)
-    rng = random.Random(6)
-    samples = [dist.sample(rng) for _ in range(5000)]
-    head = sum(1 for s in samples if s < 10)
-    assert head > len(samples) * 0.3  # the hot head dominates
-    assert 0 <= min(samples) and max(samples) < 1000
-
-
-def test_zipf_theta_zero_is_uniformish():
-    dist = ZipfKeys(100, theta=0.0)
-    rng = random.Random(7)
-    samples = [dist.sample(rng) for _ in range(5000)]
-    head = sum(1 for s in samples if s < 10)
-    assert head < len(samples) * 0.2
-
-
 def test_distribution_validation():
     with pytest.raises(ValueError):
         UniformKeys(0)
-    with pytest.raises(ValueError):
-        ZipfKeys(0)
-    with pytest.raises(ValueError):
-        ZipfKeys(10, theta=-1)
     with pytest.raises(ValueError):
         ExponentialArrivals(0.0)
 
@@ -139,14 +117,6 @@ def test_uniform_keys_block_in_range():
     samples = UniformKeys(100).sample_block(random.Random(5), 2000)
     assert min(samples) >= 0 and max(samples) < 100
     assert len(set(samples)) > 80
-
-
-def test_zipf_block_skewed():
-    dist = ZipfKeys(1000, theta=1.1)
-    samples = dist.sample_block(random.Random(6), 5000)
-    head = sum(1 for s in samples if s < 10)
-    assert head > len(samples) * 0.3
-    assert 0 <= min(samples) and max(samples) < 1000
 
 
 def test_exponential_arrivals_mean():
