@@ -31,6 +31,16 @@ worth, duplicates included — as one batch (:meth:`Ftl._append_batch`).
 Each block's page log is an int32 ``array``, appended to in C and read
 through zero-copy numpy views: 4 bytes a listed page, where a list of
 Python ints took a pointer and an int object each.
+
+Reads are priced from a second map, one byte per logical page
+(:attr:`Ftl.page_channel`): the channel a read of that page goes to.
+Its invariant is ``page_channel[p] == block_channel[page_to_block[p]]``
+while ``p`` is mapped and ``p % channels`` while it is not, and every
+write of ``page_to_block`` writes it too: a store per one-page append,
+a slice per stripe run of a host write or GC copy, one vector op per
+TRIM call or preconditioning batch.  A multi-page read then counts pages per
+channel with ``set`` and ``bytearray.count`` over one slice, in C,
+instead of walking the page map in Python.
 """
 
 from __future__ import annotations
@@ -114,6 +124,11 @@ class Ftl:
         self.channels = profile.channels
         self.stripe_pages = profile.stripe_pages
         self.pages_per_block = profile.pages_per_block
+        if profile.channels > 255:
+            raise ValueError(
+                f"profile {profile.name}: {profile.channels} channels do not fit "
+                f"the one-byte read-channel map (at most 255)"
+            )
         if n_blocks <= profile.gc_reserve_blocks + 2 * profile.channels:
             raise ValueError(
                 f"profile {profile.name}: {n_blocks} blocks is too few for "
@@ -121,6 +136,14 @@ class Ftl:
             )
         #: logical page -> physical block holding its live copy
         self.page_to_block = np.full(n_pages, UNMAPPED, dtype=np.int32)
+        #: logical page -> channel its read goes to: its block's channel
+        #: while mapped, ``p % channels`` while not (see the module
+        #: docstring); built by repeating the bytes ``0..channels-1``
+        nchan = profile.channels
+        laps, rest = divmod(n_pages, nchan)
+        self.page_channel = bytearray(bytes(range(nchan)) * laps + bytes(range(rest)))
+        #: a zero-copy numpy view of it, for the slice and vector updates
+        self._page_channel_np = np.frombuffer(self.page_channel, dtype=np.uint8)
         #: physical block -> count of live pages
         self.block_valid = np.zeros(n_blocks, dtype=np.int32)
         #: physical block -> channel it was allocated on (-1 while free)
@@ -248,13 +271,6 @@ class Ftl:
 
     # -- address helpers -----------------------------------------------------
 
-    def _page_range(self, offset: int, size: int) -> range:
-        page = self.page_size
-        last = (offset + size - 1) // page
-        if not (0 < size and 0 <= offset and last < self.logical_pages):
-            self._reject(offset, size)
-        return range(offset // page, last + 1)
-
     def _reject(self, offset: int, size: int) -> NoReturn:
         """Raise the ValueError naming what is wrong with the host IO
         ``[offset, offset + size)``: empty, negative, beyond capacity, or
@@ -279,32 +295,33 @@ class Ftl:
         per-channel accounting.  The caller guarantees the offset is
         within logical capacity.
         """
-        p = offset // self.page_size
-        block = self.page_to_block.item(p)
-        if block == UNMAPPED:
-            return p % self.channels
-        return self.block_channel.item(block)
+        return self.page_channel[offset // self.page_size]
 
     def read_channels(self, offset: int, size: int) -> List[Tuple[int, int, int]]:
         """Map a host read to per-channel work.
 
-        Returns (channel, pages, bytes) triples.  Bytes are the actual
-        transfer sizes (sub-page reads move only the requested bytes off
-        the flash register).  Unmapped pages read as if striped by LBA.
+        Returns (channel, pages, bytes) triples in ascending channel
+        order.  Bytes are the actual transfer sizes (sub-page reads move
+        only the requested bytes off the flash register).  Unmapped
+        pages read as if striped by LBA.  An empty, fractional or
+        out-of-range read raises ValueError, as does a float offset or
+        size, even an integral one.
         """
         page = self.page_size
-        nchan = self.channels
-        pages = self._page_range(offset, size)
-        first, last = pages[0], pages[-1]
+        first = offset // page
+        last = (offset + size - 1) // page
+        if type(offset) is not int or type(size) is not int or not (
+            0 < size and 0 <= offset and last < self.logical_pages
+        ):
+            self._reject(offset, size)
+        page_channel = self.page_channel
         if first == last:
-            return [(self.read_channel(offset), 1, size)]
+            return [(page_channel[first], 1, size)]
         if last == first + 1:
-            # Two pages (a 4 KiB value across a page boundary): the two
-            # lookups as Python ints, no slice.
-            block = self.page_to_block.item(first)
-            chan0 = first % nchan if block == UNMAPPED else self.block_channel.item(block)
-            block = self.page_to_block.item(last)
-            chan1 = last % nchan if block == UNMAPPED else self.block_channel.item(block)
+            # Two pages (a 4 KiB value across a page boundary): two
+            # lookups, no slice.
+            chan0 = page_channel[first]
+            chan1 = page_channel[last]
             head = (first + 1) * page - offset
             tail = offset + size - last * page
             if chan0 == chan1:
@@ -312,23 +329,20 @@ class Ftl:
             if chan0 < chan1:
                 return [(chan0, 1, head), (chan1, 1, tail)]
             return [(chan1, 1, tail), (chan0, 1, head)]
-        block_channel = self.block_channel
-        chans = [
-            block_channel[block] if block != UNMAPPED else p % nchan
-            for p, block in zip(pages, self.page_to_block[first:last + 1].tolist())
-        ]
-        per_chan_pages = [0] * nchan
-        for chan in chans:
-            per_chan_pages[chan] += 1
-        per_chan_bytes = [n * page for n in per_chan_pages]
+        chans = page_channel[first:last + 1]
         # Only the first and last page can be partial.
-        per_chan_bytes[chans[0]] -= offset - first * page
-        per_chan_bytes[chans[-1]] -= (last + 1) * page - (offset + size)
-        return [
-            (c, per_chan_pages[c], per_chan_bytes[c])
-            for c in range(nchan)
-            if per_chan_pages[c]
-        ]
+        head_chan, head_cut = chans[0], offset - first * page
+        tail_chan, tail_cut = chans[-1], (last + 1) * page - (offset + size)
+        out = []
+        for chan in sorted(set(chans)):
+            pages = chans.count(chan)
+            nbytes = pages * page
+            if chan == head_chan:
+                nbytes -= head_cut
+            if chan == tail_chan:
+                nbytes -= tail_cut
+            out.append((chan, pages, nbytes))
+        return out
 
     # -- host writes ---------------------------------------------------------
 
@@ -425,6 +439,7 @@ class Ftl:
         if len(blocks):
             self.block_valid -= np.bincount(blocks, minlength=len(self.block_valid))
             page_to_block[pages] = UNMAPPED
+            self._page_channel_np[pages] = pages % self.channels
         return len(blocks)
 
     def _invalidate(self, first: int, stop: int) -> int:
@@ -471,6 +486,7 @@ class Ftl:
         block_valid = self.block_valid
         block_pages = self.block_pages
         page_ids = self._page_ids
+        page_channel = self._page_channel_np
         active = self._host_active[stream]
         fill = self._host_fill[stream]
         seq0 = self.write_seq - first
@@ -481,6 +497,7 @@ class Ftl:
         while a < stop:
             run_stop = min(a + stripe, stop)
             counts[chan] += run_stop - a
+            page_channel[a:run_stop] = chan
             while a < run_stop:
                 block = active[chan]
                 used = fill[chan]
@@ -525,6 +542,7 @@ class Ftl:
             block = active[channel] = self._allocate_block(channel)
             used = 0
         page_to_block[logical_page] = block
+        self.page_channel[logical_page] = channel
         block_valid[block] = block_valid.item(block) + 1
         self.block_pages[block].append(logical_page)
         fill[channel] = used + 1
@@ -615,8 +633,10 @@ class Ftl:
         channel ``(start + i // stripe_pages) % channels``, each run
         into that channel's GC active block, opening a block exactly
         where copying page by page would.  The victim's valid count is
-        not dropped page by page: its erase zeroes it.  Returns pages
-        programmed per channel.
+        not dropped page by page: its erase zeroes it.  The maps are
+        indexed with slices of one index array (numpy views), not with
+        list slices each converted anew.  Returns pages programmed per
+        channel.
         """
         nchan = self.channels
         stripe = self.stripe_pages
@@ -624,6 +644,8 @@ class Ftl:
         page_to_block = self.page_to_block
         block_valid = self.block_valid
         block_pages = self.block_pages
+        page_channel = self._page_channel_np
+        at = np.array(pages, dtype=np.intp)
         active, fill = self._gc_active, self._gc_fill
         counts = [0] * nchan
         stop = len(pages)
@@ -632,6 +654,7 @@ class Ftl:
         while a < stop:
             run_stop = min(a + stripe, stop)
             counts[chan] += run_stop - a
+            page_channel[at[a:run_stop]] = chan
             while a < run_stop:
                 block = active[chan]
                 used = fill[chan]
@@ -639,10 +662,9 @@ class Ftl:
                     block = active[chan] = self._allocate_block(chan)
                     used = 0
                 b = min(run_stop, a + per_block - used)
-                run = pages[a:b]
-                page_to_block[run] = block
+                page_to_block[at[a:b]] = block
                 block_valid[block] = block_valid.item(block) + b - a
-                block_pages[block].extend(run)
+                block_pages[block].extend(pages[a:b])
                 fill[chan] = used + b - a
                 a = b
             chan = (chan + 1) % nchan
@@ -750,6 +772,7 @@ class Ftl:
         page_to_block = self.page_to_block
         old = page_to_block[distinct]
         page_to_block[distinct] = last
+        self._page_channel_np[distinct] = chans[is_last]
         n_blocks = len(self.block_valid)
         self.block_valid += np.bincount(last, minlength=n_blocks)
         self.block_valid -= np.bincount(old[old != UNMAPPED], minlength=n_blocks)

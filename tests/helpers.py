@@ -4,6 +4,7 @@ import sys
 from contextlib import contextmanager
 
 from repro.obs import Tracer
+from repro.ssd.ftl import UNMAPPED
 
 
 def force_coroutine_path(device):
@@ -91,3 +92,34 @@ def count_calls(run, path_parts, functions=None):
     finally:
         sys.setprofile(previous)
     return calls[0]
+
+
+def page_range(ftl, offset, size):
+    """The logical pages of the host IO ``[offset, offset + size)``, as
+    the page-by-page FTL oracles walk them; ValueError when ``Ftl``
+    would reject the range."""
+    page = ftl.page_size
+    last = (offset + size - 1) // page
+    if not (0 < size and 0 <= offset and last < ftl.logical_pages):
+        ftl._reject(offset, size)
+    return range(offset // page, last + 1)
+
+
+def read_channels_per_page(ftl, offset, size):
+    """The per-page loop ``Ftl.read_channels`` used to be, reading the
+    page map itself (the oracle for the read-channel map)."""
+    page = ftl.page_size
+    nchan = ftl.channels
+    per_chan_pages = [0] * nchan
+    per_chan_bytes = [0] * nchan
+    end = offset + size
+    for p in page_range(ftl, offset, size):
+        block = ftl.page_to_block[p]
+        chan = int(ftl.block_channel[block]) if block != UNMAPPED else p % nchan
+        per_chan_pages[chan] += 1
+        per_chan_bytes[chan] += min(end, (p + 1) * page) - max(offset, p * page)
+    return [
+        (c, per_chan_pages[c], per_chan_bytes[c])
+        for c in range(nchan)
+        if per_chan_pages[c]
+    ]

@@ -336,6 +336,18 @@ ROWS = [
     ("Ftl.trim_extents", "overlapping extents",
      ftl_returns("trim_extents", [(CAPACITY - 4 * PAGE, 3 * PAGE),
                                   (CAPACITY - 3 * PAGE, 3 * PAGE)]), 4),
+    ("Ftl.read_channels", "integral float offset",
+     on_ftl("read_channels", 4096.0, 8 * KIB), ValueError),
+    ("Ftl.read_channels", "fractional size", on_ftl("read_channels", 0, 2.5), ValueError),
+    ("Ftl.read_channels", "NaN offset", on_ftl("read_channels", NAN, 4 * KIB), ValueError),
+    ("Ftl.read_channels", "NaN size", on_ftl("read_channels", 0, NAN), ValueError),
+    ("Ftl.read_channels", "size 0", on_ftl("read_channels", 0, 0), ValueError),
+    ("Ftl.read_channels", "negative offset",
+     on_ftl("read_channels", -4 * KIB, 4 * KIB), ValueError),
+    ("Ftl.read_channels", "past capacity",
+     on_ftl("read_channels", CAPACITY, 4 * KIB), ValueError),
+    ("Ftl.read_channels", "straddles capacity",
+     on_ftl("read_channels", CAPACITY - 1, 2), ValueError),
     ("Ftl.precondition", "NaN age_factor", on_ftl("precondition", NAN), ValueError),
     ("Ftl.precondition", "+inf age_factor", on_ftl("precondition", INF), ValueError),
     ("Ftl.precondition", "-inf age_factor", on_ftl("precondition", -INF), ValueError),
@@ -365,7 +377,8 @@ ENTRIES = {
 } | {f"LsmEngine.{name}" for name in ("get", "put", "delete", "scan")} | {
     "LibraScheduler.read", "LibraScheduler.write", "SimFile.read", "SimFile.append",
 } | {f"SsdDevice.{name}" for name in ("submit", "read", "write", "trim")} | {
-    "Ftl.host_write", "Ftl.precondition", "Ftl.trim", "Ftl.trim_extents",
+    "Ftl.host_write", "Ftl.precondition", "Ftl.read_channels", "Ftl.trim",
+    "Ftl.trim_extents",
 }
 
 

@@ -33,7 +33,7 @@ import tracemalloc
 
 import pytest
 
-from .helpers import count_calls
+from .helpers import count_calls, page_range, read_channels_per_page
 from repro.core import (
     IoTag, LibraScheduler, SchedulerConfig, make_cost_model, reference_calibration,
 )
@@ -58,10 +58,12 @@ class ReferenceFtl(Ftl):
     the per-op update and the batched preconditioning: one
     ``_append_page`` (or one scalar unmap) per logical page, one
     ``randrange`` per aging page, the watermark checked after every
-    preconditioning page."""
+    preconditioning page.  ``trim`` unmaps ``page_to_block`` alone, so
+    ``read_channels`` is the per-page walk over that map too, not a
+    read of the read-channel map."""
 
     def host_write(self, offset, size):
-        pages = self._page_range(offset, size)
+        pages = page_range(self, offset, size)
         stream = self.policy.route(self, pages) if self._routed else 0
         nchan = self.profile.channels
         stripe = self.profile.stripe_pages
@@ -80,9 +82,12 @@ class ReferenceFtl(Ftl):
             pages=len(pages),
         )
 
+    def read_channels(self, offset, size):
+        return read_channels_per_page(self, offset, size)
+
     def trim(self, offset, size):
         freed = 0
-        for p in self._page_range(offset, size):
+        for p in page_range(self, offset, size):
             block = self.page_to_block[p]
             if block != UNMAPPED:
                 self.block_valid[block] -= 1
@@ -585,17 +590,23 @@ def test_calls_per_chunk_stay_within_budget():
     included; CPython 3.11, where 3.12 inlines comprehensions and counts
     fewer), and heap pushes per chunk, which must not move:
 
-    =================  ======  ======  ======  ======
-    op                 parent  change  budget  pushes
-    =================  ======  ======  ======  ======
-    one-page read       16.09   16.09      17   2.011
-    one-page write      17.36   16.36      17   2.042
-    128 KiB write       41.32   41.32      42   3.590
-    =================  ======  ======  ======  ======
+    ======================  ======  ======  ======  ======
+    op                      parent  change  budget  pushes
+    ======================  ======  ======  ======  ======
+    one-page read            16.09   16.09      17   2.011
+    64 KiB unaligned read    20.45   16.45      17   2.034
+    one-page write           16.36   16.36      17   2.042
+    128 KiB write            41.32   41.32      42   3.590
+    ======================  ======  ======  ======  ======
 
-    The parent planned a one-page write through ``Ftl.host_write`` and
-    its ``WritePlan``; ``_plan`` now maps it with one ``_append_page``.
-    Before it, a parent admitted an op through ``_pump``, ``_queue_for``,
+    A 64 KiB read at a sub-page offset spans 17 pages.  The parent
+    priced it with ``Ftl.read_channels`` walking the page map: a
+    ``_page_range`` call and three comprehensions over the pages; now
+    ``read_channels`` counts pages per channel over one slice of the
+    read-channel map, in C.  Earlier, a parent planned a one-page write
+    through ``Ftl.host_write`` and its ``WritePlan`` (17.36 calls);
+    ``_plan`` now maps it with one ``_append_page``.  Before it, a
+    parent admitted an op through ``_pump``, ``_queue_for``,
     ``_admit_fast``, ``_try_admit`` and ``Semaphore.try_acquire``,
     pushed its finish through ``Simulator.call_at``, freed the slot
     through ``_release`` and ``Semaphore.release``, and built a
@@ -615,30 +626,33 @@ def test_calls_per_chunk_stay_within_budget():
     for i, tag in enumerate(tags):
         scheduler.register_tenant(tag.tenant, 1000.0 * (i + 1))
 
-    def serve(submit, size, count):
+    def serve(submit, size, count, skew):
         def one_at_a_time():
             for i in range(count):
-                yield submit((i * 37 % 4000) * 4096, size, tags[i % 4])
+                yield submit((i * 37 % 4000) * 4096 + skew, size, tags[i % 4])
 
         proc = sim.process(one_at_a_time())
         sim.step_while(lambda: proc.is_alive)
         assert proc.ok
 
     per_chunk, pushes = {}, {}
-    for name, submit, size, count in (
-        ("read", scheduler.read, 4 * KIB, 1000),
-        ("write", scheduler.write, 4 * KIB, 1000),
-        ("write128k", scheduler.write, 128 * KIB, 200),
+    for name, submit, size, count, skew in (
+        ("read", scheduler.read, 4 * KIB, 1000, 0),
+        ("read64k", scheduler.read, 64 * KIB, 1000, 512),
+        ("write", scheduler.write, 4 * KIB, 1000, 0),
+        ("write128k", scheduler.write, 128 * KIB, 200, 0),
     ):
         seq = sim._seq
         calls = count_calls(
-            lambda: serve(submit, size, count), ("/repro/core/", "/repro/ssd/", "/repro/sim/")
+            lambda: serve(submit, size, count, skew),
+            ("/repro/core/", "/repro/ssd/", "/repro/sim/"),
         )
         per_chunk[name] = calls / count
         pushes[name] = sim._seq - seq
     assert device.stats.gc_runs > 0  # the 128 KiB writes reach GC
-    assert pushes == {"read": 2011, "write": 2042, "write128k": 718}
+    assert pushes == {"read": 2011, "read64k": 2034, "write": 2042, "write128k": 718}
     assert per_chunk["read"] <= 17, per_chunk
+    assert per_chunk["read64k"] <= 17, per_chunk
     assert per_chunk["write"] <= 17, per_chunk
     assert per_chunk["write128k"] <= 42, per_chunk
 

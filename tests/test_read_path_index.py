@@ -3,9 +3,9 @@
 Two kinds of test keep the read path honest:
 
 - *property tests*: every index (memtable key list, per-level
-  ``min_key`` arrays, the FTL's read fan-out, the filesystem's byte
-  counters) must equal the linear walk it replaced, which stays here as
-  the oracle;
+  ``min_key`` arrays, the FTL's read-channel map, the filesystem's byte
+  counters) must equal the linear walk it replaced, which stays here
+  (or, shared, in ``helpers.py``) as the oracle;
 - *growth tests*: the number of Python calls one scan, one GET and one
   WAL append make inside the engine and filesystem must not depend on
   how much out-of-range state exists.  Counts, not wall-clock, so they
@@ -15,10 +15,11 @@ Two kinds of test keep the read path honest:
 import bisect
 import random
 
-from hypothesis import HealthCheck, given, settings
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from .helpers import count_calls
+from .helpers import count_calls, read_channels_per_page
 from repro.core.tags import IoTag, RequestClass
 from repro.engine import TOMBSTONE, EngineConfig, LsmEngine, Memtable, TableBuilder
 from repro.engine.sstable import BLOCK_SIZE
@@ -395,27 +396,26 @@ def test_memtable_index_is_sorted_entries(ops, lo, span):
 # FTL read fan-out
 # ---------------------------------------------------------------------------
 
-def read_channels_per_page(ftl, offset, size):
-    """The per-page loop ``Ftl.read_channels`` used to be (the oracle)."""
-    page = ftl.profile.page_size
-    nchan = ftl.profile.channels
-    per_chan_pages = [0] * nchan
-    per_chan_bytes = [0] * nchan
-    end = offset + size
-    for p in ftl._page_range(offset, size):
-        block = ftl.page_to_block[p]
-        chan = int(ftl.block_channel[block]) if block != UNMAPPED else p % nchan
-        per_chan_pages[chan] += 1
-        per_chan_bytes[chan] += min(end, (p + 1) * page) - max(offset, p * page)
-    return [
-        (c, per_chan_pages[c], per_chan_bytes[c])
-        for c in range(nchan)
-        if per_chan_pages[c]
-    ]
+def assert_read_channel_map(ftl):
+    """``Ftl.page_channel`` holds each page's block channel while the
+    page is mapped and ``p % channels`` while it is not."""
+    page_to_block = ftl.page_to_block
+    want = np.where(
+        page_to_block == UNMAPPED,
+        np.arange(ftl.logical_pages) % ftl.channels,
+        ftl.block_channel[page_to_block],
+    )
+    assert np.array_equal(np.frombuffer(ftl.page_channel, dtype=np.uint8), want)
+
+
+#: one-page and striped writes, a TRIM of mapped pages, a two-page read
+SITE_WRITES = [("write", 3, 1), ("write", 0, 20), ("trim", 5, 10), ("write", 9, 1)]
+SITE_READS = [(0, 30 * 4096), (4096 + 700, 2 * 4096)]
 
 
 @prop_settings
 @given(
+    preconditioned=st.booleans(),
     writes=st.lists(
         st.tuples(st.sampled_from(["write", "trim"]), st.integers(0, 250), st.integers(1, 40)),
         max_size=20,
@@ -425,12 +425,26 @@ def read_channels_per_page(ftl, offset, size):
         max_size=20,
     ),
 )
-def test_read_channels_matches_per_page_loop(writes, reads):
+@example(preconditioned=False, writes=SITE_WRITES, reads=SITE_READS)
+@example(preconditioned=True, writes=SITE_WRITES, reads=SITE_READS)
+def test_read_channels_matches_per_page_loop(preconditioned, writes, reads):
+    """The read-channel map against the page map it mirrors, after every
+    write site: one-page and striped host writes, TRIMs, GC copies (the
+    preconditioned device collects to its high watermark after each op)
+    and preconditioning's batches."""
     profile = SsdProfile(name="prop", channels=4, logical_capacity=8 * MIB, overprovision=1.0)
     ftl = Ftl(profile, seed=1)
+    if preconditioned:
+        ftl.precondition(age_factor=0.5)
+    assert_read_channel_map(ftl)
     page = profile.page_size
-    for kind, start, pages in writes:
+    for i, (kind, start, pages) in enumerate(writes):
         (ftl.host_write if kind == "write" else ftl.trim)(start * page, pages * page)
+        while not ftl.gc_satisfied:
+            assert ftl.collect_victim() is not None
+        assert_read_channel_map(ftl)
+        offset, size = reads[i % len(reads)]
+        assert ftl.read_channels(offset, size) == read_channels_per_page(ftl, offset, size)
     for offset, size in reads:
         got = ftl.read_channels(offset, size)
         assert got == read_channels_per_page(ftl, offset, size)
