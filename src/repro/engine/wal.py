@@ -31,7 +31,6 @@ acknowledged records are exactly the ``entries`` list and survive.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Tuple
 
 from ..core.tags import IoTag
@@ -115,8 +114,8 @@ class Wal:
         commit does not land — the caller was never acknowledged and
         must re-issue.
         """
-        if not 0 < nbytes < math.inf:
-            raise ValueError(f"record size must be positive and finite, got {nbytes}")
+        if type(nbytes) is not int or nbytes <= 0:
+            raise ValueError(f"record size must be a positive int, got {nbytes!r}")
         sim = self.sim
         done = Event(sim)
         self._pending.append((nbytes, done, record))

@@ -154,9 +154,10 @@ class Timeout(Event):
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         # One Timeout is created per simulated wait, so the base
-        # constructor and scheduling call are inlined here.
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        # constructor and scheduling call are inlined here.  Written so
+        # that a NaN fails the check: it would break the heap's order.
+        if not delay >= 0:
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         self.sim = sim
         self.callbacks = []
         self._value = value
@@ -417,9 +418,10 @@ class Simulator:
         finish time analytically schedules a single callback instead of
         parking a generator on a :class:`Timeout`.  ``at`` must not be
         in the past — completions are computed from ``max(now, ...)``
-        reservation timestamps, so an earlier time is always a bug.
+        reservation timestamps, so an earlier time is always a bug.  A
+        NaN time is rejected too: it would break the heap's order.
         """
-        if at < self.now:
+        if not at >= self.now:
             raise SimulationError(f"call_at({at}) is before now ({self.now})")
         self._seq += 1
         heappush(self._heap, (at, self._seq, fn, arg))
@@ -429,10 +431,13 @@ class Simulator:
 
         When ``until`` is given, time is advanced exactly to ``until``
         even if the last event fires earlier, so back-to-back ``run``
-        calls observe a continuous clock.
+        calls observe a continuous clock.  A NaN ``until`` raises
+        :class:`SimulationError`: no event would ever pass it.
         """
         heap = self._heap
         pop = heapq.heappop
+        if until is not None and until != until:  # NaN
+            raise SimulationError("run(until=nan)")
         if until is None:
             while heap:
                 at, _seq, fn, arg = pop(heap)
@@ -473,8 +478,11 @@ class Simulator:
         bounds the drain: an action scheduled past it is left queued
         (the clock never advances beyond ``until``), which is what the
         fluid fast-forward handover uses so a drain-to-quiet can never
-        overrun its granted epoch edge.
+        overrun its granted epoch edge.  A NaN ``until`` raises
+        :class:`SimulationError`.
         """
+        if until is not None and until != until:  # NaN
+            raise SimulationError("step_while(until=nan)")
         steps = 0
         heap = self._heap
         pop = heapq.heappop
@@ -496,6 +504,8 @@ class Simulator:
 
     def _schedule_call(self, fn: Callable, arg: Any, delay: float = 0.0) -> None:
         """Queue an arbitrary callable (used to resume processes)."""
+        if not delay >= 0:
+            raise SimulationError(f"call delay must be >= 0, got {delay}")
         self._seq += 1
         heappush(self._heap, (self.now + delay, self._seq, fn, arg))
 

@@ -24,9 +24,11 @@ only while the free pool cannot run dry inside the op; otherwise the op
 walks page by page through that primitive.  A GC victim is evacuated
 the same way: one page-map gather finds its live pages, and they are
 copied per stripe run (:meth:`Ftl._append_gc`).  A TRIM call unmaps
-all its extents' pages in one pass.  Preconditioning goes further and
-applies all the writes between two GC runs — hundreds of blocks'
-worth, duplicates included — as one batch (:meth:`Ftl._append_batch`).
+all its extents' pages in one pass.  Preconditioning goes further: it
+applies all the writes between two GC bursts — hundreds of blocks'
+worth, duplicates included — as one batch (:meth:`Ftl._append_batch`),
+and evacuates each burst's victims, a hundred or so, in one pass
+(:meth:`Ftl._gc_pass`).
 
 Each block's page log is an int32 ``array``, appended to in C and read
 through zero-copy numpy views: 4 bytes a listed page, where a list of
@@ -38,9 +40,9 @@ Its invariant is ``page_channel[p] == block_channel[page_to_block[p]]``
 while ``p`` is mapped and ``p % channels`` while it is not, and every
 write of ``page_to_block`` writes it too: a store per one-page append,
 a slice per stripe run of a host write or GC copy, one vector op per
-TRIM call or preconditioning batch.  A multi-page read then counts pages per
-channel with ``set`` and ``bytearray.count`` over one slice, in C,
-instead of walking the page map in Python.
+TRIM call, preconditioning batch or GC pass.  A multi-page read then
+counts pages per channel with ``set`` and ``bytearray.count`` over one
+slice, in C, instead of walking the page map in Python.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
-from typing import Deque, List, NoReturn, Optional, Tuple
+from itertools import chain, islice
+from typing import Deque, List, NamedTuple, NoReturn, Optional, Tuple
 
 import numpy as np
 
@@ -66,9 +68,30 @@ UNMAPPED = -1
 #: bounds its transient arrays (~1.5 MB, plus an int per logical page)
 _CHUNK = 1 << 14
 
+#: what GC raises when it needs a destination block and the pool is empty
+_EXHAUSTED = (
+    "FTL exhausted: GC needs a destination block but the free pool is empty "
+    "(reserve misconfigured)"
+)
+
 #: mapped pages from which dropping old copies goes through one
 #: ``np.subtract.at`` instead of a Python loop (see ``Ftl._invalidate``)
 _VECTOR_PAGES = 24
+
+
+class _Runs(NamedTuple):
+    """Where a batch of appends lands (see ``Ftl._runs``): per run, its
+    first position in channel order, its channel and whether it opens
+    its block; per block opened, the write that opens it, in channel
+    order (``opener``) and in write order (``opens``, which ``by``
+    sorts ``opener`` into)."""
+
+    lo: List[int]
+    chan: List[int]
+    opening: List[bool]
+    opener: np.ndarray
+    by: np.ndarray
+    opens: np.ndarray
 
 
 @dataclass
@@ -154,7 +177,7 @@ class Ftl:
         self.block_pages: List[array] = [array("i") for _ in range(n_blocks)]
         #: every logical page id, in order: a stripe run's slice of it is
         #: appended to a block's log in one C-level copy
-        self._page_ids = array("i", range(n_pages))
+        self._page_ids = array("i", np.arange(n_pages, dtype=np.int32).tobytes())
         self.free_blocks: Deque[int] = deque(range(n_blocks))
         #: host page-write clock and per-block birth stamp (block age for
         #: cost-benefit scoring; maintained unconditionally — two integer
@@ -554,10 +577,7 @@ class Ftl:
             # ``host_starved``) is sized to make this unreachable; count
             # it so tests can assert the background GC keeps up.
             if self._in_gc:
-                raise RuntimeError(
-                    "FTL exhausted: GC needs a destination block but the "
-                    "free pool is empty (reserve misconfigured)"
-                )
+                raise RuntimeError(_EXHAUSTED)
             self.emergency_gcs += 1
             move = self.collect_victim()
             if move is None:
@@ -683,9 +703,12 @@ class Ftl:
         the greedy-GC steady state so write workloads see realistic
         (finite!) write amplification from their first IO.
 
-        Both phases go in as batches (:meth:`_host_appends`) yet leave
-        every field, ``rng`` included, exactly as one ``_append_page``
-        per page with the watermark checked after each would.
+        Both phases go in as batches (:meth:`_host_appends`), and so
+        does GC: each burst to the high watermark is one
+        :meth:`_gc_pass`, not one :meth:`collect_victim` per victim.
+        Yet every field, ``rng`` included, ends exactly as one
+        ``_append_page`` per page with the watermark checked after each,
+        and GC one victim at a time, would leave it.
         """
         if not 0 <= age_factor < math.inf:
             raise ValueError(f"age_factor {age_factor} must be finite and >= 0")
@@ -693,105 +716,150 @@ class Ftl:
         nchan = self.channels
         for first in range(0, n_pages, _CHUNK):
             lba = np.arange(first, min(first + _CHUNK, n_pages))
-            self._host_appends(lba, lba // self.stripe_pages % nchan)
+            self._host_appends(lba, lba // self.stripe_pages % nchan, None)
         # write i of the aging goes to channel (cursor + i) % channels
         chan = self._host_cursor[0]
+        ring = np.arange(_CHUNK + nchan, dtype=np.int16) % nchan
+        newest = np.full(n_pages, -1, dtype=np.int32)  # reused by every batch
         for pages in self._draw_pages(int(n_pages * age_factor)):
-            self._host_appends(pages, (chan + np.arange(len(pages))) % nchan)
+            self._host_appends(pages, ring[chan:chan + len(pages)], newest)
             chan = (chan + len(pages)) % nchan
         self._sync_gc()
         self.emergency_gcs = 0
 
-    def _host_appends(self, pages: np.ndarray, chans: np.ndarray) -> None:
+    def _host_appends(self, pages: np.ndarray, chans: np.ndarray, newest: np.ndarray) -> None:
         """Append page ``pages[i]`` to channel ``chans[i]`` of host
         stream 0 for every ``i``, running GC to the high watermark
-        whenever the pool reaches the low one."""
+        whenever the pool reaches the low one.  ``newest`` is a work
+        array for :meth:`_append_batch`, -1 for every page; None when
+        the pages are distinct."""
         i, n = 0, len(pages)
         while i < n:
             if self.gc_needed:  # the pool starts drained: GC after each write
                 self._append_page(pages.item(i), False, chans.item(i))
                 i += 1
             else:
-                i += self._append_batch(pages[i:], chans[i:])
+                i += self._append_batch(pages[i:], chans[i:], newest)
             if self.gc_needed:
                 self._sync_gc()
 
-    def _append_batch(self, pages: np.ndarray, chans: np.ndarray) -> int:
+    def _append_batch(self, pages: np.ndarray, chans: np.ndarray, newest: np.ndarray) -> int:
         """Append a prefix of :meth:`_host_appends`' writes in one pass
         and return its length: at most up to the write whose block
         brings the free pool to the low watermark.
 
-        Until then the pool only shrinks and no GC runs, so:
-
-        - the ``t``-th write to channel ``c`` opens a block when ``t -
-          room_c`` is a non-negative multiple of ``pages_per_block``
-          (``room_c``: pages left in ``c``'s open block), and those
-          writes take the free list's blocks in order, each stamped
-          with the write clock at that write;
-        - no write reads a valid count, so a page written ``k`` times
-          nets −1 at the block it held before and +1 at the block of
-          its last copy, while every copy is listed on its block in
-          write order.
+        Until then the pool only shrinks and no GC runs, so the writes
+        open blocks where :meth:`_runs` says, taking the free list's
+        blocks in order, each stamped with the write clock at that
+        write; and no write reads a valid count, so a page written ``k``
+        times nets −1 at the block it held before and +1 at the block of
+        its last copy, while every copy is listed on its block in write
+        order.
         """
         nchan = self.channels
         per_block = self.pages_per_block
         budget = len(self.free_blocks) - self._gc_low_blocks  # >= 1: gc not needed
-        n = len(pages)
         active, fill = self._host_active[0], self._host_fill[0]
-        room = [0 if block is None else per_block - used for block, used in zip(active, fill)]
-        # each channel's writes, in write order, and t for each write
+        # Past the open blocks' room, every per_block writes open at least
+        # one block: the batch ends within this many.
+        cap = budget * per_block
+        for block, used in zip(active, fill):
+            if block is not None:
+                cap += per_block - used
+        pages, chans = pages[:cap], chans[:cap]
         order = np.argsort(chans.astype(np.int16), kind="stable")
-        per_chan = np.bincount(chans, minlength=nchan)
-        t = np.empty(n, dtype=np.intp)
-        t[order] = np.arange(n) - np.repeat(np.cumsum(per_chan) - per_chan, per_chan)
-        over = t - np.array(room)[chans]
-        opens = np.flatnonzero((over >= 0) & (over % per_block == 0))
-        if len(opens) >= budget:
-            n = int(opens[budget - 1]) + 1
-            opens = opens[:budget]
-            pages, chans, over = pages[:n], chans[:n], over[:n]
+        counts = np.bincount(chans, minlength=nchan)
+        runs = self._runs(order, counts, active, fill)
+        n = len(pages)
+        if len(runs.opens) >= budget:
+            n = int(runs.opens[budget - 1]) + 1
+            pages, chans = pages[:n], chans[:n]
             order = order[order < n]
-            per_chan = np.bincount(chans, minlength=nchan)
+            counts = np.bincount(chans, minlength=nchan)
+            runs = self._runs(order, counts, active, fill)
+        opens = runs.opens
         free = self.free_blocks
-        fresh = [free.popleft() for _ in range(len(opens))]
+        fresh = list(islice(free, len(opens)))
+        for _ in fresh:
+            free.popleft()
         self.block_channel[fresh] = chans[opens]
         self.block_seq[fresh] = self.write_seq + 1 + opens
-        # block of each write: its channel's open block (segment 0), then
-        # the blocks that channel opens, in order
-        seg = over // per_block + 1
-        lane_blocks = np.empty((int(seg.max()) + 1) * nchan, dtype=np.int32)
-        lane_blocks[:nchan] = [UNMAPPED if block is None else block for block in active]
-        lane_blocks[seg[opens] * nchan + chans[opens]] = fresh
-        owner = lane_blocks[seg * nchan + chans]
-        # each distinct page once, at its last copy
-        at = np.arange(n)
-        newest = np.full(self.logical_pages, -1)
-        np.maximum.at(newest, pages, at)
-        is_last = newest[pages] == at
-        distinct, last = pages[is_last], owner[is_last]
+        listed = pages[order]
+        owner = self._fill_runs(listed, runs, fresh, active, fill)
+        distinct, last = listed, owner
+        last_chans = np.repeat(np.arange(nchan, dtype=np.uint8), counts)
+        if newest is not None:  # each distinct page once, at its last copy
+            np.maximum.at(newest, pages, np.arange(n, dtype=np.int32))
+            is_last = newest[listed] == order
+            newest[pages] = -1
+            distinct, last, last_chans = listed[is_last], owner[is_last], last_chans[is_last]
         page_to_block = self.page_to_block
         old = page_to_block[distinct]
         page_to_block[distinct] = last
-        self._page_channel_np[distinct] = chans[is_last]
+        self._page_channel_np[distinct] = last_chans
         n_blocks = len(self.block_valid)
         self.block_valid += np.bincount(last, minlength=n_blocks)
         self.block_valid -= np.bincount(old[old != UNMAPPED], minlength=n_blocks)
-        # listed by channel, then write order: one run per block
-        block_pages = self.block_pages
-        listed = pages[order].astype(np.int32)
-        owners = owner[order]
-        cuts = (np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, n]):
-            block_pages[owners.item(lo)].frombytes(listed[lo:hi].tobytes())
-        # a channel's last write is in its open block, which lists exactly
-        # the pages its fill counts
-        for c, (count, end) in enumerate(zip(per_chan.tolist(), np.cumsum(per_chan).tolist())):
-            if count:
-                active[c] = owners.item(end - 1)
-                fill[c] = len(block_pages[active[c]])
         self.write_seq += n
         self._note_pool()
         return n
+
+    def _runs(self, order, counts, active, fill) -> _Runs:
+        """Where a stream's writes land, worked out per block rather
+        than per write.
+
+        In *channel order* — the writes by channel, then in write order
+        (``order``, a stable sort), ``counts[c]`` of them on channel
+        ``c`` — each channel's writes fill the room left in its open
+        block (``active``, filled to ``fill``), then open a block every
+        ``pages_per_block`` writes, so each block's writes are one run.
+        """
+        per_block = self.pages_per_block
+        lo, chan, opening, at = [], [], [], []
+        start = 0
+        for c, count in enumerate(counts.tolist()):
+            if count:
+                head = 0 if active[c] is None else min(per_block - fill[c], count)
+                if head:
+                    lo.append(start)
+                    chan.append(c)
+                    opening.append(False)
+                opened = range(start + head, start + count, per_block)
+                lo += opened
+                at += opened
+                chan += [c] * len(opened)
+                opening += [True] * len(opened)
+                start += count
+        opener = order[at]
+        by = np.argsort(opener)
+        return _Runs(lo, chan, opening, opener, by, opener[by])
+
+    def _fill_runs(self, listed, runs: _Runs, fresh, active, fill) -> np.ndarray:
+        """Append ``listed`` — the writes' pages in channel order — to
+        their blocks and return each one's block.
+
+        A run's block is its channel's open block, or the block its
+        opening write takes: ``fresh`` hands them out in write order.
+        Each run is one slice of one ``bytes`` appended to its block's
+        log.  Each channel's last block is left open, and lists exactly
+        the pages its fill counts.
+        """
+        block_pages = self.block_pages
+        taken = np.empty(len(fresh), dtype=np.intp)
+        taken[runs.by] = fresh
+        taken = iter(taken.tolist())
+        blocks = []
+        for c, opens in zip(runs.chan, runs.opening):
+            blocks.append(next(taken) if opens else active[c])
+        bounds = np.array([*runs.lo, len(listed)])
+        data = listed.astype(np.int32).tobytes()
+        cut = (4 * bounds).tolist()
+        for block, a, b in zip(blocks, cut, cut[1:]):
+            block_pages[block].frombytes(data[a:b])
+        for c, block in dict(zip(runs.chan, blocks)).items():
+            active[c] = block
+            fill[c] = len(block_pages[block])
+        return np.repeat(np.array(blocks, dtype=np.int32), np.diff(bounds))
 
     def _draw_pages(self, count: int):
         """Yield ``count`` values of ``rng.randrange(logical_pages)`` as
@@ -813,7 +881,9 @@ class Ftl:
             "state": {"key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]},
         }
         while count:
-            before = twister.state
+            # the state to rewind to, needed only for a chunk that can be
+            # the last (a chunk holds at most _CHUNK hits)
+            before = twister.state if count <= _CHUNK else None
             raw = (twister.random_raw(_CHUNK) >> shift).view(np.int64)
             hits = np.flatnonzero(raw < n)
             if len(hits) >= count:  # rewind to just past the last one used
@@ -827,6 +897,164 @@ class Ftl:
 
     def _sync_gc(self) -> None:
         """Run GC to the high watermark with no simulated time cost."""
-        while not self.gc_satisfied:
-            if self.collect_victim() is None:  # pragma: no cover - defensive
-                break
+        while not self.gc_satisfied and self._gc_pass():
+            pass
+
+    def _gc_pass(self) -> bool:
+        """Evacuate and erase, in one pass, the victims
+        :meth:`collect_victim` would take one at a time from here, up to
+        the one whose erase brings the pool to the high watermark.
+        Returns False when no closed block is left.
+
+        While GC runs no closed block's key changes — it copies live
+        pages off victims and stamps only the blocks it opens — so one
+        sort of the closed blocks by the policy's
+        :meth:`~repro.ssd.ftl_policy.FtlPolicy.victim_key` orders the
+        victims, up to where a GC block closing mid-pass would sort
+        before a later victim (:meth:`_resort`): the pass ends there,
+        and the next one sorts again.  Victim ``j``'s live pages are
+        striped from channel ``cursor + j`` and placed by :meth:`_runs`;
+        the blocks they open come off the free list in page order, then
+        the victims in erase order (a victim erased earlier in the pass
+        may come back).  A pass that would find the pool empty before
+        any stop raises the ``RuntimeError`` of ``_allocate_block``.
+        """
+        nchan = self.channels
+        per_block = self.pages_per_block
+        block_valid = self.block_valid
+        active, fill = self._gc_active, self._gc_fill
+        closed = self.block_channel >= 0
+        for lane in (*self._host_active, active):
+            for block in lane:
+                if block is not None:
+                    closed[block] = False
+        victims = np.flatnonzero(closed)
+        if not len(victims):
+            return False
+        keys = self.policy.victim_key(self, block_valid[victims], self.block_seq[victims])
+        rank = np.argsort(keys, kind="stable")
+        victims, keys = victims[rank], keys[rank]
+        valid = block_valid[victims].astype(np.intp)
+        ends = np.cumsum(valid)
+        # Victims 0..j open at most ends[j] / per_block blocks plus one
+        # per channel: the pool is sure to be full by the first j where
+        # this holds.
+        free0 = len(self.free_blocks)
+        high = self._gc_high_blocks
+        sure = np.flatnonzero((free0 + 1 - nchan - high + np.arange(len(ends))) * per_block >= ends)
+        if len(sure):
+            n = int(sure[0]) + 1
+            victims, keys, valid, ends = victims[:n], keys[:n], valid[:n], ends[:n]
+        n = len(victims)
+        # page i of victim j goes to channel cursor + j + i // stripe
+        of = np.repeat(np.arange(n), valid)
+        local = np.arange(len(of)) - (ends - valid)[of]
+        chans = (self._gc_cursor + of + local // self.stripe_pages) % nchan
+        order = np.argsort(chans.astype(np.int16), kind="stable")
+        runs = self._runs(order, np.bincount(chans, minlength=nchan), active, fill)
+        # Opening k takes the pool's k-th block: the free list's, then
+        # the victims' in erase order, which victim j reaches only once
+        # they are erased.
+        opener = of[runs.opens]
+        dry = np.flatnonzero(np.arange(len(opener)) >= free0 + opener)
+        stop = n
+        if len(dry):
+            stop, cut = int(opener[dry[0]]), int(runs.opens[dry[0]])
+            order, opener = order[order < cut], opener[: dry[0]]
+            runs = self._runs(order, np.bincount(chans[:cut], minlength=nchan), active, fill)
+        fresh = list(islice(self.free_blocks, len(opener)))
+        fresh += victims[: len(opener) - len(fresh)].tolist()
+        # the pool after each victim's erase
+        pool = free0 + np.arange(1, n + 1) - np.searchsorted(opener, np.arange(n), "right")
+        full = np.flatnonzero(pool[:stop] >= high)
+        resort = self._resort(victims, keys, runs, fresh, of)
+        if len(dry) and not len(full) and resort > stop:
+            raise RuntimeError(_EXHAUSTED)
+        m = min(int(full[0]) + 1 if len(full) else stop, resort)
+        self._gc_apply(victims[:m], int(ends[m - 1]), chans, order, fresh)
+        return True
+
+    def _resort(self, victims, keys, runs: _Runs, fresh, of) -> int:
+        """How many of the sorted ``victims`` (keys ``keys``) a pass may
+        take before a GC block it closes would sort ahead of the next.
+
+        Each opening closes its channel's block before: the one open
+        before the pass, with its room filled, or one the pass opened
+        (``fresh``, handed out in write order), full and stamped now.  A
+        closed block is a candidate from the victim after the one whose
+        pages closed it (``of``: the victim of each write), and sorts
+        ahead of all but ``ahead`` victims.
+        """
+        per_block = self.pages_per_block
+        active, fill = self._gc_active, self._gc_fill
+        taken = np.empty(len(fresh), dtype=np.intp)
+        taken[runs.by] = fresh
+        taken = taken.tolist()
+        after = (of[runs.opener] + 1).tolist()
+        shut, valid, seq, when = [], [], [], []
+        j = 0  # openings so far, in channel order
+        for r, (c, opens) in enumerate(zip(runs.chan, runs.opening)):
+            if not opens:
+                continue
+            if r and runs.chan[r - 1] == c and runs.opening[r - 1]:
+                shut.append(taken[j - 1])
+                valid.append(per_block)
+                seq.append(self.write_seq)
+                when.append(after[j])
+            elif active[c] is not None:
+                shut.append(active[c])
+                valid.append(self.block_valid.item(active[c]) + per_block - fill[c])
+                seq.append(self.block_seq.item(active[c]))
+                when.append(after[j])
+            j += 1
+        if not shut:
+            return len(victims) + 1
+        shut_keys = self.policy.victim_key(self, np.array(valid), np.array(seq))
+        n = len(victims)
+        if shut_keys.min() > keys[-1]:  # behind every victim
+            return n + 1
+        merged = np.lexsort((np.concatenate((victims, shut)), np.concatenate((keys, shut_keys))))
+        is_victim = merged < n
+        ahead = np.cumsum(is_victim)[~is_victim]
+        return int(np.maximum(ahead, np.array(when)[merged[~is_victim] - n]).min())
+
+    def _gc_apply(self, victims, n, chans, order, fresh) -> None:
+        """Move the ``n`` live pages of ``victims`` to the GC stream —
+        page ``i``, in victim order and each victim's in the order its
+        log first lists them, to channel ``chans[i]``, the blocks they
+        open taken from ``fresh`` — and erase the victims."""
+        nchan = self.channels
+        block_valid = self.block_valid
+        block_channel = self.block_channel
+        active, fill = self._gc_active, self._gc_fill
+        logs = list(map(self.block_pages.__getitem__, victims.tolist()))
+        listed = np.frombuffer(b"".join(logs), dtype=np.int32)
+        held = np.repeat(victims, list(map(len, logs)))
+        live = listed[self.page_to_block[listed] == held]
+        if len(live) > n:  # a page listed twice moves once, at its first listing
+            live = live[np.sort(np.unique(live, return_index=True)[1])]
+        chans = chans[:n]
+        order = order[order < n]
+        runs = self._runs(order, np.bincount(chans, minlength=nchan), active, fill)
+        fresh = fresh[: len(runs.opens)]
+        block_valid[victims] = 0
+        block_channel[victims] = -1
+        for log in logs:
+            del log[:]
+        block_channel[fresh] = chans[runs.opens]
+        self.block_seq[fresh] = self.write_seq
+        pages = live[order]
+        owner = self._fill_runs(pages, runs, fresh, active, fill)
+        self.page_to_block[pages] = owner
+        self._page_channel_np[pages] = chans[order]
+        block_valid += np.bincount(owner, minlength=len(block_valid))
+        free = self.free_blocks
+        if len(fresh) > len(free):  # the pass reopened some of its own victims
+            victims = victims[len(fresh) - len(free):]
+            free.clear()
+        else:
+            for _ in fresh:
+                free.popleft()
+        free.extend(victims.tolist())
+        self._gc_cursor = (self._gc_cursor + len(logs)) % nchan
+        self._note_pool()

@@ -27,6 +27,15 @@ Three built-in policies:
     overwritten recently route to the hot stream, the rest to the cold
     stream.  Hot blocks then drain to near-empty before GC touches them.
 
+Victim selection is one method, :meth:`FtlPolicy.victim_key`: a key
+per closed block from its live-page count and birth stamp — the count
+itself for ``greedy`` and ``hotcold``, the negated score for
+``costbenefit`` — lowest first, lowest block index on ties.  Run-time
+GC picks one victim at a time through :meth:`FtlPolicy.select_victim`;
+preconditioning sorts the closed blocks by the key once per GC burst
+(``Ftl._gc_pass``).  Both follow the one rule, and the burst relies on
+GC changing neither input of a closed block.
+
 Policies hold their own per-device state (bound via :meth:`FtlPolicy.bind`)
 so the mechanism keeps zero overhead for policies that need none.
 """
@@ -46,9 +55,6 @@ __all__ = [
     "make_ftl_policy",
 ]
 
-#: sentinel valid-count that excludes a block from greedy victim choice
-_INF_VALID = 1 << 30
-
 
 class FtlPolicy:
     """Interface: victim selection + write-stream routing for one FTL."""
@@ -61,9 +67,29 @@ class FtlPolicy:
     def bind(self, ftl) -> None:
         """Attach per-device state; called once from ``Ftl.__init__``."""
 
-    def select_victim(self, ftl) -> Optional[int]:
-        """Choose the next GC victim block, or None when none exists."""
+    def victim_key(self, ftl, valid: np.ndarray, seq: np.ndarray) -> np.ndarray:
+        """GC's order on closed blocks: the key of each block holding
+        ``valid[i]`` live pages and opened at write clock ``seq[i]``.
+        The victim is the closed block with the lowest key, the lowest
+        block index on ties."""
         raise NotImplementedError
+
+    def select_victim(self, ftl) -> Optional[int]:
+        """Choose the next GC victim block, or None when none exists:
+        the lowest :meth:`victim_key` among closed blocks, blocks still
+        being appended excluded."""
+        key = np.where(
+            ftl.block_channel >= 0,
+            self.victim_key(ftl, ftl.block_valid, ftl.block_seq),
+            np.inf,
+        )
+        for b in ftl.active_blocks():
+            if b is not None:
+                key[b] = np.inf
+        victim = int(np.argmin(key))
+        if key[victim] == np.inf:
+            return None
+        return victim
 
     def route(self, ftl, pages: range) -> int:
         """Stream index for a host write covering ``pages``."""
@@ -73,26 +99,14 @@ class FtlPolicy:
         """Observe a host write (for heat tracking); default no-op."""
 
 
-def _greedy_victim(ftl) -> Optional[int]:
-    """Min-valid closed block, excluding blocks currently being appended."""
-    cost = np.where(ftl.block_channel >= 0, ftl.block_valid, _INF_VALID)
-    for b in ftl.active_blocks():
-        if b is not None:
-            cost[b] = _INF_VALID
-    victim = int(np.argmin(cost))
-    if cost[victim] >= _INF_VALID:
-        return None
-    return victim
-
-
 class GreedyGcPolicy(FtlPolicy):
     """Fewest-live-pages victim, one write stream (the calibrated default)."""
 
     name = "greedy"
     n_streams = 1
 
-    def select_victim(self, ftl) -> Optional[int]:
-        return _greedy_victim(ftl)
+    def victim_key(self, ftl, valid, seq):
+        return valid
 
 
 class CostBenefitGcPolicy(FtlPolicy):
@@ -101,25 +115,16 @@ class CostBenefitGcPolicy(FtlPolicy):
     ``u`` is the block's valid fraction (copy cost now); ``age`` is how
     many host page writes ago the block was opened (a proxy for how
     settled its remaining valid pages are).  Blocks still being appended
-    are never victims.
+    are never victims.  The key is the negated score.
     """
 
     name = "costbenefit"
     n_streams = 1
 
-    def select_victim(self, ftl) -> Optional[int]:
-        u = ftl.block_valid / float(ftl.profile.pages_per_block)
-        age = (ftl.write_seq - ftl.block_seq).astype(np.float64)
-        score = np.where(
-            ftl.block_channel >= 0, (1.0 - u) * age / (1.0 + u), -1.0
-        )
-        for b in ftl.active_blocks():
-            if b is not None:
-                score[b] = -1.0
-        victim = int(np.argmax(score))
-        if score[victim] < 0.0:
-            return None
-        return victim
+    def victim_key(self, ftl, valid, seq):
+        u = valid / float(ftl.pages_per_block)
+        age = (ftl.write_seq - seq).astype(np.float64)
+        return -((1.0 - u) * age / (1.0 + u))
 
 
 class HotColdPolicy(FtlPolicy):
@@ -149,8 +154,8 @@ class HotColdPolicy(FtlPolicy):
             1, int(ftl.profile.logical_pages * self.hot_window)
         )
 
-    def select_victim(self, ftl) -> Optional[int]:
-        return _greedy_victim(ftl)
+    def victim_key(self, ftl, valid, seq):
+        return valid
 
     def route(self, ftl, pages: range) -> int:
         newest = int(self._last_seq[pages.start : pages.stop].max())

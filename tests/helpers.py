@@ -3,8 +3,10 @@
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 from repro.obs import Tracer
-from repro.ssd.ftl import UNMAPPED
+from repro.ssd.ftl import UNMAPPED, Ftl
 
 
 def force_coroutine_path(device):
@@ -123,3 +125,73 @@ def read_channels_per_page(ftl, offset, size):
         for c in range(nchan)
         if per_chan_pages[c]
     ]
+
+
+def ftl_state(ftl):
+    """Everything the FTL knows, in comparable form."""
+    return {
+        "page_to_block": ftl.page_to_block.tolist(),
+        "block_valid": ftl.block_valid.tolist(),
+        "block_channel": ftl.block_channel.tolist(),
+        "block_seq": ftl.block_seq.tolist(),
+        "block_pages": [list(log) for log in ftl.block_pages],  # order included
+        "free_blocks": list(ftl.free_blocks),
+        "host_cursor": ftl._host_cursor,
+        "gc_cursor": ftl._gc_cursor,
+        "host_active": ftl._host_active,
+        "host_fill": ftl._host_fill,
+        "gc_active": ftl._gc_active,
+        "gc_fill": ftl._gc_fill,
+        "write_seq": ftl.write_seq,
+        "emergency_gcs": ftl.emergency_gcs,
+        "rng": ftl.rng.getstate(),
+    }
+
+
+def assert_same_state(ftl, ref, where):
+    got, want = ftl_state(ftl), ftl_state(ref)
+    for field in want:
+        assert got[field] == want[field], f"{field} differs {where}"
+
+
+def cost_benefit_scores(ftl):
+    """``costbenefit``'s score of every block, as that policy computed
+    it before ``FtlPolicy.victim_key``: ``(1 - u) * age / (1 + u)`` for
+    a closed block, -1 for a free or open one."""
+    u = ftl.block_valid / float(ftl.profile.pages_per_block)
+    age = (ftl.write_seq - ftl.block_seq).astype(np.float64)
+    score = np.where(ftl.block_channel >= 0, (1.0 - u) * age / (1.0 + u), -1.0)
+    score[[b for b in ftl.active_blocks() if b is not None]] = -1.0
+    return score
+
+
+def reference_victim(ftl):
+    """A built-in policy's victim, picked as it was before
+    ``FtlPolicy.victim_key``: the closed block with the highest
+    :func:`cost_benefit_scores` score under ``costbenefit``, with the
+    fewest live pages under ``greedy`` and ``hotcold``; ties go to the
+    lowest block index."""
+    if ftl.policy.name == "costbenefit":
+        score = cost_benefit_scores(ftl)
+        victim = int(np.argmax(score))
+        return victim if score[victim] >= 0.0 else None
+    cost = np.where(ftl.block_channel >= 0, ftl.block_valid, 1 << 30)
+    cost[[b for b in ftl.active_blocks() if b is not None]] = 1 << 30
+    victim = int(np.argmin(cost))
+    return victim if cost[victim] < 1 << 30 else None
+
+
+class PerVictimGcFtl(Ftl):
+    """``Ftl._sync_gc`` as it was before the burst pass: one
+    ``collect_victim`` per victim, the watermark checked after each,
+    each victim picked by :func:`reference_victim`.  Everything else —
+    the batched host appends of ``precondition`` included — is
+    ``Ftl``'s own, so the two differ in GC alone."""
+
+    def pick_victim(self):
+        return reference_victim(self)
+
+    def _sync_gc(self):
+        while not self.gc_satisfied:
+            if self.collect_victim() is None:
+                break

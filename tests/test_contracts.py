@@ -118,6 +118,12 @@ def wal_file(node):
     return node.engines["t1"].wal.file
 
 
+def wal(node):
+    """The tenant's write-ahead log, whose group commit appends to
+    :func:`wal_file`."""
+    return node.engines["t1"].wal
+
+
 def append_past_the_slack(node):
     """A new file's second append: 3096 bytes of slack and a new extent."""
     f = node.fs.create()
@@ -369,6 +375,14 @@ ROWS = [
     ("SimFile.append", "past capacity",
      waits(wal_file, "append", PAST_CAPACITY, TAG), OutOfSpace),
     ("SimFile.append", "two extents", append_past_the_slack, None),
+    # -- Wal ------------------------------------------------------------------------
+    ("Wal.append", "2.5 bytes", waits(wal, "append", 2.5, TAG), ValueError),
+    ("Wal.append", "4096.0 bytes", waits(wal, "append", 4096.0, TAG), ValueError),
+    ("Wal.append", "True bytes", waits(wal, "append", True, TAG), ValueError),
+    ("Wal.append", "NaN bytes", waits(wal, "append", NAN, TAG), ValueError),
+    ("Wal.append", "0 bytes", waits(wal, "append", 0, TAG), ValueError),
+    ("Wal.append", "-1 bytes", waits(wal, "append", -1, TAG), ValueError),
+    ("Wal.append", "+inf bytes", waits(wal, "append", INF, TAG), ValueError),
 ]
 
 ENTRIES = {
@@ -376,6 +390,7 @@ ENTRIES = {
     for name in ("get", "put", "delete", "scan", "apply_replica", "read_replica")
 } | {f"LsmEngine.{name}" for name in ("get", "put", "delete", "scan")} | {
     "LibraScheduler.read", "LibraScheduler.write", "SimFile.read", "SimFile.append",
+    "Wal.append",
 } | {f"SsdDevice.{name}" for name in ("submit", "read", "write", "trim")} | {
     "Ftl.host_write", "Ftl.precondition", "Ftl.read_channels", "Ftl.trim",
     "Ftl.trim_extents",
@@ -411,6 +426,20 @@ def test_every_entry_has_rows_and_every_tenant_entry_names_the_unknown_tenant():
     assert unknown == {
         entry for entry in ENTRIES if entry.startswith(("StorageNode.", "LibraScheduler."))
     }
+
+
+@pytest.mark.parametrize("nbytes", [2.5, 4096.0, True, NAN, 0, -1, INF])
+def test_a_bad_wal_record_size_raises_before_anything_is_queued(nbytes):
+    """The contract rows see the error either way: the parent queued
+    such a record and its group commit raised out of the kernel loop
+    (a bool was written as one byte).  The call itself must raise, with
+    no record counted and nothing scheduled."""
+    sim, node = loaded_node()
+    log = node.engines["t1"].wal
+    records, queued = log.records, sim.queue_size
+    with pytest.raises(ValueError):
+        log.append(nbytes, TAG)
+    assert (log.records, sim.queue_size) == (records, queued)
 
 
 def test_an_oversize_put_leaves_the_wal_and_free_space_as_they_were():

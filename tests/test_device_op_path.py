@@ -33,7 +33,9 @@ import tracemalloc
 
 import pytest
 
-from .helpers import count_calls, page_range, read_channels_per_page
+from .helpers import (
+    PerVictimGcFtl, assert_same_state, count_calls, page_range, read_channels_per_page,
+)
 from repro.core import (
     IoTag, LibraScheduler, SchedulerConfig, make_cost_model, reference_calibration,
 )
@@ -53,14 +55,14 @@ INTEL = get_profile("intel320").with_capacity(32 * MIB)
 # ---------------------------------------------------------------------------
 
 
-class ReferenceFtl(Ftl):
+class ReferenceFtl(PerVictimGcFtl):
     """``host_write``, ``trim`` and ``precondition`` as they were before
     the per-op update and the batched preconditioning: one
     ``_append_page`` (or one scalar unmap) per logical page, one
     ``randrange`` per aging page, the watermark checked after every
-    preconditioning page.  ``trim`` unmaps ``page_to_block`` alone, so
-    ``read_channels`` is the per-page walk over that map too, not a
-    read of the read-channel map."""
+    preconditioning page, and GC one victim at a time.  ``trim`` unmaps
+    ``page_to_block`` alone, so ``read_channels`` is the per-page walk
+    over that map too, not a read of the read-channel map."""
 
     def host_write(self, offset, size):
         pages = page_range(self, offset, size)
@@ -110,33 +112,6 @@ class ReferenceFtl(Ftl):
                 self._sync_gc()
         self._sync_gc()
         self.emergency_gcs = 0
-
-
-def ftl_state(ftl):
-    """Everything the FTL knows, in comparable form."""
-    return {
-        "page_to_block": ftl.page_to_block.tolist(),
-        "block_valid": ftl.block_valid.tolist(),
-        "block_channel": ftl.block_channel.tolist(),
-        "block_seq": ftl.block_seq.tolist(),
-        "block_pages": [list(log) for log in ftl.block_pages],  # order included
-        "free_blocks": list(ftl.free_blocks),
-        "host_cursor": ftl._host_cursor,
-        "gc_cursor": ftl._gc_cursor,
-        "host_active": ftl._host_active,
-        "host_fill": ftl._host_fill,
-        "gc_active": ftl._gc_active,
-        "gc_fill": ftl._gc_fill,
-        "write_seq": ftl.write_seq,
-        "emergency_gcs": ftl.emergency_gcs,
-        "rng": ftl.rng.getstate(),
-    }
-
-
-def assert_same_state(ftl, ref, where):
-    got, want = ftl_state(ftl), ftl_state(ref)
-    for field in want:
-        assert got[field] == want[field], f"{field} differs {where}"
 
 
 def mixed_ops(rng, profile, count):
@@ -661,25 +636,29 @@ def test_preconditioning_calls_stay_within_budget():
     """One full-size ``intel320`` (65 536 pages, 2 048 blocks) aged at
     the default ``age_factor=2.0``:
 
-    ==========================  =========  =======  ======
-    interpreted calls           page walk  batched  budget
-    ==========================  =========  =======  ======
-    ``Ftl._append_page``          132 104        0       0
-    all under ``repro/ssd``       169 113   14 677  15 000
-    ==========================  =========  =======  ======
+    ==========================  =========  ==========  =====  ======
+    interpreted calls           page walk  per victim  burst  budget
+    ==========================  =========  ==========  =====  ======
+    ``Ftl._append_page``          132 104           0      0       0
+    ``Ftl.collect_victim``          1 692       1 692      0       0
+    all under ``repro/ssd``       169 113      14 677    353     360
+    ==========================  =========  ==========  =====  ======
 
     The page walk (:class:`ReferenceFtl`'s spelling, with the fill in
     block-bounded runs) drew and appended each of the 131 072 aging
     overwrites on its own, and each of the 1 032 fill pages that
-    opened a block; the batches leave only GC's per-victim calls
-    (1 692 victims, 8 calls each), which the budget covers.  A
-    per-page call creeping back fails it by thousands.
+    opened a block.  Batching the host writes left GC's per-victim
+    calls: 1 692 victims, 8 calls each.  Now each of the 16 GC bursts
+    is one pass of ten calls, and each of the 35 host batches about
+    four.  The counts repeat exactly, so a per-victim or per-page
+    call creeping back fails the budget by hundreds.
     """
     ftl = Ftl(get_profile("intel320"), seed=1)
-    appended = []
-    append_page = ftl._append_page
+    appended, collected = [], []
+    append_page, collect_victim = ftl._append_page, ftl.collect_victim
     ftl._append_page = lambda *args: (appended.append(args), append_page(*args))
+    ftl.collect_victim = lambda: (collected.append(1), collect_victim())[1]
     calls = count_calls(lambda: ftl.precondition(2.0), ("/repro/ssd/",))
     assert ftl.emergency_gcs == 0
-    assert not appended
-    assert calls <= 15_000, calls
+    assert not appended and not collected
+    assert calls <= 360, calls

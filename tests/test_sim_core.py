@@ -53,6 +53,42 @@ def test_negative_delay_rejected():
         sim.timeout(-1.0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        lambda sim: sim.call_at(NAN, print, "nan"),
+        lambda sim: sim.timeout(NAN),
+        lambda sim: sim._schedule_call(print, "nan", NAN),
+        lambda sim: sim.run(until=NAN),
+        lambda sim: sim.step_while(lambda: True, until=NAN),
+    ],
+    ids=["call_at", "timeout", "schedule_call", "run_until", "step_while_until"],
+)
+def test_nan_times_are_rejected(schedule):
+    """A NaN time compares false with everything: queued, it ran before
+    actions at 0.5, 1 and 2 (the heap's order broken); as ``until`` it
+    let a periodic process run forever.  Each entry raises instead, and
+    leaves the queue as it was."""
+    sim = Simulator()
+    order = []
+    for at in (2.0, 0.5, 1.0):
+        sim.call_at(at, order.append, at)
+
+    def ticker():
+        while True:
+            yield sim.timeout(0.25)
+
+    sim.process(ticker())
+    with pytest.raises(SimulationError):
+        schedule(sim)
+    sim.run(until=3.0)
+    assert order == [0.5, 1.0, 2.0]
+    assert sim.now == 3.0
+
+
 def test_run_until_stops_at_horizon():
     sim = Simulator()
     seen = []
