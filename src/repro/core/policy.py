@@ -21,6 +21,7 @@ application object sizes, ignoring FLUSH/COMPACT amplification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
@@ -48,6 +49,12 @@ class Reservation:
 
     gets: float = 0.0
     puts: float = 0.0
+
+    def __post_init__(self):
+        for name in ("gets", "puts"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"reservation {name}={value!r} must be finite and >= 0")
 
     def rate(self, request: RequestClass) -> float:
         if request == RequestClass.GET:

@@ -39,6 +39,7 @@ node costs a comparison or two, not a scan of every tenant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 from collections import deque
@@ -56,6 +57,14 @@ BURST_ROUNDS = 2.0
 #: weight floor for zero-allocation (best-effort) tenants, as a
 #: fraction of the mean positive allocation
 BEST_EFFORT_FRACTION = 0.01
+
+
+def _check_allocation(allocation: float) -> None:
+    """Refuse a VOP/s allocation that is negative or not finite: a NaN
+    or infinite quantum leaves no tenant eligible, so the pump would
+    start round after round forever."""
+    if not (math.isfinite(allocation) and allocation >= 0):
+        raise ValueError(f"allocation {allocation!r} must be finite and >= 0")
 
 
 @dataclass
@@ -232,6 +241,7 @@ class LibraScheduler:
         """Add a tenant with an initial VOP/s allocation."""
         if tenant_id in self._tenants:
             raise ValueError(f"tenant {tenant_id!r} already registered")
+        _check_allocation(allocation)
         state = _TenantState(tenant_id)
         state.allocation = allocation
         self._tenants[tenant_id] = state
@@ -243,8 +253,7 @@ class LibraScheduler:
 
     def set_allocation(self, tenant_id: str, allocation: float) -> None:
         """Update a tenant's provisioned VOP/s (called by the policy)."""
-        if allocation < 0:
-            raise ValueError(f"negative allocation {allocation}")
+        _check_allocation(allocation)
         self._state(tenant_id).allocation = allocation
         self._quanta = None
 
@@ -570,9 +579,8 @@ class LibraScheduler:
             )
             chunk.t_mark = now  # service span starts here
         # Slim dispatch: the device invokes ``_complete(chunk, result)``
-        # directly — on its fast path from the one scheduled finish
-        # action (no Event, no Process, no per-chunk partial), on the
-        # coroutine fallback from the op process's completion event.
+        # directly from the op's one scheduled finish action (no Event,
+        # no Process, no per-chunk partial).
         self.device.submit(is_read, chunk.offset, size, ctx, self._complete, chunk)
 
     def _complete(self, chunk: _Chunk, event) -> None:

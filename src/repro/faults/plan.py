@@ -71,14 +71,18 @@ class FaultWindow:
     groups: Tuple[Tuple[str, ...], ...] = ()
 
     def __post_init__(self):
+        # Written so that NaN fails each check: a NaN edge would leave
+        # the window silently inert, a NaN rate poison every op after it.
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ValueError(f"fault window [{self.start}, {self.end}) has a non-finite edge")
         if self.end <= self.start:
             raise ValueError(f"fault window [{self.start}, {self.end}) is empty")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability {self.probability} not in [0, 1]")
-        if self.extra_latency < 0:
-            raise ValueError(f"negative extra latency {self.extra_latency}")
-        if self.slowdown < 1.0:
-            raise ValueError(f"slowdown {self.slowdown} must be >= 1")
+        if not (math.isfinite(self.extra_latency) and self.extra_latency >= 0):
+            raise ValueError(f"extra latency {self.extra_latency} must be finite and >= 0")
+        if not (math.isfinite(self.slowdown) and self.slowdown >= 1.0):
+            raise ValueError(f"slowdown {self.slowdown} must be finite and >= 1")
         if self.kind == FaultKind.NET_PARTITION:
             if not self.groups:
                 raise ValueError("NET_PARTITION window needs endpoint groups")
@@ -138,8 +142,8 @@ class FaultPlan:
         A quiescent plan is behaviorally absent for ops admitted at
         ``now``: no stall, unit service scale, zero extra latency, and —
         because the injector only draws while a window is active — no
-        RNG consumption.  This is the fault leg of the device's
-        fast-path admission predicate.
+        RNG consumption.  The device times an op admitted under a
+        quiescent plan without consulting the injector.
         """
         for w in self.windows:
             if w.start <= now < w.end:

@@ -29,6 +29,7 @@ flight, and a fill that a write to its key overtook stores nothing
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Union
@@ -86,6 +87,16 @@ class NodeConfig:
     def __post_init__(self):
         if self.engine is None:
             self.engine = EngineConfig()
+        for name in ("cache_bytes", "max_retries"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"{name} {value!r} must be an int >= 0")
+        if not (math.isfinite(self.retry_backoff) and self.retry_backoff >= 0):
+            raise ValueError(f"retry_backoff {self.retry_backoff!r} must be finite and >= 0")
+        for name in ("capacity_vops", "request_timeout"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} {value!r} must be None or finite and > 0")
 
 
 #: request kind -> the class the tracker profiles it under (a DELETE's

@@ -18,7 +18,6 @@ from .core import (
     Timeout,
 )
 from .fluid import SteadyStateMonitor, reason_stem
-from .sync import Semaphore
 
 __all__ = [
     "AllOf",
@@ -28,7 +27,6 @@ __all__ = [
     "Interrupt",
     "Process",
     "OK_RESULT",
-    "Semaphore",
     "SimulationError",
     "Simulator",
     "SteadyStateMonitor",

@@ -200,7 +200,8 @@ class _OkResult:
 
     Completion consumers only read ``ok`` and ``value`` (plus the
     ``triggered``/``processed`` flags), so one immutable instance serves
-    every fast-path completion — no throwaway :class:`Event` per IO.
+    every successful device completion — no throwaway :class:`Event`
+    per IO.
     """
 
     __slots__ = ()
@@ -414,7 +415,7 @@ class Simulator:
         """Queue ``fn(arg)`` at absolute simulated time ``at``.
 
         The one-shot completion primitive behind the device's
-        zero-coroutine IO fast path: a submitter that can compute its
+        scheduled completion: a submitter that can compute its
         finish time analytically schedules a single callback instead of
         parking a generator on a :class:`Timeout`.  ``at`` must not be
         in the past — completions are computed from ``max(now, ...)``

@@ -2,7 +2,7 @@
 
 The device is a small queueing network in simulated time:
 
-- an **NCQ** admission semaphore (queue depth 32, as in every paper
+- an **NCQ** of 32 admission slots (the queue depth of every paper
   experiment);
 - a **controller** stage — a single FIFO server whose per-op service is
   ``overhead + bytes * byte_cost``.  The fixed overhead caps IOP/s at
@@ -27,24 +27,24 @@ an op reserves ``start = max(now, stage_free_at)`` and waits until its
 finish time.  This is exact for FIFO deterministic servers and keeps the
 event count per IO to a handful.
 
-One **op-timing kernel** serves every way of executing a host op:
-:meth:`SsdDevice._plan` prices it into a service plan (controller
+One **op-timing kernel** prices every host op:
+:meth:`SsdDevice._plan` turns it into a service plan (controller
 service plus one ``(channel, service)`` per channel touched) and
 :meth:`FluidPipeline.reserve` books a plan FIFO on the controller-lane
-and channel accumulators.  Three drivers share the pair:
+and channel accumulators.  Two executors share the pair:
 
-- the **scheduled completion** (zero-coroutine fast path): because the
-  stages are next-free-time accumulators, the common-case op timeline is
-  fully computable at submit.  When an op is admitted with no active
-  fault window, no GC loop running, and a queue slot free, :meth:`submit`
-  takes the slot, plans, reserves and pushes one completion action at
-  the analytic finish time, all in its own frame — no generator, no
-  semaphore event, no timeout;
-- the **coroutine** path: any condition that makes the timeline stateful
-  (fault windows, GC backpressure, queue saturation)
-  degrades that op to a generator that waits its turn and then books
-  the same plan, so same-seed runs are byte-identical whichever path an
-  op takes (the determinism suite forces every op down this one);
+- the **scheduled completion**: because the stages are next-free-time
+  accumulators, an op's timeline is fully computable the moment it is
+  admitted.  :meth:`SsdDevice.submit` admits an op that finds its queue
+  slot free, is not a write while the free pool is down to the GC
+  reserve, and meets no stall window; it plans and reserves the op and
+  pushes one finish action at the analytic finish time — no generator,
+  no Event, no timeout.  An op that is not admitted keeps what it
+  already holds and waits in one of three **admission FIFOs**: its
+  queue's (for a slot, served by the finish action that frees one),
+  the starved-write FIFO (served in park order as GC frees blocks), or
+  a call at the stall window's end.  Admitted later, it is timed the
+  same way at that instant;
 - the **bulk epoch** hook (:meth:`SsdDevice.epoch_op`): fast-forwarded
   stretches account each op with no events at all.
 
@@ -52,18 +52,18 @@ When constructed with a :class:`~repro.faults.FaultPlan`, the device
 consults a :class:`~repro.faults.FaultInjector` at op admission: stall
 windows delay admission, degraded-bandwidth windows scale channel
 service, latency windows pad completion, and error/corruption windows
-fail the op (raised at completion time, after the op has occupied the
-stages it reserved — a failing op still consumes device time).
+fail the op (delivered at completion time, after the op has occupied
+the stages it reserved — a failing op still consumes device time).
 """
 
 from __future__ import annotations
 
-from functools import partial
+from collections import deque
 from heapq import heappush
 from typing import Optional
 
 from ..faults import CorruptionError, FaultInjector, FaultPlan
-from ..sim import OK_RESULT, Event, Semaphore, Simulator
+from ..sim import OK_RESULT, Event, Simulator
 from .ftl import Ftl
 from .profiles import SsdProfile
 from .stats import SsdStats
@@ -71,9 +71,26 @@ from .stats import SsdStats
 __all__ = ["SsdDevice", "FluidPipeline"]
 
 
-def _succeed_event(event: Event, _result) -> None:
-    """Completion sink adapter: trigger the fast-path op's Event."""
-    event.succeed()
+def _settle(event: Event, result) -> None:
+    """Completion sink adapter: trigger the op's Event (or a multi-op
+    file IO's join) with its outcome."""
+    if result.ok:
+        event.succeed()
+    else:
+        event.fail(result.value)
+
+
+class _Failed:
+    """A failed op's completion result: the ``ok``/``value`` shape of
+    :data:`~repro.sim.OK_RESULT`, carrying the injected fault."""
+
+    __slots__ = ("value",)
+    ok = False
+    triggered = True
+    processed = True
+
+    def __init__(self, fault: Exception):
+        self.value = fault
 
 
 class FluidPipeline:
@@ -159,17 +176,22 @@ class SsdDevice:
         self.faults: Optional[FaultInjector] = (
             FaultInjector(fault_plan, name=profile.name) if fault_plan is not None else None
         )
-        #: host queues, indexed by ``q``: SATA has the one NCQ (``q = 0``)
-        #: feeding the one controller lane
-        self._sqs = [Semaphore(sim, profile.queue_depth, name=f"{profile.name}.ncq")]
-        #: the one NCQ, whose slot ``submit`` takes and ``_finish_fast``
-        #: frees inline; None on a device whose queue hooks answer instead
-        self._ncq: Optional[Semaphore] = self._sqs[0]
+        #: free slots of each host queue, indexed by ``q`` (SATA has the
+        #: one NCQ, ``q = 0``); a freed slot goes straight to the queue's
+        #: first waiter, so a free slot means nobody waits for one
+        self._free = [profile.queue_depth]
+        #: per-queue FIFO of ops waiting for a slot
+        self._sq_wait = [deque()]
+        #: writes holding their slot while the free pool is down to the
+        #: GC reserve, in park order
+        self._starved = deque()
+        #: True while ``submit`` and ``_finish`` take and free the one
+        #: NCQ's slot inline; False on a device whose queue hooks answer
+        self._one_queue = True
         self._pipe = FluidPipeline([0.0], [0.0] * profile.channels)
         #: Chrome-trace track name of each controller lane
         self._ctrl_tracks = ("ctrl",)
         self._gc_running = False
-        self._gc_progress: Event = sim.event()
         if precondition:
             self.ftl.precondition(age_factor=age_factor)
 
@@ -178,12 +200,13 @@ class SsdDevice:
     @property
     def queue_depth(self) -> int:
         """Host-visible depth (max in-flight host ops), summed over queues."""
-        return len(self._sqs) * self.profile.queue_depth
+        return len(self._free) * self.profile.queue_depth
 
     @property
     def in_flight(self) -> int:
-        """Currently outstanding host ops, summed over queues."""
-        return self.queue_depth - sum(sq.value for sq in self._sqs)
+        """Ops holding a queue slot (admitted, starved or stalled), summed
+        over queues."""
+        return self.queue_depth - sum(self._free)
 
     @property
     def gc_running(self) -> bool:
@@ -191,38 +214,35 @@ class SsdDevice:
         return self._gc_running
 
     def read(self, offset: int, size: int, ctx=None) -> Event:
-        """Submit a read; the returned event triggers on completion.
+        """Submit a read; the returned event triggers on completion, and
+        fails with the injected fault if the op draws one.
 
         ``ctx`` is an optional ``(trace_id, tenant)`` pair attached to
-        the op's controller/channel spans when a tracer is installed;
-        it never influences execution.
+        the op's controller/channel spans when a tracer is installed; a
+        multi-queue device also maps the tenant to its submission queue.
         """
         done = Event(self.sim)
-        return self.submit(True, offset, size, ctx, None, done) or done
+        self.submit(True, offset, size, ctx, None, done)
+        return done
 
     def write(self, offset: int, size: int, ctx=None) -> Event:
         """Submit a write; the returned event triggers on completion."""
         done = Event(self.sim)
-        return self.submit(False, offset, size, ctx, None, done) or done
+        self.submit(False, offset, size, ctx, None, done)
+        return done
 
-    def submit(self, is_read: bool, offset: int, size: int, ctx, callback, cb_arg):
+    def submit(self, is_read: bool, offset: int, size: int, ctx, callback, cb_arg) -> None:
         """Submit one op; completion arrives as ``callback(cb_arg, result)``.
 
-        The scheduler's dispatch path, and the one spelling of admission.
-        An empty or out-of-range op, or one whose offset or size is not
-        an int (an integral float included), raises ValueError before
-        it takes anything.  An op with no fault window over ``now``, GC
-        idle (and, for a write, a free pool above the GC reserve) and a
-        free queue slot is timed here: the slot is taken, the op planned
-        and reserved, and one finish action pushed at its analytic
-        finish time, which hands the callback the shared
-        :data:`~repro.sim.OK_RESULT` — no Event, no Process.  Returns
-        None then.  Any other op runs on the coroutine path, whose
-        :class:`Process` is returned, with the callback attached (it
-        has the same ``ok``/``value`` shape and carries the fault on
-        failure).  ``callback=None`` is ``read``/``write``: the fast path
-        succeeds ``cb_arg`` (an Event, or a multi-op file IO's join) and the
-        Process is left unhooked.
+        The scheduler's dispatch path, and the one spelling of admission
+        (see the module docstring).  An empty or out-of-range op, or one
+        whose offset or size is not an int (an integral float included),
+        raises ValueError before it takes anything.  The op's finish
+        action hands the callback :data:`~repro.sim.OK_RESULT`, or a
+        failed result whose ``value`` is the injected fault, after the
+        op has occupied its stages.  ``callback=None`` is
+        ``read``/``write``: ``cb_arg`` (an Event, or a multi-op file
+        IO's join) succeeds or fails instead.
         """
         capacity = self.profile.logical_capacity
         if type(offset) is not int or type(size) is not int or not (
@@ -232,39 +252,42 @@ class SsdDevice:
                 f"io [{offset}, {offset + size}) is empty, not given as ints or "
                 f"beyond capacity {capacity}"
             )
+        if self._one_queue:
+            q = 0
+            free = self._free
+            queued = free[0] > 0
+            if queued:
+                free[0] -= 1
+        else:
+            q = self._queue_for(ctx)
+            queued = self._take(q)
+        if not queued:
+            self._park((is_read, offset, size, ctx, callback, cb_arg, q))
+            return
         sim = self.sim
         now = sim.now
-        ncq = self._ncq
-        q = 0 if ncq is not None else self._queue_for(ctx)
         faults = self.faults
-        if (
-            not self._gc_running
-            and (is_read or not self.ftl.host_starved)
+        if not (
+            (is_read or not self.ftl.host_starved)
             and (faults is None or faults.quiescent(now))
-            and (ncq.value > 0 if ncq is not None else self._try_admit(q))
         ):
-            if ncq is not None:
-                ncq.value -= 1
-            ctrl, services = self._plan(is_read, offset, size)
-            tr = self.tracer
-            if tr is None:
-                finish = self._pipe.reserve(now, q, ctrl, services)
-            else:
-                finish = self._reserve(q, ctrl, services, ctx)
-            # The coroutine path sleeps `finish - now`, landing on
-            # now + (finish - now) — associate the same way so fast-path
-            # completions are bitwise-identical to the fallback's.  The
-            # push is ``Simulator.call_at``'s, inline (finish >= now).
-            sim._seq += 1
-            heappush(sim._heap, (
-                now + (finish - now), sim._seq, self._finish_fast,
-                (callback or _succeed_event, cb_arg, is_read, size, q),
-            ))
-            return None
-        proc = sim.process(self._do_op(is_read, q, offset, size, ctx))
-        if callback is not None:
-            proc.callbacks.append(partial(callback, cb_arg))
-        return proc
+            self._enter((is_read, offset, size, ctx, callback, cb_arg, q))
+            return
+        # The common case, ``_run`` inline: no fault window to price.
+        ctrl, services = self._plan(is_read, offset, size)
+        tr = self.tracer
+        if tr is None:
+            finish = self._pipe.reserve(now, q, ctrl, services)
+        else:
+            finish = self._reserve(q, ctrl, services, ctx)
+        # The push is ``Simulator.call_at``'s, inline (finish >= now).
+        # ``now + (finish - now)`` can differ from ``finish`` in the last
+        # bit; every recorded trajectory lands completions there.
+        sim._seq += 1
+        heappush(sim._heap, (
+            now + (finish - now), sim._seq, self._finish,
+            (callback or _settle, cb_arg, is_read, size, q, None),
+        ))
 
     def trim(self, offset: int, size: int) -> None:
         """Invalidate a logical range (instant, as TRIM effectively is)."""
@@ -356,23 +379,21 @@ class SsdDevice:
 
     # -- queue hooks (what a multi-queue host interface overrides) ----------------
 
-    # ``submit`` and ``_finish_fast`` take and free the one NCQ's slot
-    # inline.  A device with ``_ncq = None`` is asked on every op instead:
-    # ``_queue_for``, then ``_try_admit(q)`` (take a slot on queue ``q``
-    # without blocking; False when full), which it must define, and
-    # ``_release``.
+    # ``submit`` and ``_finish`` take and free the one NCQ's slot inline.
+    # A device with ``_one_queue = False`` is asked on every op instead:
+    # ``_queue_for``, then ``_take(q)`` (take what queue ``q`` grants,
+    # without waiting; False when it grants nothing yet), ``_park`` for
+    # an op ``_take`` refused, and ``_release(q)`` in its finish; it must
+    # define ``_take`` and ``_release``.
 
     def _queue_for(self, ctx) -> int:
         """Queue index for a submission ``ctx`` — SATA has only ``q = 0``."""
         return 0
 
-    def _tag_wait(self, q: int) -> Optional[Event]:
-        """Event a slot-holding coroutine op must still wait on, or None."""
-        return None
-
-    def _release(self, q: int, tagged: bool = True) -> None:
-        """Free the op's slot on queue ``q``, waking any waiter."""
-        self._sqs[q].release()
+    def _park(self, op) -> None:
+        """Queue an op that found no free slot, FIFO behind its queue's
+        earlier waiters."""
+        self._sq_wait[op[6]].append(op)
 
     # -- bulk epoch driver (analytic accounting, no events) -----------------------
 
@@ -432,99 +453,86 @@ class SsdDevice:
         """
         self._maybe_start_gc()
 
-    # -- scheduled-completion driver (zero-coroutine fast path) -------------------
+    # -- admission and the scheduled completion ----------------------------------
 
-    def _finish_fast(self, arg) -> None:
-        """One-shot completion for a fast-path op, mirroring the coroutine
-        epilogue exactly: observer, stats, GC kick after a write, slot
-        release (waking any waiter before the consumer runs), delivery.
-        """
-        deliver, sink, is_read, size, q = arg
+    def _enter(self, op) -> None:
+        """Admit an op that holds its slot (and tag), unless it is a write
+        the starved free pool parks — it keeps its slot, so backpressure
+        reaches the other queues, as on real devices — or a stall window
+        holds it until the window's end."""
+        if not op[0] and self.ftl.host_starved:
+            self._starved.append(op)
+            self._maybe_start_gc()
+            return
+        faults = self.faults
+        if faults is not None:
+            now = self.sim.now
+            stall_end = faults.stall_until(now)
+            if stall_end > now:
+                self.stats.stall_seconds += stall_end - now
+                self.sim.call_at(now + (stall_end - now), self._enter, op)
+                return
+        self._run(op)
+
+    def _run(self, op) -> None:
+        """Time an admitted op: price it under the fault windows active
+        now, draw its fault, reserve its plan and push its finish."""
+        is_read, offset, size, ctx, callback, cb_arg, q = op
+        sim = self.sim
+        now = sim.now
+        scale, extra, fault = 1.0, 0.0, None
+        faults = self.faults
+        if faults is not None:
+            scale = faults.service_scale(now)
+            extra = faults.extra_latency(now)
+            if scale > 1.0:
+                self.stats.degraded_ops += 1
+            if extra > 0.0:
+                self.stats.fault_delay_seconds += extra
+            draw = faults.draw_read_fault if is_read else faults.draw_write_fault
+            fault = draw(now, offset, size)
+        ctrl, services = self._plan(is_read, offset, size, scale)
+        finish = self._reserve(q, ctrl, services, ctx) + extra
+        sim.call_at(now + (finish - now), self._finish,
+                    (callback or _settle, cb_arg, is_read, size, q, fault))
+
+    def _finish(self, arg) -> None:
+        """One-shot completion of an op that has occupied its stages:
+        observer, stats, GC kick after a write, slot release (admitting
+        any waiter before the consumer runs), delivery.  A failed write's
+        FTL mapping stands: a failed program may leave torn pages
+        behind, exactly like real media."""
+        deliver, sink, is_read, size, q, fault = arg
         if self.op_observer is not None:
             self.op_observer("read" if is_read else "write", size)
         stats = self.stats
-        if is_read:
-            stats.reads += 1
-            stats.read_bytes += size
+        if fault is not None:
+            if not is_read:
+                stats.write_faults += 1
+            elif isinstance(fault, CorruptionError):
+                stats.corrupt_reads += 1
+            else:
+                stats.read_faults += 1
+            result = _Failed(fault)
         else:
-            stats.writes += 1
-            stats.write_bytes += size
-            if not self._gc_running and self.ftl.gc_needed:
-                self._maybe_start_gc()
-        ncq = self._ncq
-        if ncq is None:
-            self._release(q)
-        elif ncq.waiters:  # ``Semaphore.release``, inline
-            ncq.waiters.popleft().succeed()
-        else:
-            ncq.value += 1
-        deliver(sink, OK_RESULT)
-
-    # -- coroutine driver ---------------------------------------------------------
-
-    def _do_op(self, is_read: bool, q: int, offset: int, size: int, ctx=None):
-        yield self._sqs[q].acquire()
-        tagged = False
-        try:
-            wait = self._tag_wait(q)
-            if wait is not None:
-                yield wait
-            tagged = True
-            # Flow control: a write stalls while the free pool is down
-            # to the GC reserve — the "write cliff" of a saturated SSD
-            # (it holds its NVMe tag, so backpressure propagates to the
-            # other queues, as on real devices).  GC wakes us after
-            # every reclaimed block.
-            while not is_read and self.ftl.host_starved:
-                self._maybe_start_gc()
-                yield self._gc_progress
-            # Faults are drawn at admission (windows apply at op
-            # arrival) but raised at completion: a failing op still
-            # occupies the controller and channels for its service.
-            scale, extra, fault = 1.0, 0.0, None
-            faults = self.faults
-            if faults is not None:
-                # Wait out any active stall window; the op then runs
-                # under the windows active at its post-stall admission.
-                stall_end = faults.stall_until(self.sim.now)
-                if stall_end > self.sim.now:
-                    self.stats.stall_seconds += stall_end - self.sim.now
-                    yield self.sim.timeout(stall_end - self.sim.now)
-                now = self.sim.now
-                scale = faults.service_scale(now)
-                extra = faults.extra_latency(now)
-                if scale > 1.0:
-                    self.stats.degraded_ops += 1
-                if extra > 0.0:
-                    self.stats.fault_delay_seconds += extra
-                draw = faults.draw_read_fault if is_read else faults.draw_write_fault
-                fault = draw(now, offset, size)
-            ctrl, services = self._plan(is_read, offset, size, scale)
-            finish = self._reserve(q, ctrl, services, ctx) + extra
-            if finish > self.sim.now:
-                yield self.sim.timeout(finish - self.sim.now)
-            if self.op_observer is not None:
-                self.op_observer("read" if is_read else "write", size)
-            stats = self.stats
-            if fault is not None:
-                # A failed write's FTL mapping stands: a failed program
-                # may leave torn pages behind, exactly like real media.
-                if not is_read:
-                    stats.write_faults += 1
-                elif isinstance(fault, CorruptionError):
-                    stats.corrupt_reads += 1
-                else:
-                    stats.read_faults += 1
-                raise fault
+            result = OK_RESULT
             if is_read:
                 stats.reads += 1
                 stats.read_bytes += size
             else:
                 stats.writes += 1
                 stats.write_bytes += size
-                self._maybe_start_gc()
-        finally:
-            self._release(q, tagged)
+                if not self._gc_running and self.ftl.gc_needed:
+                    self._maybe_start_gc()
+        if self._one_queue:  # the NCQ's first waiter takes the slot
+            wait = self._sq_wait[0]
+            if wait:
+                self._enter(wait.popleft())
+            else:
+                self._free[0] += 1
+        else:
+            self._release(q)
+        deliver(sink, result)
 
     # -- garbage collection --------------------------------------------------------
 
@@ -590,5 +598,9 @@ class SsdDevice:
             self._signal_gc_progress()
 
     def _signal_gc_progress(self) -> None:
-        done, self._gc_progress = self._gc_progress, self.sim.event()
-        done.succeed()
+        """Admit starved writes in park order while the pool allows."""
+        starved = self._starved
+        while starved and not self.ftl.host_starved:
+            self._enter(starved.popleft())
+        if starved:
+            self._maybe_start_gc()

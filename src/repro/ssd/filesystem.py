@@ -55,21 +55,15 @@ class RawBackend:
     def read(self, offset: int, size: int, tag=None, done=None) -> Event:
         if done is None:
             return self.device.read(offset, size)
-        return self._join_op(True, offset, size, done)
+        # The op's finish action books its outcome on the join.
+        self.device.submit(True, offset, size, None, None, done)
+        return done
 
     def write(self, offset: int, size: int, tag=None, done=None) -> Event:
         if done is None:
             return self.device.write(offset, size)
-        return self._join_op(False, offset, size, done)
-
-    def _join_op(self, is_read: bool, offset: int, size: int, join: "_Join") -> "_Join":
-        # The fast path succeeds the join from the op's finish action;
-        # on the coroutine path the op's process is its Event, so the
-        # process's own dispatch settles the op.
-        op = self.device.submit(is_read, offset, size, None, None, join)
-        if op is not None:
-            op.callbacks.append(join.settle)
-        return join
+        self.device.submit(False, offset, size, None, None, done)
+        return done
 
     def trim_extents(self, extents: List[Tuple[int, int]]) -> None:
         self.device.trim_extents(extents)
@@ -113,16 +107,6 @@ class _Join(Event):
         if self._left > 0:
             self._left = -1
             self.sim._schedule_call(partial(Event.fail, self), exception)
-
-    def settle(self, op: Event) -> None:
-        """Book an op process's outcome in the process's own dispatch."""
-        if op._ok:
-            self._left -= 1
-            if not self._left:
-                Event.succeed(self)
-        elif self._left > 0:
-            self._left = -1
-            Event.fail(self, op._value)
 
 
 class SimFile:

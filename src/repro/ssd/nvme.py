@@ -19,20 +19,22 @@ separates the NVMe generation from NCQ-era drives:
   with queue count — the reason the SATA IOP ceiling lifts.
 
 Everything else is inherited unchanged — the op-timing kernel and its
-three drivers (``submit``/``read``/``write``, the coroutine fallback,
-``epoch_op``), the FTL (and hence the pluggable GC policies), the flash
-channels, the GC loop, fault injection and the op-observer stream: this
-class only answers the base device's queue hooks (which SQ, is there a
-slot *and* a tag, what to wait on for a tag, what to free), which the
-one ``submit`` asks where the SATA model takes its NCQ slot inline, so
-the full Libra stack runs on it unmodified.
+two executors (``submit``'s scheduled completion and ``epoch_op``), the
+admission FIFOs, the FTL (and hence the pluggable GC policies), the
+flash channels, the GC loop, fault injection and the op-observer
+stream: this class only answers the base device's queue hooks (which
+SQ, is there a slot *and* a tag, where an op waits for either, what to
+free), which the one ``submit`` asks where the SATA model takes its NCQ
+slot inline, so the full Libra stack runs on it unmodified.  An op that
+holds its slot but no tag waits in its SQ's fetch FIFO; the arbiter
+admits SQ heads from those FIFOs as tags free.
 
 **Degeneration guarantee:** with ``num_queues=1`` the structure reduces
-exactly to the SATA model — one SQ is the NCQ semaphore, one controller
-lane is the scalar accumulator, and the tag pool (>= depth) can never
-gate, so no command ever waits on arbitration.  The pinned equivalence
-tests hold ``queues=1, depth=32`` bit-identical to ``SsdDevice`` on
-tasks, ops, bytes, and stats.
+exactly to the SATA model — one SQ is the NCQ, one controller lane is
+the scalar accumulator, and the tag pool (>= depth) can never gate, so
+no command ever waits on arbitration.  The pinned equivalence tests
+hold ``queues=1, depth=32`` bit-identical to ``SsdDevice`` on tasks,
+ops, bytes, and stats.
 
 Queue assignment is deterministic: tenants get SQs round-robin in order
 of first submission (the dispatch ``ctx`` carries the tenant name);
@@ -44,7 +46,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..sim import Event, Semaphore
 from .device import SsdDevice
 
 __all__ = ["NvmeDevice", "make_device"]
@@ -56,7 +57,7 @@ def make_device(sim, profile, **kwargs) -> SsdDevice:
 
     One queue is bit-identical either way (the degeneration guarantee
     above), so the cheaper SATA model runs it.  ``kwargs`` go to the
-    device's constructor; a profile without a queue is refused.
+    device's constructor.
     """
     cls = SsdDevice if profile.num_queues == 1 else NvmeDevice
     return cls(sim, profile, **kwargs)
@@ -66,37 +67,21 @@ class NvmeDevice(SsdDevice):
     """A simulated multi-queue NVMe SSD (see module docstring)."""
 
     def __init__(self, sim, profile, **kwargs):
-        if profile.num_queues < 1:
-            raise ValueError(f"num_queues {profile.num_queues} must be >= 1")
-        if profile.arbitration not in ("rr", "wrr"):
-            raise ValueError(
-                f"unknown arbitration {profile.arbitration!r} (rr|wrr)"
-            )
-        nq = profile.num_queues
-        if profile.arbitration == "wrr":
-            weights = profile.wrr_weights or (1,) * nq
-            if len(weights) != nq:
-                raise ValueError(
-                    f"wrr_weights {weights} must have {nq} entries"
-                )
-            if any(w < 1 for w in weights):
-                raise ValueError(f"wrr_weights {weights} must all be >= 1")
-        else:
-            weights = (1,) * nq
         super().__init__(sim, profile, **kwargs)
+        nq = profile.num_queues
+        # the profile has checked the arbitration and its weights
+        weights = profile.wrr_weights if profile.arbitration == "wrr" else None
         self.num_queues = nq
-        self._sqs = [
-            Semaphore(sim, profile.queue_depth, name=f"{profile.name}.sq{q}")
-            for q in range(nq)
-        ]
-        self._ncq = None  # every op asks the hooks below: SQ, slot + tag
+        self._free = [profile.queue_depth] * nq
+        self._sq_wait = [deque() for _ in range(nq)]
+        self._one_queue = False  # every op asks the hooks below: SQ, slot + tag
         # one controller lane per queue (the SATA model has the one)
         self._pipe.lanes = [0.0] * nq
         self._ctrl_tracks = tuple(f"ctrl{q}" for q in range(nq))
         self._free_tags = profile.core_tags or 2 * profile.queue_depth
-        #: per-SQ FIFO of commands admitted but awaiting a command tag
-        self._fetch_wait: List[Deque[Event]] = [deque() for _ in range(nq)]
-        self._weights: Tuple[int, ...] = tuple(weights)
+        #: per-SQ FIFO of commands holding a slot but awaiting a command tag
+        self._fetch_wait: List[Deque[tuple]] = [deque() for _ in range(nq)]
+        self._weights: Tuple[int, ...] = tuple(weights or (1,) * nq)
         self._arb_cursor = 0
         self._burst_left = self._weights[0]
         #: tenant -> SQ index, assigned round-robin at first submission
@@ -110,11 +95,11 @@ class NvmeDevice(SsdDevice):
     def queue_backlogs(self) -> List[int]:
         """Per-SQ occupied slots (the fluid monitor's eligibility input)."""
         depth = self.profile.queue_depth
-        return [depth - sq.value for sq in self._sqs]
+        return [depth - free for free in self._free]
 
     @property
     def fetch_backlogs(self) -> List[int]:
-        """Per-SQ commands admitted but still waiting for a command tag."""
+        """Per-SQ commands holding a slot but still waiting for a command tag."""
         return [len(w) for w in self._fetch_wait]
 
     # -- queue assignment --------------------------------------------------
@@ -133,39 +118,42 @@ class NvmeDevice(SsdDevice):
 
     # -- arbitration -------------------------------------------------------
 
-    def _try_admit(self, q: int) -> bool:
-        """Non-blocking admission: an SQ slot *and* a command tag.
+    def _take(self, q: int) -> bool:
+        """An SQ slot *and* a command tag, when both are free.
 
-        Two degraders beyond a full SQ: no free command tag, or earlier
+        Two refusals beyond a full SQ: no free command tag, or earlier
         commands in this SQ already waiting for one (FIFO within an SQ).
         """
-        if self._free_tags == 0 or self._fetch_wait[q] or not self._sqs[q].try_acquire():
+        free = self._free
+        if self._free_tags == 0 or self._fetch_wait[q] or not free[q]:
             return False
+        free[q] -= 1
         self._free_tags -= 1
         return True
 
-    def _tag_wait(self, q: int) -> Optional[Event]:
-        """Obtain a controller command tag for SQ ``q`` (coroutine path).
+    def _park(self, op) -> None:
+        """Queue a refused op: in its SQ's fetch FIFO when a slot is free
+        (taking it), else FIFO for a slot."""
+        q = op[6]
+        if self._free[q]:
+            self._free[q] -= 1
+            self._fetch_wait[q].append(op)
+        else:
+            self._sq_wait[q].append(op)
 
-        Synchronous (returns None, tag taken) when a tag is free and no
-        earlier command in this SQ is waiting — the only case at
-        ``num_queues=1``, where the pool (>= SQ depth) can never be
-        exhausted.  Otherwise the returned event fires once the pump
-        has granted (and decremented the pool for) this command.
-        """
-        if self._free_tags > 0 and not self._fetch_wait[q]:
+    def _release(self, q: int) -> None:
+        """CQ post: recycle the tag, arbitrate, then free the SQ slot —
+        the SQ's first slot waiter takes it and asks for a tag."""
+        self._free_tags += 1
+        self._arb_pump()
+        wait = self._sq_wait[q]
+        if not wait:
+            self._free[q] += 1
+        elif self._free_tags and not self._fetch_wait[q]:
             self._free_tags -= 1
-            return None
-        ev = self.sim.event()
-        self._fetch_wait[q].append(ev)
-        return ev
-
-    def _release(self, q: int, tagged: bool = True) -> None:
-        """CQ post: recycle the tag, arbitrate, then free the SQ slot."""
-        if tagged:
-            self._free_tags += 1
-            self._arb_pump()
-        self._sqs[q].release()
+            self._enter(wait.popleft())
+        else:
+            self._fetch_wait[q].append(wait.popleft())
 
     def _arb_pump(self) -> None:
         """Grant freed tags to waiting SQ heads per the arbitration policy."""
@@ -174,7 +162,7 @@ class NvmeDevice(SsdDevice):
             if q is None:
                 return
             self._free_tags -= 1
-            self._fetch_wait[q].popleft().succeed()
+            self._enter(self._fetch_wait[q].popleft())
 
     def _next_waiting_sq(self) -> Optional[int]:
         """Weighted-round-robin scan: next SQ with a waiting command.

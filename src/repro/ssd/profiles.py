@@ -18,6 +18,7 @@ write sizes, per Fig 7).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
@@ -28,6 +29,21 @@ __all__ = [
 
 KIB = 1024
 MIB = 1024 * 1024
+
+#: fields that must be ints >= 1 (geometry and queue sizes)
+_POSITIVE_INTS = (
+    "queue_depth", "num_queues", "channels", "page_size", "pages_per_block",
+    "stripe_pages", "logical_capacity",
+)
+#: fields that must be finite and >= 0 (times in seconds, per-byte costs)
+_TIMES = (
+    "ctrl_overhead_read", "ctrl_overhead_write", "ctrl_byte_cost", "read_access",
+    "read_byte_cost", "prog_latency", "write_byte_cost", "erase_latency",
+)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -71,6 +87,37 @@ class SsdProfile:
     gc_reserve_blocks: int = 8       # always keep at least this many free
     ftl_policy: str = "greedy"       # see repro.ssd.ftl_policy.FTL_POLICIES
 
+    def __post_init__(self):
+        for name in _POSITIVE_INTS:
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} {value!r} must be an int >= 1")
+        for name in ("core_tags", "gc_reserve_blocks"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 0:
+                raise ValueError(f"{name} {value!r} must be an int >= 0")
+        for name in _TIMES:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} {value!r} must be finite and >= 0")
+        if not (math.isfinite(self.overprovision) and self.overprovision > 0):
+            raise ValueError(f"overprovision {self.overprovision!r} must be positive")
+        if not 0 < self.gc_low_watermark < self.gc_high_watermark < 1:
+            raise ValueError(
+                f"watermarks {self.gc_low_watermark!r}, {self.gc_high_watermark!r} "
+                f"must satisfy 0 < gc_low_watermark < gc_high_watermark < 1"
+            )
+        if self.arbitration not in ("rr", "wrr"):
+            raise ValueError(f"unknown arbitration {self.arbitration!r} (rr|wrr)")
+        weights = self.wrr_weights
+        if weights is not None:
+            if len(weights) != self.num_queues:
+                raise ValueError(
+                    f"wrr_weights {weights} must have {self.num_queues} entries"
+                )
+            if not all(_is_int(w) and w >= 1 for w in weights):
+                raise ValueError(f"wrr_weights {weights} must all be ints >= 1")
+
     @property
     def block_size(self) -> int:
         """Erase-block size in bytes."""
@@ -106,8 +153,6 @@ class SsdProfile:
         the FTL design-space knob: less spare capacity means GC runs
         hotter and write amplification climbs.
         """
-        if overprovision <= 0:
-            raise ValueError(f"overprovision {overprovision} must be positive")
         return replace(self, overprovision=overprovision)
 
     def with_queues(
@@ -117,12 +162,6 @@ class SsdProfile:
         wrr_weights: Optional[Tuple[int, ...]] = None,
     ) -> "SsdProfile":
         """Clone the profile with an NVMe queue configuration."""
-        if num_queues < 1:
-            raise ValueError(f"num_queues {num_queues} must be >= 1")
-        if wrr_weights is not None and len(wrr_weights) != num_queues:
-            raise ValueError(
-                f"wrr_weights {wrr_weights} must have {num_queues} entries"
-            )
         return replace(
             self, num_queues=num_queues, arbitration=arbitration,
             wrr_weights=wrr_weights,

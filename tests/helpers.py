@@ -1,28 +1,96 @@
 """Shared test helpers."""
 
+import signal
 import sys
 from contextlib import contextmanager
 
 import numpy as np
 
 from repro.obs import Tracer
+from repro.ssd import FluidPipeline
 from repro.ssd.ftl import UNMAPPED, Ftl
 
 
-def force_coroutine_path(device):
-    """Send every op on ``device`` down the coroutine path.
+@contextmanager
+def hang_guard(seconds):
+    """Raise TimeoutError in the block if it runs longer than ``seconds``
+    of wall time, so a test of a loop that could spin forever fails
+    instead of hanging the suite (POSIX ``SIGALRM``; main thread only)."""
+    class Expired(BaseException):
+        pass
 
-    ``SsdDevice.submit`` times an op itself only when, among its other
-    checks, a queue slot is free: the single-NCQ device takes that slot
-    inline, any device with ``_ncq = None`` asks ``_try_admit``.  Routing
-    the device through the hook and making the hook refuse sends every
-    op to ``_do_op`` — the tests' reference executor — which acquires
-    its slot through the same queues.
-    ``test_forced_device_runs_every_op_as_a_coroutine`` holds it to that.
-    """
-    device._ncq = None
-    device._try_admit = lambda q: False
-    return device
+    def expire(_signum, _frame):
+        raise Expired
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except Expired:
+        # Raised afresh here: the interrupted frames' traceback entries
+        # can lack line numbers, which pytest cannot format.
+        raise TimeoutError(f"still running after {seconds} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def record_bookings(device):
+    """Log every reservation on ``device``'s stage accumulators, in
+    booking order, as ``(at, q, ctrl, services, finish, op)``: ``op`` is
+    the host op's ``(is_read, size)``, None for GC copy/erase traffic.
+    Call it before the device books anything."""
+    log, planned = [], []
+    plan = device._plan
+
+    def planning(is_read, offset, size, scale=1.0, placed=True):
+        planned.append((is_read, size))
+        return plan(is_read, offset, size, scale, placed)
+
+    class Logged(FluidPipeline):
+        def reserve(self, at, q, ctrl, services, spans=None):
+            finish = FluidPipeline.reserve(self, at, q, ctrl, services, spans)
+            op = planned.pop() if q is not None else None
+            log.append((at, q, ctrl, tuple(services), finish, op))
+            return finish
+
+    device._plan = planning
+    device._pipe = Logged(device._pipe.lanes, device._pipe.chans)
+    return log
+
+
+def fifo_completions(log, fault_plan=None, until=None):
+    """The host ops' completion instants ``(at, is_read, size)``, sorted,
+    recomputed from :func:`record_bookings`'s log alone: each booking
+    clears controller lane ``q`` FIFO from its dispatch instant, then
+    each channel FIFO from there, and completes at the latest stage end
+    plus the latency windows active at dispatch.  Asserts each booking's
+    finish is that model's; drops completions after ``until``."""
+    lanes, chans, done = {}, {}, []
+    for at, q, ctrl, services, finish, op in log:
+        ready = at
+        if q is not None:
+            ready = max(at, lanes.get(q, 0.0)) + ctrl
+            lanes[q] = ready
+        end = ready
+        for chan, service in services:
+            chans[chan] = max(ready, chans.get(chan, 0.0)) + service
+            end = max(end, chans[chan])
+        assert end == finish, (at, q, end, finish)
+        if op is not None:
+            extra = fault_plan.extra_latency(at) if fault_plan is not None else 0.0
+            instant = at + ((end + extra) - at)
+            if until is None or instant <= until:
+                done.append((instant, *op))
+    return sorted(done)
+
+
+def observe_completions(device):
+    """Every host op's completion ``(now, is_read, size)``, as the op
+    observer sees it (success or injected fault)."""
+    seen = []
+    device.op_observer = lambda kind, size: seen.append((device.sim.now, kind == "read", size))
+    return seen
 
 
 def force_policy_path(node):

@@ -28,8 +28,9 @@ from hypothesis import strategies as st
 from .test_device_op_path import INTEL, POLICIES, assert_same_state, mixed_ops
 from repro.core.tags import IoTag, RequestClass
 from repro.engine import TOMBSTONE, SsTable, TableBuilder, merge_entries, split_outputs
+from repro.faults import FaultKind, FaultPlan, FaultWindow
 from repro.sim import AllOf, Simulator
-from repro.ssd import SimFilesystem, SsdProfile
+from repro.ssd import RawBackend, SimFilesystem, SsdDevice, SsdProfile
 from repro.ssd.filesystem import _Join
 from repro.ssd.ftl import Ftl, GcMove
 
@@ -409,20 +410,22 @@ def test_join_fires_in_the_slot_allof_fires_in(outcome):
 
 @pytest.mark.parametrize("outcome", ["succeed", "fail"])
 def test_an_op_process_settles_the_join_in_its_own_dispatch(outcome):
-    """The raw backend's coroutine fallback: the op's process is its
-    Event, so the join is settled in that dispatch, with no slot of its
-    own, as ``_member_done`` was."""
+    """The raw backend hands a multi-op IO's join to the device as each
+    op's sink: the ops' finish actions book their outcomes on it, and
+    the join fires in one dispatch of its own, no Event per op.  Under
+    a write-error window the first finishing write fails it."""
+    plan = None
+    if outcome == "fail":
+        plan = FaultPlan([FaultWindow(FaultKind.WRITE_ERROR, 0.0, 1.0, probability=1.0)])
     sim = Simulator()
+    profile = SsdProfile(name="tiny", channels=4, logical_capacity=16 * MIB, overprovision=1.0)
+    device = SsdDevice(sim, profile, seed=1, precondition=False, fault_plan=plan)
+    backend = RawBackend(device)
     join = _Join(sim, 2)
-    first = sim.event()
-    first.callbacks.append(join.settle)
-    second = sim.timeout(2.0)
-    second.callbacks.append(join.settle)
+    assert backend.write(0, 4 * KIB, None, join) is join
+    assert backend.write(8 * KIB, 4 * KIB, None, join) is join
     seq = sim._seq
-    if outcome == "succeed":
-        first.succeed()
-    else:
-        first.fail(OSError("x"))
     sim.run()
     assert join.processed and join.ok == (outcome == "succeed")
-    assert sim._seq - seq == 2  # the first op's dispatch and the join's
+    assert sim._seq - seq == 2  # the join's slot and its dispatch: nothing per op
+    assert device.stats.writes + device.stats.write_faults == 2

@@ -4,19 +4,24 @@ Each row is (entry, edge value, call, outcome).  The outcome is either a
 named exception, raised before any state changes — the node's state
 digest (WAL size and extents, free filesystem bytes, the engine's tables
 and memtable, the tenant's scheduler usage, the object cache, the
-scheduler backlog, the free NCQ slots, the device counters, the FTL
-page map and its host-stream cursors) is the same before and after,
+scheduler backlog, the ops holding NCQ slots, the device counters, the
+FTL page map and its host-stream cursors) is the same before and after,
 and the tenant's next PUT still lands — or a specified result.  Every
-row runs on a freshly loaded one-tenant node.
+row runs on a freshly loaded one-tenant node.  The configuration rows
+(device profile, node config, reservation, allocation, fault window)
+pin what the constructors refuse: a value that would hang the
+scheduler or silently poison every later op.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from repro.core import IoTag, Reservation
 from repro.engine import EngineConfig
 from repro.engine.db import RECORD_OVERHEAD
+from repro.faults import FaultKind, FaultWindow
 from repro.node import NodeConfig, StorageNode
 from repro.sim import Event, Simulator
 from repro.ssd import OutOfSpace, get_profile
@@ -69,7 +74,7 @@ def state(node):
         engine.memtable.items(),
         sorted(vars(node.scheduler.usage("t1")).items()),
         list(node.cache._entries.items()),
-        node.scheduler.backlog, node.device._ncq.value,
+        node.scheduler.backlog, node.device.in_flight,
         sorted(vars(node.device.stats).items()),
         node.device.ftl.page_to_block.tobytes(), node.device.ftl.block_valid.tobytes(),
         list(node.device.ftl._host_cursor),
@@ -129,6 +134,25 @@ def append_past_the_slack(node):
     f = node.fs.create()
     yield f.append(1000, TAG)
     return (yield f.append(8 * KIB, TAG))
+
+
+def returns(make, result):
+    """Build a configuration value at once, as a process for ``drive``
+    returning ``result`` of it."""
+    def call(node):
+        return result(make())
+        yield  # pragma: no cover - makes this a generator
+
+    return call
+
+
+def profile(**fields):
+    """The table's device profile with ``fields`` changed."""
+    return lambda node: replace(SMALL, **fields)
+
+
+def window(kind=FaultKind.LATENCY, start=0.0, end=1.0, **fields):
+    return lambda node: FaultWindow(kind, start, end, **fields)
 
 
 def put_then_get(key):
@@ -383,6 +407,80 @@ ROWS = [
     ("Wal.append", "0 bytes", waits(wal, "append", 0, TAG), ValueError),
     ("Wal.append", "-1 bytes", waits(wal, "append", -1, TAG), ValueError),
     ("Wal.append", "+inf bytes", waits(wal, "append", INF, TAG), ValueError),
+    # -- SsdProfile -------------------------------------------------------------------
+    ("SsdProfile", "channels 0", profile(channels=0), ValueError),
+    ("SsdProfile", "queue_depth -1", profile(queue_depth=-1), ValueError),
+    ("SsdProfile", "queue_depth 2.5", profile(queue_depth=2.5), ValueError),
+    ("SsdProfile", "num_queues 0", profile(num_queues=0), ValueError),
+    ("SsdProfile", "page_size NaN", profile(page_size=NAN), ValueError),
+    ("SsdProfile", "pages_per_block True", profile(pages_per_block=True), ValueError),
+    ("SsdProfile", "logical_capacity 0", profile(logical_capacity=0), ValueError),
+    ("SsdProfile", "stripe_pages -8", profile(stripe_pages=-8), ValueError),
+    ("SsdProfile", "core_tags -1", profile(core_tags=-1), ValueError),
+    ("SsdProfile", "gc_reserve_blocks -1", profile(gc_reserve_blocks=-1), ValueError),
+    ("SsdProfile", "read_access NaN", profile(read_access=NAN), ValueError),
+    ("SsdProfile", "prog_latency -1", profile(prog_latency=-1.0), ValueError),
+    ("SsdProfile", "erase_latency +inf", profile(erase_latency=INF), ValueError),
+    ("SsdProfile", "ctrl_overhead_write NaN", profile(ctrl_overhead_write=NAN), ValueError),
+    ("SsdProfile", "write_byte_cost -inf", profile(write_byte_cost=-INF), ValueError),
+    ("SsdProfile", "overprovision 0", profile(overprovision=0.0), ValueError),
+    ("SsdProfile", "overprovision NaN", profile(overprovision=NAN), ValueError),
+    ("SsdProfile", "gc_low_watermark -1", profile(gc_low_watermark=-1.0), ValueError),
+    ("SsdProfile", "gc_low_watermark 0", profile(gc_low_watermark=0.0), ValueError),
+    ("SsdProfile", "gc_low_watermark NaN", profile(gc_low_watermark=NAN), ValueError),
+    ("SsdProfile", "low == high watermark", profile(gc_low_watermark=0.1), ValueError),
+    ("SsdProfile", "gc_high_watermark 1", profile(gc_high_watermark=1.0), ValueError),
+    ("SsdProfile", "unknown arbitration", profile(arbitration="priority"), ValueError),
+    ("SsdProfile", "wrr_weights of the wrong length",
+     profile(num_queues=2, arbitration="wrr", wrr_weights=(1,)), ValueError),
+    ("SsdProfile", "wrr_weight 0",
+     profile(num_queues=2, arbitration="wrr", wrr_weights=(1, 0)), ValueError),
+    ("SsdProfile", "zero times, no reserve, default tags",
+     returns(lambda: replace(SMALL, read_access=0.0, erase_latency=0.0, core_tags=0,
+                             gc_reserve_blocks=0), lambda p: p.read_access), 0.0),
+    # -- NodeConfig ------------------------------------------------------------------
+    ("NodeConfig", "cache_bytes -1", lambda node: NodeConfig(cache_bytes=-1), ValueError),
+    ("NodeConfig", "cache_bytes 1.5", lambda node: NodeConfig(cache_bytes=1.5), ValueError),
+    ("NodeConfig", "max_retries NaN", lambda node: NodeConfig(max_retries=NAN), ValueError),
+    ("NodeConfig", "max_retries -1", lambda node: NodeConfig(max_retries=-1), ValueError),
+    ("NodeConfig", "retry_backoff -1", lambda node: NodeConfig(retry_backoff=-1.0), ValueError),
+    ("NodeConfig", "retry_backoff NaN",
+     lambda node: NodeConfig(retry_backoff=NAN), ValueError),
+    ("NodeConfig", "request_timeout 0",
+     lambda node: NodeConfig(request_timeout=0.0), ValueError),
+    ("NodeConfig", "capacity_vops +inf",
+     lambda node: NodeConfig(capacity_vops=INF), ValueError),
+    ("NodeConfig", "no cache, no retries, no backoff",
+     returns(lambda: NodeConfig(cache_bytes=0, max_retries=0, retry_backoff=0.0),
+             lambda c: c.max_retries), 0),
+    # -- Reservation and allocations: a non-finite rate hangs the pump --------------
+    ("Reservation", "NaN gets", lambda node: Reservation(gets=NAN), ValueError),
+    ("Reservation", "+inf gets", lambda node: Reservation(gets=INF), ValueError),
+    ("Reservation", "-inf puts", lambda node: Reservation(puts=-INF), ValueError),
+    ("Reservation", "negative puts", lambda node: Reservation(puts=-1.0), ValueError),
+    ("Reservation", "zero rates", returns(Reservation, lambda r: (r.gets, r.puts)), (0.0, 0.0)),
+    ("LibraScheduler.set_allocation", "unknown tenant",
+     lambda node: node.scheduler.set_allocation("nobody", 1.0), KeyError),
+    ("LibraScheduler.set_allocation", "NaN",
+     lambda node: node.scheduler.set_allocation("t1", NAN), ValueError),
+    ("LibraScheduler.set_allocation", "+inf",
+     lambda node: node.scheduler.set_allocation("t1", INF), ValueError),
+    ("LibraScheduler.set_allocation", "-1",
+     lambda node: node.scheduler.set_allocation("t1", -1.0), ValueError),
+    # -- FaultWindow -------------------------------------------------------------------
+    ("FaultWindow", "NaN start", window(start=NAN), ValueError),
+    ("FaultWindow", "NaN end", window(end=NAN), ValueError),
+    ("FaultWindow", "-inf start", window(start=-INF), ValueError),
+    ("FaultWindow", "+inf end", window(end=INF), ValueError),
+    ("FaultWindow", "NaN extra_latency", window(extra_latency=NAN), ValueError),
+    ("FaultWindow", "+inf extra_latency", window(extra_latency=INF), ValueError),
+    ("FaultWindow", "extra_latency -1", window(extra_latency=-1.0), ValueError),
+    ("FaultWindow", "NaN slowdown", window(FaultKind.DEGRADED_BW, slowdown=NAN), ValueError),
+    ("FaultWindow", "+inf slowdown", window(FaultKind.DEGRADED_BW, slowdown=INF), ValueError),
+    ("FaultWindow", "slowdown 0.5", window(FaultKind.DEGRADED_BW, slowdown=0.5), ValueError),
+    ("FaultWindow", "slowdown 1", returns(
+        lambda: FaultWindow(FaultKind.DEGRADED_BW, 0.0, 1.0, slowdown=1.0),
+        lambda w: w.active(0.5)), True),
 ]
 
 ENTRIES = {
@@ -393,7 +491,8 @@ ENTRIES = {
     "Wal.append",
 } | {f"SsdDevice.{name}" for name in ("submit", "read", "write", "trim")} | {
     "Ftl.host_write", "Ftl.precondition", "Ftl.read_channels", "Ftl.trim",
-    "Ftl.trim_extents",
+    "Ftl.trim_extents", "SsdProfile", "NodeConfig", "Reservation",
+    "LibraScheduler.set_allocation", "FaultWindow",
 }
 
 

@@ -1,16 +1,18 @@
-"""Equivalence tests for the zero-coroutine device fast path.
+"""Tests of the device's one executor.
 
-The SSD device admits common-case ops analytically (one scheduled
-completion action, no generator); anything stateful — fault windows,
-GC, NCQ saturation, invalid ranges — falls back to the coroutine
-pipeline.  These tests hold the contract that makes that optimization
-safe: with the same seed, a run with the fast path enabled is
-byte-identical to one whose admission is stubbed to decline, forcing
-every op down the coroutine path, and the VOP audit reconciles a
-fast-path run at 1.0000 with zero flags.
+``SsdDevice.submit`` times an admitted op at once: it plans and reserves
+it and pushes one finish action at its analytic finish time.  An op
+that is not admitted yet waits in an admission FIFO (its queue's, the
+starved-write FIFO, or a call at a stall's end) and is timed the same
+way when it is.  These tests hold the executor to the FIFO queueing
+model it implements: every op completes at the finish its plan books
+on the controller lane and channels at its admission instant (see
+``helpers.fifo_completions``), same-seed runs are identical, and the
+VOP audit reconciles a run at 1.0000 with zero flags.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -25,7 +27,7 @@ from repro.obs import VopAudit
 from repro.sim import OK_RESULT, SimulationError, Simulator
 from repro.ssd import NvmeDevice, SsdDevice, SsdProfile
 
-from .helpers import force_coroutine_path
+from .helpers import fifo_completions, observe_completions, record_bookings
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -38,12 +40,13 @@ def tiny_profile(queue_depth=32):
     )
 
 
-def run_sched_trace(fast, read_fraction, fault_plan=None, ops=200, until=30.0):
-    """Drive a mixed tenant workload; return (trace, stats tuple)."""
+def run_sched_trace(read_fraction, fault_plan=None, ops=200, until=30.0):
+    """Drive a mixed tenant workload; return (trace, stats tuple, the
+    device's completions, the FIFO model's)."""
     sim = Simulator()
     device = SsdDevice(sim, tiny_profile(), seed=1, fault_plan=fault_plan)
-    if not fast:
-        force_coroutine_path(device)
+    bookings = record_bookings(device)
+    completions = observe_completions(device)
     model = make_cost_model("exact", reference_calibration("intel320"))
     sched = LibraScheduler(sim, device, model)
     for i in range(3):
@@ -74,15 +77,24 @@ def run_sched_trace(fast, read_fraction, fault_plan=None, ops=200, until=30.0):
         stats.reads, stats.writes, stats.read_bytes, stats.write_bytes,
         stats.gc_runs, stats.read_faults, stats.write_faults,
         stats.degraded_ops, device.in_flight,
-    )
+    ), sorted(completions), fifo_completions(bookings, fault_plan, until)
+
+
+def assert_one_executor(read_fraction, fault_plan=None, **kwargs):
+    """Same seed, same run; and every op completed where the FIFO model
+    of its admission-time booking puts it."""
+    trace, stats, completions, model = run_sched_trace(read_fraction, fault_plan, **kwargs)
+    again = run_sched_trace(read_fraction, fault_plan, **kwargs)
+    assert (trace, stats) == again[:2]
+    assert completions == model
+    assert len(completions) == sum(stats[:2]) + stats[5] + stats[6]
+    return trace, stats
 
 
 @pytest.mark.parametrize("read_fraction", [1.0, 0.0, 0.6])
 def test_fast_path_byte_identical(read_fraction):
-    fast = run_sched_trace(True, read_fraction)
-    slow = run_sched_trace(False, read_fraction)
-    assert fast[1] == slow[1]
-    assert fast[0] == slow[0]
+    trace, stats = assert_one_executor(read_fraction)
+    assert len(trace) == 600 and stats[-1] == 0
 
 
 def test_fast_path_byte_identical_under_faults():
@@ -91,57 +103,62 @@ def test_fast_path_byte_identical_under_faults():
     plan.add(FaultWindow(FaultKind.LATENCY, 0.01, 0.05, extra_latency=0.001))
     plan.add(FaultWindow(FaultKind.DEGRADED_BW, 0.03, 0.08, slowdown=3.0))
     plan.add(FaultWindow(FaultKind.STALL, 0.06, 0.07))
-    fast = run_sched_trace(True, 0.6, fault_plan=plan)
-    slow = run_sched_trace(False, 0.6, fault_plan=plan)
-    assert fast[1] == slow[1]
-    assert fast[0] == slow[0]
-    # the plan actually exercised the fallback's fault machinery
-    faulted = [row for row in fast[0] if row[3] == "x"]
+    trace, stats = assert_one_executor(0.6, fault_plan=plan)
+    # the plan's error and degraded-bandwidth windows fired
+    faulted = [row for row in trace if row[3] == "x"]
     assert faulted and faulted[0][4] == DeviceReadError.__name__
+    assert stats[7] > 0  # degraded ops
 
 
 def test_fast_path_byte_identical_through_gc():
     # Write-heavy traffic on the tiny device drains the free pool, so
-    # the run crosses GC windows (fast path off) and quiet stretches
-    # (fast path on) — the equivalence must hold across the seams.
-    fast = run_sched_trace(True, 0.1, ops=500, until=60.0)
-    slow = run_sched_trace(False, 0.1, ops=500, until=60.0)
-    assert fast[1][4] > 0, "workload never triggered GC"
-    assert fast[1] == slow[1]
-    assert fast[0] == slow[0]
+    # the run crosses GC windows and quiet stretches; GC's copy and
+    # erase bookings sit in the same FIFO model as host ops.
+    _trace, stats = assert_one_executor(0.1, ops=500, until=60.0)
+    assert stats[4] > 0, "workload never triggered GC"
 
 
 def test_quiet_serial_ops_never_reach_the_coroutine_path():
+    """On an otherwise idle device each op completes at its own service
+    time, as the quiet epoch hook prices it, and none ever waits."""
     sim = Simulator()
     device = SsdDevice(sim, tiny_profile(), seed=2)
-    calls = []
-    original = device._do_op
-    device._do_op = lambda *a, **k: calls.append("r" if a[0] else "w") or original(*a, **k)
+    twin = SsdDevice(Simulator(), tiny_profile(), seed=2)
+    ops = []
+    for k in range(50):
+        ops.append((True, (k * 16 * KIB) % (32 * MIB), 4 * KIB))
+        ops.append((False, (k * 32 * KIB) % (32 * MIB), 16 * KIB))
+    latencies = []
 
     def driver():
-        for k in range(50):
-            yield device.read((k * 16 * KIB) % (32 * MIB), 4 * KIB)
-            yield device.write((k * 32 * KIB) % (32 * MIB), 16 * KIB)
+        for is_read, offset, size in ops:
+            start = sim.now
+            done = (device.read if is_read else device.write)(offset, size)
+            assert device.in_flight == 1 and sim.queue_size == 1  # timed at submit
+            yield done
+            latencies.append(sim.now - start)
 
     sim.process(driver())
     sim.run()
     assert device.stats.reads == 50 and device.stats.writes == 50
-    assert calls == []
+    expected = [twin.epoch_op(*op) for op in ops]
+    assert latencies == pytest.approx(expected, rel=1e-9)
 
 
 def test_fast_path_off_forces_the_coroutine_path():
+    """A running GC loop no longer holds ops back: a write arriving while
+    it runs, with the pool above the GC reserve, is planned at submit."""
     sim = Simulator()
-    device = force_coroutine_path(SsdDevice(sim, tiny_profile(), seed=2))
-    calls = []
-    original = device._do_op
-    device._do_op = lambda *a, **k: calls.append("r" if a[0] else "w") or original(*a, **k)
-
-    def driver():
-        yield device.read(0, 4 * KIB)
-
-    sim.process(driver())
+    device = SsdDevice(sim, tiny_profile(), seed=2)
+    while not device.gc_running:
+        device.write(0, 256 * KIB)
+        sim.step()
+    assert not device.ftl.host_starved
+    busy = device.stats.controller_busy
+    device.submit(False, 0, 4 * KIB, None, lambda *_: None, None)
+    assert device.stats.controller_busy > busy and not device._starved
     sim.run()
-    assert calls == ["r"]
+    assert device.in_flight == 0
 
 
 def test_invalid_range_degrades_to_coroutine_failure():
@@ -154,32 +171,31 @@ def test_invalid_range_degrades_to_coroutine_failure():
             yield device.read(device.profile.logical_capacity, 4 * KIB)
         except Exception as exc:
             outcomes.append(type(exc).__name__)
+            outcomes.append((device.in_flight, sim.queue_size))
 
     sim.process(driver())
     sim.run()
-    assert outcomes == ["ValueError"]
+    assert outcomes == ["ValueError", (0, 0)]
 
 
 @pytest.mark.parametrize("kind", ["sata", "nvme", "nvme_one_queue"])
 @pytest.mark.parametrize("forced", [False, True])
 def test_forced_device_runs_every_op_as_a_coroutine(kind, forced):
-    """Every fast-vs-coroutine oracle leans on ``force_coroutine_path``:
-    a forced device must run each op — scheduler chunk, ``submit``,
-    ``read``/``write`` — through ``_do_op`` and none through the
-    scheduled finish, and an unforced idle one none through ``_do_op``."""
+    """Every op — scheduler chunk, ``submit``, ``read``/``write`` — is
+    delivered by one finish action, whether it is admitted at submit or
+    (``forced``: one-slot queues) waits in its queue's FIFO first."""
     sim = Simulator()
-    profile = tiny_profile()
+    profile = replace(tiny_profile(), queue_depth=1) if forced else tiny_profile()
     if kind == "sata":
         device = SsdDevice(sim, profile, seed=2)
     else:
         queues = 4 if kind == "nvme" else 1
         device = NvmeDevice(sim, profile.with_queues(queues), seed=2)
-    if forced:
-        force_coroutine_path(device)
-    coroutines, finishes = [], []
-    do_op, finish_fast = device._do_op, device._finish_fast
-    device._do_op = lambda *args: coroutines.append(args) or do_op(*args)
-    device._finish_fast = lambda arg: finishes.append(arg) or finish_fast(arg)
+    finishes, waited = [], []
+    finish = device._finish
+    device._finish = lambda arg: finishes.append(arg) or finish(arg)
+    park = device._park
+    device._park = lambda op: waited.append(op) or park(op)
     model = make_cost_model("exact", reference_calibration("intel320"))
     sched = LibraScheduler(sim, device, model)
     for tenant in ("a", "b"):
@@ -202,18 +218,20 @@ def test_forced_device_runs_every_op_as_a_coroutine(kind, forced):
     assert proc.ok and delivered == [True] * 6
     ops = 6 * (1 + 2 + 1 + 1 + 1)
     assert device.stats.reads + device.stats.writes == ops
-    if forced:
-        assert (len(coroutines), len(finishes)) == (ops, 0)
-    else:
-        assert (len(coroutines), len(finishes)) == (0, ops)
+    assert len(finishes) == ops
+    assert bool(waited) == forced
     assert device.in_flight == 0
 
 
 def test_ncq_saturation_degrades_and_preserves_order():
-    # More submitters than queue-depth slots: late ops find try_acquire
-    # failing and must queue FIFO behind the coroutine path.
+    # More submitters than queue-depth slots: late ops wait in the NCQ's
+    # FIFO, and each is admitted in the finish action freeing a slot.
     sim = Simulator()
     device = SsdDevice(sim, tiny_profile(queue_depth=2), seed=2)
+    admitted = []
+    plan = device._plan
+    device._plan = lambda *args: (admitted.append((args[1], sim.now)), plan(*args))[1]
+    finished = observe_completions(device)
     done = []
 
     def one(i):
@@ -224,6 +242,9 @@ def test_ncq_saturation_degrades_and_preserves_order():
         sim.process(one(i))
     sim.run()
     assert done == sorted(done)
+    assert [offset for offset, _at in admitted] == [i * 64 * KIB for i in range(8)]
+    # the first two at once, each later one at its predecessor-but-one's finish
+    assert [at for _offset, at in admitted] == [0.0, 0.0] + [at for at, *_ in finished[:6]]
     assert device.stats.reads == 8
     assert device.in_flight == 0
 

@@ -234,6 +234,74 @@ def test_device_stall_delays_admission():
     assert device.stats.stall_seconds == pytest.approx(0.05)
 
 
+def test_a_stalled_op_completes_at_the_stall_end_plus_its_service_time():
+    """Ops arriving in a stall hold their slots until its end, are then
+    admitted in arrival order, and are priced under the windows active
+    at that instant — not those at their arrival."""
+    end = 0.05
+    plan = (
+        FaultPlan(seed=4)
+        .add(window(FaultKind.STALL, 0.0, end))
+        .add(window(FaultKind.DEGRADED_BW, 0.04, 0.2, slowdown=3.0))
+        .add(window(FaultKind.LATENCY, end, 0.2, extra_latency=0.002))
+        .add(window(FaultKind.READ_ERROR, end, 0.2, probability=1.0))
+        .add(window(FaultKind.WRITE_ERROR, 0.0, end, probability=1.0))
+    )
+    sim, device = faulty_device(plan)
+    _sim, healthy = faulty_device(None)
+    w_ctrl, w_services = healthy.epoch_op(False, 0, 4 * KIB, healthy.fluid_pipeline())
+    busy = {chan for chan, _service in w_services}
+    offset = next(off for off in range(0, MIB, 4 * KIB)
+                  if healthy.ftl.read_channel(off) not in busy)
+    r_ctrl, r_services = healthy.epoch_op(True, offset, 4 * KIB, healthy.fluid_pipeline())
+    log = []
+
+    def record(name, result):
+        log.append((name, sim.now, result))
+
+    sim.run(until=0.01)
+    device.submit(False, 0, 4 * KIB, None, record, "w")
+    device.submit(True, offset, 4 * KIB, None, record, "r")
+    assert device.in_flight == 2 and device.stats.controller_busy == 0.0
+    sim.run()
+    # both at the stall's end, FIFO on the controller, on their own channels
+    w_finish = end + w_ctrl + max(s * 3.0 for _c, s in w_services)
+    r_finish = end + w_ctrl + r_ctrl + max(s * 3.0 for _c, s in r_services)
+    (w_kind, w_at, w_result), (r_kind, r_at, r_result) = sorted(log, reverse=True)
+    assert (w_kind, r_kind) == ("w", "r")
+    assert w_at == pytest.approx(w_finish + 0.002, rel=1e-12)
+    assert r_at == pytest.approx(r_finish + 0.002, rel=1e-12)
+    # the write-error window closed at admission; the read-error one opened
+    assert w_result.ok and isinstance(r_result.value, DeviceReadError)
+    assert device.stats.stall_seconds == pytest.approx(2 * (end - 0.01))
+    assert device.stats.degraded_ops == 2
+    assert device.stats.fault_delay_seconds == pytest.approx(0.004)
+
+
+def test_a_faulted_op_occupies_its_stages_before_its_callback_sees_the_fault():
+    plan = FaultPlan(seed=2).add(window(FaultKind.WRITE_ERROR, 0.0, 1.0, probability=1.0))
+    sim, device = faulty_device(plan)
+    _sim, healthy = faulty_device(None)
+    seen = []
+
+    def record(name, result):
+        seen.append((name, sim.now, device.in_flight, result))
+
+    device.submit(False, 0, 64 * KIB, None, record, "write")
+    # a read of a page it programmed queues behind it on that channel
+    device.submit(True, 0, 4 * KIB, None, record, "read")
+    sim.run()
+    (_w, w_at, w_in_flight, w_result), (_r, r_at, _in, r_result) = seen
+    # a healthy twin's write finishes at the same instant: every stage served
+    assert w_at == healthy.epoch_op(False, 0, 64 * KIB)
+    assert w_in_flight == 1  # its slot is free before its callback runs
+    assert not w_result.ok and isinstance(w_result.value, DeviceWriteError)
+    profile = device.profile
+    assert r_at == pytest.approx(w_at + profile.read_access + 4 * KIB * profile.read_byte_cost)
+    assert r_result.ok
+    assert (device.stats.write_faults, device.stats.writes, device.stats.reads) == (1, 0, 1)
+
+
 def test_device_degraded_bandwidth_slows_service():
     def timed(plan):
         sim, device = faulty_device(plan)

@@ -6,13 +6,10 @@ filesystem -> Libra scheduler -> device was kvbench's ``sim_digest``,
 which is not tier-1.  The digests below were recorded at the commit
 before the device-op path was fused (three-function scheduler pump,
 page-by-page FTL map updates); a change to scheduler, FTL or device that
-moves any simulated number moves a digest.  Every scenario also runs
-with each op forced down the device's coroutine path.  The two
-executors book the same plan, so three scenarios land on one digest
-either way; on the saturated ``put_heavy`` device a coroutine op's
-first step is itself an event, same-instant reservations interleave
-with the GC loop in another order, and that trajectory has its own
-digest.
+moves any simulated number moves a digest.  ``put_heavy`` (and
+``traced/spans`` below) was re-recorded when an op arriving while the
+GC loop runs came to be timed at its submission, like any other, where
+a process had timed it one event later in the same instant.
 
 ``REWIRED`` and ``CLUSTERS`` pin the paths those four healthy, untraced,
 single-node scenarios never reach, recorded at the commit before the
@@ -21,8 +18,7 @@ context, closure-free ``_execute``, shared accounting): the retry loop,
 checksum re-reads and the crash wait (``faulted``), the per-attempt
 budget race (``budgeted``), trace-id allocation and every span
 (``traced``), cache invalidation (``deletes``), and ``apply_replica`` /
-``read_replica`` under both replication modes.  They run on the fast
-executor only: nothing above the scheduler depends on the executor.
+``read_replica`` under both replication modes.
 
 ``cluster/chaos`` pins the message path those fault-free clusters never
 take, recorded at the commit before replica shipping and backup applies
@@ -42,7 +38,7 @@ from typing import NamedTuple, Optional
 
 import pytest
 
-from .helpers import count_calls, force_coroutine_path, force_policy_path
+from .helpers import count_calls, force_policy_path
 from .test_determinism import _replicated_run
 from repro.core import Reservation
 from repro.engine import EngineConfig
@@ -96,17 +92,13 @@ SCENARIOS = {
 }
 
 GOLDEN = {
-    "get_heavy/fast": "f0a19fd2b5ae98d9",
-    "get_heavy/coroutine": "f0a19fd2b5ae98d9",
-    "put_heavy/fast": "d1abb54e1eb07f92",
-    "put_heavy/coroutine": "958c1381412c2800",
-    "scan_put/fast": "413af32f494baf64",
-    "scan_put/coroutine": "413af32f494baf64",
-    "cached/fast": "60879d8b5b27d0f5",
-    "cached/coroutine": "60879d8b5b27d0f5",
+    "get_heavy": "f0a19fd2b5ae98d9",
+    "put_heavy": "dde550e8b6b0133b",
+    "scan_put": "413af32f494baf64",
+    "cached": "60879d8b5b27d0f5",
 }
 
-#: the request paths ``SCENARIOS`` does not reach (fast executor only)
+#: the request paths ``SCENARIOS`` does not reach
 REWIRED = {
     # retry loop with backoff, checksum re-reads that clear and that
     # exhaust, and requests parked on a crashed tenant
@@ -150,7 +142,7 @@ GOLDEN_REWIRED = {
     "budgeted": "74661a137a999d43",
     "traced": "1cbc58eb32594b19",
     "deletes": "59cfe5e9a3a03c32",
-    "traced/spans": "32331:00d8d99aeae7c1f8",
+    "traced/spans": "32331:a05de9238da0aa9b",
     "cluster/primary-backup": "b34928c1d2eff905-337ff96cd1d2ad26-f446093362fdb16e",
     "cluster/leaderless": "d7dc979e4ad63d69-18d39da02021d714-e239fc495368ce66",
     "cluster/chaos": "00fcbe3a68c86519",
@@ -203,7 +195,7 @@ def _crash_and_restart(node, tenant, crash_at, restart_at):
     yield from node.restart(tenant)
 
 
-def run_scenario(name, coroutine_path=False, policy_path=False):
+def run_scenario(name, policy_path=False):
     """Preload, run the closed-loop clients, return the finished node."""
     sc = SCENARIOS[name] if name in SCENARIOS else REWIRED[name]
     sim = Simulator()
@@ -212,8 +204,6 @@ def run_scenario(name, coroutine_path=False, policy_path=False):
     plan = FaultPlan(seed=5) if sc.faults else None
     obs = Observability(tracer=Tracer()) if sc.traced else None
     node = StorageNode(sim, profile=SMALL, config=sc.config, seed=11, fault_plan=plan, obs=obs)
-    if coroutine_path:
-        force_coroutine_path(node.device)
     for tenant, weight in sc.tenants:
         node.add_tenant(tenant, Reservation(gets=1500.0 * weight, puts=500.0 * weight))
     if policy_path:
@@ -295,11 +285,8 @@ def span_digest(tracer) -> str:
 
 
 def run_all() -> dict:
-    """Every scenario on both executors: ``{"name/executor": node}``."""
-    return {
-        f"{name}/{'coroutine' if coroutine_path else 'fast'}": run_scenario(name, coroutine_path)
-        for name in SCENARIOS for coroutine_path in (False, True)
-    }
+    """Every scenario: ``{name: node}``."""
+    return {name: run_scenario(name) for name in SCENARIOS}
 
 
 def rewired_digests(nodes, clusters) -> dict:
@@ -357,7 +344,7 @@ def test_policy_path_gives_the_inline_path_digests():
     under a budget, or traced).  Routing every attempt through them
     instead lands on the same digests: healthy GETs and PUTs, retries,
     re-reads and crash waits, and cache fills."""
-    golden = {**GOLDEN_REWIRED, "get_heavy": GOLDEN["get_heavy/fast"]}
+    golden = {**GOLDEN_REWIRED, "get_heavy": GOLDEN["get_heavy"]}
     _assert_golden(
         {name: node_digest(run_scenario(name, policy_path=True)) for name in POLICY_PATH},
         {name: golden[name] for name in POLICY_PATH},
@@ -382,7 +369,7 @@ def test_only_a_fault_enters_the_policy_generators():
 
 def test_put_heavy_scenario_reaches_flush_compaction_and_ftl_gc(nodes):
     """The digest only pins what the scenario exercises."""
-    node = nodes["put_heavy/fast"]
+    node = nodes["put_heavy"]
     engine = [node.engines[tenant].stats for tenant in node.tenants]
     assert sum(stats.flushes for stats in engine) > 4
     assert sum(stats.compactions for stats in engine) > 0

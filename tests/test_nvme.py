@@ -2,15 +2,18 @@
 
 The load-bearing guarantees:
 
-- **pinned equivalence** — ``queues=1, depth=32`` reproduces the SATA
+- **pinned equivalence** — ``queues=1`` reproduces the SATA
   ``SsdDevice`` bit-for-bit (tasks, ops, bytes, stats, simulated end
-  time) on a pinned seeded workload, fast path on or off;
-- per-submitter queue mapping, RR/WRR arbitration under command-tag
-  contention, and the scheduler/epoch/audit stack running unchanged.
+  time) on a pinned seeded workload, at depth 32 and at a depth its
+  submitters overflow;
+- per-submitter queue mapping, FIFO service of a full SQ, RR/WRR
+  arbitration under command-tag contention, and the
+  scheduler/epoch/audit stack running unchanged.
 """
 
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,7 +26,7 @@ from repro.ssd import PROFILES, NvmeDevice, SsdDevice, SsdProfile, get_profile, 
 from repro.workload.epoch import EpochTenantSpec, run_epoch_trial
 from repro.workload.iobench import DeviceEnv, run_interference_trial
 
-from .helpers import force_coroutine_path
+from .helpers import fifo_completions, observe_completions, record_bookings
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -37,12 +40,14 @@ def tiny_profile(**overrides) -> SsdProfile:
     return SsdProfile(**defaults)
 
 
-def run_pinned(cls, profile, fast_path=True, fault_plan=None, n_tenants=8, ops=400):
-    """A pinned seeded closed loop; returns the full observable fingerprint."""
+def run_pinned(cls, profile, fault_plan=None, n_tenants=8, ops=400, oracle=False):
+    """A pinned seeded closed loop; returns the full observable fingerprint
+    (and, with ``oracle``, the device's completions and the FIFO model's)."""
     sim = Simulator()
     dev = cls(sim, profile, seed=7, fault_plan=fault_plan)
-    if not fast_path:
-        force_coroutine_path(dev)
+    if oracle:
+        bookings = record_bookings(dev)
+        completions = observe_completions(dev)
     rng = random.Random(42)
     counts = {"tasks": 0, "fails": 0}
 
@@ -62,12 +67,15 @@ def run_pinned(cls, profile, fast_path=True, fault_plan=None, n_tenants=8, ops=4
         sim.process(worker(f"t{i}"))
     sim.run()
     s = dev.stats
-    return (
+    fingerprint = (
         sim.now, counts["tasks"], counts["fails"], s.reads, s.writes,
         s.read_bytes, s.write_bytes, s.gc_runs, s.gc_pages_copied,
         s.gc_blocks_erased, s.controller_busy, s.channel_busy,
         s.read_faults, s.write_faults, s.stall_seconds,
     )
+    if oracle:
+        return fingerprint, sorted(completions), fifo_completions(bookings, fault_plan)
+    return fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +89,11 @@ def test_queues1_matches_sata_fast_path():
 
 
 def test_queues1_matches_sata_slow_path():
-    profile = get_profile("intel320").with_capacity(32 * MIB)
-    sata = run_pinned(SsdDevice, profile, fast_path=False)
-    nvme = run_pinned(NvmeDevice, profile, fast_path=False)
-    assert sata == nvme
-    # ...and the slow path is itself identical to the fast path.
-    assert sata == run_pinned(SsdDevice, profile, fast_path=True)
+    """Eight submitters on a four-slot queue: most ops wait in its FIFO."""
+    profile = replace(get_profile("intel320").with_capacity(32 * MIB), queue_depth=4)
+    sata = run_pinned(SsdDevice, profile)
+    assert sata == run_pinned(NvmeDevice, profile)
+    assert sata != run_pinned(SsdDevice, replace(profile, queue_depth=32))
 
 
 def test_queues1_matches_sata_under_faults():
@@ -110,10 +117,12 @@ def test_multi_queue_is_deterministic():
 
 
 def test_multi_queue_fast_slow_paths_agree():
-    profile = tiny_profile(num_queues=4)
-    assert run_pinned(NvmeDevice, profile) == run_pinned(
-        NvmeDevice, profile, fast_path=False
-    )
+    """Every op of a multi-queue run, GC and tag waits included, completes
+    where the FIFO model of its admission-time booking puts it."""
+    profile = tiny_profile(num_queues=4, queue_depth=8, core_tags=6)
+    fingerprint, completions, model = run_pinned(NvmeDevice, profile, oracle=True)
+    assert completions == model
+    assert len(completions) == fingerprint[1] and fingerprint[7] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +246,53 @@ def test_wrr_favors_weighted_queue():
     wrr = ops_by_queue("wrr", (6, 1))
     assert rr[0] / rr[1] == pytest.approx(1.0, rel=0.15)
     assert wrr[0] / wrr[1] > 2.0
+
+
+def test_a_full_sq_serves_its_waiters_fifo():
+    """Ops past an SQ's depth wait for a slot without a tag; each finish
+    hands its slot to the SQ's first waiter, which is admitted then."""
+    sim = Simulator()
+    dev = NvmeDevice(sim, tiny_profile(num_queues=2, queue_depth=2), seed=1, precondition=False)
+    order = []
+    plan = dev._plan
+    dev._plan = lambda *args: (order.append((args[1], sim.now)), plan(*args))[1]
+    finished = []
+    for k in range(6):
+        dev.submit(True, k * 4 * KIB, 4 * KIB, (None, "a"),
+                   lambda _k, _r: finished.append(sim.now), k)
+    dev.submit(True, MIB, 4 * KIB, (None, "b"), lambda *_: None, None)
+    assert dev.queue_backlogs == [2, 1] and dev.fetch_backlogs == [0, 0]
+    assert len(dev._sq_wait[0]) == 4 and dev._free_tags == 2 * 2 - 3
+    sim.run()
+    waiters = [k * 4 * KIB for k in range(2, 6)]
+    assert [offset for offset, _at in order] == [0, 4 * KIB, MIB] + waiters
+    # the four waiters are admitted at the first four finishes, in order
+    assert [at for _offset, at in order[3:]] == sorted(finished)[:4]
+    assert dev.queue_backlogs == [0, 0] and dev._free_tags == 2 * 2
+
+
+def test_tags_are_granted_in_wrr_order():
+    """One command tag, SQ weights 3:1: with both SQs backlogged the
+    arbiter serves three of ``a`` per one of ``b`` (the first ``a`` took
+    the free tag at submit), then drains ``b``."""
+    profile = tiny_profile(num_queues=2, queue_depth=8, core_tags=1,
+                           arbitration="wrr", wrr_weights=(3, 1))
+    sim = Simulator()
+    dev = NvmeDevice(sim, profile, seed=1, precondition=False)
+    order = []  # (tenant, instant) of each op as it is planned
+    plan = dev._plan
+    dev._plan = lambda *args: (
+        order.append(("ab"[args[1] // (4 * KIB) % 2], sim.now)), plan(*args))[1]
+    for k in range(8):
+        dev.submit(True, 2 * k * 4 * KIB, 4 * KIB, (None, "a"), lambda *_: None, None)
+    for k in range(8):
+        dev.submit(True, (2 * k + 1) * 4 * KIB, 4 * KIB, (None, "b"), lambda *_: None, None)
+    assert dev.fetch_backlogs == [7, 8] and dev.in_flight == 16
+    sim.run()
+    assert "".join(tenant for tenant, _at in order) == "a" + "aaab" * 2 + "a" + "b" * 6
+    times = [at for _tenant, at in order]
+    assert times == sorted(times) and len(set(times)) == 16  # one at a time
+    assert dev.fetch_backlogs == [0, 0] and dev._free_tags == 1
 
 
 def test_gc_runs_under_sustained_overwrite():

@@ -1,10 +1,12 @@
 """Cross-executor exactness of the device's op-timing kernel.
 
 One op is priced by ``SsdDevice._plan`` and booked by
-``FluidPipeline.reserve`` whichever driver executes it, so on twin idle
+``FluidPipeline.reserve`` whichever way it executes, so on twin idle
 devices the four ways of running the same op must agree *bitwise*: the
-scheduled completion (``submit``'s fast path), the forced coroutine
-path, the quiet-epoch hook, and the fluid plan reserved on a fresh
+scheduled completion timed inline in ``submit``, the same completion
+timed by ``SsdDevice._run`` (the path of an op admitted from an
+admission FIFO, taken here under an active but harmless fault window),
+the quiet-epoch hook, and the fluid plan reserved on a fresh
 ``fluid_pipeline()``.
 """
 
@@ -15,8 +17,6 @@ from hypothesis import strategies as st
 from repro.faults import FaultKind, FaultPlan, FaultWindow
 from repro.sim import Simulator
 from repro.ssd import NvmeDevice, SsdDevice, get_profile
-
-from .helpers import force_coroutine_path
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -86,14 +86,17 @@ def test_four_executors_agree_bitwise(kind, is_read, op, t0):
     offset, size = op
 
     sim, fast = make(kind, t0)
-    spied = []
-    original = fast._do_op
-    fast._do_op = lambda *a, **k: spied.append(a) or original(*a, **k)
     t_fast = run_des(sim, fast, is_read, offset, size)
-    assert spied == []
 
-    sim, slow = make(kind, t0)
-    t_slow = run_des(sim, force_coroutine_path(slow), is_read, offset, size)
+    # A window is open, so ``submit`` hands the op to ``_run``; it
+    # never fires, so the op is priced as on a healthy device.
+    harmless = FaultPlan(seed=1).add(FaultWindow(FaultKind.READ_ERROR, 0.0, 1.0, probability=0.0))
+    sim, slow = make(kind, t0, fault_plan=harmless)
+    ran = []
+    run = slow._run
+    slow._run = lambda op: ran.append(op) or run(op)
+    t_slow = run_des(sim, slow, is_read, offset, size)
+    assert len(ran) == 1
 
     _sim, quiet = make(kind, t0)
     latency = quiet.epoch_op(is_read, offset, size)

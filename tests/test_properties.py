@@ -13,8 +13,8 @@ from .test_read_path_index import CHURN
 from repro.analysis.metrics import cdf_points, mmr
 from repro.core import Ewma, OpKind, make_cost_model, reference_calibration
 from repro.engine import TOMBSTONE, Memtable, merge_entries, split_outputs
-from repro.sim import Semaphore, Simulator
-from repro.ssd import SsdProfile
+from repro.sim import Simulator
+from repro.ssd import SsdDevice, SsdProfile
 from repro.ssd.ftl import UNMAPPED, Ftl
 from repro.workload.distributions import LogNormalSize, align
 
@@ -251,7 +251,7 @@ def test_align_properties(value, gran):
 
 
 # ---------------------------------------------------------------------------
-# Semaphore: permits are conserved and waiters are served FIFO
+# Device queue slots: slots are conserved and waiters are admitted FIFO
 # ---------------------------------------------------------------------------
 
 @common_settings
@@ -261,25 +261,26 @@ def test_align_properties(value, gran):
 )
 def test_semaphore_serves_waiters_fifo(permits, holds):
     sim = Simulator()
-    sem = Semaphore(sim, value=permits)
-    entered = []
-    active = {"n": 0, "max": 0}
+    profile = SsdProfile(
+        name="prop", channels=4, logical_capacity=8 * MIB, overprovision=1.0,
+        queue_depth=permits,
+    )
+    device = SsdDevice(sim, profile, seed=1, precondition=False)
+    admitted = []
+    plan = device._plan
+    device._plan = lambda *args: (admitted.append(args[1]), plan(*args))[1]
+    active = {"max": 0}
 
-    def worker(tag, hold):
-        yield sem.acquire()
-        entered.append(tag)
-        active["n"] += 1
-        active["max"] = max(active["max"], active["n"])
-        yield sim.timeout(hold * 0.001)
-        active["n"] -= 1
-        sem.release()
+    def finished(_arg, result):
+        assert result.ok
 
     for tag, hold in enumerate(holds):
-        sim.process(worker(tag, hold))
+        device.submit(True, tag * 64 * KIB, hold * 4 * KIB, None, finished, None)
+        active["max"] = max(active["max"], device.in_flight)
     sim.run()
-    assert entered == list(range(len(holds)))
+    assert admitted == [tag * 64 * KIB for tag in range(len(holds))]
     assert active["max"] == min(permits, len(holds))
-    assert (sem.value, sem.waiting) == (permits, 0)
+    assert (device.in_flight, device._free, len(device._sq_wait[0])) == (0, [permits], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 These verify the *mechanisms* the paper's evaluation depends on:
 non-linear IOP/bandwidth vs op size, write cost exceeding read cost,
-GC activity under sustained random overwrite, and NCQ admission.
+GC activity under sustained random overwrite, NCQ admission, and the
+GC backpressure that parks host writes.
 """
 
 import random
@@ -129,6 +130,37 @@ def test_ncq_bounds_in_flight():
     sim.run()
     assert peak["v"] <= 4
     assert dev.stats.reads == 16
+
+
+def test_starved_writes_resume_in_park_order_as_gc_frees_blocks():
+    """A write finding the free pool down to the GC reserve keeps its
+    slot and parks; each block the GC loop frees admits parked writes
+    in park order, while a read goes straight through."""
+    sim = Simulator()
+    dev = SsdDevice(sim, tiny_profile(), seed=1)
+    ftl = dev.ftl
+    while not ftl.host_starved:  # retire free blocks, as a worn drive does
+        ftl.free_blocks.pop()
+        ftl._note_pool()
+    admitted = []
+    plan = dev._plan
+    dev._plan = lambda *args: (admitted.append((args[1], sim.now)), plan(*args))[1]
+    progress = []
+    signal = dev._signal_gc_progress
+    dev._signal_gc_progress = lambda: (progress.append(sim.now), signal())
+    done = []
+    for k in range(6):
+        dev.submit(False, k * 64 * KIB, 16 * KIB, None, lambda k, r: done.append(k), k)
+    assert (dev.in_flight, len(dev._starved), dev.gc_running) == (6, 6, True)
+    dev.submit(True, 0, 4 * KIB, None, lambda k, r: done.append(k), "read")
+    assert admitted == [(0, 0.0)] and dev.in_flight == 7
+    sim.run(until=1.0)
+    writes = admitted[1:]
+    assert [offset for offset, _at in writes] == [k * 64 * KIB for k in range(6)]
+    assert all(at in progress for _offset, at in writes)
+    assert writes[0][1] > 0.0 and len({at for _offset, at in writes}) > 1
+    assert sorted(done, key=str) == [0, 1, 2, 3, 4, 5, "read"]
+    assert (dev.in_flight, len(dev._starved), dev.stats.writes) == (0, 0, 6)
 
 
 def test_sustained_overwrite_triggers_gc():
