@@ -204,7 +204,6 @@ def _run_cell(args: Tuple[str, str, int, int, bool, str, int]) -> PartitionCell:
         replication_mode=mode,
         write_quorum=w,
         read_quorum=r,
-        quorum_reads=(mode == "primary-backup" and r > 1),
         rpc_timeout=0.15,
         rpc_retries=2,
         rpc_backoff=0.05,
@@ -347,11 +346,12 @@ def _run_cell(args: Tuple[str, str, int, int, bool, str, int]) -> PartitionCell:
     cell.reads = probes["reads"]
     cell.stale_reads = probes["stale"]
     services = cluster.services.values()
-    cell.hints_stored = sum(s.hints_stored for s in services)
-    cell.hints_delivered = sum(s.hints_delivered for s in services)
-    cell.read_repairs = sum(s.read_repairs_sent for s in services)
-    cell.handoffs_received = sum(s.handoffs_received for s in services)
-    cell.ae_received = sum(s.ae_received for s in services)
+    if net.leaderless:
+        cell.hints_stored = sum(s.hints_stored for s in services)
+        cell.hints_delivered = sum(s.hints_delivered for s in services)
+        cell.read_repairs = sum(s.read_repairs_sent for s in services)
+        cell.handoffs_received = sum(s.handoffs_received for s in services)
+        cell.ae_received = sum(s.ae_received for s in services)
     cell.revivals = cluster.membership.revivals
     stats = cluster.total_stats(TENANT)
     cell.repl_applies = stats.repl_applies

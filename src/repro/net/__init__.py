@@ -3,10 +3,12 @@
 The cluster-layer substrate the paper assumes but does not model:
 cross-node messages cost simulated time on NIC/link resources
 (:mod:`.fabric`), request/response RPC adds correlation, per-attempt
-timeouts, and retry budgets (:mod:`.rpc`), partitions are replicated
-primary-backup with write quorums or Dynamo-style leaderless with
-vector clocks, sloppy quorums, and hinted handoff
-(:mod:`.replication`, :mod:`.versioning`), heartbeat failure detection
+timeouts, and retry budgets (:mod:`.rpc`), and each node runs one
+replica service for the cluster's protocol: primary-backup with write
+quorums (:mod:`.primary_backup`) or Dynamo-style leaderless with vector
+clocks, sloppy quorums, and hinted handoff (:mod:`.leaderless`,
+:mod:`.versioning`), on the membership view and quorum counter they
+share (:mod:`.replication`).  Heartbeat failure detection
 promotes backups — or, leaderless, revives healed nodes —
 (:mod:`.failover`), and background anti-entropy converges cold
 divergence (:mod:`.antientropy`).  Applications come in through
@@ -17,7 +19,9 @@ from .antientropy import AntiEntropyService
 from .client import ClusterClient
 from .fabric import LinkStats, NetConfig, NetworkFabric, Nic
 from .failover import FailoverRecord, FailureDetector, HeartbeatService
-from .replication import KvService, Membership
+from .leaderless import LeaderlessService
+from .primary_backup import PrimaryBackupService
+from .replication import Membership
 from .rpc import ACK_BYTES, RpcEndpoint, RpcError, RpcMessage, RpcStats
 from .versioning import VectorClock, Version, VersionStore, reconcile
 
@@ -28,12 +32,13 @@ __all__ = [
     "FailoverRecord",
     "FailureDetector",
     "HeartbeatService",
-    "KvService",
+    "LeaderlessService",
     "LinkStats",
     "Membership",
     "NetConfig",
     "NetworkFabric",
     "Nic",
+    "PrimaryBackupService",
     "RpcEndpoint",
     "RpcError",
     "RpcMessage",

@@ -13,7 +13,7 @@ lacks itself.
 The digest exchange is metadata-only and cheap; the *transfers* are
 real: every pushed or pulled record lands through the full engine
 replica path (``repl.store`` reason ``ae`` on the peer,
-:meth:`KvService.apply_version` locally), so anti-entropy repair
+:meth:`LeaderlessService.apply_version` locally), so anti-entropy repair
 bandwidth is charged to the owning tenant in VOPs and shows up in
 Libra's demand estimates exactly like foreground writes.
 
@@ -45,7 +45,7 @@ class AntiEntropyService:
 
     def __init__(self, sim: Simulator, service):
         self.sim = sim
-        self.service = service  # the node's KvService
+        self.service = service  # the node's LeaderlessService
         self.config = service.config
         self.partition_map = service.partition_map
         self.membership = service.membership
@@ -155,7 +155,7 @@ class AntiEntropyService:
                     if any(r.clock.descends(version.clock) for r in remote):
                         continue
                     self.pushed += 1
-                    yield from svc._push_store(peer, tenant, key, version, "ae")
+                    yield from svc.push(peer, tenant, key, version, "ae")
                 for version in remote:
                     if any(m.clock.descends(version.clock) for m in held):
                         continue

@@ -36,7 +36,7 @@ from ..node.router import PartitionMap
 from ..node.tenant import LatencyRecorder, RequestStats
 from ..sim import Simulator
 from .fabric import NetConfig, NetworkFabric
-from .replication import Membership
+from .replication import Membership, Quorum
 from .rpc import ACK_BYTES, RpcEndpoint
 
 __all__ = ["ClusterClient"]
@@ -74,12 +74,18 @@ class ClusterClient:
         self._version_seen = -1
         #: (tenant, partition) -> (primary, give_up) under ``_version_seen``
         self._primary_cache: Dict[tuple, tuple] = {}
-        #: the request protocol, resolved once (``leaderless`` is a
-        #: property): leaderless coordination, quorum reads, or the
-        #: primary alone
-        self._leaderless = self.config.leaderless
+        #: the request protocol, resolved once: how a request finds its
+        #: serving replica, and the method per request kind
+        if self.config.leaderless:
+            self._call = self._call_coordinator
+            self._methods = {"get": "lkv.get", "put": "lkv.put", "delete": "lkv.put"}
+        else:
+            self._call = self._call_primary
+            self._methods = {"get": "kv.get", "put": "kv.put", "delete": "kv.delete"}
+        #: primary-backup GETs read a quorum when one above 1 is set
+        read_quorum = self.config.read_quorum
         self._quorum_reads = (
-            not self._leaderless and self.config.quorum_reads and self.config.rf > 1
+            not self.config.leaderless and read_quorum is not None and read_quorum > 1
         )
         #: tenant -> (RequestStats, LatencyRecorder), from its first answer
         self._books: Dict[str, tuple] = {}
@@ -121,9 +127,9 @@ class ClusterClient:
     def get(self, tenant: str, key: int):
         """GET; returns the object size or None.
 
-        With ``quorum_reads`` enabled the read goes to a quorum of
-        replicas and the chain-senior reply wins (replicas hold
-        prefixes of one last-writer-wins stream, so the most senior
+        With a primary-backup ``read_quorum`` above 1 the read goes to a
+        quorum of replicas and the chain-senior reply wins (replicas
+        hold prefixes of one last-writer-wins stream, so the most senior
         respondent is the freshest).
         """
         started = self.sim.now
@@ -132,66 +138,38 @@ class ClusterClient:
         payload = {"tenant": tenant, "key": key}
         if trace is not None:
             payload["trace"] = trace
-        if self._leaderless:
-            reply = yield from self._call_coordinator(
-                tenant, key, "lkv.get", payload, ACK_BYTES, trace
-            )
-            size = reply["size"]
-        elif self._quorum_reads:
+        if self._quorum_reads:
             size = yield from self._quorum_get(tenant, key, payload, trace)
         else:
-            reply = yield from self._call_primary(
-                tenant, key, "kv.get", payload, ACK_BYTES, trace
+            reply = yield from self._call(
+                tenant, key, self._methods["get"], payload, ACK_BYTES, trace
             )
             size = reply["size"]
         self._note(tenant, "get", size or 1024, started, trace)
         return size
 
-    def put(self, tenant: str, key: int, size: int):
+    def put(self, tenant: str, key: int, size: int, op: str = "put"):
         """PUT; acked once durable on the partition's write quorum.
 
-        Leaderless mode returns the coordinator's reply (the stamped
-        version travels back), which is what the partition experiments
-        record to audit acked-write survival.
+        Returns the serving replica's reply; a leaderless coordinator's
+        carries the stamped version, which the partition experiments
+        record to audit acked-write survival.  ``op="delete"`` is
+        :meth:`delete`.
         """
         started = self.sim.now
         tr = self.tracer
         trace = tr.new_trace() if tr is not None else None
-        if self._leaderless:
-            payload = {"tenant": tenant, "key": key, "size": size, "op": "put"}
-        else:
-            payload = {"tenant": tenant, "key": key, "size": size}
+        payload = {"tenant": tenant, "key": key, "size": size, "op": op}
         if trace is not None:
             payload["trace"] = trace
-        if self._leaderless:
-            reply = yield from self._call_coordinator(
-                tenant, key, "lkv.put", payload, size, trace
-            )
-            self._note(tenant, "put", size, started, trace)
-            return reply
-        yield from self._call_primary(tenant, key, "kv.put", payload, size, trace)
-        self._note(tenant, "put", size, started, trace)
+        nbytes = size if op == "put" else ACK_BYTES
+        reply = yield from self._call(tenant, key, self._methods[op], payload, nbytes, trace)
+        self._note(tenant, op, size if op == "put" else 1024, started, trace)
+        return reply
 
     def delete(self, tenant: str, key: int):
-        started = self.sim.now
-        tr = self.tracer
-        trace = tr.new_trace() if tr is not None else None
-        if self._leaderless:
-            payload = {"tenant": tenant, "key": key, "size": 0, "op": "delete"}
-        else:
-            payload = {"tenant": tenant, "key": key}
-        if trace is not None:
-            payload["trace"] = trace
-        if self._leaderless:
-            reply = yield from self._call_coordinator(
-                tenant, key, "lkv.put", payload, ACK_BYTES, trace
-            )
-            self._note(tenant, "delete", 1024, started, trace)
-            return reply
-        yield from self._call_primary(
-            tenant, key, "kv.delete", payload, ACK_BYTES, trace
-        )
-        self._note(tenant, "delete", 1024, started, trace)
+        """DELETE: a write of a tombstone (drive with ``yield from``)."""
+        return self.put(tenant, key, 0, "delete")
 
     # -- internals ---------------------------------------------------------
 
@@ -249,12 +227,7 @@ class ClusterClient:
         """
         stats = self.stats[tenant]
         partition = self.partition_map.partition_of(tenant, key)
-        candidates = [
-            name for name in partition.replicas if self.membership.is_live(name)
-        ] + [
-            name for name in partition.replicas
-            if not self.membership.is_live(name)
-        ]
+        candidates = self.membership.live_first(partition.replicas)
         last: Optional[StorageFault] = None
         for target in candidates:
             try:
@@ -281,43 +254,30 @@ class ClusterClient:
                 f"{self.rpc.name}: no live replica for {tenant}/{partition.index}"
             )
         need = min(self.config.effective_read_quorum, len(live))
-        state = {"replies": {}, "done": 0}
-        quorum = self.sim.event()
+        # Once every live replica has answered, one reply is enough.
+        quorum = Quorum(
+            self.sim, need, len(live), NodeUnreachable, self.rpc.name, payload, least=1
+        )
+        replies: Dict[int, Optional[int]] = {}
         for rank, name in enumerate(live):
             self.sim.process(
-                self._read_one(
-                    name, rank, payload, state, need, len(live), quorum, trace
-                ),
+                self._read_one(name, rank, payload, replies, quorum, trace),
                 name=f"qread.{self.rpc.name}.{name}",
             )
-        yield quorum
+        yield quorum.event
         # Chain order = seniority: rank 0 is the primary.
-        best_rank = min(state["replies"])
-        return state["replies"][best_rank]
+        return replies[min(replies)]
 
-    def _read_one(self, target, rank, payload, state, need, total, quorum, trace=None):
+    def _read_one(self, target, rank, payload, replies, quorum, trace=None):
         try:
             reply = yield from self.rpc.call(
                 target, "kv.get", payload, ACK_BYTES, trace=trace
             )
-            state["replies"][rank] = reply["size"]
         except StorageFault:
-            pass
-        state["done"] += 1
-        if quorum.triggered:
+            quorum(False)
             return
-        if len(state["replies"]) >= need:
-            quorum.succeed()
-        elif state["done"] == total:
-            if state["replies"]:
-                quorum.succeed()
-            else:
-                quorum.fail(
-                    NodeUnreachable(
-                        f"{self.rpc.name}: kv.get {payload['tenant']}/"
-                        f"{payload['key']}: no replica answered"
-                    )
-                )
+        replies[rank] = reply["size"]
+        quorum(True)
 
     def _note(
         self, tenant: str, kind: str, size: int, started: float,

@@ -22,6 +22,7 @@ the fabric, is what tells the rest of the cluster.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -58,16 +59,15 @@ class NetConfig:
     #: replicas that must durably hold a PUT/DELETE before the ack
     #: (None = majority of rf; clamped to the live replica count)
     write_quorum: Optional[int] = None
-    #: serve GETs from a read quorum (freshest reply wins) instead of
-    #: the primary alone (always on in leaderless mode)
-    quorum_reads: bool = False
-    #: replies a quorum read waits for (None = majority of rf)
+    #: replies a quorum read waits for (None = majority of rf).
+    #: Leaderless GETs always read a quorum; primary-backup GETs read
+    #: the primary alone unless this is set above 1, and then a quorum
+    #: of live replicas (the chain-senior reply wins)
     read_quorum: Optional[int] = None
     # -- leaderless mode ---------------------------------------------------
     #: seconds between hinted-handoff delivery sweeps on each node
     hint_interval: float = 0.5
     #: seconds between per-node anti-entropy digest exchanges
-    #: (0 disables the background service)
     anti_entropy_interval: float = 2.0
     # -- RPC budgets (mirroring NodeConfig's device-fault budgets) ---------
     #: per-attempt response budget, seconds
@@ -90,30 +90,37 @@ class NetConfig:
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self):
-        if self.rf < 1:
-            raise ValueError(f"replication factor {self.rf} < 1")
-        if self.nic_bandwidth <= 0:
-            raise ValueError("nic_bandwidth must be positive")
-        if self.link_latency < 0:
-            raise ValueError("link_latency must be non-negative")
-        if self.write_quorum is not None and not 1 <= self.write_quorum <= self.rf:
-            raise ValueError(
-                f"write_quorum {self.write_quorum} not in [1, rf={self.rf}]"
-            )
-        if self.read_quorum is not None and not 1 <= self.read_quorum <= self.rf:
-            raise ValueError(
-                f"read_quorum {self.read_quorum} not in [1, rf={self.rf}]"
-            )
+        for name, least in (("rf", 1), ("rpc_retries", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} {value!r} must be an int >= {least}")
+        for name in ("write_quorum", "read_quorum"):
+            value = getattr(self, name)
+            if value is not None and (
+                not isinstance(value, int) or isinstance(value, bool)
+                or not 1 <= value <= self.rf
+            ):
+                raise ValueError(f"{name} {value!r} not an int in [1, rf={self.rf}]")
         if self.replication_mode not in ("primary-backup", "leaderless"):
             raise ValueError(
                 f"unknown replication_mode {self.replication_mode!r}"
             )
+        # A zero period or timeout spins its loop at one instant; a NaN
+        # or infinite one, or bandwidth, never fires or poisons every
+        # later timestamp.
+        for name in (
+            "nic_bandwidth", "hint_interval", "anti_entropy_interval",
+            "rpc_timeout", "heartbeat_interval", "suspicion_timeout",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} {value!r} must be finite and > 0")
+        for name in ("link_latency", "rpc_backoff"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} {value!r} must be finite and >= 0")
         if not 0.0 <= self.rpc_jitter <= 1.0:
             raise ValueError(f"rpc_jitter {self.rpc_jitter} not in [0, 1]")
-        if self.hint_interval <= 0:
-            raise ValueError("hint_interval must be positive")
-        if self.anti_entropy_interval < 0:
-            raise ValueError("anti_entropy_interval must be >= 0")
 
     @property
     def leaderless(self) -> bool:

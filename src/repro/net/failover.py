@@ -1,6 +1,6 @@
 """Failure detection and partition failover.
 
-Every storage node's :class:`KvService` endpoint casts a heartbeat to a
+Every storage node's replica service endpoint casts a heartbeat to a
 cluster controller endpoint on a fixed period; the controller's
 :class:`FailureDetector` sweeps the table and declares any node silent
 for longer than the suspicion timeout **dead**.  Under primary-backup
@@ -35,7 +35,7 @@ from ..faults import StorageFault
 from ..node.router import PartitionMap
 from ..sim import Simulator
 from .fabric import NetConfig, NetworkFabric
-from .replication import KvService, Membership
+from .replication import Membership
 from .rpc import ACK_BYTES, RpcEndpoint
 
 __all__ = ["HeartbeatService", "FailureDetector", "FailoverRecord"]
@@ -106,7 +106,6 @@ class FailureDetector:
         fabric: NetworkFabric,
         partition_map: PartitionMap,
         membership: Membership,
-        services: Dict[str, KvService],
         config: Optional[NetConfig] = None,
         name: str = "ctrl",
         on_failover: Optional[Callable[[FailoverRecord], None]] = None,
@@ -114,13 +113,13 @@ class FailureDetector:
         self.sim = sim
         self.partition_map = partition_map
         self.membership = membership
-        self.services = services
         self.config = config or fabric.config
         self.on_failover = on_failover
         self.endpoint = RpcEndpoint(sim, fabric, name, config=self.config)
         self.endpoint.register_cast("ctrl.heartbeat", self._on_heartbeat)
-        #: node -> sim time of the freshest heartbeat received
-        self.last_seen: Dict[str, float] = {name: 0.0 for name in services}
+        #: node -> sim time of the freshest heartbeat received (or of
+        #: :meth:`watch`, which starts a node's grace period)
+        self.last_seen: Dict[str, float] = {}
         self.failovers: List[FailoverRecord] = []
         #: dead nodes that still lead a partition none of whose live
         #: replicas answered ``repl.seq``; retried every sweep
@@ -129,7 +128,7 @@ class FailureDetector:
         sim.process(self._sweep(), name=f"detector.{name}")
 
     def watch(self, name: str) -> None:
-        """Track a freshly added node; its grace period starts now."""
+        """Track a node; its grace period starts now."""
         self.last_seen[name] = self.sim.now
 
     def unwatch(self, name: str) -> None:

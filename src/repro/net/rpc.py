@@ -311,7 +311,7 @@ class RpcEndpoint:
             raise RetriesExhausted(
                 f"{self.name}: rpc {method} to {target} abandoned "
                 f"after {attempt} attempts (target declared dead)"
-            ) from unreachable(self.name, target)
+            ) from NodeUnreachable(f"{self.name}: target node {target} is marked down")
         if attempt > cfg.rpc_retries:
             self.stats.failures += 1
             raise RetriesExhausted(
@@ -386,9 +386,3 @@ class RpcEndpoint:
             self.name, request.src, ACK_BYTES,
             RpcMessage("resp", self.name, request.corr_id, "", error, False, request.trace),
         )
-
-
-# A call site sometimes needs the unreachable-fast-fail without a real
-# message: shared here so the client and replication layers agree on it.
-def unreachable(name: str, target: str) -> NodeUnreachable:
-    return NodeUnreachable(f"{name}: target node {target} is marked down")

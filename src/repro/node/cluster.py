@@ -9,8 +9,10 @@ the signal a real deployment would use to migrate partitions.
 
 The cluster also assembles the network substrate from :mod:`repro.net`
 that its :class:`~repro.net.NetConfig` describes (by default, rf=1): a
-shared fabric, one :class:`~repro.net.KvService` RPC endpoint per node,
-replication at the configured factor, and a heartbeat failure detector
+shared fabric, one replica service per node for the configured protocol
+(:class:`~repro.net.PrimaryBackupService` or
+:class:`~repro.net.LeaderlessService`), replication at the configured
+factor, and a heartbeat failure detector
 that promotes backups (and re-splits reservations) when a node dies.
 Clients reach the nodes only over that fabric (:meth:`make_client`).
 Replicated writes consume VOPs on every replica, so the reservation
@@ -71,47 +73,55 @@ class StorageCluster:
         self._reshard = None
         # -- network substrate (repro.net) ---------------------------------
         from ..net import (
-            AntiEntropyService,
             FailureDetector,
-            HeartbeatService,
-            KvService,
+            LeaderlessService,
             Membership,
             NetConfig,
             NetworkFabric,
+            PrimaryBackupService,
         )
 
         self.net = net = NetConfig() if net is None else net
+        self._service_cls = LeaderlessService if net.leaderless else PrimaryBackupService
         self._clients = 0
         self.fabric = NetworkFabric(sim, net)
-        self.membership = Membership(self.nodes)
-        self.services = {
-            name: KvService(
-                sim, node, self.fabric, self.partition_map, self.membership,
-                config=net,
-            )
-            for name, node in self.nodes.items()
-        }
-        self.anti_entropy = {
-            name: AntiEntropyService(sim, service)
-            for name, service in self.services.items()
-            if net.leaderless
-        }
+        self.membership = Membership()
+        self.services, self.anti_entropy, self.heartbeats = {}, {}, {}
+        # Wiring runs in two phases around the detector's construction,
+        # node by node within each: the background loops' start order
+        # fixes which of them runs first at a shared instant.
+        self._serve(list(self.nodes))
         self.detector = FailureDetector(
-            sim,
-            self.fabric,
-            self.partition_map,
-            self.membership,
-            self.services,
-            config=net,
+            sim, self.fabric, self.partition_map, self.membership, config=net,
             on_failover=self._on_failover,
         )
-        self.heartbeats = {
-            name: HeartbeatService(
-                sim, service.rpc, self.detector.endpoint.name,
-                net.heartbeat_interval,
+        self._watch(list(self.nodes))
+
+    def _serve(self, names: List[str]) -> None:
+        """Start new nodes' replica services (leaderless: and anti-entropy)."""
+        from ..net import AntiEntropyService
+
+        for name in names:
+            self.services[name] = self._service_cls(
+                self.sim, self.nodes[name], self.fabric, self.partition_map,
+                self.membership, config=self.net,
             )
-            for name, service in self.services.items()
-        }
+        if self.net.leaderless:
+            for name in names:
+                self.anti_entropy[name] = AntiEntropyService(self.sim, self.services[name])
+
+    def _watch(self, names: List[str]) -> None:
+        """Admit served nodes to the membership and the detector, and
+        start their heartbeats."""
+        from ..net import HeartbeatService
+
+        for name in names:
+            self.membership.add(name)
+            self.detector.watch(name)
+            self.heartbeats[name] = HeartbeatService(
+                self.sim, self.services[name].rpc, self.detector.endpoint.name,
+                self.net.heartbeat_interval,
+            )
 
     def _new_node(self, name: Optional[str] = None) -> str:
         """Construct the next StorageNode (no net wiring)."""
@@ -156,8 +166,14 @@ class StorageCluster:
         :meth:`grow`/:meth:`drain_node` keep them balanced with
         minimal-movement migrations.  Existing mod-hash tenants are
         untouched.  Live migration ships snapshots and WAL tails over
-        each node's ``KvService``.
+        each node's :class:`~repro.net.PrimaryBackupService`.
+
+        A leaderless cluster is refused: its coordinators neither fence
+        nor tail-capture writes, and a migration's applies would bypass
+        the destination's version store.
         """
+        if self.net.leaderless:
+            raise ValueError("the control plane needs primary-backup replication")
         from ..control.ring import HashRing
 
         self.ring = HashRing(list(self.nodes), vnodes=vnodes)
@@ -208,22 +224,9 @@ class StorageCluster:
         Pure state change (no DES time passes); data only moves once
         :meth:`grow` or a migration moves partitions onto it.
         """
-        from ..net import AntiEntropyService, HeartbeatService, KvService
-
         name = self._new_node(name)
-        service = KvService(
-            self.sim, self.nodes[name], self.fabric, self.partition_map,
-            self.membership, config=self.net,
-        )
-        self.services[name] = service
-        self.membership.add(name)
-        self.detector.watch(name)
-        self.heartbeats[name] = HeartbeatService(
-            self.sim, service.rpc, self.detector.endpoint.name,
-            self.net.heartbeat_interval,
-        )
-        if self.net.leaderless:
-            self.anti_entropy[name] = AntiEntropyService(self.sim, service)
+        self._serve([name])
+        self._watch([name])
         return name
 
     def grow(self, name: Optional[str] = None):

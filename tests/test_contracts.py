@@ -8,9 +8,9 @@ scheduler backlog, the ops holding NCQ slots, the device counters, the
 FTL page map and its host-stream cursors) is the same before and after,
 and the tenant's next PUT still lands — or a specified result.  Every
 row runs on a freshly loaded one-tenant node.  The configuration rows
-(device profile, node config, reservation, allocation, fault window)
-pin what the constructors refuse: a value that would hang the
-scheduler or silently poison every later op.
+(device profile, node config, net config, reservation, allocation,
+fault window) pin what the constructors refuse: a value that would hang
+the scheduler or the simulation, or silently poison every later op.
 """
 
 import math
@@ -22,6 +22,7 @@ from repro.core import IoTag, Reservation
 from repro.engine import EngineConfig
 from repro.engine.db import RECORD_OVERHEAD
 from repro.faults import FaultKind, FaultWindow
+from repro.net import NetConfig
 from repro.node import NodeConfig, StorageNode
 from repro.sim import Event, Simulator
 from repro.ssd import OutOfSpace, get_profile
@@ -149,6 +150,10 @@ def returns(make, result):
 def profile(**fields):
     """The table's device profile with ``fields`` changed."""
     return lambda node: replace(SMALL, **fields)
+
+
+def net(**fields):
+    return lambda node: NetConfig(**fields)
 
 
 def window(kind=FaultKind.LATENCY, start=0.0, end=1.0, **fields):
@@ -453,6 +458,32 @@ ROWS = [
     ("NodeConfig", "no cache, no retries, no backoff",
      returns(lambda: NodeConfig(cache_bytes=0, max_retries=0, retry_backoff=0.0),
              lambda c: c.max_retries), 0),
+    # -- NetConfig: a zero, NaN or inf period or timeout hangs sim.run ----------------
+    ("NetConfig", "rf 2.5", net(rf=2.5), ValueError),
+    ("NetConfig", "rf True", net(rf=True), ValueError),
+    ("NetConfig", "write_quorum 1.5", net(rf=3, write_quorum=1.5), ValueError),
+    ("NetConfig", "read_quorum True", net(rf=3, read_quorum=True), ValueError),
+    ("NetConfig", "rpc_retries -1", net(rpc_retries=-1), ValueError),
+    ("NetConfig", "rpc_retries 2.5", net(rpc_retries=2.5), ValueError),
+    ("NetConfig", "rpc_timeout 0", net(rpc_timeout=0.0), ValueError),
+    ("NetConfig", "rpc_timeout -1", net(rpc_timeout=-1.0), ValueError),
+    ("NetConfig", "rpc_timeout NaN", net(rpc_timeout=NAN), ValueError),
+    ("NetConfig", "rpc_timeout +inf", net(rpc_timeout=INF), ValueError),
+    ("NetConfig", "suspicion_timeout 0", net(suspicion_timeout=0.0), ValueError),
+    ("NetConfig", "suspicion_timeout -1", net(suspicion_timeout=-1.0), ValueError),
+    ("NetConfig", "suspicion_timeout NaN", net(suspicion_timeout=NAN), ValueError),
+    ("NetConfig", "heartbeat_interval 0", net(heartbeat_interval=0.0), ValueError),
+    ("NetConfig", "anti_entropy_interval 0", net(anti_entropy_interval=0.0), ValueError),
+    ("NetConfig", "rpc_backoff -1", net(rpc_backoff=-1.0), ValueError),
+    ("NetConfig", "rpc_backoff NaN", net(rpc_backoff=NAN), ValueError),
+    ("NetConfig", "nic_bandwidth NaN", net(nic_bandwidth=NAN), ValueError),
+    ("NetConfig", "nic_bandwidth +inf", net(nic_bandwidth=INF), ValueError),
+    ("NetConfig", "link_latency NaN", net(link_latency=NAN), ValueError),
+    ("NetConfig", "link_latency +inf", net(link_latency=INF), ValueError),
+    ("NetConfig", "hint_interval NaN", net(hint_interval=NAN), ValueError),
+    ("NetConfig", "hint_interval +inf", net(hint_interval=INF), ValueError),
+    # quorum reads follow read_quorum; there is no switch of their own
+    ("NetConfig", "quorum_reads", net(quorum_reads=True), TypeError),
     # -- Reservation and allocations: a non-finite rate hangs the pump --------------
     ("Reservation", "NaN gets", lambda node: Reservation(gets=NAN), ValueError),
     ("Reservation", "+inf gets", lambda node: Reservation(gets=INF), ValueError),
@@ -491,7 +522,7 @@ ENTRIES = {
     "Wal.append",
 } | {f"SsdDevice.{name}" for name in ("submit", "read", "write", "trim")} | {
     "Ftl.host_write", "Ftl.precondition", "Ftl.read_channels", "Ftl.trim",
-    "Ftl.trim_extents", "SsdProfile", "NodeConfig", "Reservation",
+    "Ftl.trim_extents", "SsdProfile", "NodeConfig", "NetConfig", "Reservation",
     "LibraScheduler.set_allocation", "FaultWindow",
 }
 

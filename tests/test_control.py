@@ -238,6 +238,14 @@ def test_set_replicas_is_atomic_cutover():
 # ---------------------------------------------------------------------------
 
 
+def test_a_leaderless_cluster_refuses_the_control_plane():
+    """Leaderless coordinators neither fence nor tail-capture writes, and
+    a migration's applies would bypass the destination's version store:
+    ring placement, and with it grow, drain and split, is refused."""
+    with pytest.raises(ValueError, match="primary-backup"):
+        make_cluster(Simulator(), rf=2, replication_mode="leaderless")
+
+
 def test_migration_under_writes_loses_nothing_and_audits_clean():
     sim = Simulator()
     cluster = make_cluster(

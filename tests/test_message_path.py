@@ -2,7 +2,7 @@
 same-slot rule as a count.
 
 A replicated PUT runs client -> fabric -> ``RpcEndpoint`` -> the
-primary's ``KvService`` -> local write -> one shipment per backup ->
+primary's ``PrimaryBackupService`` -> local write -> one shipment per backup ->
 ``repl.apply`` on each backup -> acks -> quorum -> reply; a GET is one
 round trip to the primary.  ``tests/test_request_path.py`` pins the calls
 below ``StorageNode``; this file pins the ones in ``repro/net`` and

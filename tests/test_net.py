@@ -482,7 +482,7 @@ def test_quorum_reads_survive_primary_loss_window():
     cluster = make_cluster(
         sim, rf=3,
         net_kwargs={
-            "quorum_reads": True,
+            "read_quorum": 2,
             "heartbeat_interval": 0.05,
             "suspicion_timeout": 0.25,
         },
@@ -576,6 +576,39 @@ def test_failover_waits_for_a_replica_that_answers_repl_seq():
     assert all(p.node != "node0" for p in cluster.partition_map.partitions("t"))
     assert not cluster.membership.is_live("node1") and cluster.membership.is_live("node2")
     assert [rec.node for rec in cluster.detector.failovers if rec.at >= 3.0] == ["node1"]
+
+
+PRIMARY_BACKUP_METHODS = {"kv.get", "kv.put", "kv.delete", "repl.apply", "repl.seq", "mig.apply"}
+LEADERLESS_METHODS = {
+    "lkv.get", "lkv.put", "repl.store", "repl.read", "hint.store", "ae.digest", "ae.bucket",
+}
+
+
+@pytest.mark.parametrize("mode, own, foreign", [
+    ("primary-backup", PRIMARY_BACKUP_METHODS, LEADERLESS_METHODS),
+    ("leaderless", LEADERLESS_METHODS, PRIMARY_BACKUP_METHODS),
+], ids=["primary-backup", "leaderless"])
+def test_each_replica_service_answers_only_its_own_protocol(mode, own, foreign):
+    """A node serves its cluster's protocol and no other: a foreign
+    request (a ``kv.put`` to a leaderless node, which once wrote without
+    a version; an ``lkv.get`` to a primary-backup node) comes back as
+    the RPC layer's unknown-method error and writes nothing."""
+    sim = Simulator()
+    cluster = make_cluster(
+        sim, rf=3, net_kwargs={"replication_mode": mode, "rpc_retries": 0}
+    )
+    for service in cluster.services.values():
+        assert set(service.rpc._methods) | set(service.rpc._async_methods) == own
+    probe = RpcEndpoint(sim, cluster.fabric, "probe")
+    payload = {"tenant": "t1", "key": 0, "size": KIB, "op": "put", "pid": 0, "seq": 1}
+    for method in sorted(foreign):
+        call = sim.process(probe.call("node0", method, payload, KIB))
+        sim.step_while(lambda: call.is_alive)
+        assert isinstance(call.value, RetriesExhausted), method
+        assert f"no method {method!r}" in str(call.value.__cause__), method
+    cluster.stop()
+    stats = cluster.total_stats("t1")
+    assert (stats.puts, stats.deletes, stats.repl_applies) == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
