@@ -69,11 +69,11 @@ def run_workload(bloom_bits: int, seed: int = 23):
 
 
 @pytest.mark.figure
-def test_ablation_bloom_filters(benchmark):
+def test_ablation_bloom_filters():
     def sweep():
         return {bits: run_workload(bits) for bits in (0, 10)}
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     print()
     for bits, stats in results.items():
         print(

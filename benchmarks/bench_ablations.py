@@ -44,7 +44,7 @@ def _fairness_with_config(config: SchedulerConfig, read_size, write_size, seed=7
 
 
 @pytest.mark.figure
-def test_ablation_chunk_size(benchmark):
+def test_ablation_chunk_size():
     """Chunking 256K ops: smaller chunks help responsiveness but cost
     VOP-allocation accuracy at the largest sizes."""
 
@@ -55,7 +55,7 @@ def test_ablation_chunk_size(benchmark):
             results[chunk] = _fairness_with_config(config, 256 * KIB, 256 * KIB)
         return results
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     print()
     for chunk, value in sorted(results.items()):
         print(f"chunk={chunk // KIB:>4}K  VOP MMR at 256K/256K = {value:.3f}")
@@ -64,7 +64,7 @@ def test_ablation_chunk_size(benchmark):
 
 
 @pytest.mark.figure
-def test_ablation_round_length(benchmark):
+def test_ablation_round_length():
     """DDRR round length: fairness holds across an order of magnitude."""
 
     def sweep():
@@ -74,7 +74,7 @@ def test_ablation_round_length(benchmark):
             results[seconds] = _fairness_with_config(config, 4 * KIB, 64 * KIB)
         return results
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     print()
     for seconds, value in sorted(results.items()):
         print(f"round={seconds * 1e3:>5.1f}ms  VOP MMR at 4K/64K = {value:.3f}")
@@ -82,7 +82,7 @@ def test_ablation_round_length(benchmark):
 
 
 @pytest.mark.figure
-def test_ablation_floor_vs_mean_provisioning(benchmark):
+def test_ablation_floor_vs_mean_provisioning():
     """Provisioning at the capacity floor never overbooks the observed
     grid; provisioning at the mean would have overbooked a large share
     of workloads (the paper's §4.2 argument for the floor)."""
@@ -98,7 +98,7 @@ def test_ablation_floor_vs_mean_provisioning(benchmark):
         overbooked_at_floor = sum(1 for s in samples if s < floor) / len(samples)
         return floor, mean, overbooked_at_floor, overbooked_at_mean
 
-    floor, mean, at_floor, at_mean = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    floor, mean, at_floor, at_mean = sweep()
     print()
     print(
         f"floor={floor / 1e3:.1f}k mean={mean / 1e3:.1f}k  "

@@ -12,12 +12,11 @@ byte-identical.
 import pytest
 
 from repro.experiments import clusterfig
-from conftest import run_once
 
 
 @pytest.mark.figure
-def test_cluster_failover_sweep(benchmark, quick_mode):
-    result = run_once(benchmark, clusterfig.run, quick=quick_mode)
+def test_cluster_failover_sweep(quick_mode):
+    result = clusterfig.run(quick=quick_mode)
     print()
     print(clusterfig.render(result))
 
@@ -56,8 +55,8 @@ def test_cluster_failover_sweep(benchmark, quick_mode):
 
 
 @pytest.mark.figure
-def test_cluster_two_runs_identical(benchmark):
-    """Same seed, same cluster chaos: the outcome is byte-identical."""
-    first = run_once(benchmark, clusterfig.run, quick=True)
+def test_cluster_two_runs_identical():
+    """Same seed, same cluster chaos: the two outcomes are equal."""
+    first = clusterfig.run(quick=True)
     second = clusterfig.run(quick=True)
-    assert first.fingerprint() == second.fingerprint()
+    assert first == second

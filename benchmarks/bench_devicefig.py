@@ -12,12 +12,11 @@ with the event-by-event run.
 import pytest
 
 from repro.experiments import devicefig
-from conftest import run_once
 
 
 @pytest.mark.figure
-def test_device_sweep(benchmark, quick_mode):
-    result = run_once(benchmark, devicefig.run, quick=quick_mode)
+def test_device_sweep(quick_mode):
+    result = devicefig.run(quick=quick_mode)
     print()
     print(devicefig.render(result))
 
@@ -64,7 +63,7 @@ def test_device_sweep(benchmark, quick_mode):
 
 
 @pytest.mark.figure
-def test_device_sweep_parallel_byte_identical(benchmark, quick_mode):
+def test_device_sweep_parallel_byte_identical(quick_mode):
     serial = devicefig.run(smoke=True, seed=31, jobs=1)
-    fanned = run_once(benchmark, devicefig.run, smoke=True, seed=31, jobs=4)
+    fanned = devicefig.run(smoke=True, seed=31, jobs=4)
     assert devicefig.render(serial) == devicefig.render(fanned)

@@ -3,14 +3,13 @@
 import pytest
 
 from repro.experiments import fig10
-from conftest import run_once
 
 KIB = 1024
 
 
 @pytest.mark.figure
-def test_fig10_stack_throughput(benchmark, quick_mode):
-    result = run_once(benchmark, fig10.run, quick=quick_mode)
+def test_fig10_stack_throughput(quick_mode):
+    result = fig10.run(quick=quick_mode)
     print()
     print(fig10.render(result))
 

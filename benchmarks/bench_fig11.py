@@ -3,12 +3,11 @@
 import pytest
 
 from repro.experiments import fig11
-from conftest import run_once
 
 
 @pytest.mark.figure
-def test_fig11_reservations(benchmark, quick_mode):
-    result = run_once(benchmark, fig11.run, quick=quick_mode)
+def test_fig11_reservations(quick_mode):
+    result = fig11.run(quick=quick_mode)
     print()
     print(fig11.render(result))
 

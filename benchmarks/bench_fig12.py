@@ -3,12 +3,11 @@
 import pytest
 
 from repro.experiments import fig12
-from conftest import run_once
 
 
 @pytest.mark.figure
-def test_fig12_dynamic_demand(benchmark, quick_mode):
-    result = run_once(benchmark, fig12.run, quick=quick_mode)
+def test_fig12_dynamic_demand(quick_mode):
+    result = fig12.run(quick=quick_mode)
     print()
     print(fig12.render(result))
 

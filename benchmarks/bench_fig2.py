@@ -3,12 +3,11 @@
 import pytest
 
 from repro.experiments import fig2
-from conftest import run_once
 
 
 @pytest.mark.figure
-def test_fig2_amplification_breakdown(benchmark, quick_mode):
-    result = run_once(benchmark, fig2.run, quick=quick_mode)
+def test_fig2_amplification_breakdown(quick_mode):
+    result = fig2.run(quick=quick_mode)
     print()
     print(fig2.render(result))
 

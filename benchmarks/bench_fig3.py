@@ -3,14 +3,13 @@
 import pytest
 
 from repro.experiments import fig3
-from conftest import run_once
 
 KIB = 1024
 
 
 @pytest.mark.figure
-def test_fig3_device_curves(benchmark, quick_mode):
-    result = run_once(benchmark, fig3.run, quick=quick_mode)
+def test_fig3_device_curves(quick_mode):
+    result = fig3.run(quick=quick_mode)
     print()
     print(fig3.render(result))
 

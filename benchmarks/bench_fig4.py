@@ -4,14 +4,13 @@ import pytest
 
 from repro.core import reference_calibration
 from repro.experiments import fig4
-from conftest import run_once
 
 KIB = 1024
 
 
 @pytest.mark.figure
-def test_fig4_interference_heatmaps(benchmark, quick_mode):
-    result = run_once(benchmark, fig4.run, quick=quick_mode)
+def test_fig4_interference_heatmaps(quick_mode):
+    result = fig4.run(quick=quick_mode)
     print()
     print(fig4.render(result))
 

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.experiments import fig4, fig5
-from conftest import run_once
 
 
 @pytest.mark.figure
-def test_fig5_throughput_cdf(benchmark, quick_mode):
+def test_fig5_throughput_cdf(quick_mode):
     fig4_result = fig4.run(quick=quick_mode)
-    result = run_once(benchmark, fig5.run, quick=quick_mode, fig4_result=fig4_result)
+    result = fig5.run(quick=quick_mode, fig4_result=fig4_result)
     print()
     print(fig5.render(result))
 

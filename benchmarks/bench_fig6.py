@@ -3,14 +3,13 @@
 import pytest
 
 from repro.experiments import fig6
-from conftest import run_once
 
 KIB = 1024
 
 
 @pytest.mark.figure
-def test_fig6_cost_model(benchmark, quick_mode):
-    result = run_once(benchmark, fig6.run, quick=quick_mode)
+def test_fig6_cost_model(quick_mode):
+    result = fig6.run(quick=quick_mode)
     print()
     print(fig6.render(result))
 

@@ -3,12 +3,11 @@
 import pytest
 
 from repro.experiments import fig7
-from conftest import run_once
 
 
 @pytest.mark.figure
-def test_fig7_throughput_ratios(benchmark, quick_mode):
-    result = run_once(benchmark, fig7.run, quick=quick_mode)
+def test_fig7_throughput_ratios(quick_mode):
+    result = fig7.run(quick=quick_mode)
     print()
     print(fig7.render(result))
 

@@ -3,14 +3,13 @@
 import pytest
 
 from repro.experiments import fig8
-from conftest import run_once
 
 KIB = 1024
 
 
 @pytest.mark.figure
-def test_fig8_cost_model_comparison(benchmark, quick_mode):
-    result = run_once(benchmark, fig8.run, quick=quick_mode)
+def test_fig8_cost_model_comparison(quick_mode):
+    result = fig8.run(quick=quick_mode)
     print()
     print(fig8.render(result))
 

@@ -3,12 +3,11 @@
 import pytest
 
 from repro.experiments import fig9
-from conftest import run_once
 
 
 @pytest.mark.figure
-def test_fig9_cost_model_accuracy(benchmark, quick_mode):
-    result = run_once(benchmark, fig9.run, quick=quick_mode)
+def test_fig9_cost_model_accuracy(quick_mode):
+    result = fig9.run(quick=quick_mode)
     print()
     print(fig9.render(result))
 

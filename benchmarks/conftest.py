@@ -5,7 +5,9 @@ mode (set ``REPRO_FULL=1`` to run the paper's full grids), prints the
 rendered figure to stdout, and asserts the qualitative shape the paper
 reports.  Run with::
 
-    pytest benchmarks/ --benchmark-only -s
+    PYTHONPATH=src python -m pytest benchmarks --ignore=benchmarks/kvbench -s
+
+``python -m repro.experiments <figure>`` prints a figure's wall time.
 """
 
 import os
@@ -22,7 +24,3 @@ def quick_mode() -> bool:
     """False when REPRO_FULL=1 (full paper grids)."""
     return os.environ.get("REPRO_FULL", "0") != "1"
 
-
-def run_once(benchmark, fn, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, kwargs=kwargs, rounds=1, iterations=1)

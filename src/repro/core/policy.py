@@ -56,6 +56,10 @@ class Reservation:
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"reservation {name}={value!r} must be finite and >= 0")
 
+    def scaled(self, factor: float) -> "Reservation":
+        """Both rates multiplied by ``factor``."""
+        return Reservation(gets=self.gets * factor, puts=self.puts * factor)
+
     def rate(self, request: RequestClass) -> float:
         if request == RequestClass.GET:
             return self.gets
@@ -96,6 +100,8 @@ class ResourcePolicy:
     ):
         if capacity_vops <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_vops}")
+        if not (math.isfinite(interval) and interval > 0):
+            raise ValueError(f"interval must be finite and > 0, got {interval!r}")
         self.sim = sim
         self.scheduler = scheduler
         self.tracker = tracker
@@ -268,15 +274,7 @@ class ResourcePolicy:
         delivered = self._meter_overage()
         self._observe_capacity(delivered)
         self.tracker.roll_interval()
-        demands: Dict[str, float] = {}
-        for tenant, reservation in self._reservations.items():
-            demand = 0.0
-            for request in self.CLASSES:
-                rate = reservation.rate(request)
-                if rate <= 0:
-                    continue
-                demand += rate * self._unit_cost(tenant, request)
-            demands[tenant] = demand
+        demands = self.estimated_demand()
         total = sum(demands.values())
         provisionable = self.provisionable
         scale = 1.0
@@ -314,15 +312,10 @@ class ResourcePolicy:
         reservation would cost right now — the signal higher-level
         (cluster) policies use to find overbooked nodes and headroom.
         """
-        demands: Dict[str, float] = {}
-        for tenant, reservation in self._reservations.items():
-            demand = 0.0
-            for request in self.CLASSES:
-                rate = reservation.rate(request)
-                if rate > 0:
-                    demand += rate * self._unit_cost(tenant, request)
-            demands[tenant] = demand
-        return demands
+        return {
+            tenant: self.admission_estimate(tenant, reservation)
+            for tenant, reservation in self._reservations.items()
+        }
 
     @property
     def total_demand(self) -> float:

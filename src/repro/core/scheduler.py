@@ -46,6 +46,7 @@ from collections import deque
 
 from ..sim import Event, Interrupt, Simulator
 from ..ssd import SsdDevice
+from ..ssd.stats import Counters
 from .tags import IoTag, OpKind
 from .vop import CostModel
 
@@ -78,9 +79,20 @@ class SchedulerConfig:
     #: ops larger than this are split into independently scheduled chunks
     chunk_size: int = 128 * 1024
 
+    def __post_init__(self):
+        # A zero round or timeout spins the timeout loop at one instant;
+        # a chunk size below one byte never finishes splitting an op.
+        for name in ("round_seconds", "timeout_rounds"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} {value!r} must be finite and > 0")
+        size = self.chunk_size
+        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+            raise ValueError(f"chunk_size {size!r} must be an int > 0")
+
 
 @dataclass
-class TenantUsage:
+class TenantUsage(Counters):
     """Cumulative per-tenant accounting, snapshot-able by experiments."""
 
     #: completed schedulable chunks (physical ops at the device)
@@ -93,14 +105,6 @@ class TenantUsage:
     vops: float = 0.0
     #: chunks whose device op failed (injected or emergent faults)
     failed_ops: int = 0
-
-    def snapshot(self) -> "TenantUsage":
-        return TenantUsage(**vars(self))
-
-    def delta(self, earlier: "TenantUsage") -> "TenantUsage":
-        return TenantUsage(
-            **{k: getattr(self, k) - getattr(earlier, k) for k in vars(self)}
-        )
 
 
 class _Chunk:

@@ -33,6 +33,7 @@ from ..core.tracker import ResourceTracker
 from ..faults import CorruptionError, StorageFault
 from ..sim import Event, Simulator
 from ..ssd import SimFilesystem
+from ..ssd.stats import Counters
 from .compaction import merge_entries, pick_compaction, split_outputs
 from .memtable import TOMBSTONE, Memtable
 from .sstable import SsTable, TableBuilder
@@ -84,7 +85,7 @@ class EngineConfig:
 
 
 @dataclass
-class EngineStats:
+class EngineStats(Counters):
     """Cumulative engine activity counters."""
 
     gets: int = 0
@@ -109,14 +110,6 @@ class EngineStats:
     torn_records: int = 0
     flush_retries: int = 0
     compaction_aborts: int = 0
-
-    def snapshot(self) -> "EngineStats":
-        return EngineStats(**vars(self))
-
-    def delta(self, earlier: "EngineStats") -> "EngineStats":
-        return EngineStats(
-            **{k: getattr(self, k) - getattr(earlier, k) for k in vars(self)}
-        )
 
 
 class LsmEngine:

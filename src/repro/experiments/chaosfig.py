@@ -18,9 +18,8 @@ What the experiment demonstrates, per tenant:
 - the policy's effective capacity degrades under the window (scaling
   allocations down proportionally) and returns to nominal after it.
 
-Everything is seed-deterministic: :meth:`ChaosResult.fingerprint`
-serializes the outcome so two same-seed runs can be compared
-byte-for-byte.
+Everything is seed-deterministic: two same-seed runs return equal
+:class:`ChaosResult` values.
 """
 
 from __future__ import annotations
@@ -37,7 +36,8 @@ from ..node import NodeConfig, StorageNode
 from ..sim import Simulator
 from ..ssd import get_profile
 from ..workload.generator import KvTenantSpec, bootstrap_tenant
-from .kvdynamic import spec_for
+from .common import count_lost
+from .kvdynamic import derive_reservations, spec_for, value_size
 
 __all__ = ["run", "render", "ChaosResult", "ChaosTimeline", "build_fault_plan"]
 
@@ -92,7 +92,7 @@ def build_fault_plan(timeline: ChaosTimeline, seed: int) -> FaultPlan:
 
 @dataclass
 class ChaosResult:
-    """Everything the chaos run observed, fingerprint-able."""
+    """Everything the chaos run observed."""
 
     profile: str
     seed: int
@@ -132,61 +132,6 @@ class ChaosResult:
         """Post-window throughput over steady throughput."""
         steady = self.tenant_rates[tenant]["steady"]
         return self.tenant_rates[tenant]["recovery"] / steady if steady else 0.0
-
-    def fingerprint(self) -> str:
-        """Canonical serialization for two-run determinism checks."""
-        payload = (
-            self.profile,
-            self.seed,
-            sorted((t, sorted(p.items())) for t, p in self.tenant_rates.items()),
-            sorted((t, sorted(s.items())) for t, s in self.request_stats.items()),
-            sorted(self.device_faults.items()),
-            sorted(self.engine_faults.items()),
-            sorted(self.acked_puts.items()),
-            sorted(self.lost_acks.items()),
-            sorted(self.surfaced_errors.items()),
-            self.torn_records,
-            self.replayed_records,
-            self.min_scale,
-            self.final_scale,
-            self.min_effective_capacity,
-            self.capacity_reestimates,
-            self.verified,
-        )
-        return repr(payload)
-
-
-def _value_size(spec: KvTenantSpec, key: int) -> int:
-    """Deterministic object size per key.
-
-    The verification pass recomputes a key's expected size from the key
-    alone, so a duplicate (re-issued after a timeout or crash) can never
-    masquerade as a lost write.
-    """
-    return spec.put_size + (key % 5) * max(spec.put_size // 8, 512)
-
-
-def _derive_reservations(
-    node: StorageNode,
-    series: SeriesSet,
-    specs: List[KvTenantSpec],
-    window: Tuple[float, float],
-    margin: float = 0.8,
-) -> Dict[str, Reservation]:
-    """Probe-phase rates scaled into the VOP floor (as fig11 does)."""
-    probe_vops = sum(
-        series[f"vops:{s.name}"].window_mean(*window) for s in specs
-    )
-    factor = (
-        margin * min(node.capacity_vops / probe_vops, 1.0) if probe_vops else margin
-    )
-    return {
-        s.name: Reservation(
-            gets=series[f"get:{s.name}"].window_mean(*window) * factor,
-            puts=series[f"put:{s.name}"].window_mean(*window) * factor,
-        )
-        for s in specs
-    }
 
 
 def run(
@@ -232,7 +177,7 @@ def run(
                     yield from node.get(tenant, rng.randrange(half))
                 else:
                     key = half + rng.randrange(half)
-                    yield from node.put(tenant, key, _value_size(spec, key))
+                    yield from node.put(tenant, key, value_size(spec, key))
                     # Only reached once the node acknowledged the write.
                     acked[tenant].add(key)
             except StorageFault:
@@ -283,8 +228,8 @@ def run(
 
     sim.run(until=timeline.probe_end)
     window = (timeline.probe_end * 2 / 3, timeline.probe_end)
-    for tenant, reservation in _derive_reservations(
-        node, series, specs, window
+    for tenant, reservation in derive_reservations(
+        node.capacity_vops, series, [s.name for s in specs], window
     ).items():
         node.set_reservation(tenant, reservation)
     sim.run(until=timeline.horizon)
@@ -295,15 +240,10 @@ def run(
 
     def verifier(tenant: str):
         spec = spec_by_name[tenant]
-        missing = 0
-        for key in sorted(acked[tenant]):
-            try:
-                size = yield from node.get(tenant, key)
-            except StorageFault:
-                size = None
-            if size != _value_size(spec, key):
-                missing += 1
-        lost[tenant] = missing
+        lost[tenant] = yield from count_lost(
+            lambda key: node.get(tenant, key),
+            {key: value_size(spec, key) for key in acked[tenant]},
+        )
         verified_done[tenant] = True
 
     for s in specs:

@@ -26,8 +26,8 @@ What the sweep demonstrates, per RF:
   NIC serialization, propagation, quorum waits, and failover retries;
   the detection window shows up in the PUT tail.
 
-Everything is seed-deterministic; :meth:`ClusterResult.fingerprint`
-serializes the outcome for two-run byte-identity checks.
+Everything is seed-deterministic: two same-seed runs return equal
+:class:`ClusterResult` values.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from ..net import NetConfig
 from ..node import NodeConfig, StorageCluster
 from ..sim import Simulator
 from ..workload.generator import KvTenantSpec, bootstrap_tenant
-from .common import derive_seed, parallel_map
-from .kvdynamic import spec_for
+from .common import count_lost, derive_seed, parallel_map
+from .kvdynamic import spec_for, value_size
 
 __all__ = ["run", "render", "ClusterResult", "ClusterCell"]
 
@@ -132,36 +132,6 @@ class ClusterResult:
             sum(cell.lost.values()) for cell in self.cells if cell.rf >= 2
         )
 
-    def fingerprint(self) -> str:
-        """Canonical serialization for two-run determinism checks."""
-        payload = [self.profile, self.seed]
-        for cell in self.cells:
-            payload.append((
-                cell.rf,
-                cell.seed,
-                sorted(cell.acked.items()),
-                sorted(cell.lost.items()),
-                sorted(cell.surfaced.items()),
-                sorted(
-                    (t, sorted(kinds.items())) for t, kinds in cell.latency_ms.items()
-                ),
-                sorted((t, round(v, 9)) for t, v in cell.slo.items()),
-                sorted((t, round(v, 9)) for t, v in cell.post_kill_rate.items()),
-                round(cell.detection_s, 9),
-                cell.promotions,
-                round(cell.write_amplification, 9),
-                cell.repl_applies,
-                round(cell.prekill_demand_vops, 6),
-                cell.rpc_round_trips,
-                cell.verified,
-            ))
-        return repr(payload)
-
-
-def _value_size(spec: KvTenantSpec, key: int) -> int:
-    """Deterministic object size per key (duplicates can't hide loss)."""
-    return spec.put_size + (key % 5) * max(spec.put_size // 8, 512)
-
 
 def _run_cell(args: Tuple[int, bool, str, int]) -> ClusterCell:
     """One RF's full simulation: load, kill, failover, verify."""
@@ -212,7 +182,7 @@ def _run_cell(args: Tuple[int, bool, str, int]) -> ClusterCell:
                     yield from client.get(tenant, rng.randrange(half))
                 else:
                     key = half + rng.randrange(half)
-                    yield from client.put(tenant, key, _value_size(spec, key))
+                    yield from client.put(tenant, key, value_size(spec, key))
                     acked[tenant].add(key)
                     ack_count[tenant] += 1
                     if sim.now >= settle_at:
@@ -250,15 +220,10 @@ def _run_cell(args: Tuple[int, bool, str, int]) -> ClusterCell:
 
     def verifier(tenant: str):
         spec = spec_by_name[tenant]
-        missing = 0
-        for key in sorted(acked[tenant]):
-            try:
-                size = yield from verify_client.get(tenant, key)
-            except StorageFault:
-                size = None
-            if size != _value_size(spec, key):
-                missing += 1
-        lost[tenant] = missing
+        lost[tenant] = yield from count_lost(
+            lambda key: verify_client.get(tenant, key),
+            {key: value_size(spec, key) for key in acked[tenant]},
+        )
         verified[tenant] = True
 
     for s in specs:

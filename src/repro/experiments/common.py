@@ -14,6 +14,8 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
+from ..faults import StorageFault
+
 __all__ = [
     "ExperimentMode",
     "QUICK",
@@ -23,6 +25,7 @@ __all__ = [
     "MIB",
     "derive_seed",
     "parallel_map",
+    "count_lost",
 ]
 
 KIB = 1024
@@ -91,6 +94,25 @@ def lost_to_label(des_reasons: Optional[Dict[str, float]]) -> str:
         return "-"
     top = sorted(des_reasons.items(), key=lambda kv: -kv[1])[:3]
     return ", ".join(f"{reason} {seconds:.2f}s" for reason, seconds in top)
+
+
+def count_lost(read, expected: Dict[int, int]):
+    """DES generator: read every acknowledged write back, in sorted key
+    order; returns how many keys fail or come back at another size.
+
+    ``read(key)`` is a generator returning the stored size;
+    ``expected`` maps each acknowledged key to its last acknowledged
+    size.
+    """
+    missing = 0
+    for key in sorted(expected):
+        try:
+            size = yield from read(key)
+        except StorageFault:
+            size = None
+        if size != expected[key]:
+            missing += 1
+    return missing
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Dict, Tuple
 from ..analysis.report import format_table
 from ..core.policy import Reservation
 from .common import parallel_map
-from .kvdynamic import build_scenario, derive_reservations, group_of, scale_reservation
+from .kvdynamic import build_scenario, derive_reservations, group_of
 
 __all__ = ["run", "render", "Fig11Result"]
 
@@ -74,12 +74,15 @@ def _run_variant(
 
     start_kv_load(load, horizon=end_at, seed=seed)
     sim.run(until=probe_end)
-    reservations = derive_reservations(node, load, (probe_end * 2 / 3, probe_end))
+    reservations = derive_reservations(
+        node.capacity_vops, load.series, [spec.name for spec in load.specs],
+        (probe_end * 2 / 3, probe_end),
+    )
     for tenant, reservation in reservations.items():
         node.set_reservation(tenant, reservation)
     sim.run(until=change_at)
     changed = {
-        tenant: scale_reservation(reservation, CHANGE[group_of(tenant)])
+        tenant: reservation.scaled(CHANGE[group_of(tenant)])
         for tenant, reservation in reservations.items()
     }
     for tenant, reservation in changed.items():

@@ -78,7 +78,10 @@ def run(
 
     start_kv_load(load, horizon=end_at, seed=seed)
     sim.run(until=probe_end)
-    reservations = derive_reservations(node, load, (probe_end * 2 / 3, probe_end))
+    reservations = derive_reservations(
+        node.capacity_vops, load.series, [spec.name for spec in load.specs],
+        (probe_end * 2 / 3, probe_end),
+    )
     for tenant, reservation in reservations.items():
         node.set_reservation(tenant, reservation)
     sim.run(until=swap_work_at)

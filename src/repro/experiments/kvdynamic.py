@@ -19,8 +19,9 @@ exactly those rates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from ..analysis.timeseries import SeriesSet
 from ..core.policy import Reservation
 from ..node import NodeConfig, StorageNode
 from ..sim import Simulator
@@ -33,7 +34,7 @@ __all__ = [
     "build_scenario",
     "derive_reservations",
     "group_of",
-    "scale_reservation",
+    "value_size",
 ]
 
 KIB = 1024
@@ -115,8 +116,9 @@ def build_scenario(
 
 
 def derive_reservations(
-    node: StorageNode,
-    load: KvLoad,
+    capacity_vops: float,
+    series: SeriesSet,
+    names: Sequence[str],
     window: Tuple[float, float],
     margin: float = 0.8,
 ) -> Dict[str, Reservation]:
@@ -124,20 +126,26 @@ def derive_reservations(
 
     The probe phase is work-conserving, so its aggregate VOP rate can
     exceed the *provisionable* capacity.  Reservations are the probe
-    throughputs scaled by floor/probe-rate (×``margin``), i.e. the
-    rates that evenly divide the provisionable IO resources.
+    throughputs (``get:``/``put:`` series over ``window``) scaled by
+    floor/probe-rate (×``margin``), i.e. the rates that evenly divide
+    the provisionable IO resources.
     """
-    probe_vops = sum(
-        load.series[f"vops:{spec.name}"].window_mean(*window) for spec in load.specs
-    )
-    factor = margin * min(node.capacity_vops / probe_vops, 1.0) if probe_vops else margin
-    reservations = {}
-    for spec in load.specs:
-        gets = load.series[f"get:{spec.name}"].window_mean(*window)
-        puts = load.series[f"put:{spec.name}"].window_mean(*window)
-        reservations[spec.name] = Reservation(gets=gets * factor, puts=puts * factor)
-    return reservations
+    probe_vops = sum(series[f"vops:{name}"].window_mean(*window) for name in names)
+    factor = margin * min(capacity_vops / probe_vops, 1.0) if probe_vops else margin
+    return {
+        name: Reservation(
+            gets=series[f"get:{name}"].window_mean(*window),
+            puts=series[f"put:{name}"].window_mean(*window),
+        ).scaled(factor)
+        for name in names
+    }
 
 
-def scale_reservation(reservation: Reservation, factor: float) -> Reservation:
-    return Reservation(gets=reservation.gets * factor, puts=reservation.puts * factor)
+def value_size(spec: KvTenantSpec, key: int) -> int:
+    """Deterministic object size per key.
+
+    A verification pass recomputes a key's expected size from the key
+    alone, so a duplicate (re-issued after a timeout, crash or
+    failover) can never masquerade as a lost write.
+    """
+    return spec.put_size + (key % 5) * max(spec.put_size // 8, 512)

@@ -33,8 +33,8 @@ What the sweep demonstrates, per cell:
   engine path, so Libra's demand estimates price each consistency
   choice, not just its latency.
 
-Everything is seed-deterministic; :meth:`PartitionResult.fingerprint`
-serializes the outcome for two-run byte-identity checks.
+Everything is seed-deterministic: two same-seed runs return equal
+:class:`PartitionResult` values.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from ..faults import FaultKind, FaultPlan, FaultWindow, StorageFault
 from ..net import NetConfig
 from ..node import NodeConfig, StorageCluster
 from ..sim import Simulator
-from .common import derive_seed, parallel_map
+from .common import count_lost, derive_seed, parallel_map
 
 __all__ = ["run", "render", "PartitionResult", "PartitionCell"]
 
@@ -158,28 +158,6 @@ class PartitionResult:
             for cell in self.cells
             if cell.mode == "leaderless" and cell.w >= 2
         )
-
-    def fingerprint(self) -> str:
-        """Canonical serialization for two-run determinism checks."""
-        payload = [self.profile, self.seed]
-        for cell in self.cells:
-            payload.append((
-                cell.mode, cell.level, cell.w, cell.r, cell.seed,
-                sorted(cell.acked.items()),
-                sorted(cell.window_acked.items()),
-                sorted(cell.errors.items()),
-                sorted(cell.lost.items()),
-                cell.reads, cell.stale_reads,
-                round(cell.converge_s, 9),
-                round(cell.demand_vops, 6),
-                cell.hints_stored, cell.hints_delivered,
-                cell.read_repairs, cell.handoffs_received, cell.ae_received,
-                cell.revivals, cell.repl_applies, cell.repl_reads,
-                round(cell.write_amplification, 9),
-                round(cell.put_p50_ms, 9), round(cell.put_p99_ms, 9),
-                cell.rpc_round_trips, cell.verified,
-            ))
-        return repr(payload)
 
 
 def _value_size(op_index: int) -> int:
@@ -321,15 +299,9 @@ def _run_cell(args: Tuple[str, str, int, int, bool, str, int]) -> PartitionCell:
     verified: Dict[str, bool] = {}
 
     def verifier(side: str):
-        missing = 0
-        for key in sorted(expected[side]):
-            try:
-                got = yield from verify_client.get(TENANT, key)
-            except StorageFault:
-                got = None
-            if got != expected[side][key]:
-                missing += 1
-        lost[side] = missing
+        lost[side] = yield from count_lost(
+            lambda key: verify_client.get(TENANT, key), expected[side]
+        )
         verified[side] = True
 
     for side in ("min", "maj"):

@@ -20,8 +20,8 @@ parallelizes them with byte-identical results):
   event-by-event, and the two runs must agree **exactly** on tasks,
   ops, bytes, and map versions across every control action.
 
-Everything is seed-deterministic; :meth:`ScaleResult.fingerprint`
-serializes the outcome for serial-vs-``--jobs`` identity checks.
+Everything is seed-deterministic: a serial and a ``--jobs`` run
+return equal outcomes (wall-clock fields aside).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..net import NetConfig
 from ..node import NodeConfig, StorageCluster
 from ..obs import Observability
 from ..sim import Simulator
-from .common import derive_seed, lost_to_label, parallel_map
+from .common import count_lost, derive_seed, lost_to_label, parallel_map
 
 __all__ = ["run", "render", "ScaleResult", "GrowCell", "ChurnCell"]
 
@@ -133,34 +133,6 @@ class ScaleResult:
         keys = {cell.key for cell in self.churn}
         return len(self.churn) == 2 and len(keys) == 1
 
-    def fingerprint(self) -> str:
-        """Canonical serialization for two-run determinism checks.
-
-        Wall-clock fields are excluded — they are measurement, not
-        outcome, and differ between serial and ``--jobs`` runs.
-        """
-        g = self.grow
-        payload = [
-            self.profile, self.seed, self.mode,
-            (
-                g.seed, g.start_nodes, g.end_nodes, g.acked, g.errors,
-                g.lost, g.migrations, g.splits, g.snapshot_records,
-                g.tail_records, g.map_version,
-                round(g.fence_seconds_total, 9),
-                round(g.reconciliation_min, 6),
-                round(g.reconciliation_max, 6),
-                g.audit_ok, round(g.total_vops, 6), g.repl_applies,
-                g.verified,
-            ),
-        ]
-        for cell in self.churn:
-            payload.append((
-                cell.mode, cell.seed, cell.tasks, cell.ops, cell.bytes,
-                cell.map_version, cell.admitted, cell.departed,
-                cell.rebalances, cell.moved_bytes, cell.key,
-            ))
-        return repr(payload)
-
 
 def _value_size(op_index: int) -> int:
     """Deterministic per-write object size (a misrouted read can't hide)."""
@@ -231,15 +203,9 @@ def _run_grow(args: Tuple[str, GrowPlan, int]) -> GrowCell:
             yield sim.timeout(0.25)
         yield sim.timeout(0.5)
         check = cluster.make_client("verify")
-        missing = 0
-        for key in sorted(expected):
-            try:
-                got = yield from check.get(TENANT, key)
-            except StorageFault:
-                got = None
-            if got != expected[key]:
-                missing += 1
-        cell.lost = missing
+        cell.lost = yield from count_lost(
+            lambda key: check.get(TENANT, key), expected
+        )
         state["done"] = True
 
     sim.process(writer(), name="scale.writer")

@@ -20,15 +20,32 @@ from .plan import FaultKind, FaultPlan
 __all__ = ["FaultInjector", "NetFaultInjector"]
 
 
-class FaultInjector:
+class _WindowedDraws:
+    """A plan plus the seeded RNG its windowed probability draws use.
+
+    ``salt`` gives each injector its own stream, decoupled from the
+    device/FTL seed and from the other injector, so adding one kind of
+    fault never perturbs another's randomness.
+    """
+
+    def __init__(self, plan: FaultPlan, name: str, salt: int):
+        self.plan = plan
+        self.name = name
+        self._rng = random.Random((plan.seed << 1) ^ salt)
+
+    def _roll(self, now: float, kind: FaultKind) -> bool:
+        """One draw per active ``kind`` window until one fires."""
+        for window in self.plan.active(now, kind):
+            if self._rng.random() < window.probability:
+                return True
+        return False
+
+
+class FaultInjector(_WindowedDraws):
     """Evaluates a :class:`FaultPlan` against individual device ops."""
 
     def __init__(self, plan: FaultPlan, name: str = "ssd"):
-        self.plan = plan
-        self.name = name
-        #: decoupled from the device/FTL seed so adding fault draws
-        #: never perturbs preconditioning or placement randomness
-        self._rng = random.Random((plan.seed << 1) ^ 0x5EEDFA17)
+        super().__init__(plan, name, 0x5EEDFA17)
         self.injected_read_errors = 0
         self.injected_write_errors = 0
         self.injected_corruptions = 0
@@ -81,14 +98,8 @@ class FaultInjector:
             )
         return None
 
-    def _roll(self, now: float, kind: FaultKind) -> bool:
-        for window in self.plan.active(now, kind):
-            if self._rng.random() < window.probability:
-                return True
-        return False
 
-
-class NetFaultInjector:
+class NetFaultInjector(_WindowedDraws):
     """Evaluates a :class:`FaultPlan`'s message windows per message.
 
     The network fabric consults it at send time: the message's send
@@ -101,9 +112,7 @@ class NetFaultInjector:
     """
 
     def __init__(self, plan: FaultPlan, name: str = "net"):
-        self.plan = plan
-        self.name = name
-        self._rng = random.Random((plan.seed << 1) ^ 0x0DDBA11)
+        super().__init__(plan, name, 0x0DDBA11)
         self.dropped_messages = 0
         self.duplicated_messages = 0
         self.delayed_messages = 0
@@ -143,9 +152,3 @@ class NetFaultInjector:
         if delay > 0:
             self.delayed_messages += 1
         return delay
-
-    def _roll(self, now: float, kind: FaultKind) -> bool:
-        for window in self.plan.active(now, kind):
-            if self._rng.random() < window.probability:
-                return True
-        return False

@@ -117,10 +117,7 @@ class AntiEntropyService:
     def _sync(self, tenant: str, pid: int, peer: str):
         """Digest-compare one partition with ``peer``; transfer diffs."""
         svc = self.service
-        partitions = self.partition_map.partitions_per_tenant
-        my_root, my_buckets = svc.versions.digest(
-            tenant, pid, partitions, DIGEST_BUCKETS
-        )
+        my_root, my_buckets = svc.versions.digest(tenant, pid, DIGEST_BUCKETS)
         reply = yield from svc.rpc.call(
             peer, "ae.digest", {"tenant": tenant, "pid": pid}, ACK_BYTES,
             give_up=lambda: not self.membership.is_live(peer),
@@ -145,7 +142,7 @@ class AntiEntropyService:
             }
             mine_keys = [
                 key
-                for key in svc.versions.keys_in(tenant, pid, partitions)
+                for key in svc.versions.keys_in(tenant, pid)
                 if key % DIGEST_BUCKETS == bucket
             ]
             for key in sorted(set(mine_keys) | set(theirs)):
@@ -168,9 +165,7 @@ class AntiEntropyService:
 
     def _handle_digest(self, payload):
         tenant, pid = payload["tenant"], payload["pid"]
-        root, buckets = self.service.versions.digest(
-            tenant, pid, self.partition_map.partitions_per_tenant, DIGEST_BUCKETS
-        )
+        root, buckets = self.service.versions.digest(tenant, pid, DIGEST_BUCKETS)
         reply_bytes = ACK_BYTES + DIGEST_ENTRY_BYTES * len(buckets)
         return {"root": root, "buckets": list(buckets)}, reply_bytes
         yield  # pragma: no cover - marks this handler as a generator
@@ -181,9 +176,7 @@ class AntiEntropyService:
         svc = self.service
         entries = [
             [key, [v.wire() for v in svc.versions.get(tenant, key)]]
-            for key in svc.versions.keys_in(
-                tenant, pid, self.partition_map.partitions_per_tenant
-            )
+            for key in svc.versions.keys_in(tenant, pid)
             if key % DIGEST_BUCKETS == bucket
         ]
         reply_bytes = ACK_BYTES + DIGEST_ENTRY_BYTES * 8 * max(len(entries), 1)

@@ -296,34 +296,27 @@ class NetworkFabric:
         ``net.nic``, and the injector's message-fault counters under
         ``net.faults``.
         """
-        from ..obs.metrics import Counter
-
-        def snap(name: str, value: float, **labels) -> None:
-            counter = Counter()
-            counter.value = float(value)
-            registry.install(name, counter, **labels)
-
         totals = {"dead_letters": 0.0, "dropped": 0.0, "partitioned": 0.0}
         for (src, dst), s in self.link_stats.items():
             for fname, value in vars(s).items():
-                snap("net.link", value, src=src, dst=dst, field=fname)
+                registry.set_counter("net.link", value, src=src, dst=dst, field=fname)
                 if fname in totals:
                     totals[fname] += value
         for fname, value in totals.items():
-            snap("net.fabric", value, field=fname)
-        snap("net.fabric", len(self._down), field="down_endpoints")
+            registry.set_counter("net.fabric", value, field=fname)
+        registry.set_counter("net.fabric", len(self._down), field="down_endpoints")
         now = self.sim.now
         for name, nic in self.nics.items():
             registry.gauge("net.nic", endpoint=name, field="queue_depth_s").set(
                 max(nic.next_free - now, 0.0)
             )
-            snap("net.nic", nic.messages, endpoint=name, field="messages")
+            registry.set_counter("net.nic", nic.messages, endpoint=name, field="messages")
         if self.injector is not None:
             for fname in (
                 "dropped_messages", "duplicated_messages",
                 "delayed_messages", "partitioned_messages",
             ):
-                snap("net.faults", getattr(self.injector, fname), field=fname)
+                registry.set_counter("net.faults", getattr(self.injector, fname), field=fname)
 
     def stats_table(self) -> Dict[str, Dict[str, float]]:
         """Per-link counters keyed "src->dst", for reports."""

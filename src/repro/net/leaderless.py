@@ -58,7 +58,7 @@ class LeaderlessService(ReplicaService):
     def __init__(self, sim, node, fabric, partition_map, membership, config=None):
         super().__init__(sim, node, fabric, partition_map, membership, config)
         #: per-key surviving version sets
-        self.versions = VersionStore(node.name)
+        self.versions = VersionStore(node.name, partition_map)
         #: pending hinted records: (target, tenant, key) -> Version
         self.hints: Dict[Tuple[str, str, int], Version] = {}
         self.hints_stored = 0

@@ -202,8 +202,11 @@ class VersionStore:
     computation, and the convergence checks in tests/experiments.
     """
 
-    def __init__(self, node: str):
+    def __init__(self, node: str, partition_map):
         self.node = node
+        #: the :class:`~repro.node.router.PartitionMap` that says which
+        #: keys a partition holds
+        self.partition_map = partition_map
         self._versions: Dict[Tuple[str, int], Tuple[Version, ...]] = {}
         #: writes ignored because the incoming clock was dominated
         self.stale_inserts = 0
@@ -245,16 +248,17 @@ class VersionStore:
 
     # -- enumeration / digests ---------------------------------------------
 
-    def keys_in(self, tenant: str, pid: int, partitions: int) -> List[int]:
+    def keys_in(self, tenant: str, pid: int) -> List[int]:
         """Keys of ``tenant`` falling in partition ``pid``, sorted."""
+        partition_of = self.partition_map.partition_of
         return sorted(
             key
             for (t, key) in self._versions
-            if t == tenant and key % partitions == pid
+            if t == tenant and partition_of(tenant, key).index == pid
         )
 
     def digest(
-        self, tenant: str, pid: int, partitions: int, buckets: int
+        self, tenant: str, pid: int, buckets: int
     ) -> Tuple[int, Tuple[int, ...]]:
         """Merkle-style (root, per-bucket) CRC digest of a partition.
 
@@ -264,7 +268,7 @@ class VersionStore:
         and a difference narrows to the divergent buckets.
         """
         bucket_bits = [b"" for _ in range(buckets)]
-        for key in self.keys_in(tenant, pid, partitions):
+        for key in self.keys_in(tenant, pid):
             entry = repr((key, tuple(v.key() for v in self._versions[(tenant, key)])))
             idx = key % buckets
             bucket_bits[idx] += entry.encode()
@@ -272,9 +276,9 @@ class VersionStore:
         root = zlib.crc32(repr(bucket_hashes).encode())
         return root, bucket_hashes
 
-    def fingerprint(self, tenant: str, pid: int, partitions: int) -> Tuple:
+    def fingerprint(self, tenant: str, pid: int) -> Tuple:
         """Canonical (key, versions) listing for convergence checks."""
         return tuple(
             (key, tuple(v.key() for v in self._versions[(tenant, key)]))
-            for key in self.keys_in(tenant, pid, partitions)
+            for key in self.keys_in(tenant, pid)
         )

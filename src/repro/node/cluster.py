@@ -194,7 +194,9 @@ class StorageCluster:
         """
         if self.ring is None:
             raise RuntimeError("call enable_control() before add_ranged_tenant()")
-        n = n_partitions or self.partition_map.partitions_per_tenant
+        n = self.partition_map.partitions_per_tenant if n_partitions is None else n_partitions
+        if n < 1:
+            raise ValueError(f"need at least one partition, got {n_partitions!r}")
         self._global_reservations[tenant] = reservation
         replica_sets = [
             self.ring.successors(f"{tenant}/{i}", self.rf) for i in range(n)
@@ -338,8 +340,7 @@ class StorageCluster:
         replica.  Nodes hosting no replica of the tenant (possible when
         the cluster has more nodes than partitions) are skipped
         entirely: no engine, no principal, no zero reservation to
-        confuse the per-node policy.  :meth:`redistribute_reservations`
-        can still target them explicitly with ``include_unplaced``.
+        confuse the per-node policy.
         """
         self._global_reservations[tenant] = reservation
         node_names = list(self.nodes)
@@ -362,16 +363,8 @@ class StorageCluster:
         absorbs under any-replica coordination; writes still land
         durably on every replica, so the PUT share is unchanged.
         """
-        pm = self.partition_map
-        if pm.ranged(tenant):
-            # Range tenants weight by keyspace *width*, so post-split
-            # unequal ranges carry proportional shares.
-            primary_share = pm.primary_weight(tenant, name)
-            replica_share = pm.replica_weight(tenant, name)
-        else:
-            total = pm.partitions_per_tenant
-            primary_share = pm.partitions_on(tenant, name) / total
-            replica_share = pm.replicas_on(tenant, name) / total
+        primary_share = self.partition_map.primary_weight(tenant, name)
+        replica_share = self.partition_map.replica_weight(tenant, name)
         if replica_share == 0:
             return None
         reservation = self._global_reservations[tenant]
@@ -439,9 +432,7 @@ class StorageCluster:
 
     # -- reservation redistribution (the §2.1 higher-level policy) ---------------------
 
-    def redistribute_reservations(
-        self, margin: float = 0.95, include_unplaced: bool = False
-    ) -> int:
+    def redistribute_reservations(self, margin: float = 0.95) -> int:
         """Shift local reservations off overbooked nodes.
 
         For every node whose estimated VOP demand exceeds ``margin`` ×
@@ -454,12 +445,6 @@ class StorageCluster:
         *migration* (moving the data itself) is out of scope here, so a
         receiving node serves the extra reservation only to the extent
         requests reach it.
-
-        ``include_unplaced`` widens the receiver pool to nodes that host
-        no replica of the tenant (the ones :meth:`add_tenant` skipped):
-        the tenant is registered there on first contact, staking out
-        provisioned capacity ahead of the partition migration that would
-        make it servable.
 
         Returns the number of (tenant, node→node) moves performed.
         """
@@ -489,17 +474,11 @@ class StorageCluster:
             keep = budget / total
             for tenant in list(node.tenants):
                 local = node.policy.reservation(tenant)
-                residual = Reservation(
-                    gets=local.gets * (1.0 - keep), puts=local.puts * (1.0 - keep)
-                )
-                node.set_reservation(
-                    tenant, Reservation(gets=local.gets * keep, puts=local.puts * keep)
-                )
+                residual = local.scaled(1.0 - keep)
+                node.set_reservation(tenant, local.scaled(keep))
                 demand_shift = demands[name].get(tenant, 0.0) * (1.0 - keep)
                 totals[name] -= demand_shift
-                target = self._most_headroom_other(
-                    tenant, name, totals, budgets, include_unplaced
-                )
+                target = self._most_headroom_other(tenant, name, totals, budgets)
                 if target is None:
                     # Nowhere to put it: the reservation stays here (the
                     # local policy will keep scaling it down until a
@@ -543,16 +522,10 @@ class StorageCluster:
         exclude: str,
         totals: Dict[str, float],
         budgets: Dict[str, float],
-        include_unplaced: bool = False,
     ):
-        pool = (
-            list(self.nodes)
-            if include_unplaced
-            else self.partition_map.nodes_of(tenant)
-        )
         candidates = [
             name
-            for name in pool
+            for name in self.partition_map.nodes_of(tenant)
             if name != exclude
             and not self.nodes[name].failed
             and budgets[name] - totals[name] > 0
@@ -594,13 +567,10 @@ class StorageCluster:
         time-to-convergence measurements: empty means every replica of
         every partition holds the identical surviving version set.
         """
-        total = self.partition_map.partitions_per_tenant
         divergent = []
         for partition in self.partition_map.partitions(tenant):
             fingerprints = {
-                self.services[name].versions.fingerprint(
-                    tenant, partition.index, total
-                )
+                self.services[name].versions.fingerprint(tenant, partition.index)
                 for name in partition.replicas
             }
             if len(fingerprints) > 1:

@@ -25,7 +25,8 @@ class Partition:
 
     Two routing modes share this type.  *Mod-hash* partitions (the
     original static placement) leave ``lo``/``hi`` as ``None`` and own
-    every key with ``key % partitions_per_tenant == index``.
+    every key with ``key % partitions_per_tenant == index``;
+    :meth:`PartitionMap.partition_of` is the one place that rule lives.
     *Range* partitions (control-plane placement) own the contiguous
     key range ``[lo, hi)``; ranges can be split and migrated at
     runtime, so ``index`` is a stable id, not a position.
@@ -212,15 +213,6 @@ class PartitionMap:
     def tenants(self) -> List[str]:
         return list(self._map)
 
-    def partitions_on(self, tenant: str, node: str) -> int:
-        """How many of the tenant's partitions ``node`` is primary for."""
-        return sum(1 for p in self._map.get(tenant, []) if p.node == node)
-
-    def replicas_on(self, tenant: str, node: str) -> int:
-        """How many of the tenant's partitions have *any* replica on
-        ``node`` (primary included) — the write-load weight."""
-        return sum(1 for p in self._map.get(tenant, []) if node in p.replicas)
-
     def primary_weight(self, tenant: str, node: str) -> float:
         """Fraction of the tenant's keyspace ``node`` is primary for.
 
@@ -228,20 +220,19 @@ class PartitionMap:
         weight by key-range width, so post-split unequal ranges get
         proportionally unequal reservation shares.
         """
-        partitions = self._map.get(tenant, [])
-        total = sum(p.width for p in partitions)
-        if total == 0:
-            return 0.0
-        return sum(p.width for p in partitions if p.node == node) / total
+        return self._weight(tenant, lambda p: p.node == node)
 
     def replica_weight(self, tenant: str, node: str) -> float:
         """Fraction of the tenant's keyspace with *any* replica on
         ``node`` (primary included)."""
+        return self._weight(tenant, lambda p: node in p.replicas)
+
+    def _weight(self, tenant: str, held) -> float:
         partitions = self._map.get(tenant, [])
         total = sum(p.width for p in partitions)
         if total == 0:
             return 0.0
-        return sum(p.width for p in partitions if node in p.replicas) / total
+        return sum(p.width for p in partitions if held(p)) / total
 
     def next_index(self, tenant: str) -> int:
         """The next unused stable partition id for a tenant."""

@@ -49,7 +49,7 @@ from ..faults import (
     RetriesExhausted,
     StorageFault,
 )
-from ..obs import Counter, Observability, VopAudit
+from ..obs import Observability, VopAudit
 from ..sim import Event, Simulator
 from ..ssd import SimFilesystem, SsdProfile, get_profile, make_device
 from .cache import ObjectCache
@@ -598,10 +598,8 @@ class StorageNode:
             raise ValueError(f"{self.name}: no metrics registry configured")
         for tenant, stats in self.request_stats.items():
             for fname in RequestStats.FIELDS:
-                counter = Counter()
-                counter.value = float(getattr(stats, fname))
-                registry.install(
-                    "node.requests", counter,
+                registry.set_counter(
+                    "node.requests", getattr(stats, fname),
                     node=self.name, tenant=tenant, field=fname,
                 )
             recorder = self.latencies[tenant]
@@ -613,22 +611,15 @@ class StorageNode:
         for tenant in self.scheduler.tenants:
             usage = self.scheduler.usage(tenant)
             for fname, value in vars(usage).items():
-                counter = Counter()
-                counter.value = float(value)
-                registry.install(
-                    "sched.usage", counter,
-                    node=self.name, tenant=tenant, field=fname,
+                registry.set_counter(
+                    "sched.usage", value, node=self.name, tenant=tenant, field=fname
                 )
             registry.gauge(
                 "sched.allocation", node=self.name, tenant=tenant
             ).set(self.scheduler.allocation(tenant))
         for fname, value in vars(self.device.stats).items():
             if isinstance(value, (int, float)):
-                counter = Counter()
-                counter.value = float(value)
-                registry.install(
-                    "ssd.stats", counter, node=self.name, field=fname
-                )
+                registry.set_counter("ssd.stats", value, node=self.name, field=fname)
 
     # -- lifecycle ------------------------------------------------------------------
 

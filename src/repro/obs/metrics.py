@@ -180,9 +180,10 @@ class MetricsRegistry:
     """Keyed store of metrics: ``(name, sorted labels) -> instance``.
 
     ``counter``/``gauge``/``histogram`` are get-or-create (so feeding
-    code needs no registration step); :meth:`install` replaces a slot
-    wholesale, which is what snapshot-publishing layers use to stay
-    idempotent across repeated ``publish_metrics`` calls.
+    code needs no registration step); :meth:`install` and
+    :meth:`set_counter` replace a slot wholesale, which is what
+    snapshot-publishing layers use to stay idempotent across repeated
+    ``publish_metrics`` calls.
     """
 
     def __init__(self):
@@ -208,6 +209,13 @@ class MetricsRegistry:
     def install(self, name: str, metric: Any, **labels: Any) -> None:
         """Install (or replace) a pre-built metric under a key."""
         self._metrics[_key(name, labels)] = metric
+
+    def set_counter(self, name: str, value: float, **labels: Any) -> None:
+        """Install (or replace) a counter holding ``value`` — how a layer
+        publishes a snapshot of its own cumulative count."""
+        counter = Counter()
+        counter.value = float(value)
+        self._metrics[_key(name, labels)] = counter
 
     def _get_or_create(self, name: str, labels: Dict[str, Any], cls):
         key = _key(name, labels)

@@ -367,9 +367,8 @@ class SteadyStateMonitor:
 
         Same edge computation, but gated on :meth:`fluid_eligible` and
         using the FTL's tighter :meth:`~repro.ssd.Ftl.pages_until_gc`
-        projection when available (a loaded epoch keeps writing through
-        the open append blocks, so the spare-block bound alone ends
-        epochs early).
+        projection (a loaded epoch keeps writing through the open append
+        blocks, so the spare-block bound alone ends epochs early).
         """
         ok, reason = self.fluid_eligible(demand_vops)
         if not ok:
@@ -401,7 +400,7 @@ class SteadyStateMonitor:
         if write_page_rate > 0.0:
             ftl = getattr(self.device, "ftl", None)
             if ftl is not None:
-                if tight_gc and hasattr(ftl, "pages_until_gc"):
+                if tight_gc:
                     spare_pages = ftl.pages_until_gc()
                 else:
                     spare_pages = ftl.gc_spare_pages
@@ -432,20 +431,13 @@ class SteadyStateMonitor:
     def publish_metrics(self, registry, name: str = "epoch") -> None:
         """Snapshot the per-reason counters into a MetricsRegistry.
 
-        Idempotent (``install`` replaces): DES fallback seconds/count
+        Idempotent (``set_counter`` replaces): DES fallback seconds/count
         per rejection reason under ``<name>.des``, granted epoch
         seconds/count per regime under ``<name>.ff``.
         """
-        from ..obs.metrics import Counter
-
-        def snap(value: float) -> Counter:
-            counter = Counter()
-            counter.inc(value)
-            return counter
-
         for reason, (count, seconds) in self.rejections.items():
-            registry.install(f"{name}.des", snap(count), reason=reason, field="segments")
-            registry.install(f"{name}.des", snap(seconds), reason=reason, field="seconds")
+            registry.set_counter(f"{name}.des", count, reason=reason, field="segments")
+            registry.set_counter(f"{name}.des", seconds, reason=reason, field="seconds")
         for regime, (count, seconds) in self.grants.items():
-            registry.install(f"{name}.ff", snap(count), regime=regime, field="epochs")
-            registry.install(f"{name}.ff", snap(seconds), regime=regime, field="seconds")
+            registry.set_counter(f"{name}.ff", count, regime=regime, field="epochs")
+            registry.set_counter(f"{name}.ff", seconds, regime=regime, field="seconds")

@@ -1,7 +1,8 @@
-"""Device-level counters.
+"""Cumulative counter dataclasses.
 
-Separated from the device so experiments can snapshot/reset them between
-warm-up and measurement windows.
+:class:`Counters` gives a dataclass of additive counters its
+snapshot/delta pair, which experiments use between warm-up and
+measurement windows; :class:`SsdStats` is the device's own set.
 """
 
 from __future__ import annotations
@@ -9,11 +10,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-__all__ = ["SsdStats"]
+__all__ = ["Counters", "SsdStats"]
+
+
+class Counters:
+    """Snapshot and delta for a dataclass whose fields are all counters.
+
+    A mixin with no state of its own, so ``vars()`` of an instance is
+    exactly its counter fields.
+    """
+
+    def snapshot(self):
+        """A copy of the current counters."""
+        return type(self)(**vars(self))
+
+    def delta(self, earlier):
+        """Counters accumulated since ``earlier``."""
+        return type(self)(
+            **{k: getattr(self, k) - getattr(earlier, k) for k in vars(self)}
+        )
 
 
 @dataclass
-class SsdStats:
+class SsdStats(Counters):
     """Cumulative counters for one simulated SSD."""
 
     reads: int = 0
@@ -35,21 +54,6 @@ class SsdStats:
     degraded_ops: int = 0
     stall_seconds: float = 0.0
     fault_delay_seconds: float = 0.0
-
-    def snapshot(self) -> "SsdStats":
-        """Return a copy of the current counters."""
-        return SsdStats(**vars(self))
-
-    def delta(self, earlier: "SsdStats") -> "SsdStats":
-        """Return counters accumulated since ``earlier``."""
-        return SsdStats(
-            **{k: getattr(self, k) - getattr(earlier, k) for k in vars(self)}
-        )
-
-    def reset(self) -> None:
-        """Zero every counter in place."""
-        for key in vars(self):
-            setattr(self, key, type(getattr(self, key))())
 
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict view for reporting."""

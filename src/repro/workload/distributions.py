@@ -152,9 +152,8 @@ class UniformKeys:
 class ExponentialArrivals:
     """Exponential inter-arrival gaps (a Poisson arrival process).
 
-    ``rate`` is in arrivals per simulated second; the open-loop KV
-    drivers pace each worker's requests with these gaps when a spec
-    sets ``arrival_rate``.
+    ``rate`` is in arrivals per simulated second; the hybrid trials'
+    open-loop tenants draw their inter-arrival gaps from it.
     """
 
     def __init__(self, rate: float):

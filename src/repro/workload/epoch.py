@@ -31,9 +31,8 @@ from ..core.vop import CostModel, make_cost_model
 from ..obs.metrics import Histogram
 from ..sim import Simulator, SteadyStateMonitor
 from ..ssd import SsdProfile, make_device
-from .distributions import FixedSize, LogNormalSize
 from .hybrid import ArrivalSource, Cell, EpochSegment, HybridDriver
-from .iobench import KIB
+from .iobench import KIB, TenantSpec
 
 __all__ = [
     "EpochTenantSpec",
@@ -56,11 +55,8 @@ class EpochTenantSpec:
     write_size: int = 4 * KIB
     sigma: Optional[float] = None
 
-    def size_dist(self, kind: OpKind):
-        mean = self.read_size if kind == OpKind.READ else self.write_size
-        if self.sigma is None:
-            return FixedSize(mean)
-        return LogNormalSize(mean=mean, sigma=self.sigma)
+    #: op sizes are drawn as a raw-IO :class:`TenantSpec` draws them
+    size_dist = TenantSpec.size_dist
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,7 @@ from ..engine import INDEX_ENTRY_BYTES, LsmEngine, SsTable
 from ..engine.sstable import BLOCK_SIZE
 from ..node.server import StorageNode
 from ..sim import Simulator
-from .distributions import (
-    BlockStream,
-    ExponentialArrivals,
-    LogNormalSize,
-    Uniform01,
-    UniformKeys,
-)
+from .distributions import BlockStream, LogNormalSize, Uniform01, UniformKeys
 
 __all__ = ["KvTenantSpec", "KvLoad", "bootstrap_tenant", "start_kv_load"]
 
@@ -58,10 +52,6 @@ class KvTenantSpec:
     #: offset added to every key — lets one tenant host disjoint
     #: keyspace regions for different workload shapes (Fig 12 swaps)
     key_base: int = 0
-    #: per-worker open-loop request rate (requests/s).  0 keeps the
-    #: paper's closed loop; positive paces each worker with exponential
-    #: inter-arrival gaps (a Poisson arrival stream per worker).
-    arrival_rate: float = 0.0
 
     def key_sampler(self):
         return UniformKeys(self.n_keys)
@@ -146,7 +136,7 @@ def start_kv_load(
     samplers: Dict[int, Tuple] = {}
 
     def spec_streams(spec: KvTenantSpec) -> Tuple:
-        """Batched key/size/mix/gap streams, cached per spec object
+        """Batched key/size/mix streams, cached per spec object
         (retarget-aware).
 
         All streams share the load's one seeded RNG, so draws interleave
@@ -159,9 +149,6 @@ def start_kv_load(
                 BlockStream(spec.key_sampler(), rng),
                 BlockStream(LogNormalSize(spec.put_size, spec.sigma), rng),
                 BlockStream(Uniform01(), rng),
-                BlockStream(ExponentialArrivals(spec.arrival_rate), rng)
-                if spec.arrival_rate > 0
-                else None,
             )
             samplers[id(spec)] = cached
         return cached
@@ -170,9 +157,7 @@ def start_kv_load(
         while sim.now < load.horizon:
             # Re-read the spec each request so retarget() takes effect.
             spec = load.spec(tenant)
-            keys, put_sizes, mix, gaps = spec_streams(spec)
-            if gaps is not None:
-                yield sim.timeout(gaps.next())
+            keys, put_sizes, mix = spec_streams(spec)
             key = keys.next()
             if spec.separate_regions:
                 key = key % (spec.n_keys // 2)

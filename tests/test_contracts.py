@@ -8,9 +8,10 @@ scheduler backlog, the ops holding NCQ slots, the device counters, the
 FTL page map and its host-stream cursors) is the same before and after,
 and the tenant's next PUT still lands — or a specified result.  Every
 row runs on a freshly loaded one-tenant node.  The configuration rows
-(device profile, node config, net config, reservation, allocation,
-fault window) pin what the constructors refuse: a value that would hang
-the scheduler or the simulation, or silently poison every later op.
+(device profile, node config, net config, scheduler config, policy
+interval, ranged-tenant partition count, reservation, allocation, fault
+window) pin what the constructors refuse: a value that would hang the
+scheduler or the simulation, or silently poison every later op.
 """
 
 import math
@@ -18,12 +19,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import IoTag, Reservation
+from repro.core import IoTag, Reservation, ResourcePolicy, SchedulerConfig
 from repro.engine import EngineConfig
 from repro.engine.db import RECORD_OVERHEAD
 from repro.faults import FaultKind, FaultWindow
 from repro.net import NetConfig
-from repro.node import NodeConfig, StorageNode
+from repro.node import NodeConfig, StorageCluster, StorageNode
 from repro.sim import Event, Simulator
 from repro.ssd import OutOfSpace, get_profile
 
@@ -158,6 +159,26 @@ def net(**fields):
 
 def window(kind=FaultKind.LATENCY, start=0.0, end=1.0, **fields):
     return lambda node: FaultWindow(kind, start, end, **fields)
+
+
+def policy(interval):
+    """A second policy over the node's scheduler, with ``interval``."""
+    return lambda node: ResourcePolicy(
+        node.sim, node.scheduler, node.tracker, node.capacity_vops, interval=interval
+    )
+
+
+def ranged_tenant(n_partitions):
+    """Place a range-partitioned tenant on a fresh one-node cluster."""
+    def call(node):
+        cluster = StorageCluster(
+            Simulator(), n_nodes=1, profile=SMALL,
+            config=NodeConfig(capacity_vops=node.capacity_vops),
+        )
+        cluster.enable_control()
+        cluster.add_ranged_tenant("r1", Reservation(), n_partitions=n_partitions)
+
+    return call
 
 
 def put_then_get(key):
@@ -484,6 +505,32 @@ ROWS = [
     ("NetConfig", "hint_interval +inf", net(hint_interval=INF), ValueError),
     # quorum reads follow read_quorum; there is no switch of their own
     ("NetConfig", "quorum_reads", net(quorum_reads=True), TypeError),
+    # -- SchedulerConfig and ResourcePolicy: a zero or NaN period hangs sim.run ---------
+    ("SchedulerConfig", "round_seconds 0",
+     lambda node: SchedulerConfig(round_seconds=0.0), ValueError),
+    ("SchedulerConfig", "round_seconds NaN",
+     lambda node: SchedulerConfig(round_seconds=NAN), ValueError),
+    ("SchedulerConfig", "round_seconds +inf",
+     lambda node: SchedulerConfig(round_seconds=INF), ValueError),
+    ("SchedulerConfig", "timeout_rounds 0",
+     lambda node: SchedulerConfig(timeout_rounds=0.0), ValueError),
+    ("SchedulerConfig", "timeout_rounds -1",
+     lambda node: SchedulerConfig(timeout_rounds=-1.0), ValueError),
+    # a chunk size below one byte never finishes splitting a read
+    ("SchedulerConfig", "chunk_size -4096",
+     lambda node: SchedulerConfig(chunk_size=-4096), ValueError),
+    ("SchedulerConfig", "chunk_size 0", lambda node: SchedulerConfig(chunk_size=0), ValueError),
+    ("SchedulerConfig", "chunk_size 1.5",
+     lambda node: SchedulerConfig(chunk_size=1.5), ValueError),
+    ("SchedulerConfig", "chunk_size True",
+     lambda node: SchedulerConfig(chunk_size=True), ValueError),
+    ("ResourcePolicy", "interval 0", policy(0.0), ValueError),
+    ("ResourcePolicy", "interval -1", policy(-1.0), ValueError),
+    ("ResourcePolicy", "interval NaN", policy(NAN), ValueError),
+    ("ResourcePolicy", "interval +inf", policy(INF), ValueError),
+    # -- StorageCluster: zero partitions is not the default partition count -----------
+    ("StorageCluster.add_ranged_tenant", "n_partitions 0", ranged_tenant(0), ValueError),
+    ("StorageCluster.add_ranged_tenant", "n_partitions -1", ranged_tenant(-1), ValueError),
     # -- Reservation and allocations: a non-finite rate hangs the pump --------------
     ("Reservation", "NaN gets", lambda node: Reservation(gets=NAN), ValueError),
     ("Reservation", "+inf gets", lambda node: Reservation(gets=INF), ValueError),
@@ -523,7 +570,8 @@ ENTRIES = {
 } | {f"SsdDevice.{name}" for name in ("submit", "read", "write", "trim")} | {
     "Ftl.host_write", "Ftl.precondition", "Ftl.read_channels", "Ftl.trim",
     "Ftl.trim_extents", "SsdProfile", "NodeConfig", "NetConfig", "Reservation",
-    "LibraScheduler.set_allocation", "FaultWindow",
+    "LibraScheduler.set_allocation", "FaultWindow", "SchedulerConfig", "ResourcePolicy",
+    "StorageCluster.add_ranged_tenant",
 }
 
 

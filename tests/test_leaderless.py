@@ -13,7 +13,7 @@ from repro.core import Reservation
 from repro.faults import FaultKind, FaultPlan, FaultWindow
 from repro.net import NetConfig, VectorClock, Version, VersionStore, reconcile
 from repro.net.versioning import AFTER, BEFORE, CONCURRENT, EQUAL
-from repro.node import NodeConfig, StorageCluster
+from repro.node import NodeConfig, PartitionMap, StorageCluster
 from repro.obs import Observability, Tracer
 from repro.sim import Simulator
 from repro.ssd import SsdProfile
@@ -123,6 +123,13 @@ def _v(clock_items, size=KIB, op="put", stamp=(1.0, "a", 1)):
     return Version(clock=VectorClock(clock_items), size=size, op=op, stamp=stamp)
 
 
+def _store(node):
+    """A version store over a four-partition mod-hash map of ``t1``."""
+    pm = PartitionMap(4)
+    pm.place_tenant("t1", ["a"])
+    return VersionStore(node, pm)
+
+
 def test_reconcile_drops_dominated():
     old = _v([("a", 1)], size=1, stamp=(1.0, "a", 1))
     new = _v([("a", 2)], size=2, stamp=(2.0, "a", 2))
@@ -146,7 +153,7 @@ def test_reconcile_empty():
 
 
 def test_store_insert_rejects_dominated():
-    store = VersionStore("a")
+    store = _store("a")
     newer = _v([("a", 2)], stamp=(2.0, "a", 2))
     assert store.insert("t1", 7, newer)
     assert not store.insert("t1", 7, _v([("a", 1)], stamp=(1.0, "a", 1)))
@@ -155,7 +162,7 @@ def test_store_insert_rejects_dominated():
 
 
 def test_next_clock_supersedes_all_siblings():
-    store = VersionStore("c")
+    store = _store("c")
     store.insert("t1", 3, _v([("a", 1)]))
     store.insert("t1", 3, _v([("b", 1)], stamp=(2.0, "b", 1)))
     assert len(store.get("t1", 3)) == 2
@@ -169,26 +176,72 @@ def test_next_clock_supersedes_all_siblings():
 
 
 def test_digest_identical_stores_match_and_divergence_narrows():
-    left, right = VersionStore("a"), VersionStore("b")
+    left, right = _store("a"), _store("b")
     for key in range(0, 64, 4):  # all in partition 0 of 4
         version = _v([("a", key + 1)], stamp=(float(key), "a", key))
         left.insert("t1", key, version)
         right.insert("t1", key, version)
-    assert left.digest("t1", 0, 4, 8) == right.digest("t1", 0, 4, 8)
+    assert left.digest("t1", 0, 8) == right.digest("t1", 0, 8)
     right.insert("t1", 12, _v([("b", 1)], stamp=(99.0, "b", 1)))
-    root_l, buckets_l = left.digest("t1", 0, 4, 8)
-    root_r, buckets_r = right.digest("t1", 0, 4, 8)
+    root_l, buckets_l = left.digest("t1", 0, 8)
+    root_r, buckets_r = right.digest("t1", 0, 8)
     assert root_l != root_r
     divergent = [i for i, (x, y) in enumerate(zip(buckets_l, buckets_r)) if x != y]
     assert divergent == [12 % 8]
 
 
 def test_tombstone_resolution():
-    store = VersionStore("a")
+    store = _store("a")
     store.insert("t1", 5, _v([("a", 1)], size=KIB, stamp=(1.0, "a", 1)))
     store.insert("t1", 5, _v([("a", 2)], size=0, op="delete", stamp=(2.0, "a", 2)))
     winner, _siblings = store.resolve("t1", 5)
     assert winner.tombstone
+
+
+KEY_SPACE = 256
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.sets(st.integers(min_value=0, max_value=KEY_SPACE - 1), max_size=48),
+    partitions=st.integers(min_value=1, max_value=6),
+    ranged=st.booleans(),
+    split=st.integers(min_value=0, max_value=KEY_SPACE),
+)
+def test_store_partitions_follow_the_partition_map(keys, partitions, ranged, split):
+    # The store's per-partition listing, digest and fingerprint hold
+    # exactly the keys PartitionMap.partition_of sends to that
+    # partition: mod-hash, or key ranges after a split.
+    pm = PartitionMap(partitions)
+    if ranged:
+        pm.place_tenant_ranges("t1", [("a",)] * partitions, KEY_SPACE)
+        first = pm.partitions("t1")[0]
+        if first.hi - first.lo > 1:
+            pm.split("t1", first.index, first.lo + 1 + split % (first.hi - first.lo - 1),
+                     ("b",))
+    else:
+        pm.place_tenant("t1", ["a", "b"])
+    pm.place_tenant("t2", ["a"])
+    store = VersionStore("a", pm)
+    for key in keys:
+        store.insert("t1", key, _v([("a", key + 1)], stamp=(float(key), "a", key)))
+        store.insert("t2", key % 8, _v([("a", key + 1)], stamp=(float(key), "a", key)))
+    grouped = {p.index: [] for p in pm.partitions("t1")}
+    for key in sorted(keys):
+        grouped[pm.partition_of("t1", key).index].append(key)
+    for pid, expected in grouped.items():
+        assert store.keys_in("t1", pid) == expected
+        assert store.fingerprint("t1", pid) == tuple(
+            (key, tuple(v.key() for v in store.get("t1", key))) for key in expected
+        )
+        # the same keys alone, all in one partition, digest the same
+        alone = PartitionMap(1)
+        alone.place_tenant("t1", ["a"])
+        reference = VersionStore("a", alone)
+        for key in expected:
+            for version in store.get("t1", key):
+                reference.insert("t1", key, version)
+        assert store.digest("t1", pid, 8) == reference.digest("t1", 0, 8)
 
 
 # ---------------------------------------------------------------------------

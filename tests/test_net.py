@@ -262,7 +262,7 @@ def test_more_nodes_than_partitions_leaves_spares():
     spares = [n for n in nodes if n not in hosting]
     assert spares == ["n3", "n4"]
     for name in spares:
-        assert pm.replicas_on("t", name) == 0
+        assert pm.replica_weight("t", name) == 0
 
 
 def test_placement_is_stable_across_replacement():
@@ -646,7 +646,7 @@ def test_wal_commit_listener_fires_per_durable_batch_and_survives_rotation():
     assert engine.wal is not first_wal
 
 
-def test_unplaced_node_skipped_then_targeted_by_redistribution():
+def test_unplaced_node_skipped_by_placement_and_redistribution():
     sim = Simulator()
     # 5 nodes, 2 partitions, rf=1: three nodes host nothing.
     cluster = StorageCluster(
@@ -661,16 +661,12 @@ def test_unplaced_node_skipped_then_targeted_by_redistribution():
 
     # Overload a hosting node (cold-start profile charges 1 VOP per
     # normalized request, so demand = reservation rates), then
-    # redistribute with the widened receiver pool: a previously-skipped
-    # node gets the tenant registered and receives reservation.
+    # redistribute: the shaved reservation goes to the other hosting
+    # node, and a node that holds no replica never receives the tenant.
     node0 = cluster.nodes["node0"]
     node0.set_reservation("t1", Reservation(gets=40_000, puts=40_000))
-    moves = cluster.redistribute_reservations(include_unplaced=True)
+    moves = cluster.redistribute_reservations()
     assert moves > 0
-    spare_reserved = [
-        name
-        for name, node in cluster.nodes.items()
-        if name not in hosting and "t1" in node.tenants
-        and node.policy.reservation("t1").gets > 0
-    ]
-    assert spare_reserved
+    assert cluster.nodes["node1"].policy.reservation("t1").gets > 500
+    for name, node in cluster.nodes.items():
+        assert ("t1" in node.tenants) == (name in hosting)

@@ -180,8 +180,8 @@ def test_node_stop_quiesces():
 def test_partition_map_round_robin():
     pm = PartitionMap(partitions_per_tenant=4)
     pm.place_tenant("t", ["n0", "n1"])
-    assert pm.partitions_on("t", "n0") == 2
-    assert pm.partitions_on("t", "n1") == 2
+    assert pm.primary_weight("t", "n0") == 0.5
+    assert pm.primary_weight("t", "n1") == 0.5
     assert pm.node_of("t", 0) == "n0"
     assert pm.node_of("t", 1) == "n1"
     assert set(pm.nodes_of("t")) == {"n0", "n1"}
