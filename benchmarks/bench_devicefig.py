@@ -4,9 +4,8 @@ Runs the devicefig grid — fig4-style interference plus the fig9
 cost-model insulation check across {SATA, NVMe x1/x4/x8} x {greedy,
 costbenefit, hotcold} x overprovision points — and asserts which paper
 conclusions survive the device change: the mixed-workload interference
-valley, the SATA-calibrated exact model's insulation, VOP audit
-reconciliation on the NVMe stack, and epoch fast-forward agreement
-with the event-by-event run.
+valley, the SATA-calibrated exact model's insulation, and VOP audit
+reconciliation on the NVMe stack.
 """
 
 import pytest
@@ -54,12 +53,9 @@ def test_device_sweep(quick_mode):
     wa = [result.mean("write_amp", op=op) for op in ops]
     assert wa[-1] <= wa[0] * 1.05
 
-    # The pinned NVMe legs: VOP accounting reconciles exactly, and the
-    # hybrid fast-forward run agrees with the event-by-event run.
+    # The pinned NVMe leg: VOP accounting reconciles exactly.
     assert result.audit["ok"], result.audit["flags"]
     assert result.audit["reconciliation"] == pytest.approx(1.0, abs=1e-9)
-    assert all(result.ff_agree.values()), result.ff_agree
-    assert result.ff_fraction > 0.5
 
 
 @pytest.mark.figure

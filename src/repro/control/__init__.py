@@ -13,9 +13,8 @@ traffic is being served:
   charged replica-apply path, then an atomic versioned map bump), and
   hot-partition splits built on the same machinery.
 - :mod:`repro.control.churn` — tenant lifecycle driver (arrivals,
-  departures, Zipf-distributed tenant rates) that exercises the control
-  plane at 10k-tenant scale using epoch fast-forward between control
-  actions.
+  departures, Zipf-distributed tenant rates, scheduled rebalances) that
+  exercises the control plane across a many-node cluster.
 
 All migration data traffic flows through the same RPC fabric and the
 same charged engine paths as application traffic, so it is priced in

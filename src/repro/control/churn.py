@@ -2,23 +2,18 @@
 
 This module runs the control plane's target scenario — thousands of
 tenants arriving, working, and departing over simulated hours on a
-50–200 node cluster — fast enough to sit in CI.  The trick is the
-shared :class:`~repro.workload.hybrid.HybridDriver`: every node is one
-of its cells, and every *planned* control event (tenant arrival,
-departure, scheduled rebalance) is one of its control events, which no
-epoch spans — so fast-forward jumps the quiet stretches *between*
-control actions in one analytic step across all nodes, and the trial
-only drops to event-by-event mode around GC onsets or genuine overload.
+50–200 node cluster.  Every node is a Libra scheduler over its own
+device in one shared simulator; every *planned* control event (tenant
+arrival, departure, scheduled rebalance) is applied in plan order at
+its instant, and every tenant op between them is submitted to its
+owner node's live scheduler at its arrival time.
 
-Determinism and FF/DES agreement are by construction, exactly as in
-:mod:`repro.workload.epoch`: the driver pulls arrivals, op mixes,
-sizes, and placements from the same per-tenant RNG streams in the
-same global order in both modes, and control decisions (which
-partition a rebalance moves) are pure functions of plan state that
-both modes evaluate identically.
-A fast-forwarded churn run therefore matches the event-by-event run
-*exactly* on tasks, ops, and bytes — across every map change — which
-``tests/test_control.py`` and ``tests/test_hybrid_driver.py`` check.
+Determinism is by construction: each tenant pulls its inter-arrival
+gaps, op mix, sizes and placements from its own seeded RNG streams,
+arrivals are replayed in one global order (earliest first, ties to the
+earlier-admitted tenant), and control decisions (which partition a
+rebalance moves) are pure functions of plan state.  Two runs of one
+config agree exactly on :meth:`ChurnResult.agreement_key`.
 
 Scope note: the rebalance here moves partition *ownership* (demand
 follows the data) and books the analytic migration volume as a
@@ -32,18 +27,18 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.calibration import reference_calibration
 from ..core.scheduler import LibraScheduler, SchedulerConfig
-from ..core.tags import OpKind
+from ..core.tags import IoTag, OpKind, RequestClass
 from ..core.vop import make_cost_model
 from ..experiments.common import derive_seed
-from ..sim import Simulator, SteadyStateMonitor
+from ..sim import Simulator
 from ..ssd import get_profile, make_device
-from ..workload.distributions import FixedSize
-from ..workload.hybrid import ArrivalSource, Cell, HybridDriver
+from ..workload.distributions import BlockStream, ExponentialArrivals, FixedSize, Uniform01
 from .ring import HashRing
 
 __all__ = ["ChurnConfig", "ChurnResult", "run_churn_trial"]
@@ -51,6 +46,9 @@ __all__ = ["ChurnConfig", "ChurnResult", "run_churn_trial"]
 KIB = 1024
 #: tenant rates are Zipf-distributed: rank ``k`` runs ``base_rate/k^ZIPF_S``
 ZIPF_S = 1.1
+#: RNG stream slots per tenant; five are drawn (gap, mix, read size,
+#: write size, placement), and changing the stride reseeds every tenant
+_STREAMS_PER_TENANT = 8
 
 
 @dataclass(frozen=True)
@@ -75,27 +73,59 @@ class ChurnConfig:
     #: virtual points per node on the placement ring
     vnodes: int = 16
     seed: int = 7
-    #: coarse scheduler rounds: churn nodes are mostly idle, and the
-    #: round-timeout tick is the only event fast-forward has to replay,
-    #: so 100ms rounds keep a 50-node × hours jump cheap
+    #: coarse scheduler rounds: churn nodes are mostly idle, so 100ms
+    #: round-timeout ticks keep a 50-node × hours run cheap
     round_seconds: float = 0.1
-    min_epoch: float = 0.05
-    des_slice: float = 0.05
-    headroom: float = 0.85
+
+    def __post_init__(self):
+        # A count below one leaves no node to place on, no tenant or op
+        # to run; a zero rate or span divides by zero, an infinite one
+        # never ends the plan.
+        for name in ("n_nodes", "n_tenants", "read_size", "write_size",
+                     "partitions_per_tenant"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} {value!r} must be an int >= 1")
+        for name in ("horizon", "arrival_rate", "mean_lifetime", "base_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} {value!r} must be finite and > 0")
+        if not 0.0 <= self.read_fraction <= 1.0:
+            raise ValueError(f"read_fraction {self.read_fraction!r} must be in [0, 1]")
+        if not self.rebalance_interval >= 0:
+            raise ValueError(
+                f"rebalance_interval {self.rebalance_interval!r} must be >= 0"
+            )
 
 
-class _ChurnTenant(ArrivalSource):
-    """One tenant's arrival streams plus its lifecycle and placement."""
+class _ChurnTenant:
+    """One open-loop tenant: its lifecycle, placement and seeded streams.
 
-    __slots__ = ("tid", "arrive_at", "depart_at", "owners")
+    Gaps, the op mix, sizes and the placement draw each come from their
+    own ``random.Random``, seeded from the trial seed and the tenant
+    index, so the op sequence is a pure function of (seed, tenant).
+    """
+
+    __slots__ = ("tid", "name", "tag", "rate", "gap", "mix", "rsize", "wsize",
+                 "upick", "next_at", "arrive_at", "depart_at", "owners")
 
     def __init__(self, tid: int, rate: float, arrive_at: float,
                  depart_at: float, config: ChurnConfig):
-        super().__init__(
-            f"t{tid}", tid, config.seed, rate, config.read_fraction,
-            FixedSize(config.read_size), FixedSize(config.write_size),
-        )
+        def rng(k: int) -> random.Random:
+            return random.Random(derive_seed(config.seed, tid * _STREAMS_PER_TENANT + k))
+
         self.tid = tid
+        self.name = f"t{tid}"
+        self.tag = IoTag(self.name, RequestClass.RAW)
+        self.rate = rate
+        self.gap = BlockStream(ExponentialArrivals(rate), rng(0))
+        self.mix = BlockStream(Uniform01(), rng(1))
+        self.rsize = BlockStream(FixedSize(config.read_size), rng(2))
+        self.wsize = BlockStream(FixedSize(config.write_size), rng(3))
+        #: one U[0,1) draw per op; ``_place`` maps it to a partition
+        #: slot and an offset
+        self.upick = BlockStream(Uniform01(), rng(4))
+        self.next_at = math.inf
         self.arrive_at = arrive_at
         self.depart_at = depart_at
         #: owner node per partition slot (rebalances rewrite entries)
@@ -127,23 +157,13 @@ class ChurnResult:
     total_ops: int = 0
     total_bytes: int = 0
     total_vops: float = 0.0
-    ff_seconds: float = 0.0
-    ff_tasks: int = 0
-    des_tasks: int = 0
     wall_seconds: float = 0.0
-    #: event-by-event seconds by rejection-reason stem, summed over the
-    #: nodes that vetoed fast-forward (not part of the agreement key)
-    des_reasons: Dict[str, float] = field(default_factory=dict)
-    #: (node, tenant) -> (tasks, ops, bytes) — the exact-agreement key
+    #: (node, tenant) -> (tasks, ops, bytes)
     usage: Dict[Tuple[str, str], Tuple[int, int, int]] = field(default_factory=dict)
     actions: List[ChurnAction] = field(default_factory=list)
 
-    @property
-    def ff_fraction(self) -> float:
-        return self.ff_seconds / self.horizon if self.horizon else 0.0
-
     def agreement_key(self) -> tuple:
-        """Exact-match key for FF-vs-DES equivalence checks."""
+        """Exact-match key: two runs of one config agree on it."""
         return (
             self.total_tasks,
             self.total_ops,
@@ -159,7 +179,7 @@ def _plan(config: ChurnConfig):
     Returns (tenants, events) where events is the time-sorted list of
     ``(at, kind, tenant_index)`` control points.  Rebalance decisions
     are *not* planned here — they depend on observed load — but their
-    trigger times are, which is what bounding epochs needs.
+    trigger times are.
     """
     rng = random.Random(derive_seed(config.seed, 0xC0FFEE % 0x7FFFFFFF))
     ranks = list(range(1, config.n_tenants + 1))
@@ -189,64 +209,40 @@ def _plan(config: ChurnConfig):
     return tenants, events
 
 
-class _ChurnRunner(HybridDriver):
-    """Many nodes, tenants that arrive, depart and get rebalanced.
+class _ChurnRunner:
+    """Many nodes, tenants that arrive, depart and get rebalanced."""
 
-    Quiet-regime only: churn nodes are mostly idle, and nothing here
-    reads latency, which is all the fluid regime would add.
-    """
-
-    def __init__(self, config: ChurnConfig, fast_forward: bool):
+    def __init__(self, config: ChurnConfig):
         self.config = config
-        sim = Simulator()
+        self.sim = sim = Simulator()
         profile = get_profile(config.profile) if isinstance(config.profile, str) else config.profile
         self.page = profile.page_size
         self.capacity = profile.logical_capacity
         cost_model = make_cost_model("exact", reference_calibration(profile.name))
         sched_config = SchedulerConfig(round_seconds=config.round_seconds)
-        self.nodes: Dict[str, Cell] = {}
+        #: node name -> its scheduler (``.device`` is the node's device)
+        self.nodes: Dict[str, LibraScheduler] = {}
         for i in range(config.n_nodes):
             device = make_device(sim, profile, seed=derive_seed(config.seed, 0xD000 + i))
-            scheduler = LibraScheduler(sim, device, cost_model, config=sched_config)
-            monitor = SteadyStateMonitor(sim, scheduler, device, headroom=config.headroom)
-            self.nodes[f"n{i}"] = Cell(f"n{i}", scheduler, device, monitor)
+            self.nodes[f"n{i}"] = LibraScheduler(sim, device, cost_model, config=sched_config)
         self.ring = HashRing(list(self.nodes), vnodes=config.vnodes)
-        self.tenants, events = _plan(config)
-        super().__init__(
-            sim, list(self.nodes.values()), events, fast_forward=fast_forward,
-            min_epoch=config.min_epoch, des_slice=config.des_slice, fluid=False,
-        )
+        self.tenants, self.events = _plan(config)
         self.by_tid = {t.tid: t for t in self.tenants}
+        #: the admitted, not yet departed tenants, in admission order
+        self.sources: List[_ChurnTenant] = []
         #: tenant names registered with each node's scheduler
         self.registered: Dict[str, set] = {name: set() for name in self.nodes}
-        # Every tenant shares the config's mix and sizes: mean VOPs and
-        # FTL pages written per task are trial constants.
-        task_vops = self.cells[0].scheduler.task_vops
+        # Every tenant shares the config's mix and sizes: mean VOPs per
+        # task is a trial constant.
+        task_vops = self.nodes["n0"].task_vops
         self.task_cost = (
             config.read_fraction * task_vops(OpKind.READ, config.read_size)
             + (1 - config.read_fraction) * task_vops(OpKind.WRITE, config.write_size)
-        )
-        self.write_pages = (
-            (1 - config.read_fraction) * max(1, -(-config.write_size // self.page))
         )
         #: bytes durably written per (tenant, slot) — the analytic
         #: migration volume a rebalance move ships
         self.part_bytes: Dict[Tuple[int, int], int] = {}
         self.result = ChurnResult(horizon=config.horizon, n_nodes=config.n_nodes)
-
-    def _refresh_demand(self) -> None:
-        """Recompute per-node demand from scratch (identical in both
-        modes: no incremental float drift)."""
-        for node in self.cells:
-            node.demand = 0.0
-            node.write_page_rate = 0.0
-        nparts = self.config.partitions_per_tenant
-        for t in self.sources:
-            share = t.rate / nparts
-            for owner in t.owners:
-                node = self.nodes[owner]
-                node.demand += share * self.task_cost
-                node.write_page_rate += share * self.write_pages
 
     # -- control events ----------------------------------------------------
 
@@ -260,7 +256,7 @@ class _ChurnRunner(HybridDriver):
             ]
             for owner in set(t.owners):
                 self._register(owner, t)
-            t.start(at)
+            t.next_at = at + t.gap.next()
             self.sources.append(t)
             self.result.admitted += 1
             self.result.actions.append(
@@ -274,40 +270,44 @@ class _ChurnRunner(HybridDriver):
             self.result.actions.append(ChurnAction(at, "depart", t.name))
         elif kind == "rebalance":
             self._rebalance(at)
-        self._refresh_demand()
 
     def _register(self, owner: str, t: _ChurnTenant) -> None:
         if t.name in self.registered[owner]:
             return
         self.registered[owner].add(t.name)
-        self.nodes[owner].scheduler.register_tenant(
+        self.nodes[owner].register_tenant(
             t.name, t.rate * self.task_cost / self.config.partitions_per_tenant
         )
 
     def _rebalance(self, at: float) -> None:
         """Move the heaviest partition from the hottest node to the
-        coolest — a pure function of plan state, so both modes take the
-        identical action and the map versions march in lockstep.
-        Node demand is current: every control event ends by refreshing it."""
-        loaded = sorted(self.cells, key=lambda n: (-n.demand, n.name))
-        if len(loaded) < 2 or loaded[0].demand <= 0.0:
+        coolest, by the demand (VOPs/sec) the live tenants' partitions
+        offer each node now — a pure function of plan state, so every
+        run of a config takes the identical action."""
+        nparts = self.config.partitions_per_tenant
+        demand = dict.fromkeys(self.nodes, 0.0)
+        for t in self.sources:
+            share = t.rate / nparts
+            for owner in t.owners:
+                demand[owner] += share * self.task_cost
+        loaded = sorted(self.nodes, key=lambda name: (-demand[name], name))
+        if len(loaded) < 2 or demand[loaded[0]] <= 0.0:
             return
         hot, cool = loaded[0], loaded[-1]
-        if hot.demand <= cool.demand * 1.05:
+        if demand[hot] <= demand[cool] * 1.05:
             return
-        nparts = self.config.partitions_per_tenant
         best: Optional[Tuple[_ChurnTenant, int]] = None
         best_load = 0.0
         for t in self.sources:
             share = t.rate / nparts * self.task_cost
             for j, owner in enumerate(t.owners):
-                if owner == hot.name and share > best_load:
+                if owner == hot and share > best_load:
                     best, best_load = (t, j), share
         if best is None:
             return
         t, j = best
-        t.owners[j] = cool.name
-        self._register(cool.name, t)
+        t.owners[j] = cool
+        self._register(cool, t)
         moved = self.part_bytes.get((t.tid, j), 0)
         self.result.rebalances += 1
         self.result.moved_partitions += 1
@@ -316,16 +316,16 @@ class _ChurnRunner(HybridDriver):
         self.result.actions.append(
             ChurnAction(
                 at, "rebalance",
-                f"{t.name}/{j}: {hot.name} -> {cool.name} ({moved} B)",
+                f"{t.name}/{j}: {hot} -> {cool} ({moved} B)",
             )
         )
 
-    # -- placement -----------------------------------------------------------
+    # -- arrivals ------------------------------------------------------------
 
-    def _place(self, t, is_read, size, u):
+    def _place(self, t: _ChurnTenant, is_read: bool, size: int, u: float):
         """A single U[0,1) draw picks the partition slot (integer part
         after scaling) and the in-partition offset (fractional part
-        rescaled) — one draw, both modes, no stream divergence."""
+        rescaled); returns ``(owner's scheduler, offset)``."""
         nparts = self.config.partitions_per_tenant
         slot = min(int(u * nparts), nparts - 1)
         frac = u * nparts - slot
@@ -337,21 +337,70 @@ class _ChurnRunner(HybridDriver):
             )
         return self.nodes[t.owners[slot]], offset
 
+    def _replay(self, until: float) -> None:
+        """Submit every arrival before ``until`` to its owner node's
+        scheduler, in global order, running the simulator up to each.
+
+        The earliest pending arrival goes first; a tie goes to the
+        earlier-admitted tenant.  Per op the tenant draws its mix, then
+        its size, then its placement, and its next gap after submitting.
+        """
+        sim = self.sim
+        sources = self.sources
+        read_fraction = self.config.read_fraction
+        while True:
+            src = None
+            at = until
+            for t in sources:
+                if t.next_at < at:
+                    src, at = t, t.next_at
+            if src is None:
+                return
+            is_read = src.mix.next() < read_fraction
+            size = src.rsize.next() if is_read else src.wsize.next()
+            node, offset = self._place(src, is_read, size, src.upick.next())
+            sim.run(until=at)
+            if is_read:
+                node.read(offset, size, tag=src.tag)
+            else:
+                node.write(offset, size, tag=src.tag)
+            src.next_at = at + src.gap.next()
+
+    def _busy(self) -> bool:
+        """Queued or in-flight work on any node.  ``in_flight`` counts
+        every op holding a queue slot, so commands parked in an NVMe
+        SQ's fetch FIFO count too; an op waiting for a slot exists only
+        while every slot of its SQ is held."""
+        return any(
+            node.backlog > 0 or node.device.in_flight > 0 for node in self.nodes.values()
+        )
+
     # -- results -------------------------------------------------------------
 
     def finish(self) -> ChurnResult:
+        """Run the plan to the horizon, drain every node, stop the
+        schedulers and let their teardown events play out."""
         config = self.config
-        self.run(config.horizon, settle=2 * config.round_seconds * 4)
+        sim = self.sim
+        wall0 = time.perf_counter()
+        for event in self.events:
+            at = event[0]
+            if at > sim.now:  # events sharing an instant apply back to back
+                self._replay(at)
+                sim.run(until=at)
+            self._apply(event)
+        self._replay(config.horizon)
+        sim.run(until=config.horizon)
+        # Drain: complete in-flight IO without committing to wall time.
+        sim.step_while(self._busy)
+        for node in self.nodes.values():
+            node.stop()
+        sim.run(until=sim.now + 2 * config.round_seconds * 4)
         result = self.result
-        result.ff_seconds = self.ff_seconds
-        result.ff_tasks = self.ff_tasks
-        result.des_tasks = self.des_tasks
-        result.wall_seconds = self.wall_seconds
+        result.wall_seconds = time.perf_counter() - wall0
         for name, node in self.nodes.items():
-            for stem, (_count, seconds) in node.monitor.rejections.items():
-                result.des_reasons[stem] = result.des_reasons.get(stem, 0.0) + seconds
             for tenant in sorted(self.registered[name]):
-                usage = node.scheduler.usage(tenant)
+                usage = node.usage(tenant)
                 if usage.tasks == 0 and usage.ops == 0:
                     continue
                 result.usage[(name, tenant)] = (usage.tasks, usage.ops, usage.bytes)
@@ -362,18 +411,6 @@ class _ChurnRunner(HybridDriver):
         return result
 
 
-def run_churn_trial(
-    config: Optional[ChurnConfig] = None, fast_forward: bool = True
-) -> ChurnResult:
-    """Run one churn scenario; see :class:`ChurnConfig` for knobs.
-
-    ``fast_forward=False`` replays the identical arrival sequence
-    event-by-event — the reference the hybrid run must match exactly on
-    :meth:`ChurnResult.agreement_key`.
-    """
-    config = config or ChurnConfig()
-    if config.partitions_per_tenant < 1:
-        raise ValueError(
-            f"partitions_per_tenant must be >= 1, got {config.partitions_per_tenant}"
-        )
-    return _ChurnRunner(config, fast_forward).finish()
+def run_churn_trial(config: Optional[ChurnConfig] = None) -> ChurnResult:
+    """Run one churn scenario; see :class:`ChurnConfig` for knobs."""
+    return _ChurnRunner(config or ChurnConfig()).finish()

@@ -196,13 +196,6 @@ class LibraScheduler:
         #: called as (tag, kind, size, vop_cost) when a chunk's device op
         #: faults (the cost stays charged; see ``_complete``)
         self.fail_observer: Optional[Callable[[IoTag, OpKind, int, float], None]] = None
-        #: called as (tag, kind, chunk_size, n_chunks, vops) when an
-        #: epoch fast-forward credits completed work in bulk (the
-        #: audit's view of analytically accounted charges)
-        self.epoch_observer: Optional[Callable[[IoTag, OpKind, int, int, float], None]] = None
-        #: per-(kind, task size) chunk breakdown + VOP price, cached for
-        #: ``credit_epoch`` (the cost model is immutable per scheduler)
-        self._epoch_costs: Dict[Tuple[OpKind, int], List[Tuple[int, int, float]]] = {}
         #: chunk size -> VOP price, one dict per direction, filled from
         #: the (immutable) cost model on first use: ``_dispatch`` pays
         #: one int-keyed lookup per chunk
@@ -367,97 +360,20 @@ class LibraScheduler:
         self._pump()
         return done
 
-    # -- epoch fast-forward (bulk analytic accounting) ---------------------------
-
-    def credit_epoch(self, tag: IoTag, kind: OpKind, size: int) -> float:
-        """Account one completed task analytically; returns VOPs charged.
-
-        The epoch fast-forward path (:mod:`repro.workload.hybrid`)
-        bypasses ``_submit``/``_dispatch``/``_complete`` during quiet
-        steady-state epochs and books each task's effects here in one
-        call: the same chunk split, the same per-chunk VOP price, and
-        the same :class:`TenantUsage` counter increments the
-        event-driven path would have produced.  ``epoch_observer``
-        receives one ``(tag, kind, chunk_size, n_chunks, vops)`` call
-        per distinct chunk size so the audit can reconcile bulk charges
-        against an independent re-pricing.
-
-        Valid only while the tenant has no queued or in-flight work —
-        deficit counters are deliberately untouched, which is exact for
-        a quiet epoch: DDRR is work-conserving, so with empty queues the
-        deficit state carries no scheduling information.
-        """
-        state = self._state(tag.tenant)
-        parts = self.epoch_chunk_costs(kind, size)
-        usage = state.usage
-        observer = self.epoch_observer
-        total = 0.0
-        is_read = kind == OpKind.READ
-        for length, n, cost in parts:
-            vops = cost * n
-            total += vops
-            usage.ops += n
-            usage.bytes += length * n
-            if is_read:
-                usage.read_ops += n
-            else:
-                usage.write_ops += n
-            usage.vops += vops
-            if observer is not None:
-                observer(tag, kind, length, n, vops)
-        usage.tasks += 1
-        return total
-
-    def epoch_chunk_costs(self, kind: OpKind, size: int) -> List[Tuple[int, int, float]]:
-        """The exact chunk split + per-chunk VOP price for one task.
-
-        ``[(chunk_length, count, vop_cost), ...]`` — the same split
-        ``_submit`` produces and the same price ``_dispatch`` charges,
-        cached per (kind, task size).  Shared by :meth:`credit_epoch`
-        and :meth:`task_vops` so bulk accounting and demand estimates
-        can never price a chunk differently from the event-driven
-        dispatcher.
-        """
-        key = (kind, size)
-        parts = self._epoch_costs.get(key)
-        if parts is None:
-            chunk_size = self.config.chunk_size
-            split: List[List[int]] = []
-            pos = 0
-            while pos < size:
-                length = min(chunk_size, size - pos)
-                pos += length
-                if split and split[-1][0] == length:
-                    split[-1][1] += 1
-                else:
-                    split.append([length, 1])
-            parts = [
-                (length, n, self.cost_model.cost(kind, length))
-                for length, n in split
-            ]
-            self._epoch_costs[key] = parts
-        return parts
-
     def task_vops(self, kind: OpKind, size: int) -> float:
-        """VOPs one task of ``size`` bytes is charged, summed chunk by
-        chunk in dispatch order — not ``n * cost``: the sum feeds
-        eligibility thresholds and allocations that must not move by a
-        rounding step."""
+        """VOPs one task of ``size`` bytes is charged: ``_submit``'s
+        chunk split, each chunk priced as ``_dispatch`` prices it,
+        summed chunk by chunk in dispatch order — not ``n * cost``: the
+        sum feeds allocations that must not move by a rounding step."""
+        chunk_size = self.config.chunk_size
+        cost = self.cost_model.cost
         total = 0.0
-        for _length, n, cost in self.epoch_chunk_costs(kind, size):
-            for _ in range(n):
-                total += cost
+        pos = 0
+        while pos < size:
+            length = min(chunk_size, size - pos)
+            total += cost(kind, length)
+            pos += length
         return total
-
-    def round_quanta(self) -> Tuple[List[str], List[float]]:
-        """The DDRR round schedule: tenants in round-robin (registration)
-        order and the VOP quantum each is granted per round.  With
-        stationary inputs the dispatcher is periodic, so this describes
-        every round of a fluid fast-forward epoch."""
-        quanta = self._quanta
-        if quanta is None:
-            quanta = self._refresh_quanta()
-        return [s.tenant_id for s in self._order], list(quanta)
 
     # -- scheduling core -----------------------------------------------------------
 

@@ -26,6 +26,7 @@ __all__ = [
     "derive_seed",
     "parallel_map",
     "count_lost",
+    "value_size",
 ]
 
 KIB = 1024
@@ -88,12 +89,11 @@ def ratio_label(ratio: Optional[float]) -> str:
     return f"{r}:{100 - r}"
 
 
-def lost_to_label(des_reasons: Optional[Dict[str, float]]) -> str:
-    """Top DES-time sinks as 'reason 0.30s' pairs, largest first."""
-    if not des_reasons:
-        return "-"
-    top = sorted(des_reasons.items(), key=lambda kv: -kv[1])[:3]
-    return ", ".join(f"{reason} {seconds:.2f}s" for reason, seconds in top)
+def value_size(op_index: int) -> int:
+    """Deterministic per-write object size: ``op_index`` picks one of
+    seven sizes 512 bytes apart, so a stale or misrouted read comes back
+    at the wrong size and cannot hide."""
+    return 2048 + (op_index % 7) * 512
 
 
 def count_lost(read, expected: Dict[int, int]):

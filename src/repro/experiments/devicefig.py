@@ -25,9 +25,8 @@ total capacity and are unreachable below ~12% OP.  So the logical
 capacity varies per OP point while GC trigger/target (in blocks) stays
 fixed; utilization is the isolated variable, as in FTL studies.
 
-Two pinned acceptance legs run after the sweep, both on an NVMe cell:
-a :class:`~repro.obs.VopAudit` that must reconcile at 1.0000, and an
-epoch fast-forward trial that must agree exactly with its DES twin.
+A pinned acceptance leg runs after the sweep on an NVMe cell: a
+:class:`~repro.obs.VopAudit` that must reconcile at 1.0000.
 
 Every cell owns an aged device seeded from ``derive_seed(seed, index)``
 so ``--jobs N`` fans cells over workers byte-identically; ``--smoke``
@@ -44,7 +43,6 @@ from ..analysis.report import format_table
 from ..core.calibration import reference_calibration
 from ..core.vop import make_cost_model
 from ..ssd import get_profile
-from ..workload.epoch import EpochTenantSpec, run_epoch_trial
 from ..workload.iobench import DeviceEnv, run_interference_trial
 from .common import KIB, derive_seed, parallel_map
 
@@ -75,10 +73,6 @@ class DeviceFigResult:
     #: pinned VopAudit leg: (cell key, audit summary dict)
     audit_cell: Tuple[str, str, float]
     audit: Dict[str, object]
-    #: pinned epoch fast-forward leg on the same cell profile
-    ff_cell: Tuple[str, str, float]
-    ff_agree: Dict[str, bool]
-    ff_fraction: float
 
     def mean(self, metric: str, device: Optional[str] = None,
              policy: Optional[str] = None, op: Optional[float] = None) -> float:
@@ -177,29 +171,6 @@ def _audit_leg(profile_name: str, cell, duration: float, seed: int):
     return audit.summary(env.sim.now)
 
 
-def _ff_leg(profile_name: str, cell, horizon: float, seed: int):
-    """Epoch fast-forward vs DES on a quiet NVMe workload (exact agreement)."""
-    _label, queues, policy, op = cell
-    profile = _cell_profile(profile_name, queues, policy, op)
-    specs = [
-        EpochTenantSpec(name=f"t{i}", rate=2500.0, read_fraction=1.0)
-        for i in range(4)
-    ]
-    des = run_epoch_trial(
-        profile, specs, horizon, seed=seed, fast_forward=False, audit=True,
-    )
-    ff = run_epoch_trial(
-        profile, specs, horizon, seed=seed, fast_forward=True, audit=True,
-    )
-    agree = {
-        "tasks": des.total_tasks == ff.total_tasks,
-        "vops": des.total_vops == ff.total_vops,
-        "bytes": des.total_bytes == ff.total_bytes,
-        "audit": bool(des.audit_summary["ok"] and ff.audit_summary["ok"]),
-    }
-    return agree, ff.ff_fraction
-
-
 def run(
     quick: bool = True,
     profile_name: str = "intel320",
@@ -220,21 +191,21 @@ def run(
         policies = ("greedy", "hotcold")
         ops = (0.14,)
         duration, warmup = 0.15, 0.05
-        audit_duration, ff_horizon = 0.1, 0.8
+        audit_duration = 0.1
     elif quick:
         mode = "quick"
         devices = DEVICES
         policies = POLICIES
         ops = (0.07, 0.28)
         duration, warmup = 0.2, 0.08
-        audit_duration, ff_horizon = 0.15, 2.0
+        audit_duration = 0.15
     else:
         mode = "full"
         devices = DEVICES
         policies = POLICIES
         ops = OVERPROVISIONS
         duration, warmup = 0.4, 0.15
-        audit_duration, ff_horizon = 0.3, 4.0
+        audit_duration = 0.3
 
     grid = [
         (label, queues, policy, op)
@@ -253,18 +224,13 @@ def run(
         )
     }
 
-    # Pinned acceptance legs on the highest-queue NVMe cell in the grid.
+    # Pinned acceptance leg on the highest-queue NVMe cell in the grid.
     nvme_cells = [c for c in grid if c[1] > 1] or [c for c in grid if c[1] == 1]
     pinned = max(nvme_cells, key=lambda c: c[1])
     audit = _audit_leg(profile_name, pinned, audit_duration, derive_seed(seed, 101))
-    ff_agree, ff_fraction = _ff_leg(
-        profile_name, pinned, ff_horizon, derive_seed(seed, 202)
-    )
-    key = (pinned[0], pinned[2], pinned[3])
     return DeviceFigResult(
         profile=profile_name, mode=mode, cells=cells,
-        audit_cell=key, audit=audit,
-        ff_cell=key, ff_agree=ff_agree, ff_fraction=ff_fraction,
+        audit_cell=(pinned[0], pinned[2], pinned[3]), audit=audit,
     )
 
 
@@ -329,14 +295,6 @@ def render(result: DeviceFigResult) -> str:
         f"- VOP audit on ({dev_label}, {policy}, {op:.0%}): reconciliation "
         f"{result.audit['reconciliation']:.4f}, "
         + ("ok" if result.audit["ok"] else "FLAGGED")
-    )
-    agree = result.ff_agree
-    lines.append(
-        f"- epoch fast-forward vs DES on ({dev_label}, {policy}, {op:.0%}): "
-        f"tasks/vops/bytes agree = "
-        f"{'yes' if agree['tasks'] and agree['vops'] and agree['bytes'] else 'NO'}"
-        f", audits ok = {'yes' if agree['audit'] else 'NO'}"
-        f" (ff fraction {result.ff_fraction:.0%})"
     )
     return "\n".join(lines)
 

@@ -49,7 +49,7 @@ from ..faults import FaultKind, FaultPlan, FaultWindow, StorageFault
 from ..net import NetConfig
 from ..node import NodeConfig, StorageCluster
 from ..sim import Simulator
-from .common import count_lost, derive_seed, parallel_map
+from .common import count_lost, derive_seed, parallel_map, value_size
 
 __all__ = ["run", "render", "PartitionResult", "PartitionCell"]
 
@@ -61,7 +61,6 @@ TENANT = "pt0"
 MINORITY = ("node0", "node1")
 MINORITY_CLIENT = "app.min"
 MAJORITY_CLIENT = "app.maj"
-VALUE_BASE = 2048
 
 #: (label, write quorum, read quorum) — quorum = majority of RF
 LEVELS: Tuple[Tuple[str, int, int], ...] = (
@@ -160,11 +159,6 @@ class PartitionResult:
         )
 
 
-def _value_size(op_index: int) -> int:
-    """Deterministic per-write object size (a stale read can't hide)."""
-    return VALUE_BASE + (op_index % 7) * 512
-
-
 def _run_cell(args: Tuple[str, str, int, int, bool, str, int]) -> PartitionCell:
     """One (mode, level) simulation: load, partition, heal, verify."""
     mode, level, w, r, quick, profile_name, seed = args
@@ -240,7 +234,7 @@ def _run_cell(args: Tuple[str, str, int, int, bool, str, int]) -> PartitionCell:
         while sim.now < timeline.horizon:
             op += 1
             key = base + op * PARTITIONS + offsets[op % len(offsets)]
-            size = _value_size(op)
+            size = value_size(op)
             try:
                 yield from client.put(TENANT, key, size)
                 expected[side][key] = size

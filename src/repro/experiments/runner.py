@@ -31,7 +31,7 @@ __all__ = ["main", "FIGURES"]
 FIGURES = (
     "fig2", "fig3", "fig4", "fig5", "fig6",
     "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-    "chaosfig", "clusterfig", "devicefig", "epochfig", "obsfig",
+    "chaosfig", "clusterfig", "devicefig", "obsfig",
     "partitionfig", "scalefig",
 )
 

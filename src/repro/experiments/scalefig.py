@@ -15,10 +15,10 @@ parallelizes them with byte-identical results):
   migration traffic included* — movement is charged in VOPs like any
   other work, so provisioning sees it.
 
-- **churn** — the :mod:`repro.control.churn` lifecycle driver runs the
-  same tenant-arrival plan twice, once with epoch fast-forward and once
-  event-by-event, and the two runs must agree **exactly** on tasks,
-  ops, bytes, and map versions across every control action.
+- **churn** — the :mod:`repro.control.churn` lifecycle driver runs a
+  seeded tenant-arrival plan (arrivals, departures, scheduled
+  rebalances) across a multi-node cluster, every op through its owner
+  node's Libra scheduler and device.
 
 Everything is seed-deterministic: a serial and a ``--jobs`` run
 return equal outcomes (wall-clock fields aside).
@@ -27,8 +27,8 @@ return equal outcomes (wall-clock fields aside).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from ..analysis.report import format_table
 from ..control.churn import ChurnConfig, run_churn_trial
@@ -38,7 +38,7 @@ from ..net import NetConfig
 from ..node import NodeConfig, StorageCluster
 from ..obs import Observability
 from ..sim import Simulator
-from .common import count_lost, derive_seed, lost_to_label, parallel_map
+from .common import count_lost, derive_seed, parallel_map, value_size
 
 __all__ = ["run", "render", "ScaleResult", "GrowCell", "ChurnCell"]
 
@@ -48,7 +48,6 @@ START_NODES = 5
 END_NODES = 20
 PARTITIONS = 8
 KEY_SPACE = 1 << 16
-VALUE_BASE = 2048
 
 
 @dataclass(frozen=True)
@@ -99,9 +98,8 @@ class GrowCell:
 
 @dataclass
 class ChurnCell:
-    """One churn run (fast-forward or event-by-event reference)."""
+    """Outcome of the tenant-churn scenario."""
 
-    mode: str  # "ff" | "des"
     seed: int
     tasks: int = 0
     ops: int = 0
@@ -111,11 +109,8 @@ class ChurnCell:
     departed: int = 0
     rebalances: int = 0
     moved_bytes: int = 0
-    ff_fraction: float = 0.0
     wall_seconds: float = 0.0
-    #: event-by-event seconds by rejection reason, summed over nodes
-    des_reasons: Dict[str, float] = field(default_factory=dict)
-    #: canonical agreement key (repr'd) for cross-mode comparison
+    #: canonical agreement key (repr'd) for run-to-run comparison
     key: str = ""
 
 
@@ -125,18 +120,7 @@ class ScaleResult:
     seed: int
     mode: str  # "smoke" | "quick" | "full"
     grow: Optional[GrowCell] = None
-    churn: List[ChurnCell] = field(default_factory=list)
-
-    @property
-    def churn_agrees(self) -> bool:
-        """FF and DES produced identical tasks/ops/bytes/map history."""
-        keys = {cell.key for cell in self.churn}
-        return len(self.churn) == 2 and len(keys) == 1
-
-
-def _value_size(op_index: int) -> int:
-    """Deterministic per-write object size (a misrouted read can't hide)."""
-    return VALUE_BASE + (op_index % 7) * 512
+    churn: Optional[ChurnCell] = None
 
 
 def _run_grow(args: Tuple[str, GrowPlan, int]) -> GrowCell:
@@ -167,7 +151,7 @@ def _run_grow(args: Tuple[str, GrowPlan, int]) -> GrowCell:
         while not state["stop"]:
             op += 1
             key = rng.randrange(KEY_SPACE)
-            size = _value_size(op)
+            size = value_size(op)
             try:
                 yield from client.put(TENANT, key, size)
                 expected[key] = size
@@ -266,14 +250,11 @@ def _churn_config(mode: str, seed: int) -> ChurnConfig:
     return ChurnConfig(seed=seed)  # full: 50 nodes, 1000 tenants, 600s
 
 
-def _run_churn(args: Tuple[str, str, int]) -> ChurnCell:
-    """One churn run; ``mode`` picks fast-forward or the DES reference."""
-    run_mode, scale_mode, seed = args
-    result = run_churn_trial(
-        _churn_config(scale_mode, seed), fast_forward=(run_mode == "ff")
-    )
+def _run_churn(args: Tuple[str, int]) -> ChurnCell:
+    """One churn run at ``scale_mode`` ("smoke" | "quick" | "full")."""
+    scale_mode, seed = args
+    result = run_churn_trial(_churn_config(scale_mode, seed))
     return ChurnCell(
-        mode=run_mode,
         seed=seed,
         tasks=result.total_tasks,
         ops=result.total_ops,
@@ -283,9 +264,7 @@ def _run_churn(args: Tuple[str, str, int]) -> ChurnCell:
         departed=result.departed,
         rebalances=result.rebalances,
         moved_bytes=result.moved_bytes,
-        ff_fraction=round(result.ff_fraction, 4),
         wall_seconds=round(result.wall_seconds, 3),
-        des_reasons=result.des_reasons if run_mode == "ff" else {},
         key=repr(result.agreement_key()),
     )
 
@@ -305,23 +284,16 @@ def run(
     plan = {"smoke": SMOKE, "quick": QUICK, "full": FULL}[mode]
     result = ScaleResult(profile=profile_name, seed=seed, mode=mode)
     grow_args = (profile_name, plan, derive_seed(seed, 0))
-    churn_args = [
-        ("ff", mode, derive_seed(seed, 1)),
-        ("des", mode, derive_seed(seed, 1)),  # same plan seed: must agree
-    ]
+    churn_args = (mode, derive_seed(seed, 1))
 
     def _cell(args):
         return (
             _run_grow(args[1]) if args[0] == "grow" else _run_churn(args[1])
         )
 
-    cells = parallel_map(
-        _cell,
-        [("grow", grow_args)] + [("churn", a) for a in churn_args],
-        jobs=jobs,
+    result.grow, result.churn = parallel_map(
+        _cell, [("grow", grow_args), ("churn", churn_args)], jobs=jobs,
     )
-    result.grow = cells[0]
-    result.churn = cells[1:]
     return result
 
 
@@ -345,27 +317,19 @@ def render(result: ScaleResult) -> str:
         ]],
         title="grow under traffic: durability and VOP conservation",
     ))
-    rows = [
-        [
-            cell.mode, cell.tasks, cell.ops, cell.bytes,
-            cell.admitted, cell.departed, cell.rebalances,
-            cell.map_version,
-            f"{cell.ff_fraction:.4f}" if cell.mode == "ff" else "-",
-            f"{cell.wall_seconds:.2f}",
-            lost_to_label(cell.des_reasons),
-        ]
-        for cell in result.churn
-    ]
+    c = result.churn
     blocks.append(format_table(
-        ["mode", "tasks", "ops", "bytes", "admitted", "departed",
-         "rebalances", "map ver", "ff frac", "wall s", "des time lost to"],
-        rows,
-        title="tenant churn: fast-forward vs event-by-event",
+        ["tasks", "ops", "bytes", "admitted", "departed",
+         "rebalances", "map ver", "wall s"],
+        [[
+            c.tasks, c.ops, c.bytes, c.admitted, c.departed,
+            c.rebalances, c.map_version, f"{c.wall_seconds:.2f}",
+        ]],
+        title="tenant churn: arrivals, departures and rebalances",
     ))
     blocks.append(
         f"acked writes lost across {g.migrations} live migrations + "
-        f"{g.splits} splits: {g.lost} | FF/DES exact agreement: "
-        f"{result.churn_agrees}"
+        f"{g.splits} splits: {g.lost}"
     )
     return "\n\n".join(blocks)
 

@@ -155,22 +155,6 @@ class FaultPlan:
         """Latest end time of any window (0 for an empty plan)."""
         return max((w.end for w in self.windows), default=0.0)
 
-    def next_edge(self, now: float) -> float:
-        """Earliest window start or end strictly after ``now`` (inf if none).
-
-        The fault leg of the epoch fast-forward horizon: between two
-        consecutive edges the plan's behavior is constant, so a quiet
-        epoch may advance to the next edge in one analytic step without
-        missing a window opening or closing.
-        """
-        edge = math.inf
-        for w in self.windows:
-            if now < w.start < edge:
-                edge = w.start
-            if now < w.end < edge:
-                edge = w.end
-        return edge
-
     def stall_until(self, now: float) -> float:
         """Latest end of any stall window covering ``now`` (else ``now``)."""
         ends = [w.end for w in self.active(now, FaultKind.STALL)]

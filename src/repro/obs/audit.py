@@ -102,12 +102,6 @@ class VopAudit:
         # -- cumulative device-side stream
         self.device_vops = 0.0
         self.device_ops = 0
-        # -- epoch fast-forward leg (subset of the streams above):
-        # bulk charges absorbed via note_epoch, kept separately so a
-        # hybrid trial can report how much of its reconciled volume
-        # went through the analytic engines rather than dispatch
-        self.epoch_vops = 0.0
-        self.epoch_ops = 0
         #: successful IO per (tenant, request, internal) — the waterfall
         self.ledger: Dict[Tuple[str, RequestClass, Optional[InternalOp]], LedgerEntry] = {}
         self.windows: List[AuditWindow] = []
@@ -131,8 +125,6 @@ class VopAudit:
         scheduler.dispatch_observer = _chain(scheduler.dispatch_observer, self.note_dispatch)
         scheduler.io_observer = _chain(scheduler.io_observer, self.note_complete)
         scheduler.fail_observer = _chain(scheduler.fail_observer, self.note_failed)
-        if hasattr(scheduler, "epoch_observer"):
-            scheduler.epoch_observer = _chain(scheduler.epoch_observer, self.note_epoch)
         if device is not None:
             self._device = device
             device.op_observer = _chain(device.op_observer, self.note_device_op)
@@ -163,37 +155,6 @@ class VopAudit:
         """Price one device-observed op (``kind`` is ``"read"``/``"write"``)."""
         self.device_vops += self.cost_model.cost(OpKind(kind), size)
         self.device_ops += 1
-
-    def note_epoch(self, tag: IoTag, kind: OpKind, size: int, ops: int, vops: float) -> None:
-        """Absorb a bulk epoch fast-forward charge into every stream.
-
-        Fast-forwarded chunks never pass through dispatch/completion or
-        the device's op observer, so one call feeds all three streams:
-        the scheduler side takes the charged value as both dispatch and
-        completion, while the re-priced and device-side streams price
-        ``ops`` chunks of ``size`` independently through the audit's own
-        cost model.  A runner that credited with a different (or
-        doubly-applied) price therefore still trips the single-evaluation
-        and reconciliation checks — fast-forward mode reconciles at
-        1.0000 only when its analytic charges match the model exactly.
-        """
-        self.charged += vops
-        self.dispatched_ops += ops
-        self.serviced += vops
-        self.completed_ops += ops
-        self.epoch_vops += vops
-        self.epoch_ops += ops
-        repriced = self.cost_model.cost(kind, size) * ops
-        self.recomputed += repriced
-        self.device_vops += repriced
-        self.device_ops += ops
-        key = (tag.tenant, tag.request, tag.internal)
-        entry = self.ledger.get(key)
-        if entry is None:
-            entry = self.ledger[key] = LedgerEntry()
-        entry.ops += ops
-        entry.bytes += size * ops
-        entry.vops += vops
 
     # -- derived state -----------------------------------------------------
 
@@ -314,9 +275,6 @@ class VopAudit:
             "device_vops": self.device_vops,
             "chunks": self.completed_ops,
             "device_ops": self.device_ops,
-            "epoch_vops": self.epoch_vops,
-            "epoch_ops": self.epoch_ops,
-            "epoch_share": self.epoch_vops / self.charged if self.charged else 0.0,
             "reconciliation": reconciliation,
             "flags": flags + window_flags,
             "ok": not (flags + window_flags),

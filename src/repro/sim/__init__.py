@@ -17,7 +17,6 @@ from .core import (
     Simulator,
     Timeout,
 )
-from .fluid import SteadyStateMonitor, reason_stem
 
 __all__ = [
     "AllOf",
@@ -29,7 +28,5 @@ __all__ = [
     "OK_RESULT",
     "SimulationError",
     "Simulator",
-    "SteadyStateMonitor",
-    "reason_stem",
     "Timeout",
 ]

@@ -466,30 +466,19 @@ class Simulator:
         fn(arg)
         return True
 
-    def step_while(
-        self, predicate: Callable[[], bool], until: Optional[float] = None
-    ) -> int:
+    def step_while(self, predicate: Callable[[], bool]) -> int:
         """Step queued actions while ``predicate()`` holds; returns steps.
 
         Drains exactly as much of the queue as a condition needs — e.g.
         "run until the scheduler backlog and device in-flight count hit
         zero" — without committing to a wall of simulated time the way
         ``run(until=now + slack)`` does.  Stops when the predicate goes
-        false or the queue empties, whichever is first.  ``until``
-        bounds the drain: an action scheduled past it is left queued
-        (the clock never advances beyond ``until``), which is what the
-        fluid fast-forward handover uses so a drain-to-quiet can never
-        overrun its granted epoch edge.  A NaN ``until`` raises
-        :class:`SimulationError`.
+        false or the queue empties, whichever is first.
         """
-        if until is not None and until != until:  # NaN
-            raise SimulationError("step_while(until=nan)")
         steps = 0
         heap = self._heap
         pop = heapq.heappop
         while heap and predicate():
-            if until is not None and heap[0][0] > until:
-                break
             at, _seq, fn, arg = pop(heap)
             self.now = at
             fn(arg)

@@ -1,6 +1,6 @@
 """Simulated SSD substrate: device model, FTL, profiles, filesystem."""
 
-from .device import FluidPipeline, SsdDevice
+from .device import SsdDevice, StagePipeline
 from .filesystem import IoBackend, OutOfSpace, RawBackend, SimFile, SimFilesystem
 from .ftl import Ftl, GcMove, WritePlan
 from .ftl_policy import (
@@ -26,7 +26,6 @@ from .stats import SsdStats
 __all__ = [
     "CostBenefitGcPolicy",
     "FTL_POLICIES",
-    "FluidPipeline",
     "Ftl",
     "FtlPolicy",
     "GcMove",
@@ -42,6 +41,7 @@ __all__ = [
     "SsdDevice",
     "SsdProfile",
     "SsdStats",
+    "StagePipeline",
     "WritePlan",
     "get_profile",
     "intel320",

@@ -30,23 +30,23 @@ event count per IO to a handful.
 One **op-timing kernel** prices every host op:
 :meth:`SsdDevice._plan` turns it into a service plan (controller
 service plus one ``(channel, service)`` per channel touched) and
-:meth:`FluidPipeline.reserve` books a plan FIFO on the controller-lane
-and channel accumulators.  Two executors share the pair:
+:meth:`StagePipeline.reserve` books a plan FIFO on the controller-lane
+and channel accumulators.  Because the stages are next-free-time
+accumulators, an op's timeline is fully computable the moment it is
+admitted, and two executors share the pair:
 
-- the **scheduled completion**: because the stages are next-free-time
-  accumulators, an op's timeline is fully computable the moment it is
-  admitted.  :meth:`SsdDevice.submit` admits an op that finds its queue
-  slot free, is not a write while the free pool is down to the GC
-  reserve, and meets no stall window; it plans and reserves the op and
-  pushes one finish action at the analytic finish time — no generator,
-  no Event, no timeout.  An op that is not admitted keeps what it
-  already holds and waits in one of three **admission FIFOs**: its
-  queue's (for a slot, served by the finish action that frees one),
-  the starved-write FIFO (served in park order as GC frees blocks), or
-  a call at the stall window's end.  Admitted later, it is timed the
-  same way at that instant;
-- the **bulk epoch** hook (:meth:`SsdDevice.epoch_op`): fast-forwarded
-  stretches account each op with no events at all.
+- **inline in** :meth:`SsdDevice.submit`, for an op that finds its
+  queue slot free, is not a write while the free pool is down to the
+  GC reserve, and meets no fault window: it is planned and reserved at
+  submit and one finish action is pushed at the analytic finish time —
+  no generator, no Event, no timeout;
+- :meth:`SsdDevice._run`, for every other op.  An op that is not
+  admitted keeps what it already holds and waits in one of three
+  **admission FIFOs**: its queue's (for a slot, served by the finish
+  action that frees one), the starved-write FIFO (served in park order
+  as GC frees blocks), or a call at the stall window's end.  Admitted
+  later, ``_run`` prices it under the fault windows active at that
+  instant and times it the same way.
 
 When constructed with a :class:`~repro.faults.FaultPlan`, the device
 consults a :class:`~repro.faults.FaultInjector` at op admission: stall
@@ -68,7 +68,7 @@ from .ftl import Ftl
 from .profiles import SsdProfile
 from .stats import SsdStats
 
-__all__ = ["SsdDevice", "FluidPipeline"]
+__all__ = ["SsdDevice", "StagePipeline"]
 
 
 def _settle(event: Event, result) -> None:
@@ -93,17 +93,9 @@ class _Failed:
         self.value = fault
 
 
-class FluidPipeline:
-    """Controller-lane and channel next-free-time accumulators.
-
-    The live device holds one and books every op on it at ``now``.  The
-    fluid fast-forward engine (:mod:`repro.workload.hybrid`) advances a
-    private copy (:meth:`SsdDevice.fluid_pipeline`): the plans
-    :meth:`SsdDevice.epoch_op` returns are reserved there at their
-    *virtual dispatch* times, reproducing the FIFO queue-wait + service
-    latency the real timeline would have charged without touching it —
-    an abandoned epoch leaves nothing to unwind.
-    """
+class StagePipeline:
+    """Controller-lane and channel next-free-time accumulators: the
+    device holds one and books every op and GC move on it."""
 
     __slots__ = ("lanes", "chans")
 
@@ -188,7 +180,7 @@ class SsdDevice:
         #: True while ``submit`` and ``_finish`` take and free the one
         #: NCQ's slot inline; False on a device whose queue hooks answer
         self._one_queue = True
-        self._pipe = FluidPipeline([0.0], [0.0] * profile.channels)
+        self._pipe = StagePipeline([0.0], [0.0] * profile.channels)
         #: Chrome-trace track name of each controller lane
         self._ctrl_tracks = ("ctrl",)
         self._gc_running = False
@@ -301,17 +293,15 @@ class SsdDevice:
 
     # -- the op-timing kernel -----------------------------------------------------
 
-    def _plan(self, is_read: bool, offset: int, size: int, scale: float = 1.0, placed=True):
+    def _plan(self, is_read: bool, offset: int, size: int, scale: float = 1.0):
         """Price one host op: ``(ctrl_service, [(channel, service), ...])``.
 
         The only place host-op service time is computed — and, because
-        every executor must agree on them too, where the busy counters
+        both executors must agree on them too, where the busy counters
         are credited and a write is applied to the FTL page map.
         ``scale`` is the degraded-bandwidth stretch of channel service
-        (the controller is not slowed).  ``placed=False`` is for a
-        caller that reserves nothing (the quiet epoch): a single-page
-        read then skips the page-map lookup and names no channel.  The
-        caller has checked the range against ``logical_capacity``.
+        (the controller is not slowed).  The caller has checked the
+        range against ``logical_capacity``.
         """
         profile = self.profile
         stats = self.stats
@@ -324,8 +314,7 @@ class SsdDevice:
                 # one map lookup instead of per-channel accounting.
                 service = (profile.read_access + size * profile.read_byte_cost) * scale
                 stats.channel_busy += service
-                chan = self.ftl.read_channel(offset) if placed else None
-                return ctrl, ((chan, service),)
+                return ctrl, ((self.ftl.read_channel(offset), service),)
             access = profile.read_access
             byte_cost = profile.read_byte_cost
             services = []
@@ -394,64 +383,6 @@ class SsdDevice:
         """Queue an op that found no free slot, FIFO behind its queue's
         earlier waiters."""
         self._sq_wait[op[6]].append(op)
-
-    # -- bulk epoch driver (analytic accounting, no events) -----------------------
-
-    def epoch_op(self, is_read: bool, offset: int, size: int, pipeline=None):
-        """Account one fast-forwarded op; returns its latency or its plan.
-
-        During a quiet steady-state epoch the runner
-        (:mod:`repro.workload.hybrid`) skips the event loop and accounts
-        each op here: same plan, counters and FTL mutations as the
-        scheduled completion, but with no queue slot, reservation or
-        completion action.  Valid only while the device is idle (nothing
-        in flight, no GC), where an op's latency — the return value —
-        is its own service time because every stage queue is empty.  A
-        write goes through the page map as on the event-driven path, so
-        GC onset stays faithful: the runner checks ``ftl.gc_needed``
-        after each one and falls back to event-by-event mode when the
-        watermark crosses.
-
-        Fluid (stable-backlog) epochs pass a ``pipeline`` (see
-        :meth:`fluid_pipeline`) and get the ``(ctrl_service, services)``
-        plan instead, to reserve on it at the chunk's DDRR dispatch
-        time.  Counts and bytes are therefore exact in both regimes;
-        only the latency model differs (idle vs queued).
-        """
-        plan = self._plan(is_read, offset, size, 1.0, pipeline is not None)
-        stats = self.stats
-        if is_read:
-            stats.reads += 1
-            stats.read_bytes += size
-        else:
-            stats.writes += 1
-            stats.write_bytes += size
-        if pipeline is not None:
-            return plan
-        longest = 0.0
-        for _chan, service in plan[1]:
-            if service > longest:
-                longest = service
-        return plan[0] + longest
-
-    def fluid_pipeline(self) -> FluidPipeline:
-        """A copy of the live accumulators for one fluid epoch.
-
-        The originals stay untouched, so post-epoch event-driven IO sees
-        exactly the stale-but-harmless values a quiet fast-forward would
-        have left behind (``max(now, free_at)`` absorbs them).
-        """
-        return FluidPipeline(self._pipe.lanes, self._pipe.chans)
-
-    def maybe_collect(self) -> None:
-        """Start the background GC loop if the watermarks call for it.
-
-        Public poke for the epoch runner: it detects the watermark
-        crossing analytically (between events, where no write completion
-        exists to trigger GC) and kicks the loop after re-entering
-        event-by-event mode.
-        """
-        self._maybe_start_gc()
 
     # -- admission and the scheduled completion ----------------------------------
 

@@ -253,45 +253,6 @@ class Ftl:
         #: blocks; letting the host consume them would deadlock collection
         self.host_starved = free <= self._starve_blocks
 
-    @property
-    def gc_spare_pages(self) -> int:
-        """Upper bound on host pages writable before ``gc_needed`` flips.
-
-        Free blocks above the low watermark, in pages.  An estimate, not
-        a guarantee: host writes drain the pool one *active block* at a
-        time, so the true crossing also depends on per-channel fill
-        levels — callers that fast-forward must still re-check
-        ``gc_needed`` after every analytic write.
-        """
-        spare = len(self.free_blocks) - self._gc_low_blocks
-        return max(0, spare) * self.profile.pages_per_block
-
-    def pages_until_gc(self) -> int:
-        """Tighter projection of host pages writable before ``gc_needed``.
-
-        Refines :attr:`gc_spare_pages` with the fill headroom left in
-        the currently open host append blocks: those pages consume no
-        free block, so they come on top of the spare-block budget.  GC's
-        own active blocks are excluded (their fill is copy traffic, not
-        host writes).  Still an upper bound — write striping can retire
-        active blocks unevenly across channels — so fast-forwarding
-        callers must re-check ``gc_needed`` after every analytic write;
-        the point of the refinement is fewer prematurely ended epochs,
-        not a guarantee.
-        """
-        per_block = self.profile.pages_per_block
-        spare = len(self.free_blocks) - self._gc_low_blocks
-        if spare < 0:
-            return 0
-        open_pages = 0
-        for stream in range(len(self._host_active)):
-            active = self._host_active[stream]
-            fill = self._host_fill[stream]
-            for chan in range(self.profile.channels):
-                if active[chan] is not None:
-                    open_pages += per_block - fill[chan]
-        return spare * per_block + open_pages
-
     # -- address helpers -----------------------------------------------------
 
     def _reject(self, offset: int, size: int) -> NoReturn:
@@ -313,10 +274,10 @@ class Ftl:
     def read_channel(self, offset: int) -> int:
         """Channel serving the single page at ``offset``.
 
-        Fast path for the epoch engines' dominant case (page-sized
-        reads): one map lookup instead of :meth:`read_channels`'s
-        per-channel accounting.  The caller guarantees the offset is
-        within logical capacity.
+        Fast path for the dominant case (page-sized reads): one map
+        lookup instead of :meth:`read_channels`'s per-channel
+        accounting.  The caller guarantees the offset is within logical
+        capacity.
         """
         return self.page_channel[offset // self.page_size]
 

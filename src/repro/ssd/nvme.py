@@ -19,13 +19,13 @@ separates the NVMe generation from NCQ-era drives:
   with queue count — the reason the SATA IOP ceiling lifts.
 
 Everything else is inherited unchanged — the op-timing kernel and its
-two executors (``submit``'s scheduled completion and ``epoch_op``), the
-admission FIFOs, the FTL (and hence the pluggable GC policies), the
-flash channels, the GC loop, fault injection and the op-observer
-stream: this class only answers the base device's queue hooks (which
-SQ, is there a slot *and* a tag, where an op waits for either, what to
-free), which the one ``submit`` asks where the SATA model takes its NCQ
-slot inline, so the full Libra stack runs on it unmodified.  An op that
+two executors (inline in ``submit``, and ``_run``), the admission
+FIFOs, the FTL (and hence the pluggable GC policies), the flash
+channels, the GC loop, fault injection and the op-observer stream:
+this class only answers the base device's queue hooks (which SQ, is
+there a slot *and* a tag, where an op waits for either, what to free),
+which the one ``submit`` asks where the SATA model takes its NCQ slot
+inline, so the full Libra stack runs on it unmodified.  An op that
 holds its slot but no tag waits in its SQ's fetch FIFO; the arbiter
 admits SQ heads from those FIFOs as tags free.
 
@@ -93,7 +93,7 @@ class NvmeDevice(SsdDevice):
 
     @property
     def queue_backlogs(self) -> List[int]:
-        """Per-SQ occupied slots (the fluid monitor's eligibility input)."""
+        """Per-SQ occupied slots."""
         depth = self.profile.queue_depth
         return [depth - free for free in self._free]
 

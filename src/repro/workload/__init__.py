@@ -9,14 +9,6 @@ from .distributions import (
     UniformKeys,
     align,
 )
-from .epoch import (
-    EpochSegment,
-    EpochTenantResult,
-    EpochTenantSpec,
-    EpochTrialResult,
-    RateChange,
-    run_epoch_trial,
-)
 from .iobench import (
     DeviceEnv,
     TenantResult,
@@ -30,13 +22,7 @@ from .iobench import (
 __all__ = [
     "BlockStream",
     "DeviceEnv",
-    "EpochSegment",
-    "EpochTenantResult",
-    "EpochTenantSpec",
-    "EpochTrialResult",
     "ExponentialArrivals",
-    "RateChange",
-    "run_epoch_trial",
     "FixedSize",
     "Uniform01",
     "LogNormalSize",

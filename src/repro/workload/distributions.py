@@ -152,7 +152,7 @@ class UniformKeys:
 class ExponentialArrivals:
     """Exponential inter-arrival gaps (a Poisson arrival process).
 
-    ``rate`` is in arrivals per simulated second; the hybrid trials'
+    ``rate`` is in arrivals per simulated second; the churn driver's
     open-loop tenants draw their inter-arrival gaps from it.
     """
 

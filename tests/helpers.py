@@ -7,7 +7,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.obs import Tracer
-from repro.ssd import FluidPipeline
+from repro.ssd import StagePipeline
 from repro.ssd.ftl import UNMAPPED, Ftl
 
 
@@ -43,13 +43,13 @@ def record_bookings(device):
     log, planned = [], []
     plan = device._plan
 
-    def planning(is_read, offset, size, scale=1.0, placed=True):
+    def planning(is_read, offset, size, scale=1.0):
         planned.append((is_read, size))
-        return plan(is_read, offset, size, scale, placed)
+        return plan(is_read, offset, size, scale)
 
-    class Logged(FluidPipeline):
+    class Logged(StagePipeline):
         def reserve(self, at, q, ctrl, services, spans=None):
-            finish = FluidPipeline.reserve(self, at, q, ctrl, services, spans)
+            finish = StagePipeline.reserve(self, at, q, ctrl, services, spans)
             op = planned.pop() if q is not None else None
             log.append((at, q, ctrl, tuple(services), finish, op))
             return finish
@@ -83,6 +83,20 @@ def fifo_completions(log, fault_plan=None, until=None):
             if until is None or instant <= until:
                 done.append((instant, *op))
     return sorted(done)
+
+
+def run_alone(device, is_read, offset, size, ctx=None):
+    """Latency of one op submitted to ``device`` with nothing else
+    queued, run to its completion: the idle-device oracle.  Called in
+    turn on a twin, it prices a sequence of ops each on an idle device
+    whose FTL state follows the sequence."""
+    sim = device.sim
+    start = sim.now
+    done = []
+    device.submit(is_read, offset, size, ctx, lambda _arg, result: done.append(sim.now), None)
+    sim.run()
+    assert len(done) == 1
+    return done[0] - start
 
 
 def observe_completions(device):

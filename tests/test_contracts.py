@@ -10,7 +10,7 @@ and the tenant's next PUT still lands — or a specified result.  Every
 row runs on a freshly loaded one-tenant node.  The configuration rows
 (device profile, node config, net config, scheduler config, policy
 interval, ranged-tenant partition count, reservation, allocation, fault
-window) pin what the constructors refuse: a value that would hang the
+window, churn scenario) pin what the constructors refuse: a value that would hang the
 scheduler or the simulation, or silently poison every later op.
 """
 
@@ -19,6 +19,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.control.churn import ChurnConfig, run_churn_trial
 from repro.core import IoTag, Reservation, ResourcePolicy, SchedulerConfig
 from repro.engine import EngineConfig
 from repro.engine.db import RECORD_OVERHEAD
@@ -177,6 +178,18 @@ def ranged_tenant(n_partitions):
         )
         cluster.enable_control()
         cluster.add_ranged_tenant("r1", Reservation(), n_partitions=n_partitions)
+
+    return call
+
+
+def churn(**fields):
+    """A churn scenario with ``fields`` changed; a refusal names the field."""
+    def call(node):
+        try:
+            ChurnConfig(**fields)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{next(iter(fields))} "), exc
+            raise
 
     return call
 
@@ -545,6 +558,29 @@ ROWS = [
      lambda node: node.scheduler.set_allocation("t1", INF), ValueError),
     ("LibraScheduler.set_allocation", "-1",
      lambda node: node.scheduler.set_allocation("t1", -1.0), ValueError),
+    # -- ChurnConfig: refused before a division by zero, an empty run or a bad mix -----
+    ("ChurnConfig", "n_nodes 0", churn(n_nodes=0), ValueError),
+    ("ChurnConfig", "n_tenants -5", churn(n_tenants=-5), ValueError),
+    ("ChurnConfig", "horizon -1", churn(horizon=-1.0), ValueError),
+    ("ChurnConfig", "horizon +inf", churn(horizon=INF), ValueError),
+    ("ChurnConfig", "arrival_rate 0", churn(arrival_rate=0.0), ValueError),
+    ("ChurnConfig", "mean_lifetime 0", churn(mean_lifetime=0.0), ValueError),
+    ("ChurnConfig", "read_fraction 1.5", churn(read_fraction=1.5), ValueError),
+    ("ChurnConfig", "read_fraction -0.2", churn(read_fraction=-0.2), ValueError),
+    ("ChurnConfig", "read_fraction NaN", churn(read_fraction=NAN), ValueError),
+    ("ChurnConfig", "partitions_per_tenant 0", churn(partitions_per_tenant=0), ValueError),
+    ("ChurnConfig", "rebalance_interval -1", churn(rebalance_interval=-1.0), ValueError),
+    ("ChurnConfig", "n_nodes True", churn(n_nodes=True), ValueError),
+    ("ChurnConfig", "n_tenants 2.5", churn(n_tenants=2.5), ValueError),
+    ("ChurnConfig", "read_size 0", churn(read_size=0), ValueError),
+    ("ChurnConfig", "write_size 0", churn(write_size=0), ValueError),
+    ("ChurnConfig", "horizon 0", churn(horizon=0.0), ValueError),
+    ("ChurnConfig", "arrival_rate +inf", churn(arrival_rate=INF), ValueError),
+    ("ChurnConfig", "mean_lifetime NaN", churn(mean_lifetime=NAN), ValueError),
+    ("ChurnConfig", "base_rate 0", churn(base_rate=0.0), ValueError),
+    ("ChurnConfig", "one node, two tenants", returns(
+        lambda: run_churn_trial(ChurnConfig(n_nodes=1, n_tenants=2, horizon=5.0)),
+        lambda r: (r.admitted, r.total_tasks)), (2, 46)),
     # -- FaultWindow -------------------------------------------------------------------
     ("FaultWindow", "NaN start", window(start=NAN), ValueError),
     ("FaultWindow", "NaN end", window(end=NAN), ValueError),
@@ -571,7 +607,7 @@ ENTRIES = {
     "Ftl.host_write", "Ftl.precondition", "Ftl.read_channels", "Ftl.trim",
     "Ftl.trim_extents", "SsdProfile", "NodeConfig", "NetConfig", "Reservation",
     "LibraScheduler.set_allocation", "FaultWindow", "SchedulerConfig", "ResourcePolicy",
-    "StorageCluster.add_ranged_tenant",
+    "StorageCluster.add_ranged_tenant", "ChurnConfig",
 }
 
 

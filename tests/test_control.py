@@ -1,21 +1,22 @@
 """Tests for the elastic control plane (repro.control): consistent-hash
 ring placement, range partition maps, live catch-up-then-cutover
 resharding under traffic, map-version monotonicity with concurrent
-failover, the load-aware planner, and FF-vs-DES exact agreement in the
-tenant churn driver."""
+failover, the load-aware planner, and the tenant churn driver's golden
+digests."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
-from repro.control.churn import ChurnConfig, run_churn_trial
+from repro.control.churn import ChurnConfig, _ChurnRunner, run_churn_trial
 from repro.control.ring import HashRing
 from repro.core import Reservation
 from repro.faults import StorageFault
 from repro.net import NetConfig
 from repro.node import NodeConfig, StorageCluster
 from repro.node.router import PartitionMap
-from repro.obs import Observability
+from repro.obs import Observability, VopAudit
 from repro.sim import Simulator
 from repro.ssd import SsdProfile
 
@@ -391,7 +392,7 @@ def test_map_version_monotonic_under_concurrent_failover_and_reshard():
 
 
 # ---------------------------------------------------------------------------
-# Churn: fast-forward vs event-by-event
+# Churn: the tenant lifecycle on event-driven nodes
 # ---------------------------------------------------------------------------
 
 CHURN = ChurnConfig(
@@ -399,32 +400,230 @@ CHURN = ChurnConfig(
     mean_lifetime=30.0, rebalance_interval=12.0, seed=19,
 )
 
+#: 4 nodes at ~60 % utilisation with 70 % writes: GC runs on every node
+#: while tens of thousands of tasks go through the schedulers
+CHURN_LOADED = ChurnConfig(
+    n_nodes=4, n_tenants=60, horizon=30.0, base_rate=900.0,
+    read_fraction=0.3, rebalance_interval=5.0,
+)
 
-def test_churn_ff_matches_des_exactly_across_map_changes():
-    ff = run_churn_trial(CHURN, fast_forward=True)
-    des = run_churn_trial(CHURN, fast_forward=False)
-    assert ff.map_version > 0  # rebalances actually happened
-    assert ff.agreement_key() == des.agreement_key()
-    assert ff.ff_seconds > 0.9 * CHURN.horizon  # mostly analytic
-    assert des.ff_seconds == 0.0
+#: :func:`churn_digest` of each config's run: any change to the arrival
+#: replay, placement, rebalancing or scheduling moves it
+GOLDEN = {"churn": "cd074aaba7db00bb", "churn_loaded": "1650dc69e00e933a"}
 
 
-def test_churn_deterministic_and_seed_sensitive():
-    a = run_churn_trial(CHURN)
-    b = run_churn_trial(CHURN)
-    assert a.agreement_key() == b.agreement_key()
+def churn_digest(result) -> str:
+    payload = (
+        result.agreement_key(), result.total_vops,
+        [dataclasses.astuple(a) for a in result.actions],
+    )
+    return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def churn():
+    return run_churn_trial(CHURN)
+
+
+@pytest.fixture(scope="module")
+def churn_loaded():
+    """The loaded run and its runner, whose nodes the checks inspect."""
+    runner = _ChurnRunner(CHURN_LOADED)
+    return runner, runner.finish()
+
+
+def test_churn_matches_its_golden_digest_across_map_changes(churn):
+    assert churn.map_version > 0  # rebalances actually happened
+    assert churn_digest(churn) == GOLDEN["churn"]
+
+
+def test_loaded_churn_matches_its_golden_digest_through_multi_node_gc(churn_loaded):
+    runner, result = churn_loaded
+    assert churn_digest(result) == GOLDEN["churn_loaded"]
+    assert result.total_tasks > 5_000 and result.map_version == 5
+    gc_runs = {name: node.device.stats.gc_runs for name, node in runner.nodes.items()}
+    assert all(gc_runs.values()), gc_runs
+    # drained before the schedulers stopped: nothing queued or in flight
+    assert not runner._busy()
+
+
+def test_churn_deterministic_and_seed_sensitive(churn):
+    assert run_churn_trial(CHURN).agreement_key() == churn.agreement_key()
     c = run_churn_trial(dataclasses.replace(CHURN, seed=20))
-    assert c.agreement_key() != a.agreement_key()
+    assert c.agreement_key() != churn.agreement_key()
 
 
-def test_churn_population_accounting():
-    result = run_churn_trial(CHURN)
-    assert 0 < result.admitted <= CHURN.n_tenants
-    assert 0 <= result.departed <= result.admitted
-    assert result.total_tasks == result.ff_tasks + result.des_tasks
-    assert result.total_bytes > 0
-    kinds = {a.kind for a in result.actions}
+def test_churn_population_accounting(churn):
+    assert 0 < churn.admitted <= CHURN.n_tenants
+    assert 0 <= churn.departed <= churn.admitted
+    assert churn.total_tasks == sum(tasks for tasks, _ops, _bytes in churn.usage.values())
+    assert churn.total_bytes > 0
+    kinds = {a.kind for a in churn.actions}
     assert {"arrive", "depart", "rebalance"} <= kinds
+
+
+def test_churn_drain_waits_for_commands_parked_in_nvme_sqs():
+    """Commands parked for a command tag hold their SQ slot, so the end
+    of run drain keeps stepping until they complete even with every
+    scheduler queue empty."""
+    runner = _ChurnRunner(dataclasses.replace(CHURN, n_nodes=1, profile="nvme"))
+    device = runner.nodes["n0"].device
+    for i in range(160):  # 8 submitters, over the 64 command tags
+        device.submit(True, i * 4 * KIB, 4 * KIB, (None, f"x{i % 8}"), lambda *_: None, None)
+    assert sum(device.fetch_backlogs) > 0
+    assert runner.nodes["n0"].backlog == 0
+    assert runner._busy()
+    runner.sim.step_while(runner._busy)
+    assert sum(device.fetch_backlogs) == 0 and device.in_flight == 0
+
+
+#: small churn scenarios, each at a different corner of the driver: one
+#: node (no peer to rebalance to), no scheduled rebalances, read-only
+#: tenants (nothing written, so a move ships no bytes), multi-chunk
+#: writes, and three partitions per tenant on NVMe devices
+SHAPE = ChurnConfig(
+    n_nodes=3, n_tenants=30, horizon=20.0, arrival_rate=3.0,
+    mean_lifetime=10.0, rebalance_interval=4.0, seed=5,
+)
+SHAPES = {
+    "one-node": dataclasses.replace(SHAPE, n_nodes=1),
+    "no-rebalance": dataclasses.replace(SHAPE, rebalance_interval=0.0),
+    "read-only": dataclasses.replace(SHAPE, read_fraction=1.0),
+    "multichunk-writes": dataclasses.replace(
+        SHAPE, read_fraction=0.5, read_size=16 * KIB, write_size=300 * KIB,
+    ),
+    "nvme-three-partitions": dataclasses.replace(
+        SHAPE, partitions_per_tenant=3, profile="nvme",
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=list(SHAPES))
+def shape_run(request):
+    """``(config, runner, result, audits)`` for one :data:`SHAPES` run,
+    with a :class:`VopAudit` on every node's scheduler and device."""
+    config = SHAPES[request.param]
+    runner = _ChurnRunner(config)
+    audits = {}
+    for name, node in runner.nodes.items():
+        audits[name] = VopAudit(node.cost_model)
+        audits[name].attach(node, node.device)
+    submitted = []
+
+    def logged(submit, kind, node):
+        def call(offset, size, tag=None, done=None):
+            submitted.append((runner.sim.now, tag.tenant, kind, node))
+            return submit(offset, size, tag=tag, done=done)
+
+        return call
+
+    for name, node in runner.nodes.items():
+        for kind in ("read", "write"):
+            setattr(node, kind, logged(getattr(node, kind), kind, name))
+    result = runner.finish()
+    runner.submitted = submitted
+    return config, runner, result, audits
+
+
+def test_churn_shape_accounting_balances(shape_run):
+    """Totals are the per-(node, tenant) sums; each tenant's tasks split
+    into whole reads and writes of the configured sizes; the action log
+    is in time order and counts what the result reports; the drain left
+    nothing queued or in flight."""
+    config, runner, result, _audits = shape_run
+    usage = result.usage.values()
+    assert result.total_tasks == sum(tasks for tasks, _o, _b in usage) > 0
+    assert result.total_ops == sum(ops for _t, ops, _b in usage)
+    assert result.total_bytes == sum(nbytes for _t, _o, nbytes in usage)
+    chunk = runner.nodes["n0"].config.chunk_size
+    read_chunks = -(-config.read_size // chunk)
+    write_chunks = -(-config.write_size // chunk)
+    for (node, tenant), (tasks, ops, nbytes) in result.usage.items():
+        counters = runner.nodes[node].usage(tenant)
+        reads, rest = divmod(counters.read_ops, read_chunks)
+        writes, rest2 = divmod(counters.write_ops, write_chunks)
+        assert rest == rest2 == 0 and reads + writes == tasks
+        assert ops == reads * read_chunks + writes * write_chunks
+        assert nbytes == reads * config.read_size + writes * config.write_size
+    times = [a.at for a in result.actions]
+    assert times == sorted(times)
+    kinds = [a.kind for a in result.actions]
+    assert kinds.count("arrive") == result.admitted
+    assert kinds.count("depart") == result.departed
+    assert kinds.count("rebalance") == result.rebalances == result.moved_partitions
+    assert result.map_version == result.rebalances
+    assert not runner._busy()
+
+
+def test_churn_shape_charges_reconcile_with_the_audit(shape_run):
+    """Every chunk a node's scheduler charged was dispatched, completed
+    and seen by its device at the model's price."""
+    _config, _runner, result, audits = shape_run
+    for name, audit in audits.items():
+        summary = audit.summary()
+        assert summary["ok"], (name, summary["flags"])
+        assert summary["reconciliation"] == pytest.approx(1.0, abs=1e-9)
+    charged = sum(audit.charged for audit in audits.values())
+    assert charged == pytest.approx(result.total_vops, rel=1e-12)
+
+
+def test_churn_shape_submits_each_op_in_order_inside_its_tenants_life(shape_run):
+    """Ops reach the schedulers in global time order, only between a
+    tenant's arrival and its departure (or the horizon), and only on a
+    node the tenant is registered with."""
+    config, runner, result, _audits = shape_run
+    submitted = runner.submitted
+    assert len(submitted) == result.total_tasks
+    times = [at for at, _t, _k, _n in submitted]
+    assert times == sorted(times)
+    lives = {t.name: (t.arrive_at, min(t.depart_at, config.horizon)) for t in runner.tenants}
+    for at, tenant, kind, node in submitted:
+        arrive, end = lives[tenant]
+        assert arrive < at < end
+        assert tenant in runner.registered[node]
+    if config.read_fraction == 1.0:
+        assert {kind for _a, _t, kind, _n in submitted} == {"read"}
+
+
+def test_churn_shape_replays_identically(shape_run):
+    config, _runner, result, _audits = shape_run
+    assert churn_digest(run_churn_trial(config)) == churn_digest(result)
+
+
+def test_churn_rebalances_only_when_scheduled_and_there_is_a_peer():
+    for name in ("one-node", "no-rebalance"):
+        result = run_churn_trial(SHAPES[name])
+        assert result.admitted > 0
+        assert result.rebalances == result.map_version == result.moved_bytes == 0
+        assert all(a.kind != "rebalance" for a in result.actions)
+    assert run_churn_trial(SHAPE).rebalances > 0
+
+
+def test_read_only_churn_moves_ownership_but_ships_no_bytes():
+    result = run_churn_trial(SHAPES["read-only"])
+    assert result.rebalances > 0
+    assert result.moved_bytes == 0
+
+
+@pytest.mark.parametrize("nparts", [1, 2, 3, 5])
+def test_place_maps_one_draw_to_a_slot_and_an_in_range_page(nparts):
+    """``_place`` splits one U[0,1) draw into the partition slot and a
+    page-aligned offset that keeps the op inside the device, and books
+    written bytes to the slot (reads book nothing)."""
+    runner = _ChurnRunner(dataclasses.replace(SHAPE, partitions_per_tenant=nparts))
+    tenant = runner.tenants[0]
+    tenant.owners = [f"n{j % SHAPE.n_nodes}" for j in range(nparts)]
+    size = 16 * KIB
+    draws = [k / 997 for k in range(997)] + [1.0 - 1e-12]
+    for u in draws:
+        slot = min(int(u * nparts), nparts - 1)
+        for is_read in (True, False):
+            node, offset = runner._place(tenant, is_read, size, u)
+            assert node is runner.nodes[tenant.owners[slot]]
+            assert offset % runner.page == 0
+            assert 0 <= offset and offset + size <= runner.capacity
+    assert sorted(runner.part_bytes) == [(tenant.tid, j) for j in range(nparts)]
+    assert sum(runner.part_bytes.values()) == len(draws) * size
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,30 @@ def test_large_op_chunked():
     assert usage.vops == pytest.approx(2 * model.cost(OpKind.READ, 128 * KIB))
 
 
+@pytest.mark.parametrize("kind, size, chunks", [
+    (OpKind.READ, 4 * KIB, [4 * KIB]),
+    (OpKind.READ, 128 * KIB, [128 * KIB]),
+    (OpKind.READ, 300 * KIB, [128 * KIB, 128 * KIB, 44 * KIB]),
+    (OpKind.WRITE, 4 * KIB, [4 * KIB]),
+    (OpKind.WRITE, 256 * KIB, [128 * KIB, 128 * KIB]),
+    (OpKind.WRITE, 300 * KIB, [128 * KIB, 128 * KIB, 44 * KIB]),
+])
+def test_task_vops_is_what_the_dispatcher_charges(kind, size, chunks):
+    """``task_vops`` prices a task without running it (churn sizes its
+    tenants' allocations from it): the same chunk split and per-chunk
+    price the event-driven path charges when the task runs."""
+    sim, _dev, scheduler, model = make_env()
+    scheduler.register_tenant("a", 50_000.0)
+    submit = scheduler.read if kind == OpKind.READ else scheduler.write
+    submit(0, size, tag=IoTag("a"))
+    sim.run(until=1.0)
+    usage = scheduler.usage("a")
+    assert (usage.tasks, usage.ops, usage.bytes) == (1, len(chunks), size)
+    expected = sum(model.cost(kind, length) for length in chunks)
+    assert scheduler.task_vops(kind, size) == pytest.approx(expected, rel=1e-12)
+    assert usage.vops == pytest.approx(scheduler.task_vops(kind, size), rel=1e-12)
+
+
 def test_io_observer_sees_every_chunk():
     sim, dev, _s, model = make_env()
     seen = []

@@ -14,7 +14,7 @@ from repro.experiments.fig4 import Fig4Result
 
 def test_figure_registry_complete():
     assert FIGURES == tuple(f"fig{i}" for i in range(2, 13)) + (
-        "chaosfig", "clusterfig", "devicefig", "epochfig", "obsfig",
+        "chaosfig", "clusterfig", "devicefig", "obsfig",
         "partitionfig", "scalefig",
     )
 
@@ -35,6 +35,17 @@ def test_labels():
     assert common.size_label(262144) == "256K"
     assert common.ratio_label(None) == "1:1-mix"
     assert common.ratio_label(0.75) == "75:25"
+
+
+def test_value_size_cycles_seven_sizes_512_bytes_apart():
+    """partitionfig and scalefig write (and verify reads against) one
+    shared per-op size rule."""
+    from repro.experiments import partitionfig, scalefig
+
+    sizes = [common.value_size(i) for i in range(14)]
+    assert sizes[:7] == [2048 + 512 * k for k in range(7)]
+    assert sizes[7:] == sizes[:7]
+    assert partitionfig.value_size is scalefig.value_size is common.value_size
 
 
 def test_fig6_runs_and_renders():
@@ -101,9 +112,8 @@ def test_devicefig_smoke_runs_and_renders(devicefig_smoke):
         assert metrics["read_vops"] > 0
         assert metrics["write_amp"] >= 1.0
         assert 0.0 < metrics["insulation"] <= 1.0
-    # The pinned legs run even in smoke mode.
+    # The pinned audit leg runs even in smoke mode.
     assert result.audit["ok"], result.audit["flags"]
-    assert result.ff_agree["tasks"] and result.ff_agree["audit"]
     text = devicefig.render(result)
     assert "Conclusions" in text
     assert "valley" in text

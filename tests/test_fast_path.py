@@ -27,7 +27,7 @@ from repro.obs import VopAudit
 from repro.sim import OK_RESULT, SimulationError, Simulator
 from repro.ssd import NvmeDevice, SsdDevice, SsdProfile
 
-from .helpers import fifo_completions, observe_completions, record_bookings
+from .helpers import fifo_completions, observe_completions, record_bookings, run_alone
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -120,7 +120,8 @@ def test_fast_path_byte_identical_through_gc():
 
 def test_quiet_serial_ops_never_reach_the_coroutine_path():
     """On an otherwise idle device each op completes at its own service
-    time, as the quiet epoch hook prices it, and none ever waits."""
+    time, as the same op run alone on an idle twin does, and none ever
+    waits."""
     sim = Simulator()
     device = SsdDevice(sim, tiny_profile(), seed=2)
     twin = SsdDevice(Simulator(), tiny_profile(), seed=2)
@@ -141,7 +142,7 @@ def test_quiet_serial_ops_never_reach_the_coroutine_path():
     sim.process(driver())
     sim.run()
     assert device.stats.reads == 50 and device.stats.writes == 50
-    expected = [twin.epoch_op(*op) for op in ops]
+    expected = [run_alone(twin, *op) for op in ops]
     assert latencies == pytest.approx(expected, rel=1e-9)
 
 

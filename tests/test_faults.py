@@ -28,6 +28,8 @@ from repro.node import NodeConfig, StorageNode
 from repro.sim import Simulator
 from repro.ssd import RawBackend, SimFilesystem, SsdDevice, SsdProfile
 
+from .helpers import run_alone
+
 KIB = 1024
 MIB = 1024 * 1024
 
@@ -249,11 +251,11 @@ def test_a_stalled_op_completes_at_the_stall_end_plus_its_service_time():
     )
     sim, device = faulty_device(plan)
     _sim, healthy = faulty_device(None)
-    w_ctrl, w_services = healthy.epoch_op(False, 0, 4 * KIB, healthy.fluid_pipeline())
+    w_ctrl, w_services = healthy._plan(False, 0, 4 * KIB)
     busy = {chan for chan, _service in w_services}
     offset = next(off for off in range(0, MIB, 4 * KIB)
                   if healthy.ftl.read_channel(off) not in busy)
-    r_ctrl, r_services = healthy.epoch_op(True, offset, 4 * KIB, healthy.fluid_pipeline())
+    r_ctrl, r_services = healthy._plan(True, offset, 4 * KIB)
     log = []
 
     def record(name, result):
@@ -293,7 +295,7 @@ def test_a_faulted_op_occupies_its_stages_before_its_callback_sees_the_fault():
     sim.run()
     (_w, w_at, w_in_flight, w_result), (_r, r_at, _in, r_result) = seen
     # a healthy twin's write finishes at the same instant: every stage served
-    assert w_at == healthy.epoch_op(False, 0, 64 * KIB)
+    assert w_at == run_alone(healthy, False, 0, 64 * KIB)
     assert w_in_flight == 1  # its slot is free before its callback runs
     assert not w_result.ok and isinstance(w_result.value, DeviceWriteError)
     profile = device.profile

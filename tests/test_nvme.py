@@ -8,7 +8,7 @@ The load-bearing guarantees:
   submitters overflow;
 - per-submitter queue mapping, FIFO service of a full SQ, RR/WRR
   arbitration under command-tag contention, and the
-  scheduler/epoch/audit stack running unchanged.
+  scheduler/audit stack running unchanged.
 """
 
 import random
@@ -20,10 +20,8 @@ import pytest
 
 from repro.faults import FaultKind, FaultPlan, FaultWindow
 from repro.sim import Simulator
-from repro.sim.fluid import SteadyStateMonitor
 from repro.node import StorageNode
 from repro.ssd import PROFILES, NvmeDevice, SsdDevice, SsdProfile, get_profile, make_device
-from repro.workload.epoch import EpochTenantSpec, run_epoch_trial
 from repro.workload.iobench import DeviceEnv, run_interference_trial
 
 from .helpers import fifo_completions, observe_completions, record_bookings
@@ -339,7 +337,7 @@ def test_profile_validation():
 
 
 # ---------------------------------------------------------------------------
-# Full-stack integration: scheduler, audit, epoch fast-forward, monitor
+# Full-stack integration: scheduler and audit
 # ---------------------------------------------------------------------------
 
 def test_scheduler_runs_on_nvme_with_clean_audit():
@@ -364,52 +362,6 @@ def test_scheduler_runs_on_nvme_with_clean_audit():
     summary = audit.summary(env.sim.now)
     assert summary["ok"], summary["flags"]
     assert summary["reconciliation"] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_epoch_fast_forward_agrees_with_des_on_nvme():
-    profile = get_profile("intel320").with_capacity(64 * MIB).with_queues(4)
-    specs = [
-        EpochTenantSpec(name=f"t{i}", rate=2000.0, read_fraction=1.0)
-        for i in range(3)
-    ]
-    des = run_epoch_trial(
-        profile, specs, 1.5, seed=21, fast_forward=False, audit=True,
-    )
-    ff = run_epoch_trial(
-        profile, specs, 1.5, seed=21, fast_forward=True, audit=True,
-    )
-    assert ff.ff_fraction > 0.5  # the jump actually happened
-    assert des.total_tasks == ff.total_tasks
-    assert des.total_ops == ff.total_ops
-    assert des.total_bytes == ff.total_bytes
-    assert des.total_vops == ff.total_vops
-    assert des.audit_summary["ok"] and ff.audit_summary["ok"]
-
-
-def test_monitor_rejects_parked_sq_commands():
-    """A command parked in any SQ disqualifies an epoch, with its own reason."""
-
-    class FakeScheduler:
-        backlog = 0
-
-        class cost_model:
-            max_iop = 10_000.0
-
-    class FakeDevice:
-        in_flight = 0
-        queue_backlogs = [0, 2, 0, 0]
-        fetch_backlogs = [0, 0, 0, 0]
-
-    monitor = SteadyStateMonitor(Simulator(), FakeScheduler(), FakeDevice())
-    ok, reason = monitor.eligible(100.0)
-    assert not ok and reason == "sq-backlog"
-    FakeDevice.queue_backlogs = [0, 0, 0, 0]
-    FakeDevice.fetch_backlogs = [1, 0, 0, 0]
-    ok, reason = monitor.eligible(100.0)
-    assert not ok and reason == "sq-fetch"
-    FakeDevice.fetch_backlogs = [0, 0, 0, 0]
-    ok, reason = monitor.eligible(100.0)
-    assert ok and reason == "steady"
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Cross-executor exactness of the device's op-timing kernel.
 
 One op is priced by ``SsdDevice._plan`` and booked by
-``FluidPipeline.reserve`` whichever way it executes, so on twin idle
-devices the four ways of running the same op must agree *bitwise*: the
-scheduled completion timed inline in ``submit``, the same completion
-timed by ``SsdDevice._run`` (the path of an op admitted from an
-admission FIFO, taken here under an active but harmless fault window),
-the quiet-epoch hook, and the fluid plan reserved on a fresh
-``fluid_pipeline()``.
+``StagePipeline.reserve`` whichever way it executes, so on twin idle
+devices the two executors of the same op must agree *bitwise* — the
+completion timed inline in ``submit``, and the same completion timed by
+``SsdDevice._run`` (the path of an op admitted from an admission FIFO,
+taken here under an active but harmless fault window) — and both must
+land where the op's plan, reserved on a third twin's accumulators, puts
+it.
 """
 
 import pytest
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.faults import FaultKind, FaultPlan, FaultWindow
 from repro.sim import Simulator
-from repro.ssd import NvmeDevice, SsdDevice, get_profile
+from repro.ssd import NvmeDevice, SsdDevice, StagePipeline, get_profile
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -52,14 +52,19 @@ def run_des(sim, dev, is_read, offset, size):
     return done[0][0]
 
 
-def fingerprint(dev):
+def plan_state(dev):
+    """What ``_plan`` moves: the busy counters and the FTL."""
     s, ftl = dev.stats, dev.ftl
     return (
-        s.controller_busy, s.channel_busy, s.reads, s.writes, s.read_bytes,
-        s.write_bytes, ftl.write_seq, list(ftl._host_cursor),
+        s.controller_busy, s.channel_busy, ftl.write_seq, list(ftl._host_cursor),
         ftl.page_to_block.tobytes(), ftl.block_valid.tobytes(),
         ftl.block_channel.tobytes(),
     )
+
+
+def fingerprint(dev):
+    s = dev.stats
+    return (s.reads, s.writes, s.read_bytes, s.write_bytes, plan_state(dev))
 
 
 @st.composite
@@ -82,7 +87,7 @@ def ops(draw):
     op=ops(),
     t0=st.sampled_from([0.0, 0.37]),
 )
-def test_four_executors_agree_bitwise(kind, is_read, op, t0):
+def test_two_executors_agree_bitwise_with_the_plan(kind, is_read, op, t0):
     offset, size = op
 
     sim, fast = make(kind, t0)
@@ -98,25 +103,20 @@ def test_four_executors_agree_bitwise(kind, is_read, op, t0):
     t_slow = run_des(sim, slow, is_read, offset, size)
     assert len(ran) == 1
 
-    _sim, quiet = make(kind, t0)
-    latency = quiet.epoch_op(is_read, offset, size)
-
-    _sim, fluid = make(kind, t0)
-    pipeline = fluid.fluid_pipeline()
-    ctrl, services = fluid.epoch_op(is_read, offset, size, pipeline)
-    t_fluid = pipeline.reserve(t0, fluid._queue_for(CTX), ctrl, services)
+    _sim, planned = make(kind, t0)
+    ctrl, services = planned._plan(is_read, offset, size)
+    t_plan = planned._pipe.reserve(t0, planned._queue_for(CTX), ctrl, services)
 
     assert t_fast == t_slow
     # An instant is `now + (finish - now)` on both DES paths.
-    assert t_fast == t0 + (t_fluid - t0)
-    assert latency == ctrl + max(service for _chan, service in services)
+    assert t_fast == t0 + (t_plan - t0)
     if t0 == 0.0:
         # Durations and instants coincide only at the origin: float
         # addition does not re-associate around a nonzero `now`.
-        assert t_fast == t0 + latency == t_fluid
-    # The fluid copy advanced; the live accumulators it was seeded from did not.
-    assert fluid.fluid_pipeline().lanes == [0.0] * len(pipeline.lanes)
-    assert fingerprint(fast) == fingerprint(slow) == fingerprint(quiet) == fingerprint(fluid)
+        assert t_fast == ctrl + max(service for _chan, service in services) == t_plan
+    assert fingerprint(fast) == fingerprint(slow)
+    # Planning alone moves the FTL and busy counters as both executors do.
+    assert plan_state(fast) == plan_state(planned)
     assert (fast.stats.reads, fast.stats.writes) == ((1, 0) if is_read else (0, 1))
 
 
@@ -130,7 +130,7 @@ def test_degraded_bandwidth_scales_channel_service_only(kind, is_read):
     sim, degraded = make(kind, 0.0, fault_plan=plan)
     t_degraded = run_des(sim, degraded, is_read, offset, size)
     _sim, healthy = make(kind, 0.0)
-    ctrl, services = healthy.epoch_op(is_read, offset, size, healthy.fluid_pipeline())
+    ctrl, services = healthy._plan(is_read, offset, size)
 
     assert degraded.stats.degraded_ops == 1
     assert degraded.stats.controller_busy == healthy.stats.controller_busy == ctrl
@@ -138,9 +138,10 @@ def test_degraded_bandwidth_scales_channel_service_only(kind, is_read):
     assert t_degraded == ctrl + max(s * slowdown for _c, s in services)
 
 
-def test_fluid_pipeline_carries_live_nvme_lanes():
-    """After a burst the snapshot holds each lane's real free time, so a
-    fluid reservation queues behind it exactly as the next DES op does."""
+def test_nvme_lanes_queue_each_tenant_behind_its_own_burst():
+    """After a burst only the burst's lane holds a free time, so the next
+    op of that tenant queues behind it exactly as its plan reserved on a
+    copy of the accumulators says, and on another lane it does not."""
     def burst(dev):
         for _ in range(6):
             dev.submit(True, 0, 4 * KIB, CTX, lambda *_: None, None)
@@ -148,7 +149,7 @@ def test_fluid_pipeline_carries_live_nvme_lanes():
     sim, live = make("nvme", 0.0)
     burst(live)
     q = live._queue_for(CTX)
-    lanes = live.fluid_pipeline().lanes
+    lanes = list(live._pipe.lanes)
     assert q == 1 and len(lanes) == 8
     assert lanes[q] > 0.0 and all(t == 0.0 for i, t in enumerate(lanes) if i != q)
     # A page on a channel the burst left idle: only the lane can delay it.
@@ -162,9 +163,10 @@ def test_fluid_pipeline_carries_live_nvme_lanes():
 
     _sim, twin = make("nvme", 0.0)
     burst(twin)
-    pipeline = twin.fluid_pipeline()
+    pipeline = StagePipeline(twin._pipe.lanes, twin._pipe.chans)
     assert pipeline.lanes == lanes
-    ctrl, services = twin.epoch_op(True, offset, 4 * KIB, pipeline)
+    ctrl, services = twin._plan(True, offset, 4 * KIB)
     assert pipeline.reserve(0.0, q, ctrl, services) == done[-1]
     # On another tenant's idle lane the same chunk does not queue.
-    assert twin.fluid_pipeline().reserve(0.0, 0, ctrl, services) < done[-1]
+    other = StagePipeline(twin._pipe.lanes, twin._pipe.chans)
+    assert other.reserve(0.0, 0, ctrl, services) < done[-1]

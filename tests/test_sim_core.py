@@ -63,9 +63,8 @@ NAN = float("nan")
         lambda sim: sim.timeout(NAN),
         lambda sim: sim._schedule_call(print, "nan", NAN),
         lambda sim: sim.run(until=NAN),
-        lambda sim: sim.step_while(lambda: True, until=NAN),
     ],
-    ids=["call_at", "timeout", "schedule_call", "run_until", "step_while_until"],
+    ids=["call_at", "timeout", "schedule_call", "run_until"],
 )
 def test_nan_times_are_rejected(schedule):
     """A NaN time compares false with everything: queued, it ran before
@@ -566,3 +565,18 @@ def test_any_of_and_all_of_over_finished_unawaited_processes_fire():
     sim.run()
     assert got["any"] == (2.0, {first: "x"})
     assert got["all"] == (2.0, {first: "x", second: "y"})
+
+
+def test_step_while_drains_exactly_to_condition():
+    sim = Simulator()
+    fired = []
+    for i in range(5):
+        sim.call_at(float(i), fired.append, i)
+    steps = sim.step_while(lambda: len(fired) < 3)
+    assert steps == 3
+    assert fired == [0, 1, 2]
+    assert sim.queue_size == 2
+    assert sim.now == 2.0
+    # an empty queue ends the drain even while the predicate holds
+    assert sim.step_while(lambda: True) == 2
+    assert fired == [0, 1, 2, 3, 4] and sim.queue_size == 0

@@ -15,6 +15,8 @@ from repro.faults import FaultKind, FaultPlan, FaultWindow
 from repro.sim import Simulator
 from repro.ssd import NvmeDevice, SsdDevice, SsdProfile
 
+from .helpers import run_alone
+
 KIB = 1024
 MIB = 1024 * KIB
 
@@ -37,7 +39,7 @@ def device(depth, fault_plan=None):
 def latencies(depth, ops):
     """Each op's service time on an idle twin device, in order."""
     _sim, twin = device(depth)
-    return [twin.epoch_op(True, offset, size) for offset, size in ops]
+    return [run_alone(twin, True, offset, size) for offset, size in ops]
 
 
 def submit_all(sim, dev, ops, log):
