@@ -37,7 +37,7 @@ from ..core.tags import IoTag, OpKind, RequestClass
 from ..core.vop import make_cost_model
 from ..experiments.common import derive_seed
 from ..sim import Simulator
-from ..ssd import get_profile, make_device
+from ..ssd import SsdProfile, get_profile, make_device
 from ..workload.distributions import BlockStream, ExponentialArrivals, FixedSize, Uniform01
 from .ring import HashRing
 
@@ -69,7 +69,9 @@ class ChurnConfig:
     partitions_per_tenant: int = 2
     #: scheduled rebalance cadence (0 disables)
     rebalance_interval: float = 30.0
-    profile: str = "intel320"
+    #: a built-in profile's name, or a custom :class:`SsdProfile`
+    #: (calibrated once per process, see ``reference_calibration``)
+    profile: str | SsdProfile = "intel320"
     #: virtual points per node on the placement ring
     vnodes: int = 16
     seed: int = 7
@@ -218,7 +220,7 @@ class _ChurnRunner:
         profile = get_profile(config.profile) if isinstance(config.profile, str) else config.profile
         self.page = profile.page_size
         self.capacity = profile.logical_capacity
-        cost_model = make_cost_model("exact", reference_calibration(profile.name))
+        cost_model = make_cost_model("exact", reference_calibration(profile))
         sched_config = SchedulerConfig(round_seconds=config.round_seconds)
         #: node name -> its scheduler (``.device`` is the node's device)
         self.nodes: Dict[str, LibraScheduler] = {}

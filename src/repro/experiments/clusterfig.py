@@ -133,10 +133,9 @@ class ClusterResult:
         )
 
 
-def _run_cell(args: Tuple[int, bool, str, int]) -> ClusterCell:
+def _run_cell(args: Tuple[int, ClusterTimeline, str, int]) -> ClusterCell:
     """One RF's full simulation: load, kill, failover, verify."""
-    rf, quick, profile_name, seed = args
-    timeline = QUICK if quick else FULL
+    rf, timeline, profile_name, seed = args
     cell = ClusterCell(rf=rf, seed=seed)
     sim = Simulator()
     net = NetConfig(rf=rf)
@@ -280,7 +279,7 @@ def run(
     timeline = QUICK if quick else FULL
     result = ClusterResult(profile=profile_name, seed=seed, timeline=timeline)
     cells = [
-        (rf, quick, profile_name, derive_seed(seed, rf)) for rf in RF_SWEEP
+        (rf, timeline, profile_name, derive_seed(seed, rf)) for rf in RF_SWEEP
     ]
     result.cells = parallel_map(_run_cell, cells, jobs=jobs)
     return result

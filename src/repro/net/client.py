@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Optional
 
+from ..core.tracker import NORMALIZED_REQUEST_BYTES
 from ..faults import NodeUnreachable, RetriesExhausted, StorageFault
 from ..node.router import PartitionMap
 from ..node.tenant import LatencyRecorder, RequestStats
@@ -76,7 +77,8 @@ class ClusterClient:
         self._primary_cache: Dict[tuple, tuple] = {}
         #: the request protocol, resolved once: how a request finds its
         #: serving replica, and the method per request kind
-        if self.config.leaderless:
+        self._leaderless = self.config.leaderless
+        if self._leaderless:
             self._call = self._call_coordinator
             self._methods = {"get": "lkv.get", "put": "lkv.put", "delete": "lkv.put"}
         else:
@@ -122,7 +124,20 @@ class ClusterClient:
             )
         return route
 
+    def _live_route(self, tenant: str, key: int) -> Optional[tuple]:
+        """The cached ``(primary, give_up)`` route when that primary is
+        live — a request's first round, which needs no re-resolution —
+        else None (a dead owner, or leaderless routing)."""
+        if self._leaderless:
+            return None
+        route = self._route(tenant, key)
+        return route if self.membership.is_live(route[0]) else None
+
     # -- request API (drive with ``yield from``) ---------------------------
+    #
+    # A live cached route goes straight to ``RpcEndpoint.call``; the
+    # protocol's rounds (``_call``) run from the start without one, and
+    # continue from the first round's ``RetriesExhausted`` with one.
 
     def get(self, tenant: str, key: int):
         """GET; returns the object size or None.
@@ -141,9 +156,19 @@ class ClusterClient:
         if self._quorum_reads:
             size = yield from self._quorum_get(tenant, key, payload, trace)
         else:
-            reply = yield from self._call(
-                tenant, key, self._methods["get"], payload, ACK_BYTES, trace
-            )
+            method = self._methods["get"]
+            route = self._live_route(tenant, key)
+            if route is None:
+                reply = yield from self._call(tenant, key, method, payload, ACK_BYTES, trace)
+            else:
+                try:
+                    reply = yield from self.rpc.call(
+                        route[0], method, payload, ACK_BYTES, trace, route[1]
+                    )
+                except RetriesExhausted as exc:
+                    reply = yield from self._call_primary(
+                        tenant, key, method, payload, ACK_BYTES, trace, (route[0], exc)
+                    )
             size = reply["size"]
         self._note(tenant, "get", size or 1024, started, trace)
         return size
@@ -163,7 +188,17 @@ class ClusterClient:
         if trace is not None:
             payload["trace"] = trace
         nbytes = size if op == "put" else ACK_BYTES
-        reply = yield from self._call(tenant, key, self._methods[op], payload, nbytes, trace)
+        method = self._methods[op]
+        route = self._live_route(tenant, key)
+        if route is None:
+            reply = yield from self._call(tenant, key, method, payload, nbytes, trace)
+        else:
+            try:
+                reply = yield from self.rpc.call(route[0], method, payload, nbytes, trace, route[1])
+            except RetriesExhausted as exc:
+                reply = yield from self._call_primary(
+                    tenant, key, method, payload, nbytes, trace, (route[0], exc)
+                )
         self._note(tenant, op, size if op == "put" else 1024, started, trace)
         return reply
 
@@ -174,12 +209,22 @@ class ClusterClient:
     # -- internals ---------------------------------------------------------
 
     def _call_primary(self, tenant: str, key: int, method: str, payload, nbytes: int,
-                      trace: Optional[int] = None):
-        """Call the key's primary, re-resolving across failovers."""
+                      trace: Optional[int] = None, failed: Optional[tuple] = None):
+        """Call the key's primary, re-resolving across failovers.
+
+        ``failed`` is ``(primary, RetriesExhausted)`` when the request's
+        first round already called its live cached primary and failed;
+        the rounds left continue from there.
+        """
         stats = self.stats[tenant]
         last: Optional[StorageFault] = None
         tried: Optional[str] = None
-        for _round in range(self.resolve_rounds):
+        rounds = range(self.resolve_rounds)
+        if failed is not None:
+            tried, last = failed
+            stats.retries += 1
+            rounds = rounds[1:]
+        for _round in rounds:
             target, give_up = self._route(tenant, key)
             if target == tried:
                 # Same owner as the round that just failed: wait out
@@ -287,11 +332,25 @@ class ClusterClient:
         books = self._books.get(tenant)
         if books is None:
             books = self._books[tenant] = (self.stats[tenant], self.latencies[tenant])
-        books[0].note(kind, size)
-        books[1].record(kind, self.sim.now - started)
+        stats, latencies = books
+        units = size / NORMALIZED_REQUEST_BYTES if size > NORMALIZED_REQUEST_BYTES else 1.0
+        if kind == "get":  # the two hot kinds, without a call
+            stats.gets += 1
+            stats.get_units += units
+        elif kind == "put":
+            stats.puts += 1
+            stats.put_units += units
+        else:
+            stats.note_units(kind, units)
+        now = self.sim.now
+        latency = now - started
+        series = latencies.series[kind]  # LatencyRecorder.record, inline
+        series.samples.append(latency)
+        series.count += 1
+        series.total += latency
         tr = self.tracer
         if tr is not None:
             tr.span(
-                kind, "client", self.rpc.name, tenant, started, self.sim.now,
+                kind, "client", self.rpc.name, tenant, started, now,
                 trace=trace, args={"bytes": size},
             )

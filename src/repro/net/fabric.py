@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..faults import FaultPlan, NetFaultInjector
@@ -161,17 +162,21 @@ class Nic:
     a message starting service at ``max(now, next_free)`` and holding
     the NIC for its serialization time yields exactly FIFO queueing
     delay under load, with no per-message process overhead.
-    :meth:`NetworkFabric.send` does the accounting.
+    :meth:`NetworkFabric.send` does the accounting; the NIC's message
+    and byte totals are its outbound links' sums (see
+    :meth:`NetworkFabric.publish_metrics`).
     """
 
-    __slots__ = ("name", "bandwidth", "next_free", "messages", "bytes")
+    __slots__ = ("name", "bandwidth", "next_free")
 
     def __init__(self, name: str, bandwidth: float):
         self.name = name
         self.bandwidth = bandwidth
         self.next_free = 0.0
-        self.messages = 0
-        self.bytes = 0
+
+
+def _drop(_message: Any) -> None:
+    """The handler of an endpoint that is not attached."""
 
 
 class NetworkFabric:
@@ -190,9 +195,9 @@ class NetworkFabric:
         self._handlers: Dict[str, Callable[[Any], None]] = {}
         self._down: Dict[str, float] = {}  # endpoint -> kill time
         self.link_stats: Dict[Tuple[str, str], LinkStats] = {}
-        #: per-link context: src -> dst -> (LinkStats, source Nic),
-        #: resolved on a link's first message
-        self._links: Dict[str, Dict[str, Tuple[LinkStats, Nic]]] = {}
+        #: per-link context: src -> dst -> (LinkStats, source Nic,
+        #: delivery callable), resolved on a link's first message
+        self._links: Dict[str, Dict[str, Tuple[LinkStats, Nic, Callable[[Any], None]]]] = {}
         self._latency = self.config.link_latency
         self.injector = (
             NetFaultInjector(self.config.fault_plan)
@@ -231,14 +236,13 @@ class NetworkFabric:
         link = self._links[src].get(dst)
         if link is None:
             link = self._open_link(src, dst)
-        stats, nic = link
-        now = self.sim.now
+        stats, nic, deliver = link
+        sim = self.sim
+        now = sim.now
         wire_bytes = nbytes + MESSAGE_OVERHEAD
         # Occupy the source NIC: service starts once it is free.
         start = nic.next_free if nic.next_free > now else now
         done_at = nic.next_free = start + wire_bytes / nic.bandwidth
-        nic.messages += 1
-        nic.bytes += wire_bytes
         queue_wait = start - now
         stats.messages += 1
         stats.bytes += wire_bytes
@@ -246,7 +250,11 @@ class NetworkFabric:
         if queue_wait > stats.max_queue_wait:
             stats.max_queue_wait = queue_wait
         if self.injector is None:
-            self.sim.call_at(done_at + self._latency, self._deliver, (dst, message, stats))
+            # The push is ``Simulator.call_at``'s, inline (arrival >= now),
+            # as ``SsdDevice.submit`` pushes its finish: every message of
+            # a fault-free run takes it.
+            sim._seq += 1
+            heappush(sim._heap, (done_at + self._latency, sim._seq, deliver, message))
             return
         # Partition severance first: it is deterministic (no RNG draw),
         # so cutting a link never perturbs drop/dup streams.
@@ -262,25 +270,35 @@ class NetworkFabric:
             stats.duplicated += 1
             deliveries = 2
         arrival = done_at + self._latency + extra
-        delivery = (dst, message, stats)
         for copy in range(deliveries):
             # Duplicates trail the original by one propagation delay.
-            self.sim.call_at(arrival + copy * self._latency, self._deliver, delivery)
+            sim.call_at(arrival + copy * self._latency, deliver, message)
 
-    def _open_link(self, src: str, dst: str) -> Tuple[LinkStats, Nic]:
-        """A link's first message: its counters and its source NIC."""
+    def _open_link(self, src: str, dst: str) -> Tuple[LinkStats, Nic, Callable[[Any], None]]:
+        """A link's first message: its counters, its source NIC and the
+        callable each of its messages is delivered by.
+
+        Delivery is a heap action whose last act is the handler call, so
+        a handler may end in a :meth:`~repro.sim.Simulator.call_soon`.
+        """
         stats = self.link_stats[(src, dst)] = LinkStats()
-        link = self._links[src][dst] = (stats, self.nics[src])
-        return link
-
-    def _deliver(self, delivery: Tuple[str, Any, LinkStats]) -> None:
-        dst, message, stats = delivery
-        if dst in self._down:
-            stats.dead_letters += 1
-            return
+        down = self._down
         handler = self._handlers.get(dst)
-        if handler is not None:
+        if handler is None:
+            # Not attached (yet): look it up per message; none drops it.
+            handlers = self._handlers
+
+            def handler(message: Any) -> None:
+                handlers.get(dst, _drop)(message)
+
+        def deliver(message: Any) -> None:
+            if dst in down:
+                stats.dead_letters += 1
+                return
             handler(message)
+
+        link = self._links[src][dst] = (stats, self.nics[src], deliver)
+        return link
 
     # -- diagnostics -------------------------------------------------------
 
@@ -292,16 +310,20 @@ class NetworkFabric:
         fabric-wide aggregates a partition experiment is debugged from
         (dead letters, severed messages, down endpoints) under
         ``net.fabric``, per-endpoint egress queue depth (seconds of
-        serialized backlog ahead of a message sent now) under
-        ``net.nic``, and the injector's message-fault counters under
-        ``net.faults``.
+        serialized backlog ahead of a message sent now) and the
+        endpoint's sent messages and bytes (its outbound links' sums)
+        under ``net.nic``, and the injector's message-fault counters
+        under ``net.faults``.
         """
         totals = {"dead_letters": 0.0, "dropped": 0.0, "partitioned": 0.0}
+        sent = {name: [0, 0] for name in self.nics}
         for (src, dst), s in self.link_stats.items():
             for fname, value in vars(s).items():
                 registry.set_counter("net.link", value, src=src, dst=dst, field=fname)
                 if fname in totals:
                     totals[fname] += value
+            sent[src][0] += s.messages
+            sent[src][1] += s.bytes
         for fname, value in totals.items():
             registry.set_counter("net.fabric", value, field=fname)
         registry.set_counter("net.fabric", len(self._down), field="down_endpoints")
@@ -310,7 +332,9 @@ class NetworkFabric:
             registry.gauge("net.nic", endpoint=name, field="queue_depth_s").set(
                 max(nic.next_free - now, 0.0)
             )
-            registry.set_counter("net.nic", nic.messages, endpoint=name, field="messages")
+            messages, nbytes = sent[name]
+            registry.set_counter("net.nic", messages, endpoint=name, field="messages")
+            registry.set_counter("net.nic", nbytes, endpoint=name, field="bytes")
         if self.injector is not None:
             for fname in (
                 "dropped_messages", "duplicated_messages",

@@ -247,7 +247,12 @@ class PrimaryBackupService(ReplicaService):
 
     def _handle_apply(self, request) -> None:
         """``repl.apply``: answered once the record and its whole prefix
-        are durable here (by :meth:`_drain`), duplicates at once."""
+        are durable here (by :meth:`_drain`), duplicates at once.
+
+        Run at the tail of the request's delivery (through
+        :meth:`~repro.sim.Simulator.call_soon`), so a drain it starts is
+        a tail too.
+        """
         payload = request.payload
         slot = (payload["tenant"], payload["pid"])
         seq = payload["seq"]
@@ -264,7 +269,7 @@ class PrimaryBackupService(ReplicaService):
         )
         if slot not in self._draining:
             self._draining.add(slot)
-            self.sim.process(self._drain(slot), name="repl.drain")
+            self.sim.process_soon(self._drain(slot), name="repl.drain")
 
     def _drain(self, slot: Tuple[str, int]):
         """Apply buffered records in sequence order, acking each.

@@ -14,7 +14,10 @@ is a DES generator for callers that park on the reply;
 :meth:`RpcEndpoint.call_async` reports to a ``done(ok, value)`` callback
 for callers that only relay it (replica shipping).  Each continuation of
 the callback driver takes the one heap slot the generator's resume would
-have taken, so the two produce the same trajectory.
+have taken, so the two produce the same trajectory.  A response's
+delivery ends in its waiter's wake-up, and a request's in its handler's
+start, so both run through :meth:`~repro.sim.Simulator.call_soon`: in the
+delivery's own frame when nothing else is due at that instant.
 
 Handlers are DES generators and must be **idempotent**: a duplicated
 request (MSG_DUP window, or a retry whose original attempt actually
@@ -94,8 +97,10 @@ class _AsyncCall:
 
     It is its own waiter in the endpoint's ``_waiting`` table: where an
     :class:`Event` would queue its dispatch, :meth:`succeed` queues
-    :meth:`finish` — one heap entry at the same instant — so the
-    response and expiry paths cannot tell the two drivers apart.
+    :meth:`finish` — one heap entry at the same instant — and
+    :meth:`succeed_soon` runs it as :meth:`Event.succeed_soon` runs a
+    dispatch, so the response and expiry paths cannot tell the two
+    drivers apart.
     """
 
     __slots__ = ("endpoint", "target", "method", "payload", "nbytes", "done",
@@ -106,6 +111,11 @@ class _AsyncCall:
         sim = self.endpoint.sim
         # Scheduled as a plain function of the call: no bound method.
         sim.call_at(sim.now, _AsyncCall.finish, self)
+
+    def succeed_soon(self, reply) -> None:
+        """:meth:`succeed` as the tail of a heap action."""
+        self.reply = reply
+        self.endpoint.sim.call_soon(_AsyncCall.finish, self)
 
     def finish(self) -> None:
         """Classify the attempt's reply; answer ``done`` or retry."""
@@ -331,12 +341,15 @@ class RpcEndpoint:
     # -- server side -------------------------------------------------------
 
     def _on_message(self, message: RpcMessage) -> None:
-        if message.kind == "resp":
+        """The fabric's delivery of ``message``: the tail of a heap
+        action, so each branch ends in a ``*_soon`` kernel call."""
+        kind = message.kind
+        if kind == "resp":
             waiter = self._waiting.pop(message.corr_id, None)
             if waiter is not None:  # else: duplicate or post-timeout response
-                waiter.succeed(message)
+                waiter.succeed_soon(message)
             return
-        if message.kind == "cast":
+        if kind == "cast":
             handler = self._cast_methods.get(message.method)
             if handler is not None:
                 handler(message.payload)
@@ -344,9 +357,9 @@ class RpcEndpoint:
         self.stats.served += 1
         handler = self._async_methods.get(message.method)
         if handler is not None:
-            self.sim.call_at(self.sim.now, handler, message)
+            self.sim.call_soon(handler, message)
         else:
-            self.sim.process(self._serve(message), name="rpc.serve")
+            self.sim.process_soon(self._serve(message), name="rpc.serve")
 
     def _serve(self, message: RpcMessage):
         handler = self._methods.get(message.method)

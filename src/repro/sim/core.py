@@ -124,6 +124,18 @@ class Event:
         heappush(sim._heap, (sim.now, sim._seq, _dispatch_event, self))
         return self
 
+    def succeed_soon(self, value: Any = None) -> "Event":
+        """:meth:`succeed` as the tail of a heap action: the dispatch
+        runs at once when nothing else is due now (see
+        :meth:`Simulator.call_soon`)."""
+        if self._triggered:
+            raise SimulationError(f"{self!r} already triggered")
+        self._triggered = True
+        self._ok = True
+        self._value = value
+        self.sim.call_soon(_dispatch_event, self)
+        return self
+
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception.
 
@@ -221,12 +233,14 @@ class Process(Event):
     The process is itself an event: it triggers when the generator
     returns (succeeding with the return value) or raises (failing with
     the exception).  This is what makes ``result = yield sim.process(...)``
-    and process joining work.
+    and process joining work.  With ``soon`` it starts by
+    :meth:`Simulator.call_soon`'s rule (see :meth:`Simulator.process_soon`).
     """
 
     __slots__ = ("_generator", "_waiting_on", "name")
 
-    def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
+    def __init__(self, sim: "Simulator", generator: Generator, name: str = "",
+                 soon: bool = False):
         self.sim = sim
         self.callbacks = []
         self._value: Any = None
@@ -236,8 +250,11 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off the process at the current time.
-        sim._seq += 1
-        heappush(sim._heap, (sim.now, sim._seq, self._resume, _START))
+        if soon:
+            sim.call_soon(self._resume, _START)
+        else:
+            sim._seq += 1
+            heappush(sim._heap, (sim.now, sim._seq, self._resume, _START))
 
     @property
     def is_alive(self) -> bool:
@@ -266,15 +283,14 @@ class Process(Event):
     def _resume(self, event) -> None:
         if self._triggered:  # interrupted after completion race; drop
             return
-        send = self._generator.send
-        throw = self._generator.throw
+        generator = self._generator
         while True:
             self._waiting_on = None
             try:
                 if event._ok:
-                    target = send(event._value)
+                    target = generator.send(event._value)
                 else:
-                    target = throw(event._value)
+                    target = generator.throw(event._value)
             except StopIteration as stop:
                 if self.callbacks:
                     self.succeed(stop.value)
@@ -293,7 +309,7 @@ class Process(Event):
                     f"process {self.name!r} yielded {target!r}, expected an Event"
                 )
                 try:
-                    throw(exc)
+                    generator.throw(exc)
                 except BaseException as err:  # noqa: BLE001
                     self.fail(err)
                 return
@@ -403,6 +419,12 @@ class Simulator:
         """Start a new process driving ``generator``."""
         return Process(self, generator, name=name)
 
+    def process_soon(self, generator: Generator, name: str = "") -> Process:
+        """:meth:`process` as the tail of a heap action: the generator
+        starts at once when nothing else is due now (see
+        :meth:`call_soon`)."""
+        return Process(self, generator, name=name, soon=True)
+
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that triggers when any of ``events`` does."""
         return AnyOf(self, events)
@@ -427,6 +449,30 @@ class Simulator:
         self._seq += 1
         heappush(self._heap, (at, self._seq, fn, arg))
 
+    def call_soon(self, fn: Callable, arg: Any) -> None:
+        """Run ``fn(arg)`` now, in the order ``call_at(now, fn, arg)``
+        would give it, without a heap slot when none is needed.
+
+        Only for the tail of a heap action — the last thing the running
+        action does.  When no other action is due at ``now``, the slot
+        ``call_at`` would take is the next one popped, so ``fn(arg)``
+        runs at once, in the caller's frame; otherwise it is queued
+        exactly where ``call_at(now, ...)`` queues it, behind the
+        actions already due.  Either way every action runs in the same
+        order at the same time, so no simulated number moves; only the
+        heap push (and its sequence number) is saved.  Called anywhere
+        but a tail, the work after it would run after ``fn`` instead of
+        before, and outside a running action it would run ``fn`` before
+        the loop starts.  :meth:`step` and :meth:`step_while` count an
+        action and the tails it ran in place as one step.
+        """
+        heap = self._heap
+        if heap and heap[0][0] <= self.now:
+            self._seq += 1
+            heappush(heap, (self.now, self._seq, fn, arg))
+        else:
+            fn(arg)
+
     def run(self, until: Optional[float] = None) -> None:
         """Execute events in order until the horizon (or queue drain).
 
@@ -446,14 +492,14 @@ class Simulator:
                 fn(arg)
             return
         while heap:
-            item = pop(heap)
-            if item[0] > until:
+            at, seq, fn, arg = pop(heap)
+            if at > until:
                 # Sole over-horizon pop per run(): put the action back
                 # (it is still the minimum) and stop.
-                heapq.heappush(heap, item)
+                heappush(heap, (at, seq, fn, arg))
                 break
-            self.now = item[0]
-            item[2](item[3])
+            self.now = at
+            fn(arg)
         if until > self.now:
             self.now = until
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.control.churn import ChurnConfig, _ChurnRunner, run_churn_trial
 from repro.control.ring import HashRing
-from repro.core import Reservation
+from repro.core import Reservation, reference_calibration
 from repro.faults import StorageFault
 from repro.net import NetConfig
 from repro.node import NodeConfig, StorageCluster
@@ -475,6 +475,18 @@ def test_churn_drain_waits_for_commands_parked_in_nvme_sqs():
     assert runner._busy()
     runner.sim.step_while(runner._busy)
     assert sum(device.fetch_backlogs) == 0 and device.in_flight == 0
+
+
+def test_churn_runs_on_a_custom_profile():
+    """A custom :class:`SsdProfile` is calibrated on first use, as
+    ``reference_calibration`` documents, not looked up by its name."""
+    runner = _ChurnRunner(dataclasses.replace(CHURN, n_nodes=2, horizon=20.0, profile=TINY))
+    calibration = reference_calibration(TINY)
+    for node in runner.nodes.values():
+        assert node.cost_model.calibration is calibration
+        assert node.device.profile is TINY
+    result = runner.finish()
+    assert result.admitted > 0 and result.total_tasks > 0
 
 
 #: small churn scenarios, each at a different corner of the driver: one

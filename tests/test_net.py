@@ -17,6 +17,7 @@ from repro.faults import (
 from repro.net import ClusterClient, Membership, NetConfig, NetworkFabric, RpcEndpoint
 from repro.net.fabric import MESSAGE_OVERHEAD
 from repro.node import NodeConfig, PartitionMap, RequestStats, StorageCluster
+from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 from repro.ssd import SsdProfile
 
@@ -98,6 +99,75 @@ def test_fabric_down_endpoints_eat_messages():
     fabric.send("a", "b", 100, "from-dead")  # silently dropped at source
     sim.run(until=2.0)
     assert fabric.link_stats[("a", "b")].messages == 2
+
+
+def test_nic_totals_are_link_sums_and_a_kill_counts_its_dead_letters():
+    """``publish_metrics`` derives each endpoint's sent messages and
+    bytes from its outbound links; both match a log of every send the
+    fabric accepted, and every message that reached the killed node
+    after its death is one dead letter."""
+    sim = Simulator()
+    cluster = make_cluster(
+        sim, rf=3, net_kwargs={"heartbeat_interval": 0.05, "suspicion_timeout": 0.25},
+    )
+    fabric = cluster.fabric
+    client = cluster.make_client()
+    sent = {}
+    kill = {}
+    send = fabric.send
+
+    def logged(src, dst, nbytes, message):
+        if src not in kill:  # a dead source sends nothing
+            messages, total = sent.get(src, (0, 0))
+            sent[src] = (messages + 1, total + nbytes + MESSAGE_OVERHEAD)
+        send(src, dst, nbytes, message)
+
+    fabric.send = logged
+    # Links resolve their handler on their first message; none has one yet.
+    handled = []
+    handler = fabric._handlers["node0"]
+    fabric._handlers["node0"] = lambda message: (handled.append(message), handler(message))
+
+    def writer():
+        for key in range(150):
+            try:
+                yield from client.put("t1", key, KIB)
+            except StorageFault:
+                pass
+            yield sim.timeout(0.01)
+
+    def killer():
+        yield sim.timeout(0.5)
+        kill["node0"] = sim.now
+        cluster.kill_node("node0")
+
+    sim.process(writer())
+    sim.process(killer())
+    sim.run(until=3.0)
+    cluster.stop()
+    sim.run(until=30.0)  # every message in flight lands
+    registry = MetricsRegistry()
+    fabric.publish_metrics(registry)
+    nic = {
+        (labels["endpoint"], labels["field"]): value
+        for _name, labels, value in registry.collect("net.nic")
+    }
+    links = fabric.link_stats
+    # 3 nodes, the detector's endpoint and the client all sent something
+    assert set(sent) == set(fabric.nics) and len(sent) == 5
+    for name in fabric.nics:
+        outbound = [s for (src, _dst), s in links.items() if src == name]
+        assert nic[(name, "messages")] == sum(s.messages for s in outbound) == sent[name][0]
+        assert nic[(name, "bytes")] == sum(s.bytes for s in outbound) == sent[name][1]
+    to_dead = sum(s.messages for (_src, dst), s in links.items() if dst == "node0")
+    dead_letters = sum(s.dead_letters for s in links.values())
+    assert dead_letters == to_dead - len(handled) > 0
+    assert all(s.dead_letters == 0 for (_src, dst), s in links.items() if dst != "node0")
+    fabric_totals = {
+        labels["field"]: value for _name, labels, value in registry.collect("net.fabric")
+    }
+    assert fabric_totals["dead_letters"] == dead_letters
+    assert fabric_totals["down_endpoints"] == 1
 
 
 def test_message_fault_windows_drop_delay_duplicate():

@@ -27,6 +27,10 @@ became scheduled continuations: the replicated run of
 failover through ``repl.seq``, duplicate applies and the out-of-order
 apply buffer), hashed whole.
 
+``FAILOVER_CELL`` pins a reduced ``clusterfig`` rf=3 cell, recorded at
+the commit before deliveries ended in ``Simulator.call_soon``: see
+:func:`test_failover_cell_digest_matches_the_parent`.
+
 Re-record only for a deliberate model change, and say so in the PR:
 
     PYTHONPATH=src python -m tests.test_node_golden
@@ -42,6 +46,7 @@ from .helpers import count_calls, force_policy_path
 from .test_determinism import _replicated_run
 from repro.core import Reservation
 from repro.engine import EngineConfig
+from repro.experiments import clusterfig
 from repro.faults import FaultKind, FaultPlan, FaultWindow, StorageFault
 from repro.net import NetConfig
 from repro.node import NodeConfig, StorageCluster, StorageNode
@@ -147,6 +152,12 @@ GOLDEN_REWIRED = {
     "cluster/leaderless": "d7dc979e4ad63d69-18d39da02021d714-e239fc495368ce66",
     "cluster/chaos": "00fcbe3a68c86519",
 }
+
+#: ``clusterfig``'s rf=3 cell cut to 5 simulated seconds: two tenants,
+#: ``node0`` killed at 2 s, the detector's failover with its four
+#: promotions, and the read-back of every acknowledged write
+FAILOVER_CELL = (3, clusterfig.ClusterTimeline(kill_at=2.0, horizon=5.0), "intel320", 17)
+GOLDEN_FAILOVER = "fedb8f18011168e3"
 
 
 def _value_size(sc, key):
@@ -367,6 +378,24 @@ def test_only_a_fault_enters_the_policy_generators():
     assert entered("get_heavy", policy_path=True) > 1000
 
 
+def failover_digest() -> str:
+    return hashlib.sha256(repr(clusterfig._run_cell(FAILOVER_CELL)).encode()).hexdigest()[:16]
+
+
+def test_failover_cell_digest_matches_the_parent():
+    """The whole cell (acks, losses, latency percentiles, SLO, detection
+    time, promotions, write amplification, RPC round trips) hashed.
+
+    A delivery ends in ``call_soon``, which runs its continuation in
+    place only when no other action is due at that instant.  Fault-free
+    runs rarely put two actions on one float instant, so no other
+    cluster run in tier-1 reaches that guard; this seed's run does,
+    twice: a ``repl.apply`` lands at the instant a multi-extent file
+    IO's join is queued.  With the guard removed the apply overtakes
+    the join and this digest moves."""
+    assert failover_digest() == GOLDEN_FAILOVER
+
+
 def test_put_heavy_scenario_reaches_flush_compaction_and_ftl_gc(nodes):
     """The digest only pins what the scenario exercises."""
     node = nodes["put_heavy"]
@@ -420,3 +449,4 @@ if __name__ == "__main__":
         {mode: run_cluster(mode) for mode in CLUSTERS},
     ).items():
         print(f'    "{key}": "{value}",')
+    print(f'GOLDEN_FAILOVER = "{failover_digest()}"')

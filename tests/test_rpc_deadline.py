@@ -125,11 +125,14 @@ def heap_pushes(calls: int) -> int:
     return sim._seq
 
 
-def test_fault_free_round_trip_costs_four_heap_entries():
-    # Request delivery, serve start, reply delivery, response dispatch.
+def test_fault_free_round_trip_costs_two_heap_entries():
+    # The request's delivery and the reply's.  The serve start and the
+    # response dispatch are those deliveries' tails, and with nothing
+    # else due at those instants ``call_soon`` runs them in the
+    # deliveries' frames (four entries before the tail rule).
     # Differencing two run lengths cancels the caller's own start and
     # the endpoint's single armed deadline.
-    assert heap_pushes(200) - heap_pushes(100) == 4 * 100
+    assert heap_pushes(200) - heap_pushes(100) == 2 * 100
 
 
 def callback_heap_pushes(calls: int) -> int:
@@ -140,9 +143,10 @@ def callback_heap_pushes(calls: int) -> int:
     return sim._seq
 
 
-def test_fault_free_callback_round_trip_costs_four_heap_entries_too():
-    # The response's continuation takes the slot of the caller's resume.
-    assert callback_heap_pushes(200) - callback_heap_pushes(100) == 4 * 100
+def test_fault_free_callback_round_trip_costs_two_heap_entries_too():
+    # The response's continuation follows the caller's resume's rule:
+    # the reply's delivery runs it as its tail.
+    assert callback_heap_pushes(200) - callback_heap_pushes(100) == 2 * 100
 
 
 # ---------------------------------------------------------------------------

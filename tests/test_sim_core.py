@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Interrupt, SimulationError, Simulator
 
@@ -580,3 +582,144 @@ def test_step_while_drains_exactly_to_condition():
     # an empty queue ends the drain even while the predicate holds
     assert sim.step_while(lambda: True) == 2
     assert fired == [0, 1, 2, 3, 4] and sim.queue_size == 0
+
+
+# ---------------------------------------------------------------------------
+# call_soon: the tail rule
+# ---------------------------------------------------------------------------
+
+
+def test_call_soon_runs_inline_when_nothing_is_due_now():
+    sim = Simulator()
+    log = []
+
+    def action(tag):
+        log.append((tag, sim.now))
+        if tag == "first":
+            sim.call_at(2.0, action, "later")  # due, but not now
+            sim.call_soon(action, "tail")
+            log.append(("returned", sim.now))
+
+    sim.call_at(1.0, action, "first")
+    seq = sim._seq
+    sim.run()
+    # The tail ran in the action's own frame, before it returned, and
+    # took no heap slot: one push (the 2.0 action), not two.
+    assert log == [("first", 1.0), ("tail", 1.0), ("returned", 1.0), ("later", 2.0)]
+    assert sim._seq - seq == 1
+
+
+def test_call_soon_queues_behind_an_action_already_due_now():
+    sim = Simulator()
+    log = []
+
+    def action(tag):
+        log.append(tag)
+        if tag == "first":
+            sim.call_at(sim.now, action, "due")
+            sim.call_soon(action, "tail")
+            log.append("returned")
+
+    sim.call_at(1.0, action, "first")
+    sim.call_at(1.0, action, "sibling")  # queued before the tail's slot
+    sim.run()
+    assert log == ["first", "returned", "sibling", "due", "tail"]
+
+
+def test_succeed_soon_and_process_soon_queue_like_their_plain_forms():
+    for soon in (False, True):
+        sim = Simulator()
+        log = []
+        event = sim.event()
+
+        def waiter():
+            log.append(("woke", (yield event), sim.now))
+
+        def started():
+            log.append(("started", sim.now))
+            yield sim.timeout(0)
+
+        def tail(_arg):
+            if soon:
+                event.succeed_soon("v")
+            else:
+                event.succeed("v")
+
+        def tail_start(_arg):
+            (sim.process_soon if soon else sim.process)(started())
+
+        sim.process(waiter())
+        sim.call_at(1.0, tail, None)
+        sim.call_at(2.0, tail_start, None)
+        sim.run()
+        assert log == [("woke", "v", 1.0), ("started", 2.0)]
+        with pytest.raises(SimulationError):
+            event.succeed_soon()
+
+
+#: a same-instant child is scheduled at ``now``; the others later, on a
+#: coarse grid so that actions often share an instant
+DELAYS = (0.0, 0.0, 1.0, 2.0)
+
+action_trees = st.recursive(
+    st.just(()),
+    lambda children: st.lists(
+        st.tuples(st.sampled_from(DELAYS), st.sampled_from(("call", "event", "process")),
+                  children),
+        max_size=3,
+    ).map(tuple),
+    max_leaves=40,
+)
+
+
+def run_tree(roots, soon):
+    """Execute an action tree; returns the log of (time, path) and the
+    heap pushes.  With ``soon``, an action's last child, when it is due
+    now, is scheduled through the tail forms: ``call_soon``,
+    ``Event.succeed_soon`` or ``Simulator.process_soon``."""
+    sim = Simulator()
+    log = []
+
+    def run(node):
+        path, children = node
+        log.append((sim.now, path))
+        for i, (delay, kind, grandchildren) in enumerate(children):
+            child = (path + (i,), grandchildren)
+            tail = soon and delay == 0.0 and i == len(children) - 1
+            if delay or kind == "call":
+                if tail:
+                    sim.call_soon(run, child)
+                else:
+                    sim.call_at(sim.now + delay, run, child)
+            elif kind == "event":
+                event = sim.event()
+                event.callbacks.append(lambda _event, child=child: run(child))
+                if tail:
+                    event.succeed_soon()
+                else:
+                    event.succeed()
+            else:
+                if tail:
+                    sim.process_soon(body(child))
+                else:
+                    sim.process(body(child))
+
+    def body(node):
+        run(node)
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    for i, (delay, _kind, children) in enumerate(roots):
+        sim.call_at(delay, run, ((i,), children))
+    sim.run()
+    return log, sim._seq
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(DELAYS), st.just("call"), action_trees),
+                min_size=1, max_size=4))
+def test_tail_forms_give_the_call_at_now_execution_log(roots):
+    log, pushes = run_tree(roots, soon=False)
+    soon_log, soon_pushes = run_tree(roots, soon=True)
+    assert soon_log == log
+    assert soon_pushes <= pushes
