@@ -10,7 +10,7 @@ accuracy/utilization trade-offs to its tunables:
 
 import pytest
 
-from repro.analysis.metrics import mmr
+from repro.obs.metrics import mmr
 from repro.core import SchedulerConfig
 from repro.core.capacity import REFERENCE_FLOORS
 from repro.ssd import get_profile

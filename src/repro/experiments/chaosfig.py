@@ -26,22 +26,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis.report import format_table
 from ..analysis.timeseries import SeriesSet
 from ..core.policy import Reservation
 from ..faults import FaultKind, FaultPlan, FaultWindow, StorageFault
-from ..node import NodeConfig, StorageNode
+from ..node import NodeConfig
 from ..sim import Simulator
-from ..ssd import get_profile
 from ..workload.generator import KvTenantSpec, bootstrap_tenant
-from .common import count_lost
-from .kvdynamic import derive_reservations, spec_for, value_size
+from .common import AckedWrites, check_schedule, kv_node
+from .kvdynamic import kv_request, reserve_from_probe, spec_for
 
 __all__ = ["run", "render", "ChaosResult", "ChaosTimeline", "build_fault_plan"]
-
-MIB = 1024 * 1024
 
 #: one tenant per fig11 workload group
 TENANTS: Tuple[Tuple[str, str], ...] = (
@@ -65,6 +62,20 @@ class ChaosTimeline:
     stall_start: float
     stall_end: float
     horizon: float
+
+    def __post_init__(self):
+        # The steady, fault and recovery windows each drop their first
+        # 2, 1 and 3 seconds.
+        check_schedule(self, (
+            ("probe_end", self.probe_end > 0, "> 0"),
+            ("fault_start", self.fault_start > self.probe_end + 2, "> probe_end + 2"),
+            ("fault_end", self.fault_end > self.fault_start + 1, "> fault_start + 1"),
+            ("horizon", self.horizon > self.fault_end + 3, "> fault_end + 3"),
+            ("crash_at", self.crash_at < self.horizon, "< horizon"),
+            ("stall_start", self.fault_start <= self.stall_start < self.stall_end,
+             "in [fault_start, stall_end)"),
+            ("stall_end", self.stall_end <= self.fault_end, "<= fault_end"),
+        ))
 
 
 QUICK = ChaosTimeline(
@@ -108,8 +119,6 @@ class ChaosResult:
     #: acknowledged PUT keys per tenant / those lost after recovery
     acked_puts: Dict[str, int] = field(default_factory=dict)
     lost_acks: Dict[str, int] = field(default_factory=dict)
-    #: requests whose retries were exhausted (surfaced to the app)
-    surfaced_errors: Dict[str, int] = field(default_factory=dict)
     torn_records: int = 0
     replayed_records: int = 0
     min_scale: float = 1.0
@@ -145,14 +154,10 @@ def run(
     """
     timeline = QUICK if quick else FULL
     sim = Simulator()
-    profile = get_profile(profile_name).with_capacity(768 * MIB)
-    plan = build_fault_plan(timeline, seed)
-    node = StorageNode(
-        sim,
-        profile=profile,
+    node = kv_node(
+        sim, profile_name, seed,
         config=NodeConfig(request_timeout=0.75, max_retries=8),
-        seed=seed,
-        fault_plan=plan,
+        fault_plan=build_fault_plan(timeline, seed),
     )
     specs: List[KvTenantSpec] = []
     for tenant, group in TENANTS:
@@ -160,28 +165,17 @@ def run(
         specs.append(spec)
         node.add_tenant(tenant, Reservation(gets=1.0, puts=1.0))
         bootstrap_tenant(node.engines[tenant], spec.n_keys // 2, spec.get_size)
-    spec_by_name = {s.name: s for s in specs}
 
     series = SeriesSet()
-    acked: Dict[str, Set[int]] = {s.name: set() for s in specs}
-    surfaced: Dict[str, int] = {s.name: 0 for s in specs}
+    acks = AckedWrites(s.name for s in specs)
 
-    def worker(tenant: str, widx: int):
-        spec = spec_by_name[tenant]
-        rng = random.Random(f"chaos:{seed}:{tenant}:{widx}")
-        half = spec.n_keys // 2
+    def worker(spec: KvTenantSpec, widx: int):
+        rng = random.Random(f"chaos:{seed}:{spec.name}:{widx}")
         while sim.now < timeline.horizon:
             try:
-                if rng.random() < spec.get_fraction:
-                    # GETs hit the bootstrapped lower half of the keyspace.
-                    yield from node.get(tenant, rng.randrange(half))
-                else:
-                    key = half + rng.randrange(half)
-                    yield from node.put(tenant, key, value_size(spec, key))
-                    # Only reached once the node acknowledged the write.
-                    acked[tenant].add(key)
+                yield from kv_request(node, spec, rng, acks)
             except StorageFault:
-                surfaced[tenant] += 1
+                pass  # surfaced after the retries; RequestStats.errors counts it
 
     def sampler():
         baselines = {s.name: node.stats(s.name).snapshot() for s in specs}
@@ -222,33 +216,14 @@ def run(
 
     for s in specs:
         for widx in range(s.workers):
-            sim.process(worker(s.name, widx), name=f"chaos.{s.name}.{widx}")
+            sim.process(worker(s, widx), name=f"chaos.{s.name}.{widx}")
     sim.process(sampler(), name="chaos.sampler")
     sim.process(chaos_script(), name="chaos.script")
 
-    sim.run(until=timeline.probe_end)
-    window = (timeline.probe_end * 2 / 3, timeline.probe_end)
-    for tenant, reservation in derive_reservations(
-        node.capacity_vops, series, [s.name for s in specs], window
-    ).items():
-        node.set_reservation(tenant, reservation)
+    reserve_from_probe(sim, node, series, [s.name for s in specs], timeline.probe_end)
     sim.run(until=timeline.horizon)
-
-    # -- verification: every acknowledged write must read back ------------
-    lost: Dict[str, int] = {}
-    verified_done: Dict[str, bool] = {}
-
-    def verifier(tenant: str):
-        spec = spec_by_name[tenant]
-        lost[tenant] = yield from count_lost(
-            lambda key: node.get(tenant, key),
-            {key: value_size(spec, key) for key in acked[tenant]},
-        )
-        verified_done[tenant] = True
-
-    for s in specs:
-        sim.process(verifier(s.name), name=f"chaos.verify.{s.name}")
-    sim.run(until=timeline.horizon + 30.0)
+    # Every acknowledged write must read back.
+    acks.verify(sim, node.get, "chaos.verify", timeline.horizon + 30.0)
     node.stop()
 
     # -- collect ----------------------------------------------------------
@@ -266,14 +241,12 @@ def run(
         }
         stats = node.stats(s.name)
         result.request_stats[s.name] = {
-            "gets": stats.gets, "puts": stats.puts,
-            "retries": stats.retries, "timeouts": stats.timeouts,
-            "errors": stats.errors, "crashes": stats.crashes,
-            "crash_waits": stats.crash_waits,
+            key: getattr(stats, key) for key in (
+                "gets", "puts", "retries", "timeouts", "errors", "crashes", "crash_waits",
+            )
         }
-        result.acked_puts[s.name] = len(acked[s.name])
-        result.lost_acks[s.name] = lost.get(s.name, len(acked[s.name]))
-        result.surfaced_errors[s.name] = surfaced[s.name]
+        result.acked_puts[s.name] = len(acks.expected[s.name])
+        result.lost_acks[s.name] = acks.lost(s.name)
     dev = node.device.stats
     result.device_faults = {
         "read_faults": dev.read_faults,
@@ -301,7 +274,7 @@ def run(
     effcap = series["effcap"]
     result.min_effective_capacity = min(effcap.values) if len(effcap) else 0.0
     result.capacity_reestimates = node.policy.capacity_reestimates
-    result.verified = all(verified_done.get(s.name, False) for s in specs)
+    result.verified = acks.verified
     return result
 
 
@@ -351,7 +324,3 @@ def render(result: ChaosResult) -> str:
         f" (verified={result.verified})"
     )
     return "\n\n".join(blocks)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(quick=True)))

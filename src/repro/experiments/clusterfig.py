@@ -34,22 +34,28 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
-from ..analysis.metrics import slo_attainment
 from ..analysis.report import format_table
 from ..core.policy import Reservation
 from ..faults import StorageFault
 from ..net import NetConfig
-from ..node import NodeConfig, StorageCluster
+from ..node import StorageCluster
+from ..obs.metrics import slo_attainment
 from ..sim import Simulator
 from ..workload.generator import KvTenantSpec, bootstrap_tenant
-from .common import count_lost, derive_seed, parallel_map
-from .kvdynamic import spec_for, value_size
+from .common import (
+    AckedWrites,
+    check_schedule,
+    demand_vops,
+    derive_seed,
+    parallel_map,
+    rpc_round_trips,
+    write_amplification,
+)
+from .kvdynamic import kv_request, spec_for
 
 __all__ = ["run", "render", "ClusterResult", "ClusterCell"]
-
-MIB = 1024 * 1024
 
 #: the replication factors swept (one independent cluster each)
 RF_SWEEP: Tuple[int, ...] = (1, 2, 3)
@@ -74,6 +80,12 @@ class ClusterTimeline:
     horizon: float
     #: settle time after the kill before "post-kill" rates are counted
     settle: float = 2.0
+
+    def __post_init__(self):
+        check_schedule(self, (
+            ("kill_at", self.kill_at >= 1, ">= 1 (demand is sampled 1 s before the kill)"),
+            ("horizon", self.horizon > self.kill_at + self.settle, "> kill_at + settle"),
+        ))
 
 
 QUICK = ClusterTimeline(kill_at=10.0, horizon=25.0)
@@ -140,13 +152,8 @@ def _run_cell(args: Tuple[int, ClusterTimeline, str, int]) -> ClusterCell:
     sim = Simulator()
     net = NetConfig(rf=rf)
     cluster = StorageCluster(
-        sim,
-        n_nodes=N_NODES,
-        profile=profile_name,
-        config=NodeConfig(cache_bytes=0),
-        partitions_per_tenant=PARTITIONS,
-        seed=seed,
-        net=net,
+        sim, n_nodes=N_NODES, profile=profile_name, partitions_per_tenant=PARTITIONS,
+        seed=seed, net=net,
     )
     specs: List[KvTenantSpec] = []
     for tenant, group in TENANTS:
@@ -161,33 +168,25 @@ def _run_cell(args: Tuple[int, ClusterTimeline, str, int]) -> ClusterCell:
         for node in cluster.nodes.values():
             if tenant in node.engines:
                 bootstrap_tenant(node.engines[tenant], spec.n_keys // 2, spec.get_size)
-    spec_by_name = {s.name: s for s in specs}
 
     clients = {s.name: cluster.make_client(f"app.{s.name}") for s in specs}
-    acked: Dict[str, Set[int]] = {s.name: set() for s in specs}
+    acks = AckedWrites(s.name for s in specs)
     ack_count: Dict[str, int] = {s.name: 0 for s in specs}
     late_acks: Dict[str, int] = {s.name: 0 for s in specs}
-    surfaced: Dict[str, int] = {s.name: 0 for s in specs}
+    cell.surfaced = {s.name: 0 for s in specs}
     settle_at = timeline.kill_at + timeline.settle
 
-    def worker(tenant: str, widx: int):
-        spec = spec_by_name[tenant]
-        client = clients[tenant]
+    def worker(spec: KvTenantSpec, widx: int):
+        tenant = spec.name
         rng = random.Random(f"cluster:{seed}:{rf}:{tenant}:{widx}")
-        half = spec.n_keys // 2
         while sim.now < timeline.horizon:
             try:
-                if rng.random() < spec.get_fraction:
-                    yield from client.get(tenant, rng.randrange(half))
-                else:
-                    key = half + rng.randrange(half)
-                    yield from client.put(tenant, key, value_size(spec, key))
-                    acked[tenant].add(key)
+                if (yield from kv_request(clients[tenant], spec, rng, acks)):
                     ack_count[tenant] += 1
                     if sim.now >= settle_at:
                         late_acks[tenant] += 1
             except StorageFault:
-                surfaced[tenant] += 1
+                cell.surfaced[tenant] += 1
             # A sliver of think time bounds the closed loop's event rate.
             yield sim.timeout(0.001 + rng.random() * 0.002)
 
@@ -196,16 +195,13 @@ def _run_cell(args: Tuple[int, ClusterTimeline, str, int]) -> ClusterCell:
         # Sample Libra's demand estimates while every node is healthy:
         # with RF > 1 the backup applies are in here, which is exactly
         # "replication cost visible to provisioning".
-        cell.prekill_demand_vops = sum(
-            sum(node.policy.estimated_demand().values())
-            for node in cluster.nodes.values()
-        )
+        cell.prekill_demand_vops = demand_vops(cluster)
         yield sim.timeout(1.0)
         cluster.kill_node(KILLED)
 
     for s in specs:
         for widx in range(s.workers):
-            sim.process(worker(s.name, widx), name=f"cluster.{s.name}.{widx}")
+            sim.process(worker(s, widx), name=f"cluster.{s.name}.{widx}")
     sim.process(killer(), name="cluster.killer")
     sim.run(until=timeline.horizon)
 
@@ -214,20 +210,7 @@ def _run_cell(args: Tuple[int, ClusterTimeline, str, int]) -> ClusterCell:
     # RF=1 cell's unreachable partitions do not stall the verdict.
     verify_client = cluster.make_client("verify")
     verify_client.resolve_rounds = 1
-    lost: Dict[str, int] = {}
-    verified: Dict[str, bool] = {}
-
-    def verifier(tenant: str):
-        spec = spec_by_name[tenant]
-        lost[tenant] = yield from count_lost(
-            lambda key: verify_client.get(tenant, key),
-            {key: value_size(spec, key) for key in acked[tenant]},
-        )
-        verified[tenant] = True
-
-    for s in specs:
-        sim.process(verifier(s.name), name=f"cluster.verify.{s.name}")
-    sim.run(until=timeline.horizon + 60.0)
+    acks.verify(sim, verify_client.get, "cluster.verify", timeline.horizon + 60.0)
     cluster.stop()
 
     # -- collect ----------------------------------------------------------
@@ -244,9 +227,8 @@ def _run_cell(args: Tuple[int, ClusterTimeline, str, int]) -> ClusterCell:
                 samples.extend(recorder.samples(kind))
         cell.latency_ms[s.name] = kinds
         cell.slo[s.name] = round(slo_attainment(samples, SLO_SECONDS), 6)
-        cell.acked[s.name] = len(acked[s.name])
-        cell.lost[s.name] = lost.get(s.name, len(acked[s.name]))
-        cell.surfaced[s.name] = surfaced[s.name]
+        cell.acked[s.name] = len(acks.expected[s.name])
+        cell.lost[s.name] = acks.lost(s.name)
         cell.post_kill_rate[s.name] = round(
             late_acks[s.name] / (timeline.horizon - settle_at), 6
         )
@@ -256,18 +238,14 @@ def _run_cell(args: Tuple[int, ClusterTimeline, str, int]) -> ClusterCell:
         cell.promotions = sum(
             len(r.promotions) for r in cluster.detector.failovers
         )
-    total_acked = sum(ack_count.values())
-    durable = sum(
-        sum(cluster.durable_record_counts(s.name).values()) for s in specs
+    cell.write_amplification = write_amplification(
+        cluster, [s.name for s in specs], sum(ack_count.values())
     )
-    cell.write_amplification = round(durable / total_acked, 6) if total_acked else 0.0
     cell.repl_applies = sum(
         cluster.total_stats(s.name).repl_applies for s in specs
     )
-    cell.rpc_round_trips = sum(
-        service.rpc.stats.round_trips for service in cluster.services.values()
-    ) + sum(client.rpc.stats.round_trips for client in clients.values())
-    cell.verified = all(verified.get(s.name, False) for s in specs)
+    cell.rpc_round_trips = rpc_round_trips(cluster, clients.values())
+    cell.verified = acks.verified
     return cell
 
 
@@ -334,7 +312,3 @@ def render(result: ClusterResult) -> str:
         f"(verified={all(c.verified for c in result.cells)})"
     )
     return "\n\n".join(blocks)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(quick=True)))

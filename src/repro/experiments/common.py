@@ -9,12 +9,19 @@ mix ratios) at longer windows.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
+from ..core.policy import Reservation
+from ..core.tags import IoTag, OpKind
 from ..faults import StorageFault
+from ..node import NodeConfig, StorageNode
+from ..sim import Simulator
+from ..ssd import get_profile
+from ..workload.generator import KvLoad, KvTenantSpec, bootstrap_tenant, start_kv_load
 
 __all__ = [
     "ExperimentMode",
@@ -25,8 +32,14 @@ __all__ = [
     "MIB",
     "derive_seed",
     "parallel_map",
-    "count_lost",
+    "check_schedule",
+    "AckedWrites",
     "value_size",
+    "kv_node",
+    "stack_point",
+    "demand_vops",
+    "rpc_round_trips",
+    "write_amplification",
 ]
 
 KIB = 1024
@@ -44,11 +57,6 @@ class ExperimentMode:
     sigmas: Sequence[int]
     duration: float
     warmup: float
-    #: steady-state horizon for the KV time-series experiments
-    kv_horizon: float
-
-    def label(self) -> str:
-        return self.name
 
 
 QUICK = ExperimentMode(
@@ -58,7 +66,6 @@ QUICK = ExperimentMode(
     sigmas=(4 * KIB, 32 * KIB),
     duration=0.4,
     warmup=0.15,
-    kv_horizon=60.0,
 )
 
 FULL = ExperimentMode(
@@ -68,7 +75,6 @@ FULL = ExperimentMode(
     sigmas=(4 * KIB, 32 * KIB, 256 * KIB),
     duration=0.8,
     warmup=0.2,
-    kv_horizon=120.0,
 )
 
 
@@ -96,23 +102,155 @@ def value_size(op_index: int) -> int:
     return 2048 + (op_index % 7) * 512
 
 
-def count_lost(read, expected: Dict[int, int]):
-    """DES generator: read every acknowledged write back, in sorted key
-    order; returns how many keys fail or come back at another size.
+def check_schedule(schedule, rules: Sequence[Tuple[str, bool, str]]) -> None:
+    """Refuse a schedule dataclass with a time that is not finite and
+    >= 0 (a negative sleep), or that breaks one of its ``(field, ok,
+    requirement)`` rules (a window the run reads that would be empty or
+    reversed).  The ``ValueError`` names the field."""
+    owner = type(schedule).__name__
+    for spec in fields(schedule):
+        value = getattr(schedule, spec.name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{owner}.{spec.name} {value!r} must be finite and >= 0")
+    for name, ok, requirement in rules:
+        if not ok:
+            raise ValueError(
+                f"{owner}.{name} {getattr(schedule, name)!r} must be {requirement}"
+            )
 
-    ``read(key)`` is a generator returning the stored size;
-    ``expected`` maps each acknowledged key to its last acknowledged
-    size.
+
+class AckedWrites:
+    """Acknowledged writes per group, and their read-back verdict.
+
+    A group is whatever owns a key range (a tenant, a client side);
+    ``expected[group]`` maps each acknowledged key to its last
+    acknowledged size.  A group whose read-back has not finished counts
+    as all lost, so an unfinished verification can never pass as clean.
     """
-    missing = 0
-    for key in sorted(expected):
-        try:
-            size = yield from read(key)
-        except StorageFault:
-            size = None
-        if size != expected[key]:
-            missing += 1
-    return missing
+
+    def __init__(self, groups: Iterable[str]):
+        self.expected: Dict[str, Dict[int, int]] = {group: {} for group in groups}
+        self._lost: Dict[str, int] = {}
+
+    def ack(self, group: str, key: int, size: int) -> None:
+        self.expected[group][key] = size
+
+    def read_back(self, group: str, read):
+        """DES generator: read ``group``'s acknowledged writes back in
+        sorted key order (``read(key)`` returns the stored size) and
+        count the keys that fail or come back at another size."""
+        expected = self.expected[group]
+        missing = 0
+        for key in sorted(expected):
+            try:
+                size = yield from read(key)
+            except StorageFault:
+                size = None
+            if size != expected[key]:
+                missing += 1
+        self._lost[group] = missing
+
+    def verify(self, sim: Simulator, read, name: str, until: float) -> None:
+        """Read every group back, one process per group (``name.group``),
+        with ``read(group, key)``; runs the simulation to ``until``."""
+        for group in self.expected:
+            sim.process(
+                self.read_back(group, lambda key, group=group: read(group, key)),
+                name=f"{name}.{group}",
+            )
+        sim.run(until=until)
+
+    def lost(self, group: str) -> int:
+        return self._lost.get(group, len(self.expected[group]))
+
+    @property
+    def verified(self) -> bool:
+        """Whether every group's read-back finished."""
+        return len(self._lost) == len(self.expected)
+
+
+def kv_node(sim: Simulator, profile_name: str, seed: int, **kwargs) -> StorageNode:
+    """A storage node on a 768 MiB device of ``profile_name``: room for
+    every KV experiment's data plus LSM slack."""
+    return StorageNode(
+        sim, profile=get_profile(profile_name).with_capacity(768 * MIB), seed=seed, **kwargs
+    )
+
+
+def stack_point(
+    profile_name: str,
+    capacity_vops: float,
+    get_fraction: float,
+    get_size: int,
+    put_size: int,
+    sigma: int,
+    horizon: float,
+    warmup: float,
+    seed: int,
+    note: Callable[[IoTag, OpKind, float], None],
+) -> None:
+    """One backlogged single-tenant KV workload on a fresh 768 MiB node.
+
+    Eight workers issue ``get_fraction`` GETs of ``get_size`` and PUTs
+    of ``put_size`` over uniform keys, in separate regions when the
+    sizes differ; the GET region is preloaded so lookups hit indexed
+    data from the start.  ``note(tag, kind, cost)`` sees every IO the
+    scheduler charges between ``warmup`` and ``horizon``.
+    """
+    sim = Simulator()
+    node = kv_node(sim, profile_name, seed, config=NodeConfig(capacity_vops=capacity_vops))
+    measuring = False
+    downstream = node.tracker.note_io
+
+    def observer(tag, kind, size, cost):
+        downstream(tag, kind, size, cost)
+        if measuring:
+            note(tag, kind, cost)
+
+    node.scheduler.io_observer = observer
+    # Keyspace sized to ~10% of the device so data plus LSM slack fits.
+    n_keys = max(min(96 * MIB // max(get_size, put_size), 8000), 256)
+    spec = KvTenantSpec(
+        name="t0", get_fraction=get_fraction, get_size=get_size, put_size=put_size,
+        sigma=sigma, n_keys=n_keys, workers=8, reservation=Reservation(gets=1, puts=1),
+        separate_regions=get_size != put_size,
+    )
+    node.add_tenant(spec.name, spec.reservation)
+    if get_fraction > 0:
+        preload = n_keys // 2 if spec.separate_regions else n_keys
+        bootstrap_tenant(node.engines[spec.name], preload, get_size)
+    start_kv_load(KvLoad(sim, node, [spec]), horizon=horizon, seed=seed)
+    sim.run(until=warmup)
+    measuring = True
+    sim.run(until=horizon)
+
+
+# ---------------------------------------------------------------------------
+# Cluster-wide tallies
+# ---------------------------------------------------------------------------
+
+
+def demand_vops(cluster) -> float:
+    """Libra's VOP demand estimate, summed over every node and tenant."""
+    return sum(
+        sum(node.policy.estimated_demand().values())
+        for node in cluster.nodes.values()
+    )
+
+
+def rpc_round_trips(cluster, clients: Iterable) -> int:
+    """Completed RPC round trips over the replica services and clients."""
+    return sum(
+        service.rpc.stats.round_trips for service in cluster.services.values()
+    ) + sum(client.rpc.stats.round_trips for client in clients)
+
+
+def write_amplification(cluster, tenants: Iterable[str], acked: int) -> float:
+    """Cluster-wide durable WAL records per acknowledged write."""
+    durable = sum(
+        sum(cluster.durable_record_counts(tenant).values()) for tenant in tenants
+    )
+    return round(durable / acked, 6) if acked else 0.0
 
 
 # ---------------------------------------------------------------------------

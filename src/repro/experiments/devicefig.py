@@ -36,12 +36,13 @@ shrinks the grid to 4 cells for CI.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, Optional, Tuple
 
-from ..analysis.metrics import mmr
 from ..analysis.report import format_table
 from ..core.calibration import reference_calibration
 from ..core.vop import make_cost_model
+from ..obs.metrics import mmr
 from ..ssd import get_profile
 from ..workload.iobench import DeviceEnv, run_interference_trial
 from .common import KIB, derive_seed, parallel_map
@@ -115,17 +116,13 @@ def _cell(args) -> Dict[str, float]:
     profile_name, queues, policy, op, index, duration, warmup, seed = args
     profile = _cell_profile(profile_name, queues, policy, op)
     env = DeviceEnv(profile, seed=derive_seed(seed, index))
-    read_trial = run_interference_trial(
-        profile, read_size=READ_SIZE, write_size=WRITE_SIZE,
-        read_fraction=1.0, duration=duration, warmup=warmup, seed=seed,
-        env=env,
+    trial = partial(
+        run_interference_trial, profile, read_size=READ_SIZE, write_size=WRITE_SIZE,
+        duration=duration, warmup=warmup, seed=seed, env=env,
     )
+    read_trial = trial(read_fraction=1.0)
     before = env.device.stats.snapshot()
-    mix_trial = run_interference_trial(
-        profile, read_size=READ_SIZE, write_size=WRITE_SIZE,
-        read_fraction=None, duration=duration, warmup=warmup, seed=seed,
-        env=env,
-    )
+    mix_trial = trial(read_fraction=None)
     after = env.device.stats
     host_pages = (after.write_bytes - before.write_bytes) / profile.page_size
     copied = after.gc_pages_copied - before.gc_pages_copied
@@ -297,7 +294,3 @@ def render(result: DeviceFigResult) -> str:
         + ("ok" if result.audit["ok"] else "FLAGGED")
     )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(quick=True)))

@@ -17,20 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..analysis.metrics import cdf_points, percentile
 from ..analysis.report import format_cdf, format_heatmap, format_table
 from ..core.capacity import reference_capacity, stack_floor
-from ..core.policy import Reservation
-from ..node import NodeConfig, StorageNode
-from ..sim import Simulator
-from ..ssd import get_profile
-from ..workload.generator import KvLoad, KvTenantSpec, bootstrap_tenant, start_kv_load
-from .common import parallel_map, size_label
+from ..obs.metrics import cdf_points, percentile
+from .common import KIB, parallel_map, size_label, stack_point
 
 __all__ = ["run", "render", "Fig10Result"]
-
-KIB = 1024
-MIB = 1024 * 1024
 
 
 @dataclass
@@ -70,62 +62,21 @@ class Fig10Result:
         }
 
 
-def _measure_stack_vops(
-    profile_name: str,
-    get_fraction: float,
-    get_size: int,
-    put_size: int,
-    sigma: float,
-    horizon: float,
-    warmup: float,
-    seed: int,
-) -> float:
-    """Total steady-state VOP/s of one backlogged app-request workload."""
-    sim = Simulator()
-    profile = get_profile(profile_name).with_capacity(768 * MIB)
-    node = StorageNode(
-        sim,
-        profile=profile,
-        config=NodeConfig(capacity_vops=reference_capacity(profile_name).floor_vops),
-        seed=seed,
+def _point(args) -> float:
+    """Total steady-state VOP/s of one backlogged app-request workload,
+    on its own node (the unit of parallelism)."""
+    profile_name, get_fraction, get_size, put_size, sigma, horizon, warmup, seed = args
+    total = 0.0
+
+    def note(tag, kind, cost):
+        nonlocal total
+        total += cost
+
+    stack_point(
+        profile_name, reference_capacity(profile_name).floor_vops, get_fraction,
+        get_size, put_size, sigma, horizon, warmup, seed, note,
     )
-    measured = {"vops": 0.0, "on": False}
-    downstream = node.tracker.note_io
-
-    def observer(tag, kind, size, cost):
-        downstream(tag, kind, size, cost)
-        if measured["on"]:
-            measured["vops"] += cost
-
-    node.scheduler.io_observer = observer
-    value_size = max(get_size, put_size)
-    n_keys = max(min(96 * MIB // value_size, 8000), 256)
-    spec = KvTenantSpec(
-        name="t0",
-        get_fraction=get_fraction,
-        get_size=get_size,
-        put_size=put_size,
-        sigma=sigma,
-        n_keys=n_keys,
-        workers=8,
-        reservation=Reservation(gets=1, puts=1),
-        separate_regions=get_size != put_size,
-    )
-    node.add_tenant(spec.name, spec.reservation)
-    preload = n_keys // 2 if spec.separate_regions else n_keys
-    if get_fraction > 0:
-        bootstrap_tenant(node.engines[spec.name], preload, get_size)
-    load = KvLoad(sim, node, [spec])
-    start_kv_load(load, horizon=horizon, seed=seed)
-    sim.run(until=warmup)
-    measured["on"] = True
-    sim.run(until=horizon)
-    return measured["vops"] / (horizon - warmup)
-
-
-def _measure_point(args) -> float:
-    """One stack-workload point on its own node (the unit of parallelism)."""
-    return _measure_stack_vops(*args)
+    return total / (horizon - warmup)
 
 
 def run(
@@ -149,22 +100,17 @@ def run(
     # Every point runs on its own fresh simulator/node, so the pure
     # sweep and the mixed grid are one flat list of independent work
     # units fanned out over `jobs` workers in a stable order.
-    pure_keys = []
-    mixed_keys = []
-    tasks = []
-    for size in pure_sizes:
-        pure_keys.append(("GET", size))
-        tasks.append((profile_name, 1.0, size, size, 4 * KIB, horizon, warmup, seed))
-        pure_keys.append(("PUT", size))
-        tasks.append((profile_name, 0.0, size, size, 4 * KIB, horizon, warmup, seed))
-    for fraction in (0.75, 0.5, 0.25, 0.01):
-        for gsize in grid_sizes:
-            for psize in grid_sizes:
-                mixed_keys.append((fraction, gsize, psize))
-                tasks.append(
-                    (profile_name, fraction, gsize, psize, 4 * KIB, horizon, warmup, seed)
-                )
-    values = parallel_map(_measure_point, tasks, jobs=jobs)
+    pure_keys = [(kind, size) for size in pure_sizes for kind in ("GET", "PUT")]
+    mixed_keys = [
+        (fraction, gsize, psize)
+        for fraction in (0.75, 0.5, 0.25, 0.01) for gsize in grid_sizes for psize in grid_sizes
+    ]
+    points = [(1.0 if kind == "GET" else 0.0, size, size) for kind, size in pure_keys]
+    tasks = [
+        (profile_name, *point, 4 * KIB, horizon, warmup, seed)
+        for point in points + mixed_keys
+    ]
+    values = parallel_map(_point, tasks, jobs=jobs)
     pure = dict(zip(pure_keys, values[: len(pure_keys)]))
     mixed = dict(zip(mixed_keys, values[len(pure_keys):]))
     return Fig10Result(
@@ -228,7 +174,3 @@ def render(result: Fig10Result) -> str:
         f"median unprovisionable share = {coverage['median_unprovisionable'] * 100:.0f}%"
     )
     return "\n".join(blocks)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(quick=True)))

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..analysis.report import format_table
-from ..core.policy import Reservation
 from .common import parallel_map
-from .kvdynamic import build_scenario, derive_reservations, group_of
+from .kvdynamic import GROUPS, build_scenario, group_of
 
 __all__ = ["run", "render", "Fig11Result"]
 
@@ -59,27 +58,13 @@ class Fig11Result:
         return (gets + puts) / reserved if reserved > 0 else 1.0
 
 
-def _run_variant(
-    track_indirect: bool,
-    profile_name: str,
-    probe_end: float,
-    change_at: float,
-    end_at: float,
-    seed: int,
-) -> Dict[str, Dict[str, Tuple[float, float, float, float]]]:
-    sim, node, load = build_scenario(
-        profile_name, track_indirect=track_indirect, seed=seed
+def _variant(args) -> Dict[str, Dict[str, Tuple[float, float, float, float]]]:
+    """One tracking variant on its own node (the unit of parallelism)."""
+    track_indirect, profile_name, probe_end, change_at, end_at, seed = args
+    sim, node, load, reservations = build_scenario(
+        profile_name, track_indirect, seed, on_overflow=None, horizon=end_at,
+        probe_end=probe_end,
     )
-    from ..workload.generator import start_kv_load
-
-    start_kv_load(load, horizon=end_at, seed=seed)
-    sim.run(until=probe_end)
-    reservations = derive_reservations(
-        node.capacity_vops, load.series, [spec.name for spec in load.specs],
-        (probe_end * 2 / 3, probe_end),
-    )
-    for tenant, reservation in reservations.items():
-        node.set_reservation(tenant, reservation)
     sim.run(until=change_at)
     changed = {
         tenant: reservation.scaled(CHANGE[group_of(tenant)])
@@ -93,9 +78,8 @@ def _run_variant(
     steady_window = (change_at - (change_at - probe_end) / 2, change_at)
     changed_window = (end_at - (end_at - change_at) / 2, end_at)
     out = {}
-    groups = sorted({group_of(spec.name) for spec in load.specs})
-    for group in groups:
-        members = [spec.name for spec in load.specs if group_of(spec.name) == group]
+    for group in sorted(GROUPS):
+        members = GROUPS[group][0]
 
         def phase_tuple(window, res_map):
             gets = sum(load.series[f"get:{m}"].window_mean(*window) for m in members)
@@ -109,11 +93,6 @@ def _run_variant(
             "changed": phase_tuple(changed_window, changed),
         }
     return out
-
-
-def _variant(args) -> Dict[str, Dict[str, Tuple[float, float, float, float]]]:
-    """One tracking variant on its own node (the unit of parallelism)."""
-    return _run_variant(*args)
 
 
 def run(
@@ -163,7 +142,3 @@ def render(result: Fig11Result) -> str:
             )
         )
     return "\n\n".join(blocks)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(quick=True)))

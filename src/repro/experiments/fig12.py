@@ -24,14 +24,7 @@ from typing import Dict, List, Tuple
 
 from ..analysis.report import format_table
 from ..core.policy import OverflowReport
-from .kvdynamic import (
-    ALT_REGION_BASE,
-    GROUPS,
-    build_scenario,
-    derive_reservations,
-    group_of,
-    spec_for,
-)
+from .kvdynamic import ALT_REGION_BASE, GROUPS, build_scenario, group_of, spec_for
 
 __all__ = ["run", "render", "Fig12Result"]
 
@@ -70,20 +63,10 @@ def run(
     else:
         probe_end, swap_work_at, swap_res_at, end_at = 60.0, 130.0, 200.0, 270.0
     overflow_log: List[OverflowReport] = []
-    sim, node, load = build_scenario(
-        profile_name, track_indirect=True, seed=seed,
-        on_overflow=overflow_log.append,
+    sim, node, load, reservations = build_scenario(
+        profile_name, True, seed, on_overflow=overflow_log.append, horizon=end_at,
+        probe_end=probe_end,
     )
-    from ..workload.generator import start_kv_load
-
-    start_kv_load(load, horizon=end_at, seed=seed)
-    sim.run(until=probe_end)
-    reservations = derive_reservations(
-        node.capacity_vops, load.series, [spec.name for spec in load.specs],
-        (probe_end * 2 / 3, probe_end),
-    )
-    for tenant, reservation in reservations.items():
-        node.set_reservation(tenant, reservation)
     sim.run(until=swap_work_at)
     marks = {"aligned_end": len(overflow_log)}
 
@@ -100,24 +83,21 @@ def run(
     marks["misaligned_end"] = len(overflow_log)
 
     # Reservation swap: realign with the new demand.
-    group_members = {g: names for g, (names, *_r) in GROUPS.items()}
-    for old_group, new_group in swapped_group.items():
-        donors = group_members[new_group]
-        receivers = group_members[old_group]
-        for receiver, donor in zip(receivers, donors):
-            node.set_reservation(receiver, reservations[donor])
+    realigned = {
+        receiver: reservations[donor]
+        for old_group, new_group in swapped_group.items()
+        for receiver, donor in zip(GROUPS[old_group][0], GROUPS[new_group][0])
+    }
+    for receiver, reservation in realigned.items():
+        node.set_reservation(receiver, reservation)
     sim.run(until=end_at)
     marks["realigned_end"] = len(overflow_log)
     node.stop()
 
     def reserved_units(tenant: str, phase: str) -> float:
-        if phase == "realigned" and group_of(tenant) in swapped_group:
-            donors = group_members[swapped_group[group_of(tenant)]]
-            receivers = group_members[group_of(tenant)]
-            donor = donors[receivers.index(tenant)]
-            res = reservations[donor]
-        else:
-            res = reservations[tenant]
+        res = reservations[tenant]
+        if phase == "realigned":
+            res = realigned.get(tenant, res)
         return res.gets + res.puts
 
     windows = {
@@ -207,7 +187,3 @@ def render(result: Fig12Result) -> str:
         )
     )
     return "\n\n".join(blocks)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(quick=True)))

@@ -20,19 +20,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..analysis.report import format_table
-from ..core.policy import Reservation
 from ..core.tags import InternalOp, IoTag, OpKind, RequestClass
-from ..engine import EngineConfig
-from ..node import NodeConfig, StorageNode
-from ..sim import Simulator
-from ..ssd import get_profile
-from ..workload.generator import KvLoad, KvTenantSpec, bootstrap_tenant, start_kv_load
-from .common import parallel_map, size_label
+from .common import KIB, parallel_map, size_label, stack_point
 
 __all__ = ["run", "render", "Fig2Result", "COMPONENTS"]
-
-KIB = 1024
-MIB = 1024 * 1024
 
 COMPONENTS = (
     "GET read IO",
@@ -63,65 +54,22 @@ def _component(tag: IoTag, kind: OpKind) -> Optional[str]:
     return None
 
 
-def _run_point(
-    profile_name: str,
-    get_size: int,
-    put_size: int,
-    separate_regions: bool,
-    horizon: float,
-    warmup: float,
-    seed: int,
-) -> Dict[str, float]:
-    sim = Simulator()
-    profile = get_profile(profile_name).with_capacity(768 * MIB)
-    node = StorageNode(
-        sim,
-        profile=profile,
-        config=NodeConfig(capacity_vops=26_000.0, engine=EngineConfig()),
-        seed=seed,
-    )
-    breakdown: Dict[str, float] = {c: 0.0 for c in COMPONENTS}
-    measuring = {"on": False}
-    downstream = node.tracker.note_io
-
-    def observer(tag, kind, size, cost):
-        downstream(tag, kind, size, cost)
-        if measuring["on"]:
-            component = _component(tag, kind)
-            if component is not None:
-                breakdown[component] += cost
-
-    node.scheduler.io_observer = observer
-    # Keyspace sized to ~10% of the device so data plus LSM slack fits.
-    value_size = max(get_size, put_size) if not separate_regions else put_size
-    n_keys = max(min(96 * MIB // value_size, 8000), 256)
-    spec = KvTenantSpec(
-        name="t0",
-        get_fraction=0.5,
-        get_size=get_size,
-        put_size=put_size,
-        sigma=0,
-        n_keys=n_keys,
-        workers=8,
-        reservation=Reservation(gets=1, puts=1),
-        separate_regions=separate_regions,
-    )
-    node.add_tenant(spec.name, spec.reservation)
-    # Preload so GETs hit indexed data from the start.
-    preload_keys = n_keys // 2 if separate_regions else n_keys
-    bootstrap_tenant(node.engines[spec.name], preload_keys, get_size)
-    load = KvLoad(sim, node, [spec])
-    start_kv_load(load, horizon=horizon, seed=seed)
-    sim.run(until=warmup)
-    measuring["on"] = True
-    sim.run(until=horizon)
-    duration = horizon - warmup
-    return {c: v / duration for c, v in breakdown.items()}
-
-
 def _point(args) -> Dict[str, float]:
     """One workload point on its own simulator (the unit of parallelism)."""
-    return _run_point(*args)
+    profile_name, get_size, put_size, horizon, warmup, seed = args
+    breakdown: Dict[str, float] = {c: 0.0 for c in COMPONENTS}
+
+    def note(tag, kind, cost):
+        component = _component(tag, kind)
+        if component is not None:
+            breakdown[component] += cost
+
+    stack_point(
+        profile_name, capacity_vops=26_000.0, get_fraction=0.5, get_size=get_size,
+        put_size=put_size, sigma=0, horizon=horizon, warmup=warmup, seed=seed, note=note,
+    )
+    duration = horizon - warmup
+    return {c: v / duration for c, v in breakdown.items()}
 
 
 def run(
@@ -143,9 +91,8 @@ def run(
     horizon = 20.0 if quick else 40.0
     warmup = 8.0 if quick else 15.0
     labels = [size_label(size) for size in sizes] + ["32K/128K"]
-    tasks = [
-        (profile_name, size, size, False, horizon, warmup, seed) for size in sizes
-    ] + [(profile_name, 32 * KIB, 128 * KIB, True, horizon, warmup, seed)]
+    tasks = [(profile_name, size, size, horizon, warmup, seed) for size in sizes]
+    tasks.append((profile_name, 32 * KIB, 128 * KIB, horizon, warmup, seed))
     results = parallel_map(_point, tasks, jobs=jobs)
     return Fig2Result(profile=profile_name, points=dict(zip(labels, results)))
 
@@ -166,7 +113,3 @@ def render(result: Fig2Result) -> str:
             f"50:50 GET/PUT, {result.profile}"
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(quick=True)))

@@ -18,11 +18,9 @@ from ..analysis.report import format_table
 from ..core.tags import OpKind
 from ..sim import Simulator
 from ..ssd import get_profile, make_device
-from .common import mode_for, size_label
+from .common import MIB, mode_for, size_label
 
 __all__ = ["run", "render"]
-
-MIB = 1024 * 1024
 
 
 @dataclass
@@ -112,7 +110,3 @@ def render(result: Fig3Result) -> str:
         headers, rows,
         title=f"Figure 3 — {result.profile} IO performance vs op size ({result.mode})",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(quick=True)))

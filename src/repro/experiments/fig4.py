@@ -26,8 +26,6 @@ from .common import ExperimentMode, derive_seed, mode_for, parallel_map, ratio_l
 
 __all__ = ["run", "render", "Fig4Result"]
 
-KIB = 1024
-
 
 @dataclass
 class Fig4Result:
@@ -43,6 +41,18 @@ class Fig4Result:
             [self.cells[(ratio, sigma, r, w)] for r in self.sizes]
             for w in reversed(self.sizes)
         ]
+
+    def variants(self) -> List[Tuple[Optional[float], Optional[int]]]:
+        """The ``(ratio, sigma)`` variants in display order: the 1:1 mix
+        first, then falling read share, then the log-normal sigmas."""
+        return sorted(
+            {(ratio, sigma) for (ratio, sigma, _r, _w) in self.cells},
+            key=lambda pair: (
+                pair[1] is not None,
+                -(pair[0] if pair[0] is not None else 2),
+                pair[1] or 0,
+            ),
+        )
 
     @property
     def floor(self) -> float:
@@ -120,15 +130,7 @@ def render(result: Fig4Result) -> str:
     ]
     col_labels = [size_label(s) for s in result.sizes]
     row_labels = [size_label(s) for s in reversed(result.sizes)]
-    seen = sorted(
-        {(ratio, sigma) for (ratio, sigma, _r, _w) in result.cells},
-        key=lambda pair: (
-            pair[1] is not None,
-            -(pair[0] if pair[0] is not None else 2),
-            pair[1] or 0,
-        ),
-    )
-    for ratio, sigma in seen:
+    for ratio, sigma in result.variants():
         title = f"{ratio_label(ratio)} read/write"
         if sigma is not None:
             title += f", log-normal sigma={size_label(sigma)}"
@@ -145,7 +147,3 @@ def render(result: Fig4Result) -> str:
         )
         blocks.append("")
     return "\n".join(blocks)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(quick=True)))

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.metrics import cdf_points, normalized_series
 from ..analysis.report import format_cdf
+from ..obs.metrics import cdf_points, normalized_series
 from .common import size_label, ratio_label
 from .fig4 import Fig4Result, run as run_fig4
 
@@ -31,16 +31,8 @@ class Fig5Result:
 def from_fig4(fig4: Fig4Result) -> Fig5Result:
     """Derive the Figure 5 CDFs from a Figure 4 sweep."""
     floor = fig4.floor
-    variants = sorted(
-        {(ratio, sigma) for (ratio, sigma, _r, _w) in fig4.cells},
-        key=lambda pair: (
-            pair[1] is not None,
-            -(pair[0] if pair[0] is not None else 2),
-            pair[1] or 0,
-        ),
-    )
     curves = {}
-    for ratio, sigma in variants:
+    for ratio, sigma in fig4.variants():
         samples = [
             vops
             for (r, s, _rs, _ws), vops in fig4.cells.items()
@@ -70,7 +62,3 @@ def render(result: Fig5Result) -> str:
         f"({result.floor / 1e3:.1f} kop/s), {result.profile} ({result.mode})"
     )
     return format_cdf(result.curves, title=header, value_label="normalized VOP/s")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(quick=True)))

@@ -61,7 +61,3 @@ def render(result: Fig6Result) -> str:
             f"(max VOP/s = {result.max_iop / 1e3:.1f}k)"
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run()))

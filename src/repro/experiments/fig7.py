@@ -14,15 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..analysis.metrics import mmr
 from ..analysis.report import format_table
-from ..core.capacity import reference_capacity
-from ..core.tags import OpKind
+from ..obs.metrics import mmr
 from ..ssd import get_profile
-from ..workload.iobench import DeviceEnv, TenantSpec, isolated_iops, run_raw_trial
+from ..workload.iobench import DeviceEnv
 from .common import mode_for, parallel_map, size_label
+from .fig9 import equal_share_trial
 
-__all__ = ["run", "render", "Fig7Result", "ratio_trial"]
+__all__ = ["run", "render", "Fig7Result"]
 
 PROFILES = ("intel320", "samsung840", "oczvector")
 
@@ -47,66 +46,29 @@ class Fig7Result:
         return sum(values) / len(values) if values else 0.0
 
 
-def ratio_trial(
-    profile_name: str,
-    read_size: int,
-    write_size: int,
-    env: DeviceEnv,
-    duration: float,
-    warmup: float,
-    seed: int = 7,
-    cost_model: str = "exact",
-) -> CellRatios:
-    """One Fig 7 cell: 4 readers + 4 writers, equal VOP allocations."""
-    profile = get_profile(profile_name)
-    specs = [
-        TenantSpec(f"r{i}", 1.0, read_size=read_size, write_size=write_size)
-        for i in range(4)
-    ] + [
-        TenantSpec(f"w{i}", 0.0, read_size=read_size, write_size=write_size)
-        for i in range(4)
-    ]
-    floor = reference_capacity(profile_name).floor_vops
-    allocations = {s.name: floor / len(specs) for s in specs}
-    trial = run_raw_trial(
-        profile,
-        specs,
-        duration=duration,
-        warmup=warmup,
-        seed=seed,
-        cost_model=cost_model,
-        allocations=allocations,
-        env=env,
-    )
-    ratios = {}
-    for name, tenant in trial.tenants.items():
-        kind = OpKind.READ if tenant.spec.read_fraction == 1.0 else OpKind.WRITE
-        size = read_size if kind == OpKind.READ else write_size
-        expected = isolated_iops(profile_name, kind, size) / len(specs)
-        ratios[name] = tenant.iops_per_sec(trial.duration) / expected
-    readers = [v for k, v in ratios.items() if k.startswith("r")]
-    writers = [v for k, v in ratios.items() if k.startswith("w")]
-    return CellRatios(
-        read_ratio=sum(readers) / len(readers),
-        write_ratio=sum(writers) / len(writers),
-        mmr=mmr(ratios.values()),
-        ratios=ratios,
-    )
-
-
 def _profile_cells(args) -> Dict[Tuple[str, int, int], CellRatios]:
     """One device profile's whole size grid (the unit of parallelism).
 
-    Each profile already ran on its own freshly seeded device env, so
-    fanning profiles out over workers reproduces the serial trajectory.
+    Each cell is fig9's ``rw`` pairing under the exact cost model: 4
+    readers + 4 writers at equal VOP allocations.  Each profile already
+    ran on its own freshly seeded device env, so fanning profiles out
+    over workers reproduces the serial trajectory.
     """
     profile_name, sizes, duration, warmup, seed = args
     env = DeviceEnv(get_profile(profile_name), seed=seed)
     cells = {}
     for rsize in sizes:
         for wsize in sizes:
-            cells[(profile_name, rsize, wsize)] = ratio_trial(
-                profile_name, rsize, wsize, env, duration, warmup, seed
+            _trial, ratios = equal_share_trial(
+                profile_name, "rw", rsize, wsize, env, duration, warmup, seed, "exact"
+            )
+            readers = [v for k, v in ratios.items() if k.startswith("r")]
+            writers = [v for k, v in ratios.items() if k.startswith("w")]
+            cells[(profile_name, rsize, wsize)] = CellRatios(
+                read_ratio=sum(readers) / len(readers),
+                write_ratio=sum(writers) / len(writers),
+                mmr=mmr(ratios.values()),
+                ratios=ratios,
             )
     return cells
 
@@ -158,7 +120,3 @@ def render(result: Fig7Result) -> str:
             )
         )
     return "\n\n".join(blocks)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(quick=True)))

@@ -60,7 +60,3 @@ def render(result: Fig8Result) -> str:
             )
         )
     return "\n\n".join(blocks)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run()))

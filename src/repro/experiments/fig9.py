@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.metrics import mmr, percentile
+from ..obs.metrics import mmr, percentile
 from ..analysis.report import format_table
 from ..core.capacity import reference_capacity
 from ..core.tags import OpKind
@@ -49,29 +49,65 @@ class Fig9Result:
         return percentile(values, 50), min(values), max(values)
 
 
-def _specs_for(category: str, size_a: int, size_b: int) -> List[TenantSpec]:
+def equal_shares(
+    profile_name: str, category: str, size_a: int, size_b: int
+) -> Tuple[List[TenantSpec], Dict[str, float]]:
+    """One workload pairing's eight tenants, each allocated an equal
+    eighth of the profile's VOP floor.
+
+    ``rw`` pits four ``size_a`` readers against four ``size_b``
+    writers; ``rr``/``ww`` pit four ``size_a`` tenants against four
+    ``size_b`` tenants of the same kind.
+    """
     if category == "rw":
-        return [
-            TenantSpec(f"r{i}", 1.0, read_size=size_a, write_size=size_b)
-            for i in range(4)
-        ] + [
-            TenantSpec(f"w{i}", 0.0, read_size=size_a, write_size=size_b)
-            for i in range(4)
-        ]
-    fraction = 1.0 if category == "rr" else 0.0
-    return [
-        TenantSpec(f"a{i}", fraction, read_size=size_a, write_size=size_a)
-        for i in range(4)
-    ] + [
-        TenantSpec(f"b{i}", fraction, read_size=size_b, write_size=size_b)
+        groups = (("r", 1.0, size_a, size_b), ("w", 0.0, size_a, size_b))
+    else:
+        fraction = 1.0 if category == "rr" else 0.0
+        groups = (("a", fraction, size_a, size_a), ("b", fraction, size_b, size_b))
+    specs = [
+        TenantSpec(f"{prefix}{i}", read_fraction, read_size=read_size, write_size=write_size)
+        for prefix, read_fraction, read_size, write_size in groups
         for i in range(4)
     ]
+    floor = reference_capacity(profile_name).floor_vops
+    return specs, {s.name: floor / len(specs) for s in specs}
 
 
-def _expected(profile_name: str, spec: TenantSpec, n: int) -> float:
-    kind = OpKind.READ if spec.read_fraction == 1.0 else OpKind.WRITE
-    size = spec.read_size if kind == OpKind.READ else spec.write_size
-    return isolated_iops(profile_name, kind, size) / n
+def equal_share_trial(
+    profile_name: str,
+    category: str,
+    size_a: int,
+    size_b: int,
+    env: DeviceEnv,
+    duration: float,
+    warmup: float,
+    seed: int,
+    cost_model: str,
+) -> Tuple[TrialResult, Dict[str, float]]:
+    """Run one :func:`equal_shares` pairing on ``env``.
+
+    Returns the trial and each tenant's IOP throughput ratio: its
+    achieved op/s over its expected share (isolated rate / 8).
+    """
+    specs, allocations = equal_shares(profile_name, category, size_a, size_b)
+    trial = run_raw_trial(
+        get_profile(profile_name),
+        specs,
+        duration=duration,
+        warmup=warmup,
+        seed=seed,
+        cost_model=cost_model,
+        allocations=allocations,
+        env=env,
+    )
+    ratios = {}
+    for name, tenant in trial.tenants.items():
+        spec = tenant.spec
+        kind = OpKind.READ if spec.read_fraction == 1.0 else OpKind.WRITE
+        size = spec.read_size if kind == OpKind.READ else spec.write_size
+        expected = isolated_iops(profile_name, kind, size) / len(specs)
+        ratios[name] = tenant.iops_per_sec(trial.duration) / expected
+    return trial, ratios
 
 
 def _model_samples(args) -> Dict[Tuple[str, str], List[Tuple[float, float]]]:
@@ -82,9 +118,7 @@ def _model_samples(args) -> Dict[Tuple[str, str], List[Tuple[float, float]]]:
     reproduces the serial trajectory exactly.
     """
     profile_name, model, sizes, duration, warmup, seed = args
-    profile = get_profile(profile_name)
-    floor = reference_capacity(profile_name).floor_vops
-    env = DeviceEnv(profile, seed=seed)
+    env = DeviceEnv(get_profile(profile_name), seed=seed)
     samples: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
     for category in CATEGORIES:
         pairs: List[Tuple[int, int]] = (
@@ -93,26 +127,13 @@ def _model_samples(args) -> Dict[Tuple[str, str], List[Tuple[float, float]]]:
             else list(combinations_with_replacement(sizes, 2))
         )
         for size_a, size_b in pairs:
-            specs = _specs_for(category, size_a, size_b)
-            allocations = {s.name: floor / len(specs) for s in specs}
-            trial = run_raw_trial(
-                profile,
-                specs,
-                duration=duration,
-                warmup=warmup,
-                seed=seed,
-                cost_model=model,
-                allocations=allocations,
-                env=env,
+            trial, iop_ratios = equal_share_trial(
+                profile_name, category, size_a, size_b, env, duration, warmup,
+                seed, model,
             )
-            iop_ratios = [
-                t.iops_per_sec(trial.duration)
-                / _expected(profile_name, t.spec, len(specs))
-                for t in trial.tenants.values()
-            ]
             vop_rates = [t.vops for t in trial.tenants.values()]
             samples.setdefault((model, category), []).append(
-                (mmr(iop_ratios), mmr(vop_rates))
+                (mmr(iop_ratios.values()), mmr(vop_rates))
             )
     return samples
 
@@ -162,7 +183,3 @@ def render(result: Fig9Result) -> str:
             )
         )
     return "\n\n".join(blocks)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(quick=True)))

@@ -1,4 +1,5 @@
-"""Shared scaffolding for the dynamic multi-tenant experiments (Figs 11-12).
+"""Shared scaffolding for the dynamic multi-tenant experiments (Figs 11-12;
+chaosfig and clusterfig borrow its workload groups and probe).
 
 Both figures run the same 8-tenant scenario on one node:
 
@@ -19,26 +20,25 @@ exactly those rates.
 
 from __future__ import annotations
 
+from random import Random
 from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.timeseries import SeriesSet
 from ..core.policy import Reservation
 from ..node import NodeConfig, StorageNode
 from ..sim import Simulator
-from ..ssd import get_profile
-from ..workload.generator import KvLoad, KvTenantSpec, bootstrap_tenant
+from ..workload.generator import KvLoad, KvTenantSpec, bootstrap_tenant, start_kv_load
+from .common import KIB, AckedWrites, kv_node
 
 __all__ = [
     "ALT_REGION_BASE",
     "GROUPS",
     "build_scenario",
-    "derive_reservations",
     "group_of",
+    "kv_request",
+    "reserve_from_probe",
     "value_size",
 ]
-
-KIB = 1024
-MIB = 1024 * 1024
 
 #: group -> (tenant names, get_fraction, get_size, put_size, n_keys)
 GROUPS: Dict[str, Tuple[Tuple[str, ...], float, int, int, int]] = {
@@ -76,20 +76,20 @@ def spec_for(tenant: str, group: str, key_base: int = 0) -> KvTenantSpec:
 
 
 def build_scenario(
-    profile_name: str = "intel320",
-    track_indirect: bool = True,
-    seed: int = 17,
-    on_overflow=None,
-) -> Tuple[Simulator, StorageNode, KvLoad]:
-    """Assemble node + tenants + bootstrapped data, ready to load."""
+    profile_name: str,
+    track_indirect: bool,
+    seed: int,
+    on_overflow,
+    horizon: float,
+    probe_end: float,
+) -> Tuple[Simulator, StorageNode, KvLoad, Dict[str, Reservation]]:
+    """Assemble node + tenants + bootstrapped data, start the load to
+    ``horizon`` and run the probe phase; returns the reservations it
+    set (:func:`reserve_from_probe`)."""
     sim = Simulator()
-    profile = get_profile(profile_name).with_capacity(768 * MIB)
-    node = StorageNode(
-        sim,
-        profile=profile,
-        config=NodeConfig(track_indirect=track_indirect),
-        seed=seed,
-        on_overflow=on_overflow,
+    node = kv_node(
+        sim, profile_name, seed,
+        config=NodeConfig(track_indirect=track_indirect), on_overflow=on_overflow,
     )
     specs: List[KvTenantSpec] = []
     for group, (names, *_rest) in GROUPS.items():
@@ -112,33 +112,40 @@ def build_scenario(
                     key_base=ALT_REGION_BASE,
                 )
     load = KvLoad(sim, node, specs)
-    return sim, node, load
+    start_kv_load(load, horizon=horizon, seed=seed)
+    reservations = reserve_from_probe(
+        sim, node, load.series, [spec.name for spec in load.specs], probe_end
+    )
+    return sim, node, load, reservations
 
 
-def derive_reservations(
-    capacity_vops: float,
-    series: SeriesSet,
-    names: Sequence[str],
-    window: Tuple[float, float],
-    margin: float = 0.8,
+def reserve_from_probe(
+    sim: Simulator, node: StorageNode, series: SeriesSet, names: Sequence[str],
+    probe_end: float,
 ) -> Dict[str, Reservation]:
-    """Reserve each tenant's probe rates, scaled into the VOP floor.
+    """Run the equal-share probe phase to ``probe_end``, then reserve
+    each tenant's probe rates, scaled into the VOP floor.
 
     The probe phase is work-conserving, so its aggregate VOP rate can
     exceed the *provisionable* capacity.  Reservations are the probe
-    throughputs (``get:``/``put:`` series over ``window``) scaled by
-    floor/probe-rate (×``margin``), i.e. the rates that evenly divide
-    the provisionable IO resources.
+    throughputs (``get:``/``put:`` series over the probe's last third)
+    scaled by floor/probe-rate (×0.8), i.e. the rates that evenly
+    divide the provisionable IO resources.  Returns them as set.
     """
+    sim.run(until=probe_end)
+    window = (probe_end * 2 / 3, probe_end)
     probe_vops = sum(series[f"vops:{name}"].window_mean(*window) for name in names)
-    factor = margin * min(capacity_vops / probe_vops, 1.0) if probe_vops else margin
-    return {
+    factor = 0.8 * min(node.capacity_vops / probe_vops, 1.0) if probe_vops else 0.8
+    reservations = {
         name: Reservation(
             gets=series[f"get:{name}"].window_mean(*window),
             puts=series[f"put:{name}"].window_mean(*window),
         ).scaled(factor)
         for name in names
     }
+    for name, reservation in reservations.items():
+        node.set_reservation(name, reservation)
+    return reservations
 
 
 def value_size(spec: KvTenantSpec, key: int) -> int:
@@ -149,3 +156,20 @@ def value_size(spec: KvTenantSpec, key: int) -> int:
     failover) can never masquerade as a lost write.
     """
     return spec.put_size + (key % 5) * max(spec.put_size // 8, 512)
+
+
+def kv_request(store, spec: KvTenantSpec, rng: Random, acks: AckedWrites):
+    """DES generator: one closed-loop request of ``spec`` against
+    ``store`` (a node or a cluster client).  GETs hit the bootstrapped
+    lower half of the keyspace; PUTs go to the upper half at
+    :func:`value_size` and land in ``acks`` once acknowledged.  Returns
+    whether the request was an acknowledged PUT."""
+    half = spec.n_keys // 2
+    if rng.random() < spec.get_fraction:
+        yield from store.get(spec.name, rng.randrange(half))
+        return False
+    key = half + rng.randrange(half)
+    size = value_size(spec, key)
+    yield from store.put(spec.name, key, size)
+    acks.ack(spec.name, key, size)
+    return True

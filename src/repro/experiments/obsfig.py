@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.report import format_table
 from ..core.calibration import reference_calibration
-from ..core.capacity import reference_capacity
 from ..core.policy import Reservation
 from ..core.vop import COST_MODEL_NAMES, make_cost_model
 from ..engine import EngineConfig
@@ -42,7 +41,7 @@ from ..ssd import get_profile
 from ..workload.generator import bootstrap_tenant
 from ..workload.iobench import DeviceEnv, run_raw_trial
 from .common import KIB, mode_for
-from .fig9 import _specs_for
+from .fig9 import equal_shares
 
 __all__ = ["run", "render", "ObsFigResult", "DEFAULT_TRACE_PATH"]
 
@@ -167,9 +166,9 @@ def _audit_one_model(profile_name: str, model_name: str, duration: float,
     profile = get_profile(profile_name)
     model = make_cost_model(model_name, reference_calibration(profile_name))
     audit = VopAudit(model, tolerance=0.01)
-    specs = _specs_for("rw", AUDIT_READ_SIZE, AUDIT_WRITE_SIZE)
-    floor = reference_capacity(profile_name).floor_vops
-    allocations = {s.name: floor / len(specs) for s in specs}
+    specs, allocations = equal_shares(
+        profile_name, "rw", AUDIT_READ_SIZE, AUDIT_WRITE_SIZE
+    )
     env = DeviceEnv(profile, seed=seed)
     run_raw_trial(
         profile, specs, duration=duration, warmup=warmup, seed=seed,
@@ -272,7 +271,3 @@ def render(result: ObsFigResult) -> str:
 
 def _fmt(value) -> str:
     return f"{value:.2f}" if isinstance(value, float) else str(value)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(quick=True)))

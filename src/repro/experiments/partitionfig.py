@@ -47,9 +47,19 @@ from ..analysis.report import format_table
 from ..core.policy import Reservation
 from ..faults import FaultKind, FaultPlan, FaultWindow, StorageFault
 from ..net import NetConfig
-from ..node import NodeConfig, StorageCluster
+from ..node import StorageCluster
+from ..obs.metrics import Histogram
 from ..sim import Simulator
-from .common import count_lost, derive_seed, parallel_map, value_size
+from .common import (
+    AckedWrites,
+    check_schedule,
+    demand_vops,
+    derive_seed,
+    parallel_map,
+    rpc_round_trips,
+    value_size,
+    write_amplification,
+)
 
 __all__ = ["run", "render", "PartitionResult", "PartitionCell"]
 
@@ -81,6 +91,15 @@ class PartitionTimeline:
     horizon: float
     #: extra drain after the horizon for handoff/anti-entropy/verify
     drain: float
+
+    def __post_init__(self):
+        check_schedule(self, (
+            ("part_end", self.part_end > self.part_start, "> part_start"),
+            # demand is sampled after the heal, 0.5 s before the horizon
+            ("horizon", self.horizon >= self.part_end + 0.5, ">= part_end + 0.5"),
+            # the load drains to horizon + drain - 2 before the read-back
+            ("drain", self.drain > 2, "> 2"),
+        ))
 
 
 QUICK = PartitionTimeline(part_start=3.0, part_end=10.0, horizon=16.0, drain=30.0)
@@ -172,25 +191,13 @@ def _run_cell(args: Tuple[str, str, int, int, bool, str, int]) -> PartitionCell:
         )
     )
     net = NetConfig(
-        rf=RF,
-        replication_mode=mode,
-        write_quorum=w,
-        read_quorum=r,
-        rpc_timeout=0.15,
-        rpc_retries=2,
-        rpc_backoff=0.05,
-        hint_interval=0.5,
-        anti_entropy_interval=2.0,
-        fault_plan=plan,
+        rf=RF, replication_mode=mode, write_quorum=w, read_quorum=r,
+        rpc_timeout=0.15, rpc_retries=2, rpc_backoff=0.05,
+        hint_interval=0.5, anti_entropy_interval=2.0, fault_plan=plan,
     )
     cluster = StorageCluster(
-        sim,
-        n_nodes=N_NODES,
-        profile=profile_name,
-        config=NodeConfig(cache_bytes=0),
-        partitions_per_tenant=PARTITIONS,
-        seed=seed,
-        net=net,
+        sim, n_nodes=N_NODES, profile=profile_name, partitions_per_tenant=PARTITIONS,
+        seed=seed, net=net,
     )
     cluster.add_tenant(TENANT, Reservation(gets=600.0, puts=600.0))
     clients = {
@@ -200,11 +207,10 @@ def _run_cell(args: Tuple[str, str, int, int, bool, str, int]) -> PartitionCell:
     # Per-side disjoint key ranges, one fresh key per write: the last
     # acknowledged size per key is the ground truth verification reads
     # check against, with no cross-side overwrites to excuse a miss.
-    expected: Dict[str, Dict[int, int]] = {"min": {}, "maj": {}}
+    acks = AckedWrites(("min", "maj"))
     acked_order: Dict[str, List[int]] = {"min": [], "maj": []}
-    window_acked: Dict[str, int] = {"min": 0, "maj": 0}
-    errors: Dict[str, int] = {"min": 0, "maj": 0}
-    probes = {"reads": 0, "stale": 0}
+    cell.window_acked = {"min": 0, "maj": 0}
+    cell.errors = {"min": 0, "maj": 0}
 
     # Each side writes partitions whose *initial* primary sits on its
     # own side of the cut: minority-side writes keep acking against the
@@ -213,16 +219,11 @@ def _run_cell(args: Tuple[str, str, int, int, bool, str, int]) -> PartitionCell:
     # the worker stalling its whole window on unreachable majority
     # primaries.
     side_partitions = {
-        "min": [
-            p.index
-            for p in cluster.partition_map.partitions(TENANT)
-            if p.node in MINORITY
-        ],
-        "maj": [
-            p.index
-            for p in cluster.partition_map.partitions(TENANT)
-            if p.node not in MINORITY
-        ],
+        side: [
+            p.index for p in cluster.partition_map.partitions(TENANT)
+            if (p.node in MINORITY) == (side == "min")
+        ]
+        for side in ("min", "maj")
     }
 
     def worker(side: str):
@@ -237,12 +238,12 @@ def _run_cell(args: Tuple[str, str, int, int, bool, str, int]) -> PartitionCell:
             size = value_size(op)
             try:
                 yield from client.put(TENANT, key, size)
-                expected[side][key] = size
+                acks.ack(side, key, size)
                 acked_order[side].append(key)
                 if timeline.part_start <= sim.now <= timeline.part_end:
-                    window_acked[side] += 1
+                    cell.window_acked[side] += 1
             except StorageFault:
-                errors[side] += 1
+                cell.errors[side] += 1
             # Read-your-writes probe: re-read one recently acked key.
             recent = acked_order[side]
             if recent and rng.random() < 0.5:
@@ -250,11 +251,11 @@ def _run_cell(args: Tuple[str, str, int, int, bool, str, int]) -> PartitionCell:
                 probe_key = recent[len(recent) - 1 - back]
                 try:
                     got = yield from client.get(TENANT, probe_key)
-                    probes["reads"] += 1
-                    if got != expected[side][probe_key]:
-                        probes["stale"] += 1
+                    cell.reads += 1
+                    if got != acks.expected[side][probe_key]:
+                        cell.stale_reads += 1
                 except StorageFault:
-                    errors[side] += 1
+                    cell.errors[side] += 1
             yield sim.timeout(0.015 + rng.random() * 0.015)
 
     def demand_sampler():
@@ -262,10 +263,7 @@ def _run_cell(args: Tuple[str, str, int, int, bool, str, int]) -> PartitionCell:
         # live demand here, which is the point — consistency repair is
         # work Libra's provisioning sees.
         yield sim.timeout(timeline.horizon - 0.5)
-        cell.demand_vops = sum(
-            sum(node.policy.estimated_demand().values())
-            for node in cluster.nodes.values()
-        )
+        cell.demand_vops = demand_vops(cluster)
 
     def convergence_monitor():
         if not net.leaderless:
@@ -289,28 +287,16 @@ def _run_cell(args: Tuple[str, str, int, int, bool, str, int]) -> PartitionCell:
 
     # -- verify: every acknowledged write must still read back ------------
     verify_client = cluster.make_client("verify")
-    lost: Dict[str, int] = {}
-    verified: Dict[str, bool] = {}
-
-    def verifier(side: str):
-        lost[side] = yield from count_lost(
-            lambda key: verify_client.get(TENANT, key), expected[side]
-        )
-        verified[side] = True
-
-    for side in ("min", "maj"):
-        sim.process(verifier(side), name=f"part.verify.{side}")
-    sim.run(until=timeline.horizon + timeline.drain + 120.0)
+    acks.verify(
+        sim, lambda _side, key: verify_client.get(TENANT, key), "part.verify",
+        timeline.horizon + timeline.drain + 120.0,
+    )
     cluster.stop()
 
     # -- collect ----------------------------------------------------------
     for side in ("min", "maj"):
-        cell.acked[side] = len(expected[side])
-        cell.window_acked[side] = window_acked[side]
-        cell.errors[side] = errors[side]
-        cell.lost[side] = lost.get(side, len(expected[side]))
-    cell.reads = probes["reads"]
-    cell.stale_reads = probes["stale"]
+        cell.acked[side] = len(acks.expected[side])
+        cell.lost[side] = acks.lost(side)
     services = cluster.services.values()
     if net.leaderless:
         cell.hints_stored = sum(s.hints_stored for s in services)
@@ -322,28 +308,19 @@ def _run_cell(args: Tuple[str, str, int, int, bool, str, int]) -> PartitionCell:
     stats = cluster.total_stats(TENANT)
     cell.repl_applies = stats.repl_applies
     cell.repl_reads = stats.repl_reads
-    total_acked = sum(cell.acked.values())
-    durable = sum(cluster.durable_record_counts(TENANT).values())
-    cell.write_amplification = (
-        round(durable / total_acked, 6) if total_acked else 0.0
+    cell.write_amplification = write_amplification(
+        cluster, (TENANT,), sum(cell.acked.values())
     )
-    put_samples: List[float] = []
+    puts = Histogram()
     for client in clients.values():
         recorder = client.latencies.get(TENANT)
         if recorder is not None:
-            put_samples.extend(recorder.samples("put"))
-    if put_samples:
-        from ..obs.metrics import Histogram
-
-        hist = Histogram()
-        for sample in put_samples:
-            hist.observe(sample)
-        cell.put_p50_ms = round(hist.percentile(50) * 1e3, 3)
-        cell.put_p99_ms = round(hist.percentile(99) * 1e3, 3)
-    cell.rpc_round_trips = sum(
-        service.rpc.stats.round_trips for service in services
-    ) + sum(client.rpc.stats.round_trips for client in clients.values())
-    cell.verified = all(verified.get(side, False) for side in ("min", "maj"))
+            puts.merge(recorder.histogram("put"))
+    if puts.count:
+        cell.put_p50_ms = round(puts.percentile(50) * 1e3, 3)
+        cell.put_p99_ms = round(puts.percentile(99) * 1e3, 3)
+    cell.rpc_round_trips = rpc_round_trips(cluster, clients.values())
+    cell.verified = acks.verified
     return cell
 
 
@@ -417,7 +394,3 @@ def render(result: PartitionResult) -> str:
         f"(verified={all(c.verified for c in result.cells)})"
     )
     return "\n\n".join(blocks)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(quick=True)))

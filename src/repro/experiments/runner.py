@@ -8,21 +8,18 @@ Usage::
                                                 # 4 worker processes
     python -m repro.experiments all             # every figure, quick
 
-``--jobs N`` parallelizes the figures whose grids decompose into
-independent work units (fig2, fig4, fig5, fig7, fig9, fig10, fig11)
-over ``N`` worker processes, as does ``clusterfig`` (one cell per
-replication factor).  Results are byte-identical to a serial run: every
-unit owns its simulator and derived seed, and the merge is ordered.
-Figures that are one continuous simulated timeline (fig3, fig12,
-chaosfig) or pure computation (fig6, fig8) accept the flag and run
-serially.
+``--jobs N`` fans a figure's independent work units (grid cells,
+variants, cost models, cluster cells) over ``N`` worker processes,
+byte-identically to a serial run: every unit owns its simulator and
+derived seed, and the merge is ordered.  One continuous timeline
+(fig3, fig12, chaosfig, obsfig) or pure computation (fig6, fig8)
+accepts the flag and runs serially.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
-import sys
 import time
 from typing import List
 
@@ -89,7 +86,3 @@ def main(argv: List[str] = None) -> int:
         print(report)
         print(f"[{name} completed in {time.time() - started:.0f}s]\n")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

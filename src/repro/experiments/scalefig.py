@@ -28,17 +28,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..analysis.report import format_table
 from ..control.churn import ChurnConfig, run_churn_trial
 from ..core.policy import Reservation
 from ..faults import StorageFault
 from ..net import NetConfig
-from ..node import NodeConfig, StorageCluster
+from ..node import StorageCluster
 from ..obs import Observability
 from ..sim import Simulator
-from .common import count_lost, derive_seed, parallel_map, value_size
+from .common import AckedWrites, check_schedule, derive_seed, parallel_map, value_size
 
 __all__ = ["run", "render", "ScaleResult", "GrowCell", "ChurnCell"]
 
@@ -60,6 +60,12 @@ class GrowPlan:
     #: extra run time after the last grow before verification
     settle: float
     end_nodes: int = END_NODES
+
+    def __post_init__(self):
+        whole = isinstance(self.end_nodes, int) and not isinstance(self.end_nodes, bool)
+        check_schedule(self, (
+            ("end_nodes", whole and self.end_nodes > START_NODES, f"an int > {START_NODES}"),
+        ))
 
 
 #: smoke < quick < full: same scenario shape, lighter schedules
@@ -130,20 +136,14 @@ def _run_grow(args: Tuple[str, GrowPlan, int]) -> GrowCell:
     sim = Simulator()
     net = NetConfig(rf=RF, replication_mode="primary-backup", write_quorum=RF)
     cluster = StorageCluster(
-        sim,
-        n_nodes=START_NODES,
-        profile=profile_name,
-        config=NodeConfig(cache_bytes=0),
-        partitions_per_tenant=PARTITIONS,
-        seed=seed,
-        net=net,
-        obs=Observability(audit=True),
+        sim, n_nodes=START_NODES, profile=profile_name, partitions_per_tenant=PARTITIONS,
+        seed=seed, net=net, obs=Observability(audit=True),
     )
     cluster.enable_control(key_space=KEY_SPACE, vnodes=32)
     cluster.add_ranged_tenant(TENANT, Reservation(gets=400.0, puts=400.0))
     client = cluster.make_client("app")
-    expected: Dict[int, int] = {}
-    state = {"errors": 0, "stop": False, "done": False}
+    acks = AckedWrites((TENANT,))
+    state = {"errors": 0, "stop": False}
 
     def writer():
         rng = random.Random(f"scale:{seed}:writer")
@@ -154,7 +154,7 @@ def _run_grow(args: Tuple[str, GrowPlan, int]) -> GrowCell:
             size = value_size(op)
             try:
                 yield from client.put(TENANT, key, size)
-                expected[key] = size
+                acks.ack(TENANT, key, size)
             except StorageFault:
                 state["errors"] += 1
             yield sim.timeout(plan.write_gap)
@@ -172,11 +172,8 @@ def _run_grow(args: Tuple[str, GrowPlan, int]) -> GrowCell:
                 widest = max(
                     pm.partitions(TENANT), key=lambda p: (p.width, -p.index)
                 )
-                report = yield from cluster.split_partition(
-                    TENANT, widest.index
-                )
+                yield from cluster.split_partition(TENANT, widest.index)
                 cell.splits += 1
-                del report
         yield sim.timeout(plan.settle)
         state["stop"] = True
 
@@ -187,22 +184,20 @@ def _run_grow(args: Tuple[str, GrowPlan, int]) -> GrowCell:
             yield sim.timeout(0.25)
         yield sim.timeout(0.5)
         check = cluster.make_client("verify")
-        cell.lost = yield from count_lost(
-            lambda key: check.get(TENANT, key), expected
-        )
-        state["done"] = True
+        yield from acks.read_back(TENANT, lambda key: check.get(TENANT, key))
 
     sim.process(writer(), name="scale.writer")
     sim.process(controller(), name="scale.controller")
     sim.process(verifier(), name="scale.verify")
     horizon = (plan.end_nodes - START_NODES) * plan.grow_interval + plan.settle
     sim.run(until=horizon + 60.0)
-    cell.verified = state["done"]
+    cell.verified = acks.verified
+    cell.lost = acks.lost(TENANT)
     cluster.stop()
     sim.run(until=sim.now + 1.0)
 
     # -- collect -----------------------------------------------------------
-    cell.acked = len(expected)
+    cell.acked = len(acks.expected[TENANT])
     cell.errors = state["errors"]
     cell.map_version = cluster.partition_map.version
     reports = cluster.reshard.reports
@@ -212,18 +207,12 @@ def _run_grow(args: Tuple[str, GrowPlan, int]) -> GrowCell:
     cell.fence_seconds_total = round(
         sum(r.fence_seconds for r in reports), 9
     )
-    recs = []
-    flags_ok = True
-    for node in cluster.nodes.values():
-        if node.audit is None:
-            continue
-        summary = node.audit.summary()
-        recs.append(summary["reconciliation"])
-        flags_ok = flags_ok and summary["ok"]
+    summaries = [node.audit.summary() for node in cluster.nodes.values() if node.audit is not None]
+    recs = [summary["reconciliation"] for summary in summaries]
     if recs:
         cell.reconciliation_min = round(min(recs), 6)
         cell.reconciliation_max = round(max(recs), 6)
-    cell.audit_ok = flags_ok
+    cell.audit_ok = all(summary["ok"] for summary in summaries)
     cell.total_vops = round(
         sum(
             node.scheduler.usage(TENANT).vops
@@ -269,6 +258,12 @@ def _run_churn(args: Tuple[str, int]) -> ChurnCell:
     )
 
 
+def _cell(task):
+    """One scenario (the unit of parallelism): ``(runner, args)``."""
+    scenario, args = task
+    return scenario(args)
+
+
 def run(
     quick: bool = True,
     profile_name: str = "intel320",
@@ -283,16 +278,11 @@ def run(
     mode = "smoke" if smoke else ("quick" if quick else "full")
     plan = {"smoke": SMOKE, "quick": QUICK, "full": FULL}[mode]
     result = ScaleResult(profile=profile_name, seed=seed, mode=mode)
-    grow_args = (profile_name, plan, derive_seed(seed, 0))
-    churn_args = (mode, derive_seed(seed, 1))
-
-    def _cell(args):
-        return (
-            _run_grow(args[1]) if args[0] == "grow" else _run_churn(args[1])
-        )
-
     result.grow, result.churn = parallel_map(
-        _cell, [("grow", grow_args), ("churn", churn_args)], jobs=jobs,
+        _cell,
+        [(_run_grow, (profile_name, plan, derive_seed(seed, 0))),
+         (_run_churn, (mode, derive_seed(seed, 1)))],
+        jobs=jobs,
     )
     return result
 
@@ -332,7 +322,3 @@ def render(result: ScaleResult) -> str:
         f"{g.splits} splits: {g.lost}"
     )
     return "\n\n".join(blocks)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(quick=True)))

@@ -31,9 +31,9 @@ class LatencyRecorder:
     Keeps the newest ``capacity`` samples per request kind, enough for
     stable means and tail percentiles without unbounded memory.
     Percentile math is delegated to :class:`repro.obs.metrics.Histogram`
-    — the repo's single percentile implementation — so recorder numbers
-    agree with published latency metrics to within one histogram bucket
-    (~2% relative; exact at the distribution's min/max).
+    — the same histogram the published latency metrics use — so recorder
+    numbers agree with them to within one histogram bucket (~2%
+    relative; exact at the distribution's min/max).
     """
 
     def __init__(self, capacity: int = 2048):

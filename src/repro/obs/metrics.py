@@ -10,18 +10,26 @@ remain as compatibility shims; the registry is a uniform, labeled view
 over them, not a replacement data path, so publishing is snapshot-
 idempotent and costs nothing until called.
 
-The :class:`Histogram` is the repo's single percentile implementation:
+The :class:`Histogram` is the percentile implementation for latencies:
 fixed log-spaced buckets (ratio ``DEFAULT_BUCKET_RATIO``), exact
 ``sum``/``count`` so means are exact, and percentile estimates by
 linear interpolation inside the covering bucket — accurate to one
 bucket width (~2% relative).  ``repro.node.LatencyRecorder`` delegates
 its percentile math here.
+
+The evaluation metrics at the end of the module score whole sample
+sets: the min-max ratio (MMR) of per-tenant throughput ratios
+``x_t = achieved / expected`` (1.0 is perfect insulation / perfectly
+fair penalty), SLO attainment, empirical CDFs, and the numpy-exact
+:func:`percentile` the Fig 9 and Fig 10 tables read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "Counter",
@@ -31,6 +39,11 @@ __all__ = [
     "log_bucket_bounds",
     "DEFAULT_LATENCY_BOUNDS",
     "DEFAULT_BUCKET_RATIO",
+    "mmr",
+    "cdf_points",
+    "percentile",
+    "normalized_series",
+    "slo_attainment",
 ]
 
 #: relative width of adjacent histogram buckets (percentile resolution)
@@ -251,3 +264,65 @@ class MetricsRegistry:
             label_text = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
             flat[f"{metric_name}{{{label_text}}}" if label_text else metric_name] = value
         return flat
+
+
+# ---------------------------------------------------------------------------
+# Evaluation metrics over sample sets
+# ---------------------------------------------------------------------------
+
+
+def mmr(ratios: Iterable[float]) -> float:
+    """Min-max ratio over per-tenant throughput ratios.
+
+    1.0 means every tenant is penalized equally (perfect fairness);
+    empty or all-zero input yields 0.0.
+    """
+    values = [r for r in ratios]
+    if not values:
+        return 0.0
+    largest = max(values)
+    if largest <= 0:
+        return 0.0
+    return min(values) / largest
+
+
+def slo_attainment(samples: Sequence[float], threshold: float) -> float:
+    """Fraction of samples at or under an SLO threshold (empty -> 0).
+
+    The per-tenant service-level view of a latency distribution: an SLO
+    of "99% of requests under 50 ms" is met when
+    ``slo_attainment(latencies, 0.050) >= 0.99``.
+    """
+    if not samples:
+        return 0.0
+    return sum(1 for s in samples if s <= threshold) / len(samples)
+
+
+def cdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:
+    """Empirical CDF as (value, fraction ≤ value), sorted ascending."""
+    if not samples:
+        return []
+    ordered = sorted(samples)
+    n = len(ordered)
+    return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
+
+
+def percentile(samples: Sequence[float], pct: float) -> float:
+    """Percentile of a sample set (linear interpolation)."""
+    if not samples:
+        raise ValueError("percentile of empty sample set")
+    return float(np.percentile(np.asarray(samples, dtype=float), pct))
+
+
+def normalized_series(samples: Sequence[float], reference: float = None) -> List[float]:
+    """Samples normalized by ``reference`` (default: the minimum).
+
+    This is Fig 5's presentation: throughput normalized by the minimum
+    achieved throughput, i.e. the capacity floor candidate.
+    """
+    if not samples:
+        return []
+    base = min(samples) if reference is None else reference
+    if base <= 0:
+        raise ValueError("non-positive normalization reference")
+    return [s / base for s in samples]

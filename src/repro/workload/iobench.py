@@ -75,9 +75,6 @@ class TenantResult:
         """Completed submitted ops per second (chunks of one op merged)."""
         return self.tasks / duration
 
-    def vops_per_sec(self, duration: float) -> float:
-        return self.vops / duration
-
 
 @dataclass
 class TrialResult:
@@ -89,10 +86,6 @@ class TrialResult:
     @property
     def total_vops_per_sec(self) -> float:
         return sum(t.vops for t in self.tenants.values()) / self.duration
-
-    @property
-    def total_iops_per_sec(self) -> float:
-        return sum(t.ops for t in self.tenants.values()) / self.duration
 
 
 class DeviceEnv:

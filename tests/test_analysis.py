@@ -2,17 +2,8 @@
 
 import pytest
 
-from repro.analysis import (
-    Series,
-    SeriesSet,
-    cdf_points,
-    format_cdf,
-    format_heatmap,
-    format_table,
-    mmr,
-    normalized_series,
-    percentile,
-)
+from repro.analysis import Series, SeriesSet, format_cdf, format_heatmap, format_table
+from repro.obs.metrics import cdf_points, mmr, normalized_series, percentile
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ and the tenant's next PUT still lands — or a specified result.  Every
 row runs on a freshly loaded one-tenant node.  The configuration rows
 (device profile, node config, net config, scheduler config, policy
 interval, ranged-tenant partition count, reservation, allocation, fault
-window, churn scenario) pin what the constructors refuse: a value that would hang the
-scheduler or the simulation, or silently poison every later op.
+window, churn scenario, experiment schedules) pin what the constructors refuse: a value
+that would hang the scheduler or the simulation, or silently poison every later op.
 """
 
 import math
@@ -23,6 +23,7 @@ from repro.control.churn import ChurnConfig, run_churn_trial
 from repro.core import IoTag, Reservation, ResourcePolicy, SchedulerConfig
 from repro.engine import EngineConfig
 from repro.engine.db import RECORD_OVERHEAD
+from repro.experiments import chaosfig, clusterfig, partitionfig, scalefig
 from repro.faults import FaultKind, FaultWindow
 from repro.net import NetConfig
 from repro.node import NodeConfig, StorageCluster, StorageNode
@@ -178,6 +179,20 @@ def ranged_tenant(n_partitions):
         )
         cluster.enable_control()
         cluster.add_ranged_tenant("r1", Reservation(), n_partitions=n_partitions)
+
+    return call
+
+
+def schedule(base, **fields):
+    """A shipped experiment schedule with one field changed; a refusal
+    names that field."""
+    def call(node):
+        try:
+            replace(base, **fields)
+        except ValueError as exc:
+            named = f"{type(base).__name__}.{next(iter(fields))} "
+            assert str(exc).startswith(named), exc
+            raise
 
     return call
 
@@ -581,6 +596,46 @@ ROWS = [
     ("ChurnConfig", "one node, two tenants", returns(
         lambda: run_churn_trial(ChurnConfig(n_nodes=1, n_tenants=2, horizon=5.0)),
         lambda r: (r.admitted, r.total_tasks)), (2, 46)),
+    # -- experiment schedules: a negative sleep, or an empty window the run reads ------
+    ("ClusterTimeline", "kill_at 0.5", schedule(clusterfig.QUICK, kill_at=0.5), ValueError),
+    ("ClusterTimeline", "kill_at NaN", schedule(clusterfig.QUICK, kill_at=NAN), ValueError),
+    ("ClusterTimeline", "settle -1", schedule(clusterfig.QUICK, settle=-1.0), ValueError),
+    ("ClusterTimeline", "horizon = kill_at + settle",
+     schedule(clusterfig.QUICK, horizon=12.0), ValueError),
+    ("ClusterTimeline", "horizon +inf", schedule(clusterfig.QUICK, horizon=INF), ValueError),
+    ("ClusterTimeline", "kill_at 1", returns(
+        lambda: clusterfig.ClusterTimeline(kill_at=1.0, horizon=3.5),
+        lambda t: t.kill_at), 1.0),
+    ("ChaosTimeline", "probe_end 0", schedule(chaosfig.QUICK, probe_end=0.0), ValueError),
+    ("ChaosTimeline", "fault_start = probe_end + 2",
+     schedule(chaosfig.QUICK, fault_start=22.0), ValueError),
+    ("ChaosTimeline", "fault_end NaN", schedule(chaosfig.QUICK, fault_end=NAN), ValueError),
+    ("ChaosTimeline", "fault_end = fault_start + 0.5",
+     schedule(chaosfig.QUICK, fault_end=30.5), ValueError),
+    ("ChaosTimeline", "horizon = fault_end + 3",
+     schedule(chaosfig.QUICK, horizon=48.0), ValueError),
+    ("ChaosTimeline", "crash_at -1", schedule(chaosfig.QUICK, crash_at=-1.0), ValueError),
+    ("ChaosTimeline", "stall_start after stall_end",
+     schedule(chaosfig.QUICK, stall_start=41.0), ValueError),
+    ("ChaosTimeline", "stall_end after fault_end",
+     schedule(chaosfig.QUICK, stall_end=46.0), ValueError),
+    ("PartitionTimeline", "part_start -1",
+     schedule(partitionfig.QUICK, part_start=-1.0), ValueError),
+    ("PartitionTimeline", "part_start +inf",
+     schedule(partitionfig.QUICK, part_start=INF), ValueError),
+    ("PartitionTimeline", "part_end = part_start",
+     schedule(partitionfig.QUICK, part_end=3.0), ValueError),
+    ("PartitionTimeline", "horizon = part_end",
+     schedule(partitionfig.QUICK, horizon=10.0), ValueError),
+    ("PartitionTimeline", "drain 2", schedule(partitionfig.QUICK, drain=2.0), ValueError),
+    ("GrowPlan", "grow_interval -1",
+     schedule(scalefig.SMOKE, grow_interval=-1.0), ValueError),
+    ("GrowPlan", "write_gap NaN", schedule(scalefig.SMOKE, write_gap=NAN), ValueError),
+    ("GrowPlan", "settle -0.5", schedule(scalefig.SMOKE, settle=-0.5), ValueError),
+    ("GrowPlan", "end_nodes = START_NODES",
+     schedule(scalefig.SMOKE, end_nodes=scalefig.START_NODES), ValueError),
+    ("GrowPlan", "end_nodes 8.0", schedule(scalefig.SMOKE, end_nodes=8.0), ValueError),
+    ("GrowPlan", "end_nodes True", schedule(scalefig.SMOKE, end_nodes=True), ValueError),
     # -- FaultWindow -------------------------------------------------------------------
     ("FaultWindow", "NaN start", window(start=NAN), ValueError),
     ("FaultWindow", "NaN end", window(end=NAN), ValueError),
@@ -607,7 +662,8 @@ ENTRIES = {
     "Ftl.host_write", "Ftl.precondition", "Ftl.read_channels", "Ftl.trim",
     "Ftl.trim_extents", "SsdProfile", "NodeConfig", "NetConfig", "Reservation",
     "LibraScheduler.set_allocation", "FaultWindow", "SchedulerConfig", "ResourcePolicy",
-    "StorageCluster.add_ranged_tenant", "ChurnConfig",
+    "StorageCluster.add_ranged_tenant", "ChurnConfig", "ClusterTimeline", "ChaosTimeline",
+    "PartitionTimeline", "GrowPlan",
 }
 
 

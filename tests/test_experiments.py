@@ -5,10 +5,16 @@ through their building blocks.  The full regeneration lives in
 ``benchmarks/``.
 """
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import FIGURES, run_figure
-from repro.experiments import common, fig3, fig5, fig6, fig8
+from repro.experiments import (
+    chaosfig, clusterfig, common, fig3, fig5, fig6, fig8, partitionfig, scalefig,
+)
+from repro.experiments.clusterfig import ClusterTimeline
 from repro.experiments.fig4 import Fig4Result
 
 
@@ -46,6 +52,45 @@ def test_value_size_cycles_seven_sizes_512_bytes_apart():
     assert sizes[:7] == [2048 + 512 * k for k in range(7)]
     assert sizes[7:] == sizes[:7]
     assert partitionfig.value_size is scalefig.value_size is common.value_size
+
+
+@pytest.mark.parametrize("schedule", [
+    chaosfig.QUICK, chaosfig.FULL, clusterfig.QUICK, clusterfig.FULL,
+    partitionfig.QUICK, partitionfig.FULL, scalefig.SMOKE, scalefig.QUICK, scalefig.FULL,
+])
+def test_every_shipped_schedule_is_accepted(schedule):
+    assert replace(schedule) == schedule
+
+
+def test_a_cluster_cell_with_no_post_kill_window_is_refused_before_it_runs():
+    """``horizon == kill_at + settle`` leaves the post-kill rate window
+    empty: the whole cell used to run, then divide by zero."""
+    with pytest.raises(ValueError, match=r"^ClusterTimeline\.horizon "):
+        clusterfig._run_cell((3, ClusterTimeline(kill_at=2.0, horizon=4.0), "intel320", 17))
+
+
+def test_a_cluster_kill_before_the_demand_sample_is_refused():
+    """The killer samples demand 1 s before the kill; ``kill_at < 1``
+    made that sleep negative, the killer failed unobserved and the cell
+    ran with no kill at all (no detection, no promotions)."""
+    with pytest.raises(ValueError, match=r"^ClusterTimeline\.kill_at "):
+        clusterfig._run_cell((3, ClusterTimeline(kill_at=0.5, horizon=4.0), "intel320", 17))
+
+
+def test_scalefig_sends_picklable_work_units_to_the_pool(monkeypatch):
+    """``--jobs N`` pickles each work unit to a pool worker.  ``run``
+    used to pass a function defined inside itself, which cannot be
+    pickled, so ``scalefig --jobs 2`` failed on any host with two or
+    more CPUs."""
+    sent = []
+
+    def pool_map(fn, items, jobs):
+        sent.append(pickle.dumps((fn, items)))
+        return [None, None]
+
+    monkeypatch.setattr(scalefig, "parallel_map", pool_map)
+    scalefig.run(smoke=True, jobs=2)
+    assert len(sent) == 1
 
 
 def test_fig6_runs_and_renders():

@@ -4,6 +4,7 @@ anti-entropy convergence, the client staleness fix, retry-jitter
 determinism, and VOP-audit reconciliation under repair traffic."""
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -597,6 +598,12 @@ def test_vop_audit_reconciles_under_leaderless_repair_traffic():
 # ---------------------------------------------------------------------------
 
 
+#: the whole cell below hashed, recorded at the commit before the
+#: experiments' verifiers and cluster tallies became shared helpers;
+#: re-record only for a deliberate model change
+GOLDEN_PARTITION_CELL = "7be7f48906ef17f1"
+
+
 def test_partitionfig_cell_deterministic():
     from repro.experiments import partitionfig
 
@@ -605,6 +612,7 @@ def test_partitionfig_cell_deterministic():
     b = partitionfig._run_cell(args)
     assert dataclasses.asdict(a) == dataclasses.asdict(b)
     assert a.total_lost == 0 and a.verified
+    assert hashlib.sha256(repr(a).encode()).hexdigest()[:16] == GOLDEN_PARTITION_CELL
 
 
 # ---------------------------------------------------------------------------

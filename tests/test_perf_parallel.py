@@ -27,7 +27,6 @@ TINY = ExperimentMode(
     sigmas=(4 * KIB,),
     duration=0.05,
     warmup=0.02,
-    kv_horizon=5.0,
 )
 
 

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from .test_read_path_index import CHURN
-from repro.analysis.metrics import cdf_points, mmr
+from repro.obs.metrics import cdf_points, mmr
 from repro.core import Ewma, OpKind, make_cost_model, reference_calibration
 from repro.engine import TOMBSTONE, Memtable, merge_entries, split_outputs
 from repro.sim import Simulator
