@@ -11,10 +11,10 @@ WAL appends are the "PUT write IO" component of Fig 2: small records
 make sub-page tail writes whose cost-per-byte is high.
 
 Group commit runs as a continuation, not a process: the append that
-finds the log idle arms :meth:`Wal._commit_next` in the heap slot a
-commit process's start would take (so same-instant appends join its
-batch), and each group write's completion runs :meth:`Wal._step` in the
-slot its dispatch takes: it settles the batch and issues the next one
+finds the log idle queues :meth:`Wal._commit_next` where a commit
+process's start would be queued (so same-instant appends join its
+batch), and each group write's completion runs :meth:`Wal._step` where
+its dispatch would run: it settles the batch and issues the next one
 at once, as the process's loop body did.
 
 Failure handling: records carry checksums (modeled, like SSTable

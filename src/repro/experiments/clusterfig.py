@@ -183,7 +183,9 @@ def _run_cell(args: Tuple[int, ClusterTimeline, str, int]) -> ClusterCell:
             try:
                 if (yield from kv_request(clients[tenant], spec, rng, acks)):
                     ack_count[tenant] += 1
-                    if sim.now >= settle_at:
+                    # An ack that lands during the read-back is outside
+                    # the post-kill window the rate is taken over.
+                    if settle_at <= sim.now <= timeline.horizon:
                         late_acks[tenant] += 1
             except StorageFault:
                 cell.surfaced[tenant] += 1

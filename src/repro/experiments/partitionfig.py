@@ -115,17 +115,21 @@ class PartitionCell:
     w: int
     r: int
     seed: int
-    #: side -> acknowledged writes / write errors surfaced to the app
+    #: side -> acknowledged writes
     acked: Dict[str, int] = field(default_factory=dict)
     #: side -> writes acknowledged *inside* the partition window — the
     #: availability measure (primary-backup minority stalls here)
     window_acked: Dict[str, int] = field(default_factory=dict)
+    #: side -> write errors surfaced to the app
     errors: Dict[str, int] = field(default_factory=dict)
     #: acked-but-unreadable keys after heal + convergence (per side)
     lost: Dict[str, int] = field(default_factory=dict)
-    #: read-your-own-acked-write probes and how many came back stale
+    #: read-your-own-acked-write probes answered, and how many of them
+    #: came back stale
     reads: int = 0
     stale_reads: int = 0
+    #: side -> read-your-own-acked-write probes that failed
+    probe_errors: Dict[str, int] = field(default_factory=dict)
     #: seconds from the heal until every home replica agrees (leaderless;
     #: -1 = not measured / did not converge inside the drain)
     converge_s: float = -1.0
@@ -211,6 +215,7 @@ def _run_cell(args: Tuple[str, str, int, int, bool, str, int]) -> PartitionCell:
     acked_order: Dict[str, List[int]] = {"min": [], "maj": []}
     cell.window_acked = {"min": 0, "maj": 0}
     cell.errors = {"min": 0, "maj": 0}
+    cell.probe_errors = {"min": 0, "maj": 0}
 
     # Each side writes partitions whose *initial* primary sits on its
     # own side of the cut: minority-side writes keep acking against the
@@ -255,7 +260,7 @@ def _run_cell(args: Tuple[str, str, int, int, bool, str, int]) -> PartitionCell:
                     if got != acks.expected[side][probe_key]:
                         cell.stale_reads += 1
                 except StorageFault:
-                    cell.errors[side] += 1
+                    cell.probe_errors[side] += 1
             yield sim.timeout(0.015 + rng.random() * 0.015)
 
     def demand_sampler():
@@ -362,11 +367,12 @@ def render(result: PartitionResult) -> str:
             f"{cell.errors['min']}+{cell.errors['maj']}",
             cell.lost["min"], cell.lost["maj"],
             stale,
+            f"{cell.probe_errors['min']}+{cell.probe_errors['maj']}",
             f"{cell.converge_s:.2f}" if cell.converge_s >= 0 else "-",
         ])
     blocks.append(format_table(
-        ["mode", "W/R", "acked min+maj", "in-window", "errors",
-         "lost min", "lost maj", "stale reads", "converge s"],
+        ["mode", "W/R", "acked min+maj", "in-window", "write errors",
+         "lost min", "lost maj", "stale reads", "probe errors", "converge s"],
         rows,
         title="durability, availability, and staleness under partition",
     ))

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappush
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..faults import FaultPlan, NetFaultInjector
@@ -250,11 +249,7 @@ class NetworkFabric:
         if queue_wait > stats.max_queue_wait:
             stats.max_queue_wait = queue_wait
         if self.injector is None:
-            # The push is ``Simulator.call_at``'s, inline (arrival >= now),
-            # as ``SsdDevice.submit`` pushes its finish: every message of
-            # a fault-free run takes it.
-            sim._seq += 1
-            heappush(sim._heap, (done_at + self._latency, sim._seq, deliver, message))
+            sim.call_at(done_at + self._latency, deliver, message)
             return
         # Partition severance first: it is deterministic (no RNG draw),
         # so cutting a link never perturbs drop/dup streams.
@@ -276,11 +271,9 @@ class NetworkFabric:
 
     def _open_link(self, src: str, dst: str) -> Tuple[LinkStats, Nic, Callable[[Any], None]]:
         """A link's first message: its counters, its source NIC and the
-        callable each of its messages is delivered by.
-
-        Delivery is a heap action whose last act is the handler call, so
-        a handler may end in a :meth:`~repro.sim.Simulator.call_soon`.
-        """
+        callable each of its messages is delivered by (a queued action
+        that hands the message to the destination's handler, or counts
+        a dead letter)."""
         stats = self.link_stats[(src, dst)] = LinkStats()
         down = self._down
         handler = self._handlers.get(dst)

@@ -193,8 +193,8 @@ class PrimaryBackupService(ReplicaService):
         replication (ack on local commit, shipping races the failure),
         not no replication.
 
-        Each shipment is a :meth:`_ship` scheduled for now, in the heap
-        slot a shipping process's start would take, and relays its
+        Each shipment is a :meth:`_ship` queued for now, where a
+        shipping process's start would be queued, and relays its
         reply through :meth:`RpcEndpoint.call_async` — no process or
         generator per shipment.
         """
@@ -247,12 +247,7 @@ class PrimaryBackupService(ReplicaService):
 
     def _handle_apply(self, request) -> None:
         """``repl.apply``: answered once the record and its whole prefix
-        are durable here (by :meth:`_drain`), duplicates at once.
-
-        Run at the tail of the request's delivery (through
-        :meth:`~repro.sim.Simulator.call_soon`), so a drain it starts is
-        a tail too.
-        """
+        are durable here (by :meth:`_drain`), duplicates at once."""
         payload = request.payload
         slot = (payload["tenant"], payload["pid"])
         seq = payload["seq"]
@@ -269,13 +264,13 @@ class PrimaryBackupService(ReplicaService):
         )
         if slot not in self._draining:
             self._draining.add(slot)
-            self.sim.process_soon(self._drain(slot), name="repl.drain")
+            self.sim.process(self._drain(slot), name="repl.drain")
 
     def _drain(self, slot: Tuple[str, int]):
         """Apply buffered records in sequence order, acking each.
 
-        An ack (or nack) is scheduled for now — where a waiter's wake-up
-        would queue — and reads the applied prefix when it fires.
+        An ack (or nack) is queued for now, where a waiter's wake-up
+        would be, and reads the applied prefix when it runs.
         """
         tenant, _pid = slot
         pending = self._pending.setdefault(slot, {})

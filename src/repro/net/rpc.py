@@ -13,11 +13,10 @@ One retry/give-up/backoff policy has two drivers.  :meth:`RpcEndpoint.call`
 is a DES generator for callers that park on the reply;
 :meth:`RpcEndpoint.call_async` reports to a ``done(ok, value)`` callback
 for callers that only relay it (replica shipping).  Each continuation of
-the callback driver takes the one heap slot the generator's resume would
-have taken, so the two produce the same trajectory.  A response's
-delivery ends in its waiter's wake-up, and a request's in its handler's
-start, so both run through :meth:`~repro.sim.Simulator.call_soon`: in the
-delivery's own frame when nothing else is due at that instant.
+``call_async`` is queued where the generator's resume would have been,
+so the two produce the same trajectory.  A response's delivery
+queues its waiter's wake-up, and a request's its handler's start, like
+any other action due now.
 
 Handlers are DES generators and must be **idempotent**: a duplicated
 request (MSG_DUP window, or a retry whose original attempt actually
@@ -97,9 +96,7 @@ class _AsyncCall:
 
     It is its own waiter in the endpoint's ``_waiting`` table: where an
     :class:`Event` would queue its dispatch, :meth:`succeed` queues
-    :meth:`finish` — one heap entry at the same instant — and
-    :meth:`succeed_soon` runs it as :meth:`Event.succeed_soon` runs a
-    dispatch, so the response and expiry paths cannot tell the two
+    :meth:`finish`, so the response and expiry paths cannot tell the two
     drivers apart.
     """
 
@@ -111,11 +108,6 @@ class _AsyncCall:
         sim = self.endpoint.sim
         # Scheduled as a plain function of the call: no bound method.
         sim.call_at(sim.now, _AsyncCall.finish, self)
-
-    def succeed_soon(self, reply) -> None:
-        """:meth:`succeed` as the tail of a heap action."""
-        self.reply = reply
-        self.endpoint.sim.call_soon(_AsyncCall.finish, self)
 
     def finish(self) -> None:
         """Classify the attempt's reply; answer ``done`` or retry."""
@@ -193,10 +185,9 @@ class RpcEndpoint:
 
     def register_async(self, method: str, handler: Callable[[RpcMessage], None]) -> None:
         """Register a handler that answers later: a plain function of
-        the request message, run at the instant (and heap slot) a
-        :meth:`register` handler's serve process would start, which must
-        eventually answer through :meth:`reply` or :meth:`reply_error`
-        and must not raise."""
+        the request message, queued where a :meth:`register` handler's
+        serve process would start, which must eventually answer through
+        :meth:`reply` or :meth:`reply_error` and must not raise."""
         self._async_methods[method] = handler
 
     def register_cast(self, method: str, handler: Callable[[Any], None]) -> None:
@@ -341,13 +332,12 @@ class RpcEndpoint:
     # -- server side -------------------------------------------------------
 
     def _on_message(self, message: RpcMessage) -> None:
-        """The fabric's delivery of ``message``: the tail of a heap
-        action, so each branch ends in a ``*_soon`` kernel call."""
+        """The fabric's delivery of ``message``."""
         kind = message.kind
         if kind == "resp":
             waiter = self._waiting.pop(message.corr_id, None)
             if waiter is not None:  # else: duplicate or post-timeout response
-                waiter.succeed_soon(message)
+                waiter.succeed(message)
             return
         if kind == "cast":
             handler = self._cast_methods.get(message.method)
@@ -357,9 +347,9 @@ class RpcEndpoint:
         self.stats.served += 1
         handler = self._async_methods.get(message.method)
         if handler is not None:
-            self.sim.call_soon(handler, message)
+            self.sim.call_at(self.sim.now, handler, message)
         else:
-            self.sim.process_soon(self._serve(message), name="rpc.serve")
+            self.sim.process(self._serve(message), name="rpc.serve")
 
     def _serve(self, message: RpcMessage):
         handler = self._methods.get(message.method)

@@ -7,9 +7,11 @@ tasks with coroutines; this kernel plays the same role using Python
 generators as processes.  A process is a generator that yields
 :class:`Event` objects and is resumed when the yielded event triggers.
 
-The kernel is deterministic: events scheduled for the same timestamp fire
-in schedule order (a monotonically increasing sequence number breaks
-ties), so a given seed always produces the same trajectory.
+The kernel is deterministic: actions scheduled for the same timestamp
+run in schedule order, so a given seed always produces the same
+trajectory.  Future actions wait in a heap ordered by ``(time, seq)``;
+actions queued for the current instant skip it and wait in a FIFO (see
+:class:`Simulator`).
 
 Example
 -------
@@ -26,9 +28,8 @@ Example
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from heapq import heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -62,10 +63,10 @@ class Interrupt(Exception):
 
 
 def _dispatch_event(event: "Event") -> None:
-    """Run a triggered event's callbacks (the heap's dispatch action).
+    """Run a triggered event's callbacks (the event's dispatch action).
 
-    Module-level (not a method) so trigger sites can push it into the
-    heap without a per-call attribute lookup.
+    Module-level (not a method) so trigger sites can queue it without a
+    per-call attribute lookup.
     """
     callbacks = event.callbacks
     event.callbacks = None
@@ -119,21 +120,7 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        sim = self.sim
-        sim._seq += 1
-        heappush(sim._heap, (sim.now, sim._seq, _dispatch_event, self))
-        return self
-
-    def succeed_soon(self, value: Any = None) -> "Event":
-        """:meth:`succeed` as the tail of a heap action: the dispatch
-        runs at once when nothing else is due now (see
-        :meth:`Simulator.call_soon`)."""
-        if self._triggered:
-            raise SimulationError(f"{self!r} already triggered")
-        self._triggered = True
-        self._ok = True
-        self._value = value
-        self.sim.call_soon(_dispatch_event, self)
+        self.sim._ready.append((_dispatch_event, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -149,9 +136,7 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exception
-        sim = self.sim
-        sim._seq += 1
-        heappush(sim._heap, (sim.now, sim._seq, _dispatch_event, self))
+        self.sim._ready.append((_dispatch_event, self))
         return self
 
     def __repr__(self) -> str:
@@ -176,8 +161,13 @@ class Timeout(Event):
         self._ok = True
         self._triggered = True
         self.delay = delay
-        sim._seq += 1
-        heappush(sim._heap, (sim.now + delay, sim._seq, _dispatch_event, self))
+        now = sim.now
+        at = now + delay
+        if at == now:
+            sim._ready.append((_dispatch_event, self))
+        else:
+            sim._seq += 1
+            heappush(sim._heap, (at, sim._seq, _dispatch_event, self))
 
 
 class _InitialResume:
@@ -233,14 +223,12 @@ class Process(Event):
     The process is itself an event: it triggers when the generator
     returns (succeeding with the return value) or raises (failing with
     the exception).  This is what makes ``result = yield sim.process(...)``
-    and process joining work.  With ``soon`` it starts by
-    :meth:`Simulator.call_soon`'s rule (see :meth:`Simulator.process_soon`).
+    and process joining work.
     """
 
     __slots__ = ("_generator", "_waiting_on", "name")
 
-    def __init__(self, sim: "Simulator", generator: Generator, name: str = "",
-                 soon: bool = False):
+    def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         self.sim = sim
         self.callbacks = []
         self._value: Any = None
@@ -250,11 +238,7 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off the process at the current time.
-        if soon:
-            sim.call_soon(self._resume, _START)
-        else:
-            sim._seq += 1
-            heappush(sim._heap, (sim.now, sim._seq, self._resume, _START))
+        sim._ready.append((self._resume, _START))
 
     @property
     def is_alive(self) -> bool:
@@ -276,7 +260,7 @@ class Process(Event):
             if waiting.callbacks is not None and self._resume in waiting.callbacks:
                 waiting.callbacks.remove(self._resume)
         self._waiting_on = None
-        self.sim._schedule_call(self._resume, _InterruptResume(Interrupt(cause)))
+        self.sim._ready.append((self._resume, _InterruptResume(Interrupt(cause))))
 
     # -- internals ---------------------------------------------------------
 
@@ -320,8 +304,8 @@ class Process(Event):
                 target.callbacks.append(self._resume)
                 return
             # Fast path: the yielded event is already processed, so its
-            # value is final — resume directly instead of taking a heap
-            # round-trip through the event queue.
+            # value is final — resume directly instead of queueing a
+            # resume.
             event = target
 
 
@@ -333,20 +317,15 @@ class _MultiEvent(Event):
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
         self.events = list(events)
-        self._pending = 0
+        self._pending = len(self.events)
         if not self.events:
             self.succeed({})
             return
         for ev in self.events:
             if ev.processed:
-                self.sim._schedule_call(self._check, ev)
-                self._pending += 1
-            elif ev.callbacks is not None:
+                sim._ready.append((self._check, ev))
+            else:
                 ev.callbacks.append(self._check)
-                self._pending += 1
-            else:  # pragma: no cover - defensive
-                self.sim._schedule_call(self._check, ev)
-                self._pending += 1
 
     def _check(self, event: Event) -> None:
         raise NotImplementedError
@@ -393,17 +372,28 @@ class AllOf(_MultiEvent):
 
 
 class Simulator:
-    """The event loop: a priority queue of (time, sequence, action).
+    """The event loop: a heap of future actions and a FIFO of actions
+    due now.
 
     All simulated components share one :class:`Simulator`.  Time is a
-    float in seconds.  ``run(until=...)`` executes events in timestamp
-    order until the queue empties or the horizon is reached.
+    float in seconds.  An action is ``fn(arg)`` queued for a simulated
+    time, and actions run in the order they were queued for it.  One
+    rule keeps that order: an action queued for ``now`` is appended to
+    the FIFO, and one queued for later is pushed onto the heap, ordered
+    by ``(time, seq)``.  At each instant the heap's actions for it run
+    first, in ``seq`` order — each was queued before the instant began —
+    and then the FIFO's, each queued during it.  This is exactly the
+    order one heap of every action would give.  ``run(until=...)``
+    executes actions until the queue empties or the horizon is reached.
     """
 
     def __init__(self):
         self.now: float = 0.0
+        #: ``(time, seq, fn, arg)``, each queued before its time began
         self._heap: list = []
         self._seq = 0
+        #: actions due now, in the order they were queued: ``(fn, arg)``
+        self._ready: deque = deque()
 
     # -- public API --------------------------------------------------------
 
@@ -419,12 +409,6 @@ class Simulator:
         """Start a new process driving ``generator``."""
         return Process(self, generator, name=name)
 
-    def process_soon(self, generator: Generator, name: str = "") -> Process:
-        """:meth:`process` as the tail of a heap action: the generator
-        starts at once when nothing else is due now (see
-        :meth:`call_soon`)."""
-        return Process(self, generator, name=name, soon=True)
-
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that triggers when any of ``events`` does."""
         return AnyOf(self, events)
@@ -436,81 +420,63 @@ class Simulator:
     def call_at(self, at: float, fn: Callable, arg: Any) -> None:
         """Queue ``fn(arg)`` at absolute simulated time ``at``.
 
-        The one-shot completion primitive behind the device's
-        scheduled completion: a submitter that can compute its
-        finish time analytically schedules a single callback instead of
-        parking a generator on a :class:`Timeout`.  ``at`` must not be
-        in the past — completions are computed from ``max(now, ...)``
+        The one way code outside the kernel queues an action: a
+        continuation due now, or a completion whose finish time the
+        submitter computes analytically (one callback instead of a
+        generator parked on a :class:`Timeout`).  ``at`` must not be in
+        the past — completions are computed from ``max(now, ...)``
         reservation timestamps, so an earlier time is always a bug.  A
         NaN time is rejected too: it would break the heap's order.
         """
-        if not at >= self.now:
-            raise SimulationError(f"call_at({at}) is before now ({self.now})")
-        self._seq += 1
-        heappush(self._heap, (at, self._seq, fn, arg))
-
-    def call_soon(self, fn: Callable, arg: Any) -> None:
-        """Run ``fn(arg)`` now, in the order ``call_at(now, fn, arg)``
-        would give it, without a heap slot when none is needed.
-
-        Only for the tail of a heap action — the last thing the running
-        action does.  When no other action is due at ``now``, the slot
-        ``call_at`` would take is the next one popped, so ``fn(arg)``
-        runs at once, in the caller's frame; otherwise it is queued
-        exactly where ``call_at(now, ...)`` queues it, behind the
-        actions already due.  Either way every action runs in the same
-        order at the same time, so no simulated number moves; only the
-        heap push (and its sequence number) is saved.  Called anywhere
-        but a tail, the work after it would run after ``fn`` instead of
-        before, and outside a running action it would run ``fn`` before
-        the loop starts.  :meth:`step` and :meth:`step_while` count an
-        action and the tails it ran in place as one step.
-        """
-        heap = self._heap
-        if heap and heap[0][0] <= self.now:
+        now = self.now
+        if at > now:
             self._seq += 1
-            heappush(heap, (self.now, self._seq, fn, arg))
+            heappush(self._heap, (at, self._seq, fn, arg))
+        elif at == now:
+            self._ready.append((fn, arg))
         else:
-            fn(arg)
+            raise SimulationError(f"call_at({at}) is before now ({now})")
 
     def run(self, until: Optional[float] = None) -> None:
-        """Execute events in order until the horizon (or queue drain).
+        """Execute actions in order until the horizon (or queue drain).
 
         When ``until`` is given, time is advanced exactly to ``until``
-        even if the last event fires earlier, so back-to-back ``run``
-        calls observe a continuous clock.  A NaN ``until`` raises
-        :class:`SimulationError`: no event would ever pass it.
+        even if the last action runs earlier, so back-to-back ``run``
+        calls observe a continuous clock; an ``until`` before ``now``
+        runs nothing.  A NaN ``until`` raises :class:`SimulationError`:
+        no action would ever pass it.
         """
-        heap = self._heap
-        pop = heapq.heappop
-        if until is not None and until != until:  # NaN
-            raise SimulationError("run(until=nan)")
         if until is None:
-            while heap:
-                at, _seq, fn, arg = pop(heap)
-                self.now = at
-                fn(arg)
+            horizon = float("inf")
+        elif until != until:  # NaN
+            raise SimulationError("run(until=nan)")
+        elif until < self.now:
             return
-        while heap:
-            at, seq, fn, arg = pop(heap)
-            if at > until:
-                # Sole over-horizon pop per run(): put the action back
-                # (it is still the minimum) and stop.
-                heappush(heap, (at, seq, fn, arg))
+        else:
+            horizon = until
+        heap = self._heap
+        ready = self._ready
+        popleft = ready.popleft
+        now = self.now
+        while True:
+            while heap and heap[0][0] == now:
+                _at, _seq, fn, arg = heappop(heap)
+                fn(arg)
+            while ready:
+                fn, arg = popleft()
+                fn(arg)
+            if not heap or heap[0][0] > horizon:
                 break
-            self.now = at
+            now, _seq, fn, arg = heappop(heap)
+            self.now = now
             fn(arg)
-        if until > self.now:
+        if until is not None and until > self.now:
             self.now = until
 
     def step(self) -> bool:
         """Execute a single queued action. Returns False when empty."""
-        if not self._heap:
-            return False
-        at, _seq, fn, arg = heapq.heappop(self._heap)
-        self.now = at
-        fn(arg)
-        return True
+        # A predicate that holds once: one step, or none on an empty queue.
+        return self.step_while(iter((True, False)).__next__) == 1
 
     def step_while(self, predicate: Callable[[], bool]) -> int:
         """Step queued actions while ``predicate()`` holds; returns steps.
@@ -518,15 +484,18 @@ class Simulator:
         Drains exactly as much of the queue as a condition needs — e.g.
         "run until the scheduler backlog and device in-flight count hit
         zero" — without committing to a wall of simulated time the way
-        ``run(until=now + slack)`` does.  Stops when the predicate goes
-        false or the queue empties, whichever is first.
+        ``run(until=now + slack)`` does.  Each action is one step, and
+        ``predicate`` is asked before each.  Stops when the predicate
+        goes false or the queue empties, whichever is first.
         """
         steps = 0
         heap = self._heap
-        pop = heapq.heappop
-        while heap and predicate():
-            at, _seq, fn, arg = pop(heap)
-            self.now = at
+        ready = self._ready
+        while (ready or heap) and predicate():
+            if ready and (not heap or heap[0][0] > self.now):
+                fn, arg = ready.popleft()
+            else:
+                self.now, _seq, fn, arg = heappop(heap)
             fn(arg)
             steps += 1
         return steps
@@ -534,16 +503,7 @@ class Simulator:
     @property
     def queue_size(self) -> int:
         """Number of pending queued actions (diagnostics only)."""
-        return len(self._heap)
-
-    # -- internals ---------------------------------------------------------
-
-    def _schedule_call(self, fn: Callable, arg: Any, delay: float = 0.0) -> None:
-        """Queue an arbitrary callable (used to resume processes)."""
-        if not delay >= 0:
-            raise SimulationError(f"call delay must be >= 0, got {delay}")
-        self._seq += 1
-        heappush(self._heap, (self.now + delay, self._seq, fn, arg))
+        return len(self._heap) + len(self._ready)
 
 
 class DeadlineQueue:

@@ -59,7 +59,6 @@ the stages it reserved — a failing op still consumes device time).
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Optional
 
 from ..faults import CorruptionError, FaultInjector, FaultPlan
@@ -272,14 +271,12 @@ class SsdDevice:
             finish = self._pipe.reserve(now, q, ctrl, services)
         else:
             finish = self._reserve(q, ctrl, services, ctx)
-        # The push is ``Simulator.call_at``'s, inline (finish >= now).
         # ``now + (finish - now)`` can differ from ``finish`` in the last
         # bit; every recorded trajectory lands completions there.
-        sim._seq += 1
-        heappush(sim._heap, (
-            now + (finish - now), sim._seq, self._finish,
+        sim.call_at(
+            now + (finish - now), self._finish,
             (callback or _settle, cb_arg, is_read, size, q, None),
-        ))
+        )
 
     def trim(self, offset: int, size: int) -> None:
         """Invalidate a logical range (instant, as TRIM effectively is)."""

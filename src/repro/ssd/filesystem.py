@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 from functools import partial
-from heapq import heappush
 from typing import List, Optional, Protocol, Tuple
 
 from ..sim import Event, Simulator
@@ -76,9 +75,9 @@ class _Join(Event):
     No Event is made per op.  Each op is handed the join itself, whose
     ``succeed``/``fail`` book that op's outcome where the backend would
     have triggered the op's Event: earlier ops only count ``_left``
-    down, and the last one, or the first failure, takes the heap slot
-    that Event's dispatch would have taken and triggers the join there
-    (through ``Event.succeed``/``Event.fail``).  So the join fires where
+    down, and the last one, or the first failure, queues an action
+    where that Event's dispatch would have been queued and triggers the
+    join there (through ``Event.succeed``/``Event.fail``).  So the join fires where
     ``AllOf`` over per-op Events fired, less the dispatches that could
     only count down or find the join already failed.
     """
@@ -99,14 +98,13 @@ class _Join(Event):
         self._left -= 1
         if not self._left:
             sim = self.sim
-            sim._seq += 1
-            heappush(sim._heap, (sim.now, sim._seq, Event.succeed, self))
+            sim.call_at(sim.now, Event.succeed, self)
 
     def fail(self, exception: BaseException) -> None:
         """One op failed."""
         if self._left > 0:
             self._left = -1
-            self.sim._schedule_call(partial(Event.fail, self), exception)
+            self.sim.call_at(self.sim.now, partial(Event.fail, self), exception)
 
 
 class SimFile:

@@ -2,6 +2,7 @@
 
 import signal
 import sys
+from collections import deque
 from contextlib import contextmanager
 
 import numpy as np
@@ -127,13 +128,36 @@ def force_policy_path(node):
     return node
 
 
+class _CountingFifo(deque):
+    """A :class:`~repro.sim.Simulator`'s FIFO of actions due now that
+    counts what is appended to it: the same-instant enqueues."""
+
+    enqueued = 0
+
+    def append(self, action):
+        self.enqueued += 1
+        deque.append(self, action)
+
+
+def queue_counter(sim):
+    """Count what ``sim`` queues from here on.
+
+    Returns a function giving ``(heap pushes, same-instant enqueues)``
+    since this call; the queued actions are their sum.  ``Simulator._seq``
+    counts one per heap push.  Call it between runs, not inside one.
+    """
+    fifo = sim._ready = _CountingFifo(sim._ready)
+    seq0 = sim._seq
+    return lambda: (sim._seq - seq0, fifo.enqueued)
+
+
 @contextmanager
 def silent_part_bookings():
     """Count the ops of multi-op file IOs whose outcome a backend booked
-    on their ``_Join`` without a heap push (a list of one int).  Each
-    such op used to have a completion Event of its own, whose trigger
-    always pushed its dispatch, so this is the number of dispatches a
-    run no longer makes."""
+    on their ``_Join`` without queueing an action (a list of one int).
+    Each such op used to have a completion Event of its own, whose
+    trigger always queued its dispatch, so this is the number of
+    dispatches a run no longer makes."""
     from repro.ssd.filesystem import _Join
 
     silent = [0]
@@ -141,9 +165,10 @@ def silent_part_bookings():
 
     def counting(original):
         def book(join, *args):
-            seq = join.sim._seq
+            sim = join.sim
+            queued = sim._seq, len(sim._ready)
             original(join, *args)
-            silent[0] += join.sim._seq == seq
+            silent[0] += (sim._seq, len(sim._ready)) == queued
         return book
 
     _Join.succeed, _Join.fail = map(counting, originals)

@@ -1,0 +1,86 @@
+"""Architecture rules the code base keeps, checked on its source.
+
+- Only ``repro.sim`` knows the kernel's queue: no module outside
+  ``src/repro/sim/`` touches ``Simulator._heap``, ``_seq`` or ``_ready``
+  (the FIFO of actions due now) or imports ``heapq.heappush``.  Every
+  other layer queues an action through the kernel's public calls
+  (``call_at``, ``Event.succeed``/``fail``, ``timeout``, ``process``).
+- Every name in every ``repro.*`` ``__all__`` resolves.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parent
+KERNEL = SRC / "sim"
+#: the kernel's queue: its heap, the heap's tie-break counter, its FIFO
+QUEUE_ATTRS = {"_heap", "_seq", "_ready"}
+
+
+def queue_touches(source: str):
+    """``(line, what)`` for each reach into a kernel's queue in
+    ``source``: one of ``QUEUE_ATTRS`` read or written on anything but
+    ``self`` (a class's own counter of that name is its business), and
+    ``heappush`` imported or called through ``heapq``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            if node.attr in QUEUE_ATTRS and not (
+                isinstance(node.value, ast.Name) and node.value.id == "self"
+            ):
+                found.append((node.lineno, f".{node.attr}"))
+            elif node.attr == "heappush" and isinstance(node.value, ast.Name) \
+                    and node.value.id == "heapq":
+                found.append((node.lineno, "heapq.heappush"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "heapq":
+            if any(alias.name in ("heappush", "*") for alias in node.names):
+                found.append((node.lineno, "from heapq import heappush"))
+    return sorted(found)
+
+
+def test_the_checker_finds_a_push_onto_the_kernels_heap():
+    # How device and fabric code once queued its completions.
+    source = (
+        "from heapq import heappush\n"
+        "import heapq\n"
+        "def submit(self, sim, at, fn, arg):\n"
+        "    sim._seq += 1\n"
+        "    heappush(sim._heap, (at, sim._seq, fn, arg))\n"
+        "    heapq.heappush(self.sim._heap, (at, 0, fn, arg))\n"
+        "    self.sim._ready.append((fn, arg))\n"
+        "    self._seq += 1  # a class's own counter\n"
+    )
+    assert queue_touches(source) == [
+        (1, "from heapq import heappush"),
+        (4, "._seq"), (5, "._heap"), (5, "._seq"),
+        (6, "._heap"), (6, "heapq.heappush"),
+        (7, "._ready"),
+    ]
+
+
+def test_only_the_kernel_touches_its_queue():
+    outside = [path for path in sorted(SRC.rglob("*.py")) if KERNEL not in path.parents]
+    assert len(outside) > 50
+    touches = {str(path.relative_to(SRC)): queue_touches(path.read_text()) for path in outside}
+    assert {path: hits for path, hits in touches.items() if hits} == {}
+
+
+def test_every_name_in_every_all_resolves():
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith(".__main__")  # that one runs the CLI
+    ]
+    exported = [module for module in modules if hasattr(module, "__all__")]
+    assert len(exported) > 50
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in exported
+        for name in module.__all__
+        if not hasattr(module, name)
+    ]
+    assert missing == []

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from .helpers import queue_counter
 from .test_device_op_path import INTEL, POLICIES, assert_same_state, mixed_ops
 from repro.core.tags import IoTag, RequestClass
 from repro.engine import TOMBSTONE, SsTable, TableBuilder, merge_entries, split_outputs
@@ -347,11 +348,12 @@ def test_a_page_listed_twice_moves_once_at_its_first_listing():
 
 def test_join_succeeds_with_none_once_every_member_has():
     sim = Simulator()
+    queued = queue_counter(sim)
     join = _Join(sim, 3)
     join.succeed("c")
     join.succeed("a")
     sim.run()
-    assert not join.triggered and sim._seq == 0  # counting down pushes nothing
+    assert not join.triggered and queued() == (0, 0)  # counting down queues nothing
     join.succeed("b")
     sim.run()
     assert join.processed and join.ok and join.value is None
@@ -359,6 +361,7 @@ def test_join_succeeds_with_none_once_every_member_has():
 
 def test_join_fails_with_the_first_failing_members_exception():
     sim = Simulator()
+    queued = queue_counter(sim)
     join = _Join(sim, 3)
     first, second = OSError("first"), OSError("second")
     join.fail(first)
@@ -366,19 +369,20 @@ def test_join_fails_with_the_first_failing_members_exception():
     join.succeed()
     sim.run()
     assert not join.ok and join.value is first
-    assert sim._seq == 2  # the first failure's slot and the join's dispatch
+    assert queued() == (0, 2)  # the first failure's action and the join's dispatch
 
 
 @pytest.mark.parametrize("outcome", ["succeed", "fail", "fail_first"])
 def test_join_fires_in_the_slot_allof_fires_in(outcome):
     """Ops booked on the join where per-op Events would be triggered,
     amid bystander events: the waiter on a join resumes exactly where a
-    waiter on ``AllOf`` over the Events resumed, and exactly one heap
-    push is gone -- the first op's dispatch, which could only count down
-    or find the join already failed."""
+    waiter on ``AllOf`` over the Events resumed, and exactly one queued
+    action is gone -- the first op's dispatch, which could only count
+    down or find the join already failed."""
     runs = []
     for ops_are_events in (False, True):
         sim = Simulator()
+        queued = queue_counter(sim)
         if ops_are_events:
             members = [sim.event() for _ in range(2)]
             join = AllOf(sim, members)
@@ -402,10 +406,10 @@ def test_join_fires_in_the_slot_allof_fires_in(outcome):
             members[1].succeed()
         bystanders[2].succeed()
         sim.run()
-        runs.append((log, sim._seq))
-    (log, pushes), (ref_log, ref_pushes) = runs
+        runs.append((log, queued()))
+    (log, actions), (ref_log, ref_actions) = runs
     assert log == ref_log
-    assert pushes == ref_pushes - 1
+    assert actions == (0, ref_actions[1] - 1) and ref_actions[0] == 0
 
 
 @pytest.mark.parametrize("outcome", ["succeed", "fail"])
@@ -424,8 +428,8 @@ def test_an_op_process_settles_the_join_in_its_own_dispatch(outcome):
     join = _Join(sim, 2)
     assert backend.write(0, 4 * KIB, None, join) is join
     assert backend.write(8 * KIB, 4 * KIB, None, join) is join
-    seq = sim._seq
+    queued = queue_counter(sim)
     sim.run()
     assert join.processed and join.ok == (outcome == "succeed")
-    assert sim._seq - seq == 2  # the join's slot and its dispatch: nothing per op
+    assert queued() == (0, 2)  # the join's action and its dispatch: nothing per op
     assert device.stats.writes + device.stats.write_faults == 2

@@ -34,7 +34,8 @@ import tracemalloc
 import pytest
 
 from .helpers import (
-    PerVictimGcFtl, assert_same_state, count_calls, page_range, read_channels_per_page,
+    PerVictimGcFtl, assert_same_state, count_calls, page_range, queue_counter,
+    read_channels_per_page,
 )
 from repro.core import (
     IoTag, LibraScheduler, SchedulerConfig, make_cost_model, reference_calibration,
@@ -563,16 +564,22 @@ def test_calls_per_chunk_stay_within_budget():
     Interpreted calls per chunk under ``repro/core`` + ``repro/ssd`` +
     ``repro/sim`` (the kernel's frames and the driving process's
     included; CPython 3.11, where 3.12 inlines comprehensions and counts
-    fewer), and heap pushes per chunk, which must not move:
+    fewer), and queued actions per chunk, which must not move:
 
     ======================  ======  ======  ======  ======
-    op                      parent  change  budget  pushes
+    op                      parent  change  budget  queued
     ======================  ======  ======  ======  ======
-    one-page read            16.09   16.09      17   2.011
-    64 KiB unaligned read    16.45   16.45      17   2.034
-    one-page write           16.36   16.36      17   2.042
-    128 KiB write            41.32   36.43      37   2.755
+    one-page read            16.09   17.09      18   2.011
+    64 KiB unaligned read    16.45   17.45      18   2.034
+    one-page write           16.36   17.36      18   2.042
+    128 KiB write            36.43   37.43      38   2.755
     ======================  ======  ======  ======  ======
+
+    Each op now costs one call more: ``SsdDevice.submit`` queues its
+    finish through ``Simulator.call_at`` instead of pushing it onto the
+    kernel's heap itself, so that only the kernel knows its queue.  The
+    queued actions split into heap pushes (the finishes and the driving
+    process's waits) and same-instant enqueues (its wake-ups).
 
     The 128 KiB writes reach GC.  The parent ran each one arriving
     while the GC loop ran as a process (a start, a slot event, a
@@ -593,8 +600,8 @@ def test_calls_per_chunk_stay_within_budget():
     through ``_release`` and ``Semaphore.release``, and built a
     ``_Task`` beside each ``_Chunk``; now ``_submit`` dispatches a chunk
     that finds nothing queued ahead of it, ``SsdDevice.submit`` and
-    ``_finish`` take and free the NCQ slot and push the finish
-    themselves, and a one-chunk task is one object.  The counts repeat
+    ``_finish`` take and free the NCQ slot themselves, and a one-chunk
+    task is one object.  The counts repeat
     exactly, so the budget fails at the parent and catches a per-tenant
     or per-page call creeping back; the pushes pin the simulation's
     event order.
@@ -623,19 +630,22 @@ def test_calls_per_chunk_stay_within_budget():
         ("write", scheduler.write, 4 * KIB, 1000, 0),
         ("write128k", scheduler.write, 128 * KIB, 200, 0),
     ):
-        seq = sim._seq
+        queued = queue_counter(sim)
         calls = count_calls(
             lambda: serve(submit, size, count, skew),
             ("/repro/core/", "/repro/ssd/", "/repro/sim/"),
         )
         per_chunk[name] = calls / count
-        pushes[name] = sim._seq - seq
+        pushes[name] = queued()
     assert device.stats.gc_runs > 0  # the 128 KiB writes reach GC
-    assert pushes == {"read": 2011, "read64k": 2034, "write": 2042, "write128k": 551}
-    assert per_chunk["read"] <= 17, per_chunk
-    assert per_chunk["read64k"] <= 17, per_chunk
-    assert per_chunk["write"] <= 17, per_chunk
-    assert per_chunk["write128k"] <= 37, per_chunk
+    assert pushes == {
+        "read": (1010, 1001), "read64k": (1033, 1001), "write": (1041, 1001),
+        "write128k": (346, 205),
+    }
+    assert per_chunk["read"] <= 18, per_chunk
+    assert per_chunk["read64k"] <= 18, per_chunk
+    assert per_chunk["write"] <= 18, per_chunk
+    assert per_chunk["write128k"] <= 38, per_chunk
 
 
 def test_preconditioning_calls_stay_within_budget():

@@ -77,6 +77,30 @@ def test_a_cluster_kill_before_the_demand_sample_is_refused():
         clusterfig._run_cell((3, ClusterTimeline(kill_at=0.5, horizon=4.0), "intel320", 17))
 
 
+def test_cluster_post_kill_rate_counts_only_the_acks_inside_its_window(monkeypatch):
+    """The rate divides by ``horizon - (kill_at + settle)``; a worker's
+    PUT in flight at the horizon, acknowledged during the read-back,
+    used to be counted in it too."""
+    timeline = ClusterTimeline(kill_at=2.0, horizon=5.0)
+    acked_at = {}
+    kv_request = clusterfig.kv_request
+
+    def timed(store, spec, rng, acks):
+        acked = yield from kv_request(store, spec, rng, acks)
+        if acked:
+            acked_at.setdefault(spec.name, []).append(store.sim.now)
+        return acked
+
+    monkeypatch.setattr(clusterfig, "kv_request", timed)
+    cell = clusterfig._run_cell((3, timeline, "intel320", 17))
+    settle_at = timeline.kill_at + timeline.settle
+    assert any(t > timeline.horizon for times in acked_at.values() for t in times)
+    assert set(cell.post_kill_rate) == set(acked_at)
+    for tenant, times in acked_at.items():
+        inside = sum(settle_at <= t <= timeline.horizon for t in times)
+        assert cell.post_kill_rate[tenant] == round(inside / (timeline.horizon - settle_at), 6)
+
+
 def test_scalefig_sends_picklable_work_units_to_the_pool(monkeypatch):
     """``--jobs N`` pickles each work unit to a pool worker.  ``run``
     used to pass a function defined inside itself, which cannot be

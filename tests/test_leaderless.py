@@ -598,10 +598,11 @@ def test_vop_audit_reconciles_under_leaderless_repair_traffic():
 # ---------------------------------------------------------------------------
 
 
-#: the whole cell below hashed, recorded at the commit before the
-#: experiments' verifiers and cluster tallies became shared helpers;
-#: re-record only for a deliberate model change
-GOLDEN_PARTITION_CELL = "7be7f48906ef17f1"
+#: the whole cell below hashed, re-recorded when failed read-your-writes
+#: probes moved from ``errors`` to ``probe_errors`` (the one difference
+#: from the earlier digest, 7be7f48906ef17f1); re-record only for a
+#: deliberate model change
+GOLDEN_PARTITION_CELL = "9b35e4c429056dcf"
 
 
 def test_partitionfig_cell_deterministic():
@@ -612,6 +613,9 @@ def test_partitionfig_cell_deterministic():
     b = partitionfig._run_cell(args)
     assert dataclasses.asdict(a) == dataclasses.asdict(b)
     assert a.total_lost == 0 and a.verified
+    # Write errors and failed probe reads are counted apart: 2+3
+    # surfaced errors, one of them a minority-side probe.
+    assert (a.errors, a.probe_errors) == ({"min": 1, "maj": 3}, {"min": 1, "maj": 0})
     assert hashlib.sha256(repr(a).encode()).hexdigest()[:16] == GOLDEN_PARTITION_CELL
 
 

@@ -1,5 +1,5 @@
-"""The message path of a replicated cluster: its call budget, and the
-same-slot and tail rules as a count.
+"""The message path of a replicated cluster: its call budget, and its
+queued actions as a count.
 
 A replicated PUT runs client -> fabric -> ``RpcEndpoint`` -> the
 primary's ``PrimaryBackupService`` -> local write -> one shipment per backup ->
@@ -10,20 +10,18 @@ below ``StorageNode``; this file pins the ones in ``repro/net`` and
 generator resumes included — what kvbench reports as
 ``net.calls_per_req`` and ``sim.calls_per_req``).
 
-Shipments and backup acks relay a continuation in the heap slot the
-coroutine they replaced would have taken (a process start, an event
-dispatch); that equality is what keeps every trajectory identical.  A
-delivery's own continuation — a waiter's wake-up, a serve process's or
-a ``repl.apply`` handler's start, the backup's drain start — is the
-delivery's tail, so it goes through ``Simulator.call_soon``: run in the
-delivery's frame when nothing else is due at that instant (on this idle
-cluster, always), queued in the slot ``call_at(now)`` would take when
-something is.
+Shipments and backup acks relay a continuation queued where the
+coroutine they replaced would have queued its own (a process start, an
+event dispatch); that equality is what keeps every trajectory identical.
+Every message delivery is a future action on the kernel's heap; every
+continuation it queues for the same instant (a waiter's wake-up, a
+serve process's or a ``repl.apply`` handler's start, the backup's drain
+start) goes to the kernel's FIFO of actions due now.
 """
 
 import pytest
 
-from .helpers import count_calls, silent_part_bookings
+from .helpers import count_calls, queue_counter, silent_part_bookings
 from repro.core import Reservation
 from repro.net import NetConfig
 from repro.node import StorageCluster
@@ -57,8 +55,9 @@ def idle_cluster():
 
 def per_request(layer):
     """Per request of each kind — ``REQUESTS`` PUTs of 4 KiB one at a
-    time, then a GET of each key — the calls under ``layer`` and the
-    heap pushes (``Simulator._seq`` counts one per ``heappush``)."""
+    time, then a GET of each key — the calls under ``layer``, and the
+    queued actions split as ``(heap pushes, same-instant enqueues)``
+    beside the WAL write parts booked on a join without one."""
     sim, cluster, client = idle_cluster()
 
     def puts():
@@ -71,10 +70,10 @@ def per_request(layer):
 
     calls, pushes = {}, {}
     for kind, requests in (("put", puts), ("get", gets)):
-        seq0 = sim._seq
+        queued = queue_counter(sim)
         with silent_part_bookings() as silent:
             calls[kind] = count_calls(lambda: drive(sim, requests()), (layer,)) / REQUESTS
-        pushes[kind] = (sim._seq - seq0, silent[0])
+        pushes[kind] = (queued(), silent[0])
     assert sum(service.quorum_acks for service in cluster.services.values()) == REQUESTS
     cluster.stop()
     return calls, pushes
@@ -88,17 +87,17 @@ def counted():
     return net, sim, pushes
 
 
-def test_heap_pushes_per_request_are_the_parents_less_the_tails(counted):
-    """The tail rule as a count: 37.4525 heap pushes per replicated PUT
-    and 4.0325 per GET at the parent, 29.4525 and 2.0325 now.  A PUT
-    drops exactly its eight tails — the primary's serve start, and per
-    backup the ``repl.apply`` handler, the drain start and the ack's
-    classification, and the client's wake-up — and a GET its two: the
-    serve start and the wake-up.  The WAL write parts booked on their
-    join without a dispatch stay as they were."""
+def test_queued_actions_per_request_are_the_parents(counted):
+    """37.4525 queued actions per replicated PUT and 4.0325 per GET, as
+    before deliveries ran their continuations in place: each action is
+    queued once again, either pushed onto the heap (a delivery, a
+    device finish, a timer) or appended to the FIFO of actions due now
+    (a wake-up, a process start, a relayed continuation).  The WAL write
+    parts booked on their join without an action stay as they were."""
     _net, _sim, pushes = counted
     (put, put_silent), (get, get_silent) = pushes["put"], pushes["get"]
-    assert (put, get) == (14981 - 8 * REQUESTS, 1613 - 2 * REQUESTS) == (11781, 813)
+    assert (put, get) == ((4983, 9998), (812, 801))
+    assert (sum(put), sum(get)) == (14981, 1613)
     assert (put_silent, get_silent) == (1197, 0)
 
 
@@ -110,18 +109,33 @@ def test_calls_per_request_stay_within_budget(counted):
     request         ``repro/net`` parent / now  ``repro/sim`` parent / now
                     (budget)                    (budget)
     ==============  ==========================  ==========================
-    replicated PUT  78.38 / 77.38 (77.4)        95.10 / 85.06 (85.1)
-    GET             22.00 / 21.00 (21)          14.17 / 12.17 (12.2)
+    replicated PUT  77.38 / 77.38 (77.4)        85.06 / 104.09 (104.1)
+    GET             21.00 / 21.00 (21)          12.17 / 14.17 (14.2)
     ==============  ==========================  ==========================
 
-    At the parent every delivery's continuation took a heap slot of its
-    own, which the test's ``step_while`` drive paid one predicate call
-    for (a tail now pays one ``call_soon`` call instead); each message
-    was pushed through ``call_at`` and handed to its handler by
-    ``_deliver``'s lookup; and a live cached route went through
-    ``_call_primary``'s round loop, a generator frame resumed twice per
-    request.  Run against the parent, this is the test that fails.
+    ``repro/sim`` per replicated PUT, parent to now:
+
+    - +15.02 ``call_at`` calls: each of the six messages and the six
+      device writes queues its delivery or finish through
+      ``Simulator.call_at`` rather than pushing onto the kernel's heap
+      itself, and so does each node's two-extent WAL commit's join
+      (6.04 + 5.99 + 2.99);
+    - +8 ``is_alive`` calls: each of the eight continuations a delivery
+      used to run in place (the primary's serve start; per backup the
+      ``repl.apply`` handler, the drain start and the ack's
+      classification; the client's wake-up) is an action of its own
+      again, and the test's ``step_while`` drive asks its predicate
+      before each action;
+    - −4 calls: those continuations are queued by ``Event.succeed``,
+      ``Simulator.process`` and ``call_at`` directly, without the
+      parent's wrapper around each.
+
+    A GET: +2 ``call_at`` (its two messages), +2 ``is_alive`` and −2.
+    Earlier, each message was handed to its handler by ``_deliver``'s
+    lookup, and a live cached route went through ``_call_primary``'s
+    round loop, a generator frame resumed twice per request (78.38 and
+    22.00 ``repro/net`` calls).
     """
     net, sim, _pushes = counted
     assert net["put"] <= 77.4 and net["get"] <= 21, net
-    assert sim["put"] <= 85.1 and sim["get"] <= 12.2, sim
+    assert sim["put"] <= 104.1 and sim["get"] <= 14.2, sim

@@ -27,8 +27,8 @@ became scheduled continuations: the replicated run of
 failover through ``repl.seq``, duplicate applies and the out-of-order
 apply buffer), hashed whole.
 
-``FAILOVER_CELL`` pins a reduced ``clusterfig`` rf=3 cell, recorded at
-the commit before deliveries ended in ``Simulator.call_soon``: see
+``FAILOVER_CELL`` pins a reduced ``clusterfig`` rf=3 cell, recorded
+while every action still took a heap entry: see
 :func:`test_failover_cell_digest_matches_the_parent`.
 
 Re-record only for a deliberate model change, and say so in the PR:
@@ -156,8 +156,11 @@ GOLDEN_REWIRED = {
 #: ``clusterfig``'s rf=3 cell cut to 5 simulated seconds: two tenants,
 #: ``node0`` killed at 2 s, the detector's failover with its four
 #: promotions, and the read-back of every acknowledged write
+#: (re-recorded when ``post_kill_rate`` stopped counting the acks that
+#: land after the horizon, during the read-back: mx0 188 -> 185/s and
+#: wh0 134 -> 130/s are the only difference from fedb8f18011168e3)
 FAILOVER_CELL = (3, clusterfig.ClusterTimeline(kill_at=2.0, horizon=5.0), "intel320", 17)
-GOLDEN_FAILOVER = "fedb8f18011168e3"
+GOLDEN_FAILOVER = "b3ce1edab4742f37"
 
 
 def _value_size(sc, key):
@@ -386,13 +389,11 @@ def test_failover_cell_digest_matches_the_parent():
     """The whole cell (acks, losses, latency percentiles, SLO, detection
     time, promotions, write amplification, RPC round trips) hashed.
 
-    A delivery ends in ``call_soon``, which runs its continuation in
-    place only when no other action is due at that instant.  Fault-free
-    runs rarely put two actions on one float instant, so no other
-    cluster run in tier-1 reaches that guard; this seed's run does,
-    twice: a ``repl.apply`` lands at the instant a multi-extent file
-    IO's join is queued.  With the guard removed the apply overtakes
-    the join and this digest moves."""
+    This seed's run twice delivers a ``repl.apply`` at the instant a
+    multi-extent file IO's join is queued.  The kernel runs an
+    instant's heap actions before what is queued during it; a kernel
+    that ran its FIFO first would let the apply's continuation overtake
+    the join, and this digest would move."""
     assert failover_digest() == GOLDEN_FAILOVER
 
 

@@ -20,6 +20,7 @@ Three kinds of test:
 
 import pytest
 
+from .helpers import queue_counter
 from repro.faults import (
     FaultKind,
     FaultPlan,
@@ -115,38 +116,30 @@ def test_queue_tracks_calls_in_flight_not_calls_answered():
     assert sim.queue_size == 0
 
 
-def heap_pushes(calls: int) -> int:
-    """Kernel heap entries pushed by ``calls`` sequential round trips
-    (``Simulator._seq`` counts exactly one per ``heappush``)."""
+def queued_actions(calls: int, callbacks: bool = False):
+    """Kernel actions queued by ``calls`` sequential round trips, as
+    ``(heap pushes, same-instant enqueues)``."""
     sim, _server, client = echo_pair()
-    sim.process(closed_loop(client, calls))
+    queued = queue_counter(sim)
+    if callbacks:
+        start_caller(sim, client, calls, callbacks=True)
+    else:
+        sim.process(closed_loop(client, calls))
     sim.run(until=0.2)  # inside the first deadline: no re-arm in between
     assert client.stats.round_trips == calls
-    return sim._seq
+    return queued()
 
 
-def test_fault_free_round_trip_costs_two_heap_entries():
-    # The request's delivery and the reply's.  The serve start and the
-    # response dispatch are those deliveries' tails, and with nothing
-    # else due at those instants ``call_soon`` runs them in the
-    # deliveries' frames (four entries before the tail rule).
-    # Differencing two run lengths cancels the caller's own start and
-    # the endpoint's single armed deadline.
-    assert heap_pushes(200) - heap_pushes(100) == 2 * 100
-
-
-def callback_heap_pushes(calls: int) -> int:
-    sim, _server, client = echo_pair()
-    start_caller(sim, client, calls, callbacks=True)
-    sim.run(until=0.2)
-    assert client.stats.round_trips == calls
-    return sim._seq
-
-
-def test_fault_free_callback_round_trip_costs_two_heap_entries_too():
-    # The response's continuation follows the caller's resume's rule:
-    # the reply's delivery runs it as its tail.
-    assert callback_heap_pushes(200) - callback_heap_pushes(100) == 2 * 100
+@pytest.mark.parametrize("callbacks", [False, True], ids=["generator", "callback"])
+def test_fault_free_round_trip_queues_four_actions(callbacks):
+    # Two heap pushes, the request's delivery and the reply's, and two
+    # same-instant enqueues: the serve start and the caller's wake-up
+    # (for a callback caller, the response's continuation, which
+    # follows the caller's resume's rule).  Differencing two run
+    # lengths cancels the caller's own start and the endpoint's single
+    # armed deadline.
+    more, fewer = queued_actions(200, callbacks), queued_actions(100, callbacks)
+    assert (more[0] - fewer[0], more[1] - fewer[1]) == (2 * 100, 2 * 100)
 
 
 # ---------------------------------------------------------------------------

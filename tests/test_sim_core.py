@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+from heapq import heappop, heappush
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from .helpers import queue_counter
 from repro.sim import Interrupt, SimulationError, Simulator
 
 
@@ -63,10 +66,9 @@ NAN = float("nan")
     [
         lambda sim: sim.call_at(NAN, print, "nan"),
         lambda sim: sim.timeout(NAN),
-        lambda sim: sim._schedule_call(print, "nan", NAN),
         lambda sim: sim.run(until=NAN),
     ],
-    ids=["call_at", "timeout", "schedule_call", "run_until"],
+    ids=["call_at", "timeout", "run_until"],
 )
 def test_nan_times_are_rejected(schedule):
     """A NaN time compares false with everything: queued, it ran before
@@ -460,10 +462,10 @@ def test_unawaited_process_finishes_without_a_heap_entry():
     proc = sim.process(child())
     sim.run(until=0.5)
     assert sim.queue_size == 1  # the child's timeout
-    pushed = sim._seq  # one increment per heappush
+    queued = queue_counter(sim)
     sim.run(until=1.0)
     # The return queued nothing: no dispatch of an empty callback list.
-    assert (sim._seq, sim.queue_size) == (pushed, 0)
+    assert (queued(), sim.queue_size) == ((0, 0), 0)
     assert proc.triggered and proc.processed and proc.ok
     assert not proc.is_alive
     assert proc.value == 17
@@ -509,11 +511,11 @@ def test_awaited_process_still_dispatches_to_every_waiter():
     seen = []
     proc.callbacks.append(lambda ev: seen.append((ev.ok, ev.value)))
     sim.run(until=0.5)
-    pushed = sim._seq
+    queued = queue_counter(sim)
     sim.run()
     # One dispatch for the finished process, none for the two waiters
     # (nobody awaits them).
-    assert sim._seq == pushed + 1
+    assert queued() == (0, 1)
     assert order == [("a", 1.0, 5), ("b", 1.0, 5)]
     assert seen == [(True, 5)]
     assert proc.processed
@@ -537,9 +539,9 @@ def test_unawaited_failing_process_still_takes_the_dispatch_path():
     proc = sim.process(child())
     sim.process(late_joiner(proc))
     sim.run(until=0.5)
-    pushed = sim._seq
+    queued = queue_counter(sim)
     sim.run(until=2.0)
-    assert sim._seq == pushed + 1  # fail() is left as it was
+    assert queued() == (0, 1)  # fail() is left as it was
     assert proc.triggered and proc.processed and not proc.ok
     sim.run()
     assert caught == [(3.0, "lost")]
@@ -584,142 +586,154 @@ def test_step_while_drains_exactly_to_condition():
     assert fired == [0, 1, 2, 3, 4] and sim.queue_size == 0
 
 
-# ---------------------------------------------------------------------------
-# call_soon: the tail rule
-# ---------------------------------------------------------------------------
-
-
-def test_call_soon_runs_inline_when_nothing_is_due_now():
+def test_run_until_before_now_runs_nothing():
     sim = Simulator()
     log = []
-
-    def action(tag):
-        log.append((tag, sim.now))
-        if tag == "first":
-            sim.call_at(2.0, action, "later")  # due, but not now
-            sim.call_soon(action, "tail")
-            log.append(("returned", sim.now))
-
-    sim.call_at(1.0, action, "first")
-    seq = sim._seq
-    sim.run()
-    # The tail ran in the action's own frame, before it returned, and
-    # took no heap slot: one push (the 2.0 action), not two.
-    assert log == [("first", 1.0), ("tail", 1.0), ("returned", 1.0), ("later", 2.0)]
-    assert sim._seq - seq == 1
+    sim.run(until=2.0)
+    sim.call_at(2.0, log.append, "now")
+    sim.call_at(3.0, log.append, "later")
+    sim.run(until=1.0)
+    assert (log, sim.now, sim.queue_size) == ([], 2.0, 2)
+    sim.run(until=2.0)
+    assert (log, sim.now) == (["now"], 2.0)
 
 
-def test_call_soon_queues_behind_an_action_already_due_now():
-    sim = Simulator()
-    log = []
-
-    def action(tag):
-        log.append(tag)
-        if tag == "first":
-            sim.call_at(sim.now, action, "due")
-            sim.call_soon(action, "tail")
-            log.append("returned")
-
-    sim.call_at(1.0, action, "first")
-    sim.call_at(1.0, action, "sibling")  # queued before the tail's slot
-    sim.run()
-    assert log == ["first", "returned", "sibling", "due", "tail"]
+# ---------------------------------------------------------------------------
+# The kernel's order against a single-heap reference
+# ---------------------------------------------------------------------------
 
 
-def test_succeed_soon_and_process_soon_queue_like_their_plain_forms():
-    for soon in (False, True):
-        sim = Simulator()
-        log = []
-        event = sim.event()
+class _NowOnHeap:
+    """The reference's stand-in for the FIFO: an action due now is
+    pushed onto the heap like any other, at ``(now, seq)``."""
 
-        def waiter():
-            log.append(("woke", (yield event), sim.now))
+    def __init__(self, sim):
+        self.sim = sim
 
-        def started():
-            log.append(("started", sim.now))
-            yield sim.timeout(0)
+    def append(self, action):
+        sim = self.sim
+        sim._seq += 1
+        heappush(sim._heap, (sim.now, sim._seq) + action)
 
-        def tail(_arg):
-            if soon:
-                event.succeed_soon("v")
-            else:
-                event.succeed("v")
-
-        def tail_start(_arg):
-            (sim.process_soon if soon else sim.process)(started())
-
-        sim.process(waiter())
-        sim.call_at(1.0, tail, None)
-        sim.call_at(2.0, tail_start, None)
-        sim.run()
-        assert log == [("woke", "v", 1.0), ("started", 2.0)]
-        with pytest.raises(SimulationError):
-            event.succeed_soon()
+    def __len__(self):
+        return 0
 
 
-#: a same-instant child is scheduled at ``now``; the others later, on a
+class HeapKernel(Simulator):
+    """The reference kernel: one heap of every action, popped in
+    ``(time, seq)`` order.  Events and processes are the kernel's own;
+    only the queue differs."""
+
+    def __init__(self):
+        super().__init__()
+        self._ready = _NowOnHeap(self)
+
+    def call_at(self, at, fn, arg):
+        if not at >= self.now:
+            raise SimulationError(f"call_at({at}) is before now ({self.now})")
+        self._seq += 1
+        heappush(self._heap, (at, self._seq, fn, arg))
+
+    def run(self, until=None):
+        heap = self._heap
+        while heap and (until is None or heap[0][0] <= until):
+            self.now, _seq, fn, arg = heappop(heap)
+            fn(arg)
+        if until is not None and until > self.now:
+            self.now = until
+
+    def step_while(self, predicate):
+        steps = 0
+        while self._heap and predicate():
+            self.now, _seq, fn, arg = heappop(self._heap)
+            fn(arg)
+            steps += 1
+        return steps
+
+
+#: a same-instant child is queued at ``now``; the others later, on a
 #: coarse grid so that actions often share an instant
-DELAYS = (0.0, 0.0, 1.0, 2.0)
+DELAYS = (0.0, 0.0, 0.5, 1.0)
+KINDS = ("call", "timeout", "succeed", "fail", "process", "interrupt")
 
 action_trees = st.recursive(
     st.just(()),
     lambda children: st.lists(
-        st.tuples(st.sampled_from(DELAYS), st.sampled_from(("call", "event", "process")),
-                  children),
-        max_size=3,
+        st.tuples(st.sampled_from(DELAYS), st.sampled_from(KINDS), children), max_size=3,
     ).map(tuple),
     max_leaves=40,
 )
+programs = st.tuples(
+    st.lists(st.tuples(st.sampled_from(DELAYS), st.sampled_from(KINDS), action_trees),
+             min_size=1, max_size=4),
+    # the steps: run(until=now + d) (d < 0 runs nothing), step_while
+    # for n more log lines, or step
+    st.lists(st.tuples(st.sampled_from(("run", "step_while", "step")),
+                       st.sampled_from((-1.0, 0.0, 0.5, 1.0, 2.0))), max_size=6),
+)
 
 
-def run_tree(roots, soon):
-    """Execute an action tree; returns the log of (time, path) and the
-    heap pushes.  With ``soon``, an action's last child, when it is due
-    now, is scheduled through the tail forms: ``call_soon``,
-    ``Event.succeed_soon`` or ``Simulator.process_soon``."""
-    sim = Simulator()
+def run_program(sim, program):
+    """Execute a program; returns its log of what ran, when."""
+    roots, steps = program
     log = []
+    procs = []
 
     def run(node):
         path, children = node
         log.append((sim.now, path))
         for i, (delay, kind, grandchildren) in enumerate(children):
-            child = (path + (i,), grandchildren)
-            tail = soon and delay == 0.0 and i == len(children) - 1
-            if delay or kind == "call":
-                if tail:
-                    sim.call_soon(run, child)
-                else:
-                    sim.call_at(sim.now + delay, run, child)
-            elif kind == "event":
-                event = sim.event()
-                event.callbacks.append(lambda _event, child=child: run(child))
-                if tail:
-                    event.succeed_soon()
-                else:
-                    event.succeed()
+            spawn(delay, kind, (path + (i,), grandchildren))
+
+    def spawn(delay, kind, child):
+        at = sim.now + delay
+        if kind == "call":
+            sim.call_at(at, run, child)
+        elif kind == "timeout":
+            sim.timeout(delay).callbacks.append(lambda _ev: run(child))
+        elif kind in ("succeed", "fail"):
+            event = sim.event()
+            event.callbacks.append(lambda ev: (log.append(("ok", ev.ok)), run(child)))
+            if kind == "succeed":
+                sim.call_at(at, event.succeed, None)
             else:
-                if tail:
-                    sim.process_soon(body(child))
-                else:
-                    sim.process(body(child))
+                sim.call_at(at, event.fail, KeyError(child[0]))
+        elif kind == "process":
+            procs.append((child[0], sim.process(body(delay, child))))
+        else:
+            # interrupt the newest live process other than this one's
+            for path, proc in reversed(procs):
+                if proc.is_alive and path != child[0][:-1]:
+                    proc.interrupt(child[0])
+                    break
+            run(child)
 
-    def body(node):
+    def body(delay, node):
+        try:
+            yield sim.timeout(delay)
+        except Interrupt as exc:
+            log.append(("interrupted", sim.now, node[0], exc.cause))
         run(node)
-        return
-        yield  # pragma: no cover - makes this a generator
 
-    for i, (delay, _kind, children) in enumerate(roots):
-        sim.call_at(delay, run, ((i,), children))
+    for i, (delay, kind, children) in enumerate(roots):
+        spawn(delay, kind, ((i,), children))
+    for op, arg in steps:
+        if op == "run":
+            sim.run(until=sim.now + arg)
+        elif op == "step":
+            log.append(("step", sim.step()))
+        else:
+            target = len(log) + int(arg * 4)
+            log.append(("steps", sim.step_while(lambda: len(log) < target)))
+        log.append(("now", sim.now, sim.queue_size))
     sim.run()
-    return log, sim._seq
+    return log
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(DELAYS), st.just("call"), action_trees),
-                min_size=1, max_size=4))
-def test_tail_forms_give_the_call_at_now_execution_log(roots):
-    log, pushes = run_tree(roots, soon=False)
-    soon_log, soon_pushes = run_tree(roots, soon=True)
-    assert soon_log == log
-    assert soon_pushes <= pushes
+@settings(max_examples=300, deadline=None)
+@given(programs)
+def test_kernel_runs_every_program_as_a_single_heap_does(program):
+    """Random programs give the same execution log (and the same step
+    counts, clock and queue sizes between the steps) on the kernel
+    and on the single-heap reference."""
+    assert run_program(Simulator(), program) == run_program(HeapKernel(), program)
