@@ -53,6 +53,7 @@ from .vop import CostModel
 __all__ = ["LibraScheduler", "TenantUsage", "SchedulerConfig"]
 
 _READ = OpKind.READ
+_WRITE = OpKind.WRITE
 #: rounds a tenant may bank unused deficit for (burst bound)
 BURST_ROUNDS = 2.0
 #: weight floor for zero-allocation (best-effort) tenants, as a
@@ -118,9 +119,9 @@ class _Chunk:
     share its ``done`` and one :class:`_Split` counting the slices
     still pending; ``split`` is None for a whole task.
 
-    ``cost`` is the VOP price captured at dispatch time; completion
-    charges and reports exactly that value, so the cost model is
-    consulted once per chunk and dispatch/completion can never skew.
+    ``cost`` is the VOP price captured (and first set) at dispatch;
+    completion charges and reports exactly that value, so the cost model
+    is consulted once per chunk and dispatch/completion can never skew.
     ``t_mark`` is the chunk's current span start for tracing: queue
     entry time until dispatch, then service start until completion.
     """
@@ -136,7 +137,6 @@ class _Chunk:
         self.size = size
         self.done = done
         self.split = split
-        self.cost = 0.0
         self.t_mark = t_mark
 
 
@@ -161,8 +161,8 @@ class _TenantState:
         self.queue: Deque[_Chunk] = deque()
         self.usage = TenantUsage()
         self.inflight = 0
-        #: the round-robin cursor after dispatching this tenant: the
-        #: index past it in ``_order``
+        #: the index past it in ``_order``: the round-robin cursor after
+        #: dispatching this tenant, and the next tenant a lap visits
         self.after = 0
 
 
@@ -213,6 +213,9 @@ class LibraScheduler:
         #: registration or allocation change invalidated the cache
         self._quanta: Optional[List[float]] = None
         self._slots = device.queue_depth
+        #: per-device constants each submission reads
+        self._capacity = device.profile.logical_capacity
+        self._chunk_size = self.config.chunk_size
         self._stopped = False
         self.rounds = 0
         self.forced_rounds = 0
@@ -298,11 +301,11 @@ class LibraScheduler:
     def read(self, offset: int, size: int, tag: Optional[IoTag] = None, done=None) -> Event:
         """Queue a tenant read; returns its completion event (``done``,
         when the filesystem hands in the join of a multi-op file IO)."""
-        return self._submit(OpKind.READ, offset, size, tag, done)
+        return self._submit(_READ, offset, size, tag, done)
 
     def write(self, offset: int, size: int, tag: Optional[IoTag] = None, done=None) -> Event:
         """Queue a tenant write; returns its completion event."""
-        return self._submit(OpKind.WRITE, offset, size, tag, done)
+        return self._submit(_WRITE, offset, size, tag, done)
 
     def trim_extents(self, extents: List[Tuple[int, int]]) -> None:
         """TRIM passes straight through (metadata-only on the device)."""
@@ -310,32 +313,30 @@ class LibraScheduler:
 
     def _submit(self, kind: OpKind, offset: int, size: int, tag: Optional[IoTag],
                 done=None) -> Event:
-        if tag is None:
-            raise ValueError("Libra IO requires an IoTag (tenant attribution)")
-        state = self._tenants.get(tag.tenant)
-        if state is None:
+        try:
+            state = self._tenants[tag.tenant]
+        except (AttributeError, KeyError):
+            if tag is None:
+                raise ValueError("Libra IO requires an IoTag (tenant attribution)") from None
             state = self._state(tag.tenant)  # raises, naming the tenants
         # Rejected before any VOP is charged: the device would fail the
         # op, and the failure would be booked as a fault.  Offsets and
         # sizes are ints (a float is refused even when integral), and
-        # the range check is written so that a NaN fails it.
-        capacity = self.device.profile.logical_capacity
+        # the range check is written so that a NaN fails it.  It is the
+        # op's one check: dispatch hands it to ``SsdDevice._admit``.
         if type(offset) is not int or type(size) is not int or not (
-            0 < size and 0 <= offset and offset + size <= capacity
+            0 < size and 0 <= offset and offset + size <= self._capacity
         ):
             raise ValueError(
                 f"io [{offset}, {offset + size}) is empty, not given as ints or "
-                f"outside the device's {capacity} bytes"
+                f"outside the device's {self._capacity} bytes"
             )
-        sim = self.sim
         if done is None:
-            done = Event(sim)
-        chunk_size = self.config.chunk_size
-        now = sim.now
-        if size <= chunk_size:
+            done = Event(self.sim)
+        if size <= self._chunk_size:
             # The common case (every GET's read, every WAL commit): the
             # task is its own single chunk.
-            chunk = _Chunk(state, tag, kind, offset, size, done, None, now)
+            chunk = _Chunk(state, tag, kind, offset, size, done, None, self.sim.now)
             if state.deficit > 0 and self._inflight < self._slots:
                 # A pump returns only with every slot taken or no tenant
                 # eligible (deficit left and a chunk queued; this one's
@@ -352,6 +353,8 @@ class LibraScheduler:
             state.queue.append(chunk)
             self._queued += 1
         else:
+            chunk_size = self._chunk_size
+            now = self.sim.now
             split = _Split(-(-size // chunk_size))
             for pos in range(0, size, chunk_size):
                 length = min(chunk_size, size - pos)
@@ -365,7 +368,7 @@ class LibraScheduler:
         chunk split, each chunk priced as ``_dispatch`` prices it,
         summed chunk by chunk in dispatch order — not ``n * cost``: the
         sum feeds allocations that must not move by a rounding step."""
-        chunk_size = self.config.chunk_size
+        chunk_size = self._chunk_size
         cost = self.cost_model.cost
         total = 0.0
         pos = 0
@@ -447,13 +450,12 @@ class LibraScheduler:
         act.
         """
         order = self._order
-        n = len(order)
         while self._queued and self._inflight < self._slots:
             at = self._cursor
             round_open = False
             for _ in order:
                 state = order[at]
-                at = (at + 1) % n
+                at = state.after
                 if state.deficit > 0:
                     if state.queue:
                         self._cursor = at
@@ -474,8 +476,9 @@ class LibraScheduler:
         kind = chunk.kind
         is_read = kind is _READ
         costs = self._read_costs if is_read else self._write_costs
-        cost = costs.get(size)
-        if cost is None:
+        try:
+            cost = costs[size]
+        except KeyError:
             cost = costs[size] = self.cost_model.cost(kind, size)
         chunk.cost = cost
         state.deficit -= cost
@@ -485,11 +488,6 @@ class LibraScheduler:
         tag = chunk.tag
         if self.dispatch_observer is not None:
             self.dispatch_observer(tag, kind, size, cost)
-        # ctx rides along to the device: trace id for span attribution
-        # and tenant identity for NVMe per-submitter queue mapping.  It
-        # never influences SATA-device timing, so always passing it is
-        # free of behavior change there.
-        ctx = (tag.trace, tag.tenant)
         tr = self.tracer
         if tr is not None:
             now = self.sim.now
@@ -500,33 +498,35 @@ class LibraScheduler:
             chunk.t_mark = now  # service span starts here
         # Slim dispatch: the device invokes ``_complete(chunk, result)``
         # directly from the op's one scheduled finish action (no Event,
-        # no Process, no per-chunk partial).
-        self.device.submit(is_read, chunk.offset, size, ctx, self._complete, chunk)
+        # no Process, no per-chunk partial).  ``_submit`` checked the
+        # range.  The tag's ``ctx`` rides along: trace id for span
+        # attribution and tenant identity for NVMe per-submitter queue
+        # mapping; it never influences SATA-device timing.
+        self.device._admit(is_read, chunk.offset, size, tag.ctx, self._complete, chunk)
 
     def _complete(self, chunk: _Chunk, event) -> None:
         state = chunk.state
         self._inflight -= 1
         state.inflight -= 1
-        usage = state.usage
-        tag = chunk.tag
-        kind = chunk.kind
         tr = self.tracer
         if tr is not None:
+            tag = chunk.tag
             tr.span(
                 "service", "sched", "libra", tag.tenant,
                 chunk.t_mark, self.sim.now, trace=tag.trace,
                 args={
-                    "kind": kind.value,
+                    "kind": chunk.kind.value,
                     "bytes": chunk.size,
                     "vops": chunk.cost,
                     "ok": event.ok,
                 },
             )
-        done = chunk.done
         split = chunk.split
         if split is not None:
             split.pending -= 1
+        usage = state.usage
         if event.ok:
+            kind = chunk.kind
             usage.ops += 1
             usage.bytes += chunk.size
             if kind is _READ:
@@ -537,22 +537,22 @@ class LibraScheduler:
                 # Report the cost captured at dispatch — no second
                 # cost-model evaluation, and observer charges can never
                 # skew from what the deficit counter actually paid.
-                self.io_observer(tag, kind, chunk.size, chunk.cost)
+                self.io_observer(chunk.tag, kind, chunk.size, chunk.cost)
             if split is None or not (split.pending or split.failed):
                 usage.tasks += 1
-                done.succeed()
+                chunk.done.succeed()
         else:
             # Device fault: the chunk's VOP cost stays charged (the op
             # consumed device time), and the whole task fails on its
             # first failing chunk so the submitter can retry.
             usage.failed_ops += 1
             if self.fail_observer is not None:
-                self.fail_observer(tag, kind, chunk.size, chunk.cost)
+                self.fail_observer(chunk.tag, chunk.kind, chunk.size, chunk.cost)
             if split is None:
-                done.fail(event.value)
+                chunk.done.fail(event.value)
             elif not split.failed:
                 split.failed = True
-                done.fail(event.value)
+                chunk.done.fail(event.value)
         # With a chunk queued and a slot free, some tenant holds the round
         # open (every pump and lane leaves it so).  The lap can act only
         # if no slot was free before this completion, or if this tenant

@@ -9,9 +9,9 @@ attribute secondary IO back to the app-request class that caused it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Tuple
 
 __all__ = ["OpKind", "RequestClass", "InternalOp", "IoTag", "BEST_EFFORT"]
 
@@ -59,6 +59,11 @@ class IoTag:
     request: RequestClass = RequestClass.RAW
     internal: Optional[InternalOp] = None
     trace: Optional[int] = None
+    #: ``(trace, tenant)``, which each of the tag's device ops carries
+    ctx: Tuple[Optional[int], str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ctx", (self.trace, self.tenant))
 
     def with_internal(self, internal: InternalOp) -> "IoTag":
         """Derive the tag used by a background op on this request's behalf."""

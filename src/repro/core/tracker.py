@@ -121,21 +121,17 @@ class ResourceTracker:
         self._pending_requests: DefaultDict[Tuple[str, InternalOp], float] = defaultdict(float)
         self._known_internals: DefaultDict[str, set] = defaultdict(set)
         self.attribution = dict(DEFAULT_ATTRIBUTION)
-        #: lifetime totals, handy for reports
-        self.total_vops: DefaultDict[str, float] = defaultdict(float)
 
     # -- event feed -------------------------------------------------------------
 
     def note_io(self, tag: IoTag, kind: OpKind, size: int, cost: float) -> None:
         """Record one completed IO task's VOP cost (scheduler callback)."""
-        tenant = tag.tenant
+        counters = self._counters[tag.tenant]
         internal = tag.internal
-        counters = self._counters[tenant]
-        if internal is not None:
-            counters.internal_vops[internal] += cost
-        else:
+        if internal is None:
             counters.direct_vops[tag.request] += cost
-        self.total_vops[tenant] += cost
+        else:
+            counters.internal_vops[internal] += cost
 
     def note_request(self, tenant: str, request: RequestClass, size: int) -> None:
         """Record one completed app-level request of ``size`` bytes."""

@@ -55,7 +55,8 @@ class Wal:
         self._inflight: List[Tuple[int, Event, Optional[Tuple[int, int]]]] = []
         #: True from the append that arms a commit until the log is idle
         self._committing = False
-        #: the running commit's group write, its bytes and span start
+        #: the running commit's group write, its bytes and (while
+        #: traced) its span start
         self._write: Optional[Event] = None
         self._write_bytes = 0
         self._t0 = 0.0
@@ -116,15 +117,14 @@ class Wal:
         """
         if type(nbytes) is not int or nbytes <= 0:
             raise ValueError(f"record size must be a positive int, got {nbytes!r}")
-        sim = self.sim
-        done = Event(sim)
+        done = Event(self.sim)
         self._pending.append((nbytes, done, record))
         self._pending_bytes += nbytes
         self.records += 1
         if not self._committing:
             self._committing = True
             self._tag = tag
-            sim.call_at(sim.now, self._commit_next, self._generation)
+            self.sim.call_at(self.sim.now, self._commit_next, self._generation)
         return done
 
     def _commit_next(self, generation: int) -> None:
@@ -186,10 +186,10 @@ class Wal:
         self._inflight = batch
         self._write_bytes = total
         self.batches += 1
-        tr = self.tracer
-        self._t0 = self.sim.now if tr is not None else 0.0
+        if self.tracer is not None:
+            self._t0 = self.sim.now
         try:
-            write = self.file.append(total, tag=self._tag)
+            write = self.file.append(total, self._tag)
         except OutOfSpace as exc:
             # Refused before anything was allocated: the batch's appends
             # fail (nothing was written) and the log goes on.

@@ -70,9 +70,8 @@ def _dispatch_event(event: "Event") -> None:
     """
     callbacks = event.callbacks
     event.callbacks = None
-    if callbacks:
-        for callback in callbacks:
-            callback(event)
+    for callback in callbacks:
+        callback(event)
 
 
 class Event:
@@ -117,8 +116,7 @@ class Event:
         """Trigger the event successfully with an optional payload."""
         if self._triggered:
             raise SimulationError(f"{self!r} already triggered")
-        self._triggered = True
-        self._ok = True
+        self._triggered = True  # ``_ok`` is True until a ``fail``
         self._value = value
         self.sim._ready.append((_dispatch_event, self))
         return self
@@ -428,14 +426,13 @@ class Simulator:
         reservation timestamps, so an earlier time is always a bug.  A
         NaN time is rejected too: it would break the heap's order.
         """
-        now = self.now
-        if at > now:
+        if at > self.now:
             self._seq += 1
             heappush(self._heap, (at, self._seq, fn, arg))
-        elif at == now:
+        elif at == self.now:
             self._ready.append((fn, arg))
         else:
-            raise SimulationError(f"call_at({at}) is before now ({now})")
+            raise SimulationError(f"call_at({at}) is before now ({self.now})")
 
     def run(self, until: Optional[float] = None) -> None:
         """Execute actions in order until the horizon (or queue drain).

@@ -35,11 +35,11 @@ and channel accumulators.  Because the stages are next-free-time
 accumulators, an op's timeline is fully computable the moment it is
 admitted, and two executors share the pair:
 
-- **inline in** :meth:`SsdDevice.submit`, for an op that finds its
+- **inline in** :meth:`SsdDevice._admit`, for an op that finds its
   queue slot free, is not a write while the free pool is down to the
   GC reserve, and meets no fault window: it is planned and reserved at
-  submit and one finish action is pushed at the analytic finish time —
-  no generator, no Event, no timeout;
+  submission and one finish action is pushed at the analytic finish
+  time — no generator, no Event, no timeout;
 - :meth:`SsdDevice._run`, for every other op.  An op that is not
   admitted keeps what it already holds and waits in one of three
   **admission FIFOs**: its queue's (for a slot, served by the finish
@@ -47,6 +47,10 @@ admitted, and two executors share the pair:
   as GC frees blocks), or a call at the stall window's end.  Admitted
   later, ``_run`` prices it under the fault windows active at that
   instant and times it the same way.
+
+Every entry checks an op's range once and then runs ``_admit``:
+``read``, ``write`` and ``submit`` themselves, and the Libra scheduler
+before it charges the op's VOPs (it calls ``_admit`` directly).
 
 When constructed with a :class:`~repro.faults.FaultPlan`, the device
 consults a :class:`~repro.faults.FaultInjector` at op admission: stall
@@ -59,7 +63,7 @@ the stages it reserved — a failing op still consumes device time).
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import NoReturn, Optional
 
 from ..faults import CorruptionError, FaultInjector, FaultPlan
 from ..sim import OK_RESULT, Event, Simulator
@@ -68,15 +72,6 @@ from .profiles import SsdProfile
 from .stats import SsdStats
 
 __all__ = ["SsdDevice", "StagePipeline"]
-
-
-def _settle(event: Event, result) -> None:
-    """Completion sink adapter: trigger the op's Event (or a multi-op
-    file IO's join) with its outcome."""
-    if result.ok:
-        event.succeed()
-    else:
-        event.fail(result.value)
 
 
 class _Failed:
@@ -112,25 +107,21 @@ class StagePipeline:
         so a ``spans`` list collects each stage's ``(channel, or None
         for the controller, start, finish)`` here, not at completion.
         """
-        if q is None:
-            ready = at
-        else:
+        if q is not None:
             lanes = self.lanes
             start = lanes[q]
             if start < at:
                 start = at
-            ready = start + ctrl_service
-            lanes[q] = ready
+            at = lanes[q] = start + ctrl_service  # the channels' ready time
             if spans is not None:
-                spans.append((None, start, ready))
-        finish = ready
+                spans.append((None, start, at))
+        finish = at
         chans = self.chans
         for chan, service in services:
             start = chans[chan]
-            if start < ready:
-                start = ready
-            end = start + service
-            chans[chan] = end
+            if start < at:
+                start = at
+            end = chans[chan] = start + service
             if end > finish:
                 finish = end
             if spans is not None:
@@ -167,18 +158,21 @@ class SsdDevice:
         self.faults: Optional[FaultInjector] = (
             FaultInjector(fault_plan, name=profile.name) if fault_plan is not None else None
         )
-        #: free slots of each host queue, indexed by ``q`` (SATA has the
-        #: one NCQ, ``q = 0``); a freed slot goes straight to the queue's
-        #: first waiter, so a free slot means nobody waits for one
-        self._free = [profile.queue_depth]
-        #: per-queue FIFO of ops waiting for a slot
-        self._sq_wait = [deque()]
+        #: free slots of the one NCQ (``q = 0``); a freed slot goes
+        #: straight to the first waiter, so a free slot means nobody waits
+        self._ncq_free = profile.queue_depth
+        #: FIFO of ops waiting for an NCQ slot
+        self._ncq_wait = deque()
         #: writes holding their slot while the free pool is down to the
         #: GC reserve, in park order
         self._starved = deque()
-        #: True while ``submit`` and ``_finish`` take and free the one
+        #: True while ``_admit`` and ``_finish`` take and free the one
         #: NCQ's slot inline; False on a device whose queue hooks answer
         self._one_queue = True
+        #: per-op constants of the frozen profile: the range every entry
+        #: checks, and a one-page program's channel service (``_plan``)
+        self._capacity = profile.logical_capacity
+        self._page_program = profile.prog_latency + profile.page_size * profile.write_byte_cost
         self._pipe = StagePipeline([0.0], [0.0] * profile.channels)
         #: Chrome-trace track name of each controller lane
         self._ctrl_tracks = ("ctrl",)
@@ -191,13 +185,13 @@ class SsdDevice:
     @property
     def queue_depth(self) -> int:
         """Host-visible depth (max in-flight host ops), summed over queues."""
-        return len(self._free) * self.profile.queue_depth
+        return self.profile.num_queues * self.profile.queue_depth
 
     @property
     def in_flight(self) -> int:
         """Ops holding a queue slot (admitted, starved or stalled), summed
         over queues."""
-        return self.queue_depth - sum(self._free)
+        return self.queue_depth - (self._ncq_free if self._one_queue else sum(self._free))
 
     @property
     def gc_running(self) -> bool:
@@ -212,70 +206,81 @@ class SsdDevice:
         the op's controller/channel spans when a tracer is installed; a
         multi-queue device also maps the tenant to its submission queue.
         """
+        if type(offset) is not int or type(size) is not int or not (
+            0 < size and 0 <= offset and offset + size <= self._capacity
+        ):
+            self._reject(offset, size)
         done = Event(self.sim)
-        self.submit(True, offset, size, ctx, None, done)
+        self._admit(True, offset, size, ctx, None, done)
         return done
 
     def write(self, offset: int, size: int, ctx=None) -> Event:
         """Submit a write; the returned event triggers on completion."""
+        if type(offset) is not int or type(size) is not int or not (
+            0 < size and 0 <= offset and offset + size <= self._capacity
+        ):
+            self._reject(offset, size)
         done = Event(self.sim)
-        self.submit(False, offset, size, ctx, None, done)
+        self._admit(False, offset, size, ctx, None, done)
         return done
 
     def submit(self, is_read: bool, offset: int, size: int, ctx, callback, cb_arg) -> None:
         """Submit one op; completion arrives as ``callback(cb_arg, result)``.
 
-        The scheduler's dispatch path, and the one spelling of admission
-        (see the module docstring).  An empty or out-of-range op, or one
-        whose offset or size is not an int (an integral float included),
-        raises ValueError before it takes anything.  The op's finish
-        action hands the callback :data:`~repro.sim.OK_RESULT`, or a
-        failed result whose ``value`` is the injected fault, after the
-        op has occupied its stages.  ``callback=None`` is
-        ``read``/``write``: ``cb_arg`` (an Event, or a multi-op file
-        IO's join) succeeds or fails instead.
+        An empty or out-of-range op, or one whose offset or size is not
+        an int (an integral float included), raises ValueError before it
+        takes anything.  The op's finish action hands the callback
+        :data:`~repro.sim.OK_RESULT`, or a failed result whose ``value``
+        is the injected fault, after the op has occupied its stages.
+        ``callback=None`` is ``read``/``write``: ``cb_arg`` (an Event, or
+        a multi-op file IO's join) succeeds or fails instead.
         """
-        capacity = self.profile.logical_capacity
         if type(offset) is not int or type(size) is not int or not (
-            0 < size and 0 <= offset and offset + size <= capacity
+            0 < size and 0 <= offset and offset + size <= self._capacity
         ):
-            raise ValueError(
-                f"io [{offset}, {offset + size}) is empty, not given as ints or "
-                f"beyond capacity {capacity}"
-            )
+            self._reject(offset, size)
+        self._admit(is_read, offset, size, ctx, callback, cb_arg)
+
+    def _reject(self, offset, size) -> NoReturn:
+        """Raise the ValueError an entry's range check owes its caller."""
+        raise ValueError(
+            f"io [{offset}, {offset + size}) is empty, not given as ints or "
+            f"beyond capacity {self._capacity}"
+        )
+
+    def _admit(self, is_read: bool, offset: int, size: int, ctx, callback, cb_arg) -> None:
+        """``submit`` past its range check, which every entry makes once
+        (the scheduler's before it charges the op): the one spelling of
+        admission (see the module docstring)."""
         if self._one_queue:
+            if not self._ncq_free:
+                self._park((is_read, offset, size, ctx, callback, cb_arg, 0))
+                return
+            self._ncq_free -= 1
             q = 0
-            free = self._free
-            queued = free[0] > 0
-            if queued:
-                free[0] -= 1
         else:
             q = self._queue_for(ctx)
-            queued = self._take(q)
-        if not queued:
-            self._park((is_read, offset, size, ctx, callback, cb_arg, q))
-            return
+            if not self._take(q):
+                self._park((is_read, offset, size, ctx, callback, cb_arg, q))
+                return
         sim = self.sim
         now = sim.now
-        faults = self.faults
         if not (
             (is_read or not self.ftl.host_starved)
-            and (faults is None or faults.quiescent(now))
+            and (self.faults is None or self.faults.quiescent(now))
         ):
             self._enter((is_read, offset, size, ctx, callback, cb_arg, q))
             return
         # The common case, ``_run`` inline: no fault window to price.
         ctrl, services = self._plan(is_read, offset, size)
-        tr = self.tracer
-        if tr is None:
+        if self.tracer is None:
             finish = self._pipe.reserve(now, q, ctrl, services)
         else:
             finish = self._reserve(q, ctrl, services, ctx)
         # ``now + (finish - now)`` can differ from ``finish`` in the last
         # bit; every recorded trajectory lands completions there.
         sim.call_at(
-            now + (finish - now), self._finish,
-            (callback or _settle, cb_arg, is_read, size, q, None),
+            now + (finish - now), self._finish, (callback, cb_arg, is_read, size, q, None)
         )
 
     def trim(self, offset: int, size: int) -> None:
@@ -302,10 +307,10 @@ class SsdDevice:
         """
         profile = self.profile
         stats = self.stats
+        page = profile.page_size
         if is_read:
             ctrl = profile.ctrl_overhead_read + size * profile.ctrl_byte_cost
             stats.controller_busy += ctrl
-            page = profile.page_size
             if (offset % page) + size <= page:
                 # Single-page read: one channel, transfer = requested bytes,
                 # one map lookup instead of per-channel accounting.
@@ -322,12 +327,6 @@ class SsdDevice:
             return ctrl, services
         ctrl = profile.ctrl_overhead_write + size * profile.ctrl_byte_cost
         stats.controller_busy += ctrl
-        prog = profile.prog_latency
-        # pages * (page_size * byte_cost) equals pages * page_size *
-        # byte_cost bitwise only for power-of-two page sizes (every
-        # profile's is); the GC loop spells it the second way.
-        page = profile.page_size
-        page_cost = page * profile.write_byte_cost
         ftl = self.ftl
         if (offset % page) + size <= page and not ftl._routed:
             # One-page write on the one host stream (every WAL tail):
@@ -336,9 +335,14 @@ class SsdDevice:
             chan = cursor[0]
             cursor[0] = (chan + 1) % ftl.channels
             ftl._append_page(offset // page, False, chan)
-            service = (prog + page_cost) * scale
+            service = self._page_program * scale
             stats.channel_busy += service
             return ctrl, ((chan, service),)
+        # pages * (page_size * byte_cost) equals pages * page_size *
+        # byte_cost bitwise only for power-of-two page sizes (every
+        # profile's is); the GC loop spells it the second way.
+        prog = profile.prog_latency
+        page_cost = page * profile.write_byte_cost
         services = []
         for chan, pages in ftl.host_write(offset, size).programs:
             service = (prog + pages * page_cost) * scale
@@ -365,21 +369,22 @@ class SsdDevice:
 
     # -- queue hooks (what a multi-queue host interface overrides) ----------------
 
-    # ``submit`` and ``_finish`` take and free the one NCQ's slot inline.
+    # ``_admit`` and ``_finish`` take and free the one NCQ's slot inline.
     # A device with ``_one_queue = False`` is asked on every op instead:
-    # ``_queue_for``, then ``_take(q)`` (take what queue ``q`` grants,
-    # without waiting; False when it grants nothing yet), ``_park`` for
-    # an op ``_take`` refused, and ``_release(q)`` in its finish; it must
-    # define ``_take`` and ``_release``.
+    # ``_queue_for(ctx)`` (the op's queue ``q``), then ``_take(q)`` (take
+    # what queue ``q`` grants, without waiting; False when it grants
+    # nothing yet), ``_park`` for an op ``_take`` refused, and
+    # ``_release(q)`` in its finish; it must define ``_take`` and
+    # ``_release``, and keep each queue's free slots in ``_free``.
 
     def _queue_for(self, ctx) -> int:
         """Queue index for a submission ``ctx`` — SATA has only ``q = 0``."""
         return 0
 
     def _park(self, op) -> None:
-        """Queue an op that found no free slot, FIFO behind its queue's
+        """Queue an op that found no free slot, FIFO behind the NCQ's
         earlier waiters."""
-        self._sq_wait[op[6]].append(op)
+        self._ncq_wait.append(op)
 
     # -- admission and the scheduled completion ----------------------------------
 
@@ -422,7 +427,7 @@ class SsdDevice:
         ctrl, services = self._plan(is_read, offset, size, scale)
         finish = self._reserve(q, ctrl, services, ctx) + extra
         sim.call_at(now + (finish - now), self._finish,
-                    (callback or _settle, cb_arg, is_read, size, q, fault))
+                    (callback, cb_arg, is_read, size, q, fault))
 
     def _finish(self, arg) -> None:
         """One-shot completion of an op that has occupied its stages:
@@ -430,7 +435,7 @@ class SsdDevice:
         any waiter before the consumer runs), delivery.  A failed write's
         FTL mapping stands: a failed program may leave torn pages
         behind, exactly like real media."""
-        deliver, sink, is_read, size, q, fault = arg
+        callback, sink, is_read, size, q, fault = arg
         if self.op_observer is not None:
             self.op_observer("read" if is_read else "write", size)
         stats = self.stats
@@ -450,17 +455,22 @@ class SsdDevice:
             else:
                 stats.writes += 1
                 stats.write_bytes += size
-                if not self._gc_running and self.ftl.gc_needed:
+                if self.ftl.gc_needed and not self._gc_running:
                     self._maybe_start_gc()
         if self._one_queue:  # the NCQ's first waiter takes the slot
-            wait = self._sq_wait[0]
+            wait = self._ncq_wait
             if wait:
                 self._enter(wait.popleft())
             else:
-                self._free[0] += 1
+                self._ncq_free += 1
         else:
             self._release(q)
-        deliver(sink, result)
+        if callback is not None:
+            callback(sink, result)
+        elif fault is None:  # ``read``/``write``: the op's Event, or a join
+            sink.succeed()
+        else:
+            sink.fail(fault)
 
     # -- garbage collection --------------------------------------------------------
 

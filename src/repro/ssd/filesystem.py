@@ -265,12 +265,13 @@ class SimFilesystem:
         remaining = size - slack  # bytes past the end of the last extent
         if remaining > self._free_bytes:  # refused before any allocation
             raise OutOfSpace(f"{f.name}: append of {size} bytes, {self._free_bytes} free")
-        segments: List[Tuple[int, int]] = []
         if slack > 0:
             dev_off, ext_len = f.extents[-1]
             if remaining <= 0:
                 return [(dev_off + ext_len - slack, size)]
-            segments.append((dev_off + ext_len - slack, slack))
+            segments = [(dev_off + ext_len - slack, slack)]
+        else:
+            segments = []
         page = self.page_size
         while remaining > 0:
             want = -(-remaining // page) * page

@@ -157,8 +157,11 @@ class Ftl:
                 f"profile {profile.name}: {n_blocks} blocks is too few for "
                 f"{profile.channels} channels plus GC reserve"
             )
-        #: logical page -> physical block holding its live copy
-        self.page_to_block = np.full(n_pages, UNMAPPED, dtype=np.int32)
+        #: logical page -> physical block holding its live copy: an int32
+        #: ``array`` for per-page reads and stores (Python ints, not numpy
+        #: scalars) under a zero-copy numpy view for the vector updates
+        self._p2b = array("i", [UNMAPPED]) * n_pages
+        self.page_to_block = np.frombuffer(self._p2b, dtype=np.int32)
         #: logical page -> channel its read goes to: its block's channel
         #: while mapped, ``p % channels`` while not (see the module
         #: docstring); built by repeating the bytes ``0..channels-1``
@@ -167,8 +170,9 @@ class Ftl:
         self.page_channel = bytearray(bytes(range(nchan)) * laps + bytes(range(rest)))
         #: a zero-copy numpy view of it, for the slice and vector updates
         self._page_channel_np = np.frombuffer(self.page_channel, dtype=np.uint8)
-        #: physical block -> count of live pages
-        self.block_valid = np.zeros(n_blocks, dtype=np.int32)
+        #: physical block -> count of live pages (``array`` and view, as above)
+        self._valid = array("i", bytes(4 * n_blocks))
+        self.block_valid = np.frombuffer(self._valid, dtype=np.int32)
         #: physical block -> channel it was allocated on (-1 while free)
         self.block_channel = np.full(n_blocks, -1, dtype=np.int16)
         #: physical block -> logical pages appended to it, in append order,
@@ -431,8 +435,8 @@ class Ftl:
         their blocks' valid counts; returns how many were mapped.
 
         The caller rewrites the pages' map entries.  ``np.subtract.at``
-        costs ~5 us before its first element (numpy 2.4) against ~0.3 us
-        per page for a Python loop over numpy scalars, so the vector
+        costs ~5 us before its first element (numpy 2.4) against a
+        fraction of a microsecond per page for a Python loop, so the vector
         step only pays from ``_VECTOR_PAGES`` mapped pages up; a freshly
         allocated file extent is unmapped throughout and costs neither.
         """
@@ -444,10 +448,10 @@ class Ftl:
                 old = old[old != UNMAPPED]
             np.subtract.at(self.block_valid, old, 1)
         elif mapped:
-            block_valid = self.block_valid
+            valid = self._valid
             for block in blocks:
                 if block != UNMAPPED:
-                    block_valid[block] = block_valid.item(block) - 1
+                    valid[block] -= 1
         return mapped
 
     def _append_striped(self, first: int, n: int, start: int, stream: int) -> List[int]:
@@ -467,7 +471,7 @@ class Ftl:
         stripe = self.stripe_pages
         per_block = self.pages_per_block
         page_to_block = self.page_to_block
-        block_valid = self.block_valid
+        valid = self._valid
         block_pages = self.block_pages
         page_ids = self._page_ids
         page_channel = self._page_channel_np
@@ -491,7 +495,7 @@ class Ftl:
                     used = 0
                 b = min(run_stop, a + per_block - used)
                 page_to_block[a:b] = block
-                block_valid[block] += b - a
+                valid[block] += b - a
                 block_pages[block] += page_ids[a:b]
                 fill[chan] = used + b - a
                 a = b
@@ -508,13 +512,11 @@ class Ftl:
         The scalar primitive: one-page host writes and multi-page
         writes on a nearly dry pool.
         """
-        page_to_block = self.page_to_block
-        block_valid = self.block_valid
-        # .item(): a Python int indexes, compares and subtracts at half
-        # the cost of a numpy scalar
-        old = page_to_block.item(logical_page)
+        p2b = self._p2b
+        valid = self._valid
+        old = p2b[logical_page]
         if old != UNMAPPED:
-            block_valid[old] = block_valid.item(old) - 1
+            valid[old] -= 1
         if gc:
             active, fill = self._gc_active, self._gc_fill
         else:
@@ -525,9 +527,9 @@ class Ftl:
         if block is None or used >= self.pages_per_block:
             block = active[channel] = self._allocate_block(channel)
             used = 0
-        page_to_block[logical_page] = block
+        p2b[logical_page] = block
         self.page_channel[logical_page] = channel
-        block_valid[block] = block_valid.item(block) + 1
+        valid[block] += 1
         self.block_pages[block].append(logical_page)
         fill[channel] = used + 1
 
@@ -595,7 +597,7 @@ class Ftl:
         finally:
             self._in_gc = False
         # Erase: back to the free pool.
-        self.block_valid[victim] = 0
+        self._valid[victim] = 0
         self.block_channel[victim] = -1
         del log[:]
         self.free_blocks.append(victim)
@@ -623,7 +625,7 @@ class Ftl:
         stripe = self.stripe_pages
         per_block = self.pages_per_block
         page_to_block = self.page_to_block
-        block_valid = self.block_valid
+        valid = self._valid
         block_pages = self.block_pages
         page_channel = self._page_channel_np
         at = np.array(pages, dtype=np.intp)
@@ -644,7 +646,7 @@ class Ftl:
                     used = 0
                 b = min(run_stop, a + per_block - used)
                 page_to_block[at[a:b]] = block
-                block_valid[block] = block_valid.item(block) + b - a
+                valid[block] += b - a
                 block_pages[block].extend(pages[a:b])
                 fill[chan] = used + b - a
                 a = b
@@ -964,7 +966,7 @@ class Ftl:
                 when.append(after[j])
             elif active[c] is not None:
                 shut.append(active[c])
-                valid.append(self.block_valid.item(active[c]) + per_block - fill[c])
+                valid.append(self._valid[active[c]] + per_block - fill[c])
                 seq.append(self.block_seq.item(active[c]))
                 when.append(after[j])
             j += 1

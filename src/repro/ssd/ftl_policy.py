@@ -83,10 +83,10 @@ class FtlPolicy:
             self.victim_key(ftl, ftl.block_valid, ftl.block_seq),
             np.inf,
         )
-        for b in ftl.active_blocks():
-            if b is not None:
-                key[b] = np.inf
-        victim = int(np.argmin(key))
+        # one vector store for every open block (a lane not yet opened
+        # lists None)
+        key[list(set(ftl.active_blocks()) - {None})] = np.inf
+        victim = int(key.argmin())
         if key[victim] == np.inf:
             return None
         return victim

@@ -72,6 +72,7 @@ class NvmeDevice(SsdDevice):
         # the profile has checked the arbitration and its weights
         weights = profile.wrr_weights if profile.arbitration == "wrr" else None
         self.num_queues = nq
+        #: free slots of each SQ, and its FIFO of ops waiting for one
         self._free = [profile.queue_depth] * nq
         self._sq_wait = [deque() for _ in range(nq)]
         self._one_queue = False  # every op asks the hooks below: SQ, slot + tag
@@ -88,19 +89,6 @@ class NvmeDevice(SsdDevice):
         self._queue_map: Dict[object, int] = {}
         self._next_queue = 0
         self.trace_name = f"nvme.{profile.name}"
-
-    # -- public interface --------------------------------------------------
-
-    @property
-    def queue_backlogs(self) -> List[int]:
-        """Per-SQ occupied slots."""
-        depth = self.profile.queue_depth
-        return [depth - free for free in self._free]
-
-    @property
-    def fetch_backlogs(self) -> List[int]:
-        """Per-SQ commands holding a slot but still waiting for a command tag."""
-        return [len(w) for w in self._fetch_wait]
 
     # -- queue assignment --------------------------------------------------
 

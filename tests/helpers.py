@@ -100,6 +100,20 @@ def run_alone(device, is_read, offset, size, ctx=None):
     return done[0] - start
 
 
+def queue_state(device):
+    """Per host queue of ``device`` (the SATA model's one NCQ, or each
+    NVMe SQ), in queue order: ``occupied`` slots, ops in ``slot_wait``
+    for a slot, and ops in ``tag_wait`` holding a slot but waiting for a
+    command tag (NVMe only)."""
+    depth = device.profile.queue_depth
+    if device._one_queue:
+        return {"occupied": [depth - device._ncq_free],
+                "slot_wait": [len(device._ncq_wait)], "tag_wait": [0]}
+    return {"occupied": [depth - free for free in device._free],
+            "slot_wait": [len(wait) for wait in device._sq_wait],
+            "tag_wait": [len(wait) for wait in device._fetch_wait]}
+
+
 def observe_completions(device):
     """Every host op's completion ``(now, is_read, size)``, as the op
     observer sees it (success or injected fault)."""
@@ -201,6 +215,39 @@ def count_calls(run, path_parts, functions=None):
     finally:
         sys.setprofile(previous)
     return calls[0]
+
+
+def count_opcodes(run, path_parts, functions=None):
+    """Bytecodes executed during ``run()`` by code in a file whose path
+    contains one of ``path_parts`` (generator resumes included),
+    narrowed to the code objects named in ``functions`` if given: the
+    ``sys.settrace`` twin of :func:`count_calls`, counting each frame's
+    ``opcode`` events.  The count is exact for one interpreter version,
+    which compiles the same source to the same bytecode every time."""
+    count = [0]
+
+    def local(frame, event, _arg):
+        if event == "opcode":
+            count[0] += 1
+        return local
+
+    def tracer(frame, event, _arg):
+        code = frame.f_code
+        if functions is not None and code.co_name not in functions:
+            return None
+        filename = code.co_filename.replace("\\", "/")
+        if not any(part in filename for part in path_parts):
+            return None
+        frame.f_trace_opcodes = True
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return count[0]
 
 
 def page_range(ftl, offset, size):

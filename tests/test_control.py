@@ -20,6 +20,8 @@ from repro.obs import Observability, VopAudit
 from repro.sim import Simulator
 from repro.ssd import SsdProfile
 
+from .helpers import queue_state
+
 KIB = 1024
 MIB = 1024 * 1024
 
@@ -470,11 +472,11 @@ def test_churn_drain_waits_for_commands_parked_in_nvme_sqs():
     device = runner.nodes["n0"].device
     for i in range(160):  # 8 submitters, over the 64 command tags
         device.submit(True, i * 4 * KIB, 4 * KIB, (None, f"x{i % 8}"), lambda *_: None, None)
-    assert sum(device.fetch_backlogs) > 0
+    assert sum(queue_state(device)["tag_wait"]) > 0
     assert runner.nodes["n0"].backlog == 0
     assert runner._busy()
     runner.sim.step_while(runner._busy)
-    assert sum(device.fetch_backlogs) == 0 and device.in_flight == 0
+    assert sum(queue_state(device)["tag_wait"]) == 0 and device.in_flight == 0
 
 
 def test_churn_runs_on_a_custom_profile():

@@ -1,7 +1,7 @@
 """The O(1)-call device-op path, checked against what it replaced.
 
 One device op runs ``LibraScheduler._submit -> _dispatch ->
-SsdDevice.submit -> _plan -> Ftl.host_write/read_channel -> reserve``,
+SsdDevice._admit -> _plan -> Ftl.host_write/read_channel -> reserve``,
 then ``_finish -> _complete`` (the pump only when a chunk waits).
 Two pieces of that path were rewritten for host speed, and both old
 spellings stay here as the references the new ones must equal:
@@ -21,21 +21,22 @@ spellings stay here as the references the new ones must equal:
   dispatch the same chunks at the same instants;
 - *call budgets*: interpreted calls per chunk under ``repro/core``,
   ``repro/ssd`` and ``repro/sim``, and per preconditioned device under
-  ``repro/ssd``, counted with ``sys.setprofile``.  Counts repeat
-  exactly, so the budgets are tier-1's twin of kvbench's
-  ``calls_per_req``.
+  ``repro/ssd``, counted with ``sys.setprofile``, and bytecodes per
+  chunk, counted with ``sys.settrace``.  Counts repeat exactly, so the
+  budgets are tier-1's twin of kvbench's ``calls_per_req``.
 """
 
 import dataclasses
 import gc
 import random
+import sys
 import tracemalloc
 
 import pytest
 
 from .helpers import (
-    PerVictimGcFtl, assert_same_state, count_calls, page_range, queue_counter,
-    read_channels_per_page,
+    PerVictimGcFtl, assert_same_state, count_calls, count_opcodes, page_range,
+    queue_counter, read_channels_per_page,
 )
 from repro.core import (
     IoTag, LibraScheduler, SchedulerConfig, make_cost_model, reference_calibration,
@@ -558,54 +559,17 @@ def test_fused_pump_dispatches_exactly_as_the_three_function_pump(name):
 # ---------------------------------------------------------------------------
 
 
-def test_calls_per_chunk_stay_within_budget():
-    """An idle 4-tenant scheduler + device serving ops one at a time.
+#: where the per-chunk budgets count: the scheduler, the device and the
+#: kernel (the driving process's frames included)
+CHUNK_PATH = ("/repro/core/", "/repro/ssd/", "/repro/sim/")
+#: one-chunk ops ``serve_chunks`` serves of each kind
+CHUNKS = {"read": 1000, "read64k": 1000, "write": 1000, "write128k": 200}
 
-    Interpreted calls per chunk under ``repro/core`` + ``repro/ssd`` +
-    ``repro/sim`` (the kernel's frames and the driving process's
-    included; CPython 3.11, where 3.12 inlines comprehensions and counts
-    fewer), and queued actions per chunk, which must not move:
 
-    ======================  ======  ======  ======  ======
-    op                      parent  change  budget  queued
-    ======================  ======  ======  ======  ======
-    one-page read            16.09   17.09      18   2.011
-    64 KiB unaligned read    16.45   17.45      18   2.034
-    one-page write           16.36   17.36      18   2.042
-    128 KiB write            36.43   37.43      38   2.755
-    ======================  ======  ======  ======  ======
-
-    Each op now costs one call more: ``SsdDevice.submit`` queues its
-    finish through ``Simulator.call_at`` instead of pushing it onto the
-    kernel's heap itself, so that only the kernel knows its queue.  The
-    queued actions split into heap pushes (the finishes and the driving
-    process's waits) and same-instant enqueues (its wake-ups).
-
-    The 128 KiB writes reach GC.  The parent ran each one arriving
-    while the GC loop ran as a process (a start, a slot event, a
-    timeout and its own completion dispatch: 718 pushes), and each of
-    the 128 GC progress signals pushed an Event to wake starved writes
-    (there were none).  Now such a write is timed at submit like any
-    other, and a signal admits parked writes directly: 551 pushes.
-    Earlier, a 64 KiB read at a sub-page offset (17 pages, 20.45 calls)
-    was priced with ``Ftl.read_channels`` walking the page map: a
-    ``_page_range`` call and three comprehensions over the pages; now
-    ``read_channels`` counts pages per channel over one slice of the
-    read-channel map, in C.  Earlier, a parent planned a one-page write
-    through ``Ftl.host_write`` and its ``WritePlan`` (17.36 calls);
-    ``_plan`` now maps it with one ``_append_page``.  Before it, a
-    parent admitted an op through ``_pump``, ``_queue_for``,
-    ``_admit_fast``, ``_try_admit`` and ``Semaphore.try_acquire``,
-    pushed its finish through ``Simulator.call_at``, freed the slot
-    through ``_release`` and ``Semaphore.release``, and built a
-    ``_Task`` beside each ``_Chunk``; now ``_submit`` dispatches a chunk
-    that finds nothing queued ahead of it, ``SsdDevice.submit`` and
-    ``_finish`` take and free the NCQ slot themselves, and a one-chunk
-    task is one object.  The counts repeat
-    exactly, so the budget fails at the parent and catches a per-tenant
-    or per-page call creeping back; the pushes pin the simulation's
-    event order.
-    """
+def serve_chunks(counter):
+    """An idle 4-tenant scheduler + device serving four kinds of op one
+    at a time: ``counter``'s count (``count_calls`` or ``count_opcodes``
+    under ``CHUNK_PATH``) and the queued actions of each kind."""
     sim = Simulator()
     device = SsdDevice(sim, get_profile("intel320").with_capacity(64 * MIB), seed=3)
     model = make_cost_model("exact", reference_calibration("intel320"))
@@ -623,29 +587,69 @@ def test_calls_per_chunk_stay_within_budget():
         sim.step_while(lambda: proc.is_alive)
         assert proc.ok
 
-    per_chunk, pushes = {}, {}
-    for name, submit, size, count, skew in (
-        ("read", scheduler.read, 4 * KIB, 1000, 0),
-        ("read64k", scheduler.read, 64 * KIB, 1000, 512),
-        ("write", scheduler.write, 4 * KIB, 1000, 0),
-        ("write128k", scheduler.write, 128 * KIB, 200, 0),
+    counts, pushes = {}, {}
+    for name, submit, size, skew in (
+        ("read", scheduler.read, 4 * KIB, 0),
+        ("read64k", scheduler.read, 64 * KIB, 512),
+        ("write", scheduler.write, 4 * KIB, 0),
+        ("write128k", scheduler.write, 128 * KIB, 0),
     ):
         queued = queue_counter(sim)
-        calls = count_calls(
-            lambda: serve(submit, size, count, skew),
-            ("/repro/core/", "/repro/ssd/", "/repro/sim/"),
-        )
-        per_chunk[name] = calls / count
+        counts[name] = counter(lambda: serve(submit, size, CHUNKS[name], skew), CHUNK_PATH)
         pushes[name] = queued()
     assert device.stats.gc_runs > 0  # the 128 KiB writes reach GC
-    assert pushes == {
-        "read": (1010, 1001), "read64k": (1033, 1001), "write": (1041, 1001),
-        "write128k": (346, 205),
-    }
+    return counts, pushes
+
+
+#: the queued actions of ``serve_chunks``, ``(heap pushes, same-instant
+#: enqueues)`` per kind of op: the simulation's event order
+CHUNK_PUSHES = {
+    "read": (1010, 1001), "read64k": (1033, 1001), "write": (1041, 1001),
+    "write128k": (346, 205),
+}
+
+
+def test_calls_per_chunk_stay_within_budget():
+    """Interpreted calls per chunk in :func:`serve_chunks` (CPython
+    3.11, where 3.12 inlines comprehensions and counts fewer), and, on
+    3.11, its bytecodes per chunk, exactly; the queued actions must not
+    move:
+
+    ======================  =====  ======  =========  =========
+    op                      calls  budget  bytecodes  bytecodes
+                                           (parent)   (change)
+    ======================  =====  ======  =========  =========
+    one-page read           17.09      18    869.651    778.378
+    64 KiB unaligned read   17.45      18  1 769.000  1 675.499
+    one-page write          17.36      18  1 010.313    904.476
+    128 KiB write           37.43      38  3 034.900  2 782.615
+    ======================  =====  ======  =========  =========
+
+    Each op's range is checked once (``_submit``, whose dispatch calls
+    ``SsdDevice._admit``), and the per-device constants it reads are
+    priced once.  The queued actions split into heap pushes (the
+    finishes and the driving process's waits) and same-instant enqueues
+    (its wake-ups).  The 128 KiB writes reach GC: a write arriving while
+    the GC loop runs is timed at submit like any other.  The counts
+    repeat exactly, so the budgets fail on a per-tenant or per-page call
+    (or bytecode) creeping back, and the pushes pin the simulation's
+    event order.
+    """
+    calls, pushes = serve_chunks(count_calls)
+    assert pushes == CHUNK_PUSHES
+    per_chunk = {name: calls[name] / CHUNKS[name] for name in calls}
     assert per_chunk["read"] <= 18, per_chunk
     assert per_chunk["read64k"] <= 18, per_chunk
     assert per_chunk["write"] <= 18, per_chunk
     assert per_chunk["write128k"] <= 38, per_chunk
+    if sys.version_info[:2] != (3, 11):
+        pytest.skip("bytecode counts are pinned for CPython 3.11: another version "
+                    "compiles the same source to other bytecode")
+    opcodes, pushes = serve_chunks(count_opcodes)
+    assert pushes == CHUNK_PUSHES
+    assert opcodes == {
+        "read": 778_378, "read64k": 1_675_499, "write": 904_476, "write128k": 556_523,
+    }
 
 
 def test_preconditioning_calls_stay_within_budget():

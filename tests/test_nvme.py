@@ -24,7 +24,7 @@ from repro.node import StorageNode
 from repro.ssd import PROFILES, NvmeDevice, SsdDevice, SsdProfile, get_profile, make_device
 from repro.workload.iobench import DeviceEnv, run_interference_trial
 
-from .helpers import fifo_completions, observe_completions, record_bookings
+from .helpers import fifo_completions, observe_completions, queue_state, record_bookings
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -146,11 +146,11 @@ def test_host_visible_depth_is_aggregate():
     dev = NvmeDevice(sim, profile, seed=1)
     assert dev.queue_depth == 64
     assert dev.in_flight == 0
-    assert dev.queue_backlogs == [0, 0, 0, 0]
+    assert queue_state(dev)["occupied"] == [0, 0, 0, 0]
     dev.read(0, 4 * KIB, (None, "a"))
     dev.read(0, 4 * KIB, (None, "b"))
     assert dev.in_flight == 2
-    assert dev.queue_backlogs == [1, 1, 0, 0]
+    assert queue_state(dev)["occupied"] == [1, 1, 0, 0]
     sim.run()
     assert dev.in_flight == 0
 
@@ -203,7 +203,7 @@ def test_command_tag_contention_engages():
             off = rng.randrange(0, 3000) * profile.page_size
             yield dev.read(off, 16 * KIB, (None, name))
             done["n"] += 1
-            saw_wait["max"] = max(saw_wait["max"], sum(dev.fetch_backlogs))
+            saw_wait["max"] = max(saw_wait["max"], sum(queue_state(dev)["tag_wait"]))
 
     for i in range(16):
         sim.process(worker(f"t{i}"))
@@ -211,7 +211,7 @@ def test_command_tag_contention_engages():
     assert done["n"] == 800
     assert saw_wait["max"] > 0
     assert dev._free_tags == 2  # pool fully recycled
-    assert sum(dev.fetch_backlogs) == 0
+    assert sum(queue_state(dev)["tag_wait"]) == 0
 
 
 def test_wrr_favors_weighted_queue():
@@ -259,14 +259,14 @@ def test_a_full_sq_serves_its_waiters_fifo():
         dev.submit(True, k * 4 * KIB, 4 * KIB, (None, "a"),
                    lambda _k, _r: finished.append(sim.now), k)
     dev.submit(True, MIB, 4 * KIB, (None, "b"), lambda *_: None, None)
-    assert dev.queue_backlogs == [2, 1] and dev.fetch_backlogs == [0, 0]
-    assert len(dev._sq_wait[0]) == 4 and dev._free_tags == 2 * 2 - 3
+    assert queue_state(dev) == {"occupied": [2, 1], "slot_wait": [4, 0], "tag_wait": [0, 0]}
+    assert dev._free_tags == 2 * 2 - 3
     sim.run()
     waiters = [k * 4 * KIB for k in range(2, 6)]
     assert [offset for offset, _at in order] == [0, 4 * KIB, MIB] + waiters
     # the four waiters are admitted at the first four finishes, in order
     assert [at for _offset, at in order[3:]] == sorted(finished)[:4]
-    assert dev.queue_backlogs == [0, 0] and dev._free_tags == 2 * 2
+    assert queue_state(dev)["occupied"] == [0, 0] and dev._free_tags == 2 * 2
 
 
 def test_tags_are_granted_in_wrr_order():
@@ -285,12 +285,12 @@ def test_tags_are_granted_in_wrr_order():
         dev.submit(True, 2 * k * 4 * KIB, 4 * KIB, (None, "a"), lambda *_: None, None)
     for k in range(8):
         dev.submit(True, (2 * k + 1) * 4 * KIB, 4 * KIB, (None, "b"), lambda *_: None, None)
-    assert dev.fetch_backlogs == [7, 8] and dev.in_flight == 16
+    assert queue_state(dev)["tag_wait"] == [7, 8] and dev.in_flight == 16
     sim.run()
     assert "".join(tenant for tenant, _at in order) == "a" + "aaab" * 2 + "a" + "b" * 6
     times = [at for _tenant, at in order]
     assert times == sorted(times) and len(set(times)) == 16  # one at a time
-    assert dev.fetch_backlogs == [0, 0] and dev._free_tags == 1
+    assert queue_state(dev)["tag_wait"] == [0, 0] and dev._free_tags == 1
 
 
 def test_gc_runs_under_sustained_overwrite():

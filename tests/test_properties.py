@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from .helpers import queue_state
 from .test_read_path_index import CHURN
 from repro.obs.metrics import cdf_points, mmr
 from repro.core import Ewma, OpKind, make_cost_model, reference_calibration
@@ -280,7 +281,8 @@ def test_semaphore_serves_waiters_fifo(permits, holds):
     sim.run()
     assert admitted == [tag * 64 * KIB for tag in range(len(holds))]
     assert active["max"] == min(permits, len(holds))
-    assert (device.in_flight, device._free, len(device._sq_wait[0])) == (0, [permits], 0)
+    assert device.in_flight == 0
+    assert queue_state(device) == {"occupied": [0], "slot_wait": [0], "tag_wait": [0]}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.faults import FaultKind, FaultPlan, FaultWindow
 from repro.sim import Simulator
 from repro.ssd import NvmeDevice, SsdDevice, SsdProfile
 
-from .helpers import run_alone
+from .helpers import queue_state, run_alone
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -95,7 +95,7 @@ def test_semaphore_bounds_concurrency():
     sim.run()
     assert max(seen) == 2 and len(seen) == 20
     assert dev.stats.reads == 10
-    assert dev._free == [2] and not dev._sq_wait[0]
+    assert queue_state(dev) == {"occupied": [0], "slot_wait": [0], "tag_wait": [0]}
 
 
 def test_semaphore_try_acquire():
@@ -106,7 +106,7 @@ def test_semaphore_try_acquire():
     busy = dev.stats.controller_busy
     assert busy > 0 and dev.in_flight == 1
     assert dev.submit(True, 4 * KIB, 4 * KIB, None, lambda *_: None, None) is None
-    assert dev.stats.controller_busy == busy and len(dev._sq_wait[0]) == 1
+    assert dev.stats.controller_busy == busy and queue_state(dev)["slot_wait"] == [1]
     sim.run()
     assert dev.stats.controller_busy == 2 * busy and dev.in_flight == 0
 
@@ -147,7 +147,7 @@ def test_semaphore_release_count_must_be_positive():
 def test_semaphore_acquire_of_a_free_permit_triggers_at_once():
     sim, dev = device(2)
     done = dev.read(0, 4 * KIB)
-    assert (dev.in_flight, dev._free) == (1, [1])
+    assert (dev.in_flight, queue_state(dev)["occupied"]) == (1, [1])
     assert dev.stats.controller_busy > 0  # planned and reserved at submit
     assert sim.queue_size == 1  # its one finish action
     sim.run()
@@ -159,10 +159,11 @@ def test_semaphore_release_hands_the_permit_to_a_waiter():
     # so a free slot never coexists with a queued op.
     sim, dev = device(1)
     events = [dev.read(k * 4 * KIB, 4 * KIB) for k in range(3)]
-    assert (dev._free, len(dev._sq_wait[0])) == ([0], 2)
+    assert queue_state(dev) == {"occupied": [1], "slot_wait": [2], "tag_wait": [0]}
     sim.step()  # the first op's finish: the second is admitted in it
     assert events[0].triggered and not events[1].triggered
-    assert (dev._free, len(dev._sq_wait[0]), dev.in_flight) == ([0], 1, 1)
+    assert queue_state(dev) == {"occupied": [1], "slot_wait": [1], "tag_wait": [0]}
+    assert dev.in_flight == 1
     sim.run()
     assert all(event.ok for event in events)
-    assert (dev._free, len(dev._sq_wait[0])) == ([1], 0)
+    assert queue_state(dev) == {"occupied": [0], "slot_wait": [0], "tag_wait": [0]}

@@ -8,7 +8,8 @@ COMPACT, WAL retirement and FTL GC.  ``tests/test_request_path.py`` pins a
 whole request above the scheduler and ``tests/test_device_op_path.py``
 one device op; this file pins the commit and one GC victim, counted the
 same way (``sys.setprofile`` ``call`` events, generator resumes
-included).  ``tests/test_bulk_rewrites.py`` holds the oracles for the
+included), and the commit's bytecodes too (``sys.settrace`` ``opcode``
+events, on CPython 3.11).  ``tests/test_bulk_rewrites.py`` holds the oracles for the
 bulk rewrites.
 
 The commit used to be a ``Process``; it is now a continuation queued
@@ -19,10 +20,11 @@ queued actions per PUT drop by exactly the other writes' dispatches.
 """
 
 import hashlib
+import sys
 
 import pytest
 
-from .helpers import count_calls, queue_counter, silent_part_bookings
+from .helpers import count_calls, count_opcodes, queue_counter, silent_part_bookings
 from repro.core import (
     IoTag, LibraScheduler, RequestClass, Reservation, make_cost_model, reference_calibration,
 )
@@ -250,28 +252,24 @@ COMMITS = {
 def test_group_commit_calls_stay_within_budget():
     """Calls under ``repro/engine``, ``repro/ssd/filesystem.py`` and
     ``repro/sim`` for one group commit on an idle raw device (CPython
-    3.11; 3.12 inlines comprehensions and counts fewer):
+    3.11; 3.12 inlines comprehensions and counts fewer), and, on 3.11,
+    its bytecodes there, exactly:
 
-    =========================  ======  ======  ======
-    group commit               parent  change  budget
-    =========================  ======  ======  ======
-    one waiter, one extent         17      18      20
-    eight waiters, one extent      52      53      55
-    one waiter, two extents        21      24      24
-    =========================  ======  ======  ======
+    =========================  =====  ======  =========  =========
+    group commit               calls  budget  bytecodes  bytecodes
+                                              (parent)   (change)
+    =========================  =====  ======  =========  =========
+    one waiter, one extent        18      20        613        595
+    eight waiters, one extent     53      55      1 565      1 519
+    one waiter, two extents       24      24        929        906
+    =========================  =====  ======  =========  =========
 
     The counts include the device's own events and the run loop.  Each
-    device write now queues its finish through ``Simulator.call_at``
-    (one call per write), and a two-extent commit's ``_Join`` queues
-    its trigger the same way (one call per commit), instead of pushing
-    onto the kernel's heap themselves.  Earlier, a parent gave each
-    write of a two-extent commit a completion Event (its constructor,
-    ``succeed`` and dispatch) and built the join through ``_join``,
-    whose ``_member_done`` ran once per write (28 calls); now both
-    writes book straight into the ``_Join`` and only the last queues an
-    action.  Before that the commit ran as a ``Process`` and joined
-    through ``AllOf``.  Each waiter still costs its append, its event
-    and its acknowledgement.
+    device write queues its finish through ``Simulator.call_at``, and a
+    two-extent commit's ``_Join`` queues its trigger the same way.  Both
+    writes of a two-extent commit book straight into the ``_Join`` and
+    only the last queues an action.  Each waiter costs its append, its
+    event and its acknowledgement.
     """
     per_commit = {}
     for name, (sizes, extents) in COMMITS.items():
@@ -281,6 +279,17 @@ def test_group_commit_calls_stay_within_budget():
     assert per_commit["one waiter, one extent"] <= 20, per_commit
     assert per_commit["eight waiters, one extent"] <= 55, per_commit
     assert per_commit["one waiter, two extents"] <= 24, per_commit
+    if sys.version_info[:2] != (3, 11):
+        pytest.skip("bytecode counts are pinned for CPython 3.11: another version "
+                    "compiles the same source to other bytecode")
+    opcodes = {}
+    for name, (sizes, _extents) in COMMITS.items():
+        _wal, run = commit(sizes)
+        opcodes[name] = count_opcodes(run, COUNTED)
+    assert opcodes == {
+        "one waiter, one extent": 595, "eight waiters, one extent": 1519,
+        "one waiter, two extents": 906,
+    }
 
 
 def test_group_commit_spawns_no_process_and_builds_no_allof(monkeypatch):
