@@ -320,7 +320,7 @@ class SsdDevice:
             access = profile.read_access
             byte_cost = profile.read_byte_cost
             services = []
-            for chan, _pages, nbytes in self.ftl.read_channels(offset, size):
+            for chan, _pages, nbytes in self.ftl._read_channels(offset, size):
                 service = (access + nbytes * byte_cost) * scale
                 stats.channel_busy += service
                 services.append((chan, service))
@@ -344,7 +344,7 @@ class SsdDevice:
         prog = profile.prog_latency
         page_cost = page * profile.write_byte_cost
         services = []
-        for chan, pages in ftl.host_write(offset, size).programs:
+        for chan, pages in ftl._host_write(offset, size).programs:
             service = (prog + pages * page_cost) * scale
             stats.channel_busy += service
             services.append((chan, service))

@@ -198,10 +198,21 @@ class SimFilesystem:
     SSTable's are its 256 KiB write chunks, and a WAL's are one or two
     pages each — nearly every group commit is two device writes, the
     previous extent's partial tail page and a fresh extent.
+
+    The free list ``_free`` holds every hole in offset order; most are
+    a page or two that retired WAL extents left between SSTables.  So
+    the holes of at least ``BIG_HOLE`` bytes are indexed a second time,
+    in ``_big``, also in offset order: first fit for a request of that
+    size or more walks ``_big`` alone (every hole it skips there is one
+    it would have skipped in ``_free``), and a smaller request walks
+    ``_free`` only up to the first hole that fits it, which is at the
+    latest the first big one.
     """
 
     #: largest extent one allocation asks for
     ALLOC_CHUNK = 1 * 1024 * 1024
+    #: holes this long or longer are also listed in ``_big``
+    BIG_HOLE = 64 * 1024
 
     def __init__(self, sim: Simulator, backend: IoBackend, capacity: int, page_size: int = 4096):
         if capacity % page_size:
@@ -211,6 +222,8 @@ class SimFilesystem:
         self.page_size = page_size
         self.capacity = capacity
         self._free: List[Tuple[int, int]] = [(0, capacity)]  # sorted by offset
+        #: the holes of ``_free`` of at least ``BIG_HOLE`` bytes, in order
+        self._big: List[Tuple[int, int]] = [h for h in self._free if h[1] >= self.BIG_HOLE]
         self._free_bytes = capacity
         self._files = {}
         self._seq = 0
@@ -287,21 +300,41 @@ class SimFilesystem:
 
     def _allocate(self, want: int) -> Tuple[int, int]:
         """First fit: return (offset, length) of at most ``want`` bytes."""
-        for i, (off, length) in enumerate(self._free):
-            if length >= want:
-                if length == want:
-                    self._free.pop(i)
-                else:
-                    self._free[i] = (off + want, length - want)
-                self._free_bytes -= want
-                return off, want
-        # No hole big enough: take the largest (allocation may split).
-        if not self._free:
-            raise OutOfSpace("filesystem full")
-        i = max(range(len(self._free)), key=lambda j: self._free[j][1])
-        off, length = self._free.pop(i)
-        self._free_bytes -= length
-        return off, length
+        free, big = self._free, self._big
+        if want < self.BIG_HOLE:
+            for i, (off, length) in enumerate(free):
+                if length >= want:
+                    j = 0  # if this hole is big, it is the first big one
+                    break
+            else:
+                i = None
+        else:
+            for j, (off, length) in enumerate(big):
+                if length >= want:
+                    i = bisect.bisect_left(free, (off,))
+                    break
+            else:
+                i = None
+        if i is None:
+            # No hole big enough: take the largest (allocation may split).
+            if not free:
+                raise OutOfSpace("filesystem full")
+            i = max(range(len(free)), key=lambda k: free[k][1])
+            off, length = free[i]
+            want = length
+            j = bisect.bisect_left(big, (off,))
+        rest = length - want
+        if rest:
+            free[i] = (off + want, rest)
+        else:
+            free.pop(i)
+        if length >= self.BIG_HOLE:
+            if rest >= self.BIG_HOLE:
+                big[j] = free[i]
+            else:
+                big.pop(j)
+        self._free_bytes -= want
+        return off, want
 
     def _release(self, extents: List[Tuple[int, int]]) -> None:
         """Return extents to the free list in one sort-and-coalesce pass.
@@ -314,17 +347,26 @@ class SimFilesystem:
         one at a time produces.
         """
         free = self._free
+        big_hole = self.BIG_HOLE
         extents = sorted(extents)
         lo = max(bisect.bisect_left(free, extents[0]) - 1, 0)
         hi = bisect.bisect_left(free, extents[-1], lo) + 1
         merged = iter(sorted(free[lo:hi] + extents))
-        out = []
+        out, big_out = [], []
         run_off, run_len = next(merged)
         for off, length in merged:
             if run_off + run_len == off:
                 run_len += length
             else:
                 out.append((run_off, run_len))
+                if run_len >= big_hole:
+                    big_out.append((run_off, run_len))
                 run_off, run_len = off, length
         out.append((run_off, run_len))
+        if run_len >= big_hole:
+            big_out.append((run_off, run_len))
         free[lo:hi] = out
+        # The stretch's big holes are exactly those at offsets inside it.
+        big = self._big
+        start = bisect.bisect_left(big, (out[0][0],))
+        big[start:bisect.bisect_left(big, (run_off + run_len,), start)] = big_out

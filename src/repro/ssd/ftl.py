@@ -21,14 +21,14 @@ assigns each stripe run as a slice (:meth:`Ftl._append_striped`).  That
 is exact because the pages of one op are distinct and block allocation
 reads the map only on the emergency-GC path, so the batched lane runs
 only while the free pool cannot run dry inside the op; otherwise the op
-walks page by page through that primitive.  A GC victim is evacuated
-the same way: one page-map gather finds its live pages, and they are
-copied per stripe run (:meth:`Ftl._append_gc`).  A TRIM call unmaps
-all its extents' pages in one pass.  Preconditioning goes further: it
-applies all the writes between two GC bursts — hundreds of blocks'
-worth, duplicates included — as one batch (:meth:`Ftl._append_batch`),
-and evacuates each burst's victims, a hundred or so, in one pass
-(:meth:`Ftl._gc_pass`).
+walks page by page through that primitive.  A GC victim's live pages
+are found by one page-map gather and copied per stripe run
+(:meth:`Ftl._append_gc`); a victim with no live page skips both.  A
+TRIM call unmaps all its extents' pages in one pass.  Preconditioning
+goes further: it applies all the writes between two GC bursts —
+hundreds of blocks' worth, duplicates included — as one batch
+(:meth:`Ftl._append_batch`), and evacuates each burst's victims, a
+hundred or so, in one pass (:meth:`Ftl._gc_pass`).
 
 Each block's page log is an int32 ``array``, appended to in C and read
 through zero-copy numpy views: 4 bytes a listed page, where a list of
@@ -38,8 +38,8 @@ Reads are priced from a second map, one byte per logical page
 (:attr:`Ftl.page_channel`): the channel a read of that page goes to.
 Its invariant is ``page_channel[p] == block_channel[page_to_block[p]]``
 while ``p`` is mapped and ``p % channels`` while it is not, and every
-write of ``page_to_block`` writes it too: a store per one-page append,
-a slice per stripe run of a host write or GC copy, one vector op per
+write of ``page_to_block`` writes it too: a store per one-page append
+or GC copy, a slice per stripe run of a host write, one vector op per
 TRIM call, preconditioning batch or GC pass.  A multi-page read then
 counts pages per channel with ``set`` and ``bytearray.count`` over one
 slice, in C, instead of walking the page map in Python.
@@ -75,8 +75,8 @@ _EXHAUSTED = (
 )
 
 #: mapped pages from which dropping old copies goes through one
-#: ``np.subtract.at`` instead of a Python loop (see ``Ftl._invalidate``)
-_VECTOR_PAGES = 24
+#: ``np.bincount`` instead of a Python loop (see ``Ftl._invalidate``)
+_VECTOR_PAGES = 64
 
 
 class _Runs(NamedTuple):
@@ -170,11 +170,20 @@ class Ftl:
         self.page_channel = bytearray(bytes(range(nchan)) * laps + bytes(range(rest)))
         #: a zero-copy numpy view of it, for the slice and vector updates
         self._page_channel_np = np.frombuffer(self.page_channel, dtype=np.uint8)
+        #: per channel, a stripe run's worth of its read-channel byte
+        self._stripe_channel = [bytes((c,)) * profile.stripe_pages for c in range(nchan)]
         #: physical block -> count of live pages (``array`` and view, as above)
         self._valid = array("i", bytes(4 * n_blocks))
         self.block_valid = np.frombuffer(self._valid, dtype=np.int32)
         #: physical block -> channel it was allocated on (-1 while free)
         self.block_channel = np.full(n_blocks, -1, dtype=np.int16)
+        #: the victim index (see :mod:`~repro.ssd.ftl_policy`): physical
+        #: block -> 0 while it is closed, a GC candidate, and ``_barred``,
+        #: above any live-page count, while it is free, open or being
+        #: evacuated (``array`` and view, as above)
+        self._barred = profile.pages_per_block + 1
+        self._penalty = array("i", [self._barred]) * n_blocks
+        self.victim_penalty = np.frombuffer(self._penalty, dtype=np.int32)
         #: physical block -> logical pages appended to it, in append order,
         #: as an int32 ``array`` (lazy: may list pages that were since
         #: overwritten; bounded by pages_per_block; empty while free)
@@ -295,13 +304,18 @@ class Ftl:
         out-of-range read raises ValueError, as does a float offset or
         size, even an integral one.
         """
+        if type(offset) is not int or type(size) is not int or not (
+            0 < size and 0 <= offset and (offset + size - 1) // self.page_size < self.logical_pages
+        ):
+            self._reject(offset, size)
+        return self._read_channels(offset, size)
+
+    def _read_channels(self, offset: int, size: int) -> List[Tuple[int, int, int]]:
+        """:meth:`read_channels` past its range check, which the device
+        made when it admitted the op."""
         page = self.page_size
         first = offset // page
         last = (offset + size - 1) // page
-        if type(offset) is not int or type(size) is not int or not (
-            0 < size and 0 <= offset and last < self.logical_pages
-        ):
-            self._reject(offset, size)
         page_channel = self.page_channel
         if first == last:
             return [(page_channel[first], 1, size)]
@@ -349,13 +363,18 @@ class Ftl:
         before it changes anything, as does a float offset or size, even
         an integral one.
         """
+        if type(offset) is not int or type(size) is not int or not (
+            0 < size and 0 <= offset and (offset + size - 1) // self.page_size < self.logical_pages
+        ):
+            self._reject(offset, size)
+        return self._host_write(offset, size)
+
+    def _host_write(self, offset: int, size: int) -> WritePlan:
+        """:meth:`host_write` past its range check, which the device made
+        when it admitted the op."""
         page = self.page_size
         first = offset // page
         n = (offset + size - 1) // page + 1 - first
-        if type(offset) is not int or type(size) is not int or not (
-            0 < size and 0 <= offset and first + n <= self.logical_pages
-        ):
-            self._reject(offset, size)
         # Only a routed policy needs the pages as a range.
         routed = self._routed
         if routed:
@@ -398,9 +417,10 @@ class Ftl:
 
         Every extent is checked before any page is unmapped, so a bad
         one raises ValueError with nothing trimmed.  Then all their
-        pages go in one pass — one page-map gather, one ``bincount``
-        off the valid counts, one store — and a page two extents cover
-        is freed once.  Returns pages freed.
+        pages go in one pass — one page-map gather, one ``bincount`` of
+        it (unmapped pages in bin 0, so none is filtered out) off the
+        valid counts, one store — and a page two extents cover is freed
+        once.  Returns pages freed.
         """
         page = self.page_size
         capacity = self.logical_pages * page
@@ -422,31 +442,32 @@ class Ftl:
         if (pages[1:] == pages[:-1]).any():  # overlapping extents
             pages = np.unique(pages)
         page_to_block = self.page_to_block
-        blocks = page_to_block[pages]
-        blocks = blocks[blocks != UNMAPPED]
-        if len(blocks):
-            self.block_valid -= np.bincount(blocks, minlength=len(self.block_valid))
+        # bin 0 counts the unmapped pages, bin b + 1 block b's
+        held = np.bincount(page_to_block[pages] + 1, minlength=len(self._valid) + 1)
+        freed = len(pages) - int(held[0])
+        if freed:
+            self.block_valid -= held[1:]
             page_to_block[pages] = UNMAPPED
             self._page_channel_np[pages] = pages % self.channels
-        return len(blocks)
+        return freed
 
     def _invalidate(self, first: int, stop: int) -> int:
         """Drop the live copies of logical pages ``[first, stop)`` from
         their blocks' valid counts; returns how many were mapped.
 
-        The caller rewrites the pages' map entries.  ``np.subtract.at``
-        costs ~5 us before its first element (numpy 2.4) against a
-        fraction of a microsecond per page for a Python loop, so the vector
-        step only pays from ``_VECTOR_PAGES`` mapped pages up; a freshly
-        allocated file extent is unmapped throughout and costs neither.
+        The caller rewrites the pages' map entries.  ``np.bincount``
+        over every block costs about what a Python loop costs at 64
+        pages, so the vector step only pays from ``_VECTOR_PAGES``
+        mapped pages up; a freshly allocated file extent is unmapped
+        throughout and costs neither.
         """
-        old = self.page_to_block[first:stop]
-        blocks = old.tolist()
+        blocks = self._p2b[first:stop]
         mapped = len(blocks) - blocks.count(UNMAPPED)
         if mapped >= _VECTOR_PAGES:
+            old = np.frombuffer(blocks, dtype=np.int32)
             if mapped < len(blocks):
                 old = old[old != UNMAPPED]
-            np.subtract.at(self.block_valid, old, 1)
+            self.block_valid -= np.bincount(old, minlength=len(self._valid))
         elif mapped:
             valid = self._valid
             for block in blocks:
@@ -470,11 +491,12 @@ class Ftl:
         nchan = self.channels
         stripe = self.stripe_pages
         per_block = self.pages_per_block
-        page_to_block = self.page_to_block
+        p2b = self._p2b
         valid = self._valid
         block_pages = self.block_pages
         page_ids = self._page_ids
-        page_channel = self._page_channel_np
+        page_channel = self.page_channel
+        stripe_channel = self._stripe_channel
         active = self._host_active[stream]
         fill = self._host_fill[stream]
         seq0 = self.write_seq - first
@@ -485,16 +507,16 @@ class Ftl:
         while a < stop:
             run_stop = min(a + stripe, stop)
             counts[chan] += run_stop - a
-            page_channel[a:run_stop] = chan
+            page_channel[a:run_stop] = stripe_channel[chan][: run_stop - a]
             while a < run_stop:
                 block = active[chan]
                 used = fill[chan]
                 if block is None or used >= per_block:
                     self.write_seq = seq0 + a + 1
-                    block = active[chan] = self._allocate_block(chan)
+                    block = self._reopen(active, chan)
                     used = 0
                 b = min(run_stop, a + per_block - used)
-                page_to_block[a:b] = block
+                p2b[a:b] = array("i", (block,)) * (b - a)
                 valid[block] += b - a
                 block_pages[block] += page_ids[a:b]
                 fill[chan] = used + b - a
@@ -525,13 +547,25 @@ class Ftl:
         block = active[channel]
         used = fill[channel]
         if block is None or used >= self.pages_per_block:
-            block = active[channel] = self._allocate_block(channel)
+            block = self._reopen(active, channel)
             used = 0
         p2b[logical_page] = block
         self.page_channel[logical_page] = channel
         valid[block] += 1
         self.block_pages[block].append(logical_page)
         fill[channel] = used + 1
+
+    def _reopen(self, lane: List[Optional[int]], channel: int) -> int:
+        """Give ``lane``'s ``channel`` a fresh block and return it; the
+        block it had, full, closes and becomes a GC candidate.  It stays
+        barred while the allocation runs, so an emergency GC there cannot
+        pick it, as it could not while the lane still listed it."""
+        block = self._allocate_block(channel)
+        old = lane[channel]
+        if old is not None:
+            self._penalty[old] = 0
+        lane[channel] = block
+        return block
 
     def _allocate_block(self, channel: int) -> int:
         if not self.free_blocks:
@@ -576,7 +610,12 @@ class Ftl:
         re-checking the map would), and :meth:`_append_gc` copies them.
         The gather reads the victim's log through a zero-copy view, which
         is dropped before the erase empties that log (a live view pins
-        the array's size).
+        the array's size).  A victim with no live page — every page
+        overwritten or trimmed, a third of run-time victims — skips both
+        and is erased at once.  Not in an emergency GC, though (the pool
+        is empty): the host write that triggered it has dropped its
+        page's old copy from the count, but its map entry may still
+        name the victim, and the gather then finds it live.
         """
         victim = self.pick_victim()
         if victim is None:
@@ -585,19 +624,27 @@ class Ftl:
         # Mark the victim as in-evacuation so re-entrant victim picks
         # (GC allocating its own destination blocks) cannot select it.
         self.block_channel[victim] = -2
+        self._penalty[victim] = self._barred
         start = self._gc_cursor
         self._gc_cursor = (start + 1) % self.channels
         log = self.block_pages[victim]
-        view = np.frombuffer(log, dtype=np.int32)
-        live = list(dict.fromkeys(view[self.page_to_block[view] == victim].tolist()))
-        del view
-        self._in_gc = True
-        try:
-            copies = self._append_gc(live, start)
-        finally:
-            self._in_gc = False
-        # Erase: back to the free pool.
-        self._valid[victim] = 0
+        n_live = self._valid[victim]
+        if n_live or not self.free_blocks:
+            view = np.frombuffer(log, dtype=np.int32)
+            live = view[self.page_to_block[view] == victim].tolist()
+            del view
+            if len(live) > n_live:  # a page listed twice moves once
+                live = list(dict.fromkeys(live))
+            n_live = len(live)
+            self._in_gc = True
+            try:
+                copies = [(c, n) for c, n in enumerate(self._append_gc(live, start)) if n]
+            finally:
+                self._in_gc = False
+            # Erase: back to the free pool.
+            self._valid[victim] = 0
+        else:
+            copies = []
         self.block_channel[victim] = -1
         del log[:]
         self.free_blocks.append(victim)
@@ -605,8 +652,8 @@ class Ftl:
         return GcMove(
             victim=victim,
             victim_channel=victim_channel,
-            copies=[(c, n) for c, n in enumerate(copies) if n],
-            valid_pages=len(live),
+            copies=copies,
+            valid_pages=n_live,
         )
 
     def _append_gc(self, pages: List[int], start: int) -> List[int]:
@@ -616,19 +663,19 @@ class Ftl:
         channel ``(start + i // stripe_pages) % channels``, each run
         into that channel's GC active block, opening a block exactly
         where copying page by page would.  The victim's valid count is
-        not dropped page by page: its erase zeroes it.  The maps are
-        indexed with slices of one index array (numpy views), not with
-        list slices each converted anew.  Returns pages programmed per
-        channel.
+        not dropped page by page: its erase zeroes it.  A victim holds
+        a handful of live pages (8.8 on average in a saturated PUT
+        load), so each page's two map entries are scalar stores, which
+        cost less than converting the pages to an index array.  Returns
+        pages programmed per channel.
         """
         nchan = self.channels
         stripe = self.stripe_pages
         per_block = self.pages_per_block
-        page_to_block = self.page_to_block
+        p2b = self._p2b
         valid = self._valid
         block_pages = self.block_pages
-        page_channel = self._page_channel_np
-        at = np.array(pages, dtype=np.intp)
+        page_channel = self.page_channel
         active, fill = self._gc_active, self._gc_fill
         counts = [0] * nchan
         stop = len(pages)
@@ -637,17 +684,19 @@ class Ftl:
         while a < stop:
             run_stop = min(a + stripe, stop)
             counts[chan] += run_stop - a
-            page_channel[at[a:run_stop]] = chan
             while a < run_stop:
                 block = active[chan]
                 used = fill[chan]
                 if block is None or used >= per_block:
-                    block = active[chan] = self._allocate_block(chan)
+                    block = self._reopen(active, chan)
                     used = 0
                 b = min(run_stop, a + per_block - used)
-                page_to_block[at[a:b]] = block
+                run = pages[a:b]
+                for page in run:
+                    p2b[page] = block
+                    page_channel[page] = chan
                 valid[block] += b - a
-                block_pages[block].extend(pages[a:b])
+                block_pages[block].extend(run)
                 fill[chan] = used + b - a
                 a = b
             chan = (chan + 1) % nchan
@@ -805,7 +854,8 @@ class Ftl:
         opening write takes: ``fresh`` hands them out in write order.
         Each run is one slice of one ``bytes`` appended to its block's
         log.  Each channel's last block is left open, and lists exactly
-        the pages its fill counts.
+        the pages its fill counts; every other block the runs filled, and
+        each block a channel had open before, closes.
         """
         block_pages = self.block_pages
         taken = np.empty(len(fresh), dtype=np.intp)
@@ -819,9 +869,14 @@ class Ftl:
         cut = (4 * bounds).tolist()
         for block, a, b in zip(blocks, cut, cut[1:]):
             block_pages[block].frombytes(data[a:b])
+        shut = set(blocks)
         for c, block in dict(zip(runs.chan, blocks)).items():
+            shut.add(active[c])
             active[c] = block
             fill[c] = len(block_pages[block])
+        shut.difference_update(active)
+        shut.discard(None)
+        self.victim_penalty[list(shut)] = 0
         return np.repeat(np.array(blocks, dtype=np.int32), np.diff(bounds))
 
     def _draw_pages(self, count: int):
@@ -886,12 +941,7 @@ class Ftl:
         per_block = self.pages_per_block
         block_valid = self.block_valid
         active, fill = self._gc_active, self._gc_fill
-        closed = self.block_channel >= 0
-        for lane in (*self._host_active, active):
-            for block in lane:
-                if block is not None:
-                    closed[block] = False
-        victims = np.flatnonzero(closed)
+        victims = np.flatnonzero(self.victim_penalty == 0)
         if not len(victims):
             return False
         keys = self.policy.victim_key(self, block_valid[victims], self.block_seq[victims])
@@ -1002,6 +1052,7 @@ class Ftl:
         fresh = fresh[: len(runs.opens)]
         block_valid[victims] = 0
         block_channel[victims] = -1
+        self.victim_penalty[victims] = self._barred
         for log in logs:
             del log[:]
         block_channel[fresh] = chans[runs.opens]

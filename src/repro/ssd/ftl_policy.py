@@ -36,6 +36,18 @@ preconditioning sorts the closed blocks by the key once per GC burst
 (``Ftl._gc_pass``).  Both follow the one rule, and the burst relies on
 GC changing neither input of a closed block.
 
+Which blocks are closed is an index the FTL keeps,
+:attr:`~repro.ssd.ftl.Ftl.victim_penalty`: 0 for a closed block and
+``pages_per_block + 1`` for a free, open or evacuating one.  It is
+stored where a block closes (its lane opens the next one), where GC
+takes a victim and where a preconditioning burst erases and fills
+blocks; no pick scans the append lanes or the channel map.  The burst
+lists its candidates from it too.  A block's live-page count never
+exceeds ``pages_per_block``, so for ``greedy`` and ``hotcold`` the
+count plus the penalty ranks every closed block, in greedy order,
+below every other: the victim is one ``argmin`` over that sum.
+``costbenefit``'s float score keeps its masked scan.
+
 Policies hold their own per-device state (bound via :meth:`FtlPolicy.bind`)
 so the mechanism keeps zero overhead for policies that need none.
 """
@@ -79,13 +91,10 @@ class FtlPolicy:
         the lowest :meth:`victim_key` among closed blocks, blocks still
         being appended excluded."""
         key = np.where(
-            ftl.block_channel >= 0,
+            ftl.victim_penalty == 0,
             self.victim_key(ftl, ftl.block_valid, ftl.block_seq),
             np.inf,
         )
-        # one vector store for every open block (a lane not yet opened
-        # lists None)
-        key[list(set(ftl.active_blocks()) - {None})] = np.inf
         victim = int(key.argmin())
         if key[victim] == np.inf:
             return None
@@ -107,6 +116,15 @@ class GreedyGcPolicy(FtlPolicy):
 
     def victim_key(self, ftl, valid, seq):
         return valid
+
+    def select_victim(self, ftl):
+        """The closed block with the fewest live pages, lowest index on
+        ties: the first minimum of the count plus the penalty."""
+        key = ftl.block_valid + ftl.victim_penalty
+        victim = int(key.argmin())
+        if key.item(victim) > ftl.pages_per_block:
+            return None
+        return victim
 
 
 class CostBenefitGcPolicy(FtlPolicy):
@@ -156,6 +174,8 @@ class HotColdPolicy(FtlPolicy):
 
     def victim_key(self, ftl, valid, seq):
         return valid
+
+    select_victim = GreedyGcPolicy.select_victim
 
     def route(self, ftl, pages: range) -> int:
         newest = int(self._last_seq[pages.start : pages.stop].max())

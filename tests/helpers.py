@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.obs import Tracer
-from repro.ssd import StagePipeline
+from repro.ssd import OutOfSpace, StagePipeline
 from repro.ssd.ftl import UNMAPPED, Ftl
 
 
@@ -279,6 +279,28 @@ def read_channels_per_page(ftl, offset, size):
         for c in range(nchan)
         if per_chan_pages[c]
     ]
+
+
+def linear_first_fit(fs, want):
+    """``SimFilesystem._allocate`` as it was before the big-hole index:
+    a walk over every hole of ``fs._free`` in offset order, else the
+    largest hole, the lowest on ties.  Keeps ``_free`` and the byte
+    counter only."""
+    free = fs._free
+    for i, (off, length) in enumerate(free):
+        if length >= want:
+            if length == want:
+                free.pop(i)
+            else:
+                free[i] = (off + want, length - want)
+            fs._free_bytes -= want
+            return off, want
+    if not free:
+        raise OutOfSpace("filesystem full")
+    i = max(range(len(free)), key=lambda j: free[j][1])
+    off, length = free.pop(i)
+    fs._free_bytes -= length
+    return off, length
 
 
 def ftl_state(ftl):

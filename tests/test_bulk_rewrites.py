@@ -25,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from .helpers import queue_counter
+from .helpers import linear_first_fit, queue_counter, reference_victim
 from .test_device_op_path import INTEL, POLICIES, assert_same_state, mixed_ops
 from repro.core.tags import IoTag, RequestClass
 from repro.engine import TOMBSTONE, SsTable, TableBuilder, merge_entries, split_outputs
@@ -172,7 +172,12 @@ def test_data_bytes_equals_the_sum_of_positive_sizes(sizes):
 
 
 class ReferenceFs(SimFilesystem):
-    """``delete`` as it was: TRIM and release one extent at a time."""
+    """``delete`` as it was: TRIM and release one extent at a time.
+    Allocation is the linear first fit, which reads ``_free`` alone:
+    the per-extent release below keeps no big-hole index."""
+
+    def _allocate(self, want):
+        return linear_first_fit(self, want)
 
     def delete(self, f):
         if f.deleted:
@@ -263,7 +268,13 @@ def test_delete_of_a_file_spread_over_many_holes():
 
 class ReferenceGcFtl(Ftl):
     """``collect_victim`` as it was: walk the listed pages, re-check
-    each against the map and copy it through ``_append_page``."""
+    each against the map and copy it through ``_append_page``.  Each
+    victim is picked by :func:`~tests.helpers.reference_victim`, which
+    reads the lanes and channels, not the FTL's victim index: the walk
+    below erases without keeping that index."""
+
+    def pick_victim(self):
+        return reference_victim(self)
 
     def collect_victim(self):
         victim = self.pick_victim()
@@ -339,6 +350,31 @@ def test_a_page_listed_twice_moves_once_at_its_first_listing():
     assert move == ref.collect_victim()
     assert move.valid_pages == 3 + 57  # 5, 9 and 2 once each, 7 trimmed
     assert_same_state(ftl, ref, "after the victim")
+
+
+def test_an_emergency_victim_emptied_by_the_write_that_triggered_it_moves_its_page():
+    """A host write drops its page's old copy before it opens a block.
+    With the pool empty, the opening runs an emergency GC, which can
+    pick that old block: its count is 0 now, but the map still names it
+    for the page being written.  The walk finds that page live there and
+    copies it, so ``collect_victim`` may skip the gather of a victim
+    with a count of 0 only outside an emergency."""
+    profile = SsdProfile(name="tiny-gc", channels=1, pages_per_block=8,
+                         logical_capacity=1 * MIB, overprovision=1.0)
+    ftl = Ftl(profile, seed=1)
+    ref = ReferenceGcFtl(profile, seed=1)
+    for each in (ftl, ref):
+        for page in range(16):  # block 0, then block 1 (full, still open)
+            each._append_page(page, False, 0)
+        each._append_page(100, True, 0)  # a GC block with room
+        each.trim_extents([(page * 4096, 4096) for page in range(1, 8)])
+        each.free_blocks.clear()
+        each._note_pool()
+        assert each.block_valid[0] == 1 and each.pick_victim() == 0
+        each.host_write(0, 4096)  # block 0's last page: count 0, then GC
+        assert each.emergency_gcs == 1
+        assert list(each.block_pages[2]) == [100, 0]  # the page was copied
+    assert_same_state(ftl, ref, "after the emergency GC")
 
 
 # ---------------------------------------------------------------------------

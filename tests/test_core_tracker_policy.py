@@ -119,6 +119,43 @@ def test_interval_with_no_requests_keeps_profile():
     assert tracker.profile("t1", RequestClass.PUT).direct == before
 
 
+def test_direct_vops_in_an_interval_without_requests_leave_the_ewma():
+    """A GET's IO can complete an interval before the GET does: the
+    interval then holds direct VOPs and zero requests.  The fold skips
+    that ratio — raising nothing — both before the first profile and
+    once one exists."""
+    tracker = ResourceTracker(alpha=0.5)
+    tag = IoTag("t1", RequestClass.GET)
+    tracker.note_io(tag, OpKind.READ, 1 * KIB, 4.0)
+    tracker.roll_interval()
+    assert not tracker.has_profile("t1", RequestClass.GET)
+    tracker.note_io(tag, OpKind.READ, 1 * KIB, 2.0)
+    tracker.note_request("t1", RequestClass.GET, 1 * KIB)
+    tracker.roll_interval()
+    assert tracker.profile("t1", RequestClass.GET).direct == 2.0
+    tracker.note_io(tag, OpKind.READ, 1 * KIB, 6.0)
+    tracker.roll_interval()
+    assert tracker.profile("t1", RequestClass.GET).direct == 2.0
+
+
+def test_indirect_vops_with_no_triggering_requests_carry_to_the_next_fold():
+    """A COMPACT that completes in an interval with no PUT folds
+    nothing: its VOPs stay pending and join the next completion's,
+    normalized by the PUTs issued up to it (12 + 6 VOPs over 6 units)."""
+    tracker = ResourceTracker()
+    compact = IoTag("t1", RequestClass.PUT, InternalOp.COMPACT)
+    tracker.note_io(compact, OpKind.WRITE, 1 * MIB, 12.0)
+    tracker.note_internal_op("t1", InternalOp.COMPACT)
+    tracker.roll_interval()
+    assert tracker.profile("t1", RequestClass.PUT).indirect == {}
+    for _ in range(6):
+        tracker.note_request("t1", RequestClass.PUT, 1 * KIB)
+    tracker.note_io(compact, OpKind.WRITE, 1 * MIB, 6.0)
+    tracker.note_internal_op("t1", InternalOp.COMPACT)
+    tracker.roll_interval()
+    assert tracker.profile("t1", RequestClass.PUT).indirect == {InternalOp.COMPACT: 3.0}
+
+
 def test_small_request_counts_at_least_one_unit():
     tracker = ResourceTracker()
     tracker.note_request("t1", RequestClass.GET, 100)  # < 1 KiB

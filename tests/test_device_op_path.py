@@ -619,19 +619,22 @@ def test_calls_per_chunk_stay_within_budget():
     op                      calls  budget  bytecodes  bytecodes
                                            (parent)   (change)
     ======================  =====  ======  =========  =========
-    one-page read           17.09      18    869.651    778.378
-    64 KiB unaligned read   17.45      18  1 769.000  1 675.499
-    one-page write          17.36      18  1 010.313    904.476
-    128 KiB write           37.43      38  3 034.900  2 782.615
+    one-page read           17.09      18    778.378    778.378
+    64 KiB unaligned read   17.45      18  1 675.499  1 648.499
+    one-page write          17.38      18    904.476    904.796
+    128 KiB write           36.79      38  2 782.615  3 420.390
     ======================  =====  ======  =========  =========
 
     Each op's range is checked once (``_submit``, whose dispatch calls
-    ``SsdDevice._admit``), and the per-device constants it reads are
-    priced once.  The queued actions split into heap pushes (the
-    finishes and the driving process's waits) and same-instant enqueues
-    (its wake-ups).  The 128 KiB writes reach GC: a write arriving while
-    the GC loop runs is timed at submit like any other.  The counts
-    repeat exactly, so the budgets fail on a per-tenant or per-page call
+    ``SsdDevice._admit``, whose plan calls the FTL's unchecked
+    ``_read_channels``/``_host_write``), and the per-device constants it
+    reads are priced once.  The 128 KiB writes overwrite mapped pages:
+    dropping 32 old copies is a Python loop, which runs more bytecodes
+    than ``np.bincount`` but less time, below ``_VECTOR_PAGES``.  The
+    queued actions split into heap pushes (the finishes and the driving
+    process's waits) and same-instant enqueues (its wake-ups).  The
+    128 KiB writes reach GC: a write arriving while the GC loop runs is
+    timed at submit like any other.  The counts repeat exactly, so the budgets fail on a per-tenant or per-page call
     (or bytecode) creeping back, and the pushes pin the simulation's
     event order.
     """
@@ -648,7 +651,7 @@ def test_calls_per_chunk_stay_within_budget():
     opcodes, pushes = serve_chunks(count_opcodes)
     assert pushes == CHUNK_PUSHES
     assert opcodes == {
-        "read": 778_378, "read64k": 1_675_499, "write": 904_476, "write128k": 556_523,
+        "read": 778_378, "read64k": 1_648_499, "write": 904_796, "write128k": 684_078,
     }
 
 

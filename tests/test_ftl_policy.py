@@ -11,11 +11,15 @@ host writes, TRIMs, and GC against each implementation and checks:
   physical pool.
 """
 
+import random
+
+import numpy as np
 import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from .helpers import reference_victim
 from repro.ssd import SsdProfile
 from repro.ssd.ftl import UNMAPPED, Ftl
 from repro.ssd.ftl_policy import (
@@ -135,6 +139,89 @@ def test_policy_sustained_overwrite_converges(policy):
             ftl._sync_gc()
     check_invariants(ftl)
     assert ftl.emergency_gcs == 0
+
+
+class IndexWitness(Ftl):
+    """Before every ``collect_victim`` — background GC's and the
+    emergency GC's inside ``_allocate_block`` alike — the victim index's
+    pick must be :func:`~tests.helpers.reference_victim`'s, and the
+    index must bar exactly the blocks that are free, open or evacuating
+    (:func:`assert_index_is_the_lanes`).  Counts the checks and the
+    zero-live victims among them."""
+
+    def __init__(self, *args, **kwargs):
+        self.checked = 0
+        self.zero_live = 0
+        super().__init__(*args, **kwargs)
+
+    def collect_victim(self):
+        victim = self.pick_victim()
+        assert victim == reference_victim(self)
+        assert_index_is_the_lanes(self)
+        self.checked += 1
+        if victim is not None and self._valid[victim] == 0:
+            self.zero_live += 1
+        return super().collect_victim()
+
+
+def assert_index_is_the_lanes(ftl):
+    """``victim_penalty`` is 0 exactly on the closed blocks — allocated
+    and listed on no append lane — and above any live count elsewhere."""
+    closed = ftl.block_channel >= 0
+    closed[[b for b in ftl.active_blocks() if b is not None]] = False
+    assert ((ftl.victim_penalty == 0) == closed).all()
+    assert (ftl.victim_penalty[~closed] > ftl.pages_per_block).all()
+
+
+def retire_whole_block(ftl, rng):
+    """TRIM every live page of a random closed block, so that GC meets
+    a victim with no live page."""
+    closed = np.flatnonzero(ftl.victim_penalty == 0)
+    if not len(closed):
+        return
+    block = int(closed[rng.randrange(len(closed))])
+    page = ftl.page_size
+    live = [p for p in ftl.block_pages[block] if ftl.page_to_block[p] == block]
+    ftl.trim_extents([(p * page, page) for p in live])
+    assert ftl.block_valid[block] == 0
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_victim_index_picks_the_reference_victim_before_every_collect(policy):
+    """A preconditioning burst, then seeded writes of one to 33 pages
+    (some partial), whole-block TRIMs, background GC to the high
+    watermark, and a stretch with no background GC, where host writes
+    drain the pool and ``_allocate_block`` collects in an emergency."""
+    ftl = IndexWitness(
+        SsdProfile(name="index", channels=4, pages_per_block=16,
+                   logical_capacity=2 * MIB, overprovision=1.0),
+        seed=3, policy=policy,
+    )
+    ftl.precondition(age_factor=1.0)
+    assert ftl.checked == 0  # the burst picks its victims by one sort
+    assert_index_is_the_lanes(ftl)
+    assert ftl.pick_victim() == reference_victim(ftl)
+    rng = random.Random(policy)
+    page = ftl.page_size
+    for i in range(3000):
+        if i == 2000:  # victims that an emergency GC empties without copying
+            for _ in range(8):
+                retire_whole_block(ftl, rng)
+        if rng.random() < 0.05:
+            retire_whole_block(ftl, rng)
+        else:
+            n = rng.choice([1, 1, 2, 8, 33])
+            first = rng.randrange(ftl.logical_pages - n)
+            ftl.host_write(first * page + rng.choice([0, 0, 100]), n * page - rng.choice([0, 50]))
+        if 2000 <= i < 2400 and ftl.emergency_gcs < 5:
+            continue  # no background GC: the pool drains to the emergency
+        while ftl.gc_needed and not ftl.gc_satisfied:
+            ftl.collect_victim()
+    assert_index_is_the_lanes(ftl)
+    assert ftl.checked > 300 and ftl.zero_live > 10 and ftl.emergency_gcs >= 5, (
+        ftl.checked, ftl.zero_live, ftl.emergency_gcs
+    )
+    check_invariants(ftl)
 
 
 def test_greedy_is_default_and_unchanged():

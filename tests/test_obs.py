@@ -300,6 +300,28 @@ def test_audit_windows_partition_the_run():
     assert audit.summary()["ok"]
 
 
+class SizePricedModel:
+    """A cost model that prices an op at its size in VOPs."""
+
+    def cost(self, kind, size):
+        return float(size)
+
+
+@pytest.mark.parametrize("skew, flag", [
+    (0.5, None), (2.0, "double-charge"), (-0.5, None), (-2.0, "leak"),
+])
+def test_audit_single_evaluation_slack_is_relative_to_the_window(skew, flag):
+    """One 1 MB completion priced at 10^6 VOPs by the model but reported
+    with ``skew`` more: the slack is ``EXACT_EPS`` (10^-6) of the
+    window's VOPs, about 1 VOP here, so half a VOP of skew passes and
+    two VOPs are flagged, in either direction."""
+    audit = VopAudit(SizePricedModel())
+    tag = IoTag("t1", RequestClass.RAW)
+    audit.note_complete(tag, OpKind.READ, 1_000_000, 1_000_000 + skew)
+    flags = audit.roll_window(1.0).flags
+    assert [f.split(":")[0] for f in flags] == ([flag] if flag else [])
+
+
 def test_audit_validation():
     with pytest.raises(ValueError):
         VopAudit(exact_model(), tolerance=0.0)

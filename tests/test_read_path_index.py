@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from .helpers import count_calls, read_channels_per_page
+from .helpers import count_calls, linear_first_fit, read_channels_per_page
 from repro.core.tags import IoTag, RequestClass
 from repro.engine import TOMBSTONE, EngineConfig, LsmEngine, Memtable, TableBuilder
 from repro.engine.sstable import BLOCK_SIZE
@@ -499,6 +499,103 @@ def test_filesystem_counters_match_extent_sums(ops):
             assert f.size <= f.allocated
         assert fs.free_bytes == sum(length for _off, length in fs._free)
         assert fs.free_bytes + sum(f.allocated for f in files.values()) == capacity
+
+
+# ---------------------------------------------------------------------------
+# Filesystem first fit == the linear walk
+# ---------------------------------------------------------------------------
+
+# ``SimFilesystem._allocate`` walks ``_big`` (the holes of at least
+# ``BIG_HOLE`` bytes) for a large request and ``_free`` only up to the
+# first fit for a small one.  It used to walk every hole; that walk stays
+# here as the oracle, and both must hand out the same extents and leave
+# the same free list.
+
+class LinearFirstFitFs(SimFilesystem):
+    """``_allocate`` as it was: a walk over every hole, in offset order."""
+
+    def _allocate(self, want):
+        return linear_first_fit(self, want)
+
+
+def allocation_log(fs):
+    """Record every ``(offset, length)`` that ``fs._allocate`` returns."""
+    log = []
+    allocate = fs._allocate
+
+    def logged(want):
+        got = allocate(want)
+        log.append(got)
+        return got
+
+    fs._allocate = logged
+    return log
+
+
+#: the "larger than any hole" append: one page past the biggest hole
+HUGE = -1
+
+
+def run_allocators(ops, capacity):
+    """Apply ``(slot, size)`` ops to the indexed and the linear
+    filesystem (size 0 deletes the slot's file, :data:`HUGE` appends one
+    page more than the largest hole), checking after each op that both
+    allocated the same extents and hold the same free list, and that
+    ``_big`` lists exactly the big holes.  Returns the allocations."""
+    systems = []
+    for cls in (SimFilesystem, LinearFirstFitFs):
+        sim = Simulator()
+        fs = cls(sim, NullBackend(sim), capacity=capacity)
+        systems.append((fs, {}, allocation_log(fs)))
+    (fs, _, got), (ref, _, want) = systems
+    for slot, size in ops:
+        if size == HUGE:
+            size = max((length for _off, length in ref._free), default=0) + 4 * KIB
+        for each, files, _log in systems:
+            if size == 0:
+                if slot in files:
+                    each.delete(files.pop(slot))
+            elif size <= each.free_bytes:
+                if slot not in files:
+                    files[slot] = each.create()
+                files[slot].append(size)
+        assert got == want
+        assert fs._free == ref._free
+        assert fs.free_bytes == ref.free_bytes
+        assert fs._big == [hole for hole in fs._free if hole[1] >= fs.BIG_HOLE]
+    return got
+
+
+@prop_settings
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.one_of(
+                st.just(0),  # delete
+                st.integers(1, 4 * KIB - 1),  # a partial page
+                st.integers(4 * KIB, 8 * KIB),  # one or two pages
+                st.sampled_from([256 * KIB, 1 * MIB, HUGE]),
+            ),
+        ),
+        max_size=120,
+    )
+)
+def test_first_fit_allocates_what_the_linear_walk_allocates(ops):
+    run_allocators(ops, capacity=8 * MIB)
+
+
+def test_first_fit_past_every_hole_takes_the_largest_as_the_walk_does():
+    """Eight files of 64 KiB chunks interleaved over the whole volume,
+    then every other one deleted: every hole is one 64 KiB chunk, or
+    two where neighbours merged, so a 1 MiB request fits nowhere and
+    takes the largest hole, the lowest on ties."""
+    ops = [(slot, 64 * KIB) for _ in range(16) for slot in range(8)]
+    ops += [(slot, 0) for slot in (1, 3, 4, 6)]
+    ops += [(9, 1 * MIB), (10, 256 * KIB), (11, HUGE), (12, 4 * KIB)]
+    allocations = run_allocators(ops, capacity=8 * MIB)
+    assert (1 * MIB) not in {length for _off, length in allocations}
+    assert max(length for _off, length in allocations[-20:]) == 128 * KIB
 
 
 # ---------------------------------------------------------------------------
