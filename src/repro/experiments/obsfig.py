@@ -1,16 +1,16 @@
-"""Observability capstone: traces, metrics, and the VOP-accounting audit.
+"""Observability capstone: traces and the VOP-accounting audit.
 
 Not a figure from the paper — the :mod:`repro.obs` subsystem exercised
 end to end over the same stack the figures use, in two parts:
 
 **Part A — a traced storage node.**  Two KV tenants (a read-heavy and a
-write-heavy one) run closed-loop against one node with tracing,
-metrics, and the VOP audit all enabled.  The run emits a Chrome
-trace-event file (load it at ``chrome://tracing`` or
-https://ui.perfetto.dev) whose spans tie each application request to
-its node/engine/scheduler/device activity by trace id, plus a
-request→IO→VOP waterfall, a queue-wait vs service latency breakdown,
-and the audit's reconciliation verdict with periodic windows.
+write-heavy one) run closed-loop against one node with tracing and
+the VOP audit enabled.  The run emits a Chrome trace-event file (load
+it at ``chrome://tracing`` or https://ui.perfetto.dev) whose spans tie
+each application request to its node/engine/scheduler/device activity
+by trace id, plus a request→IO→VOP waterfall, a queue-wait vs service
+latency breakdown, and the audit's reconciliation verdict with
+periodic windows.
 
 **Part B — the audit across cost models.**  The fig9 read-write
 workload (4 KB readers vs 64 KB writers) reruns under every cost model
@@ -34,8 +34,8 @@ from ..core.policy import Reservation
 from ..core.vop import COST_MODEL_NAMES, make_cost_model
 from ..engine import EngineConfig
 from ..node import StorageNode
-from ..obs import MetricsRegistry, Observability, Tracer, VopAudit
-from ..obs.export import latency_breakdown, waterfall_report, write_chrome_trace
+from ..obs import Observability, Tracer, VopAudit
+from ..obs.export import latency_breakdown, waterfall_report
 from ..sim import Simulator
 from ..ssd import get_profile
 from ..workload.generator import bootstrap_tenant
@@ -67,7 +67,6 @@ class ObsFigResult:
     latency: str
     audit_summary: Dict[str, object]
     audit_windows: List[Tuple[float, float, float, float, bool]]
-    metric_series: int
     # -- Part B: the audit across cost models ---------------------------
     #: model -> {charged, device, reconciliation, skew, flags, ok}
     audit_grid: Dict[str, Dict[str, object]]
@@ -89,8 +88,7 @@ def _traced_node(profile_name: str, seed: int, horizon: float,
                  trace_path: Optional[str]):
     """Run the traced two-tenant node and collect every obs artifact."""
     tracer = Tracer()
-    metrics = MetricsRegistry()
-    obs = Observability(tracer=tracer, metrics=metrics, audit=True)
+    obs = Observability(tracer=tracer, audit=True)
     sim = Simulator()
     node = StorageNode(sim, profile=profile_name, seed=seed, obs=obs)
     # A small memtable keeps FLUSH/COMPACT activity inside the short
@@ -127,9 +125,8 @@ def _traced_node(profile_name: str, seed: int, horizon: float,
         if audit.outstanding_ops == 0:
             break
 
-    node.publish_metrics(metrics)
     if trace_path:
-        write_chrome_trace(tracer, trace_path)
+        tracer.export_chrome(trace_path)
     cats: Dict[str, int] = {}
     for span in tracer.spans:
         cats[span[1]] = cats.get(span[1], 0) + 1
@@ -152,7 +149,6 @@ def _traced_node(profile_name: str, seed: int, horizon: float,
         latency=latency_breakdown(tracer),
         audit_summary=audit.summary(sim.now),
         audit_windows=windows,
-        metric_series=len(metrics.as_dict()),
         audit_grid={},
     )
 
@@ -223,8 +219,7 @@ def render(result: ObsFigResult) -> str:
     )
     blocks.append(
         f"Part A — traced node: {result.span_count} spans ({cats}); "
-        f"{result.chrome_events} Chrome events {trace_note}; "
-        f"{result.metric_series} metric series published"
+        f"{result.chrome_events} Chrome events {trace_note}"
     )
 
     summary = result.audit_summary

@@ -161,9 +161,10 @@ class Nic:
     a message starting service at ``max(now, next_free)`` and holding
     the NIC for its serialization time yields exactly FIFO queueing
     delay under load, with no per-message process overhead.
-    :meth:`NetworkFabric.send` does the accounting; the NIC's message
-    and byte totals are its outbound links' sums (see
-    :meth:`NetworkFabric.publish_metrics`).
+    :meth:`NetworkFabric.send` does the accounting, into the links'
+    books (``NetworkFabric.link_stats``): the NIC keeps no counters of
+    its own, and its sent messages and bytes are its outbound links'
+    sums.
     """
 
     __slots__ = ("name", "bandwidth", "next_free")
@@ -292,61 +293,3 @@ class NetworkFabric:
 
         link = self._links[src][dst] = (stats, self.nics[src], deliver)
         return link
-
-    # -- diagnostics -------------------------------------------------------
-
-    def publish_metrics(self, registry) -> None:
-        """Snapshot fabric counters into a repro.obs MetricsRegistry.
-
-        Idempotent: every call installs fresh snapshots — per-link
-        counters under ``net.link`` with (src, dst, field) labels, the
-        fabric-wide aggregates a partition experiment is debugged from
-        (dead letters, severed messages, down endpoints) under
-        ``net.fabric``, per-endpoint egress queue depth (seconds of
-        serialized backlog ahead of a message sent now) and the
-        endpoint's sent messages and bytes (its outbound links' sums)
-        under ``net.nic``, and the injector's message-fault counters
-        under ``net.faults``.
-        """
-        totals = {"dead_letters": 0.0, "dropped": 0.0, "partitioned": 0.0}
-        sent = {name: [0, 0] for name in self.nics}
-        for (src, dst), s in self.link_stats.items():
-            for fname, value in vars(s).items():
-                registry.set_counter("net.link", value, src=src, dst=dst, field=fname)
-                if fname in totals:
-                    totals[fname] += value
-            sent[src][0] += s.messages
-            sent[src][1] += s.bytes
-        for fname, value in totals.items():
-            registry.set_counter("net.fabric", value, field=fname)
-        registry.set_counter("net.fabric", len(self._down), field="down_endpoints")
-        now = self.sim.now
-        for name, nic in self.nics.items():
-            registry.gauge("net.nic", endpoint=name, field="queue_depth_s").set(
-                max(nic.next_free - now, 0.0)
-            )
-            messages, nbytes = sent[name]
-            registry.set_counter("net.nic", messages, endpoint=name, field="messages")
-            registry.set_counter("net.nic", nbytes, endpoint=name, field="bytes")
-        if self.injector is not None:
-            for fname in (
-                "dropped_messages", "duplicated_messages",
-                "delayed_messages", "partitioned_messages",
-            ):
-                registry.set_counter("net.faults", getattr(self.injector, fname), field=fname)
-
-    def stats_table(self) -> Dict[str, Dict[str, float]]:
-        """Per-link counters keyed "src->dst", for reports."""
-        table: Dict[str, Dict[str, float]] = {}
-        for (src, dst), s in sorted(self.link_stats.items()):
-            table[f"{src}->{dst}"] = {
-                "messages": s.messages,
-                "kbytes": round(s.bytes / 1024, 1),
-                "queue_wait_ms": round(s.queue_wait * 1e3, 3),
-                "max_queue_wait_ms": round(s.max_queue_wait * 1e3, 3),
-                "dropped": s.dropped,
-                "duplicated": s.duplicated,
-                "dead_letters": s.dead_letters,
-                "partitioned": s.partitioned,
-            }
-        return table

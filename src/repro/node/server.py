@@ -167,7 +167,6 @@ class StorageNode:
         self.config = config or NodeConfig()
         self.obs = obs or Observability()
         self.tracer = self.obs.tracer
-        self.metrics = self.obs.metrics
         self.device = make_device(
             sim, self.profile, seed=seed, fault_plan=fault_plan, tracer=self.tracer
         )
@@ -580,46 +579,6 @@ class StorageNode:
         if reopened is not None:
             reopened.succeed()
         return replayed
-
-    # -- metrics publication ----------------------------------------------------
-
-    def publish_metrics(self, registry=None) -> None:
-        """Snapshot this node's stat objects into a metrics registry.
-
-        Publishes the per-tenant request counters and latency
-        histograms, the scheduler's per-tenant VOP usage, and the SSD's
-        device counters under labeled metric names.  Idempotent: each
-        call installs fresh snapshots, so periodic publication never
-        double-counts.  Uses ``registry`` or the node's configured
-        ``Observability.metrics``.
-        """
-        registry = registry or self.metrics
-        if registry is None:
-            raise ValueError(f"{self.name}: no metrics registry configured")
-        for tenant, stats in self.request_stats.items():
-            for fname in RequestStats.FIELDS:
-                registry.set_counter(
-                    "node.requests", getattr(stats, fname),
-                    node=self.name, tenant=tenant, field=fname,
-                )
-            recorder = self.latencies[tenant]
-            for kind in recorder.kinds():
-                registry.install(
-                    "node.latency", recorder.histogram(kind),
-                    node=self.name, tenant=tenant, op=kind,
-                )
-        for tenant in self.scheduler.tenants:
-            usage = self.scheduler.usage(tenant)
-            for fname, value in vars(usage).items():
-                registry.set_counter(
-                    "sched.usage", value, node=self.name, tenant=tenant, field=fname
-                )
-            registry.gauge(
-                "sched.allocation", node=self.name, tenant=tenant
-            ).set(self.scheduler.allocation(tenant))
-        for fname, value in vars(self.device.stats).items():
-            if isinstance(value, (int, float)):
-                registry.set_counter("ssd.stats", value, node=self.name, field=fname)
 
     # -- lifecycle ------------------------------------------------------------------
 

@@ -10,6 +10,7 @@ from typing import Deque, Dict
 from ..core.policy import Reservation
 from ..core.tracker import NORMALIZED_REQUEST_BYTES
 from ..obs.metrics import Histogram
+from ..ssd.stats import Counters
 
 __all__ = ["TenantDescriptor", "RequestStats", "LatencyRecorder"]
 
@@ -30,10 +31,10 @@ class LatencyRecorder:
 
     Keeps the newest ``capacity`` samples per request kind, enough for
     stable means and tail percentiles without unbounded memory.
-    Percentile math is delegated to :class:`repro.obs.metrics.Histogram`
-    — the same histogram the published latency metrics use — so recorder
-    numbers agree with them to within one histogram bucket (~2%
-    relative; exact at the distribution's min/max).
+    Percentile math is delegated to :class:`repro.obs.metrics.Histogram`,
+    the one percentile implementation for latencies, so a percentile is
+    accurate to one histogram bucket (~2% relative; exact at the
+    distribution's min/max).
     """
 
     def __init__(self, capacity: int = 2048):
@@ -68,7 +69,7 @@ class LatencyRecorder:
         return series.total / series.count if series else 0.0
 
     def histogram(self, kind: str) -> Histogram:
-        """The retained samples as an ``obs.metrics`` histogram."""
+        """The retained samples as a :class:`~repro.obs.metrics.Histogram`."""
         hist = Histogram()
         for value in self.samples(kind):
             hist.observe(value)
@@ -94,11 +95,12 @@ class TenantDescriptor:
 
 
 @dataclass
-class RequestStats:
+class RequestStats(Counters):
     """App-level request throughput counters for one tenant.
 
     Units are size-normalized (1 KB) requests, the same currency as
-    reservations; raw request counts are kept alongside.
+    reservations; raw request counts are kept alongside.  Snapshot,
+    delta and merge come from :class:`~repro.ssd.stats.Counters`.
     """
 
     gets: int = 0
@@ -126,9 +128,8 @@ class RequestStats:
     crashes: int = 0
     crash_waits: int = 0
 
-    #: every additive counter, spelled out: merge/snapshot/delta iterate
-    #: this tuple — never ``vars()`` — so a future non-numeric field can
-    #: break loudly here instead of silently corrupting an aggregate
+    #: every counter, in declaration order, for readers that want the
+    #: book's columns without an instance (kvbench's digest lists them)
     FIELDS = (
         "gets", "puts", "deletes", "get_units", "put_units", "cache_hits",
         "repl_applies", "repl_units", "repl_reads",
@@ -156,24 +157,3 @@ class RequestStats:
             self.repl_reads += 1
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown request kind {kind!r}")
-
-    def merge(self, other: "RequestStats") -> "RequestStats":
-        """Add another stats object's counters into this one (in place).
-
-        Returns ``self`` so aggregation reads as a fold:
-        ``total = reduce(RequestStats.merge, stats, RequestStats())``.
-        """
-        for name in self.FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        return self
-
-    def snapshot(self) -> "RequestStats":
-        return RequestStats(**{name: getattr(self, name) for name in self.FIELDS})
-
-    def delta(self, earlier: "RequestStats") -> "RequestStats":
-        return RequestStats(
-            **{
-                name: getattr(self, name) - getattr(earlier, name)
-                for name in self.FIELDS
-            }
-        )

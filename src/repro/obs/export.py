@@ -10,9 +10,6 @@ Two views, both plain text (the repo's figures are tables):
 - :func:`latency_breakdown` — queue-wait vs service time per tenant
   from a :class:`~repro.obs.trace.Tracer`'s scheduler spans, the
   Fig 5/6-style decomposition of where a request's time actually went.
-
-:func:`write_chrome_trace` is a thin named wrapper over
-``Tracer.export_chrome`` so experiments import one module.
 """
 
 from __future__ import annotations
@@ -23,12 +20,7 @@ from ..analysis.report import format_table
 from .audit import VopAudit
 from .trace import Tracer
 
-__all__ = ["write_chrome_trace", "waterfall_report", "latency_breakdown"]
-
-
-def write_chrome_trace(tracer: Tracer, path: str) -> str:
-    """Dump ``tracer``'s spans as Chrome trace-event JSON at ``path``."""
-    return tracer.export_chrome(path)
+__all__ = ["waterfall_report", "latency_breakdown"]
 
 
 def waterfall_report(

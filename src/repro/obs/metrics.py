@@ -1,14 +1,8 @@
-"""Counters, gauges, and fixed-bucket histograms with labels.
+"""Latency histograms and the evaluation metrics over sample sets.
 
-One :class:`MetricsRegistry` per simulation is the publication point
-for every layer's stats — the storage node's request counters, the
-scheduler's per-tenant VOP usage, the SSD/FTL counters, and the net
-fabric's link stats all publish into it (see the layers'
-``publish_metrics`` methods).  The legacy per-layer stat objects
-(``RequestStats``, ``TenantUsage``, ``SsdStats``, ``LinkStats``...)
-remain as compatibility shims; the registry is a uniform, labeled view
-over them, not a replacement data path, so publishing is snapshot-
-idempotent and costs nothing until called.
+The counters themselves live in the layers' own books
+(``RequestStats``, ``TenantUsage``, ``SsdStats``, ``LinkStats``...),
+read directly by whatever reports them; this module holds no copy.
 
 The :class:`Histogram` is the percentile implementation for latencies:
 fixed log-spaced buckets (ratio ``DEFAULT_BUCKET_RATIO``), exact
@@ -27,15 +21,12 @@ fair penalty), SLO attainment, empirical CDFs, and the numpy-exact
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "log_bucket_bounds",
     "DEFAULT_LATENCY_BOUNDS",
     "DEFAULT_BUCKET_RATIO",
@@ -69,35 +60,6 @@ def log_bucket_bounds(
 
 #: shared bounds for request-latency histograms: 1 us .. 100 s
 DEFAULT_LATENCY_BOUNDS = log_bucket_bounds()
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter increment must be >= 0, got {amount}")
-        self.value += amount
-
-
-class Gauge:
-    """A settable point-in-time value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, amount: float) -> None:
-        self.value += amount
 
 
 class Histogram:
@@ -175,95 +137,6 @@ class Histogram:
         self._min = min(self._min, other._min)
         self._max = max(self._max, other._max)
         return self
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
-        }
-
-
-def _key(name: str, labels: Dict[str, Any]) -> Tuple:
-    return (name,) + tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-class MetricsRegistry:
-    """Keyed store of metrics: ``(name, sorted labels) -> instance``.
-
-    ``counter``/``gauge``/``histogram`` are get-or-create (so feeding
-    code needs no registration step); :meth:`install` and
-    :meth:`set_counter` replace a slot wholesale, which is what
-    snapshot-publishing layers use to stay idempotent across repeated
-    ``publish_metrics`` calls.
-    """
-
-    def __init__(self):
-        self._metrics: Dict[Tuple, Any] = {}
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        return self._get_or_create(name, labels, Counter)
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get_or_create(name, labels, Gauge)
-
-    def histogram(
-        self, name: str, bounds: Optional[Tuple[float, ...]] = None, **labels: Any
-    ) -> Histogram:
-        key = _key(name, labels)
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = self._metrics[key] = Histogram(bounds or DEFAULT_LATENCY_BOUNDS)
-        elif not isinstance(metric, Histogram):
-            raise TypeError(f"{key} already registered as {type(metric).__name__}")
-        return metric
-
-    def install(self, name: str, metric: Any, **labels: Any) -> None:
-        """Install (or replace) a pre-built metric under a key."""
-        self._metrics[_key(name, labels)] = metric
-
-    def set_counter(self, name: str, value: float, **labels: Any) -> None:
-        """Install (or replace) a counter holding ``value`` — how a layer
-        publishes a snapshot of its own cumulative count."""
-        counter = Counter()
-        counter.value = float(value)
-        self._metrics[_key(name, labels)] = counter
-
-    def _get_or_create(self, name: str, labels: Dict[str, Any], cls):
-        key = _key(name, labels)
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = self._metrics[key] = cls()
-        elif not isinstance(metric, cls):
-            raise TypeError(f"{key} already registered as {type(metric).__name__}")
-        return metric
-
-    # -- introspection -----------------------------------------------------
-
-    def names(self) -> List[str]:
-        return sorted({key[0] for key in self._metrics})
-
-    def collect(self, name: Optional[str] = None) -> List[Tuple[str, Dict[str, str], Any]]:
-        """(name, labels, value) triples, sorted by key; histograms are
-        summarized as dicts."""
-        rows = []
-        for key in sorted(self._metrics):
-            metric_name, label_items = key[0], key[1:]
-            if name is not None and metric_name != name:
-                continue
-            metric = self._metrics[key]
-            value = metric.summary() if isinstance(metric, Histogram) else metric.value
-            rows.append((metric_name, dict(label_items), value))
-        return rows
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Flat ``"name{k=v,...}" -> value`` view for reports/JSON."""
-        flat: Dict[str, Any] = {}
-        for metric_name, labels, value in self.collect():
-            label_text = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-            flat[f"{metric_name}{{{label_text}}}" if label_text else metric_name] = value
-        return flat
 
 
 # ---------------------------------------------------------------------------

@@ -334,7 +334,7 @@ class SsdDevice:
             cursor = ftl._host_cursor
             chan = cursor[0]
             cursor[0] = (chan + 1) % ftl.channels
-            ftl._append_page(offset // page, False, chan)
+            ftl._append_page(offset // page, chan)
             service = self._page_program * scale
             stats.channel_busy += service
             return ctrl, ((chan, service),)

@@ -387,7 +387,7 @@ class Ftl:
         start = cursor[stream]
         cursor[stream] = (start + 1) % nchan
         if n == 1:
-            self._append_page(first, False, start, stream)
+            self._append_page(first, start, stream)
             programs = [(start, 1)]
         else:
             if len(self.free_blocks) > n:
@@ -400,7 +400,7 @@ class Ftl:
                 stripe = self.stripe_pages
                 for i in range(n):
                     chan = (start + i // stripe) % nchan
-                    self._append_page(first + i, False, chan, stream)
+                    self._append_page(first + i, chan, stream)
                     counts[chan] += 1
             programs = [(c, k) for c, k in enumerate(counts) if k]
         if routed:
@@ -525,30 +525,27 @@ class Ftl:
         self.write_seq = seq0 + stop
         return counts
 
-    def _append_page(
-        self, logical_page: int, gc: bool, channel: int, stream: int = 0
-    ) -> None:
-        """Append one logical page to ``channel``'s active block,
-        invalidating the previous copy.
+    def _append_page(self, logical_page: int, channel: int, stream: int = 0) -> None:
+        """Append one host page to ``channel``'s active block of host
+        stream ``stream``, invalidating the previous copy.
 
         The scalar primitive: one-page host writes and multi-page
-        writes on a nearly dry pool.
+        writes on a nearly dry pool.  The old copy is dropped only once
+        the block is open: an emergency GC inside :meth:`_reopen` may
+        move that copy, and its count must move with it.
         """
-        p2b = self._p2b
-        valid = self._valid
-        old = p2b[logical_page]
-        if old != UNMAPPED:
-            valid[old] -= 1
-        if gc:
-            active, fill = self._gc_active, self._gc_fill
-        else:
-            active, fill = self._host_active[stream], self._host_fill[stream]
-            self.write_seq += 1
+        active, fill = self._host_active[stream], self._host_fill[stream]
+        self.write_seq += 1
         block = active[channel]
         used = fill[channel]
         if block is None or used >= self.pages_per_block:
             block = self._reopen(active, channel)
             used = 0
+        p2b = self._p2b
+        valid = self._valid
+        old = p2b[logical_page]
+        if old != UNMAPPED:
+            valid[old] -= 1
         p2b[logical_page] = block
         self.page_channel[logical_page] = channel
         valid[block] += 1
@@ -612,10 +609,7 @@ class Ftl:
         is dropped before the erase empties that log (a live view pins
         the array's size).  A victim with no live page — every page
         overwritten or trimmed, a third of run-time victims — skips both
-        and is erased at once.  Not in an emergency GC, though (the pool
-        is empty): the host write that triggered it has dropped its
-        page's old copy from the count, but its map entry may still
-        name the victim, and the gather then finds it live.
+        and is erased at once.
         """
         victim = self.pick_victim()
         if victim is None:
@@ -629,7 +623,7 @@ class Ftl:
         self._gc_cursor = (start + 1) % self.channels
         log = self.block_pages[victim]
         n_live = self._valid[victim]
-        if n_live or not self.free_blocks:
+        if n_live:
             view = np.frombuffer(log, dtype=np.int32)
             live = view[self.page_to_block[view] == victim].tolist()
             del view
@@ -748,7 +742,7 @@ class Ftl:
         i, n = 0, len(pages)
         while i < n:
             if self.gc_needed:  # the pool starts drained: GC after each write
-                self._append_page(pages.item(i), False, chans.item(i))
+                self._append_page(pages.item(i), chans.item(i))
                 i += 1
             else:
                 i += self._append_batch(pages[i:], chans[i:], newest)

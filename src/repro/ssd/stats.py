@@ -2,7 +2,8 @@
 
 :class:`Counters` gives a dataclass of additive counters its
 snapshot/delta pair, which experiments use between warm-up and
-measurement windows; :class:`SsdStats` is the device's own set.
+measurement windows, and the merge that sums one book per node into a
+total; :class:`SsdStats` is the device's own set.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ __all__ = ["Counters", "SsdStats"]
 
 
 class Counters:
-    """Snapshot and delta for a dataclass whose fields are all counters.
+    """Snapshot, delta and merge for a dataclass whose fields are all
+    counters.
 
     A mixin with no state of its own, so ``vars()`` of an instance is
     exactly its counter fields.
@@ -29,6 +31,16 @@ class Counters:
         return type(self)(
             **{k: getattr(self, k) - getattr(earlier, k) for k in vars(self)}
         )
+
+    def merge(self, other):
+        """Add ``other``'s counters into this one, in place.
+
+        Returns ``self``, so a total reads as a fold:
+        ``reduce(type(book).merge, books, type(book)())``.
+        """
+        for k in vars(self):
+            setattr(self, k, getattr(self, k) + getattr(other, k))
+        return self
 
 
 @dataclass

@@ -357,6 +357,16 @@ def reference_victim(ftl):
     return victim if cost[victim] < 1 << 30 else None
 
 
+def assert_counts_are_the_map(ftl):
+    """Every block's live count is the number of pages the map names it
+    for: a count that no map entry names is a leaked one, never
+    reclaimed until its block is erased."""
+    mapped = ftl.page_to_block[ftl.page_to_block != UNMAPPED]
+    held = np.bincount(mapped, minlength=len(ftl.block_valid))
+    leaked = np.flatnonzero(ftl.block_valid != held)
+    assert not len(leaked), [(int(b), int(ftl.block_valid[b]), int(held[b])) for b in leaked]
+
+
 class PerVictimGcFtl(Ftl):
     """``Ftl._sync_gc`` as it was before the burst pass: one
     ``collect_victim`` per victim, the watermark checked after each,

@@ -13,7 +13,7 @@ by construction.  The old spellings stay here as the references, as
   of the positive sizes;
 - ``SimFilesystem.delete``: one bisect/insert/coalesce per extent;
 - ``Ftl.collect_victim``: the page-by-page walk that re-checks the map
-  and copies each live page through ``_append_page``;
+  and copies each live page one at a time;
 - the counter join behind a multi-extent file IO, which its ops book
   into with no Event each, against ``AllOf`` over one Event per op.
 """
@@ -25,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from .helpers import linear_first_fit, queue_counter, reference_victim
+from .helpers import assert_counts_are_the_map, linear_first_fit, queue_counter, reference_victim
 from .test_device_op_path import INTEL, POLICIES, assert_same_state, mixed_ops
 from repro.core.tags import IoTag, RequestClass
 from repro.engine import TOMBSTONE, SsTable, TableBuilder, merge_entries, split_outputs
@@ -33,7 +33,7 @@ from repro.faults import FaultKind, FaultPlan, FaultWindow
 from repro.sim import AllOf, Simulator
 from repro.ssd import RawBackend, SimFilesystem, SsdDevice, SsdProfile
 from repro.ssd.filesystem import _Join
-from repro.ssd.ftl import Ftl, GcMove
+from repro.ssd.ftl import UNMAPPED, Ftl, GcMove
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -266,9 +266,27 @@ def test_delete_of_a_file_spread_over_many_holes():
 # ---------------------------------------------------------------------------
 
 
+def gc_copy_page(ftl, page, channel):
+    """Copy ``page`` onto ``channel``'s GC block, one page at a time, as
+    GC did before :meth:`Ftl._append_gc`: drop the old copy, open a
+    block if the lane's is full, map the page there."""
+    old = ftl.page_to_block[page]
+    if old != UNMAPPED:
+        ftl.block_valid[old] -= 1
+    active, fill = ftl._gc_active, ftl._gc_fill
+    block, used = active[channel], fill[channel]
+    if block is None or used >= ftl.pages_per_block:
+        block, used = ftl._reopen(active, channel), 0
+    ftl.page_to_block[page] = block
+    ftl.page_channel[page] = channel
+    ftl.block_valid[block] += 1
+    ftl.block_pages[block].append(page)
+    fill[channel] = used + 1
+
+
 class ReferenceGcFtl(Ftl):
     """``collect_victim`` as it was: walk the listed pages, re-check
-    each against the map and copy it through ``_append_page``.  Each
+    each against the map and copy it one page at a time.  Each
     victim is picked by :func:`~tests.helpers.reference_victim`, which
     reads the lanes and channels, not the FTL's victim index: the walk
     below erases without keeping that index."""
@@ -293,7 +311,7 @@ class ReferenceGcFtl(Ftl):
             for p in self.block_pages[victim]:
                 if self.page_to_block[p] == victim:
                     chan = (start + moved // stripe) % nchan
-                    self._append_page(p, True, chan)
+                    gc_copy_page(self, p, chan)
                     copies[chan] += 1
                     moved += 1
         finally:
@@ -342,8 +360,8 @@ def test_a_page_listed_twice_moves_once_at_its_first_listing():
     ref = ReferenceGcFtl(profile, seed=1)
     for each in (ftl, ref):
         for page in [5, 9, 5, 2, 9, 9, 7] + list(range(100, 157)):
-            each._append_page(page, False, 0)
-        each._append_page(500, False, 0)  # closes the block
+            each._append_page(page, 0)
+        each._append_page(500, 0)  # closes the block
         each.trim(7 * 4096, 4096)
     assert list(ftl.block_pages[ftl.page_to_block.item(500) - 1][:7]) == [5, 9, 5, 2, 9, 9, 7]
     move = ftl.collect_victim()
@@ -353,20 +371,20 @@ def test_a_page_listed_twice_moves_once_at_its_first_listing():
 
 
 def test_an_emergency_victim_emptied_by_the_write_that_triggered_it_moves_its_page():
-    """A host write drops its page's old copy before it opens a block.
-    With the pool empty, the opening runs an emergency GC, which can
-    pick that old block: its count is 0 now, but the map still names it
-    for the page being written.  The walk finds that page live there and
-    copies it, so ``collect_victim`` may skip the gather of a victim
-    with a count of 0 only outside an emergency."""
+    """With the pool empty, a host write's block opening runs an
+    emergency GC, which can pick the block holding the old copy of the
+    page being written: it is still live there, so GC copies it, and
+    the write then drops the copy's count from the GC block.  Dropped
+    before the opening, as it once was, the old block looked empty and
+    the copy kept a count in the GC block that no map entry named."""
     profile = SsdProfile(name="tiny-gc", channels=1, pages_per_block=8,
                          logical_capacity=1 * MIB, overprovision=1.0)
     ftl = Ftl(profile, seed=1)
     ref = ReferenceGcFtl(profile, seed=1)
     for each in (ftl, ref):
         for page in range(16):  # block 0, then block 1 (full, still open)
-            each._append_page(page, False, 0)
-        each._append_page(100, True, 0)  # a GC block with room
+            each._append_page(page, 0)
+        gc_copy_page(each, 100, 0)  # a GC block with room
         each.trim_extents([(page * 4096, 4096) for page in range(1, 8)])
         each.free_blocks.clear()
         each._note_pool()
@@ -374,6 +392,8 @@ def test_an_emergency_victim_emptied_by_the_write_that_triggered_it_moves_its_pa
         each.host_write(0, 4096)  # block 0's last page: count 0, then GC
         assert each.emergency_gcs == 1
         assert list(each.block_pages[2]) == [100, 0]  # the page was copied
+        assert each.block_valid[2] == 1  # ... and its count went with it
+        assert_counts_are_the_map(each)
     assert_same_state(ftl, ref, "after the emergency GC")
 
 

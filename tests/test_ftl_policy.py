@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from .helpers import reference_victim
+from .helpers import assert_counts_are_the_map, reference_victim
 from repro.ssd import SsdProfile
 from repro.ssd.ftl import UNMAPPED, Ftl
 from repro.ssd.ftl_policy import (
@@ -143,7 +143,8 @@ def test_policy_sustained_overwrite_converges(policy):
 
 class IndexWitness(Ftl):
     """Before every ``collect_victim`` — background GC's and the
-    emergency GC's inside ``_allocate_block`` alike — the victim index's
+    emergency GC's inside ``_allocate_block`` alike — every block's
+    count must be the pages the map names it for, the victim index's
     pick must be :func:`~tests.helpers.reference_victim`'s, and the
     index must bar exactly the blocks that are free, open or evacuating
     (:func:`assert_index_is_the_lanes`).  Counts the checks and the
@@ -155,6 +156,7 @@ class IndexWitness(Ftl):
         super().__init__(*args, **kwargs)
 
     def collect_victim(self):
+        assert_counts_are_the_map(self)
         victim = self.pick_victim()
         assert victim == reference_victim(self)
         assert_index_is_the_lanes(self)

@@ -1,6 +1,6 @@
-"""Tests for repro.obs: tracing, metrics, and the VOP audit.
+"""Tests for repro.obs: tracing, latency histograms, and the VOP audit.
 
-Covers the subsystem's three contracts: metrics math agrees with numpy
+Covers the subsystem's three contracts: histogram math agrees with numpy
 within bucket resolution, tracing is deterministic and perturbs
 nothing, and the audit reconciles honest runs while flagging injected
 leaks and double-charges.
@@ -18,15 +18,7 @@ from repro.core.tags import IoTag, OpKind, RequestClass
 from repro.core.vop import make_cost_model
 from repro.engine import EngineConfig
 from repro.node import NodeConfig, StorageNode
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Observability,
-    Tracer,
-    VopAudit,
-)
+from repro.obs import Histogram, Observability, Tracer, VopAudit
 from repro.obs.export import latency_breakdown, waterfall_report
 from repro.sim import Simulator
 from repro.ssd import SsdProfile
@@ -50,39 +42,8 @@ def exact_model():
 
 
 # ---------------------------------------------------------------------------
-# metrics
+# histograms
 # ---------------------------------------------------------------------------
-
-def test_counter_and_gauge():
-    c = Counter()
-    c.inc()
-    c.inc(2.5)
-    assert c.value == 3.5
-    with pytest.raises(ValueError):
-        c.inc(-1)
-    g = Gauge()
-    g.set(4.0)
-    g.add(-1.5)
-    assert g.value == 2.5
-
-
-def test_registry_get_or_create_and_install():
-    reg = MetricsRegistry()
-    c = reg.counter("reqs", tenant="a")
-    c.inc(5)
-    assert reg.counter("reqs", tenant="a") is c
-    assert reg.counter("reqs", tenant="b") is not c
-    with pytest.raises(TypeError):
-        reg.gauge("reqs", tenant="a")
-    # install replaces the slot wholesale (snapshot idempotency)
-    fresh = Counter()
-    fresh.value = 9.0
-    reg.install("reqs", fresh, tenant="a")
-    assert reg.counter("reqs", tenant="a").value == 9.0
-    flat = reg.as_dict()
-    assert flat["reqs{tenant=a}"] == 9.0
-    assert reg.names() == ["reqs"]
-
 
 def test_histogram_percentiles_match_numpy():
     rng = Random(5)
@@ -110,7 +71,6 @@ def test_histogram_merge_and_validation():
     a.merge(b)
     assert a.count == 4
     assert a.percentile(100) == 0.008
-    assert a.summary()["count"] == 4
     with pytest.raises(ValueError):
         a.merge(Histogram(bounds=(1.0, 2.0)))
     with pytest.raises(ValueError):

@@ -317,7 +317,7 @@ def victim_with(live):
                          overprovision=0.5), seed=1)
     per_block = ftl.pages_per_block
     for page in range(per_block + 1):  # the last page closes the block
-        ftl._append_page(page, False, 0)
+        ftl._append_page(page, 0)
     for page in range(live, per_block):
         ftl.trim(page * ftl.page_size, ftl.page_size)
     for chan in range(ftl.channels):
