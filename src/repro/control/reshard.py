@@ -1,6 +1,8 @@
-"""Live partition migration: catch-up-then-cutover.
+"""Live partition migration: placement and the cutover commit.
 
-Moving a partition while it serves traffic has three phases:
+Moving a partition while it serves traffic is catch-up-then-cutover,
+and the transfer protocol lives behind one module:
+:meth:`~repro.net.PrimaryBackupService.transfer` on the source primary.
 
 1. **Snapshot ship** — the source primary range-scans the partition's
    keys (a real, charged engine read) and ships them in batches to
@@ -9,14 +11,15 @@ Moving a partition while it serves traffic has three phases:
    therefore priced in VOPs on both ends, shows up in Libra's demand
    estimates, and reconciles in :class:`~repro.obs.audit.VopAudit`.
 2. **Catch-up rounds** — writes that committed on the source after the
-   snapshot started were collected in a WAL tail; the coordinator
-   replays the tail in rounds until it is short enough to drain inside
-   a fence window.
+   snapshot started were collected in a WAL tail; the source replays
+   the tail in rounds until it is short enough to drain inside a fence
+   window.
 3. **Fence + cutover** — the source stops admitting writes to the
    migrating range (in-flight ones commit first and join the tail),
-   the final tail drains, sequence state is aligned across the new
-   replica set, and one atomic :meth:`PartitionMap.set_replicas` (or
-   :meth:`PartitionMap.split`) version bump hands ownership over.
+   the final tail drains, and the commit this module supplies runs:
+   one atomic :meth:`PartitionMap.set_replicas` (or
+   :meth:`PartitionMap.split`) version bump hands ownership over, and
+   sequence state is aligned across the new replica set.
    Clients that raced the fence see their retries give up on the
    version change and re-resolve to the new primary — no acknowledged
    write is ever lost, because every acknowledged write is either in
@@ -29,9 +32,10 @@ Invariants the tests and ``scalefig`` lean on:
   before the map bump;
 - the map version strictly increases, and each cutover is a single
   bump (clients never observe an intermediate placement);
-- after cutover the tenant's reservation is re-split over the new
-  layout (``_resplit_tenant``), and a source that no longer hosts the
-  tenant drops to a zero reservation.
+- after cutover the cluster re-derives every node's share of the
+  tenant's reservation from the new map
+  (``StorageCluster.split_reservation``), so a source that no longer
+  hosts the tenant drops to a zero reservation.
 """
 
 from __future__ import annotations
@@ -82,21 +86,12 @@ class ReshardCoordinator:
     A DES actor: its public methods are generators the caller drives
     with ``yield from`` (or wraps in ``sim.process``).  One migration
     runs at a time per source partition; distinct partitions may
-    migrate concurrently.
+    migrate concurrently.  A move and a split share one body; they
+    differ only in the key range that moves and in the commit.
     """
 
     cluster: object
-    #: records per ``mig.apply`` batch
-    batch_records: int = 32
-    #: replay rounds stop once the tail is at most this long — the
-    #: remainder drains inside the fence window
-    tail_threshold: int = 8
-    #: hard cap on catch-up rounds (a write-hot range could otherwise
-    #: chase its own tail forever; the fence drain bounds the residue)
-    max_rounds: int = 10
     reports: List[MigrationReport] = field(default_factory=list)
-
-    # -- migration ---------------------------------------------------------
 
     def migrate(self, tenant: str, index: int, new_replicas: Tuple[str, ...]):
         """DES generator: move a partition to ``new_replicas``.
@@ -104,8 +99,8 @@ class ReshardCoordinator:
         Returns the :class:`MigrationReport` (also appended to
         ``reports``), or ``None`` when the placement is unchanged.
         """
-        cluster = self.cluster
-        pm = cluster.partition_map
+        pm = self.cluster.partition_map
+        services = self.cluster.services
         partition = pm.get_partition(tenant, index)
         new_replicas = tuple(new_replicas)
         if new_replicas == partition.replicas:
@@ -114,34 +109,20 @@ class ReshardCoordinator:
             raise ValueError(
                 f"{tenant}/{index} is mod-hash placed; only range partitions migrate"
             )
-        report = MigrationReport(
-            kind="move",
-            tenant=tenant,
-            index=index,
-            old_replicas=partition.replicas,
-            new_replicas=new_replicas,
-            started=cluster.sim.now,
-        )
-        source = cluster.services[partition.node]
-        # Joining replicas need the data shipped; survivors from the old
-        # set already hold the applied prefix.
-        targets = [n for n in new_replicas if n not in partition.replicas]
-        for name in new_replicas:
-            cluster.ensure_tenant(name, tenant)
-        source.migration_begin(tenant, index, partition.lo, partition.hi)
-        try:
-            residue = yield from self._catch_up(
-                source, report, tenant, index, partition.lo, partition.hi, targets
+
+        def commit(report):
+            pm.set_replicas(tenant, index, new_replicas)
+            # Declare the acked prefix on every new member so the new
+            # primary's stream continues above any survivor's applied
+            # sequence (a survivor would otherwise drop it as stale).
+            seq = max(
+                services[name].applied_seq(tenant, index)
+                for name in set(partition.replicas) | set(new_replicas)
             )
-            yield from self._cutover(
-                source, report, tenant, index, targets,
-                lambda: pm.set_replicas(tenant, index, new_replicas),
-                residue,
-            )
-        finally:
-            source.migration_end(tenant, index)
-        self._settle(tenant, index, partition.replicas, new_replicas, report)
-        return report
+            for name in new_replicas:
+                services[name].reset_stream(tenant, index, seq)
+
+        return (yield from self._move("move", partition, partition.lo, new_replicas, commit))
 
     def split(
         self,
@@ -156,10 +137,10 @@ class ReshardCoordinator:
         ``[at, hi)`` gets a fresh id on ``new_replicas`` (defaulting to
         the current replicas — an in-place metadata split with no data
         movement).  When the upper half moves, its data migrates with
-        the same snapshot/tail/fence machinery as :meth:`migrate`.
+        the same snapshot/tail/fence transfer as :meth:`migrate`.
         """
-        cluster = self.cluster
-        pm = cluster.partition_map
+        pm = self.cluster.partition_map
+        services = self.cluster.services
         partition = pm.get_partition(tenant, index)
         if partition.lo is None:
             raise ValueError(f"{tenant}/{index} is mod-hash placed; cannot split")
@@ -170,108 +151,42 @@ class ReshardCoordinator:
                 f"split point {at} outside ({partition.lo}, {partition.hi})"
             )
         new_replicas = tuple(new_replicas or partition.replicas)
+
+        def commit(report):
+            report.new_index = pm.split(tenant, index, at, new_replicas).index
+            # The upper half is a fresh stream: every new replica
+            # starts at sequence zero, already aligned.
+            for name in new_replicas:
+                services[name].reset_stream(tenant, report.new_index, 0)
+
+        # Only the upper range is tailed and fenced; writes to the
+        # lower half flow untouched throughout.
+        return (yield from self._move("split", partition, at, new_replicas, commit))
+
+    def _move(self, kind, partition, lo, new_replicas, commit):
+        """DES generator: transfer ``[lo, partition.hi)`` to the joining
+        replicas, run ``commit(report)`` inside the source's fence, then
+        re-split the tenant's reservation over the new map."""
+        cluster = self.cluster
+        tenant = partition.tenant
         report = MigrationReport(
-            kind="split",
-            tenant=tenant,
-            index=index,
-            old_replicas=partition.replicas,
-            new_replicas=new_replicas,
-            started=cluster.sim.now,
+            kind, tenant, partition.index, old_replicas=partition.replicas,
+            new_replicas=new_replicas, started=cluster.sim.now,
         )
-        source = cluster.services[partition.node]
+        # Joining replicas need the data shipped; survivors from the old
+        # set already hold the applied prefix.
         targets = [n for n in new_replicas if n not in partition.replicas]
         for name in new_replicas:
             cluster.ensure_tenant(name, tenant)
-        # Only the upper range is tailed and fenced; writes to the
-        # lower half flow untouched throughout.
-        source.migration_begin(tenant, index, at, partition.hi)
-        upper_holder = {}
-        try:
-            residue = yield from self._catch_up(
-                source, report, tenant, index, at, partition.hi, targets
-            )
-
-            def commit():
-                upper = pm.split(tenant, index, at, new_replicas)
-                upper_holder["partition"] = upper
-                # The upper half is a fresh stream: every new replica
-                # starts at sequence zero, already aligned.
-                for name in new_replicas:
-                    cluster.services[name].reset_stream(tenant, upper.index, 0)
-
-            yield from self._cutover(
-                source, report, tenant, index, targets, commit, residue
-            )
-        finally:
-            source.migration_end(tenant, index)
-        report.new_index = upper_holder["partition"].index
-        self._settle(tenant, index, partition.replicas, new_replicas, report)
-        return report
-
-    # -- phases ------------------------------------------------------------
-
-    def _catch_up(self, source, report, tenant, index, lo, hi, targets):
-        """Snapshot ship plus tail replay rounds (no fence yet)."""
-        snapshot = yield from source.migration_snapshot(tenant, lo, hi)
-        report.snapshot_records = len(snapshot)
-        yield from source.migration_ship(
-            targets, tenant, snapshot, batch=self.batch_records
+        source = cluster.services[partition.node]
+        (
+            report.snapshot_records, report.tail_rounds, report.tail_records, fenced_at
+        ) = yield from source.transfer(
+            tenant, partition.index, lo, partition.hi, targets, lambda: commit(report)
         )
-        for _round in range(self.max_rounds):
-            tail = source.migration_take_tail(tenant, index)
-            if len(tail) <= self.tail_threshold:
-                # Short enough to drain inside the fence window; carry
-                # it into the fenced drain.
-                report.tail_records += len(tail)
-                return tail
-            report.tail_rounds += 1
-            report.tail_records += len(tail)
-            yield from source.migration_ship(
-                targets, tenant, tail, batch=self.batch_records
-            )
-        return []
-
-    def _cutover(self, source, report, tenant, index, targets, commit, residue):
-        """Fence, drain the final tail, align sequences, bump the map."""
-        cluster = self.cluster
-        fence_start = cluster.sim.now
-        remainder = yield from source.migration_fence(tenant, index)
-        final = list(residue) + list(remainder)
-        report.tail_records += len(remainder)
-        yield from source.migration_ship(
-            targets, tenant, final, batch=self.batch_records
-        )
-        commit()
         report.cutover_at = cluster.sim.now
-        report.fence_seconds = cluster.sim.now - fence_start
+        report.fence_seconds = report.cutover_at - fenced_at
         report.map_version = cluster.partition_map.version
-
-    def _settle(self, tenant, index, old_replicas, new_replicas, report):
-        """Post-cutover bookkeeping: align streams, re-split reservations."""
-        cluster = self.cluster
-        if report.kind == "move":
-            # Declare the acked prefix on every new member so the new
-            # primary's stream continues above any survivor's applied
-            # sequence (a survivor would otherwise drop it as stale).
-            seq = max(
-                cluster.services[name].applied_seq(tenant, index)
-                for name in set(old_replicas) | set(new_replicas)
-            )
-            for name in new_replicas:
-                cluster.services[name].reset_stream(tenant, index, seq)
-        cluster._resplit_tenant(tenant)
-        # A source that no longer hosts any replica of the tenant keeps
-        # its engine (stale data is unreachable — clients resolve the new
-        # owner) but releases its reservation back to the pool.
-        from ..core.policy import Reservation
-
-        for name in old_replicas:
-            if name in new_replicas:
-                continue
-            node = cluster.nodes[name]
-            if (
-                tenant in node.tenants
-                and cluster.partition_map.replica_weight(tenant, name) == 0.0
-            ):
-                node.set_reservation(tenant, Reservation())
+        cluster.split_reservation(tenant)
         self.reports.append(report)
+        return report

@@ -22,13 +22,15 @@ Duplicates are harmless end to end: re-applied sequence numbers are
 acknowledged without re-running the write, and the KV store itself is
 last-writer-wins per key.
 
-The live-migration half (``mig.apply`` and the ``migration_*`` calls)
-is what :mod:`repro.control.reshard` drives.
+The live-migration protocol lives here whole: one
+:meth:`PrimaryBackupService.transfer` moves a key range off the source
+primary (``mig.apply`` lands it on the destination) and runs the
+cutover commit :mod:`repro.control.reshard` supplies inside its fence.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from ..faults import QuorumError, StorageFault
 from .replication import Quorum, ReplicaService
@@ -38,14 +40,21 @@ __all__ = ["PrimaryBackupService"]
 
 #: wire bytes for a replication record beyond its payload (seq, ids)
 REPL_HEADER_BYTES = 64
+#: records per ``mig.apply`` batch
+MIG_BATCH_RECORDS = 32
+#: catch-up rounds stop once the tail is at most this long; the rest
+#: drains inside the fence window
+TAIL_THRESHOLD = 8
+#: cap on catch-up rounds (a write-hot range could otherwise chase its
+#: own tail forever; the fence drain bounds the residue)
+MAX_TAIL_ROUNDS = 10
 
 
 class _Migration:
-    """Outbound migration state on a source primary (one key range).
+    """Outbound migration state on a source primary (one key range),
+    alive for one :meth:`PrimaryBackupService.transfer`.
 
-    Created by :meth:`PrimaryBackupService.migration_begin`; the reshard
-    coordinator drives the snapshot/catch-up/cutover sequence around
-    it.  ``tail`` collects writes to the migrating range that commit
+    ``tail`` collects writes to the migrating range that commit
     after the snapshot scan started — the WAL tail the catch-up rounds
     replay.  ``fenced`` rejects new writes during the final drain;
     the fence waits on the service's per-partition in-flight counter
@@ -54,14 +63,14 @@ class _Migration:
 
     __slots__ = ("lo", "hi", "tail", "fenced")
 
-    def __init__(self, lo: Optional[int], hi: Optional[int]):
+    def __init__(self, lo: int, hi: int):
         self.lo = lo
         self.hi = hi
         self.tail: List[Tuple[int, int, str]] = []  # (key, size, op)
         self.fenced = False
 
     def covers(self, key: int) -> bool:
-        return self.lo is None or (self.lo <= key < self.hi)
+        return self.lo <= key < self.hi
 
 
 class PrimaryBackupService(ReplicaService):
@@ -84,6 +93,10 @@ class PrimaryBackupService(ReplicaService):
       queried by the failure detector when choosing a promotion target.
     - ``mig.apply {tenant, records}`` — a migration destination applies
       a shipped batch.
+
+    Live migration is two calls: :meth:`transfer` (the whole protocol,
+    on the source primary) and :meth:`reset_stream` (a cutover's
+    sequence alignment, on each new replica).
     """
 
     def __init__(self, sim, node, fabric, partition_map, membership, config=None):
@@ -96,9 +109,9 @@ class PrimaryBackupService(ReplicaService):
         rpc.register_async("repl.apply", self._handle_apply)
         rpc.register("repl.seq", self._handle_seq)
         rpc.register("mig.apply", self._handle_mig_apply)
-        # -- live migration (control plane; see repro.control.reshard) -----
+        # -- live migration (see transfer) ---------------------------------
         #: outbound migrations on this primary: (tenant, pid) -> state
-        self.migrations: Dict[Tuple[str, int], _Migration] = {}
+        self._migrations: Dict[Tuple[str, int], _Migration] = {}
         #: writes in flight per (tenant, pid) — counted whether or not a
         #: migration is active, so a migration that *begins* mid-write
         #: can still fence against (and tail-capture) that write
@@ -155,7 +168,7 @@ class PrimaryBackupService(ReplicaService):
             # Re-fetch: a migration that began while this write was in
             # the engine must still capture it — the snapshot scan may
             # have already passed this key's position.
-            mig = self.migrations.get(slot)
+            mig = self._migrations.get(slot)
             if mig is not None and mig.covers(key):
                 mig.tail.append((key, size, op))
             yield from self._replicate(partition, key, size, op, trace)
@@ -309,13 +322,6 @@ class PrimaryBackupService(ReplicaService):
         yield  # pragma: no cover - marks this handler as a generator
 
     # -- live migration (source primary + destination sides) ----------------
-    #
-    # The reshard coordinator (repro.control.reshard) drives these as a
-    # catch-up-then-cutover sequence: snapshot scan (charged range read
-    # here), batched ship to the joining replicas (wire bytes on the
-    # fabric, charged replica applies there), WAL-tail replay rounds,
-    # then a fence + final drain so every acknowledged write is on the
-    # destination before the atomic map bump hands ownership over.
 
     def _fence_check(self, partition, key: int) -> Tuple[str, int]:
         """Admission check for a write; returns the in-flight slot key.
@@ -325,7 +331,7 @@ class PrimaryBackupService(ReplicaService):
         re-resolves once the cutover bumps the map version.
         """
         slot = (partition.tenant, partition.index)
-        mig = self.migrations.get(slot)
+        mig = self._migrations.get(slot)
         if mig is not None and mig.fenced and mig.covers(key):
             raise KeyError(
                 f"{partition.tenant}/{partition.index} is fenced for cutover "
@@ -343,68 +349,64 @@ class PrimaryBackupService(ReplicaService):
         else:
             self._op_inflight[slot] = remaining
 
-    def migration_begin(
-        self, tenant: str, pid: int, lo: Optional[int], hi: Optional[int]
-    ) -> None:
-        """Start tailing acked writes to ``[lo, hi)`` of a partition."""
-        slot = (tenant, pid)
-        if slot in self.migrations:
-            raise RuntimeError(f"{tenant}/{pid} already migrating on {self.node.name}")
-        self.migrations[slot] = _Migration(lo, hi)
-
-    def migration_take_tail(self, tenant: str, pid: int) -> List[Tuple[int, int, str]]:
-        """Drain the accumulated WAL tail for one catch-up round."""
-        mig = self.migrations[(tenant, pid)]
-        tail, mig.tail = mig.tail, []
-        return tail
-
-    def migration_fence(self, tenant: str, pid: int):
-        """DES generator: stop admitting writes to the migrating range,
-        wait for in-flight ones to commit, and return the final tail.
-
-        The wait covers *every* write in flight on the partition —
-        including ones admitted before :meth:`migration_begin` ran —
-        so nothing can commit (and tail-append) after the final drain.
-        """
-        slot = (tenant, pid)
-        mig = self.migrations[slot]
-        mig.fenced = True
-        while self._op_inflight.get(slot, 0) > 0:
-            waiter = self._op_idle.get(slot)
-            if waiter is None or waiter.triggered:
-                waiter = self.sim.event()
-                self._op_idle[slot] = waiter
-            yield waiter
-        tail, mig.tail = mig.tail, []
-        return tail
-
-    def migration_end(self, tenant: str, pid: int) -> None:
-        """Drop migration state after cutover (or on abort)."""
-        self.migrations.pop((tenant, pid), None)
-
-    def migration_snapshot(self, tenant: str, lo: int, hi: int):
-        """DES generator: charged range read of ``[lo, hi)`` from the
-        local engine — the snapshot the coordinator ships."""
-        results = yield from self.node.scan(tenant, lo, hi - 1)
-        return [(key, size, "put") for key, size in results]
-
-    def migration_ship(
-        self,
-        targets: Sequence[str],
-        tenant: str,
-        records: Sequence[Tuple[int, int, str]],
-        batch: int = 32,
+    def transfer(
+        self, tenant: str, pid: int, lo: int, hi: int, targets: Sequence[str],
+        commit: Callable[[], None],
     ):
-        """DES generator: ship records to each joining replica in order.
+        """DES generator: move ``[lo, hi)`` of a partition this node leads
+        to the joining replicas ``targets``, then run ``commit()``.
 
-        Batched ``mig.apply`` calls pay real wire bytes here and real
-        charged engine applies on the destination, so migration traffic
-        is priced in VOPs on both ends and reconciles in the audit.
+        A charged range scan is the snapshot, shipped in batched
+        ``mig.apply`` calls (wire bytes here, charged applies on each
+        target).  Writes that commit after the scan began collect in a
+        WAL tail, replayed in rounds until it is short.  Then the fence
+        rejects new writes to the range and waits for *every* write in
+        flight on the partition, including ones admitted before the
+        transfer began, so nothing can tail-append after the final
+        drain.  The final tail ships and ``commit`` (the caller's map
+        bump and stream alignment) runs inside the fence.  Returns
+        ``(snapshot records, tail rounds, tail records, fence start)``.
         """
-        if not records:
-            return
-        for start in range(0, len(records), batch):
-            chunk = list(records[start:start + batch])
+        slot = (tenant, pid)
+        if slot in self._migrations:
+            raise RuntimeError(f"{tenant}/{pid} already migrating on {self.node.name}")
+        mig = self._migrations[slot] = _Migration(lo, hi)
+        try:
+            scanned = yield from self.node.scan(tenant, lo, hi - 1)
+            yield from self._ship_records(
+                targets, tenant, [(key, size, "put") for key, size in scanned]
+            )
+            rounds = tailed = 0
+            residue = []
+            for _round in range(MAX_TAIL_ROUNDS):
+                tail, mig.tail = mig.tail, []
+                tailed += len(tail)
+                if len(tail) <= TAIL_THRESHOLD:
+                    residue = tail  # short enough to drain inside the fence
+                    break
+                rounds += 1
+                yield from self._ship_records(targets, tenant, tail)
+            fenced_at = self.sim.now
+            mig.fenced = True
+            while self._op_inflight.get(slot, 0) > 0:
+                waiter = self._op_idle.get(slot)
+                if waiter is None or waiter.triggered:
+                    waiter = self._op_idle[slot] = self.sim.event()
+                yield waiter
+            tailed += len(mig.tail)
+            yield from self._ship_records(targets, tenant, residue + mig.tail)
+            commit()
+        finally:
+            del self._migrations[slot]
+        return len(scanned), rounds, tailed, fenced_at
+
+    def _ship_records(
+        self, targets: Sequence[str], tenant: str, records: List[Tuple[int, int, str]]
+    ):
+        """DES generator: ship records to each target in order, in
+        batched ``mig.apply`` calls."""
+        for start in range(0, len(records), MIG_BATCH_RECORDS):
+            chunk = records[start:start + MIG_BATCH_RECORDS]
             nbytes = sum(size for _k, size, _op in chunk) + REPL_HEADER_BYTES
             for target in targets:
                 yield from self.rpc.call(
@@ -418,7 +420,7 @@ class PrimaryBackupService(ReplicaService):
     def reset_stream(self, tenant: str, pid: int, seq: int) -> None:
         """Align this replica's sequence state at cutover.
 
-        The coordinator declares the acked prefix to be ``seq`` on every
+        A cutover commit declares the acked prefix to be ``seq`` on every
         member of the new replica set (control metadata riding the map
         bump): the new primary continues shipping from there, and
         surviving old backups won't mistake the new stream for stale

@@ -204,12 +204,7 @@ class StorageCluster:
         self.partition_map.place_tenant_ranges(
             tenant, replica_sets, self._key_space, ring=self.ring.nodes
         )
-        for name, node in self.nodes.items():
-            local = self._local_reservation(tenant, name)
-            if local is None:
-                continue
-            node.add_tenant(tenant, local, engine_config=engine_config)
-            self.services[name].watch_tenant(tenant)
+        self.split_reservation(tenant, engine_config)
 
     def ensure_tenant(self, name: str, tenant: str) -> None:
         """Register a tenant on a node ahead of a migration (zero
@@ -240,26 +235,10 @@ class StorageCluster:
         reservation re-split.  Returns the migration reports.
         """
         name = self.add_node(name)
-        reports = []
         if self.ring is None:
-            return reports
+            return []
         self.ring.add_node(name)
-        for tenant in sorted(self.partition_map.tenants()):
-            if not self.partition_map.ranged(tenant):
-                continue
-            for partition in sorted(
-                self.partition_map.partitions(tenant), key=lambda p: p.index
-            ):
-                new_rs = self.ring.successors(
-                    f"{tenant}/{partition.index}", self.rf
-                )
-                if new_rs != partition.replicas:
-                    report = yield from self.reshard.migrate(
-                        tenant, partition.index, new_rs
-                    )
-                    if report is not None:
-                        reports.append(report)
-        return reports
+        return (yield from self._rebalance())
 
     def drain_node(self, name: str):
         """DES generator: migrate everything off a node, then retire it.
@@ -271,31 +250,7 @@ class StorageCluster:
         """
         if self.ring is not None and name in self.ring:
             self.ring.remove_node(name)
-        reports = []
-        for tenant in sorted(self.partition_map.tenants()):
-            if not self.partition_map.ranged(tenant):
-                continue
-            for partition in sorted(
-                self.partition_map.partitions(tenant), key=lambda p: p.index
-            ):
-                if name not in partition.replicas:
-                    continue
-                if self.ring is not None:
-                    new_rs = self.ring.successors(
-                        f"{tenant}/{partition.index}", self.rf
-                    )
-                else:
-                    survivors = tuple(
-                        r for r in partition.replicas if r != name
-                    )
-                    if not survivors:
-                        continue
-                    new_rs = survivors
-                report = yield from self.reshard.migrate(
-                    tenant, partition.index, new_rs
-                )
-                if report is not None:
-                    reports.append(report)
+        reports = yield from self._rebalance(leaving=name)
         heartbeat = self.heartbeats.pop(name, None)
         if heartbeat is not None:
             heartbeat.stop()
@@ -305,6 +260,30 @@ class StorageCluster:
         if ae is not None:
             ae.stop()
         self.nodes[name].stop()
+        return reports
+
+    def _rebalance(self, leaving: Optional[str] = None):
+        """DES generator: live-migrate each ranged partition, one at a
+        time in (tenant, id) order, to its ring successors (without a
+        ring: its replicas other than ``leaving``).  With a node
+        ``leaving``, only the partitions it holds a replica of move.
+        Returns the migration reports."""
+        pm = self.partition_map
+        reports = []
+        for tenant in sorted(pm.tenants()):
+            if not pm.ranged(tenant):
+                continue
+            for partition in sorted(pm.partitions(tenant), key=lambda p: p.index):
+                if leaving is not None and leaving not in partition.replicas:
+                    continue
+                if self.ring is not None:
+                    new_rs = self.ring.successors(f"{tenant}/{partition.index}", self.rf)
+                else:
+                    new_rs = tuple(r for r in partition.replicas if r != leaving)
+                if new_rs and new_rs != partition.replicas:
+                    report = yield from self.reshard.migrate(tenant, partition.index, new_rs)
+                    if report is not None:
+                        reports.append(report)
         return reports
 
     def split_partition(self, tenant: str, index: int, at: Optional[int] = None):
@@ -337,20 +316,35 @@ class StorageCluster:
         adapt these weights dynamically): GETs follow the node's
         *primary* partition share, PUTs its *replica* share, since a
         replicated write is durably applied — and costed — on every
-        replica.  Nodes hosting no replica of the tenant (possible when
-        the cluster has more nodes than partitions) are skipped
-        entirely: no engine, no principal, no zero reservation to
-        confuse the per-node policy.
+        replica.
         """
         self._global_reservations[tenant] = reservation
-        node_names = list(self.nodes)
-        self.partition_map.place_tenant(tenant, node_names, rf=self.rf)
+        self.partition_map.place_tenant(tenant, list(self.nodes), rf=self.rf)
+        self.split_reservation(tenant, engine_config)
+
+    def split_reservation(
+        self, tenant: str, engine_config: Optional[EngineConfig] = None
+    ) -> None:
+        """Derive every node's share of a tenant's global reservation
+        from the current map: the one writer of local reservations bar
+        :meth:`redistribute_reservations`, run on placement, failover
+        and each migration's cutover.
+
+        A replica host new to the tenant gets its engine
+        (``engine_config``) and principal here; a node hosting no
+        replica gets nothing, not even a zero reservation.  A live host
+        left with no replica (a migration source) keeps its engine
+        (stale data is unreachable) but drops to a zero reservation.
+        Dead nodes keep theirs (their schedulers are stopped).
+        """
         for name, node in self.nodes.items():
             local = self._local_reservation(tenant, name)
-            if local is None:
-                continue
-            node.add_tenant(tenant, local, engine_config=engine_config)
-            self.services[name].watch_tenant(tenant)
+            if tenant not in node.tenants:
+                if local is not None:
+                    node.add_tenant(tenant, local, engine_config=engine_config)
+                    self.services[name].watch_tenant(tenant)
+            elif not node.failed:
+                node.set_reservation(tenant, Reservation() if local is None else local)
 
     def _local_reservation(self, tenant: str, name: str) -> Optional[Reservation]:
         """The tenant's reservation share on one node; None if unhosted.
@@ -410,25 +404,10 @@ class StorageCluster:
             heartbeat.stop()
 
     def _on_failover(self, record) -> None:
-        """Detector callback: follow promotions with reservation moves."""
+        """Detector callback: the promoted primaries carry the dead
+        node's GET share, so re-split each promoted tenant."""
         for tenant in {tenant for tenant, _pid, _node, _seq in record.promotions}:
-            self._resplit_tenant(tenant)
-
-    def _resplit_tenant(self, tenant: str) -> None:
-        """Re-split a tenant's global reservation over the current map.
-
-        After a failover the promoted primaries carry the dead node's
-        GET share; dead nodes are skipped (their schedulers are
-        stopped).  A surviving node that hosts replicas but never saw
-        the tenant cannot appear here — promotion only reorders an
-        existing replica chain.
-        """
-        for name, node in self.nodes.items():
-            if node.failed or tenant not in node.tenants:
-                continue
-            local = self._local_reservation(tenant, name)
-            if local is not None:
-                node.set_reservation(tenant, local)
+            self.split_reservation(tenant)
 
     # -- reservation redistribution (the §2.1 higher-level policy) ---------------------
 

@@ -5,6 +5,13 @@
   (the FIFO of actions due now) or imports ``heapq.heappush``.  Every
   other layer queues an action through the kernel's public calls
   (``call_at``, ``Event.succeed``/``fail``, ``timeout``, ``process``).
+- Only ``net/primary_backup.py`` knows the live-migration protocol's
+  insides: no other module names ``_Migration``, the service's
+  ``_migrations`` table or a ``migration_*`` step.  The control plane
+  reaches it through ``PrimaryBackupService.transfer`` and
+  ``reset_stream`` alone.  (``GrowCell.migrations`` in ``scalefig``
+  is a count of moves, not the service's table, so the rule names the
+  table by its private spelling.)
 - Every name in every ``repro.*`` ``__all__`` resolves.
 """
 
@@ -19,6 +26,8 @@ SRC = Path(repro.__file__).resolve().parent
 KERNEL = SRC / "sim"
 #: the kernel's queue: its heap, the heap's tie-break counter, its FIFO
 QUEUE_ATTRS = {"_heap", "_seq", "_ready"}
+#: the one module that knows the live-migration protocol
+PRIMARY_BACKUP = SRC / "net" / "primary_backup.py"
 
 
 def queue_touches(source: str):
@@ -67,6 +76,50 @@ def test_only_the_kernel_touches_its_queue():
     assert len(outside) > 50
     touches = {str(path.relative_to(SRC)): queue_touches(path.read_text()) for path in outside}
     assert {path: hits for path, hits in touches.items() if hits} == {}
+
+
+def migration_touches(source: str):
+    """``(line, what)`` for each reach into the live-migration protocol
+    in ``source``: the ``_Migration`` class named or imported, the
+    ``_migrations`` table, or a ``migration_*`` attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (
+            node.attr == "_migrations" or node.attr.startswith("migration_")
+        ):
+            found.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.Name) and node.id == "_Migration":
+            found.append((node.lineno, "_Migration"))
+        elif isinstance(node, ast.ImportFrom):
+            if any(alias.name == "_Migration" for alias in node.names):
+                found.append((node.lineno, "import _Migration"))
+    return sorted(found)
+
+
+def test_the_checker_finds_a_reach_into_the_migration_protocol():
+    # How the reshard coordinator once drove the transfer step by step.
+    source = (
+        "from repro.net.primary_backup import _Migration\n"
+        "def move(source, cell):\n"
+        "    source.migration_begin('t', 0, 0, 10)\n"
+        "    tail = source.migration_take_tail('t', 0)\n"
+        "    state = source._migrations[('t', 0)]\n"
+        "    assert isinstance(state, _Migration)\n"
+        "    cell.migrations += 1  # a count of moves, not the table\n"
+    )
+    assert migration_touches(source) == [
+        (1, "import _Migration"), (3, ".migration_begin"),
+        (4, ".migration_take_tail"), (5, "._migrations"), (6, "_Migration"),
+    ]
+
+
+def test_only_primary_backup_knows_the_migration_protocol():
+    outside = [path for path in sorted(SRC.rglob("*.py")) if path != PRIMARY_BACKUP]
+    assert len(outside) > 50
+    touches = {str(path.relative_to(SRC)): migration_touches(path.read_text()) for path in outside}
+    assert {path: hits for path, hits in touches.items() if hits} == {}
+    # ...and the rule has something to guard: the protocol is in there.
+    assert migration_touches(PRIMARY_BACKUP.read_text())
 
 
 def test_every_name_in_every_all_resolves():

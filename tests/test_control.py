@@ -12,7 +12,7 @@ import pytest
 from repro.control.churn import ChurnConfig, _ChurnRunner, run_churn_trial
 from repro.control.ring import HashRing
 from repro.core import Reservation, reference_calibration
-from repro.faults import StorageFault
+from repro.faults import FaultKind, FaultPlan, FaultWindow, StorageFault
 from repro.net import NetConfig
 from repro.node import NodeConfig, StorageCluster
 from repro.node.router import PartitionMap
@@ -309,6 +309,143 @@ def test_migration_under_writes_loses_nothing_and_audits_clean():
     cluster.stop()
 
 
+def test_the_fence_waits_for_a_write_in_flight():
+    """A write admitted before the fence but not yet committed holds the
+    cutover: the fence waits for it, it rides the final tail (the
+    catch-up rounds never saw it), the destination applies it inside
+    the fence window, and it reads back from there after the cutover."""
+    sim = Simulator()
+    # A generous RPC timeout: the held write must not be retried.
+    cluster = make_cluster(sim, n_nodes=4, rf=2, rpc_timeout=2.0)
+    partition = cluster.partition_map.partitions(TENANT)[0]
+    spare = next(n for n in sorted(cluster.nodes) if n not in partition.replicas)
+    key = partition.lo + 7
+    gate = sim.event()
+    seen = {}
+    source, dest = cluster.nodes[partition.node], cluster.nodes[spare]
+    put, apply_replica = source.put, dest.apply_replica
+
+    def held_put(tenant, k, size, trace=None):
+        # Admitted (counted in flight) but held before its engine commit.
+        if k == key:
+            seen["admitted"] = sim.now
+            yield gate
+        yield from put(tenant, k, size, trace=trace)
+
+    def logged_apply(tenant, k, size, op="put", trace=None):
+        yield from apply_replica(tenant, k, size, op=op, trace=trace)
+        seen.setdefault("applied", []).append((k, sim.now))
+
+    source.put, dest.apply_replica = held_put, logged_apply
+    client = cluster.make_client()
+
+    def writer():
+        yield from client.put(TENANT, key, 3 * KIB)
+        seen["acked"] = sim.now
+
+    def release():
+        yield sim.timeout(0.3)
+        seen["released"] = sim.now
+        gate.succeed()
+
+    def control():
+        yield sim.timeout(0.05)
+        assert "admitted" in seen
+        return (yield from cluster.reshard.migrate(
+            TENANT, partition.index, (spare, partition.replicas[1])
+        ))
+
+    sim.process(writer(), name="writer")
+    sim.process(release(), name="release")
+    report = drive(sim, control(), until=10.0)
+    fence_start = report.cutover_at - report.fence_seconds
+    # The fence began while the write was held, and waited for it.
+    assert fence_start < seen["released"] <= report.cutover_at
+    assert seen["released"] <= seen["acked"]
+    # Not in the snapshot, not in a catch-up round: the final tail.
+    assert (report.snapshot_records, report.tail_rounds, report.tail_records) == (0, 0, 1)
+    [(applied_key, applied_at)] = seen["applied"]
+    assert applied_key == key
+    assert seen["released"] <= applied_at <= report.cutover_at
+    assert cluster.partition_map.get_partition(TENANT, partition.index).node == spare
+
+    def read_back():
+        return (yield from cluster.make_client().get(TENANT, key))
+
+    assert drive(sim, read_back(), until=10.0) == 3 * KIB
+    cluster.stop()
+
+
+#: :func:`drain_digest` of the grow-then-drain run below, recorded before
+#: the transfer protocol moved behind one module; re-record only for a
+#: deliberate model change
+GOLDEN_DRAIN = "72d4d6066314704a"
+
+
+def drain_digest() -> str:
+    """Grow a 3-node cluster by one node, then drain ``node0``, with four
+    writers in flight throughout (enough to need tail rounds); hash
+    every migration report, the final placement, each node's local
+    reservation and charged VOPs, and what the writers saw and read
+    back."""
+    sim = Simulator()
+    cluster = make_cluster(sim, n_nodes=3, rf=2, obs=Observability(audit=True))
+    client = cluster.make_client()
+    expected = {}
+    state = {"stop": False, "errors": 0}
+
+    def writer(w):
+        op = 0
+        while not state["stop"]:
+            op += 1
+            key = (op * 389 + w * 1031) % KEY_SPACE
+            try:
+                yield from client.put(TENANT, key, KIB + (op % 7) * 512)
+                expected[key] = KIB + (op % 7) * 512
+            except StorageFault:
+                state["errors"] += 1
+            yield sim.timeout(0.001)
+
+    def control():
+        yield sim.timeout(1.0)
+        grown = yield from cluster.grow("node3")
+        drained = yield from cluster.drain_node("node0")
+        state["stop"] = True
+        return grown, drained
+
+    def read_back():
+        check = cluster.make_client()
+        sizes = []
+        for key in sorted(expected):
+            sizes.append((yield from check.get(TENANT, key)))
+        return sizes
+
+    for w in range(4):
+        sim.process(writer(w), name=f"writer{w}")
+    grown, drained = drive(sim, control(), until=60.0)
+    sizes = drive(sim, read_back(), until=60.0)
+    payload = (
+        grown, drained, cluster.partition_map.version,
+        [(p.index, p.lo, p.hi, p.replicas) for p in cluster.partition_map.partitions(TENANT)],
+        {
+            name: (
+                node.policy.reservation(TENANT),
+                round(node.scheduler.usage(TENANT).vops, 6),
+                node.audit.summary()["ok"],
+            )
+            for name, node in sorted(cluster.nodes.items())
+        },
+        len(expected), state["errors"],
+        sizes == [expected[key] for key in sorted(expected)],
+    )
+    cluster.stop()
+    return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
+
+
+def test_grow_then_drain_matches_its_golden_digest():
+    assert drain_digest() == GOLDEN_DRAIN
+
+
 def test_grow_and_drain_roundtrip_keeps_data():
     sim = Simulator()
     cluster = make_cluster(sim, n_nodes=3, rf=2)
@@ -330,6 +467,51 @@ def test_grow_and_drain_roundtrip_keeps_data():
         assert "node0" not in p.replicas  # fully drained
     assert "node3" in cluster.nodes and cluster.membership.is_live("node3")
     assert not cluster.membership.is_live("node0")
+    cluster.stop()
+
+
+def test_a_partial_failover_keeps_its_record_and_resplits():
+    """node1 leads partitions 1 (backup node0) and 3 (backup node2), and
+    node2 is cut off while the detector asks for applied sequences:
+    partition 1 is promoted, partition 3 keeps its dead primary until a
+    later sweep.  The first record is kept with its one promotion, and
+    the promoted node's reservation follows its new primary share at
+    once rather than after the retry."""
+    sim = Simulator()
+    plan = FaultPlan(seed=1).add(
+        FaultWindow(FaultKind.NET_PARTITION, 1.3, 1.75, groups=(("node2",),))
+    )
+    cluster = make_cluster(
+        sim, n_nodes=3, rf=2, heartbeat_interval=0.05, suspicion_timeout=0.5,
+        rpc_timeout=0.05, rpc_retries=1, fault_plan=plan,
+    )
+    pm = cluster.partition_map
+    assert [(p.index, p.replicas) for p in pm.partitions(TENANT) if p.node == "node1"] == [
+        (1, ("node1", "node0")), (3, ("node1", "node2")),
+    ]
+    before = cluster.nodes["node0"].policy.reservation(TENANT)
+
+    def killer():
+        yield sim.timeout(1.0)
+        cluster.kill_node("node1")
+
+    sim.process(killer(), name="killer")
+    sim.run(until=1.75)
+    [record] = cluster.detector.failovers
+    assert record.node == "node1"
+    assert [(t, pid, node) for t, pid, node, _seq in record.promotions] == [(TENANT, 1, "node0")]
+    assert pm.get_partition(TENANT, 3).node == "node1"
+    after = cluster.nodes["node0"].policy.reservation(TENANT)
+    assert after == Reservation(
+        gets=2000 * pm.primary_weight(TENANT, "node0"),
+        puts=2000 * pm.replica_weight(TENANT, "node0"),
+    )
+    assert after.gets > before.gets
+    # After the heal the retry promotes the rest in a record of its own.
+    sim.run(until=2.5)
+    assert [rec.promotions[0][:3] for rec in cluster.detector.failovers] == [
+        (TENANT, 1, "node0"), (TENANT, 3, "node2"),
+    ]
     cluster.stop()
 
 
