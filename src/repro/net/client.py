@@ -11,10 +11,12 @@ exhausted (the primary died, or the network ate every attempt), the
 client re-resolves the key — the map version has usually been bumped by
 the failure detector by then, so the cached owner is dropped and the
 new primary is tried.  The budget is additionally *abandoned early*
-(the RPC layer's ``give_up`` hook) the moment the membership declares
-the target dead or the partition map version moves: a client holding a
-pre-failover resolution re-resolves after one failed attempt instead of
-hammering a dead endpoint with its whole retry budget.  The rounds
+(the RPC layer's ``give_up`` hook, consulted after each failed attempt)
+once the membership has declared the target dead or the partition map
+version has moved: a client holding a pre-failover resolution
+re-resolves after one failed attempt instead of hammering a dead
+endpoint with its whole retry budget.  A target already known dead is
+not called at all: ``_call_primary`` fails that round fast itself.  The rounds
 budget bounds how long a request can chase a moving owner before the
 failure surfaces to the application.
 
@@ -62,6 +64,7 @@ class ClusterClient:
         self.sim = sim
         self.partition_map = partition_map
         self.membership = membership
+        self._live = membership.live
         self.config = config or fabric.config
         self.resolve_rounds = resolve_rounds
         #: optional repro.obs Tracer; client requests allocate the root
@@ -75,21 +78,15 @@ class ClusterClient:
         self._version_seen = -1
         #: (tenant, partition) -> (primary, give_up) under ``_version_seen``
         self._primary_cache: Dict[tuple, tuple] = {}
-        #: the request protocol, resolved once: how a request finds its
-        #: serving replica, and the method per request kind
+        #: the request protocol: a leaderless request finds a coordinator
+        #: among the key's home replicas, a primary-backup one its primary
         self._leaderless = self.config.leaderless
-        if self._leaderless:
-            self._call = self._call_coordinator
-            self._methods = {"get": "lkv.get", "put": "lkv.put", "delete": "lkv.put"}
-        else:
-            self._call = self._call_primary
-            self._methods = {"get": "kv.get", "put": "kv.put", "delete": "kv.delete"}
-        #: primary-backup GETs read a quorum when one above 1 is set
+        #: primary-backup GETs read a quorum when one above 1 is set, and
+        #: the primary alone otherwise
         read_quorum = self.config.read_quorum
-        self._quorum_reads = (
-            not self.config.leaderless and read_quorum is not None and read_quorum > 1
-        )
-        #: tenant -> (RequestStats, LatencyRecorder), from its first answer
+        self._primary_reads = not self._leaderless and (read_quorum is None or read_quorum <= 1)
+        #: tenant -> (RequestStats, its latency series by kind), from its
+        #: first answer
         self._books: Dict[str, tuple] = {}
 
     # -- resolution (the cluster's one route cache) ------------------------
@@ -113,8 +110,9 @@ class ClusterClient:
             self._version_seen = pm.version
         partition = pm.partition_of(tenant, key)
         slot = (tenant, partition.index)
-        route = self._primary_cache.get(slot)
-        if route is None:
+        try:
+            return self._primary_cache[slot]
+        except KeyError:
             target = partition.node
             route = self._primary_cache[slot] = (
                 target,
@@ -122,22 +120,16 @@ class ClusterClient:
                     not self.membership.is_live(t) or self.partition_map.version != v
                 ),
             )
-        return route
-
-    def _live_route(self, tenant: str, key: int) -> Optional[tuple]:
-        """The cached ``(primary, give_up)`` route when that primary is
-        live — a request's first round, which needs no re-resolution —
-        else None (a dead owner, or leaderless routing)."""
-        if self._leaderless:
-            return None
-        route = self._route(tenant, key)
-        return route if self.membership.is_live(route[0]) else None
+            return route
 
     # -- request API (drive with ``yield from``) ---------------------------
     #
-    # A live cached route goes straight to ``RpcEndpoint.call``; the
-    # protocol's rounds (``_call``) run from the start without one, and
-    # continue from the first round's ``RetriesExhausted`` with one.
+    # A primary-backup request whose cached primary is live goes straight
+    # to ``RpcEndpoint.call``; ``_call_primary``'s rounds run from the
+    # start without one, and continue from the first round's
+    # ``RetriesExhausted`` with one.  Payloads are tuples: ``(tenant,
+    # key)`` for a GET, ``(tenant, key, size, op)`` for a write; the
+    # trace id rides on the message.
 
     def get(self, tenant: str, key: int):
         """GET; returns the object size or None.
@@ -149,57 +141,64 @@ class ClusterClient:
         """
         started = self.sim.now
         tr = self.tracer
-        trace = tr.new_trace() if tr is not None else None
-        payload = {"tenant": tenant, "key": key}
-        if trace is not None:
-            payload["trace"] = trace
-        if self._quorum_reads:
-            size = yield from self._quorum_get(tenant, key, payload, trace)
-        else:
-            method = self._methods["get"]
-            route = self._live_route(tenant, key)
-            if route is None:
-                reply = yield from self._call(tenant, key, method, payload, ACK_BYTES, trace)
-            else:
+        trace = None if tr is None else tr.new_trace()
+        payload = (tenant, key)
+        if self._primary_reads:
+            target, give_up = self._route(tenant, key)
+            if target in self._live:
                 try:
-                    reply = yield from self.rpc.call(
-                        route[0], method, payload, ACK_BYTES, trace, route[1]
+                    size = yield from self.rpc.call(
+                        target, "kv.get", payload, ACK_BYTES, trace, give_up
                     )
                 except RetriesExhausted as exc:
-                    reply = yield from self._call_primary(
-                        tenant, key, method, payload, ACK_BYTES, trace, (route[0], exc)
+                    size = yield from self._call_primary(
+                        tenant, key, "kv.get", payload, ACK_BYTES, trace, (target, exc)
                     )
-            size = reply["size"]
+            else:
+                size = yield from self._call_primary(
+                    tenant, key, "kv.get", payload, ACK_BYTES, trace
+                )
+        elif self._leaderless:
+            size = yield from self._call_coordinator(
+                tenant, key, "lkv.get", payload, ACK_BYTES, trace
+            )
+        else:
+            size = yield from self._quorum_get(tenant, key, payload, trace)
         self._note(tenant, "get", size or 1024, started, trace)
         return size
 
     def put(self, tenant: str, key: int, size: int, op: str = "put"):
         """PUT; acked once durable on the partition's write quorum.
 
-        Returns the serving replica's reply; a leaderless coordinator's
-        carries the stamped version, which the partition experiments
-        record to audit acked-write survival.  ``op="delete"`` is
-        :meth:`delete`.
+        Returns the serving replica's reply: True from a primary, and a
+        leaderless coordinator's dict carrying the stamped version, which
+        the partition experiments record to audit acked-write survival.
+        ``op="delete"`` is :meth:`delete`.
         """
         started = self.sim.now
         tr = self.tracer
-        trace = tr.new_trace() if tr is not None else None
-        payload = {"tenant": tenant, "key": key, "size": size, "op": op}
-        if trace is not None:
-            payload["trace"] = trace
-        nbytes = size if op == "put" else ACK_BYTES
-        method = self._methods[op]
-        route = self._live_route(tenant, key)
-        if route is None:
-            reply = yield from self._call(tenant, key, method, payload, nbytes, trace)
+        trace = None if tr is None else tr.new_trace()
+        payload = (tenant, key, size, op)
+        if op == "put":
+            method, nbytes, noted = "kv.put", size, size
         else:
-            try:
-                reply = yield from self.rpc.call(route[0], method, payload, nbytes, trace, route[1])
-            except RetriesExhausted as exc:
-                reply = yield from self._call_primary(
-                    tenant, key, method, payload, nbytes, trace, (route[0], exc)
-                )
-        self._note(tenant, op, size if op == "put" else 1024, started, trace)
+            method, nbytes, noted = "kv.delete", ACK_BYTES, 1024
+        if self._leaderless:
+            reply = yield from self._call_coordinator(
+                tenant, key, "lkv.put", payload, nbytes, trace
+            )
+        else:
+            target, give_up = self._route(tenant, key)
+            if target in self._live:
+                try:
+                    reply = yield from self.rpc.call(target, method, payload, nbytes, trace, give_up)
+                except RetriesExhausted as exc:
+                    reply = yield from self._call_primary(
+                        tenant, key, method, payload, nbytes, trace, (target, exc)
+                    )
+            else:
+                reply = yield from self._call_primary(tenant, key, method, payload, nbytes, trace)
+        self._note(tenant, op, noted, started, trace)
         return reply
 
     def delete(self, tenant: str, key: int):
@@ -289,7 +288,7 @@ class ClusterClient:
             f"reachable ({candidates})"
         ) from last
 
-    def _quorum_get(self, tenant: str, key: int, payload: dict,
+    def _quorum_get(self, tenant: str, key: int, payload: tuple,
                     trace: Optional[int] = None):
         """Read from a quorum of live replicas; chain-senior reply wins."""
         partition = self.partition_map.partition_of(tenant, key)
@@ -301,7 +300,7 @@ class ClusterClient:
         need = min(self.config.effective_read_quorum, len(live))
         # Once every live replica has answered, one reply is enough.
         quorum = Quorum(
-            self.sim, need, len(live), NodeUnreachable, self.rpc.name, payload, least=1
+            self.sim, need, len(live), NodeUnreachable, self.rpc.name, tenant, key, least=1
         )
         replies: Dict[int, Optional[int]] = {}
         for rank, name in enumerate(live):
@@ -309,7 +308,7 @@ class ClusterClient:
                 self._read_one(name, rank, payload, replies, quorum, trace),
                 name=f"qread.{self.rpc.name}.{name}",
             )
-        yield quorum.event
+        yield quorum
         # Chain order = seniority: rank 0 is the primary.
         return replies[min(replies)]
 
@@ -321,7 +320,7 @@ class ClusterClient:
         except StorageFault:
             quorum(False)
             return
-        replies[rank] = reply["size"]
+        replies[rank] = reply
         quorum(True)
 
     def _note(
@@ -329,10 +328,12 @@ class ClusterClient:
         trace: Optional[int] = None,
     ) -> None:
         """Count an answered request and its latency; span it if tracing."""
-        books = self._books.get(tenant)
-        if books is None:
-            books = self._books[tenant] = (self.stats[tenant], self.latencies[tenant])
-        stats, latencies = books
+        try:
+            stats, series = self._books[tenant]
+        except KeyError:
+            stats, series = self._books[tenant] = (
+                self.stats[tenant], self.latencies[tenant].series
+            )
         units = size / NORMALIZED_REQUEST_BYTES if size > NORMALIZED_REQUEST_BYTES else 1.0
         if kind == "get":  # the two hot kinds, without a call
             stats.gets += 1
@@ -342,15 +343,14 @@ class ClusterClient:
             stats.put_units += units
         else:
             stats.note_units(kind, units)
-        now = self.sim.now
-        latency = now - started
-        series = latencies.series[kind]  # LatencyRecorder.record, inline
+        latency = self.sim.now - started
+        series = series[kind]  # LatencyRecorder.record, inline
         series.samples.append(latency)
         series.count += 1
         series.total += latency
         tr = self.tracer
         if tr is not None:
             tr.span(
-                kind, "client", self.rpc.name, tenant, started, now,
+                kind, "client", self.rpc.name, tenant, started, self.sim.now,
                 trace=trace, args={"bytes": size},
             )

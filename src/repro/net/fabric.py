@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from ..faults import FaultPlan, NetFaultInjector
 from ..sim import Simulator
 
-__all__ = ["MESSAGE_OVERHEAD", "NetConfig", "LinkStats", "Nic", "NetworkFabric"]
+__all__ = ["MESSAGE_OVERHEAD", "NetConfig", "LinkStats", "Nic", "Link", "NetworkFabric"]
 
 #: framing/header bytes added to every message's serialization cost
 MESSAGE_OVERHEAD = 256
@@ -161,18 +161,115 @@ class Nic:
     a message starting service at ``max(now, next_free)`` and holding
     the NIC for its serialization time yields exactly FIFO queueing
     delay under load, with no per-message process overhead.
-    :meth:`NetworkFabric.send` does the accounting, into the links'
-    books (``NetworkFabric.link_stats``): the NIC keeps no counters of
-    its own, and its sent messages and bytes are its outbound links'
-    sums.
+    :meth:`Link.send` does the accounting, into the links' books
+    (``NetworkFabric.link_stats``): the NIC keeps no counters of its
+    own, and its sent messages and bytes are its outbound links' sums.
+    ``down`` is set once the endpoint is killed.
     """
 
-    __slots__ = ("name", "bandwidth", "next_free")
+    __slots__ = ("name", "bandwidth", "next_free", "down")
 
     def __init__(self, name: str, bandwidth: float):
         self.name = name
         self.bandwidth = bandwidth
         self.next_free = 0.0
+        self.down = False
+
+
+class Link:
+    """One direction between two endpoints, resolved once per pair: its
+    counters, its source NIC and what a message arriving over it is
+    handed to.
+
+    A sender that keeps the link of each peer (an
+    :class:`~repro.net.rpc.RpcEndpoint` does) sends with :meth:`send`
+    and names the receiver's handler per message, so one kernel action
+    per message runs that handler at the arrival time.  The handler is
+    the receiver's: if the receiver may be down by then, it checks
+    (``Nic.down``) and counts the dead letter
+    (:meth:`NetworkFabric.dead_letter`).  :meth:`deliver` is the
+    fabric's own such handler, for a plain attached callable.
+    """
+
+    __slots__ = ("sim", "src", "dst", "stats", "nic", "latency", "injector", "fabric")
+
+    def __init__(self, fabric: "NetworkFabric", src: str, dst: str):
+        self.fabric = fabric
+        self.sim = fabric.sim
+        self.src = src
+        self.dst = dst
+        self.stats = LinkStats()
+        self.nic = fabric.nics[src]
+        self.latency = fabric.config.link_latency
+        self.injector = fabric.injector
+
+    @property
+    def receiver(self) -> Optional[Any]:
+        """What ``dst`` attached (None while it is not attached)."""
+        return self.fabric._handlers.get(self.dst)
+
+    def send(self, nbytes: int, message: Any, deliver: Callable[[Any], None]) -> None:
+        """Ship ``message`` (fire-and-forget); ``deliver(message)`` runs
+        at its arrival.
+
+        Serialization occupies the source NIC (FIFO), propagation adds
+        the link latency, and the active fault windows may drop, delay,
+        or duplicate the message in flight.  A dead source sends
+        nothing.
+        """
+        nic = self.nic
+        if nic.down:
+            return
+        now = self.sim.now
+        wire_bytes = nbytes + MESSAGE_OVERHEAD
+        self.stats.messages += 1
+        self.stats.bytes += wire_bytes
+        # Occupy the source NIC: service starts once it is free.
+        if nic.next_free > now:
+            stats = self.stats
+            queue_wait = nic.next_free - now
+            stats.queue_wait += queue_wait
+            if queue_wait > stats.max_queue_wait:
+                stats.max_queue_wait = queue_wait
+            nic.next_free += wire_bytes / nic.bandwidth
+        else:
+            nic.next_free = now + wire_bytes / nic.bandwidth
+        if self.injector is None:
+            self.sim.call_at(nic.next_free + self.latency, deliver, message)
+        else:
+            self._faulty(now, deliver, message)
+
+    def _faulty(self, now: float, deliver: Callable[[Any], None], message: Any) -> None:
+        """The rest of a send while fault windows may apply."""
+        done_at = self.nic.next_free
+        injector = self.injector
+        stats = self.stats
+        sim = self.sim
+        # Partition severance first: it is deterministic (no RNG draw),
+        # so cutting a link never perturbs drop/dup streams.
+        if injector.severed(now, self.src, self.dst):
+            stats.partitioned += 1
+            return
+        if injector.drop(now):
+            stats.dropped += 1
+            return
+        extra = injector.extra_delay(now)
+        deliveries = 1
+        if injector.duplicate(now):
+            stats.duplicated += 1
+            deliveries = 2
+        arrival = done_at + self.latency + extra
+        for copy in range(deliveries):
+            # Duplicates trail the original by one propagation delay.
+            sim.call_at(arrival + copy * self.latency, deliver, message)
+
+    def deliver(self, message: Any) -> None:
+        """Hand ``message`` to what ``dst`` attached, looked up now (an
+        endpoint not attached drops it), or count a dead letter."""
+        if self.dst in self.fabric._down:
+            self.stats.dead_letters += 1
+            return
+        self.fabric._handlers.get(self.dst, _drop)(message)
 
 
 def _drop(_message: Any) -> None:
@@ -182,7 +279,7 @@ def _drop(_message: Any) -> None:
 class NetworkFabric:
     """Message transport between named endpoints.
 
-    ``send`` is fire-and-forget: the message is delivered to the
+    Sending is fire-and-forget: the message is delivered to the
     destination endpoint's handler at its (congestion- and fault-
     adjusted) arrival time, or never — request/response semantics live
     one layer up, in :mod:`repro.net.rpc`.
@@ -195,10 +292,8 @@ class NetworkFabric:
         self._handlers: Dict[str, Callable[[Any], None]] = {}
         self._down: Dict[str, float] = {}  # endpoint -> kill time
         self.link_stats: Dict[Tuple[str, str], LinkStats] = {}
-        #: per-link context: src -> dst -> (LinkStats, source Nic,
-        #: delivery callable), resolved on a link's first message
-        self._links: Dict[str, Dict[str, Tuple[LinkStats, Nic, Callable[[Any], None]]]] = {}
-        self._latency = self.config.link_latency
+        #: src -> dst -> Link, opened on the pair's first message
+        self._links: Dict[str, Dict[str, Link]] = {}
         self.injector = (
             NetFaultInjector(self.config.fault_plan)
             if self.config.fault_plan is not None
@@ -208,10 +303,12 @@ class NetworkFabric:
     # -- membership --------------------------------------------------------
 
     def attach(self, name: str, handler: Callable[[Any], None]) -> Nic:
-        """Register an endpoint; ``handler(message)`` runs per delivery."""
+        """Register an endpoint; ``handler(message)`` runs per delivery
+        (a sender with typed handlers calls those instead)."""
         if name in self.nics:
             raise ValueError(f"endpoint {name!r} already attached")
         nic = Nic(name, self.config.nic_bandwidth)
+        nic.down = name in self._down
         self.nics[name] = nic
         self._handlers[name] = handler
         self._links[name] = {}
@@ -220,76 +317,32 @@ class NetworkFabric:
     def set_down(self, name: str) -> None:
         """Kill an endpoint: it no longer sends or receives anything."""
         self._down.setdefault(name, self.sim.now)
+        nic = self.nics.get(name)
+        if nic is not None:
+            nic.down = True
 
     # -- transport ---------------------------------------------------------
 
-    def send(self, src: str, dst: str, nbytes: int, message: Any) -> None:
-        """Ship ``message`` from ``src`` to ``dst`` (fire-and-forget).
+    def link(self, src: str, dst: str) -> Link:
+        """The link from attached ``src`` to ``dst``, opened on first use.
 
-        Serialization occupies the source NIC (FIFO), propagation adds
-        the link latency, and the active fault windows may drop, delay,
-        or duplicate the message in flight.  Messages from or to a dead
-        endpoint vanish.
+        A dead source opens none: its link is a throwaway whose sends
+        vanish, so it adds no counters.
         """
-        if src in self._down:
-            return
         link = self._links[src].get(dst)
         if link is None:
-            link = self._open_link(src, dst)
-        stats, nic, deliver = link
-        sim = self.sim
-        now = sim.now
-        wire_bytes = nbytes + MESSAGE_OVERHEAD
-        # Occupy the source NIC: service starts once it is free.
-        start = nic.next_free if nic.next_free > now else now
-        done_at = nic.next_free = start + wire_bytes / nic.bandwidth
-        queue_wait = start - now
-        stats.messages += 1
-        stats.bytes += wire_bytes
-        stats.queue_wait += queue_wait
-        if queue_wait > stats.max_queue_wait:
-            stats.max_queue_wait = queue_wait
-        if self.injector is None:
-            sim.call_at(done_at + self._latency, deliver, message)
-            return
-        # Partition severance first: it is deterministic (no RNG draw),
-        # so cutting a link never perturbs drop/dup streams.
-        if self.injector.severed(now, src, dst):
-            stats.partitioned += 1
-            return
-        if self.injector.drop(now):
-            stats.dropped += 1
-            return
-        extra = self.injector.extra_delay(now)
-        deliveries = 1
-        if self.injector.duplicate(now):
-            stats.duplicated += 1
-            deliveries = 2
-        arrival = done_at + self._latency + extra
-        for copy in range(deliveries):
-            # Duplicates trail the original by one propagation delay.
-            sim.call_at(arrival + copy * self._latency, deliver, message)
-
-    def _open_link(self, src: str, dst: str) -> Tuple[LinkStats, Nic, Callable[[Any], None]]:
-        """A link's first message: its counters, its source NIC and the
-        callable each of its messages is delivered by (a queued action
-        that hands the message to the destination's handler, or counts
-        a dead letter)."""
-        stats = self.link_stats[(src, dst)] = LinkStats()
-        down = self._down
-        handler = self._handlers.get(dst)
-        if handler is None:
-            # Not attached (yet): look it up per message; none drops it.
-            handlers = self._handlers
-
-            def handler(message: Any) -> None:
-                handlers.get(dst, _drop)(message)
-
-        def deliver(message: Any) -> None:
-            if dst in down:
-                stats.dead_letters += 1
-                return
-            handler(message)
-
-        link = self._links[src][dst] = (stats, self.nics[src], deliver)
+            link = Link(self, src, dst)
+            if src not in self._down:
+                self._links[src][dst] = link
+                self.link_stats[(src, dst)] = link.stats
         return link
+
+    def send(self, src: str, dst: str, nbytes: int, message: Any) -> None:
+        """Ship ``message`` from ``src`` to ``dst`` over their link, to
+        be handed to what ``dst`` attached (see :meth:`Link.send`)."""
+        link = self.link(src, dst)
+        link.send(nbytes, message, link.deliver)
+
+    def dead_letter(self, src: str, dst: str) -> None:
+        """Count a message that reached ``dst`` after it was killed."""
+        self.link_stats[(src, dst)].dead_letters += 1

@@ -154,17 +154,26 @@ class LeaderlessService(ReplicaService):
             )
         return partition
 
-    def _handle_lput(self, payload):
+    def _handle_lput(self, request):
         """Coordinate a leaderless write: version, apply locally, ship.
 
         The coordinator's own durable commit is the first ack; the rest
         of the **sloppy** write quorum comes from home replicas or — for
         unreachable homes — hint holders, each ack meaning "this record
-        is durable somewhere and will reach its owner".
+        is durable somewhere and will reach its owner".  The payload is
+        ``(tenant, key, size, op)``.
         """
-        tenant, key = payload["tenant"], payload["key"]
-        size, op = payload["size"], payload["op"]
-        trace = payload.get("trace")
+        started = self.sim.now
+        try:
+            reply = yield from self._coordinate_put(request)
+        except Exception as exc:  # noqa: BLE001 - travels back to the caller
+            self.rpc.reply_error(request, exc)
+            return
+        self.rpc.reply(request, reply, ACK_BYTES, started)
+
+    def _coordinate_put(self, request):
+        tenant, key, size, op = request.payload
+        trace = request.trace
         partition = self._home_partition(tenant, key)
         self._lseq += 1
         version = Version(
@@ -182,7 +191,7 @@ class LeaderlessService(ReplicaService):
         self.versions.insert(tenant, key, version)
         peers = [name for name in partition.replicas if name != self.node.name]
         need = min(self.config.effective_write_quorum, len(partition.replicas)) - 1
-        quorum = Quorum(self.sim, need, len(peers), QuorumError, self.node.name, payload)
+        quorum = Quorum(self.sim, need, len(peers), QuorumError, self.node.name, tenant, key)
         for name in peers:
             self.sim.process(
                 self._ship_versioned(partition, name, key, version, quorum, trace),
@@ -190,12 +199,12 @@ class LeaderlessService(ReplicaService):
             )
         if need > 0 and peers:
             try:
-                yield quorum.event
+                yield quorum
             except QuorumError:
                 self.quorum_failures += 1
                 raise
         self.quorum_acks += 1
-        return {"ok": True, "version": version.wire()}, ACK_BYTES
+        return {"ok": True, "version": version.wire()}
 
     def _ship_versioned(self, partition, target, key, version, quorum, trace=None):
         """Ship one versioned record to a home replica, spilling to a
@@ -235,16 +244,27 @@ class LeaderlessService(ReplicaService):
                 continue
         return False
 
-    def _handle_lget(self, payload):
+    def _handle_lget(self, request):
         """Coordinate a leaderless quorum read with read repair.
 
         Collects versioned replies from R home replicas (the local one
-        free), reconciles, answers with the winner, and pushes repair
-        records — full charged engine writes — to every replica whose
-        reply missed a surviving version.
+        free), reconciles, answers with the winner's size, and pushes
+        repair records — full charged engine writes — to every replica
+        whose reply missed a surviving version.  The payload is
+        ``(tenant, key)``, and is each replica's ``repl.read`` payload.
         """
-        tenant, key = payload["tenant"], payload["key"]
-        trace = payload.get("trace")
+        started = self.sim.now
+        try:
+            size = yield from self._coordinate_get(request)
+        except Exception as exc:  # noqa: BLE001 - travels back to the caller
+            self.rpc.reply_error(request, exc)
+            return
+        self.rpc.reply(request, size, size or ACK_BYTES, started)
+
+    def _coordinate_get(self, request):
+        payload = request.payload
+        tenant, key = payload
+        trace = request.trace
         partition = self._home_partition(tenant, key)
         need = min(self.config.effective_read_quorum, len(partition.replicas)) - 1
         local_size = yield from self.node.get(tenant, key, trace=trace)
@@ -252,20 +272,20 @@ class LeaderlessService(ReplicaService):
         peers = [name for name in partition.replicas if name != self.node.name]
         if need > 0 and peers:
             quorum = Quorum(
-                self.sim, need, len(peers), NodeUnreachable, self.node.name, payload
+                self.sim, need, len(peers), NodeUnreachable, self.node.name, tenant, key
             )
             for name in peers:
                 self.sim.process(
                     self._read_one_replica(name, payload, replies, quorum, trace),
                     name=f"lread.{self.node.name}->{name}",
                 )
-            yield quorum.event  # raises NodeUnreachable when < R replicas answer
+            yield quorum  # raises NodeUnreachable when < R replicas answer
         versions = [v for _size, held in replies.values() for v in held]
         winner, survivors = reconcile(versions)
         if winner is None:
             # No versioned history anywhere (pre-seeded or never written
             # through the leaderless path): the local engine answers.
-            return {"size": local_size, "siblings": 0}, (local_size or ACK_BYTES)
+            return local_size
         if len(survivors) > 1:
             self.sibling_reads += 1
         for name in sorted(replies):
@@ -284,8 +304,7 @@ class LeaderlessService(ReplicaService):
                         self.push(name, tenant, key, version, "repair", trace),
                         name=f"lrepair.{self.node.name}->{name}",
                     )
-        size = None if winner.tombstone else winner.size
-        return {"size": size, "siblings": len(survivors)}, (size or ACK_BYTES)
+        return None if winner.tombstone else winner.size
 
     def _read_one_replica(self, target, payload, replies, quorum, trace=None):
         """Ask one home replica for its versions; the ``lkv.get``
@@ -306,15 +325,21 @@ class LeaderlessService(ReplicaService):
 
     # -- replica side ----------------------------------------------------------
 
-    def _handle_store(self, payload):
+    def _handle_store(self, request):
         """Durably apply a versioned record (write / repair / handoff /
         anti-entropy — ``reason`` keys the counters)."""
+        started = self.sim.now
+        payload = request.payload
         tenant, key = payload["tenant"], payload["key"]
         version = Version.from_wire(payload["version"])
         reason = payload.get("reason", "write")
-        applied = yield from self.apply_version(
-            tenant, key, version, payload.get("trace")
-        )
+        try:
+            applied = yield from self.apply_version(
+                tenant, key, version, payload.get("trace")
+            )
+        except Exception as exc:  # noqa: BLE001 - travels back to the caller
+            self.rpc.reply_error(request, exc)
+            return
         if applied:
             if reason == "repair":
                 self.repairs_received += 1
@@ -322,19 +347,22 @@ class LeaderlessService(ReplicaService):
                 self.handoffs_received += 1
             elif reason == "ae":
                 self.ae_received += 1
-        return {"ok": True, "applied": applied}, ACK_BYTES
+        self.rpc.reply(request, {"ok": True, "applied": applied}, ACK_BYTES, started)
 
-    def _handle_read(self, payload):
+    def _handle_read(self, request):
         """Replica-local read for another coordinator's quorum: engine
         GET through the charged path plus the local version set."""
-        tenant, key = payload["tenant"], payload["key"]
-        size = yield from self.node.read_replica(
-            tenant, key, trace=payload.get("trace")
-        )
+        started = self.sim.now
+        tenant, key = request.payload
+        try:
+            size = yield from self.node.read_replica(tenant, key, trace=request.trace)
+        except Exception as exc:  # noqa: BLE001 - travels back to the caller
+            self.rpc.reply_error(request, exc)
+            return
         held = [v.wire() for v in self.versions.get(tenant, key)]
-        return {"size": size, "versions": held}, (size or ACK_BYTES)
+        self.rpc.reply(request, {"size": size, "versions": held}, size or ACK_BYTES, started)
 
-    def _handle_hint(self, payload):
+    def _handle_hint(self, request):
         """Take custody of a record whose home replica is unreachable.
 
         The record is durably applied *here* (a real engine write,
@@ -342,16 +370,22 @@ class LeaderlessService(ReplicaService):
         owner is queued; :meth:`_handoff_loop` delivers it once the
         owner is live again.
         """
+        started = self.sim.now
+        payload = request.payload
         tenant, key = payload["tenant"], payload["key"]
         target = payload["target"]
         version = Version.from_wire(payload["version"])
-        yield from self.apply_version(tenant, key, version, payload.get("trace"))
+        try:
+            yield from self.apply_version(tenant, key, version, payload.get("trace"))
+        except Exception as exc:  # noqa: BLE001 - travels back to the caller
+            self.rpc.reply_error(request, exc)
+            return
         slot = (target, tenant, key)
         held = self.hints.get(slot)
         if held is None or version.clock.descends(held.clock):
             self.hints[slot] = version
             self.hints_stored += 1
-        return {"ok": True}, ACK_BYTES
+        self.rpc.reply(request, {"ok": True}, ACK_BYTES, started)
 
     def _handoff_loop(self):
         """Periodically deliver queued hints to owners that came back.

@@ -30,9 +30,11 @@ cutover commit :mod:`repro.control.reshard` supplies inside its fence.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from collections import defaultdict
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..faults import QuorumError, StorageFault
+from ..sim import Process
 from .replication import Quorum, ReplicaService
 from .rpc import ACK_BYTES
 
@@ -73,26 +75,52 @@ class _Migration:
         return self.lo <= key < self.hi
 
 
+class _Stream:
+    """One partition's replication state on one node.
+
+    As primary: the highest sequence shipped, and the writes in flight
+    — counted whether or not a migration is active, so a migration that
+    *begins* mid-write can still fence against (and tail-capture) that
+    write — with the fence's waiter for them to finish (``idle``).  As
+    backup: the highest sequence applied in order, and the early
+    arrivals waiting for their predecessors (``seq -> (request, stream,
+    received at)``), applied in order by at most one draining process
+    at a time.
+    """
+
+    __slots__ = ("shipped", "inflight", "idle", "applied", "pending", "draining")
+
+    def __init__(self):
+        self.shipped = 0
+        self.inflight = 0
+        self.idle = None
+        self.applied = 0
+        self.pending: Dict[int, tuple] = {}
+        self.draining = False
+
+
 class PrimaryBackupService(ReplicaService):
     """One node's primary-backup face: client KV methods plus the
     replication feed and live migration.
 
-    Methods (all payloads are plain dicts):
+    Methods (the request's trace id rides on the message):
 
-    - ``kv.get {tenant, key}`` → ``{size}`` — served from the local
+    - ``kv.get (tenant, key)`` → the size — served from the local
       engine; any replica can answer (its applied prefix), the primary
       is authoritative.
-    - ``kv.put`` / ``kv.delete {tenant, key, size, op}`` — primary
-      only: local durable write, then quorum replication.
-    - ``repl.apply {tenant, pid, seq, key, size, op}`` → ``{seq}`` —
-      backup applies the record in sequence order through the full
-      engine path (WAL, memtable, FLUSH/COMPACT), so replicated writes
-      consume VOPs on every replica and Libra's per-node demand
+    - ``kv.put`` / ``kv.delete (tenant, key, size, op)`` → True —
+      primary only: local durable write, then quorum replication.
+    - ``repl.apply ((tenant, pid), seq, key, size, op)`` → the applied
+      sequence — backup applies the record in sequence order through
+      the full engine path (WAL, memtable, FLUSH/COMPACT), so replicated
+      writes consume VOPs on every replica and Libra's per-node demand
       estimates see the backup load.
     - ``repl.seq {tenant, pid}`` → ``{seq}`` — the applied sequence,
       queried by the failure detector when choosing a promotion target.
     - ``mig.apply {tenant, records}`` — a migration destination applies
       a shipped batch.
+
+    ``repl.seq`` and ``mig.apply`` payloads and replies are dicts.
 
     Live migration is two calls: :meth:`transfer` (the whole protocol,
     on the source primary) and :meth:`reset_stream` (a cutover's
@@ -101,98 +129,108 @@ class PrimaryBackupService(ReplicaService):
 
     def __init__(self, sim, node, fabric, partition_map, membership, config=None):
         super().__init__(sim, node, fabric, partition_map, membership, config)
-        self._write_quorum = self.config.effective_write_quorum
+        #: acks a write needs from its backups
+        self._backup_acks = self.config.effective_write_quorum - 1
         rpc = self.rpc
         rpc.register("kv.get", self._handle_get)
         rpc.register("kv.put", self._handle_write)
         rpc.register("kv.delete", self._handle_write)
         rpc.register_async("repl.apply", self._handle_apply)
-        rpc.register("repl.seq", self._handle_seq)
+        rpc.register_async("repl.seq", self._handle_seq)
         rpc.register("mig.apply", self._handle_mig_apply)
         # -- live migration (see transfer) ---------------------------------
         #: outbound migrations on this primary: (tenant, pid) -> state
         self._migrations: Dict[Tuple[str, int], _Migration] = {}
-        #: writes in flight per (tenant, pid) — counted whether or not a
-        #: migration is active, so a migration that *begins* mid-write
-        #: can still fence against (and tail-capture) that write
-        self._op_inflight: Dict[Tuple[str, int], int] = {}
-        self._op_idle: Dict[Tuple[str, int], object] = {}
-        #: highest sequence shipped per (tenant, pid) while primary
-        self._ship_seq: Dict[Tuple[str, int], int] = {}
-        #: highest sequence applied in order per (tenant, pid) as backup
-        self._applied: Dict[Tuple[str, int], int] = {}
-        #: out-of-order arrivals waiting for their predecessors:
-        #: (tenant, pid) -> {seq: (key, size, op, trace, request, slot,
-        #: received at)}
-        self._pending: Dict[Tuple[str, int], Dict[int, tuple]] = {}
-        self._draining: Set[Tuple[str, int]] = set()
+        #: (tenant, pid) -> its replication state on this node
+        self._streams: Dict[Tuple[str, int], _Stream] = defaultdict(_Stream)
 
     # -- role helpers ------------------------------------------------------
 
     def applied_seq(self, tenant: str, pid: int) -> int:
         """The contiguous applied prefix this node holds for a partition."""
-        slot = (tenant, pid)
-        return max(self._applied.get(slot, 0), self._ship_seq.get(slot, 0))
-
-    def _next_seq(self, slot: Tuple[str, int]) -> int:
-        # A freshly promoted primary continues the stream where its
-        # applied prefix ends; an original primary continues its own.
-        seq = max(self._ship_seq.get(slot, 0), self._applied.get(slot, 0)) + 1
-        self._ship_seq[slot] = seq
-        return seq
+        stream = self._streams.get((tenant, pid))
+        return 0 if stream is None else max(stream.applied, stream.shipped)
 
     # -- client-facing handlers (run on the partition primary) -------------
 
-    def _handle_get(self, payload):
-        tenant, key = payload["tenant"], payload["key"]
-        size = yield from self.node.get(tenant, key, trace=payload.get("trace"))
-        return {"size": size}, (size or ACK_BYTES)
-
-    def _handle_write(self, payload):
-        """``kv.put`` / ``kv.delete``: the local durable write, then the
-        quorum replication of the record."""
-        tenant, key = payload["tenant"], payload["key"]
-        size, op = payload["size"], payload["op"]
-        trace = payload.get("trace")
-        partition = self._own_partition(tenant, key)
-        slot = self._fence_check(partition, key)
-        self._op_inflight[slot] = self._op_inflight.get(slot, 0) + 1
+    def _handle_get(self, request):
+        started = self.sim.now
+        tenant, key = request.payload
         try:
-            # Local durable write first: when this returns, the record's
-            # WAL group commit has landed — the commit hook has run and
-            # the record is eligible for acknowledgement and shipping.
-            if op == "delete":
-                yield from self.node.delete(tenant, key, trace=trace)
-            else:
-                yield from self.node.put(tenant, key, size, trace=trace)
-            # Re-fetch: a migration that began while this write was in
-            # the engine must still capture it — the snapshot scan may
-            # have already passed this key's position.
-            mig = self._migrations.get(slot)
-            if mig is not None and mig.covers(key):
-                mig.tail.append((key, size, op))
-            yield from self._replicate(partition, key, size, op, trace)
-        finally:
-            self._op_done(slot)
-        return {"ok": True}, ACK_BYTES
+            size = yield from self.node.get(tenant, key, request.trace)
+        except Exception as exc:  # noqa: BLE001 - travels back to the caller
+            self.rpc.reply_error(request, exc)
+            return
+        self.rpc.reply(request, size, size or ACK_BYTES, started)
 
-    def _own_partition(self, tenant: str, key: int):
-        """The key's partition, insisting this node is its primary.
+    def _handle_write(self, request):
+        """``kv.put`` / ``kv.delete``: the local durable write, then the
+        quorum replication of the record (:meth:`_replicate`).
 
         A write that reaches a demoted or never-primary replica (a
-        client raced a map change) is rejected; the error travels back
-        and the client re-resolves against the bumped map version.
+        client raced a map change), or a fenced migrating range, is
+        rejected; the error travels back and the client re-resolves
+        against the bumped map version.
         """
-        partition = self.partition_map.partition_of(tenant, key)
-        if partition.node != self.node.name:
-            raise KeyError(
-                f"{self.node.name} is not primary for {tenant}/{partition.index} "
-                f"(owner: {partition.node})"
-            )
-        return partition
+        started = self.sim.now
+        tenant, key, size, op = request.payload
+        node = self.node
+        try:
+            partition = self.partition_map.partition_of(tenant, key)
+            replicas = partition.replicas
+            if replicas[0] != node.name:
+                raise KeyError(
+                    f"{node.name} is not primary for {tenant}/{partition.index} "
+                    f"(owner: {replicas[0]})"
+                )
+            slot = (tenant, partition.index)
+            migrations = self._migrations
+            if migrations:
+                mig = migrations.get(slot)
+                if mig is not None and mig.fenced and mig.covers(key):
+                    raise KeyError(
+                        f"{tenant}/{partition.index} is fenced for cutover on {node.name}"
+                    )
+            stream = self._streams[slot]
+            stream.inflight += 1
+            try:
+                # Local durable write first: when this returns, the
+                # record's WAL group commit has landed — the commit hook
+                # has run and the record is eligible for acknowledgement
+                # and shipping.
+                if op == "delete":
+                    yield from node.delete(tenant, key, request.trace)
+                else:
+                    yield from node.put(tenant, key, size, request.trace)
+                # Re-fetch: a migration that began while this write was
+                # in the engine must still capture it — the snapshot scan
+                # may have already passed this key's position.
+                if migrations:
+                    mig = migrations.get(slot)
+                    if mig is not None and mig.covers(key):
+                        mig.tail.append((key, size, op))
+                quorum = self._replicate(replicas, slot, stream, key, size, op, request.trace)
+                if quorum is not None:
+                    try:
+                        yield quorum
+                    except QuorumError:
+                        self.quorum_failures += 1
+                        raise
+                self.quorum_acks += 1
+            finally:
+                stream.inflight -= 1
+                if stream.idle is not None:
+                    self._op_done(stream)
+        except Exception as exc:  # noqa: BLE001 - travels back to the caller
+            self.rpc.reply_error(request, exc)
+            return
+        self.rpc.reply(request, True, ACK_BYTES, started)
 
-    def _replicate(self, partition, key: int, size: int, op: str, trace=None):
-        """Ship the just-committed record; wait for the write quorum.
+    def _replicate(self, replicas, slot, stream: _Stream, key: int, size: int, op: str,
+                   trace):
+        """Ship the just-committed record to every live backup; returns
+        the :class:`Quorum` the write waits for, or None when the local
+        commit alone earns the ack.
 
         The quorum requirement is clamped to the replicas that are
         actually live, so a failed-over partition (one dead replica)
@@ -206,148 +244,97 @@ class PrimaryBackupService(ReplicaService):
         replication (ack on local commit, shipping races the failure),
         not no replication.
 
-        Each shipment is a :meth:`_ship` queued for now, where a
-        shipping process's start would be queued, and relays its
-        reply through :meth:`RpcEndpoint.call_async` — no process or
-        generator per shipment.
+        Each shipment's first attempt is queued for now, where a
+        shipping process's start would be queued, and relays its reply
+        to the quorum (:meth:`RpcEndpoint.fan_out`): no process or
+        generator per shipment.  A freshly promoted primary continues
+        the sequence where its applied prefix ends; an original primary
+        continues its own.
         """
-        is_live = self.membership.is_live
-        backups = []
-        for name in partition.replicas[1:]:
-            if is_live(name):
-                backups.append(name)
-        need = min(self._write_quorum, 1 + len(backups)) - 1
+        backups = self.membership.live_among(replicas[1:])
         if not backups:
-            self.quorum_acks += 1
-            return
-        seq = self._next_seq((partition.tenant, partition.index))
-        payload = {
-            "tenant": partition.tenant,
-            "pid": partition.index,
-            "seq": seq,
-            "key": key,
-            "size": size,
-            "op": op,
-        }
-        if trace is not None:
-            payload["trace"] = trace
-        sim = self.sim
+            return None
+        seq = stream.shipped = max(stream.shipped, stream.applied) + 1
+        total = len(backups)
         quorum = Quorum(
-            sim, need, len(backups), QuorumError, self.node.name, payload,
-            size + REPL_HEADER_BYTES, trace,
+            self.sim, min(self._backup_acks, total), total,
+            QuorumError, self.node.name, slot[0], key,
         )
-        for name in backups:
-            sim.call_at(sim.now, self._ship, (name, quorum))
-        if need <= 0:
-            # Asynchronous replication: the shipments run on, but the
-            # local durable commit alone earns the ack.
-            self.quorum_acks += 1
-            return
-        try:
-            yield quorum.event
-        except QuorumError:
-            self.quorum_failures += 1
-            raise
-        self.quorum_acks += 1
-
-    def _ship(self, shipment) -> None:
-        target, quorum = shipment
-        self.rpc.call_async(
-            target, "repl.apply", quorum.payload, quorum.nbytes, quorum, quorum.trace
+        self.rpc.fan_out(
+            backups, "repl.apply", (slot, seq, key, size, op),
+            size + REPL_HEADER_BYTES, quorum, trace,
         )
+        # Asynchronous replication: the shipments run on, but the local
+        # durable commit alone earns the ack.
+        return quorum if quorum.need > 0 else None
 
     # -- replication-feed handlers (run on backups) ------------------------
 
     def _handle_apply(self, request) -> None:
         """``repl.apply``: answered once the record and its whole prefix
         are durable here (by :meth:`_drain`), duplicates at once."""
-        payload = request.payload
-        slot = (payload["tenant"], payload["pid"])
-        seq = payload["seq"]
-        applied = self._applied.setdefault(slot, 0)
-        now = self.sim.now
-        if seq <= applied:
+        slot, seq, _key, _size, _op = request.payload
+        stream = self._streams[slot]
+        if seq <= stream.applied:
             # Duplicate (MSG_DUP or a retry whose original landed):
             # already durable, acknowledge without re-applying.
-            self.rpc.reply(request, {"seq": applied}, ACK_BYTES, now)
+            self.rpc.reply(request, stream.applied, ACK_BYTES, self.sim.now)
             return
-        self._pending.setdefault(slot, {})[seq] = (
-            payload["key"], payload["size"], payload["op"], payload.get("trace"),
-            request, slot, now,
-        )
-        if slot not in self._draining:
-            self._draining.add(slot)
-            self.sim.process(self._drain(slot), name="repl.drain")
+        stream.pending[seq] = (request, stream, self.sim.now)
+        if not stream.draining:
+            stream.draining = True
+            Process(self.sim, self._drain(stream, slot[0]), "repl.drain")
 
-    def _drain(self, slot: Tuple[str, int]):
+    def _drain(self, stream: _Stream, tenant: str):
         """Apply buffered records in sequence order, acking each.
 
         An ack (or nack) is queued for now, where a waiter's wake-up
         would be, and reads the applied prefix when it runs.
         """
-        tenant, _pid = slot
-        pending = self._pending.setdefault(slot, {})
-        sim = self.sim
+        pending = stream.pending
         try:
-            while True:
-                entry = pending.pop(self._applied[slot] + 1, None)
+            while pending:
+                entry = pending.pop(stream.applied + 1, None)
                 if entry is None:
                     return
-                key, size, op, trace, request, _slot, _received = entry
+                request = entry[0]
+                _slot, _seq, key, size, op = request.payload
                 try:
                     yield from self.node.apply_replica(
-                        tenant, key, size or 1024, op=op, trace=trace
+                        tenant, key, size or 1024, op, request.trace
                     )
                 except StorageFault as exc:
                     # The apply did not land (engine retries exhausted);
                     # nack so the primary re-ships, and stop draining —
                     # order must hold.
-                    sim.call_at(sim.now, self._nack_apply, (request, exc))
+                    self.sim.call_at(self.sim.now, self._nack_apply, (request, exc))
                     return
-                self._applied[slot] += 1
-                sim.call_at(sim.now, self._ack_apply, entry)
+                stream.applied += 1
+                self.sim.call_at(self.sim.now, self._ack_apply, entry)
         finally:
-            self._draining.discard(slot)
+            stream.draining = False
 
     def _ack_apply(self, entry) -> None:
-        _key, _size, _op, _trace, request, slot, received = entry
-        self.rpc.reply(request, {"seq": self._applied[slot]}, ACK_BYTES, received)
+        request, stream, received = entry
+        self.rpc.reply(request, stream.applied, ACK_BYTES, received)
 
     def _nack_apply(self, failed) -> None:
         self.rpc.reply_error(*failed)
 
-    def _handle_seq(self, payload):
+    def _handle_seq(self, request) -> None:
+        payload = request.payload
         applied = self.applied_seq(payload["tenant"], payload["pid"])
-        return {"seq": applied}, ACK_BYTES
-        yield  # pragma: no cover - marks this handler as a generator
+        self.rpc.reply(request, {"seq": applied}, ACK_BYTES, self.sim.now)
 
     # -- live migration (source primary + destination sides) ----------------
 
-    def _fence_check(self, partition, key: int) -> Tuple[str, int]:
-        """Admission check for a write; returns the in-flight slot key.
-
-        A write into a fenced migrating range is rejected — the error
-        travels back as an RpcError and the client's retry loop
-        re-resolves once the cutover bumps the map version.
-        """
-        slot = (partition.tenant, partition.index)
-        mig = self._migrations.get(slot)
-        if mig is not None and mig.fenced and mig.covers(key):
-            raise KeyError(
-                f"{partition.tenant}/{partition.index} is fenced for cutover "
-                f"on {self.node.name}"
-            )
-        return slot
-
-    def _op_done(self, slot: Tuple[str, int]) -> None:
-        remaining = self._op_inflight.get(slot, 0) - 1
-        if remaining <= 0:
-            self._op_inflight.pop(slot, None)
-            waiter = self._op_idle.pop(slot, None)
-            if waiter is not None and not waiter.triggered:
+    def _op_done(self, stream: _Stream) -> None:
+        """A write ended while a fence waits: wake it once none is in
+        flight."""
+        if stream.inflight <= 0:
+            waiter, stream.idle = stream.idle, None
+            if not waiter.triggered:
                 waiter.succeed()
-        else:
-            self._op_inflight[slot] = remaining
 
     def transfer(
         self, tenant: str, pid: int, lo: int, hi: int, targets: Sequence[str],
@@ -388,10 +375,11 @@ class PrimaryBackupService(ReplicaService):
                 yield from self._ship_records(targets, tenant, tail)
             fenced_at = self.sim.now
             mig.fenced = True
-            while self._op_inflight.get(slot, 0) > 0:
-                waiter = self._op_idle.get(slot)
+            stream = self._streams[slot]
+            while stream.inflight > 0:
+                waiter = stream.idle
                 if waiter is None or waiter.triggered:
-                    waiter = self._op_idle[slot] = self.sim.event()
+                    waiter = stream.idle = self.sim.event()
                 yield waiter
             tailed += len(mig.tail)
             yield from self._ship_records(targets, tenant, residue + mig.tail)
@@ -427,15 +415,21 @@ class PrimaryBackupService(ReplicaService):
         duplicates or buffer forever behind sequences that already
         landed via the migration ship.
         """
-        slot = (tenant, pid)
-        self._applied[slot] = seq
-        self._ship_seq[slot] = seq
-        self._pending.pop(slot, None)
+        stream = self._streams[(tenant, pid)]
+        stream.applied = seq
+        stream.shipped = seq
+        stream.pending = {}
 
-    def _handle_mig_apply(self, payload):
+    def _handle_mig_apply(self, request):
         """Destination side: durably apply a batch of shipped records
         through the full charged replica path, in order."""
+        started = self.sim.now
+        payload = request.payload
         tenant = payload["tenant"]
-        for key, size, op in payload["records"]:
-            yield from self.node.apply_replica(tenant, key, size or 1024, op=op)
-        return {"n": len(payload["records"])}, ACK_BYTES
+        try:
+            for key, size, op in payload["records"]:
+                yield from self.node.apply_replica(tenant, key, size or 1024, op=op)
+        except Exception as exc:  # noqa: BLE001 - travels back to the caller
+            self.rpc.reply_error(request, exc)
+            return
+        self.rpc.reply(request, {"n": len(payload["records"])}, ACK_BYTES, started)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from ..sim import Simulator
+from ..sim import Event, Simulator
 from .rpc import RpcEndpoint
 
 __all__ = ["Membership", "Quorum", "ReplicaService"]
@@ -30,13 +30,18 @@ class Membership:
     """
 
     def __init__(self, names=()):
-        self._live: Set[str] = set(names)
+        #: the live names: read it, never change it (the methods do)
+        self.live: Set[str] = set(names)
         self._dead: List[str] = []
         #: dead→live transitions (leaderless recovery; see the detector)
         self.revivals = 0
 
     def is_live(self, name: str) -> bool:
-        return name in self._live
+        return name in self.live
+
+    def live_among(self, names) -> List[str]:
+        """The membership-live ones of ``names``, in order."""
+        return list(filter(self.live.__contains__, names))
 
     def live_first(self, names) -> List[str]:
         """``names`` in order, membership-live ones first, then the
@@ -47,12 +52,12 @@ class Membership:
         side, so a walk that must find *someone* reachable (a
         leaderless coordinator, a hint holder) still tries them last.
         """
-        live = self._live
+        live = self.live
         return [n for n in names if n in live] + [n for n in names if n not in live]
 
     def mark_dead(self, name: str) -> None:
-        if name in self._live:
-            self._live.discard(name)
+        if name in self.live:
+            self.live.discard(name)
             self._dead.append(name)
 
     def mark_live(self, name: str) -> None:
@@ -62,73 +67,64 @@ class Membership:
         a declared death is final)."""
         if name in self._dead:
             self._dead.remove(name)
-            self._live.add(name)
+            self.live.add(name)
             self.revivals += 1
 
     def add(self, name: str) -> None:
         """Admit a freshly provisioned node (control-plane node add)."""
-        self._live.add(name)
+        self.live.add(name)
 
     def remove(self, name: str) -> None:
         """Retire a drained node: gone from the view without being
         declared dead, so no failover machinery runs for it."""
-        self._live.discard(name)
+        self.live.discard(name)
         if name in self._dead:
             self._dead.remove(name)
 
 
-class Quorum:
-    """Replies to one fan-out, counted toward a quorum behind ``event``.
+class Quorum(Event):
+    """Replies to one fan-out, counted toward a quorum: an event.
 
     Called as each reply's ``done(ok, value)`` (the
-    :meth:`~repro.net.rpc.RpcEndpoint.call_async` callback shape).  The
-    event succeeds once ``need`` replies are ok; once all ``total`` have
+    :meth:`~repro.net.rpc.RpcEndpoint.call_async` callback shape).  It
+    succeeds once ``need`` replies are ok; once all ``total`` have
     answered short of that, it succeeds if at least ``least`` are ok
-    (default ``need``) and otherwise fails with ``error``.  Later
-    replies are still counted but settle nothing.
-
-    ``payload`` names the request (its ``tenant`` and ``key`` go into
-    the failure text); a primary's shipments also ride on it, each
-    sending ``payload`` with ``nbytes`` on the wire under ``trace``.
+    (default ``need``) and otherwise fails with ``error``, naming the
+    request's ``tenant`` and ``key``.  Later replies are still counted
+    but settle nothing.
     """
 
-    __slots__ = ("event", "need", "least", "total", "acks", "done", "settled",
-                 "error", "owner", "payload", "nbytes", "trace")
+    __slots__ = ("need", "least", "total", "acks", "answered", "error", "owner",
+                 "tenant", "key")
 
     def __init__(self, sim: Simulator, need: int, total: int, error, owner: str,
-                 payload: dict, nbytes: int = 0, trace=None,
-                 least: Optional[int] = None):
-        self.event = sim.event()
+                 tenant: str, key: int, least: Optional[int] = None):
+        Event.__init__(self, sim)
         self.need = need
-        self.least = need if least is None else least
+        self.least = least
         self.total = total
         self.acks = 0
-        self.done = 0
-        self.settled = False
+        self.answered = 0
         self.error = error
         self.owner = owner
-        self.payload = payload
-        self.nbytes = nbytes
-        self.trace = trace
+        self.tenant = tenant
+        self.key = key
 
     def __call__(self, ok: bool, _value=None) -> None:
         if ok:
             self.acks += 1
-        self.done += 1
-        if self.settled:
+        self.answered += 1
+        if self._triggered:
             return
         if self.acks >= self.need:
-            self.settled = True
-            self.event.succeed()
-        elif self.done == self.total:
-            self.settled = True
-            if self.acks >= self.least:
-                self.event.succeed()
+            self.succeed()
+        elif self.answered == self.total:
+            if self.acks >= (self.need if self.least is None else self.least):
+                self.succeed()
                 return
-            payload = self.payload
-            self.event.fail(
+            self.fail(
                 self.error(
-                    f"{self.owner}: {payload['tenant']} key {payload['key']}: "
+                    f"{self.owner}: {self.tenant} key {self.key}: "
                     f"{self.acks}/{self.need} replies"
                 )
             )
@@ -164,10 +160,11 @@ class ReplicaService:
         Registered through :meth:`LsmEngine.subscribe_wal` so the hook
         survives WAL rotation at memtable flushes.
         """
-        self.durable_records.setdefault(tenant, 0)
+        counts = self.durable_records
+        counts.setdefault(tenant, 0)
 
-        def on_commit(records, tenant=tenant):
-            self.durable_records[tenant] += len(records)
+        def on_commit(records):
+            counts[tenant] += len(records)
 
         self.node.engines[tenant].subscribe_wal(on_commit)
 

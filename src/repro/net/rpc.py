@@ -18,29 +18,36 @@ so the two produce the same trajectory.  A response's delivery
 queues its waiter's wake-up, and a request's its handler's start, like
 any other action due now.
 
-Handlers are DES generators and must be **idempotent**: a duplicated
-request (MSG_DUP window, or a retry whose original attempt actually
-landed) runs the handler again.  Replica applies are sequence-
-idempotent and KV writes are last-writer-wins per key, so the storage
-handlers satisfy this by construction.  Duplicate responses are ignored
-(the correlation id is consumed by the first).  A handler registered
-with :meth:`RpcEndpoint.register_async` is a plain function that answers
-later through :meth:`RpcEndpoint.reply` / :meth:`RpcEndpoint.reply_error`
-instead of a generator parked in a serve process.
+An endpoint keeps one :class:`~repro.net.fabric.Link` per peer, and
+each message it sends names the receiving endpoint's handler for its
+kind (request, response or cast), so the kernel action a delivery is
+runs that handler directly.
+
+Handlers answer a request themselves, through :meth:`RpcEndpoint.reply`
+or :meth:`RpcEndpoint.reply_error`: a :meth:`RpcEndpoint.register`
+handler is a DES generator started as its own process, a
+:meth:`RpcEndpoint.register_async` one a plain function queued for now.
+Handlers must be **idempotent**: a duplicated request (MSG_DUP window,
+or a retry whose original attempt actually landed) runs the handler
+again.  Replica applies are sequence-idempotent and KV writes are
+last-writer-wins per key, so the storage handlers satisfy this by
+construction.  Duplicate responses are ignored (the correlation id is
+consumed by the first).
 """
 
 from __future__ import annotations
 
 import random
 import zlib
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..faults import NetworkFault, NodeUnreachable, RetriesExhausted, RpcTimeout
-from ..sim import DeadlineQueue, Event, Simulator
-from .fabric import NetConfig, NetworkFabric
+from ..sim import DeadlineQueue, Event, Process, Simulator
+from .fabric import Link, NetConfig, NetworkFabric
 
-__all__ = ["RpcError", "RpcStats", "RpcMessage", "RpcEndpoint"]
+__all__ = ["RpcError", "RpcStats", "RpcMessage", "RpcReply", "RpcEndpoint"]
 
 #: bytes a bare acknowledgement response occupies on the wire
 ACK_BYTES = 16
@@ -65,30 +72,32 @@ class RpcStats:
     casts: int = 0
 
 
-class RpcMessage:
-    """One message on the wire (request, response, or one-way cast).
+class RpcMessage(namedtuple("RpcMessage", "kind src corr_id method payload trace",
+                            defaults=("", None, None))):
+    """One request (``kind`` "req") or one-way cast ("cast") on the wire.
 
     ``trace`` is the originating request's trace id (see
     :mod:`repro.obs.trace`), carried by value so a request's spans on
     the serving node join the caller's trace; None when tracing is off.
-    Treated as immutable: nothing mutates a message once sent.
+    A message is a tuple with named fields, so it is immutable, and an
+    endpoint builds each one with ``tuple.__new__`` directly: no
+    interpreted constructor per message.
     """
 
-    __slots__ = ("kind", "src", "corr_id", "method", "payload", "ok", "trace")
+    __slots__ = ()
 
-    def __init__(self, kind: str, src: str, corr_id: int, method: str = "",
-                 payload: Any = None, ok: bool = True, trace: Optional[int] = None):
-        self.kind = kind  # "req" | "resp" | "cast"
-        self.src = src
-        self.corr_id = corr_id
-        self.method = method
-        self.payload = payload
-        self.ok = ok
-        self.trace = trace
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"RpcMessage({fields})"
+class RpcReply(namedtuple("RpcReply", "src corr_id payload ok")):
+    """One response on the wire: the answer from ``src`` to the attempt
+    ``corr_id``, carrying the result (``ok``) or an :class:`RpcError`;
+    a tuple with named fields, like :class:`RpcMessage`."""
+
+    __slots__ = ()
+    kind = "resp"
+
+
+#: builds a message tuple without an interpreted constructor
+_new = tuple.__new__
 
 
 class _AsyncCall:
@@ -101,19 +110,38 @@ class _AsyncCall:
     """
 
     __slots__ = ("endpoint", "target", "method", "payload", "nbytes", "done",
-                 "trace", "give_up", "attempt", "started", "reply")
+                 "trace", "give_up", "attempt", "started")
+
+    def __init__(self, endpoint: "RpcEndpoint", target: str, method: str, payload: Any,
+                 nbytes: int, done: Callable[[bool, Any], None], trace: Optional[int],
+                 give_up: Optional[Callable[[], bool]]):
+        self.endpoint = endpoint
+        self.target = target
+        self.method = method
+        self.payload = payload
+        self.nbytes = nbytes
+        self.done = done
+        self.trace = trace
+        self.give_up = give_up
+        self.attempt = 0
+
+    def send(self) -> None:
+        """Send the next attempt."""
+        self.started = self.endpoint._send_request(
+            self.target, self.method, self.payload, self.nbytes, self.trace, self
+        )
 
     def succeed(self, reply) -> None:
-        self.reply = reply
         sim = self.endpoint.sim
-        # Scheduled as a plain function of the call: no bound method.
-        sim.call_at(sim.now, _AsyncCall.finish, self)
+        sim.call_at(sim.now, self.finish, reply)
 
-    def finish(self) -> None:
+    def finish(self, reply: Optional["RpcReply"]) -> None:
         """Classify the attempt's reply; answer ``done`` or retry."""
+        if reply is not None and reply.ok and self.endpoint.tracer is None:
+            self.endpoint.stats.round_trips += 1
+            self.done(True, reply.payload)
+            return
         endpoint = self.endpoint
-        reply = self.reply
-        self.reply = None
         failure = endpoint._reply_failure(
             reply, self.target, self.method, self.nbytes, self.trace, self.started
         )
@@ -129,12 +157,49 @@ class _AsyncCall:
             self.done(False, exc)
             return
         sim = endpoint.sim
-        sim.call_at(sim.now + backoff, _AsyncCall.retry, self)
+        sim.call_at(sim.now + backoff, _AsyncCall.send, self)
 
-    def retry(self) -> None:
-        self.started = self.endpoint._send_request(
-            self.target, self.method, self.payload, self.nbytes, self.trace, self
-        )
+
+class _Peer:
+    """A peer as an endpoint sends to it: the send of the fabric link to
+    it, and the handler each kind of message is delivered to (the
+    receiving endpoint's, or the link's own for a receiver that is no
+    endpoint)."""
+
+    __slots__ = ("send", "request", "response", "cast")
+
+    def __init__(self, link: Link, receiver: Any):
+        self.send = link.send
+        if isinstance(receiver, RpcEndpoint):
+            self.request = receiver._on_request
+            self.response = receiver._on_response
+            self.cast = receiver._on_cast
+        else:
+            self.request = self.response = self.cast = link.deliver
+
+
+class _Peers(dict):
+    """An endpoint's peers by name, each resolved on its first message
+    and kept once it is an attached endpoint."""
+
+    __slots__ = ("fabric", "name")
+
+    def __init__(self, fabric: NetworkFabric, name: str):
+        super().__init__()
+        self.fabric = fabric
+        self.name = name
+
+    def __missing__(self, target: str) -> _Peer:
+        link = self.fabric.link(self.name, target)
+        receiver = link.receiver
+        peer = _Peer(link, receiver)
+        if isinstance(receiver, RpcEndpoint):
+            self[target] = peer
+        return peer
+
+
+#: a message's ``kind`` -> the receiving endpoint's handler for it
+_HANDLERS = {"req": "_on_request", "resp": "_on_response", "cast": "_on_cast"}
 
 
 class RpcEndpoint:
@@ -155,7 +220,7 @@ class RpcEndpoint:
         #: optional repro.obs Tracer recording call round-trip and
         #: server-side handler spans
         self.tracer = tracer
-        self.nic = fabric.attach(name, self._on_message)
+        self.nic = fabric.attach(name, self)
         self.stats = RpcStats()
         #: per-endpoint RNG for retry-backoff jitter, seeded from the
         #: endpoint *name* (stable across runs — never Python's salted
@@ -163,45 +228,49 @@ class RpcEndpoint:
         #: endpoints decorrelate.  Drawn only on retries: fault-free
         #: runs consume no randomness (the repo-wide determinism rule).
         self._jitter_rng = random.Random(zlib.crc32(name.encode()) ^ 0x1277E4)
-        #: method -> generator function(payload) -> (result, reply_bytes)
-        self._methods: Dict[str, Callable] = {}
-        #: method -> plain function(request message), answering later
-        #: through reply/reply_error
-        self._async_methods: Dict[str, Callable[[RpcMessage], None]] = {}
+        #: method -> (handler of the request message, True when the
+        #: handler is a generator run as its own process)
+        self._methods: Dict[str, Tuple[Callable, bool]] = {}
         #: one-way method -> plain function(payload) -> None
         self._cast_methods: Dict[str, Callable[[Any], None]] = {}
+        self._peers = _Peers(fabric, name)
         #: corr_id -> the attempt's waiter (an Event, or an _AsyncCall)
         self._waiting: Dict[int, Any] = {}
         self._next_id = 0
+        self._timeout = self.config.rpc_timeout
         #: per-attempt deadlines: FIFO, as rpc_timeout is one constant here
         self._deadlines = DeadlineQueue(sim, self._waiting.__contains__, self._expire)
 
     # -- registration ------------------------------------------------------
 
     def register(self, method: str, handler: Callable) -> None:
-        """Register a request handler: a DES generator returning
-        ``(result, reply_bytes)``."""
-        self._methods[method] = handler
+        """Register a request handler: a DES generator function of the
+        request message, started as its own process, which answers
+        through :meth:`reply` or :meth:`reply_error` and must not raise."""
+        self._methods[method] = (handler, True)
 
     def register_async(self, method: str, handler: Callable[[RpcMessage], None]) -> None:
-        """Register a handler that answers later: a plain function of
-        the request message, queued where a :meth:`register` handler's
-        serve process would start, which must eventually answer through
-        :meth:`reply` or :meth:`reply_error` and must not raise."""
-        self._async_methods[method] = handler
+        """Register a handler that is a plain function of the request
+        message, queued where a :meth:`register` handler's process would
+        start; it must eventually answer through :meth:`reply` or
+        :meth:`reply_error` and must not raise."""
+        self._methods[method] = (handler, False)
 
     def register_cast(self, method: str, handler: Callable[[Any], None]) -> None:
         """Register a one-way handler (no response, plain callable)."""
         self._cast_methods[method] = handler
 
-    # -- client side -------------------------------------------------------
+    # -- sending -----------------------------------------------------------
 
     def cast(self, target: str, method: str, payload: Any, nbytes: int) -> None:
         """Fire-and-forget message (heartbeats, notifications)."""
         self.stats.casts += 1
-        self.fabric.send(
-            self.name, target, nbytes, RpcMessage("cast", self.name, 0, method, payload)
+        peer = self._peers[target]
+        peer.send(
+            nbytes, _new(RpcMessage, ("cast", self.name, 0, method, payload, None)), peer.cast
         )
+
+    # -- client side -------------------------------------------------------
 
     def call(self, target: str, method: str, payload: Any, nbytes: int,
              trace: Optional[int] = None,
@@ -210,16 +279,19 @@ class RpcEndpoint:
 
         Raises :class:`RetriesExhausted` (cause: the final
         :class:`~repro.faults.RpcTimeout` or :class:`RpcError`) once the
-        budget is spent.  A target the membership layer already marked
-        dead fails fast with :class:`~repro.faults.NodeUnreachable`
-        wrapped the same way — re-resolution is the caller's job.
+        budget is spent.  The endpoint reads no membership: a call to a
+        dead target spends its attempts like one to a silent target,
+        each timing out after ``config.rpc_timeout``.
 
         ``give_up()`` is consulted after each failed attempt: returning
         True abandons the remaining retry budget immediately (wrapped in
         :class:`RetriesExhausted` with :class:`NodeUnreachable` as the
         cause).  Callers use it to stop hammering a target the failure
-        detector has since declared dead instead of burning the full
-        budget on an endpoint that will never answer.
+        detector has declared dead instead of burning the full budget on
+        an endpoint that will never answer; a call to a target already
+        declared dead therefore ends after its first attempt times out.
+        Failing fast without any attempt is the caller's job (as
+        :class:`~repro.net.client.ClusterClient` does).
 
         Retry backoff doubles per attempt and carries deterministic
         per-endpoint jitter (``config.rpc_jitter``), so the retry storm
@@ -231,6 +303,9 @@ class RpcEndpoint:
             response = Event(self.sim)
             started = self._send_request(target, method, payload, nbytes, trace, response)
             reply = yield response
+            if reply is not None and reply.ok and self.tracer is None:
+                self.stats.round_trips += 1
+                return reply.payload
             failure = self._reply_failure(reply, target, method, nbytes, trace, started)
             if failure is None:
                 return reply.payload
@@ -248,17 +323,18 @@ class RpcEndpoint:
         a scheduled call where :meth:`call` would wait on a ``Timeout``
         — the same policy, budget and trajectory, with no generator.
         """
-        pending = _AsyncCall()
-        pending.endpoint = self
-        pending.target = target
-        pending.method = method
-        pending.payload = payload
-        pending.nbytes = nbytes
-        pending.done = done
-        pending.trace = trace
-        pending.give_up = give_up
-        pending.attempt = 0
-        pending.started = self._send_request(target, method, payload, nbytes, trace, pending)
+        _AsyncCall(self, target, method, payload, nbytes, done, trace, give_up).send()
+
+    def fan_out(self, targets, method: str, payload: Any, nbytes: int,
+                done: Callable[[bool, Any], None], trace: Optional[int] = None) -> None:
+        """:meth:`call_async` to each of ``targets``, every first attempt
+        queued for now, where a process per target would start."""
+        sim = self.sim
+        for target in targets:
+            sim.call_at(
+                sim.now, _AsyncCall.send,
+                _AsyncCall(self, target, method, payload, nbytes, done, trace, None),
+            )
 
     # -- one attempt, shared by both drivers ---------------------------------
 
@@ -267,23 +343,25 @@ class RpcEndpoint:
         """Register ``waiter`` under a fresh correlation id, send the
         request and arm its deadline; returns the send time."""
         self.stats.calls += 1
-        self._next_id += 1
-        corr_id = self._next_id
-        started = self.sim.now
+        corr_id = self._next_id + 1
+        self._next_id = corr_id
         self._waiting[corr_id] = waiter
-        self.fabric.send(
-            self.name, target, nbytes,
-            RpcMessage("req", self.name, corr_id, method, payload, True, trace),
+        peer = self._peers[target]
+        peer.send(
+            nbytes, _new(RpcMessage, ("req", self.name, corr_id, method, payload, trace)),
+            peer.request,
         )
-        self._deadlines.add(started + self.config.rpc_timeout, corr_id)
+        started = self.sim.now
+        self._deadlines.add(started + self._timeout, corr_id)
         return started
 
-    def _reply_failure(self, reply: Optional[RpcMessage], target: str, method: str,
+    def _reply_failure(self, reply: Optional[RpcReply], target: str, method: str,
                        nbytes: int, trace: Optional[int],
                        started: float) -> Optional[NetworkFault]:
         """Classify an attempt's outcome: None when it succeeded, else the
         :class:`~repro.faults.RpcTimeout` (no reply: the deadline passed)
-        or :class:`RpcError` (the handler raised) that failed it."""
+        or :class:`RpcError` (the handler raised) that failed it.  Both
+        drivers count an ok reply themselves when no tracer records it."""
         if reply is None:
             self.stats.timeouts += 1
             return RpcTimeout(
@@ -329,54 +407,63 @@ class RpcEndpoint:
         (a response that still arrives finds no waiter and is ignored)."""
         self._waiting.pop(corr_id).succeed(None)
 
-    # -- server side -------------------------------------------------------
+    # -- delivery: one typed handler per kind of message --------------------
 
-    def _on_message(self, message: RpcMessage) -> None:
-        """The fabric's delivery of ``message``."""
-        kind = message.kind
-        if kind == "resp":
-            waiter = self._waiting.pop(message.corr_id, None)
-            if waiter is not None:  # else: duplicate or post-timeout response
-                waiter.succeed(message)
+    def _on_response(self, response: RpcReply) -> None:
+        if self.nic.down:
+            self.fabric.dead_letter(response.src, self.name)
             return
-        if kind == "cast":
-            handler = self._cast_methods.get(message.method)
-            if handler is not None:
-                handler(message.payload)
+        try:
+            waiter = self._waiting.pop(response.corr_id)
+        except KeyError:  # a duplicate or post-timeout response
+            return
+        waiter.succeed(response)
+
+    def _on_request(self, request: RpcMessage) -> None:
+        if self.nic.down:
+            self.fabric.dead_letter(request.src, self.name)
             return
         self.stats.served += 1
-        handler = self._async_methods.get(message.method)
-        if handler is not None:
-            self.sim.call_at(self.sim.now, handler, message)
-        else:
-            self.sim.process(self._serve(message), name="rpc.serve")
-
-    def _serve(self, message: RpcMessage):
-        handler = self._methods.get(message.method)
-        if handler is None:
-            self._reply_failed(message, RpcError(f"{self.name}: no method {message.method!r}"))
-            return
-        started = self.sim.now
         try:
-            result, reply_bytes = yield from handler(message.payload)
-        except Exception as exc:  # noqa: BLE001 - travels back to the caller
-            self.reply_error(message, exc)
+            handler, spawn = self._methods[request.method]
+        except KeyError:
+            handler, spawn = self._no_method, False
+        if spawn:
+            Process(self.sim, handler(request), "rpc.serve")
+        else:
+            self.sim.call_at(self.sim.now, handler, request)
+
+    def _on_cast(self, message: RpcMessage) -> None:
+        if self.nic.down:
+            self.fabric.dead_letter(message.src, self.name)
             return
-        self.reply(message, result, reply_bytes, started)
+        handler = self._cast_methods.get(message.method)
+        if handler is not None:
+            handler(message.payload)
+
+    def __call__(self, message: RpcMessage) -> None:
+        """The fabric's delivery of a message sent through
+        :meth:`NetworkFabric.send` rather than a peer link: the handler
+        for its kind."""
+        getattr(self, _HANDLERS[message.kind])(message)
+
+    # -- server side -------------------------------------------------------
+
+    def _no_method(self, request: RpcMessage) -> None:
+        self._reply_failed(request, RpcError(f"{self.name}: no method {request.method!r}"))
 
     def reply(self, request: RpcMessage, result: Any, nbytes: int, started: float) -> None:
         """Answer ``request`` with ``result`` (``nbytes`` on the wire),
         recording the ``serve.<method>`` span from ``started`` when
-        tracing — what a serve process does after its handler returns."""
-        tr = self.tracer
-        if tr is not None:
-            tr.span(
+        tracing."""
+        if self.tracer is not None:
+            self.tracer.span(
                 f"serve.{request.method}", "net", self.name, request.src,
                 started, self.sim.now, trace=request.trace,
             )
-        self.fabric.send(
-            self.name, request.src, nbytes,
-            RpcMessage("resp", self.name, request.corr_id, "", result, True, request.trace),
+        peer = self._peers[request.src]
+        peer.send(
+            nbytes, _new(RpcReply, (self.name, request.corr_id, result, True)), peer.response
         )
 
     def reply_error(self, request: RpcMessage, exc: BaseException) -> None:
@@ -385,7 +472,7 @@ class RpcEndpoint:
         self._reply_failed(request, RpcError(f"{request.method} on {self.name}: {exc}"))
 
     def _reply_failed(self, request: RpcMessage, error: RpcError) -> None:
-        self.fabric.send(
-            self.name, request.src, ACK_BYTES,
-            RpcMessage("resp", self.name, request.corr_id, "", error, False, request.trace),
+        peer = self._peers[request.src]
+        peer.send(
+            ACK_BYTES, _new(RpcReply, (self.name, request.corr_id, error, False)), peer.response
         )

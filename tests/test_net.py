@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from .helpers import replying
 from repro.core import Reservation
 from repro.core.scheduler import TenantUsage
 from repro.engine import EngineConfig
@@ -19,7 +20,7 @@ from repro.faults import (
     StorageFault,
 )
 from repro.net import ClusterClient, Membership, NetConfig, NetworkFabric, RpcEndpoint
-from repro.net.fabric import MESSAGE_OVERHEAD
+from repro.net.fabric import MESSAGE_OVERHEAD, Link
 from repro.node import NodeConfig, PartitionMap, RequestStats, StorageCluster
 from repro.sim import Simulator
 from repro.ssd import SsdProfile
@@ -105,7 +106,7 @@ def test_fabric_down_endpoints_eat_messages():
     assert fabric.link_stats[("a", "b")].messages == 2
 
 
-def test_nic_totals_are_link_sums_and_a_kill_counts_its_dead_letters():
+def test_nic_totals_are_link_sums_and_a_kill_counts_its_dead_letters(monkeypatch):
     """An endpoint's sent messages and bytes are its outbound links'
     sums in ``fabric.link_stats``; both match a log of every send the
     fabric accepted, and every message that reached the killed node
@@ -118,19 +119,28 @@ def test_nic_totals_are_link_sums_and_a_kill_counts_its_dead_letters():
     client = cluster.make_client()
     sent = {}
     kill = {}
-    send = fabric.send
+    send = Link.send
 
-    def logged(src, dst, nbytes, message):
-        if src not in kill:  # a dead source sends nothing
-            messages, total = sent.get(src, (0, 0))
-            sent[src] = (messages + 1, total + nbytes + MESSAGE_OVERHEAD)
-        send(src, dst, nbytes, message)
+    def logged(link, nbytes, message, deliver):
+        if link.src not in kill:  # a dead source sends nothing
+            messages, total = sent.get(link.src, (0, 0))
+            sent[link.src] = (messages + 1, total + nbytes + MESSAGE_OVERHEAD)
+        send(link, nbytes, message, deliver)
 
-    fabric.send = logged
-    # Links resolve their handler on their first message; none has one yet.
+    monkeypatch.setattr(Link, "send", logged)
+    # Peers resolve node0's typed handlers on their first message; none
+    # has yet.  A message node0 handles arrived while it was alive.
     handled = []
-    handler = fabric._handlers["node0"]
-    fabric._handlers["node0"] = lambda message: (handled.append(message), handler(message))
+    node0 = cluster.services["node0"].rpc
+    for kind in ("_on_request", "_on_response", "_on_cast"):
+        handler = getattr(node0, kind)
+
+        def counted(message, handler=handler):
+            if not node0.nic.down:
+                handled.append(message)
+            handler(message)
+
+        setattr(node0, kind, counted)
 
     def writer():
         for key in range(150):
@@ -206,7 +216,7 @@ def _echo_server(sim, fabric, name="srv"):
         yield sim.timeout(0.001)
         return {"echo": payload}, 64
 
-    server.register("echo", echo)
+    server.register("echo", replying(server, echo))
     return server
 
 
@@ -231,7 +241,7 @@ def test_rpc_unknown_method_and_handler_error_travel_back():
         raise RuntimeError("kaput")
         yield  # pragma: no cover
 
-    server.register("boom", boom)
+    server.register("boom", replying(server, boom))
     client = RpcEndpoint(sim, fabric, "cli")
     with pytest.raises(RetriesExhausted) as err:
         drive(sim, client.call("srv", "nope", None, 16))
@@ -702,7 +712,7 @@ def test_each_replica_service_answers_only_its_own_protocol(mode, own, foreign):
         sim, rf=3, net_kwargs={"replication_mode": mode, "rpc_retries": 0}
     )
     for service in cluster.services.values():
-        assert set(service.rpc._methods) | set(service.rpc._async_methods) == own
+        assert set(service.rpc._methods) == own
     probe = RpcEndpoint(sim, cluster.fabric, "probe")
     payload = {"tenant": "t1", "key": 0, "size": KIB, "op": "put", "pid": 0, "seq": 1}
     for method in sorted(foreign):
@@ -774,3 +784,15 @@ def test_unplaced_node_skipped_by_placement_and_redistribution():
     assert cluster.nodes["node1"].policy.reservation("t1").gets > 500
     for name, node in cluster.nodes.items():
         assert ("t1" in node.tenants) == (name in hosting)
+
+
+def test_link_and_rpc_stats_stay_plain_dataclasses():
+    """kvbench's ``harness.snapshot`` and ``test_determinism`` hash
+    ``vars()`` of every ``LinkStats`` and ``RpcStats``: a ``__slots__``
+    or an extra attribute would silently move every cluster digest."""
+    from repro.net import LinkStats, RpcStats
+
+    for cls in (LinkStats, RpcStats):
+        assert dataclasses.is_dataclass(cls) and "__slots__" not in vars(cls)
+        fields = [field.name for field in dataclasses.fields(cls)]
+        assert list(vars(cls())) == fields

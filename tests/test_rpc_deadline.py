@@ -20,7 +20,7 @@ Three kinds of test:
 
 import pytest
 
-from .helpers import queue_counter
+from .helpers import queue_counter, replying
 from repro.faults import (
     FaultKind,
     FaultPlan,
@@ -86,7 +86,7 @@ def echo_pair(config=None, handler=instant):
     sim = Simulator()
     fabric = NetworkFabric(sim, config or NetConfig())
     server = RpcEndpoint(sim, fabric, "srv")
-    server.register("echo", handler)
+    server.register("echo", replying(server, handler))
     return sim, server, RpcEndpoint(sim, fabric, "cli")
 
 
@@ -257,7 +257,7 @@ def chaos_run(endpoint, seed, callbacks=False):
     endpoints = []
     for name in ("srv0", "srv1"):
         server = endpoint(sim, fabric, name)
-        server.register("echo", work)
+        server.register("echo", replying(server, work))
         endpoints.append(server)
     log = []
     for k in range(3):
