@@ -15,6 +15,7 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     FaultWindow,
+    NodeUnreachable,
     RetriesExhausted,
     RpcTimeout,
     StorageFault,
@@ -230,6 +231,40 @@ def test_rpc_round_trip_and_stats():
     assert client.stats.round_trips == 1
     assert server.stats.served == 1
     assert client.stats.retries == 0
+
+
+def test_call_to_a_membership_dead_target_spends_one_attempt():
+    """The endpoint reads no membership: a call to a killed target the
+    membership already declared dead sends its first attempt, and only
+    the caller's ``give_up``, consulted once that attempt timed out,
+    abandons the budget — exactly one ``rpc_timeout`` after the call
+    began."""
+    sim = Simulator()
+    config = NetConfig(rpc_timeout=0.05, rpc_retries=5)
+    fabric = NetworkFabric(sim, config)
+    _echo_server(sim, fabric)
+    client = RpcEndpoint(sim, fabric, "cli")
+    membership = Membership(["srv", "cli"])
+    fabric.set_down("srv")
+    membership.mark_dead("srv")
+    seen = []
+
+    def caller():
+        yield sim.timeout(0.0137)
+        started = sim.now
+        try:
+            yield from client.call(
+                "srv", "echo", 1, 64, give_up=lambda: not membership.is_live("srv")
+            )
+        except RetriesExhausted as exc:
+            seen.append((sim.now == started + config.rpc_timeout, type(exc.__cause__)))
+
+    sim.process(caller())
+    sim.run(until=1.0)
+    assert seen == [(True, NodeUnreachable)]
+    stats = client.stats
+    assert (stats.calls, stats.timeouts, stats.retries, stats.failures) == (1, 1, 1, 1)
+    assert fabric.link_stats[("cli", "srv")].dead_letters == 1
 
 
 def test_rpc_unknown_method_and_handler_error_travel_back():
