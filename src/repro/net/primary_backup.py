@@ -343,7 +343,8 @@ class PrimaryBackupService(ReplicaService):
         """DES generator: move ``[lo, hi)`` of a partition this node leads
         to the joining replicas ``targets``, then run ``commit()``.
 
-        A charged range scan is the snapshot, shipped in batched
+        A charged range scan is the snapshot (skipped when ``targets``
+        is empty: nothing is shipped), shipped in batched
         ``mig.apply`` calls (wire bytes here, charged applies on each
         target).  Writes that commit after the scan began collect in a
         WAL tail, replayed in rounds until it is short.  Then the fence
@@ -359,7 +360,9 @@ class PrimaryBackupService(ReplicaService):
             raise RuntimeError(f"{tenant}/{pid} already migrating on {self.node.name}")
         mig = self._migrations[slot] = _Migration(lo, hi)
         try:
-            scanned = yield from self.node.scan(tenant, lo, hi - 1)
+            # An in-place move (no joining replica) ships nothing, so it
+            # charges no snapshot scan; the fence and its drain still run.
+            scanned = (yield from self.node.scan(tenant, lo, hi - 1)) if targets else []
             yield from self._ship_records(
                 targets, tenant, [(key, size, "put") for key, size in scanned]
             )

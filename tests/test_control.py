@@ -843,3 +843,54 @@ def test_scalefig_grow_cell_deterministic_and_lossless():
     assert a.lost == 0 and a.verified and a.audit_ok
     assert a.migrations > 0 and a.map_version > 0
     assert hashlib.sha256(repr(a).encode()).hexdigest()[:16] == GOLDEN_GROW_CELL
+
+
+def test_in_place_split_scans_nothing_and_keeps_racing_writes():
+    """An in-place split (the upper half stays on the same replicas)
+    ships nothing: it reports 0 snapshot records and charges the source
+    no scan (counted as a GET there), while writes racing it through the
+    fence all read back."""
+    sim = Simulator()
+    cluster = make_cluster(sim, n_nodes=4, rf=2)
+    client = cluster.make_client()
+    expected = {}
+    state = {"stop": False}
+    target = cluster.partition_map.partitions(TENANT)[0]
+    source = cluster.nodes[target.node]
+
+    def writer():
+        op = 0
+        while not state["stop"]:
+            op += 1
+            key = target.lo + (op * 7) % (target.hi - target.lo)
+            try:
+                yield from client.put(TENANT, key, 2 * KIB)
+                expected[key] = 2 * KIB
+            except StorageFault:
+                pass
+            yield sim.timeout(0.002)
+
+    def control():
+        yield sim.timeout(0.2)
+        gets = source.request_stats[TENANT].gets
+        report = yield from cluster.reshard.split(TENANT, target.index)
+        state["stop"] = True
+        return report, source.request_stats[TENANT].gets - gets
+
+    sim.process(writer(), name="writer")
+    report, scans = drive(sim, control(), until=60.0)
+    assert report.kind == "split" and report.snapshot_records == 0
+    assert scans == 0
+    assert expected
+    missing = []
+
+    def verify():
+        check = cluster.make_client()
+        for key in sorted(expected):
+            got = yield from check.get(TENANT, key)
+            if got != expected[key]:
+                missing.append(key)
+
+    drive(sim, verify(), until=60.0)
+    assert missing == []
+    cluster.stop()
