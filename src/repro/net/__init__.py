@@ -22,7 +22,7 @@ from .failover import FailoverRecord, FailureDetector, HeartbeatService
 from .leaderless import LeaderlessService
 from .primary_backup import PrimaryBackupService
 from .replication import Membership
-from .rpc import ACK_BYTES, RpcEndpoint, RpcError, RpcMessage, RpcReply, RpcStats
+from .rpc import ACK_BYTES, RpcEndpoint, RpcError, RpcMessage, RpcStats
 from .versioning import VectorClock, Version, VersionStore, reconcile
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "RpcEndpoint",
     "RpcError",
     "RpcMessage",
-    "RpcReply",
     "RpcStats",
     "VectorClock",
     "Version",

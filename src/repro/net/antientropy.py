@@ -60,8 +60,8 @@ class AntiEntropyService:
         self.pushed = 0
         #: records applied locally because a peer held newer state
         self.pulled = 0
-        service.rpc.register_async("ae.digest", self._handle_digest)
-        service.rpc.register_async("ae.bucket", self._handle_bucket)
+        service.rpc.register("ae.digest", self._handle_digest)
+        service.rpc.register("ae.bucket", self._handle_bucket)
         sim.process(self._loop(), name=f"ae.{service.node.name}")
 
     def stop(self) -> None:
@@ -163,16 +163,15 @@ class AntiEntropyService:
 
     # -- peer-side handlers ------------------------------------------------
 
-    def _handle_digest(self, request) -> None:
+    def _handle_digest(self, request):
         payload = request.payload
         tenant, pid = payload["tenant"], payload["pid"]
         root, buckets = self.service.versions.digest(tenant, pid, DIGEST_BUCKETS)
         reply_bytes = ACK_BYTES + DIGEST_ENTRY_BYTES * len(buckets)
-        self.service.rpc.reply(
-            request, {"root": root, "buckets": list(buckets)}, reply_bytes, self.sim.now
-        )
+        return {"root": root, "buckets": list(buckets)}, reply_bytes
+        yield  # pragma: no cover - marks this handler as a generator
 
-    def _handle_bucket(self, request) -> None:
+    def _handle_bucket(self, request):
         payload = request.payload
         tenant, pid = payload["tenant"], payload["pid"]
         bucket = payload["bucket"]
@@ -183,4 +182,5 @@ class AntiEntropyService:
             if key % DIGEST_BUCKETS == bucket
         ]
         reply_bytes = ACK_BYTES + DIGEST_ENTRY_BYTES * 8 * max(len(entries), 1)
-        svc.rpc.reply(request, {"entries": entries}, reply_bytes, self.sim.now)
+        return {"entries": entries}, reply_bytes
+        yield  # pragma: no cover - marks this handler as a generator

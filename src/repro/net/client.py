@@ -16,9 +16,9 @@ once the membership has declared the target dead or the partition map
 version has moved: a client holding a pre-failover resolution
 re-resolves after one failed attempt instead of hammering a dead
 endpoint with its whole retry budget.  A target already known dead is
-not called at all: ``_call_primary`` fails that round fast itself.  The rounds
-budget bounds how long a request can chase a moving owner before the
-failure surfaces to the application.
+not called at all: ``_call_primary`` fails that round fast itself.  The
+rounds budget bounds how long a request can chase a moving owner before
+the failure surfaces to the application.
 
 Under **leaderless** replication (``NetConfig.replication_mode``) there
 is no primary: the client walks the key's home replicas — membership-
@@ -191,7 +191,9 @@ class ClusterClient:
             target, give_up = self._route(tenant, key)
             if target in self._live:
                 try:
-                    reply = yield from self.rpc.call(target, method, payload, nbytes, trace, give_up)
+                    reply = yield from self.rpc.call(
+                        target, method, payload, nbytes, trace, give_up
+                    )
                 except RetriesExhausted as exc:
                     reply = yield from self._call_primary(
                         tenant, key, method, payload, nbytes, trace, (target, exc)

@@ -177,21 +177,10 @@ class Nic:
 
 
 class Link:
-    """One direction between two endpoints, resolved once per pair: its
-    counters, its source NIC and what a message arriving over it is
-    handed to.
+    """One direction between two endpoints, opened on its first message:
+    its counters, its source NIC and its latency."""
 
-    A sender that keeps the link of each peer (an
-    :class:`~repro.net.rpc.RpcEndpoint` does) sends with :meth:`send`
-    and names the receiver's handler per message, so one kernel action
-    per message runs that handler at the arrival time.  The handler is
-    the receiver's: if the receiver may be down by then, it checks
-    (``Nic.down``) and counts the dead letter
-    (:meth:`NetworkFabric.dead_letter`).  :meth:`deliver` is the
-    fabric's own such handler, for a plain attached callable.
-    """
-
-    __slots__ = ("sim", "src", "dst", "stats", "nic", "latency", "injector", "fabric")
+    __slots__ = ("fabric", "sim", "src", "dst", "stats", "nic", "latency", "injector")
 
     def __init__(self, fabric: "NetworkFabric", src: str, dst: str):
         self.fabric = fabric
@@ -203,19 +192,13 @@ class Link:
         self.latency = fabric.config.link_latency
         self.injector = fabric.injector
 
-    @property
-    def receiver(self) -> Optional[Any]:
-        """What ``dst`` attached (None while it is not attached)."""
-        return self.fabric._handlers.get(self.dst)
-
     def send(self, nbytes: int, message: Any, deliver: Callable[[Any], None]) -> None:
         """Ship ``message`` (fire-and-forget); ``deliver(message)`` runs
-        at its arrival.
+        at its arrival, and is what checks for a dead receiver.
 
         Serialization occupies the source NIC (FIFO), propagation adds
         the link latency, and the active fault windows may drop, delay,
-        or duplicate the message in flight.  A dead source sends
-        nothing.
+        or duplicate the message in flight.  A dead source sends nothing.
         """
         nic = self.nic
         if nic.down:
@@ -236,15 +219,9 @@ class Link:
             nic.next_free = now + wire_bytes / nic.bandwidth
         if self.injector is None:
             self.sim.call_at(nic.next_free + self.latency, deliver, message)
-        else:
-            self._faulty(now, deliver, message)
-
-    def _faulty(self, now: float, deliver: Callable[[Any], None], message: Any) -> None:
-        """The rest of a send while fault windows may apply."""
-        done_at = self.nic.next_free
+            return
         injector = self.injector
         stats = self.stats
-        sim = self.sim
         # Partition severance first: it is deterministic (no RNG draw),
         # so cutting a link never perturbs drop/dup streams.
         if injector.severed(now, self.src, self.dst):
@@ -253,19 +230,18 @@ class Link:
         if injector.drop(now):
             stats.dropped += 1
             return
-        extra = injector.extra_delay(now)
+        arrival = nic.next_free + self.latency + injector.extra_delay(now)
         deliveries = 1
         if injector.duplicate(now):
             stats.duplicated += 1
             deliveries = 2
-        arrival = done_at + self.latency + extra
         for copy in range(deliveries):
             # Duplicates trail the original by one propagation delay.
-            sim.call_at(arrival + copy * self.latency, deliver, message)
+            self.sim.call_at(arrival + copy * self.latency, deliver, message)
 
     def deliver(self, message: Any) -> None:
-        """Hand ``message`` to what ``dst`` attached, looked up now (an
-        endpoint not attached drops it), or count a dead letter."""
+        """Hand ``message`` to the callable ``dst`` attached, looked up
+        now (none drops it), or count a dead letter."""
         if self.dst in self.fabric._down:
             self.stats.dead_letters += 1
             return
@@ -289,7 +265,7 @@ class NetworkFabric:
         self.sim = sim
         self.config = config or NetConfig()
         self.nics: Dict[str, Nic] = {}
-        self._handlers: Dict[str, Callable[[Any], None]] = {}
+        self._handlers: Dict[str, Any] = {}
         self._down: Dict[str, float] = {}  # endpoint -> kill time
         self.link_stats: Dict[Tuple[str, str], LinkStats] = {}
         #: src -> dst -> Link, opened on the pair's first message
@@ -302,9 +278,9 @@ class NetworkFabric:
 
     # -- membership --------------------------------------------------------
 
-    def attach(self, name: str, handler: Callable[[Any], None]) -> Nic:
-        """Register an endpoint; ``handler(message)`` runs per delivery
-        (a sender with typed handlers calls those instead)."""
+    def attach(self, name: str, handler: Any) -> Nic:
+        """Register an endpoint: a callable ``handler(message)`` for
+        :meth:`send`, or an :class:`~repro.net.rpc.RpcEndpoint`."""
         if name in self.nics:
             raise ValueError(f"endpoint {name!r} already attached")
         nic = Nic(name, self.config.nic_bandwidth)
@@ -324,11 +300,8 @@ class NetworkFabric:
     # -- transport ---------------------------------------------------------
 
     def link(self, src: str, dst: str) -> Link:
-        """The link from attached ``src`` to ``dst``, opened on first use.
-
-        A dead source opens none: its link is a throwaway whose sends
-        vanish, so it adds no counters.
-        """
+        """The link from attached ``src`` to ``dst``, opened on first use
+        (a dead source's is a throwaway that adds no counters)."""
         link = self._links[src].get(dst)
         if link is None:
             link = Link(self, src, dst)
@@ -339,10 +312,6 @@ class NetworkFabric:
 
     def send(self, src: str, dst: str, nbytes: int, message: Any) -> None:
         """Ship ``message`` from ``src`` to ``dst`` over their link, to
-        be handed to what ``dst`` attached (see :meth:`Link.send`)."""
+        be handed to the callable ``dst`` attached (see :meth:`Link.send`)."""
         link = self.link(src, dst)
         link.send(nbytes, message, link.deliver)
-
-    def dead_letter(self, src: str, dst: str) -> None:
-        """Count a message that reached ``dst`` after it was killed."""
-        self.link_stats[(src, dst)].dead_letters += 1

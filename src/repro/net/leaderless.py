@@ -41,15 +41,15 @@ VERSION_HEADER_BYTES = 96
 class LeaderlessService(ReplicaService):
     """One node's leaderless face: coordination, replica storage, hints.
 
-    Methods (all payloads are plain dicts):
+    Methods (the request's trace id rides on the message):
 
-    - ``lkv.put {tenant, key, size, op}`` → ``{ok, version}`` — this
+    - ``lkv.put (tenant, key, size, op)`` → ``{ok, version}`` — this
       home replica coordinates the write: version, local apply, ship.
-    - ``lkv.get {tenant, key}`` → ``{size, siblings}`` — quorum read
-      with read repair.
+    - ``lkv.get (tenant, key)`` → the size — quorum read with read
+      repair.
     - ``repl.store {tenant, key, version, reason}`` — durably apply a
       versioned record (write, repair, handoff or anti-entropy).
-    - ``repl.read {tenant, key}`` → ``{size, versions}`` — a replica's
+    - ``repl.read (tenant, key)`` → ``{size, versions}`` — a replica's
       answer to another coordinator's quorum read.
     - ``hint.store {tenant, key, version, target}`` — take custody of a
       record for an unreachable home replica.
@@ -126,8 +126,6 @@ class LeaderlessService(ReplicaService):
             "tenant": tenant, "key": key, "version": version.wire(),
             "reason": reason,
         }
-        if trace is not None:
-            payload["trace"] = trace
         try:
             yield from self.rpc.call(
                 target, "repl.store", payload,
@@ -160,18 +158,8 @@ class LeaderlessService(ReplicaService):
         The coordinator's own durable commit is the first ack; the rest
         of the **sloppy** write quorum comes from home replicas or — for
         unreachable homes — hint holders, each ack meaning "this record
-        is durable somewhere and will reach its owner".  The payload is
-        ``(tenant, key, size, op)``.
+        is durable somewhere and will reach its owner".
         """
-        started = self.sim.now
-        try:
-            reply = yield from self._coordinate_put(request)
-        except Exception as exc:  # noqa: BLE001 - travels back to the caller
-            self.rpc.reply_error(request, exc)
-            return
-        self.rpc.reply(request, reply, ACK_BYTES, started)
-
-    def _coordinate_put(self, request):
         tenant, key, size, op = request.payload
         trace = request.trace
         partition = self._home_partition(tenant, key)
@@ -204,7 +192,7 @@ class LeaderlessService(ReplicaService):
                 self.quorum_failures += 1
                 raise
         self.quorum_acks += 1
-        return {"ok": True, "version": version.wire()}
+        return {"ok": True, "version": version.wire()}, ACK_BYTES
 
     def _ship_versioned(self, partition, target, key, version, quorum, trace=None):
         """Ship one versioned record to a home replica, spilling to a
@@ -226,8 +214,6 @@ class LeaderlessService(ReplicaService):
             "tenant": tenant, "key": key, "version": version.wire(),
             "target": target,
         }
-        if trace is not None:
-            payload["trace"] = trace
         nbytes = version.size + VERSION_HEADER_BYTES
         candidates = self.partition_map.hint_candidates(tenant, partition.index)
         # ``give_up`` caps a truly-dead holder at one attempt.
@@ -250,20 +236,9 @@ class LeaderlessService(ReplicaService):
         Collects versioned replies from R home replicas (the local one
         free), reconciles, answers with the winner's size, and pushes
         repair records — full charged engine writes — to every replica
-        whose reply missed a surviving version.  The payload is
-        ``(tenant, key)``, and is each replica's ``repl.read`` payload.
+        whose reply missed a surviving version.
         """
-        started = self.sim.now
-        try:
-            size = yield from self._coordinate_get(request)
-        except Exception as exc:  # noqa: BLE001 - travels back to the caller
-            self.rpc.reply_error(request, exc)
-            return
-        self.rpc.reply(request, size, size or ACK_BYTES, started)
-
-    def _coordinate_get(self, request):
-        payload = request.payload
-        tenant, key = payload
+        payload = tenant, key = request.payload
         trace = request.trace
         partition = self._home_partition(tenant, key)
         need = min(self.config.effective_read_quorum, len(partition.replicas)) - 1
@@ -285,7 +260,7 @@ class LeaderlessService(ReplicaService):
         if winner is None:
             # No versioned history anywhere (pre-seeded or never written
             # through the leaderless path): the local engine answers.
-            return local_size
+            return local_size, (local_size or ACK_BYTES)
         if len(survivors) > 1:
             self.sibling_reads += 1
         for name in sorted(replies):
@@ -304,7 +279,8 @@ class LeaderlessService(ReplicaService):
                         self.push(name, tenant, key, version, "repair", trace),
                         name=f"lrepair.{self.node.name}->{name}",
                     )
-        return None if winner.tombstone else winner.size
+        size = None if winner.tombstone else winner.size
+        return size, (size or ACK_BYTES)
 
     def _read_one_replica(self, target, payload, replies, quorum, trace=None):
         """Ask one home replica for its versions; the ``lkv.get``
@@ -328,18 +304,11 @@ class LeaderlessService(ReplicaService):
     def _handle_store(self, request):
         """Durably apply a versioned record (write / repair / handoff /
         anti-entropy — ``reason`` keys the counters)."""
-        started = self.sim.now
         payload = request.payload
         tenant, key = payload["tenant"], payload["key"]
         version = Version.from_wire(payload["version"])
         reason = payload.get("reason", "write")
-        try:
-            applied = yield from self.apply_version(
-                tenant, key, version, payload.get("trace")
-            )
-        except Exception as exc:  # noqa: BLE001 - travels back to the caller
-            self.rpc.reply_error(request, exc)
-            return
+        applied = yield from self.apply_version(tenant, key, version, request.trace)
         if applied:
             if reason == "repair":
                 self.repairs_received += 1
@@ -347,20 +316,15 @@ class LeaderlessService(ReplicaService):
                 self.handoffs_received += 1
             elif reason == "ae":
                 self.ae_received += 1
-        self.rpc.reply(request, {"ok": True, "applied": applied}, ACK_BYTES, started)
+        return {"ok": True, "applied": applied}, ACK_BYTES
 
     def _handle_read(self, request):
         """Replica-local read for another coordinator's quorum: engine
         GET through the charged path plus the local version set."""
-        started = self.sim.now
         tenant, key = request.payload
-        try:
-            size = yield from self.node.read_replica(tenant, key, trace=request.trace)
-        except Exception as exc:  # noqa: BLE001 - travels back to the caller
-            self.rpc.reply_error(request, exc)
-            return
+        size = yield from self.node.read_replica(tenant, key, trace=request.trace)
         held = [v.wire() for v in self.versions.get(tenant, key)]
-        self.rpc.reply(request, {"size": size, "versions": held}, size or ACK_BYTES, started)
+        return {"size": size, "versions": held}, (size or ACK_BYTES)
 
     def _handle_hint(self, request):
         """Take custody of a record whose home replica is unreachable.
@@ -370,22 +334,17 @@ class LeaderlessService(ReplicaService):
         owner is queued; :meth:`_handoff_loop` delivers it once the
         owner is live again.
         """
-        started = self.sim.now
         payload = request.payload
         tenant, key = payload["tenant"], payload["key"]
         target = payload["target"]
         version = Version.from_wire(payload["version"])
-        try:
-            yield from self.apply_version(tenant, key, version, payload.get("trace"))
-        except Exception as exc:  # noqa: BLE001 - travels back to the caller
-            self.rpc.reply_error(request, exc)
-            return
+        yield from self.apply_version(tenant, key, version, request.trace)
         slot = (target, tenant, key)
         held = self.hints.get(slot)
         if held is None or version.clock.descends(held.clock):
             self.hints[slot] = version
             self.hints_stored += 1
-        self.rpc.reply(request, {"ok": True}, ACK_BYTES, started)
+        return {"ok": True}, ACK_BYTES
 
     def _handoff_loop(self):
         """Periodically deliver queued hints to owners that came back.

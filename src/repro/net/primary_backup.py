@@ -76,17 +76,12 @@ class _Migration:
 
 
 class _Stream:
-    """One partition's replication state on one node.
-
-    As primary: the highest sequence shipped, and the writes in flight
-    — counted whether or not a migration is active, so a migration that
-    *begins* mid-write can still fence against (and tail-capture) that
-    write — with the fence's waiter for them to finish (``idle``).  As
-    backup: the highest sequence applied in order, and the early
-    arrivals waiting for their predecessors (``seq -> (request, stream,
-    received at)``), applied in order by at most one draining process
-    at a time.
-    """
+    """One partition's replication state on one node: as primary, the
+    highest sequence shipped and the writes in flight (counted even with
+    no migration active, so one that begins mid-write still fences on
+    it) with a fence's waiter (``idle``); as backup, the sequence
+    applied in order and the early arrivals (``seq -> (request, stream,
+    received at)``) that at most one draining process applies."""
 
     __slots__ = ("shipped", "inflight", "idle", "applied", "pending", "draining")
 
@@ -120,8 +115,6 @@ class PrimaryBackupService(ReplicaService):
     - ``mig.apply {tenant, records}`` — a migration destination applies
       a shipped batch.
 
-    ``repl.seq`` and ``mig.apply`` payloads and replies are dicts.
-
     Live migration is two calls: :meth:`transfer` (the whole protocol,
     on the source primary) and :meth:`reset_stream` (a cutover's
     sequence alignment, on each new replica).
@@ -132,11 +125,11 @@ class PrimaryBackupService(ReplicaService):
         #: acks a write needs from its backups
         self._backup_acks = self.config.effective_write_quorum - 1
         rpc = self.rpc
-        rpc.register("kv.get", self._handle_get)
-        rpc.register("kv.put", self._handle_write)
-        rpc.register("kv.delete", self._handle_write)
+        rpc.register_async("kv.get", self._handle_get)
+        rpc.register_async("kv.put", self._handle_write)
+        rpc.register_async("kv.delete", self._handle_write)
         rpc.register_async("repl.apply", self._handle_apply)
-        rpc.register_async("repl.seq", self._handle_seq)
+        rpc.register("repl.seq", self._handle_seq)
         rpc.register("mig.apply", self._handle_mig_apply)
         # -- live migration (see transfer) ---------------------------------
         #: outbound migrations on this primary: (tenant, pid) -> state
@@ -155,8 +148,8 @@ class PrimaryBackupService(ReplicaService):
 
     def _handle_get(self, request):
         started = self.sim.now
-        tenant, key = request.payload
         try:
+            tenant, key = request.payload
             size = yield from self.node.get(tenant, key, request.trace)
         except Exception as exc:  # noqa: BLE001 - travels back to the caller
             self.rpc.reply_error(request, exc)
@@ -173,9 +166,9 @@ class PrimaryBackupService(ReplicaService):
         against the bumped map version.
         """
         started = self.sim.now
-        tenant, key, size, op = request.payload
         node = self.node
         try:
+            tenant, key, size, op = request.payload
             partition = self.partition_map.partition_of(tenant, key)
             replicas = partition.replicas
             if replicas[0] != node.name:
@@ -244,14 +237,12 @@ class PrimaryBackupService(ReplicaService):
         replication (ack on local commit, shipping races the failure),
         not no replication.
 
-        Each shipment's first attempt is queued for now, where a
-        shipping process's start would be queued, and relays its reply
-        to the quorum (:meth:`RpcEndpoint.fan_out`): no process or
-        generator per shipment.  A freshly promoted primary continues
-        the sequence where its applied prefix ends; an original primary
-        continues its own.
+        Shipments relay their replies to the quorum
+        (:meth:`RpcEndpoint.fan_out`): no process per shipment.  A
+        freshly promoted primary continues the sequence where its
+        applied prefix ends; an original primary continues its own.
         """
-        backups = self.membership.live_among(replicas[1:])
+        backups = list(filter(self.membership.live.__contains__, replicas[1:]))
         if not backups:
             return None
         seq = stream.shipped = max(stream.shipped, stream.applied) + 1
@@ -321,10 +312,10 @@ class PrimaryBackupService(ReplicaService):
     def _nack_apply(self, failed) -> None:
         self.rpc.reply_error(*failed)
 
-    def _handle_seq(self, request) -> None:
+    def _handle_seq(self, request):
         payload = request.payload
-        applied = self.applied_seq(payload["tenant"], payload["pid"])
-        self.rpc.reply(request, {"seq": applied}, ACK_BYTES, self.sim.now)
+        return {"seq": self.applied_seq(payload["tenant"], payload["pid"])}, ACK_BYTES
+        yield  # pragma: no cover - marks this handler as a generator
 
     # -- live migration (source primary + destination sides) ----------------
 
@@ -426,13 +417,8 @@ class PrimaryBackupService(ReplicaService):
     def _handle_mig_apply(self, request):
         """Destination side: durably apply a batch of shipped records
         through the full charged replica path, in order."""
-        started = self.sim.now
         payload = request.payload
         tenant = payload["tenant"]
-        try:
-            for key, size, op in payload["records"]:
-                yield from self.node.apply_replica(tenant, key, size or 1024, op=op)
-        except Exception as exc:  # noqa: BLE001 - travels back to the caller
-            self.rpc.reply_error(request, exc)
-            return
-        self.rpc.reply(request, {"n": len(payload["records"])}, ACK_BYTES, started)
+        for key, size, op in payload["records"]:
+            yield from self.node.apply_replica(tenant, key, size or 1024, op=op)
+        return {"n": len(payload["records"])}, ACK_BYTES

@@ -39,10 +39,6 @@ class Membership:
     def is_live(self, name: str) -> bool:
         return name in self.live
 
-    def live_among(self, names) -> List[str]:
-        """The membership-live ones of ``names``, in order."""
-        return list(filter(self.live.__contains__, names))
-
     def live_first(self, names) -> List[str]:
         """``names`` in order, membership-live ones first, then the
         suspected-dead ones.

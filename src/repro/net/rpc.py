@@ -14,25 +14,19 @@ is a DES generator for callers that park on the reply;
 :meth:`RpcEndpoint.call_async` reports to a ``done(ok, value)`` callback
 for callers that only relay it (replica shipping).  Each continuation of
 ``call_async`` is queued where the generator's resume would have been,
-so the two produce the same trajectory.  A response's delivery
-queues its waiter's wake-up, and a request's its handler's start, like
-any other action due now.
+so the two produce the same trajectory.  Each message an endpoint sends
+over its link to a peer names the receiving endpoint's handler for its
+kind (request, response or cast), which its arrival runs directly.
 
-An endpoint keeps one :class:`~repro.net.fabric.Link` per peer, and
-each message it sends names the receiving endpoint's handler for its
-kind (request, response or cast), so the kernel action a delivery is
-runs that handler directly.
-
-Handlers answer a request themselves, through :meth:`RpcEndpoint.reply`
-or :meth:`RpcEndpoint.reply_error`: a :meth:`RpcEndpoint.register`
-handler is a DES generator started as its own process, a
-:meth:`RpcEndpoint.register_async` one a plain function queued for now.
-Handlers must be **idempotent**: a duplicated request (MSG_DUP window,
-or a retry whose original attempt actually landed) runs the handler
-again.  Replica applies are sequence-idempotent and KV writes are
-last-writer-wins per key, so the storage handlers satisfy this by
-construction.  Duplicate responses are ignored (the correlation id is
-consumed by the first).
+A :meth:`RpcEndpoint.register` handler is a DES generator returning
+``(result, reply_bytes)``, run in a serve process that sends the reply
+(or the :class:`RpcError` its exception becomes); a
+:meth:`RpcEndpoint.register_async` one answers for itself.  Handlers
+must be **idempotent**: a duplicated request (MSG_DUP window, or a retry
+whose original attempt actually landed) runs the handler again.  Replica
+applies are sequence-idempotent and KV writes are last-writer-wins per
+key, so the storage handlers satisfy this by construction.  Duplicate
+responses are ignored (the correlation id is consumed by the first).
 """
 
 from __future__ import annotations
@@ -41,11 +35,14 @@ import random
 import zlib
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
+from inspect import isgeneratorfunction
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..faults import NetworkFault, NodeUnreachable, RetriesExhausted, RpcTimeout
 from ..sim import DeadlineQueue, Event, Process, Simulator
-from .fabric import Link, NetConfig, NetworkFabric
+from .fabric import NetConfig, NetworkFabric, _drop
 
 __all__ = ["RpcError", "RpcStats", "RpcMessage", "RpcReply", "RpcEndpoint"]
 
@@ -72,16 +69,13 @@ class RpcStats:
     casts: int = 0
 
 
-class RpcMessage(namedtuple("RpcMessage", "kind src corr_id method payload trace",
-                            defaults=("", None, None))):
+class RpcMessage(namedtuple("RpcMessage", "kind src corr_id method payload trace")):
     """One request (``kind`` "req") or one-way cast ("cast") on the wire.
 
     ``trace`` is the originating request's trace id (see
     :mod:`repro.obs.trace`), carried by value so a request's spans on
     the serving node join the caller's trace; None when tracing is off.
-    A message is a tuple with named fields, so it is immutable, and an
-    endpoint builds each one with ``tuple.__new__`` directly: no
-    interpreted constructor per message.
+    Endpoints build messages with ``_new``: no constructor frame.
     """
 
     __slots__ = ()
@@ -89,15 +83,15 @@ class RpcMessage(namedtuple("RpcMessage", "kind src corr_id method payload trace
 
 class RpcReply(namedtuple("RpcReply", "src corr_id payload ok")):
     """One response on the wire: the answer from ``src`` to the attempt
-    ``corr_id``, carrying the result (``ok``) or an :class:`RpcError`;
-    a tuple with named fields, like :class:`RpcMessage`."""
+    ``corr_id``, carrying the result (``ok``) or an :class:`RpcError`."""
 
     __slots__ = ()
-    kind = "resp"
 
 
 #: builds a message tuple without an interpreted constructor
 _new = tuple.__new__
+#: the receiver of a message to a name no endpoint is attached as
+_UNATTACHED = SimpleNamespace(_on_request=_drop, _on_response=_drop, _on_cast=_drop)
 
 
 class _AsyncCall:
@@ -112,9 +106,7 @@ class _AsyncCall:
     __slots__ = ("endpoint", "target", "method", "payload", "nbytes", "done",
                  "trace", "give_up", "attempt", "started")
 
-    def __init__(self, endpoint: "RpcEndpoint", target: str, method: str, payload: Any,
-                 nbytes: int, done: Callable[[bool, Any], None], trace: Optional[int],
-                 give_up: Optional[Callable[[], bool]]):
+    def __init__(self, endpoint, target, method, payload, nbytes, done, trace, give_up):
         self.endpoint = endpoint
         self.target = target
         self.method = method
@@ -162,25 +154,21 @@ class _AsyncCall:
 
 class _Peer:
     """A peer as an endpoint sends to it: the send of the fabric link to
-    it, and the handler each kind of message is delivered to (the
-    receiving endpoint's, or the link's own for a receiver that is no
-    endpoint)."""
+    it, and the receiving endpoint's handler for each kind of message."""
 
     __slots__ = ("send", "request", "response", "cast")
 
-    def __init__(self, link: Link, receiver: Any):
-        self.send = link.send
-        if isinstance(receiver, RpcEndpoint):
-            self.request = receiver._on_request
-            self.response = receiver._on_response
-            self.cast = receiver._on_cast
-        else:
-            self.request = self.response = self.cast = link.deliver
+    def __init__(self, send: Callable, receiver: Any):
+        self.send = send
+        self.request = receiver._on_request
+        self.response = receiver._on_response
+        self.cast = receiver._on_cast
 
 
 class _Peers(dict):
-    """An endpoint's peers by name, each resolved on its first message
-    and kept once it is an attached endpoint."""
+    """An endpoint's peers by name, resolved on the first message and
+    kept once attached (a message to a name nothing is attached as is
+    dropped)."""
 
     __slots__ = ("fabric", "name")
 
@@ -190,16 +178,11 @@ class _Peers(dict):
         self.name = name
 
     def __missing__(self, target: str) -> _Peer:
-        link = self.fabric.link(self.name, target)
-        receiver = link.receiver
-        peer = _Peer(link, receiver)
-        if isinstance(receiver, RpcEndpoint):
+        receiver = self.fabric._handlers.get(target)
+        peer = _Peer(self.fabric.link(self.name, target).send, receiver or _UNATTACHED)
+        if receiver is not None:
             self[target] = peer
         return peer
-
-
-#: a message's ``kind`` -> the receiving endpoint's handler for it
-_HANDLERS = {"req": "_on_request", "resp": "_on_response", "cast": "_on_cast"}
 
 
 class RpcEndpoint:
@@ -228,8 +211,8 @@ class RpcEndpoint:
         #: endpoints decorrelate.  Drawn only on retries: fault-free
         #: runs consume no randomness (the repo-wide determinism rule).
         self._jitter_rng = random.Random(zlib.crc32(name.encode()) ^ 0x1277E4)
-        #: method -> (handler of the request message, True when the
-        #: handler is a generator run as its own process)
+        #: method -> (handler of the request message, True when it
+        #: returns a generator to run as the request's process)
         self._methods: Dict[str, Tuple[Callable, bool]] = {}
         #: one-way method -> plain function(payload) -> None
         self._cast_methods: Dict[str, Callable[[Any], None]] = {}
@@ -245,16 +228,17 @@ class RpcEndpoint:
 
     def register(self, method: str, handler: Callable) -> None:
         """Register a request handler: a DES generator function of the
-        request message, started as its own process, which answers
-        through :meth:`reply` or :meth:`reply_error` and must not raise."""
-        self._methods[method] = (handler, True)
+        request message returning ``(result, reply_bytes)``, run in a
+        serve process; an exception it raises travels back to the caller
+        as an :class:`RpcError`."""
+        self._methods[method] = (partial(self._serve, handler), True)
 
-    def register_async(self, method: str, handler: Callable[[RpcMessage], None]) -> None:
-        """Register a handler that is a plain function of the request
-        message, queued where a :meth:`register` handler's process would
-        start; it must eventually answer through :meth:`reply` or
-        :meth:`reply_error` and must not raise."""
-        self._methods[method] = (handler, False)
+    def register_async(self, method: str, handler: Callable[[RpcMessage], Any]) -> None:
+        """Register a handler of the request message that answers through
+        :meth:`reply` or :meth:`reply_error` itself and must not raise: a
+        plain function, queued where a serve process would start, or a
+        generator function, started as that process."""
+        self._methods[method] = (handler, isgeneratorfunction(handler))
 
     def register_cast(self, method: str, handler: Callable[[Any], None]) -> None:
         """Register a one-way handler (no response, plain callable)."""
@@ -279,19 +263,14 @@ class RpcEndpoint:
 
         Raises :class:`RetriesExhausted` (cause: the final
         :class:`~repro.faults.RpcTimeout` or :class:`RpcError`) once the
-        budget is spent.  The endpoint reads no membership: a call to a
-        dead target spends its attempts like one to a silent target,
-        each timing out after ``config.rpc_timeout``.
-
-        ``give_up()`` is consulted after each failed attempt: returning
-        True abandons the remaining retry budget immediately (wrapped in
-        :class:`RetriesExhausted` with :class:`NodeUnreachable` as the
-        cause).  Callers use it to stop hammering a target the failure
-        detector has declared dead instead of burning the full budget on
-        an endpoint that will never answer; a call to a target already
-        declared dead therefore ends after its first attempt times out.
-        Failing fast without any attempt is the caller's job (as
-        :class:`~repro.net.client.ClusterClient` does).
+        budget is spent.  The endpoint reads no membership: a dead
+        target is silence, each attempt timing out.  ``give_up()`` is
+        consulted after each failed attempt: True abandons the rest of
+        the budget (wrapped in :class:`RetriesExhausted` with
+        :class:`NodeUnreachable` as the cause), so a call to a target
+        the failure detector declared dead ends one timeout after its
+        first attempt.  Failing fast without any attempt is the caller's
+        job (as :class:`~repro.net.client.ClusterClient` does).
 
         Retry backoff doubles per attempt and carries deterministic
         per-endpoint jitter (``config.rpc_jitter``), so the retry storm
@@ -409,10 +388,13 @@ class RpcEndpoint:
 
     # -- delivery: one typed handler per kind of message --------------------
 
+    def _dead_letter(self, message) -> None:
+        """Count a message that arrived after this endpoint was killed."""
+        self.fabric.link_stats[(message.src, self.name)].dead_letters += 1
+
     def _on_response(self, response: RpcReply) -> None:
         if self.nic.down:
-            self.fabric.dead_letter(response.src, self.name)
-            return
+            return self._dead_letter(response)
         try:
             waiter = self._waiting.pop(response.corr_id)
         except KeyError:  # a duplicate or post-timeout response
@@ -421,8 +403,7 @@ class RpcEndpoint:
 
     def _on_request(self, request: RpcMessage) -> None:
         if self.nic.down:
-            self.fabric.dead_letter(request.src, self.name)
-            return
+            return self._dead_letter(request)
         self.stats.served += 1
         try:
             handler, spawn = self._methods[request.method]
@@ -435,19 +416,22 @@ class RpcEndpoint:
 
     def _on_cast(self, message: RpcMessage) -> None:
         if self.nic.down:
-            self.fabric.dead_letter(message.src, self.name)
-            return
+            return self._dead_letter(message)
         handler = self._cast_methods.get(message.method)
         if handler is not None:
             handler(message.payload)
 
-    def __call__(self, message: RpcMessage) -> None:
-        """The fabric's delivery of a message sent through
-        :meth:`NetworkFabric.send` rather than a peer link: the handler
-        for its kind."""
-        getattr(self, _HANDLERS[message.kind])(message)
-
     # -- server side -------------------------------------------------------
+
+    def _serve(self, handler: Callable, request: RpcMessage):
+        """The serve process of a :meth:`register` handler."""
+        started = self.sim.now
+        try:
+            result, reply_bytes = yield from handler(request)
+        except Exception as exc:  # noqa: BLE001 - travels back to the caller
+            self.reply_error(request, exc)
+            return
+        self.reply(request, result, reply_bytes, started)
 
     def _no_method(self, request: RpcMessage) -> None:
         self._reply_failed(request, RpcError(f"{self.name}: no method {request.method!r}"))
@@ -462,9 +446,7 @@ class RpcEndpoint:
                 started, self.sim.now, trace=request.trace,
             )
         peer = self._peers[request.src]
-        peer.send(
-            nbytes, _new(RpcReply, (self.name, request.corr_id, result, True)), peer.response
-        )
+        peer.send(nbytes, _new(RpcReply, (self.name, request.corr_id, result, True)), peer.response)
 
     def reply_error(self, request: RpcMessage, exc: BaseException) -> None:
         """Answer ``request`` with the handler's failure: its text

@@ -381,21 +381,3 @@ class PerVictimGcFtl(Ftl):
         while not self.gc_satisfied:
             if self.collect_victim() is None:
                 break
-
-
-def replying(endpoint, handler):
-    """A :meth:`RpcEndpoint.register` handler made from ``handler``, a
-    DES generator function of the request payload that returns
-    ``(result, reply_bytes)``: it answers through ``endpoint.reply``, or
-    ``endpoint.reply_error`` when ``handler`` raises."""
-
-    def serve(request):
-        started = endpoint.sim.now
-        try:
-            result, nbytes = yield from handler(request.payload)
-        except Exception as exc:  # noqa: BLE001 - travels back to the caller
-            endpoint.reply_error(request, exc)
-            return
-        endpoint.reply(request, result, nbytes, started)
-
-    return serve

@@ -6,7 +6,6 @@ import dataclasses
 
 import pytest
 
-from .helpers import replying
 from repro.core import Reservation
 from repro.core.scheduler import TenantUsage
 from repro.engine import EngineConfig
@@ -20,7 +19,9 @@ from repro.faults import (
     RpcTimeout,
     StorageFault,
 )
-from repro.net import ClusterClient, Membership, NetConfig, NetworkFabric, RpcEndpoint
+from repro.net import (
+    ClusterClient, Membership, NetConfig, NetworkFabric, RpcEndpoint, RpcError,
+)
 from repro.net.fabric import MESSAGE_OVERHEAD, Link
 from repro.node import NodeConfig, PartitionMap, RequestStats, StorageCluster
 from repro.sim import Simulator
@@ -213,11 +214,11 @@ def test_message_fault_windows_drop_delay_duplicate():
 def _echo_server(sim, fabric, name="srv"):
     server = RpcEndpoint(sim, fabric, name)
 
-    def echo(payload):
+    def echo(request):
         yield sim.timeout(0.001)
-        return {"echo": payload}, 64
+        return {"echo": request.payload}, 64
 
-    server.register("echo", replying(server, echo))
+    server.register("echo", echo)
     return server
 
 
@@ -272,18 +273,38 @@ def test_rpc_unknown_method_and_handler_error_travel_back():
     fabric = NetworkFabric(sim, NetConfig(rpc_retries=0))
     server = RpcEndpoint(sim, fabric, "srv")
 
-    def boom(payload):
+    def boom(request):
         raise RuntimeError("kaput")
         yield  # pragma: no cover
 
-    server.register("boom", replying(server, boom))
+    server.register("boom", boom)
     client = RpcEndpoint(sim, fabric, "cli")
     with pytest.raises(RetriesExhausted) as err:
         drive(sim, client.call("srv", "nope", None, 16))
     assert "no method" in str(err.value.__cause__)
     with pytest.raises(RetriesExhausted) as err:
         drive(sim, client.call("srv", "boom", None, 16))
+    assert isinstance(err.value.__cause__, RpcError)
     assert "kaput" in str(err.value.__cause__)
+    assert (client.stats.calls, client.stats.timeouts) == (2, 0)
+
+
+@pytest.mark.parametrize("payload", [("t1", 0, KIB, "put"), ("t1",)], ids=["backup", "malformed"])
+def test_a_write_handler_error_travels_back_at_once(payload):
+    """``kv.put`` answers for itself: a write to a backup, or a payload
+    it cannot unpack, comes back as an :class:`RpcError` one round trip
+    after the call, not as a timeout."""
+    sim = Simulator()
+    cluster = make_cluster(sim, rf=3, net_kwargs={"rpc_retries": 0})
+    backup = cluster.partition_map.partition_of("t1", 0).replicas[1]
+    probe = RpcEndpoint(sim, cluster.fabric, "probe")
+    call = sim.process(probe.call(backup, "kv.put", payload, KIB))
+    sim.step_while(lambda: call.is_alive)
+    assert isinstance(call.value, RetriesExhausted)
+    assert isinstance(call.value.__cause__, RpcError)
+    assert probe.stats.timeouts == 0 and sim.now < cluster.net.rpc_timeout
+    cluster.stop()
+    assert cluster.total_stats("t1").puts == 0
 
 
 def test_rpc_timeout_then_retry_succeeds_through_drop_window():

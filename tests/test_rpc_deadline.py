@@ -20,7 +20,7 @@ Three kinds of test:
 
 import pytest
 
-from .helpers import queue_counter, replying
+from .helpers import queue_counter
 from repro.faults import (
     FaultKind,
     FaultPlan,
@@ -34,9 +34,9 @@ from repro.net.rpc import RpcMessage
 from repro.sim import DeadlineQueue, SimulationError, Simulator
 
 
-def instant(payload):
+def instant(request):
     """A handler that returns without waiting."""
-    return {"echo": payload}, 64
+    return {"echo": request.payload}, 64
     yield  # pragma: no cover - makes this a generator
 
 
@@ -86,7 +86,7 @@ def echo_pair(config=None, handler=instant):
     sim = Simulator()
     fabric = NetworkFabric(sim, config or NetConfig())
     server = RpcEndpoint(sim, fabric, "srv")
-    server.register("echo", replying(server, handler))
+    server.register("echo", handler)
     return sim, server, RpcEndpoint(sim, fabric, "cli")
 
 
@@ -148,9 +148,9 @@ def test_fault_free_round_trip_queues_four_actions(callbacks):
 
 
 def test_unanswered_call_times_out_exactly_at_its_deadline():
-    def slow(payload):
+    def slow(request):
         yield sim.timeout(0.4)  # answers well after the caller gave up
-        return payload, 64
+        return request.payload, 64
 
     config = NetConfig(rpc_timeout=0.25, rpc_retries=0)
     sim, server, client = echo_pair(config, handler=slow)
@@ -182,9 +182,9 @@ def test_late_duplicate_response_after_expiry_is_ignored():
         FaultWindow(FaultKind.MSG_DUP, 0.0, 10.0, probability=1.0)
     )
 
-    def slow(payload):
+    def slow(request):
         yield sim.timeout(0.03)
-        return payload, 64
+        return request.payload, 64
 
     config = NetConfig(fault_plan=plan, rpc_timeout=0.02, rpc_retries=0)
     sim, server, client = echo_pair(config, handler=slow)
@@ -213,12 +213,12 @@ class RaceEndpoint(RpcEndpoint):
         corr_id = self._next_id
         response = self.sim.event()
         self._waiting[corr_id] = response
-        self.fabric.send(
-            self.name,
-            target,
+        peer = self._peers[target]
+        peer.send(
             nbytes,
             RpcMessage(kind="req", src=self.name, corr_id=corr_id, method=method,
                        payload=payload, trace=trace),
+            peer.request,
         )
         timer = self.sim.timeout(self.config.rpc_timeout)
         yield self.sim.any_of([response, timer])
@@ -250,14 +250,14 @@ def chaos_run(endpoint, seed, callbacks=False):
     sim = Simulator()
     fabric = NetworkFabric(sim, config)
 
-    def work(payload):
+    def work(request):
         yield sim.timeout(0.0007)
-        return payload, 256
+        return request.payload, 256
 
     endpoints = []
     for name in ("srv0", "srv1"):
         server = endpoint(sim, fabric, name)
-        server.register("echo", replying(server, work))
+        server.register("echo", work)
         endpoints.append(server)
     log = []
     for k in range(3):
