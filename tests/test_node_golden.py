@@ -20,6 +20,11 @@ budget race (``budgeted``), trace-id allocation and every span
 (``traced``), cache invalidation (``deletes``), and ``apply_replica`` /
 ``read_replica`` under both replication modes.
 
+``cluster/primary-backup/quorum-read`` pins the client's quorum read
+(every GET to each live replica, the chain-senior reply kept), recorded
+at the commit before the read fan-outs stopped starting a process per
+replica.
+
 ``cluster/chaos`` pins the message path those fault-free clusters never
 take, recorded at the commit before replica shipping and backup applies
 became scheduled continuations: the replicated run of
@@ -134,9 +139,12 @@ REWIRED = {
 }
 
 #: 3 nodes, rf=3: every acknowledged write is an ``apply_replica`` on
-#: two backups; leaderless quorum reads are ``read_replica`` calls
+#: two backups; leaderless quorum reads are ``read_replica`` calls, and
+#: a primary-backup ``read_quorum`` above 1 sends each GET to every
+#: live replica (the client's quorum read)
 CLUSTERS = {
     "primary-backup": NetConfig(rf=3),
+    "primary-backup/quorum-read": NetConfig(rf=3, read_quorum=2),
     "leaderless": NetConfig(
         rf=3, replication_mode="leaderless", read_quorum=2, write_quorum=2,
     ),
@@ -150,6 +158,7 @@ GOLDEN_REWIRED = {
     "traced/spans": "32331:a05de9238da0aa9b",
     "cluster/primary-backup": "b34928c1d2eff905-337ff96cd1d2ad26-f446093362fdb16e",
     "cluster/leaderless": "d7dc979e4ad63d69-18d39da02021d714-e239fc495368ce66",
+    "cluster/primary-backup/quorum-read": "4a6202f8efe3a828-01735186a5cf745b-d4d581e2f7f48f12",
     "cluster/chaos": "00fcbe3a68c86519",
 }
 
