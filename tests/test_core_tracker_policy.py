@@ -156,6 +156,27 @@ def test_indirect_vops_with_no_triggering_requests_carry_to_the_next_fold():
     assert tracker.profile("t1", RequestClass.PUT).indirect == {InternalOp.COMPACT: 3.0}
 
 
+def test_indirect_vops_fold_only_when_their_internal_op_completes():
+    """A FLUSH still running at an interval's end folds nothing yet,
+    though its VOPs and the PUTs that triggered it are counted: the
+    ratio is taken once, at its completion, over both intervals
+    (8 + 4 VOPs over 4 + 2 units)."""
+    tracker = ResourceTracker()
+    flush = IoTag("t1", RequestClass.PUT, InternalOp.FLUSH)
+    for _ in range(4):
+        tracker.note_request("t1", RequestClass.PUT, 1 * KIB)
+    tracker.note_trigger("t1", RequestClass.PUT, InternalOp.FLUSH)
+    tracker.note_io(flush, OpKind.WRITE, 1 * MIB, 8.0)
+    tracker.roll_interval()
+    assert tracker.profile("t1", RequestClass.PUT).indirect == {}
+    for _ in range(2):
+        tracker.note_request("t1", RequestClass.PUT, 1 * KIB)
+    tracker.note_io(flush, OpKind.WRITE, 1 * MIB, 4.0)
+    tracker.note_internal_op("t1", InternalOp.FLUSH)
+    tracker.roll_interval()
+    assert tracker.profile("t1", RequestClass.PUT).indirect == {InternalOp.FLUSH: 2.0}
+
+
 def test_small_request_counts_at_least_one_unit():
     tracker = ResourceTracker()
     tracker.note_request("t1", RequestClass.GET, 100)  # < 1 KiB

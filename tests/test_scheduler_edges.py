@@ -204,3 +204,51 @@ def test_a_non_finite_reservation_never_reaches_the_scheduler(bad):
         sim.run(until=2.0)
     assert refused
     assert sorted(done) == list(range(96))
+
+
+def _dispatch_log(scheduler):
+    """Record ``(tenant, sim time)`` at every chunk dispatch."""
+    log = []
+    scheduler.dispatch_observer = lambda tag, _kind, _size, _cost: log.append(
+        (tag.tenant, scheduler.sim.now)
+    )
+    return log
+
+
+def test_a_completion_on_a_full_device_dispatches_a_queued_chunk_at_once():
+    """With every slot taken and chunks queued, the slot a completion
+    frees is refilled at that instant, although the completing tenant
+    still has chunks in flight."""
+    sim, scheduler, _model = make_env()
+    scheduler.register_tenant("a", 50_000.0)
+    log = _dispatch_log(scheduler)
+    slots = scheduler.device.queue_depth
+    done = [scheduler.read(i * 4 * KIB, 4 * KIB, tag=IoTag("a")) for i in range(slots + 4)]
+    assert scheduler.queued("a") == 4
+    first = []
+    done[0].callbacks.append(lambda _event: first.append(sim.now))
+    sim.run(until=1.0)
+    assert all(event.ok for event in done)
+    assert len(log) == slots + 4
+    assert log[slots][1] == first[0] > 0.0
+
+
+def test_the_round_holders_last_completion_starts_the_next_round():
+    """Tenant ``b`` holds the round open (deficit left, one chunk in
+    flight, nothing queued) while ``a`` has spent its quantum and waits
+    with chunks queued and slots free.  ``b``'s completion ends the
+    round: ``a``'s next chunk goes out at that instant, not at the
+    round timeout."""
+    sim, scheduler, _model = make_env()
+    scheduler.register_tenant("b", 50_000.0)
+    scheduler.register_tenant("a", 100.0)  # a quantum short of one 4 KiB read
+    log = _dispatch_log(scheduler)
+    held = scheduler.read(0, 128 * KIB, tag=IoTag("b"))
+    done = [scheduler.read(MIB + i * 4 * KIB, 4 * KIB, tag=IoTag("a")) for i in range(60)]
+    assert log == [("b", 0.0), ("a", 0.0)] and scheduler.queued("a") == 59
+    assert scheduler.backlog - scheduler.queued("a") == 2  # 30 slots free
+    released = []
+    held.callbacks.append(lambda _event: released.append(sim.now))
+    sim.run(until=1.0)
+    assert all(event.ok for event in done)
+    assert log[2] == ("a", released[0]) and scheduler.forced_rounds == 0
