@@ -6,16 +6,14 @@ cross-node messages cost simulated time on NIC/link resources
 timeouts, and retry budgets (:mod:`.rpc`), and each node runs one
 replica service for the cluster's protocol: primary-backup with write
 quorums (:mod:`.primary_backup`) or Dynamo-style leaderless with vector
-clocks, sloppy quorums, and hinted handoff (:mod:`.leaderless`,
+clocks, sloppy quorums, hinted handoff and anti-entropy (:mod:`.leaderless`,
 :mod:`.versioning`), on the membership view and quorum counter they
 share (:mod:`.replication`).  Heartbeat failure detection
 promotes backups — or, leaderless, revives healed nodes —
-(:mod:`.failover`), and background anti-entropy converges cold
-divergence (:mod:`.antientropy`).  Applications come in through
+(:mod:`.failover`).  Applications come in through
 :class:`~repro.net.client.ClusterClient`.
 """
 
-from .antientropy import AntiEntropyService
 from .client import ClusterClient
 from .fabric import LinkStats, NetConfig, NetworkFabric, Nic
 from .failover import FailoverRecord, FailureDetector, HeartbeatService
@@ -27,7 +25,6 @@ from .versioning import VectorClock, Version, VersionStore, reconcile
 
 __all__ = [
     "ACK_BYTES",
-    "AntiEntropyService",
     "ClusterClient",
     "FailoverRecord",
     "FailureDetector",

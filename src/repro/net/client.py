@@ -116,8 +116,8 @@ class ClusterClient:
             target = partition.node
             route = self._primary_cache[slot] = (
                 target,
-                lambda t=target, v=pm.version: (
-                    not self.membership.is_live(t) or self.partition_map.version != v
+                lambda t, v=pm.version: (
+                    self.membership.is_dead(t) or self.partition_map.version != v
                 ),
             )
             return route
@@ -170,10 +170,10 @@ class ClusterClient:
     def put(self, tenant: str, key: int, size: int, op: str = "put"):
         """PUT; acked once durable on the partition's write quorum.
 
-        Returns the serving replica's reply: True from a primary, and a
-        leaderless coordinator's dict carrying the stamped version, which
-        the partition experiments record to audit acked-write survival.
-        ``op="delete"`` is :meth:`delete`.
+        Returns the serving replica's reply: True from a primary, and
+        from a leaderless coordinator the stamped
+        :class:`~repro.net.versioning.Version` (what a test auditing
+        acked-write survival records).  ``op="delete"`` is :meth:`delete`.
         """
         started = self.sim.now
         tr = self.tracer
@@ -304,26 +304,11 @@ class ClusterClient:
         quorum = Quorum(
             self.sim, need, len(live), NodeUnreachable, self.rpc.name, tenant, key, least=1
         )
-        replies: Dict[int, Optional[int]] = {}
-        for rank, name in enumerate(live):
-            self.sim.process(
-                self._read_one(name, rank, payload, replies, quorum, trace),
-                name=f"qread.{self.rpc.name}.{name}",
-            )
+        replies: Dict[str, Optional[int]] = {}
+        self.rpc.fan_out(live, "kv.get", payload, ACK_BYTES, quorum.gathering(replies), trace)
         yield quorum
-        # Chain order = seniority: rank 0 is the primary.
-        return replies[min(replies)]
-
-    def _read_one(self, target, rank, payload, replies, quorum, trace=None):
-        try:
-            reply = yield from self.rpc.call(
-                target, "kv.get", payload, ACK_BYTES, trace=trace
-            )
-        except StorageFault:
-            quorum(False)
-            return
-        replies[rank] = reply
-        quorum(True)
+        # Chain order = seniority: the first live replica is the primary.
+        return next(replies[name] for name in live if name in replies)
 
     def _note(
         self, tenant: str, kind: str, size: int, started: float,

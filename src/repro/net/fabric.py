@@ -239,33 +239,23 @@ class Link:
             # Duplicates trail the original by one propagation delay.
             self.sim.call_at(arrival + copy * self.latency, deliver, message)
 
-    def deliver(self, message: Any) -> None:
-        """Hand ``message`` to the callable ``dst`` attached, looked up
-        now (none drops it), or count a dead letter."""
-        if self.dst in self.fabric._down:
-            self.stats.dead_letters += 1
-            return
-        self.fabric._handlers.get(self.dst, _drop)(message)
-
-
-def _drop(_message: Any) -> None:
-    """The handler of an endpoint that is not attached."""
-
 
 class NetworkFabric:
     """Message transport between named endpoints.
 
-    Sending is fire-and-forget: the message is delivered to the
-    destination endpoint's handler at its (congestion- and fault-
-    adjusted) arrival time, or never — request/response semantics live
-    one layer up, in :mod:`repro.net.rpc`.
+    Sending is fire-and-forget, over the :class:`Link` between two
+    names: the message reaches the receiving endpoint's handler at its
+    (congestion- and fault-adjusted) arrival time, or never —
+    request/response semantics live one layer up, in
+    :mod:`repro.net.rpc`, whose endpoints are what attach here.
     """
 
     def __init__(self, sim: Simulator, config: Optional[NetConfig] = None):
         self.sim = sim
         self.config = config or NetConfig()
         self.nics: Dict[str, Nic] = {}
-        self._handlers: Dict[str, Any] = {}
+        #: name -> the attached :class:`~repro.net.rpc.RpcEndpoint`
+        self.endpoints: Dict[str, Any] = {}
         self._down: Dict[str, float] = {}  # endpoint -> kill time
         self.link_stats: Dict[Tuple[str, str], LinkStats] = {}
         #: src -> dst -> Link, opened on the pair's first message
@@ -278,15 +268,15 @@ class NetworkFabric:
 
     # -- membership --------------------------------------------------------
 
-    def attach(self, name: str, handler: Any) -> Nic:
-        """Register an endpoint: a callable ``handler(message)`` for
-        :meth:`send`, or an :class:`~repro.net.rpc.RpcEndpoint`."""
+    def attach(self, name: str, endpoint: Any) -> Nic:
+        """Register an :class:`~repro.net.rpc.RpcEndpoint` under ``name``
+        and give it its NIC."""
         if name in self.nics:
             raise ValueError(f"endpoint {name!r} already attached")
         nic = Nic(name, self.config.nic_bandwidth)
         nic.down = name in self._down
         self.nics[name] = nic
-        self._handlers[name] = handler
+        self.endpoints[name] = endpoint
         self._links[name] = {}
         return nic
 
@@ -309,9 +299,3 @@ class NetworkFabric:
                 self._links[src][dst] = link
                 self.link_stats[(src, dst)] = link.stats
         return link
-
-    def send(self, src: str, dst: str, nbytes: int, message: Any) -> None:
-        """Ship ``message`` from ``src`` to ``dst`` over their link, to
-        be handed to the callable ``dst`` attached (see :meth:`Link.send`)."""
-        link = self.link(src, dst)
-        link.send(nbytes, message, link.deliver)

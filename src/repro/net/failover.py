@@ -85,10 +85,7 @@ class HeartbeatService:
             # The fabric drops casts from a down endpoint, so a killed
             # node goes silent without the service having to know.
             self.endpoint.cast(
-                self.controller,
-                "ctrl.heartbeat",
-                {"node": self.endpoint.name, "at": self.sim.now},
-                HEARTBEAT_BYTES,
+                self.controller, "ctrl.heartbeat", self.endpoint.name, HEARTBEAT_BYTES
             )
             self.beats += 1
             yield self.sim.timeout(self.interval)
@@ -135,8 +132,7 @@ class FailureDetector:
         """Stop tracking a drained node (no suspicion, no failover)."""
         self.last_seen.pop(name, None)
 
-    def _on_heartbeat(self, payload) -> None:
-        node = payload["node"]
+    def _on_heartbeat(self, node: str) -> None:
         if node in self.last_seen:
             self.last_seen[node] = self.sim.now
             # Leaderless: a suspected node whose heartbeats resume is
@@ -219,9 +215,6 @@ class FailureDetector:
         in-process service state is *not* consulted — the controller
         only knows what the wire tells it)."""
         try:
-            reply = yield from self.endpoint.call(
-                name, "repl.seq", {"tenant": tenant, "pid": pid}, ACK_BYTES
-            )
-            return reply["seq"]
+            return (yield from self.endpoint.call(name, "repl.seq", (tenant, pid), ACK_BYTES))
         except StorageFault:
             return -1

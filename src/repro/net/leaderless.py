@@ -18,13 +18,26 @@ repair** to any replica that answered stale — repair traffic runs the
 same engine path, so it is charged as VOPs to the owning tenant,
 visible to Libra's demand estimates.
 
-Background anti-entropy (:mod:`repro.net.antientropy`) converges what
-reads never touch.  There is no live migration here: the control plane
-refuses a leaderless cluster.
+Background **anti-entropy** converges what reads never touch (a
+partition that heals after one-sided writes leaves cold keys divergent
+otherwise).  Every ``NetConfig.anti_entropy_interval`` seconds each node
+picks, for each (tenant, partition) it is a home replica of, one peer
+replica round-robin, exchanges Merkle-style digests (see
+:meth:`repro.net.versioning.VersionStore.digest`), and for divergent
+buckets pushes the versions the peer lacks and pulls the versions it
+lacks itself.  The digest exchange is metadata-only; every transfer
+lands through the charged engine path, so repair bandwidth is charged
+to the owning tenant like foreground writes.  Rounds are staggered per
+node by a deterministic name-hash phase, so a cluster's scans spread
+over the interval and same-seed runs stay byte-identical.
+
+There is no live migration here: the control plane refuses a
+leaderless cluster.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, Tuple
 
 from ..faults import NodeUnreachable, QuorumError, RetriesExhausted, StorageFault
@@ -36,23 +49,33 @@ __all__ = ["LeaderlessService"]
 
 #: wire bytes of a versioned-record envelope (clock entries, stamp)
 VERSION_HEADER_BYTES = 96
+#: wire bytes of one digest reply entry (bucket hash vector slot)
+DIGEST_ENTRY_BYTES = 8
+#: Merkle-style digest buckets per (tenant, partition) key range
+DIGEST_BUCKETS = 16
 
 
 class LeaderlessService(ReplicaService):
-    """One node's leaderless face: coordination, replica storage, hints.
+    """One node's leaderless face: coordination, replica storage, hints,
+    and the hinted-handoff and anti-entropy loops.
 
-    Methods (the request's trace id rides on the message):
+    Methods (the request's trace id rides on the message; a version is
+    the :class:`~repro.net.versioning.Version` itself):
 
-    - ``lkv.put (tenant, key, size, op)`` → ``{ok, version}`` — this
+    - ``lkv.put (tenant, key, size, op)`` → the stamped version — this
       home replica coordinates the write: version, local apply, ship.
     - ``lkv.get (tenant, key)`` → the size — quorum read with read
       repair.
-    - ``repl.store {tenant, key, version, reason}`` — durably apply a
-      versioned record (write, repair, handoff or anti-entropy).
-    - ``repl.read (tenant, key)`` → ``{size, versions}`` — a replica's
+    - ``repl.store (tenant, key, version, reason)`` → True when it
+      changed local state — durably apply a versioned record (write,
+      repair, handoff or anti-entropy).
+    - ``repl.read (tenant, key)`` → ``(size, versions)`` — a replica's
       answer to another coordinator's quorum read.
-    - ``hint.store {tenant, key, version, target}`` — take custody of a
-      record for an unreachable home replica.
+    - ``hint.store (tenant, key, version, target)`` → True — take
+      custody of a record for an unreachable home replica.
+    - ``ae.digest (tenant, pid)`` → ``(root, bucket hashes)`` and
+      ``ae.bucket (tenant, pid, bucket)`` → ``((key, versions), ...)``
+      — a peer's side of an anti-entropy round.
     """
 
     def __init__(self, sim, node, fabric, partition_map, membership, config=None):
@@ -66,22 +89,33 @@ class LeaderlessService(ReplicaService):
         self.read_repairs_sent = 0
         self.repairs_received = 0
         self.handoffs_received = 0
+        #: records anti-entropy applied here, pushed or pulled
         self.ae_received = 0
         #: quorum reads that surfaced >1 concurrent sibling
         self.sibling_reads = 0
+        self.ae_rounds = 0
+        #: digest exchanges whose roots disagreed (sync work followed)
+        self.ae_mismatches = 0
+        #: records anti-entropy shipped to a peer that lacked them
+        self.ae_pushed = 0
+        #: per-(tenant, pid) round-robin cursor over peer replicas
+        self._ae_turn: Dict[Tuple[str, int], int] = {}
         self._lseq = 0
-        self._handoff_stopped = False
+        self._stopped = False
         rpc = self.rpc
         rpc.register("lkv.put", self._handle_lput)
         rpc.register("lkv.get", self._handle_lget)
         rpc.register("repl.store", self._handle_store)
         rpc.register("repl.read", self._handle_read)
         rpc.register("hint.store", self._handle_hint)
+        rpc.register("ae.digest", self._handle_digest)
+        rpc.register("ae.bucket", self._handle_bucket)
         sim.process(self._handoff_loop(), name=f"handoff.{node.name}")
+        sim.process(self._ae_loop(), name=f"ae.{node.name}")
 
     def stop(self) -> None:
-        """Stop background loops (the hinted-handoff scanner)."""
-        self._handoff_stopped = True
+        """Stop background loops (hinted handoff and anti-entropy)."""
+        self._stopped = True
 
     def apply_version(self, tenant: str, key: int, version: Version, trace=None):
         """DES generator: durably apply one versioned record locally.
@@ -122,15 +156,10 @@ class LeaderlessService(ReplicaService):
         True once it is durable there, False when the target could not
         be reached.  ``reason`` (write, repair, handoff, ae) keys the
         receiver's counters."""
-        payload = {
-            "tenant": tenant, "key": key, "version": version.wire(),
-            "reason": reason,
-        }
         try:
             yield from self.rpc.call(
-                target, "repl.store", payload,
-                version.size + VERSION_HEADER_BYTES, trace=trace,
-                give_up=lambda: not self.membership.is_live(target),
+                target, "repl.store", (tenant, key, version, reason),
+                version.size + VERSION_HEADER_BYTES, trace, self.membership.is_dead,
             )
         except (RetriesExhausted, StorageFault):
             return False
@@ -180,6 +209,9 @@ class LeaderlessService(ReplicaService):
         peers = [name for name in partition.replicas if name != self.node.name]
         need = min(self.config.effective_write_quorum, len(partition.replicas)) - 1
         quorum = Quorum(self.sim, need, len(peers), QuorumError, self.node.name, tenant, key)
+        # A process per ship, not a fan_out: a failed push spills to a
+        # hint holder in the same step, which a callback would send one
+        # queued action later.
         for name in peers:
             self.sim.process(
                 self._ship_versioned(partition, name, key, version, quorum, trace),
@@ -192,7 +224,7 @@ class LeaderlessService(ReplicaService):
                 self.quorum_failures += 1
                 raise
         self.quorum_acks += 1
-        return {"ok": True, "version": version.wire()}, ACK_BYTES
+        return version, ACK_BYTES
 
     def _ship_versioned(self, partition, target, key, version, quorum, trace=None):
         """Ship one versioned record to a home replica, spilling to a
@@ -210,10 +242,7 @@ class LeaderlessService(ReplicaService):
         """Walk the ring successors until one durably takes the record
         plus a hint naming ``target``.  True on success."""
         tenant = partition.tenant
-        payload = {
-            "tenant": tenant, "key": key, "version": version.wire(),
-            "target": target,
-        }
+        payload = (tenant, key, version, target)
         nbytes = version.size + VERSION_HEADER_BYTES
         candidates = self.partition_map.hint_candidates(tenant, partition.index)
         # ``give_up`` caps a truly-dead holder at one attempt.
@@ -222,8 +251,7 @@ class LeaderlessService(ReplicaService):
                 continue
             try:
                 yield from self.rpc.call(
-                    holder, "hint.store", payload, nbytes, trace=trace,
-                    give_up=lambda h=holder: not self.membership.is_live(h),
+                    holder, "hint.store", payload, nbytes, trace, self.membership.is_dead
                 )
                 return True
             except (RetriesExhausted, StorageFault):
@@ -243,17 +271,17 @@ class LeaderlessService(ReplicaService):
         partition = self._home_partition(tenant, key)
         need = min(self.config.effective_read_quorum, len(partition.replicas)) - 1
         local_size = yield from self.node.get(tenant, key, trace=trace)
-        replies = {self.node.name: (local_size, list(self.versions.get(tenant, key)))}
+        replies = {self.node.name: (local_size, self.versions.get(tenant, key))}
         peers = [name for name in partition.replicas if name != self.node.name]
         if need > 0 and peers:
             quorum = Quorum(
                 self.sim, need, len(peers), NodeUnreachable, self.node.name, tenant, key
             )
-            for name in peers:
-                self.sim.process(
-                    self._read_one_replica(name, payload, replies, quorum, trace),
-                    name=f"lread.{self.node.name}->{name}",
-                )
+            # The ``lkv.get`` payload is the ``repl.read`` payload.
+            self.rpc.fan_out(
+                peers, "repl.read", payload, ACK_BYTES, quorum.gathering(replies), trace,
+                self.membership.is_dead,
+            )
             yield quorum  # raises NodeUnreachable when < R replicas answer
         versions = [v for _size, held in replies.values() for v in held]
         winner, survivors = reconcile(versions)
@@ -282,32 +310,12 @@ class LeaderlessService(ReplicaService):
         size = None if winner.tombstone else winner.size
         return size, (size or ACK_BYTES)
 
-    def _read_one_replica(self, target, payload, replies, quorum, trace=None):
-        """Ask one home replica for its versions; the ``lkv.get``
-        request's own payload is the ``repl.read`` payload."""
-        try:
-            reply = yield from self.rpc.call(
-                target, "repl.read", payload, ACK_BYTES, trace=trace,
-                give_up=lambda: not self.membership.is_live(target),
-            )
-        except (RetriesExhausted, StorageFault):
-            quorum(False)
-            return
-        replies[target] = (
-            reply["size"],
-            [Version.from_wire(w) for w in reply["versions"]],
-        )
-        quorum(True)
-
     # -- replica side ----------------------------------------------------------
 
     def _handle_store(self, request):
         """Durably apply a versioned record (write / repair / handoff /
         anti-entropy — ``reason`` keys the counters)."""
-        payload = request.payload
-        tenant, key = payload["tenant"], payload["key"]
-        version = Version.from_wire(payload["version"])
-        reason = payload.get("reason", "write")
+        tenant, key, version, reason = request.payload
         applied = yield from self.apply_version(tenant, key, version, request.trace)
         if applied:
             if reason == "repair":
@@ -316,15 +324,14 @@ class LeaderlessService(ReplicaService):
                 self.handoffs_received += 1
             elif reason == "ae":
                 self.ae_received += 1
-        return {"ok": True, "applied": applied}, ACK_BYTES
+        return applied, ACK_BYTES
 
     def _handle_read(self, request):
         """Replica-local read for another coordinator's quorum: engine
         GET through the charged path plus the local version set."""
         tenant, key = request.payload
         size = yield from self.node.read_replica(tenant, key, trace=request.trace)
-        held = [v.wire() for v in self.versions.get(tenant, key)]
-        return {"size": size, "versions": held}, (size or ACK_BYTES)
+        return (size, self.versions.get(tenant, key)), (size or ACK_BYTES)
 
     def _handle_hint(self, request):
         """Take custody of a record whose home replica is unreachable.
@@ -334,17 +341,14 @@ class LeaderlessService(ReplicaService):
         owner is queued; :meth:`_handoff_loop` delivers it once the
         owner is live again.
         """
-        payload = request.payload
-        tenant, key = payload["tenant"], payload["key"]
-        target = payload["target"]
-        version = Version.from_wire(payload["version"])
+        tenant, key, version, target = request.payload
         yield from self.apply_version(tenant, key, version, request.trace)
         slot = (target, tenant, key)
         held = self.hints.get(slot)
         if held is None or version.clock.descends(held.clock):
             self.hints[slot] = version
             self.hints_stored += 1
-        return {"ok": True}, ACK_BYTES
+        return True, ACK_BYTES
 
     def _handoff_loop(self):
         """Periodically deliver queued hints to owners that came back.
@@ -354,7 +358,7 @@ class LeaderlessService(ReplicaService):
         shows up in its VOP demand like any other write.
         """
         interval = self.config.hint_interval
-        while not self._handoff_stopped:
+        while not self._stopped:
             yield self.sim.timeout(interval)
             for slot in sorted(self.hints):
                 target, tenant, key = slot
@@ -367,3 +371,91 @@ class LeaderlessService(ReplicaService):
                 if self.hints.get(slot) is version:
                     del self.hints[slot]
                 self.hints_delivered += 1
+
+    # -- anti-entropy ----------------------------------------------------------
+
+    def _ae_loop(self):
+        interval = self.config.anti_entropy_interval
+        # Deterministic per-node phase: spread the cluster's scans over
+        # one interval (a name hash, never Python's salted hash()).
+        yield self.sim.timeout((zlib.crc32(self.node.name.encode()) % 997) / 997.0 * interval)
+        while not self._stopped:
+            yield self.sim.timeout(interval)
+            if self._stopped:
+                return
+            yield from self._ae_round()
+
+    def _ae_round(self):
+        """One sweep: sync each home partition, in (tenant, pid) order,
+        with one peer replica picked round-robin."""
+        self.ae_rounds += 1
+        name = self.node.name
+        owned = [
+            (tenant, partition.index, [r for r in partition.replicas if r != name])
+            for tenant in sorted(self.node.engines)
+            for partition in self.partition_map.partitions(tenant)
+            if name in partition.replicas
+        ]
+        for tenant, pid, peers in owned:
+            if self._stopped:
+                return
+            if not peers:
+                continue
+            turn = self._ae_turn.get((tenant, pid), 0)
+            self._ae_turn[(tenant, pid)] = turn + 1
+            peer = peers[turn % len(peers)]
+            if not self.membership.is_live(peer):
+                continue
+            try:
+                yield from self._ae_sync(tenant, pid, peer)
+            except (RetriesExhausted, StorageFault):
+                continue  # peer unreachable this round; next round retries
+
+    def _ae_sync(self, tenant: str, pid: int, peer: str):
+        """Digest-compare one partition with ``peer``; transfer diffs."""
+        versions = self.versions
+        my_root, my_buckets = versions.digest(tenant, pid, DIGEST_BUCKETS)
+        root, buckets = yield from self.rpc.call(
+            peer, "ae.digest", (tenant, pid), ACK_BYTES, None, self.membership.is_dead
+        )
+        if root == my_root:
+            return
+        self.ae_mismatches += 1
+        for bucket, (mine, theirs) in enumerate(zip(my_buckets, buckets)):
+            if mine == theirs:
+                continue
+            peer_held = dict((yield from self.rpc.call(
+                peer, "ae.bucket", (tenant, pid, bucket), ACK_BYTES,
+                None, self.membership.is_dead,
+            )))
+            keys = {key for key in versions.keys_in(tenant, pid) if key % DIGEST_BUCKETS == bucket}
+            for key in sorted(keys | set(peer_held)):
+                held = versions.get(tenant, key)
+                remote = peer_held.get(key, ())
+                for version in held:
+                    if any(r.clock.descends(version.clock) for r in remote):
+                        continue
+                    self.ae_pushed += 1
+                    yield from self.push(peer, tenant, key, version, "ae")
+                for version in remote:
+                    if any(m.clock.descends(version.clock) for m in held):
+                        continue
+                    if (yield from self.apply_version(tenant, key, version)):
+                        self.ae_received += 1
+
+    def _handle_digest(self, request):
+        tenant, pid = request.payload
+        digest = self.versions.digest(tenant, pid, DIGEST_BUCKETS)
+        return digest, ACK_BYTES + DIGEST_ENTRY_BYTES * DIGEST_BUCKETS
+        yield  # pragma: no cover - marks this handler as a generator
+
+    def _handle_bucket(self, request):
+        tenant, pid, bucket = request.payload
+        versions = self.versions
+        entries = tuple(
+            (key, versions.get(tenant, key))
+            for key in versions.keys_in(tenant, pid)
+            if key % DIGEST_BUCKETS == bucket
+        )
+        return entries, ACK_BYTES + DIGEST_ENTRY_BYTES * 8 * max(len(entries), 1)
+        yield  # pragma: no cover - marks this handler as a generator

@@ -110,10 +110,10 @@ class PrimaryBackupService(ReplicaService):
       the full engine path (WAL, memtable, FLUSH/COMPACT), so replicated
       writes consume VOPs on every replica and Libra's per-node demand
       estimates see the backup load.
-    - ``repl.seq {tenant, pid}`` → ``{seq}`` — the applied sequence,
-      queried by the failure detector when choosing a promotion target.
-    - ``mig.apply {tenant, records}`` — a migration destination applies
-      a shipped batch.
+    - ``repl.seq (tenant, pid)`` → the applied sequence, queried by the
+      failure detector when choosing a promotion target.
+    - ``mig.apply (tenant, records)`` → the record count — a migration
+      destination applies a shipped batch.
 
     Live migration is two calls: :meth:`transfer` (the whole protocol,
     on the source primary) and :meth:`reset_stream` (a cutover's
@@ -313,8 +313,7 @@ class PrimaryBackupService(ReplicaService):
         self.rpc.reply_error(*failed)
 
     def _handle_seq(self, request):
-        payload = request.payload
-        return {"seq": self.applied_seq(payload["tenant"], payload["pid"])}, ACK_BYTES
+        return self.applied_seq(*request.payload), ACK_BYTES
         yield  # pragma: no cover - marks this handler as a generator
 
     # -- live migration (source primary + destination sides) ----------------
@@ -392,11 +391,7 @@ class PrimaryBackupService(ReplicaService):
             nbytes = sum(size for _k, size, _op in chunk) + REPL_HEADER_BYTES
             for target in targets:
                 yield from self.rpc.call(
-                    target,
-                    "mig.apply",
-                    {"tenant": tenant, "records": chunk},
-                    nbytes,
-                    give_up=lambda t=target: not self.membership.is_live(t),
+                    target, "mig.apply", (tenant, chunk), nbytes, None, self.membership.is_dead
                 )
 
     def reset_stream(self, tenant: str, pid: int, seq: int) -> None:
@@ -417,8 +412,7 @@ class PrimaryBackupService(ReplicaService):
     def _handle_mig_apply(self, request):
         """Destination side: durably apply a batch of shipped records
         through the full charged replica path, in order."""
-        payload = request.payload
-        tenant = payload["tenant"]
-        for key, size, op in payload["records"]:
+        tenant, records = request.payload
+        for key, size, op in records:
             yield from self.node.apply_replica(tenant, key, size or 1024, op=op)
-        return {"n": len(payload["records"])}, ACK_BYTES
+        return len(records), ACK_BYTES

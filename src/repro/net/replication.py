@@ -39,6 +39,11 @@ class Membership:
     def is_live(self, name: str) -> bool:
         return name in self.live
 
+    def is_dead(self, name: str) -> bool:
+        """Not live: the ``give_up`` of an RPC that stops retrying a
+        target once the detector declares it dead."""
+        return name not in self.live
+
     def live_first(self, names) -> List[str]:
         """``names`` in order, membership-live ones first, then the
         suspected-dead ones.
@@ -82,7 +87,7 @@ class Quorum(Event):
     """Replies to one fan-out, counted toward a quorum: an event.
 
     Called as each reply's ``done(ok, value)`` (the
-    :meth:`~repro.net.rpc.RpcEndpoint.call_async` callback shape).  It
+    :meth:`~repro.net.rpc.RpcEndpoint.fan_out` callback shape).  It
     succeeds once ``need`` replies are ok; once all ``total`` have
     answered short of that, it succeeds if at least ``least`` are ok
     (default ``need``) and otherwise fails with ``error``, naming the
@@ -124,6 +129,18 @@ class Quorum(Event):
                     f"{self.acks}/{self.need} replies"
                 )
             )
+
+    def gathering(self, replies: dict):
+        """A ``done`` for a read's fan-out: it keeps each ok reply's
+        payload in ``replies`` under its replier's name, then counts
+        the reply here."""
+
+        def done(ok: bool, reply) -> None:
+            if ok:
+                replies[reply.src] = reply.payload
+            self(ok)
+
+        return done
 
 
 class ReplicaService:

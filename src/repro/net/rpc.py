@@ -9,14 +9,16 @@ backoff — the same budget shape
 device faults, because the failure modes rhyme: a dropped message, a
 dead peer, and a congested NIC all look like silence to the caller.
 
-One retry/give-up/backoff policy has two drivers.  :meth:`RpcEndpoint.call`
-is a DES generator for callers that park on the reply;
-:meth:`RpcEndpoint.call_async` reports to a ``done(ok, value)`` callback
-for callers that only relay it (replica shipping).  Each continuation of
-``call_async`` is queued where the generator's resume would have been,
-so the two produce the same trajectory.  Each message an endpoint sends
-over its link to a peer names the receiving endpoint's handler for its
-kind (request, response or cast), which its arrival runs directly.
+A call goes one of two ways, under one retry/give-up/backoff policy.
+:meth:`RpcEndpoint.call` is a DES generator for a caller that parks on
+the reply.  :meth:`RpcEndpoint.fan_out` calls several targets at once
+for a caller that counts or gathers their replies (a write's replica
+shipments, a quorum read): each target's first attempt is queued where
+a process per target would start, and each continuation where that
+process's resume would be, so the two produce the same trajectory.
+Each message an endpoint sends over its link to a peer names the
+receiving endpoint's handler for its kind (request, response or cast),
+which its arrival runs directly.
 
 A :meth:`RpcEndpoint.register` handler is a DES generator returning
 ``(result, reply_bytes)``, run in a serve process that sends the reply
@@ -42,7 +44,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..faults import NetworkFault, NodeUnreachable, RetriesExhausted, RpcTimeout
 from ..sim import DeadlineQueue, Event, Process, Simulator
-from .fabric import NetConfig, NetworkFabric, _drop
+from .fabric import NetConfig, NetworkFabric
 
 __all__ = ["RpcError", "RpcStats", "RpcMessage", "RpcReply", "RpcEndpoint"]
 
@@ -90,12 +92,18 @@ class RpcReply(namedtuple("RpcReply", "src corr_id payload ok")):
 
 #: builds a message tuple without an interpreted constructor
 _new = tuple.__new__
+
+
+def _drop(_message: Any) -> None:
+    """Deliver a message to a name no endpoint is attached as: lose it."""
+
+
 #: the receiver of a message to a name no endpoint is attached as
 _UNATTACHED = SimpleNamespace(_on_request=_drop, _on_response=_drop, _on_cast=_drop)
 
 
 class _AsyncCall:
-    """One :meth:`RpcEndpoint.call_async` in flight.
+    """One target's call of a :meth:`RpcEndpoint.fan_out` in flight.
 
     It is its own waiter in the endpoint's ``_waiting`` table: where an
     :class:`Event` would queue its dispatch, :meth:`succeed` queues
@@ -131,14 +139,14 @@ class _AsyncCall:
         """Classify the attempt's reply; answer ``done`` or retry."""
         if reply is not None and reply.ok and self.endpoint.tracer is None:
             self.endpoint.stats.round_trips += 1
-            self.done(True, reply.payload)
+            self.done(True, reply)
             return
         endpoint = self.endpoint
         failure = endpoint._reply_failure(
             reply, self.target, self.method, self.nbytes, self.trace, self.started
         )
         if failure is None:
-            self.done(True, reply.payload)
+            self.done(True, reply)
             return
         self.attempt += 1
         try:
@@ -178,7 +186,7 @@ class _Peers(dict):
         self.name = name
 
     def __missing__(self, target: str) -> _Peer:
-        receiver = self.fabric._handlers.get(target)
+        receiver = self.fabric.endpoints.get(target)
         peer = _Peer(self.fabric.link(self.name, target).send, receiver or _UNATTACHED)
         if receiver is not None:
             self[target] = peer
@@ -258,14 +266,14 @@ class RpcEndpoint:
 
     def call(self, target: str, method: str, payload: Any, nbytes: int,
              trace: Optional[int] = None,
-             give_up: Optional[Callable[[], bool]] = None):
+             give_up: Optional[Callable[[str], bool]] = None):
         """DES generator: request/response with retries and backoff.
 
         Raises :class:`RetriesExhausted` (cause: the final
         :class:`~repro.faults.RpcTimeout` or :class:`RpcError`) once the
         budget is spent.  The endpoint reads no membership: a dead
-        target is silence, each attempt timing out.  ``give_up()`` is
-        consulted after each failed attempt: True abandons the rest of
+        target is silence, each attempt timing out.  ``give_up(target)``
+        is consulted after each failed attempt: True abandons the rest of
         the budget (wrapped in :class:`RetriesExhausted` with
         :class:`NodeUnreachable` as the cause), so a call to a target
         the failure detector declared dead ends one timeout after its
@@ -291,28 +299,26 @@ class RpcEndpoint:
             attempt += 1
             yield self.sim.timeout(self._retry_after(attempt, failure, target, method, give_up))
 
-    def call_async(self, target: str, method: str, payload: Any, nbytes: int,
-                   done: Callable[[bool, Any], None], trace: Optional[int] = None,
-                   give_up: Optional[Callable[[], bool]] = None) -> None:
-        """:meth:`call` for a caller that is a callback, not a process.
-
-        Sends the first attempt now.  ``done(True, result)`` or
-        ``done(False, RetriesExhausted)`` runs exactly where :meth:`call`
-        would return or raise into its caller, and every retry waits on
-        a scheduled call where :meth:`call` would wait on a ``Timeout``
-        — the same policy, budget and trajectory, with no generator.
-        """
-        _AsyncCall(self, target, method, payload, nbytes, done, trace, give_up).send()
-
     def fan_out(self, targets, method: str, payload: Any, nbytes: int,
-                done: Callable[[bool, Any], None], trace: Optional[int] = None) -> None:
-        """:meth:`call_async` to each of ``targets``, every first attempt
-        queued for now, where a process per target would start."""
+                done: Callable[[bool, Any], None], trace: Optional[int] = None,
+                give_up: Optional[Callable[[str], bool]] = None) -> None:
+        """:meth:`call` to each of ``targets``, for a caller that is a
+        callback, not a process: every first attempt is queued for now,
+        where a process per target would start.
+
+        ``done(True, reply)`` (the :class:`RpcReply`: ``reply.src``
+        says whose it is) or ``done(False, RetriesExhausted)`` runs once
+        per target, exactly where :meth:`call` would return or raise
+        into that process, and every retry waits on a scheduled call
+        where :meth:`call` would wait on a ``Timeout`` — the same policy,
+        budget (``give_up`` as :meth:`call` consults it) and trajectory,
+        with no generator.
+        """
         sim = self.sim
         for target in targets:
             sim.call_at(
                 sim.now, _AsyncCall.send,
-                _AsyncCall(self, target, method, payload, nbytes, done, trace, None),
+                _AsyncCall(self, target, method, payload, nbytes, done, trace, give_up),
             )
 
     # -- one attempt, shared by both drivers ---------------------------------
@@ -358,13 +364,13 @@ class RpcEndpoint:
         return None if reply.ok else reply.payload
 
     def _retry_after(self, attempt: int, failure: NetworkFault, target: str,
-                     method: str, give_up: Optional[Callable[[], bool]]) -> float:
+                     method: str, give_up: Optional[Callable[[str], bool]]) -> float:
         """Count failed attempt ``attempt`` and return the backoff before
         the next one, or raise :class:`RetriesExhausted` when the caller
         gives up or the budget is spent."""
         cfg = self.config
         self.stats.retries += 1
-        if give_up is not None and give_up():
+        if give_up is not None and give_up(target):
             self.stats.failures += 1
             raise RetriesExhausted(
                 f"{self.name}: rpc {method} to {target} abandoned "

@@ -2,7 +2,8 @@
 
 Every value stored under the leaderless mode carries a
 :class:`VectorClock` — one counter per coordinating node — so causality
-is explicit on the wire: a replica can tell whether an incoming version
+is explicit in every message (a :class:`Version` is immutable and
+travels as itself): a replica can tell whether an incoming version
 *descends* its own (apply it), is *dominated* by it (ignore, and tell
 the sender to repair itself), or is *concurrent* (a genuine conflict:
 two coordinators accepted writes on opposite sides of a partition).
@@ -99,14 +100,6 @@ class VectorClock:
     def items(self) -> Tuple[Tuple[str, int], ...]:
         return self._items
 
-    def wire(self) -> List[List]:
-        """JSON-shaped payload form (lists survive dict-free transports)."""
-        return [[node, count] for node, count in self._items]
-
-    @classmethod
-    def from_wire(cls, payload: Iterable) -> "VectorClock":
-        return cls((str(node), int(count)) for node, count in payload)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, VectorClock) and self._items == other._items
 
@@ -139,24 +132,6 @@ class Version:
     @property
     def tombstone(self) -> bool:
         return self.op == "delete"
-
-    def wire(self) -> Dict:
-        return {
-            "clock": self.clock.wire(),
-            "size": self.size,
-            "op": self.op,
-            "stamp": [self.stamp[0], self.stamp[1], self.stamp[2]],
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Dict) -> "Version":
-        stamp = payload["stamp"]
-        return cls(
-            clock=VectorClock.from_wire(payload["clock"]),
-            size=int(payload["size"]),
-            op=str(payload["op"]),
-            stamp=(float(stamp[0]), str(stamp[1]), int(stamp[2])),
-        )
 
     def key(self) -> Tuple:
         """Canonical identity for digests and set comparison."""

@@ -86,7 +86,7 @@ class StorageCluster:
         self._clients = 0
         self.fabric = NetworkFabric(sim, net)
         self.membership = Membership()
-        self.services, self.anti_entropy, self.heartbeats = {}, {}, {}
+        self.services, self.heartbeats = {}, {}
         # Wiring runs in two phases around the detector's construction,
         # node by node within each: the background loops' start order
         # fixes which of them runs first at a shared instant.
@@ -98,17 +98,12 @@ class StorageCluster:
         self._watch(list(self.nodes))
 
     def _serve(self, names: List[str]) -> None:
-        """Start new nodes' replica services (leaderless: and anti-entropy)."""
-        from ..net import AntiEntropyService
-
+        """Start new nodes' replica services."""
         for name in names:
             self.services[name] = self._service_cls(
                 self.sim, self.nodes[name], self.fabric, self.partition_map,
                 self.membership, config=self.net,
             )
-        if self.net.leaderless:
-            for name in names:
-                self.anti_entropy[name] = AntiEntropyService(self.sim, self.services[name])
 
     def _watch(self, names: List[str]) -> None:
         """Admit served nodes to the membership and the detector, and
@@ -256,9 +251,7 @@ class StorageCluster:
             heartbeat.stop()
         self.detector.unwatch(name)
         self.membership.remove(name)
-        ae = self.anti_entropy.pop(name, None)
-        if ae is not None:
-            ae.stop()
+        self.services[name].stop()
         self.nodes[name].stop()
         return reports
 
@@ -565,8 +558,6 @@ class StorageCluster:
             heartbeat.stop()
         for service in self.services.values():
             service.stop()
-        for ae in self.anti_entropy.values():
-            ae.stop()
         self.detector.stop()
         for node in self.nodes.values():
             node.stop()

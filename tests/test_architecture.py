@@ -12,6 +12,12 @@
   ``reset_stream`` alone.  (``GrowCell.migrations`` in ``scalefig``
   is a count of moves, not the service's table, so the rule names the
   table by its private spelling.)
+- Messages in ``repro.net`` are tuples or bare values: no dict
+  display in ``src/repro/net/`` is an argument of ``.call``, ``.cast``,
+  ``.fan_out`` or ``.reply``, or the first element of a returned tuple
+  (a handler's ``(result, reply_bytes)``).  The hot payloads and the
+  cold ones have one shape, and a :class:`~repro.net.Version` travels as
+  itself.
 - Every name in every ``repro.*`` ``__all__`` resolves.
 """
 
@@ -28,6 +34,9 @@ KERNEL = SRC / "sim"
 QUEUE_ATTRS = {"_heap", "_seq", "_ready"}
 #: the one module that knows the live-migration protocol
 PRIMARY_BACKUP = SRC / "net" / "primary_backup.py"
+NET = SRC / "net"
+#: the endpoint calls whose arguments travel as a message or reply
+MESSAGE_CALLS = {"call", "cast", "fan_out", "reply"}
 
 
 def queue_touches(source: str):
@@ -120,6 +129,54 @@ def test_only_primary_backup_knows_the_migration_protocol():
     assert {path: hits for path, hits in touches.items() if hits} == {}
     # ...and the rule has something to guard: the protocol is in there.
     assert migration_touches(PRIMARY_BACKUP.read_text())
+
+
+def dict_messages(source: str):
+    """``(line, what)`` for each dict display in ``source`` that would
+    travel as a message: an argument of one of ``MESSAGE_CALLS``, or
+    the first element of a returned tuple."""
+    dicts = (ast.Dict, ast.DictComp)
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in MESSAGE_CALLS:
+            for arg in node.args + [keyword.value for keyword in node.keywords]:
+                if isinstance(arg, dicts):
+                    found.append((arg.lineno, f".{node.func.attr}"))
+        elif isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple) \
+                and node.value.elts and isinstance(node.value.elts[0], dicts):
+            found.append((node.lineno, "return"))
+    return sorted(found)
+
+
+def test_the_checker_finds_a_dict_message():
+    # The heartbeat cast, ``repl.seq`` call and handler as they once were.
+    source = (
+        "def beat(self):\n"
+        "    self.endpoint.cast(\n"
+        "        self.controller,\n"
+        "        'ctrl.heartbeat',\n"
+        "        {'node': self.endpoint.name, 'at': self.sim.now},\n"
+        "        HEARTBEAT_BYTES,\n"
+        "    )\n"
+        "def seq(self, name, tenant, pid):\n"
+        "    reply = yield from self.endpoint.call(name, 'repl.seq', {'tenant': tenant}, 16)\n"
+        "    return reply['seq']\n"
+        "def handle_seq(self, request):\n"
+        "    return {'seq': self.applied_seq(*request.payload)}, ACK_BYTES\n"
+        "def fine(self, request, counts):\n"
+        "    self.rpc.reply(request, dict(counts), 16, 0.0)  # not a display\n"
+        "    self.rpc.fan_out(t, 'm', (1, 2), 16, done=lambda ok, r: {ok: r})\n"
+        "    return (request.payload, {'n': 1}), 16\n"
+    )
+    assert dict_messages(source) == [(5, ".cast"), (9, ".call"), (12, "return")]
+
+
+def test_every_message_in_net_is_a_tuple_or_a_bare_value():
+    modules = sorted(NET.glob("*.py"))
+    assert len(modules) > 5
+    found = {str(path.relative_to(SRC)): dict_messages(path.read_text()) for path in modules}
+    assert {path: hits for path, hits in found.items() if hits} == {}
 
 
 def test_every_name_in_every_all_resolves():

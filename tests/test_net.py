@@ -69,17 +69,23 @@ def make_cluster(sim, rf=2, n_nodes=3, partitions=4, seed=11, net_kwargs=None,
 # ---------------------------------------------------------------------------
 
 
+def cast_pair(sim, fabric, receive):
+    """Endpoints ``a`` and ``b``, with ``b`` handing the payload of each
+    ``m`` cast it receives to ``receive``; returns ``a``."""
+    RpcEndpoint(sim, fabric, "b").register_cast("m", receive)
+    return RpcEndpoint(sim, fabric, "a")
+
+
 def test_nic_serialization_queues_fifo():
     sim = Simulator()
     fabric = NetworkFabric(sim, NetConfig(nic_bandwidth=1e6, link_latency=0.001))
     got = []
-    fabric.attach("a", lambda m: None)
-    fabric.attach("b", lambda m: got.append((sim.now, m)))
+    a = cast_pair(sim, fabric, lambda m: got.append((sim.now, m)))
     # Two back-to-back 10 KB messages: the second queues behind the
     # first's serialization, so arrivals are spaced by the service time.
     wire = 10_000 + MESSAGE_OVERHEAD
-    fabric.send("a", "b", 10_000, "m1")
-    fabric.send("a", "b", 10_000, "m2")
+    a.cast("b", "m", "m1", 10_000)
+    a.cast("b", "m", "m2", 10_000)
     sim.run(until=1.0)
     assert [m for _t, m in got] == ["m1", "m2"]
     service = wire / 1e6
@@ -94,16 +100,15 @@ def test_fabric_down_endpoints_eat_messages():
     sim = Simulator()
     fabric = NetworkFabric(sim, NetConfig())
     got = []
-    fabric.attach("a", lambda m: None)
-    fabric.attach("b", got.append)
-    fabric.send("a", "b", 100, "pre")
+    a = cast_pair(sim, fabric, got.append)
+    a.cast("b", "m", "pre", 100)
     fabric.set_down("b")
-    fabric.send("a", "b", 100, "post")  # dead letter at delivery
+    a.cast("b", "m", "post", 100)  # dead letter at delivery
     sim.run(until=1.0)
     assert got == []  # "pre" was in flight when b died
     assert fabric.link_stats[("a", "b")].dead_letters == 2
     fabric.set_down("a")
-    fabric.send("a", "b", 100, "from-dead")  # silently dropped at source
+    a.cast("b", "m", "from-dead", 100)  # silently dropped at source
     sim.run(until=2.0)
     assert fabric.link_stats[("a", "b")].messages == 2
 
@@ -188,12 +193,11 @@ def test_message_fault_windows_drop_delay_duplicate():
     sim = Simulator()
     fabric = NetworkFabric(sim, NetConfig(fault_plan=plan, link_latency=0.0001))
     got = []
-    fabric.attach("a", lambda m: None)
-    fabric.attach("b", got.append)
+    a = cast_pair(sim, fabric, got.append)
 
     def sender():
         for i in range(200):
-            fabric.send("a", "b", 100, i)
+            a.cast("b", "m", i, 100)
             yield sim.timeout(0.01)
 
     sim.process(sender())
@@ -255,7 +259,7 @@ def test_call_to_a_membership_dead_target_spends_one_attempt():
         started = sim.now
         try:
             yield from client.call(
-                "srv", "echo", 1, 64, give_up=lambda: not membership.is_live("srv")
+                "srv", "echo", 1, 64, give_up=membership.is_dead
             )
         except RetriesExhausted as exc:
             seen.append((sim.now == started + config.rpc_timeout, type(exc.__cause__)))

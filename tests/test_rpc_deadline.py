@@ -12,7 +12,7 @@ Three kinds of test:
   retry loop that drove it (``LegacyEndpoint``), stays here as the
   reference; under a seeded
   message-fault plan it, the coroutine callers of ``call`` and the
-  ``call_async`` callers that relay each reply through a callback must
+  ``fan_out`` callers that relay each reply through a callback must
   produce the same log and ``RpcStats`` and complete every call at the
   same simulated instant;
 - *primitive tests*: :class:`~repro.sim.DeadlineQueue` on its own.
@@ -54,15 +54,15 @@ def closed_loop(client, calls, target="srv", log=None):
 
 
 class CallbackLoop:
-    """``closed_loop`` with ``call_async``: the next call goes out from
-    the previous call's ``done`` callback, with no process."""
+    """``closed_loop`` with a one-target ``fan_out``: the next call is
+    queued from the previous call's ``done`` callback, with no process."""
 
     def __init__(self, client, calls, target="srv", log=None):
         self.client, self.calls, self.target, self.log = client, calls, target, log
         self.i = 0
 
     def start(self, _arg=None):
-        self.client.call_async(self.target, "echo", self.i, 128, self.done)
+        self.client.fan_out((self.target,), "echo", self.i, 128, self.done)
 
     def done(self, ok, value):
         if self.log is not None:
@@ -130,16 +130,19 @@ def queued_actions(calls: int, callbacks: bool = False):
     return queued()
 
 
-@pytest.mark.parametrize("callbacks", [False, True], ids=["generator", "callback"])
-def test_fault_free_round_trip_queues_four_actions(callbacks):
+@pytest.mark.parametrize("callbacks, enqueues", [(False, 2), (True, 3)],
+                         ids=["generator", "callback"])
+def test_fault_free_round_trip_queues_a_fixed_number_of_actions(callbacks, enqueues):
     # Two heap pushes, the request's delivery and the reply's, and two
     # same-instant enqueues: the serve start and the caller's wake-up
     # (for a callback caller, the response's continuation, which
-    # follows the caller's resume's rule).  Differencing two run
+    # follows the caller's resume's rule).  A ``fan_out`` caller's call
+    # also queues its first attempt, where a process started per call
+    # would queue its start: a third enqueue.  Differencing two run
     # lengths cancels the caller's own start and the endpoint's single
     # armed deadline.
     more, fewer = queued_actions(200, callbacks), queued_actions(100, callbacks)
-    assert (more[0] - fewer[0], more[1] - fewer[1]) == (2 * 100, 2 * 100)
+    assert (more[0] - fewer[0], more[1] - fewer[1]) == (2 * 100, enqueues * 100)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +317,8 @@ def test_give_up_abandons_the_budget_alike_in_both_drivers():
         client.fabric.set_down("srv")
         checks = []
 
-        def give_up():
-            checks.append(sim.now)
+        def give_up(target):
+            checks.append((target, sim.now))
             return len(checks) == 2  # the second failed attempt gives up
 
         def record(ok, value):
@@ -323,7 +326,7 @@ def test_give_up_abandons_the_budget_alike_in_both_drivers():
                              dict(vars(client.stats))))
 
         if callbacks:
-            client.call_async("srv", "echo", 0, 64, record, give_up=give_up)
+            client.fan_out(("srv",), "echo", 0, 64, record, give_up=give_up)
         else:
             def caller():
                 try:
